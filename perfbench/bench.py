@@ -2,9 +2,10 @@
 
 End-to-end metrics (tracing off):
 
-- ``setup_s`` — import time from process start, plus the median over
-  :data:`SETUP_REPS` builds of the workload's objects (environments,
-  spaces, pools, service, repository) run to the first proposal;
+- ``setup_s`` — median over :data:`SETUP_REPS` fresh interpreters
+  (``setup_probe.py``) of the host seconds from start to the first
+  proposal: imports, then the workload's objects (environments, spaces,
+  pools, service, repository) built and run until they propose;
 - ``trials_per_s`` — trials recorded ÷ host wall of the timed region;
 - ``trial_ms_p50`` / ``trial_ms_p90`` — host ms per trial over every
   trial of the run (see :class:`TrialClock`);
@@ -33,6 +34,7 @@ import math
 import os
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -49,6 +51,7 @@ from spans import Tracer, layer_of
 from workloads import WORKLOADS, Outcome
 
 SETUP_REPS = 5
+HERE = os.path.dirname(os.path.abspath(__file__))
 QUALITY_TARGET = 0.9
 
 
@@ -90,6 +93,27 @@ def time_setup(workload, seed: int, units: int, workdir: str) -> float:
     except _FirstProposal:
         return time.perf_counter() - start
     raise RuntimeError(f"{workload.name} finished without proposing")
+
+
+def fresh_setup(workload, seed: int, units: int, workdir: str) -> float:
+    """:func:`time_setup` plus imports, in a fresh interpreter."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(HERE, "setup_probe.py"),
+            workload.name,
+            str(seed),
+            str(units),
+            workdir,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"set-up probe failed:\n{done.stderr}")
+    return float(done.stdout.split()[-1])
 
 
 def timed_run(workload, seed: int, units: int, workdir: str):
@@ -348,9 +372,9 @@ def _recover(workload, outcomes, workdir) -> Tuple[object, float, Dict[str, str]
     return recovered, seconds, {}
 
 
-def run_untraced(args, workload, units, workdir, root, import_s) -> int:
+def run_untraced(args, workload, units, workdir, root) -> int:
     setups = [
-        time_setup(workload, args.seed, units, os.path.join(workdir, f"setup{rep}"))
+        fresh_setup(workload, args.seed, units, os.path.join(workdir, f"setup{rep}"))
         for rep in range(SETUP_REPS)
     ]
     live_dir = os.path.join(workdir, "live")
@@ -362,14 +386,14 @@ def run_untraced(args, workload, units, workdir, root, import_s) -> int:
         outcomes,
         wall_s,
         intervals,
-        import_s + statistics.median(setups),
+        statistics.median(setups),
         recovery_s if recovered is not None else None,
     )
     measured["error_frac"] = (failed / len(outcomes), "frac")
     print(
         f"{workload.name}: seed {args.seed}, {len(outcomes)} sessions, "
         f"{len(intervals)} trial intervals, timed wall {wall_s:.3f} s, "
-        f"setup = import {import_s:.3f} s + median of {SETUP_REPS} builds"
+        f"setup = median of {SETUP_REPS} fresh interpreters"
     )
     return emit(
         declared_metrics(root, "end_to_end"), measured, len(outcomes), failed, problems
@@ -422,8 +446,7 @@ def run_traced(args, workload, units, workdir, root, scratch) -> int:
     )
 
 
-def main(args, workdir: str, scratch: str, process_start: float) -> int:
-    import_s = time.perf_counter() - process_start
+def main(args, workdir: str, scratch: str) -> int:
     root = os.path.dirname(scratch)
     workload = WORKLOADS[args.workload]
     # A traced run does the work twice (untraced, then traced), so each
@@ -432,7 +455,7 @@ def main(args, workdir: str, scratch: str, process_start: float) -> int:
     try:
         if args.trace:
             return run_traced(args, workload, units, workdir, root, scratch)
-        return run_untraced(args, workload, units, workdir, root, import_s)
+        return run_untraced(args, workload, units, workdir, root)
     except Exception:  # noqa: BLE001 - report, and fail without a result line
         traceback.print_exc()
         return 1

@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload bo-serial --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload service-warm --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.
 ``--trace 1`` runs the same work untraced and then traced, and reports the
@@ -17,15 +17,11 @@ fresh directory under ``.perfbench/`` that is deleted at exit; the traced
 run's spans are kept in ``.perfbench/spans/``.
 """
 
-import time
-
-_PROCESS_START = time.perf_counter()
-
-import argparse  # noqa: E402
-import os  # noqa: E402
-import shutil  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
+import argparse
+import os
+import shutil
+import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -76,7 +72,7 @@ def main(argv=None) -> int:
     try:
         import bench
 
-        return bench.main(args, workdir, scratch, _PROCESS_START)
+        return bench.main(args, workdir, scratch)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

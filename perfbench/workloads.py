@@ -198,7 +198,7 @@ class FleetAsync(_SessionWorkload):
     """
 
     name = "fleet-async"
-    unit_seconds = 3.0
+    unit_seconds = 2.0
     trials = 40
     multipliers = (1.0, 1.25, 0.8, 1.5)
     drift_at_s = 600.0
