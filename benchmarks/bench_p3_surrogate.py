@@ -11,10 +11,10 @@ modes:
 - ``rebuild`` — the no-cache baseline
   (``BayesianProposer(reuse_surrogate=False)``): every proposal refits the
   objective surrogate from scratch and the cost surrogate with a full
-  hyperparameter optimisation.  This arm still benefits from analytic LML
-  gradients (see the ``hyperfit`` section for that axis in isolation), so
-  the propose/batch speedups are *conservative* relative to the true
-  finite-difference pre-change code.
+  hyperparameter optimisation.
+
+The ``hyperfit`` section times one full hyperparameter fit (restarts=2)
+at each history size.
 
 The ``large`` section measures the sparse surrogate tier at histories
 where the exact tier stops being interactive (n in {1024, 4096}): both
@@ -59,7 +59,7 @@ from repro.core.kernels import make_kernel
 from repro.core.parallel import propose_batch
 from repro.mlsim import Measurement, TrainingConfig
 
-SCHEMA = "bench_p3_surrogate/v2"
+SCHEMA = "bench_p3_surrogate/v3"
 MODES = ("incremental", "rebuild")
 
 
@@ -180,18 +180,14 @@ def time_large_propose(space, n, sparse, repeats, seed=0, warm=64):
     return statistics.median(samples)
 
 
-def time_hyperfit(n, analytic, repeats, seed=0, dim=8):
+def time_hyperfit(n, repeats, seed=0, dim=8):
     """Median latency (ms) of one full hyperparameter fit (restarts=2)."""
     rng = np.random.default_rng(seed)
     x = rng.random((n, dim))
     y = np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
     samples = []
     for _ in range(repeats):
-        gp = GaussianProcess(
-            kernel=make_kernel("matern52", dim),
-            restarts=2,
-            analytic_gradients=analytic,
-        )
+        gp = GaussianProcess(kernel=make_kernel("matern52", dim), restarts=2)
         start = time.perf_counter()
         gp.fit(x, y)
         samples.append((time.perf_counter() - start) * 1e3)
@@ -271,19 +267,9 @@ def run_suite(quick=False, seed=0):
         )
 
     for n in history_sizes:
-        cell = {
-            "fd_ms": time_hyperfit(n, analytic=False, repeats=hyperfit_repeats, seed=seed),
-            "analytic_ms": time_hyperfit(
-                n, analytic=True, repeats=hyperfit_repeats, seed=seed
-            ),
-        }
-        cell["speedup"] = cell["fd_ms"] / cell["analytic_ms"]
+        cell = {"fit_ms": time_hyperfit(n, repeats=hyperfit_repeats, seed=seed)}
         results["hyperfit"][f"n={n}"] = cell
-        print(
-            f"hyperfit n={n:>3}: finite-diff {cell['fd_ms']:8.1f} ms  "
-            f"analytic {cell['analytic_ms']:8.1f} ms  "
-            f"speedup {cell['speedup']:5.1f}x"
-        )
+        print(f"hyperfit n={n:>3}: {cell['fit_ms']:8.1f} ms")
 
     return results
 

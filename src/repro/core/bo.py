@@ -57,6 +57,7 @@ the true finite-difference past.
 
 from __future__ import annotations
 
+import warnings
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -356,6 +357,23 @@ class BayesianProposer:
         self._shard_weights: dict = {}
         self._target_shard_weight: Optional[float] = None
         self.last_fit_diagnostics: dict = {}
+        #: Surrogate fits that failed (:class:`~repro.core.gp.GPFitError`)
+        #: and were replaced by a fallback: the objective GP by a uniform
+        #: random proposal, the cost GP by cost-blind scoring.
+        self.fallbacks = 0
+        self._in_fallback_streak = False
+
+    def _fell_back(self, surrogate: str, error: GPFitError) -> None:
+        """Count one fallback; warn only on the first of a streak."""
+        self.fallbacks += 1
+        if not self._in_fallback_streak:
+            self._in_fallback_streak = True
+            warnings.warn(
+                f"{surrogate} surrogate fit failed ({error}); falling back "
+                "until a fit succeeds (see BayesianProposer.fallbacks)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     def _surrogate_factory(
         self, dims: int, seed: int, prior_mean=None
@@ -501,11 +519,18 @@ class BayesianProposer:
         self._target_shard_weight = shard_weight
         if len(history) < self.n_initial:
             return self._initial_point(len(history), rng)
+        fallbacks = self.fallbacks
         try:
-            return self._model_based_point(history, rng)
-        except GPFitError:
-            # Degenerate data (e.g. all failures): fall back to exploration.
+            config = self._model_based_point(history, rng)
+        except GPFitError as error:
+            # Degenerate data: fall back to exploration, counted.
+            self._fell_back("objective", error)
+            self.last_fit_diagnostics = {"fallbacks": self.fallbacks}
             return self.space.sample(rng)
+        if self.fallbacks == fallbacks:
+            # A proposal with every surrogate fitted ends the streak.
+            self._in_fallback_streak = False
+        return config
 
     def _initial_point(self, index: int, rng: np.random.Generator) -> ConfigDict:
         if self._initial_design is None:
@@ -591,6 +616,7 @@ class BayesianProposer:
             "noise_variance": surrogate.noise_variance,
             "incumbent": incumbent,
             "acquisition_value": current_score,
+            "fallbacks": self.fallbacks,
         }
         return current
 
@@ -729,5 +755,6 @@ class BayesianProposer:
                 allow_extend=self.reuse_surrogate,
                 noise_scale=cost_scale,
             )
-        except GPFitError:
+        except GPFitError as error:
+            self._fell_back("cost", error)
             return None

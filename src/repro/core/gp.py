@@ -41,16 +41,18 @@ hyperparameters); nothing else mutates it.
 from __future__ import annotations
 
 import copy
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
-from repro.core.kernels import Kernel, Matern52
+from repro.core.kernels import Kernel, Matern52, _pairwise_sq_dists
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
@@ -73,22 +75,12 @@ def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray]:
     pure function of its task tuple, and the best-of reduction happens in
     start order either way.
     """
-    kernel, x, z, noise_variance, fit_noise, analytic, bounds, start, scale = task
-    scratch = GaussianProcess(
-        kernel=kernel,
-        noise_variance=noise_variance,
-        fit_noise=fit_noise,
-        restarts=0,
-        analytic_gradients=analytic,
-    )
-    scratch._x = x
-    scratch._z = z
-    scratch._noise_scale = scale
+    kernel, x, z, noise_variance, fit_noise, bounds, start, scale = task
     result = optimize.minimize(
-        lambda p: scratch._neg_log_marginal(p, jac=analytic),
+        _LMLObjective(kernel, x, z, noise_variance, fit_noise, scale),
         start,
         method="L-BFGS-B",
-        jac=analytic,
+        jac=True,
         bounds=bounds,
         options={"maxiter": 200},
     )
@@ -141,17 +133,114 @@ def _run_hyperfit_tasks(
     return [_hyperfit_one(task) for task in tasks]
 
 
+def _diagonal(matrix: np.ndarray) -> np.ndarray:
+    """Writable view of a square matrix's diagonal, in either memory order."""
+    return np.einsum("ii->i", matrix)
+
+
 def _chol_with_jitter(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Cholesky factor with the smallest jitter that succeeds."""
+    """Cholesky factor with the smallest jitter that succeeds.
+
+    Calls LAPACK ``dpotrf`` directly: the same routine, inputs and cleaned
+    lower factor as ``scipy.linalg.cholesky(lower=True)``, without its
+    per-call finiteness scan and identity allocation.  Each rung adds the
+    jitter to a fresh copy of ``matrix``'s diagonal, i.e. ``matrix +
+    jitter * I`` entry for entry.
+    """
     for jitter in _JITTERS:
-        try:
-            chol = linalg.cholesky(
-                matrix + jitter * np.eye(matrix.shape[0]), lower=True
-            )
+        work = np.array(matrix, order="F")
+        _diagonal(work)[...] += jitter
+        chol, info = _potrf(work, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             return chol, jitter
-        except linalg.LinAlgError:
-            continue
     raise GPFitError("covariance matrix not positive definite at any jitter level")
+
+
+class _LMLObjective:
+    """Negative log marginal likelihood and its gradient, for one hyperfit.
+
+    Built once per L-BFGS-B restart (the identity and the ``n log 2 pi``
+    constant with it); each call maps log-parameters to ``(-lml, -grad)``
+    and sets them on ``kernel``, which the objective owns.  An evaluation
+    computes the scaled squared distances once, for both the covariance
+    (``from_sq_dists``) and the gradient contraction
+    (:meth:`Kernel.grad_log_params_dot`), and calls LAPACK
+    ``dpotrf``/``dpotrs`` directly.  Every float comes from the same
+    operations in the same order as ``kernel(x, x) + noise_diag`` through
+    ``scipy.linalg.cholesky`` and ``cho_solve``, so values and gradients
+    are bit-identical to that formulation; in particular ``K^-1`` is
+    ``dpotrs`` against the identity, not ``dpotri``, whose rounding
+    differs.  The gradient is ``-0.5 tr((aa^T - K^-1) dK/dtheta)`` per
+    hyperparameter, collapsed inside the kernel's closed-form contraction
+    so no (p, n, n) derivative tensor is built.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        x: np.ndarray,
+        z: np.ndarray,
+        noise_variance: float,
+        fit_noise: bool,
+        noise_scale: Optional[np.ndarray],
+    ) -> None:
+        n = x.shape[0]
+        self.kernel = kernel
+        self.x = x
+        self.z = z
+        self.noise_variance = noise_variance
+        self.fit_noise = fit_noise
+        self.noise_scale = noise_scale
+        self._num_kernel = kernel.num_params()
+        self._distances = hasattr(kernel, "from_sq_dists")
+        self._eye = np.eye(n)
+        self._log_norm = 0.5 * n * np.log(2.0 * np.pi)
+
+    def __call__(self, log_params: np.ndarray) -> Tuple[float, np.ndarray]:
+        kernel, x, z = self.kernel, self.x, self.z
+        num_kernel = self._num_kernel
+        kernel.set_log_params(log_params[:num_kernel])
+        if self.fit_noise:
+            log_noise = min(max(log_params[num_kernel], -12.0), 2.0)
+            self.noise_variance = float(np.exp(log_noise))
+        noise = self.noise_variance
+        if self._distances:
+            sq = _pairwise_sq_dists(x, x, kernel.lengthscales)
+            cov = kernel.from_sq_dists(sq)
+        else:
+            sq = None
+            cov = kernel(x, x)
+        scale = self.noise_scale
+        _diagonal(cov)[...] += noise if scale is None else noise * scale
+        try:
+            chol, _ = _chol_with_jitter(cov)
+        except GPFitError:
+            return 1e12, np.zeros_like(log_params)
+        alpha, _ = _potrs(chol, z, lower=1)
+        lml = (
+            -0.5 * float(z @ alpha)
+            - float(np.log(chol.diagonal()).sum())
+            - self._log_norm
+        )
+        if not math.isfinite(lml):
+            return 1e12, np.zeros_like(log_params)
+        k_inv, _ = _potrs(chol, self._eye, lower=1)
+        a_mat = np.outer(alpha, alpha) - k_inv
+        grad = np.empty_like(log_params)
+        grad[:num_kernel] = 0.5 * kernel.grad_log_params_dot(x, a_mat, sq=sq)
+        if self.fit_noise:
+            if scale is None:
+                # dK/d(log noise) = noise * I, so the trace term collapses.
+                grad[num_kernel] = 0.5 * noise * (float(alpha @ alpha) - k_inv.trace())
+            else:
+                # dK/d(log noise) = noise * diag(scale): the trace picks up
+                # the per-observation scale weights.
+                grad[num_kernel] = (
+                    0.5
+                    * noise
+                    * (float(alpha @ (scale * alpha)) - float(k_inv.diagonal() @ scale))
+                )
+        return -lml, -grad
 
 
 class GaussianProcess:
@@ -167,10 +256,6 @@ class GaussianProcess:
         refined by the marginal-likelihood fit unless ``fit_noise=False``.
     restarts:
         Number of random restarts for the hyperparameter optimisation.
-    analytic_gradients:
-        Feed L-BFGS-B the closed-form marginal-likelihood gradient (one
-        Cholesky per step).  ``False`` restores scipy's finite-difference
-        fallback — kept only as the benchmark baseline.
     fit_workers:
         Fan the multi-start restarts across ``fit_workers`` worker
         processes.  Deterministic: the same starts are generated either
@@ -187,7 +272,6 @@ class GaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        analytic_gradients: bool = True,
         fit_workers: int = 1,
     ) -> None:
         if noise_variance <= 0:
@@ -201,7 +285,6 @@ class GaussianProcess:
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.analytic_gradients = analytic_gradients
         self.fit_workers = fit_workers
         self._x: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
@@ -290,62 +373,6 @@ class GaussianProcess:
         if self.fit_noise:
             self.noise_variance = float(np.exp(np.clip(log_params[k], -12.0, 2.0)))
 
-    def _neg_log_marginal(
-        self, log_params: np.ndarray, jac: bool = False
-    ) -> Union[float, Tuple[float, np.ndarray]]:
-        """Negative LML at ``log_params``; with ``jac`` also its gradient.
-
-        Value and gradient share one Cholesky factorisation: the gradient
-        is ``-0.5 tr((aa^T - K^-1) dK/dtheta)`` per hyperparameter, with
-        ``dK`` supplied analytically by :meth:`Kernel.grad_log_params`.
-        """
-        self._apply_log_params(log_params)
-        n = self._x.shape[0]
-        cov = self.kernel(self._x, self._x) + self._noise_diag(n)
-        try:
-            chol, _ = _chol_with_jitter(cov)
-        except GPFitError:
-            return (1e12, np.zeros_like(log_params)) if jac else 1e12
-        alpha = linalg.cho_solve((chol, True), self._z)
-        lml = (
-            -0.5 * float(self._z @ alpha)
-            - float(np.sum(np.log(np.diag(chol))))
-            - 0.5 * n * np.log(2.0 * np.pi)
-        )
-        if not np.isfinite(lml):
-            return (1e12, np.zeros_like(log_params)) if jac else 1e12
-        if not jac:
-            return -lml
-        # The gradient needs tr((aa^T - K^-1) dK) per hyperparameter.  The
-        # K^-1 factor comes from one cho_solve against the identity; the
-        # per-parameter traces collapse inside the kernel's closed-form
-        # contraction (grad_log_params_dot) — row sums plus one (n, d)
-        # GEMM — so no (p, n, n) derivative tensor is ever materialised.
-        k_inv = linalg.cho_solve((chol, True), np.eye(n))
-        a_mat = np.outer(alpha, alpha) - k_inv
-        grad = np.empty_like(log_params)
-        num_kernel = self.kernel.num_params()
-        grad[:num_kernel] = 0.5 * self.kernel.grad_log_params_dot(self._x, a_mat)
-        if self.fit_noise:
-            if self._noise_scale is None:
-                # dK/d(log noise) = noise * I, so the trace term collapses.
-                grad[num_kernel] = (
-                    0.5 * self.noise_variance * (float(alpha @ alpha) - np.trace(k_inv))
-                )
-            else:
-                # dK/d(log noise) = noise * diag(scale): the trace picks up
-                # the per-observation scale weights.
-                scale = self._noise_scale
-                grad[num_kernel] = (
-                    0.5
-                    * self.noise_variance
-                    * (
-                        float(alpha @ (scale * alpha))
-                        - float(np.diag(k_inv) @ scale)
-                    )
-                )
-        return -lml, -grad
-
     def _optimize_hyperparameters(self) -> None:
         bounds = self.kernel.param_bounds()
         if self.fit_noise:
@@ -365,7 +392,6 @@ class GaussianProcess:
                 self._z,
                 self.noise_variance,
                 self.fit_noise,
-                self.analytic_gradients,
                 bounds,
                 start,
                 self._noise_scale,
@@ -628,7 +654,6 @@ class SparseGaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        analytic_gradients: bool = True,
         fit_workers: int = 1,
         max_inducing: int = 256,
         reselect_growth: float = 1.25,
@@ -648,7 +673,6 @@ class SparseGaussianProcess:
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.analytic_gradients = analytic_gradients
         self.fit_workers = fit_workers
         self.max_inducing = max_inducing
         self.reselect_growth = reselect_growth
@@ -755,7 +779,6 @@ class SparseGaussianProcess:
             fit_noise=self.fit_noise,
             restarts=self.restarts,
             seed=self.seed,
-            analytic_gradients=self.analytic_gradients,
             fit_workers=self.fit_workers,
         )
         scratch.fit(self._x[self._idx], self._y[self._idx], optimize_hypers=True)

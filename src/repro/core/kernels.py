@@ -16,6 +16,8 @@ instead of scipy's finite-difference fallback.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 _MIN_LOG = -8.0
@@ -26,8 +28,8 @@ def _pairwise_sq_dists(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray)
     """Squared Euclidean distances after per-dimension scaling."""
     a = x1 / lengthscales
     b = x2 / lengthscales
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
     sq = aa + bb - 2.0 * (a @ b.T)
     return np.maximum(sq, 0.0)
 
@@ -75,7 +77,9 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def grad_log_params_dot(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def grad_log_params_dot(
+        self, x: np.ndarray, m: np.ndarray, sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """``sum_ij m_ij * dK_ij/d(log theta_p)`` for every hyperparameter.
 
         The contraction the marginal-likelihood gradient actually needs:
@@ -93,6 +97,12 @@ class Kernel:
 
         with ``a = x / lengthscales``, ``s``/``c`` the row/column sums of
         ``m W``.
+
+        ``sq`` optionally passes in ``_pairwise_sq_dists(x, x,
+        lengthscales)`` when the caller already holds it (the marginal
+        likelihood objective builds the covariance from the same
+        distances), so the contraction does not recompute them.  Kernels
+        without a distance form ignore it.
         """
         return np.einsum("ij,pij->p", m, self.grad_log_params(x))
 
@@ -101,14 +111,16 @@ class Kernel:
     ) -> np.ndarray:
         """The shared RBF/Matérn contraction: ``dK/d(log l_d) = weight ∘ sq_d``.
 
+        ``x`` is the 2-D float input array the public method normalised.
+
         ``k_matrix`` is the covariance itself (the ``log variance``
         derivative); ``weight`` the shared lengthscale-derivative weight
         matrix.  O(n^2 d) via one GEMM, no ``(p, n, n)`` tensor.
         """
-        a = np.atleast_2d(np.asarray(x, dtype=float)) / self.lengthscales
+        a = x / self.lengthscales
         w = m * weight
         out = np.empty(self.num_params())
-        out[0] = float(np.sum(m * k_matrix))
+        out[0] = float((m * k_matrix).sum())
         row = w.sum(axis=1)
         col = w.sum(axis=0)
         sq = a * a
@@ -170,11 +182,14 @@ class RBF(Kernel):
         grads[1:] = k[None, :, :] * sq_d
         return grads
 
-    def grad_log_params_dot(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def grad_log_params_dot(
+        self, x: np.ndarray, m: np.ndarray, sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         # dK/d(log l_d) = K ∘ sq_d: the shared weight matrix is K itself.
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        sq = _pairwise_sq_dists(x, x, self.lengthscales)
-        k = self.variance * np.exp(-0.5 * sq)
+        if sq is None:
+            sq = _pairwise_sq_dists(x, x, self.lengthscales)
+        k = self.from_sq_dists(sq)
         return self._ard_grad_dot(x, m, k, k)
 
 
@@ -222,15 +237,19 @@ class Matern52(Kernel):
         grads[1:] = ((5.0 / 3.0) * self.variance * (1.0 + r) * decay)[None] * sq_d
         return grads
 
-    def grad_log_params_dot(self, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def grad_log_params_dot(
+        self, x: np.ndarray, m: np.ndarray, sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         # dK/d(log l_d) = (5v/3)(1 + r) e^{-r} ∘ sq_d: one shared weight
         # matrix for every lengthscale.
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        sq = _pairwise_sq_dists(x, x, self.lengthscales)
+        if sq is None:
+            sq = _pairwise_sq_dists(x, x, self.lengthscales)
         r = np.sqrt(5.0 * sq)
         decay = np.exp(-r)
-        k = self.variance * (1.0 + r + r * r / 3.0) * decay
-        weight = (5.0 / 3.0) * self.variance * (1.0 + r) * decay
+        one_r = 1.0 + r
+        k = self.variance * (one_r + r * r / 3.0) * decay
+        weight = (5.0 / 3.0) * self.variance * one_r * decay
         return self._ard_grad_dot(x, m, k, weight)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -226,7 +227,20 @@ class TrialHistory:
         ``shard`` itemises the probe's machine cost under that shard in
         :meth:`cost_by_shard` (single-environment probes accrue under the
         ``None`` key).
+
+        A measurement reported ``ok`` with a NaN or infinite objective is
+        stored as a failed trial (``ok=False``, ``objective=None``, an
+        error naming the value): one such value would otherwise poison
+        every later surrogate fit and make :meth:`best` order-dependent.
         """
+        objective = measurement.objective
+        if measurement.ok and objective is not None and not math.isfinite(objective):
+            measurement = dataclasses.replace(
+                measurement,
+                ok=False,
+                objective=None,
+                error=f"non-finite objective {float(objective)}",
+            )
         if wall_clock_s is None:
             wall_clock_s = measurement.probe_cost_s
         if round_index is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.configspace import ConfigSpace, FloatParameter, IntParameter
-from repro.core import TrialHistory
+from repro.core import GPFitError, TrialHistory
 from repro.core.bo import BayesianProposer
 from repro.mlsim import Measurement, TrainingConfig
 
@@ -431,3 +431,72 @@ class TestTierSwitchover:
             BayesianProposer(space, sparse_threshold=2)
         with pytest.raises(ValueError):
             BayesianProposer(space, max_inducing=2)
+
+
+def _fit_fails(*args, **kwargs):
+    raise GPFitError("covariance matrix not positive definite at any jitter level")
+
+
+def _fallback_warnings(caught):
+    return [w for w in caught if "surrogate fit failed" in str(w.message)]
+
+
+class TestFallbacks:
+    """GPFitError fallbacks are counted, surfaced and warned once per streak."""
+
+    def test_objective_fallback_counted_and_warned_once_per_streak(self, monkeypatch):
+        space = toy_space()
+        proposer = BayesianProposer(space, n_initial=4, seed=0)
+        rng = np.random.default_rng(0)
+        history = TrialHistory()
+        for _ in range(6):
+            record(history, space.sample(rng), None, ok=False)
+        cache = proposer._objective_cache
+        healthy = cache.update
+        monkeypatch.setattr(cache, "update", _fit_fails)
+        with pytest.warns(RuntimeWarning, match="objective surrogate") as caught:
+            for _ in range(3):
+                assert space.is_valid(proposer.propose(history, rng))
+        assert len(_fallback_warnings(caught)) == 1
+        assert proposer.fallbacks == 3
+        assert proposer.last_fit_diagnostics == {"fallbacks": 3}
+        # The all-failure history itself fits: a clean proposal ends the
+        # streak, so the next failure warns again.
+        monkeypatch.setattr(cache, "update", healthy)
+        proposer.propose(history, rng)
+        assert proposer.last_fit_diagnostics["fallbacks"] == 3
+        assert "lml" in proposer.last_fit_diagnostics
+        monkeypatch.setattr(cache, "update", _fit_fails)
+        with pytest.warns(RuntimeWarning, match="objective surrogate") as caught:
+            proposer.propose(history, rng)
+        assert len(_fallback_warnings(caught)) == 1
+        assert proposer.fallbacks == 4
+
+    def test_cost_fallback_counted(self, monkeypatch):
+        space = toy_space()
+        proposer = BayesianProposer(space, acquisition="eipc", n_initial=4, seed=0)
+        rng = np.random.default_rng(0)
+        history = TrialHistory()
+        for _ in range(8):
+            config = space.sample(rng)
+            record(history, config, toy_objective(config))
+        monkeypatch.setattr(proposer._cost_cache, "update", _fit_fails)
+        with pytest.warns(RuntimeWarning, match="cost surrogate") as caught:
+            proposer.propose(history, rng)
+            proposer.propose(history, rng)
+        assert len(_fallback_warnings(caught)) == 1
+        assert proposer.fallbacks == 2
+        # The objective model still drove both proposals.
+        assert proposer.last_fit_diagnostics["fallbacks"] == 2
+        assert "lml" in proposer.last_fit_diagnostics
+
+    def test_no_fallbacks_on_healthy_history(self):
+        space = toy_space()
+        proposer = BayesianProposer(space, acquisition="eipc", n_initial=4, seed=0)
+        rng = np.random.default_rng(0)
+        history = TrialHistory()
+        for _ in range(10):
+            config = proposer.propose(history, rng)
+            record(history, config, toy_objective(config))
+        assert proposer.fallbacks == 0
+        assert proposer.last_fit_diagnostics["fallbacks"] == 0

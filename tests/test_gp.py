@@ -1,9 +1,12 @@
 """Tests (incl. property-based) for kernels and Gaussian-process regression."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from repro.core import (
     GPFitError,
@@ -14,6 +17,16 @@ from repro.core import (
     SurrogateFactory,
     make_kernel,
 )
+from repro.core import gp as gp_module
+from repro.core.gp import _LMLObjective
+
+
+def _objective(gp):
+    """The LML objective at ``gp``'s fitted data, on a copy of its kernel."""
+    return _LMLObjective(
+        copy.deepcopy(gp.kernel), gp._x, gp._z, gp.noise_variance, gp.fit_noise,
+        gp._noise_scale,
+    )
 
 
 class TestKernels:
@@ -153,7 +166,7 @@ class TestGaussianProcess:
         x, y = self._data()
         gp = GaussianProcess(restarts=1).fit(x, y)
         cached = gp.log_marginal_likelihood()
-        recomputed = -gp._neg_log_marginal(gp._log_params())
+        recomputed = -_objective(gp)(gp._log_params())[0]
         assert cached == pytest.approx(recomputed, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -463,14 +476,15 @@ class TestAnalyticGradients:
         params = gp._log_params() + 0.2 * rng.standard_normal(
             gp._log_params().shape
         )
-        value, grad = gp._neg_log_marginal(params.copy(), jac=True)
+        objective = _objective(gp)
+        value, grad = objective(params.copy())
         assert np.isfinite(value)
         eps = 1e-6
         for j in range(len(params)):
             plus, minus = params.copy(), params.copy()
             plus[j] += eps
             minus[j] -= eps
-            fd = (gp._neg_log_marginal(plus) - gp._neg_log_marginal(minus)) / (2 * eps)
+            fd = (objective(plus)[0] - objective(minus)[0]) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     def test_grad_log_params_shape(self):
@@ -495,13 +509,198 @@ class TestAnalyticGradients:
         fast = kernel.grad_log_params_dot(x, m)
         assert np.allclose(fast, reference, rtol=1e-9, atol=1e-11)
 
-    def test_analytic_and_fd_fits_agree(self):
-        rng = np.random.default_rng(1)
-        x = rng.random((18, 2))
-        y = np.sin(5 * x[:, 0]) + x[:, 1] ** 2
-        analytic = GaussianProcess(restarts=2, analytic_gradients=True).fit(x, y)
-        fd = GaussianProcess(restarts=2, analytic_gradients=False).fit(x, y)
-        # Both optimisers should land at (near-)equivalent optima.
-        assert analytic.log_marginal_likelihood() == pytest.approx(
-            fd.log_marginal_likelihood(), abs=0.5
+
+# -- frozen reference: the LML objective before distance sharing ----------
+
+
+def _reference_sq_dists(x, lengthscales):
+    a = x / lengthscales
+    b = x / lengthscales
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def _reference_grad_dot(kernel, x, m):
+    """Frozen RBF/Matérn ``grad_log_params_dot``: recomputes the distances."""
+    sq = _reference_sq_dists(x, kernel.lengthscales)
+    if isinstance(kernel, RBF):
+        k_matrix = kernel.variance * np.exp(-0.5 * sq)
+        weight = k_matrix
+    else:
+        r = np.sqrt(5.0 * sq)
+        decay = np.exp(-r)
+        k_matrix = kernel.variance * (1.0 + r + r * r / 3.0) * decay
+        weight = (5.0 / 3.0) * kernel.variance * (1.0 + r) * decay
+    a = x / kernel.lengthscales
+    w = m * weight
+    out = np.empty(kernel.num_params())
+    out[0] = float(np.sum(m * k_matrix))
+    row = w.sum(axis=1)
+    col = w.sum(axis=0)
+    sq_a = a * a
+    out[1:] = row @ sq_a + col @ sq_a - 2.0 * np.einsum("id,id->d", a, w @ a)
+    return out
+
+
+def _reference_neg_log_marginal(
+    kernel, x, z, noise_variance, fit_noise, noise_scale, log_params
+):
+    """Frozen ``GaussianProcess._neg_log_marginal(log_params, jac=True)``.
+
+    The pre-fusion path: ``kernel(x, x)`` plus a dense noise diagonal,
+    scipy's checked ``cholesky`` up the jitter ladder, ``cho_solve`` for
+    the weights and for ``K^-1``, and a gradient contraction that
+    recomputes the pairwise distances.
+    """
+    num_kernel = kernel.num_params()
+    kernel.set_log_params(log_params[:num_kernel])
+    if fit_noise:
+        noise_variance = float(np.exp(np.clip(log_params[num_kernel], -12.0, 2.0)))
+    n = x.shape[0]
+    if noise_scale is None:
+        noise_diag = noise_variance * np.eye(n)
+    else:
+        noise_diag = np.diag(noise_variance * noise_scale)
+    cov = kernel.from_sq_dists(_reference_sq_dists(x, kernel.lengthscales)) + noise_diag
+    chol = None
+    for jitter in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+        try:
+            chol = linalg.cholesky(cov + jitter * np.eye(n), lower=True)
+            break
+        except linalg.LinAlgError:
+            continue
+    if chol is None:
+        return 1e12, np.zeros_like(log_params)
+    alpha = linalg.cho_solve((chol, True), z)
+    lml = (
+        -0.5 * float(z @ alpha)
+        - float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * n * np.log(2.0 * np.pi)
+    )
+    if not np.isfinite(lml):
+        return 1e12, np.zeros_like(log_params)
+    k_inv = linalg.cho_solve((chol, True), np.eye(n))
+    a_mat = np.outer(alpha, alpha) - k_inv
+    grad = np.empty_like(log_params)
+    grad[:num_kernel] = 0.5 * _reference_grad_dot(kernel, x, a_mat)
+    if fit_noise:
+        if noise_scale is None:
+            grad[num_kernel] = (
+                0.5 * noise_variance * (float(alpha @ alpha) - np.trace(k_inv))
+            )
+        else:
+            grad[num_kernel] = (
+                0.5
+                * noise_variance
+                * (
+                    float(alpha @ (noise_scale * alpha))
+                    - float(np.diag(k_inv) @ noise_scale)
+                )
+            )
+    return -lml, -grad
+
+
+class _ReferenceObjective:
+    """Drop-in for ``_LMLObjective`` that evaluates the frozen reference."""
+
+    def __init__(self, kernel, x, z, noise_variance, fit_noise, noise_scale):
+        self.args = (kernel, x, z, noise_variance, fit_noise, noise_scale)
+
+    def __call__(self, log_params):
+        return _reference_neg_log_marginal(*self.args, log_params)
+
+
+def _objective_case(seed, kernel_cls, fit_noise, scaled, n, duplicates, noise):
+    """Inputs for one objective evaluation: (kernel, x, z, noise, scale, params)."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    x = rng.random((n, dim))
+    if duplicates:
+        x = x[rng.integers(0, max(1, n // 3), n)]
+    z = rng.standard_normal(n)
+    scale = np.where(rng.random(n) < 0.5, 1.0, 4.0) if scaled else None
+    kernel = kernel_cls(dim)
+    # Log parameters past the clipping range on both sides.
+    params = rng.uniform(-9.0, 9.0, kernel.num_params() + int(fit_noise))
+    return kernel, x, z, noise, scale, params
+
+
+def _both(kernel, x, z, noise, fit_noise, scale, params):
+    """(fused, reference) objective outputs at ``params``, each on its own kernel."""
+    return tuple(
+        objective(copy.deepcopy(kernel), x, z, noise, fit_noise, scale)(params.copy())
+        for objective in (_LMLObjective, _ReferenceObjective)
+    )
+
+
+class TestFusedObjective:
+    """The per-hyperfit LML objective is bit-identical to the frozen path."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kernel_cls=st.sampled_from([RBF, Matern52]),
+        fit_noise=st.booleans(),
+        scaled=st.booleans(),
+        n=st.integers(min_value=1, max_value=60),
+        duplicates=st.booleans(),
+        # Fixed noise when fit_noise is off.  Negative values pull the
+        # covariance below PSD: -1e-7 makes rank-deficient (duplicate-row)
+        # covariances climb the jitter ladder, -1.0 defeats every rung.
+        noise=st.sampled_from([1e-2, 1e-12, -1e-7, -1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_gradient_bit_identical(
+        self, seed, kernel_cls, fit_noise, scaled, n, duplicates, noise
+    ):
+        kernel, x, z, noise, scale, params = _objective_case(
+            seed, kernel_cls, fit_noise, scaled, n, duplicates, noise
         )
+        (value, grad), (ref_value, ref_grad) = _both(
+            kernel, x, z, noise, fit_noise, scale, params
+        )
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("kernel_cls", [RBF, Matern52])
+    def test_jitter_escalation_and_sentinel_cases(self, kernel_cls):
+        """The property's generator really reaches both degenerate branches."""
+        kernel, x, z, _, _, params = _objective_case(
+            3, kernel_cls, False, False, 30, True, None
+        )
+        kernel.set_log_params(params)
+        cov = kernel(x, x)
+        # Duplicate rows: the covariance is rank-deficient, so a slightly
+        # negative diagonal shift needs a jitter well past the first rung.
+        _, jitter = gp_module._chol_with_jitter(cov - 1e-7 * np.eye(30))
+        assert jitter == 1e-6
+        for noise in (-1e-7, -1.0):
+            (value, grad), (ref_value, ref_grad) = _both(
+                kernel, x, z, noise, False, None, params
+            )
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+        assert value == 1e12  # -1.0: not PD at any jitter level
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_fit_matches_reference_driven_fit(self, scaled, monkeypatch):
+        """Same L-BFGS-B path: fitted hyperparameters are exactly equal."""
+        rng = np.random.default_rng(11)
+        x = rng.random((24, 3))
+        x[20:] = x[:4]  # duplicate rows
+        y = np.sin(4 * x[:, 0]) + x[:, 1] ** 2 + 0.05 * rng.standard_normal(24)
+        scale = np.where(np.arange(24) < 12, 4.0, 1.0) if scaled else None
+
+        def fit(**kwargs):
+            gp = GaussianProcess(kernel=Matern52(3), restarts=3, seed=5, **kwargs)
+            return gp.fit(x, y, noise_scale=scale)
+
+        fused = fit()
+        pooled = fit(fit_workers=2)
+        monkeypatch.setattr(gp_module, "_LMLObjective", _ReferenceObjective)
+        reference = fit()
+        for other in (reference, pooled):
+            assert np.array_equal(fused.kernel.lengthscales, other.kernel.lengthscales)
+            assert fused.kernel.variance == other.kernel.variance
+            assert fused.noise_variance == other.noise_variance
+            assert fused.log_marginal_likelihood() == other.log_marginal_likelihood()

@@ -1,12 +1,14 @@
 """Tests for MLConfigTuner: the BO tuner with early termination."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import RandomSearch, default_strategy
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
-from repro.core import MLConfigTuner, TuningBudget
-from repro.mlsim import TrainingEnvironment
+from repro.core import MLConfigTuner, TrialHistory, TuningBudget
+from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
 from repro.workloads import get_workload
 
 NODES = 8
@@ -164,3 +166,57 @@ class TestAcquisitionVariants:
         )
         assert result.num_trials == 12
         assert result.best_objective > 0
+
+
+def _stub_measurement(objective):
+    return Measurement(
+        config=TrainingConfig(),
+        ok=True,
+        fidelity="analytic",
+        objective=objective,
+        probe_cost_s=1.0,
+    )
+
+
+class NanAtTrial(TrainingEnvironment):
+    """Reports probe ``bad_index`` as a success with a NaN objective."""
+
+    bad_index = 7
+
+    def measure(self, config, probe_iterations=None, charge_startup=True):
+        index = self.trials_run
+        measurement = super().measure(config, probe_iterations, charge_startup)
+        if index == self.bad_index:
+            measurement = dataclasses.replace(
+                measurement, ok=True, error=None, objective=float("nan")
+            )
+        return measurement
+
+
+class TestNonFiniteObjective:
+    """A NaN objective is a failed trial, not a poisoned training set."""
+
+    def test_nan_probe_recorded_as_failure_and_bo_stays_model_based(self):
+        tuner = MLConfigTuner(seed=0, early_termination=False)
+        env = NanAtTrial(WORKLOAD, homogeneous(NODES), seed=0)
+        result = tuner.run(env, space(), TuningBudget(max_trials=16), seed=0)
+        bad = result.history[NanAtTrial.bad_index]
+        assert not bad.ok
+        assert bad.objective is None
+        assert bad.measurement.error == "non-finite objective nan"
+        # Every proposal after the bad probe still came from a fitted GP.
+        proposer = tuner._proposer
+        assert proposer.fallbacks == 0
+        assert "lml" in proposer.last_fit_diagnostics
+        assert result.best_objective is not None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_best_does_not_depend_on_trial_order(self, bad):
+        values = [bad, 5.0, 3.0]
+        forward, backward = TrialHistory(), TrialHistory()
+        for value in values:
+            forward.record({"i": value}, _stub_measurement(value))
+        for value in reversed(values):
+            backward.record({"i": value}, _stub_measurement(value))
+        assert forward.best().objective == backward.best().objective == 5.0
+        assert len(forward.failed()) == 1
