@@ -8,11 +8,12 @@ hardware instead of with patience — none of them changes any result:
    processes (:mod:`repro.harness.runner`).  ``n_jobs=None`` uses one
    process per CPU; results are identical to serial.
 
-2. ``MLConfigTuner(fit_workers=K)`` (CLI: ``--fit-workers K``) fans each
-   GP hyperparameter refit's multi-start L-BFGS-B restarts across ``K``
-   processes.  The same starts run either way and the best-of reduction
-   is order-independent, so the fitted hyperparameters are bit-identical
-   to serial.
+2. ``MLConfigTuner(fit_workers=K)`` (CLI: ``--fit-workers K``) fans a
+   cold GP fit's multi-start L-BFGS-B restarts across ``K`` processes
+   (a surrogate's first fit, and the first after a re-tune; later refits
+   run one start in-process).  The same starts run either way and the
+   best-of reduction is order-independent, so the fitted hyperparameters
+   are bit-identical to serial.
 
 3. The experiment memoiser keeps a persistent JSON tier on disk (default
    ``.repro_cache/`` under the working directory, relocatable via the

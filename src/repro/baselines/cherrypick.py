@@ -22,7 +22,12 @@ from repro.core.trial import TrialHistory
 
 
 class CherryPick(SearchStrategy):
-    """GP + plain EI + EI-threshold stopping, no early termination."""
+    """GP + plain EI + EI-threshold stopping, no early termination.
+
+    The GP machinery is :class:`~repro.core.bo.BayesianProposer`'s, so
+    ``fit_workers`` fans out only the multi-start search of a cold
+    surrogate fit; later hyperparameter refits run one start in-process.
+    """
 
     name = "cherrypick"
 

@@ -125,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--fit-workers", type=int, default=1, metavar="K",
-        help="processes fanning each GP hyperparameter refit's multi-start "
-        "restarts (bit-identical results to serial; BO-family strategies "
-        "only)",
+        help="processes fanning a cold GP hyperparameter fit's multi-start "
+        "restarts (later refits run one start; bit-identical results to "
+        "serial; BO-family strategies only)",
     )
     tune.add_argument(
         "--sparse-threshold", type=int, default=None, metavar="N",

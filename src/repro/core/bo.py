@@ -36,6 +36,15 @@ instead of rebuilding them per call:
   cadence counts **real** trials only, so the k fantasies a constant-liar
   round appends (:mod:`repro.core.parallel`) never trigger mid-round
   refits — a round costs one refit at most, not k;
+- restart policy: only a *cold* surrogate — its first hyperfit, or the
+  first after :meth:`BayesianProposer.apply_retuning` reset the caches on
+  a detected drift — runs the multi-start search (the kernel's default
+  point plus random restarts).  Every later refit runs a single L-BFGS-B
+  start from the fresh kernel's default point.  In traced sessions the
+  default start won most multi-start refits while the random restarts
+  spent about three quarters of the LML evaluations; starting from the
+  cached hypers instead lowered tuning quality.  Resume replays the
+  session, so the cold/warm state is rebuilt exactly;
 - any other change to the training set (a fantasy replaced by its real
   measurement, the failure penalty shifting, the log transform toggling)
   misses the cache and falls back to one plain Cholesky refit at the
@@ -47,7 +56,8 @@ instead of rebuilding them per call:
   the history size — the tier that keeps 10^4-trial histories interactive.
 
 ``reuse_surrogate=False`` disables the caching and restores rebuild-per-
-call surrogates (with a full cost-GP hyperparameter fit per call); it
+call surrogates (with a full multi-start cost-GP hyperparameter fit per
+call, and multi-start objective refits); it
 exists as the benchmark baseline (``benchmarks/bench_p3_surrogate.py``).
 Note it is a *conservative* baseline, not a bit-exact replay of the
 pre-optimisation code: its refits still use analytic LML gradients and
@@ -77,7 +87,11 @@ class _SurrogateCache:
     trained on exactly ``(x, y)`` by the cheapest sound route:
 
     - ``optimize=True`` — fresh fit with hyperparameter optimisation; the
-      fitted hypers are cached for the rebuild path;
+      fitted hypers are cached for the rebuild path.  A *cold* cache (no
+      hyperfit has run on it yet) runs the multi-start search; a *warm*
+      one runs a single start from the fresh kernel's default point
+      (``SurrogateFactory.build(n, warm=True)``).  With
+      ``allow_extend=False`` every hyperfit multi-starts;
     - cached training set is a prefix of ``(x, y)`` *and* the cached GP is
       still the tier the factory picks for the new size — incremental
       extension of the cached factors, hyperparameters fixed;
@@ -91,11 +105,20 @@ class _SurrogateCache:
     when refits are far apart.  Both tiers share the hyperparameter cache
     format (kernel log-params plus log noise), so a switchover rebuild
     reuses the hypers the exact tier last optimised.
+
+    ``lml_failures`` sums the failed marginal-likelihood evaluations of
+    every hyperfit this cache ran; :meth:`reset` keeps it.
     """
 
     def __init__(self) -> None:
+        self.lml_failures = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the model, training set and hypers: the cache is cold."""
         self.gp = None
         self.hypers: Optional[np.ndarray] = None
+        self._warm = False
         self._x: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
         self._scale: Optional[np.ndarray] = None
@@ -146,12 +169,21 @@ class _SurrogateCache:
                 self.gp.extend(x[n:], y[n:])
             self._x, self._y, self._scale = x, y, noise_scale
             return self.gp
-        gp = factory.build(y.shape[0])
+        # The no-reuse baseline (``allow_extend=False``) carries nothing
+        # between calls but the hypers, so each of its hyperfits is cold.
+        gp = factory.build(y.shape[0], warm=self._warm and allow_extend)
         if optimize or self.hypers is None:
-            gp.fit(x, y, optimize_hypers=True, noise_scale=noise_scale)
+            try:
+                gp.fit(x, y, optimize_hypers=True, noise_scale=noise_scale)
+            finally:
+                self.lml_failures += gp.lml_failures
             self.hypers = np.concatenate(
                 (gp.kernel.get_log_params(), [np.log(gp.noise_variance)])
             )
+            # Both tiers skip the hyperfit below three rows (the hypers
+            # cached then are the kernel defaults), so such a fit leaves
+            # the cache cold.
+            self._warm = y.shape[0] >= 3
         else:
             k = gp.kernel.num_params()
             gp.kernel.set_log_params(self.hypers[:k])
@@ -244,10 +276,13 @@ class BayesianProposer:
         consume the RNG stream in a different order, so individual
         proposals may differ between them.
     fit_workers:
-        Fan each surrogate hyperparameter refit's multi-start L-BFGS-B
-        restarts across ``fit_workers`` processes (see
+        Fan a cold surrogate fit's multi-start L-BFGS-B restarts across
+        ``fit_workers`` processes (see
         :class:`~repro.core.gp.GaussianProcess`); 1 = in-process serial,
-        bit-identical results either way.
+        bit-identical results either way.  Only cold fits multi-start (see
+        the module docstring), so the pool sees a surrogate's first fit and
+        the first fit after :meth:`apply_retuning`; every other refit is
+        one start and runs in-process.
     shard_cost_feature:
         Condition the ``"eipc"`` cost surrogate on the environment shard a
         trial ran on: the cost GP's input gains one extra dimension — the
@@ -363,6 +398,17 @@ class BayesianProposer:
         self.fallbacks = 0
         self._in_fallback_streak = False
 
+    @property
+    def lml_failures(self) -> int:
+        """Failed LML evaluations over every hyperfit of both surrogates.
+
+        A failed evaluation (covariance not factorable at any jitter, or a
+        non-finite LML) returns a sentinel the optimiser steps away from;
+        when it hits a single-start warm refit's start point, the refit
+        keeps the kernel's default hypers.
+        """
+        return self._objective_cache.lml_failures + self._cost_cache.lml_failures
+
     def _fell_back(self, surrogate: str, error: GPFitError) -> None:
         """Count one fallback; warn only on the first of a streak."""
         self.fallbacks += 1
@@ -418,7 +464,8 @@ class BayesianProposer:
         a factor in (0, 1] keeps them with observation noise inflated by
         ``1/discount`` (age-weighted targets).  Either way the cached
         surrogates and the refit clock are reset so the next proposal
-        refits hyperparameters against the re-weighted data.  The trial
+        refits hyperparameters against the re-weighted data, with the
+        cold-cache multi-start search.  The trial
         history itself is never mutated — only how the surrogate reads it.
         """
         if before_index < 0:
@@ -427,8 +474,8 @@ class BayesianProposer:
             raise ValueError("discount must be in (0, 1]")
         self._stale_before = max(self._stale_before, int(before_index))
         self._stale_discount = discount
-        self._objective_cache = _SurrogateCache()
-        self._cost_cache = _SurrogateCache()
+        self._objective_cache.reset()
+        self._cost_cache.reset()
         self._last_refit_at = -1
 
     def _stale_split(self, trials: List) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -617,6 +664,7 @@ class BayesianProposer:
             "incumbent": incumbent,
             "acquisition_value": current_score,
             "fallbacks": self.fallbacks,
+            "lml_failures": self.lml_failures,
         }
         return current
 

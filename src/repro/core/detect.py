@@ -36,7 +36,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
+from repro.core.gp import GPFitError
 from repro.core.session import SessionCallback
 from repro.core.trial import Trial, TrialHistory
 
@@ -291,6 +293,10 @@ class ChangePointDetector(SessionCallback):
         self.window = window
         self.clip = clip
         self.events: List[DriftEvent] = []
+        #: Probes whose surrogate residual could not be computed (the
+        #: cached GP or the encoder raised), so the rolling-window
+        #: residual stood in for it.
+        self.skipped_residuals = 0
         self._ph = _PageHinkley(delta, threshold)
         self._strategy = None
         self._space = None
@@ -310,6 +316,7 @@ class ChangePointDetector(SessionCallback):
         self._resid_hist = deque(maxlen=4 * self.window)
         self._ph.reset()
         self.events = []
+        self.skipped_residuals = 0
 
     def on_round_end(
         self, round_index: int, trials: Sequence[Trial], history: TrialHistory
@@ -399,7 +406,8 @@ class ChangePointDetector(SessionCallback):
         try:
             x = space.encode(trial.config)[None, :]
             mu, var = gp.predict(x)
-        except Exception:
+        except (GPFitError, LinAlgError, ValueError):
+            self.skipped_residuals += 1
             return None
         observed = float(trial.objective)
         if getattr(proposer, "_log_active", False):

@@ -56,6 +56,11 @@ from repro.core.kernels import Kernel, Matern52, _pairwise_sq_dists
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
+#: The sparse tier's noise-free inducing covariance ``K_mm`` tries no jitter
+#: first: its smallest eigenvalue can be small enough that even 1e-10 shifts
+#: the projected posterior measurably away from the exact one.
+_INDUCING_JITTERS = (0.0,) + _JITTERS
+
 #: An extension's Schur pivots must clear this fraction of the covariance
 #: diagonal scale, or the incremental path is declared degenerate and the
 #: factor is rebuilt with escalating jitter instead.
@@ -66,25 +71,28 @@ class GPFitError(RuntimeError):
     """Raised when the GP cannot be fit (degenerate data)."""
 
 
-def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray]:
-    """Run one L-BFGS-B restart of the marginal-likelihood optimisation.
+def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray, int]:
+    """Run one L-BFGS-B start of the marginal-likelihood optimisation.
 
-    Top-level (picklable) so restarts can fan out across a process pool;
-    the serial path runs the exact same function in-process, which is what
-    makes ``fit_workers > 1`` bit-identical to serial: every restart is a
-    pure function of its task tuple, and the best-of reduction happens in
-    start order either way.
+    Returns ``(best negative LML, best log-params, failed evaluations)``;
+    the last counts evaluations that hit the ``1e12`` sentinel (see
+    :class:`_LMLObjective`).  Top-level (picklable) so starts can fan out
+    across a process pool; the serial path runs the exact same function
+    in-process, which is what makes ``fit_workers > 1`` bit-identical to
+    serial: every start is a pure function of its task tuple, and the
+    best-of reduction happens in start order either way.
     """
     kernel, x, z, noise_variance, fit_noise, bounds, start, scale = task
+    objective = _LMLObjective(kernel, x, z, noise_variance, fit_noise, scale)
     result = optimize.minimize(
-        _LMLObjective(kernel, x, z, noise_variance, fit_noise, scale),
+        objective,
         start,
         method="L-BFGS-B",
         jac=True,
         bounds=bounds,
         options={"maxiter": 200},
     )
-    return float(result.fun), result.x
+    return float(result.fun), result.x, objective.failures
 
 
 #: Persistent hyperfit worker pools, keyed by worker count and owner PID —
@@ -115,8 +123,8 @@ def _fit_pool(workers: int) -> ProcessPoolExecutor:
 
 def _run_hyperfit_tasks(
     tasks: List[tuple], fit_workers: int
-) -> List[Tuple[float, np.ndarray]]:
-    """All restart results, in task order (the reduction key).
+) -> List[Tuple[float, np.ndarray, int]]:
+    """All start results, in task order (the reduction key).
 
     Falls back to in-process execution when the pool cannot be used
     (sandboxes that forbid subprocesses, broken pools) — the results are
@@ -138,8 +146,10 @@ def _diagonal(matrix: np.ndarray) -> np.ndarray:
     return np.einsum("ii->i", matrix)
 
 
-def _chol_with_jitter(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Cholesky factor with the smallest jitter that succeeds.
+def _chol_with_jitter(
+    matrix: np.ndarray, jitters: Tuple[float, ...] = _JITTERS
+) -> Tuple[np.ndarray, float]:
+    """Cholesky factor with the smallest jitter in ``jitters`` that succeeds.
 
     Calls LAPACK ``dpotrf`` directly: the same routine, inputs and cleaned
     lower factor as ``scipy.linalg.cholesky(lower=True)``, without its
@@ -147,7 +157,7 @@ def _chol_with_jitter(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
     jitter to a fresh copy of ``matrix``'s diagonal, i.e. ``matrix +
     jitter * I`` entry for entry.
     """
-    for jitter in _JITTERS:
+    for jitter in jitters:
         work = np.array(matrix, order="F")
         _diagonal(work)[...] += jitter
         chol, info = _potrf(work, lower=1, clean=1, overwrite_a=1)
@@ -173,6 +183,10 @@ class _LMLObjective:
     differs.  The gradient is ``-0.5 tr((aa^T - K^-1) dK/dtheta)`` per
     hyperparameter, collapsed inside the kernel's closed-form contraction
     so no (p, n, n) derivative tensor is built.
+
+    An evaluation whose covariance cannot be factored at any jitter level,
+    or whose LML is not finite, returns the ``1e12`` sentinel with a zero
+    gradient and is counted in :attr:`failures`.
     """
 
     def __init__(
@@ -195,6 +209,7 @@ class _LMLObjective:
         self._distances = hasattr(kernel, "from_sq_dists")
         self._eye = np.eye(n)
         self._log_norm = 0.5 * n * np.log(2.0 * np.pi)
+        self.failures = 0
 
     def __call__(self, log_params: np.ndarray) -> Tuple[float, np.ndarray]:
         kernel, x, z = self.kernel, self.x, self.z
@@ -215,6 +230,7 @@ class _LMLObjective:
         try:
             chol, _ = _chol_with_jitter(cov)
         except GPFitError:
+            self.failures += 1
             return 1e12, np.zeros_like(log_params)
         alpha, _ = _potrs(chol, z, lower=1)
         lml = (
@@ -223,6 +239,7 @@ class _LMLObjective:
             - self._log_norm
         )
         if not math.isfinite(lml):
+            self.failures += 1
             return 1e12, np.zeros_like(log_params)
         k_inv, _ = _potrs(chol, self._eye, lower=1)
         a_mat = np.outer(alpha, alpha) - k_inv
@@ -255,10 +272,12 @@ class GaussianProcess:
         Initial observation-noise variance (in standardised-target units);
         refined by the marginal-likelihood fit unless ``fit_noise=False``.
     restarts:
-        Number of random restarts for the hyperparameter optimisation.
+        Number of random restarts for the hyperparameter optimisation, on
+        top of the start at the kernel's current parameters.
     fit_workers:
         Fan the multi-start restarts across ``fit_workers`` worker
-        processes.  Deterministic: the same starts are generated either
+        processes (a single-start fit, ``restarts=0``, always runs
+        in-process).  Deterministic: the same starts are generated either
         way, every restart is an independent pure function, and the
         best-of reduction runs in start order — ``fit_workers > 1`` fits
         bit-identical hyperparameters to serial.  Falls back to serial
@@ -302,6 +321,10 @@ class GaussianProcess:
         #: Number of ``extend`` calls that hit a degenerate block and fell
         #: back to a full refactorisation with escalating jitter.
         self.extend_fallbacks = 0
+        #: Marginal-likelihood evaluations during hyperparameter fits that
+        #: returned the failure sentinel (covariance not factorable, or a
+        #: non-finite LML), summed over every start of every fit.
+        self.lml_failures = 0
 
     # -- fitting ---------------------------------------------------------
 
@@ -401,7 +424,8 @@ class GaussianProcess:
         outcomes = _run_hyperfit_tasks(tasks, self.fit_workers)
         best_val = np.inf
         best_params = starts[0]
-        for fun, params in outcomes:
+        for fun, params, failures in outcomes:
+            self.lml_failures += failures
             if fun < best_val:
                 best_val = float(fun)
                 best_params = params
@@ -703,6 +727,9 @@ class SparseGaussianProcess:
         #: ``extend`` (growth past ``reselect_growth``, or the inducing set
         #: still tracking a sub-``max_inducing`` history).
         self.reselections = 0
+        #: Failed marginal-likelihood evaluations of the hyperfits, as on
+        #: the exact tier (they run on the scratch exact GP).
+        self.lml_failures = 0
 
     # -- fitting ---------------------------------------------------------
 
@@ -781,7 +808,10 @@ class SparseGaussianProcess:
             seed=self.seed,
             fit_workers=self.fit_workers,
         )
-        scratch.fit(self._x[self._idx], self._y[self._idx], optimize_hypers=True)
+        try:
+            scratch.fit(self._x[self._idx], self._y[self._idx], optimize_hypers=True)
+        finally:
+            self.lml_failures += scratch.lml_failures
         self.noise_variance = scratch.noise_variance
 
     def _standardise(self) -> None:
@@ -794,7 +824,7 @@ class SparseGaussianProcess:
         """Factor the inducing system and project every training column."""
         x_m = self._x[self._idx]
         k_mm = self.kernel(x_m, x_m)
-        self._chol, self._jitter = _chol_with_jitter(k_mm)
+        self._chol, self._jitter = _chol_with_jitter(k_mm, _INDUCING_JITTERS)
         self._chol_inv = linalg.solve_triangular(
             self._chol,
             np.eye(self._chol.shape[0]),
@@ -987,8 +1017,8 @@ class PriorMeanGP:
 
     The delegated surface (``kernel``, settable ``noise_variance``,
     ``fit``/``extend``/``predict``/``predict_mean``/
-    ``log_marginal_likelihood``/``num_observations``/``extend_fallbacks``)
-    matches both inner tiers, so the wrapper drops into
+    ``log_marginal_likelihood``/``num_observations``/``extend_fallbacks``/
+    ``lml_failures``) matches both inner tiers, so the wrapper drops into
     ``_SurrogateCache`` unchanged; :meth:`SurrogateFactory.tier_of`
     unwraps it via the ``inner`` attribute.
     """
@@ -1070,6 +1100,10 @@ class PriorMeanGP:
     def extend_fallbacks(self) -> int:
         return self.inner.extend_fallbacks
 
+    @property
+    def lml_failures(self) -> int:
+        return self.inner.lml_failures
+
 
 class SurrogateFactory:
     """Size-based exact↔sparse tier policy behind one ``build`` hook.
@@ -1140,20 +1174,29 @@ class SurrogateFactory:
         inner = getattr(gp, "inner", gp)
         return "sparse" if isinstance(inner, SparseGaussianProcess) else "exact"
 
-    def build(self, n: int):
-        """A fresh unfitted surrogate of the tier ``n`` rows call for."""
+    def build(self, n: int, warm: bool = False):
+        """A fresh unfitted surrogate of the tier ``n`` rows call for.
+
+        ``warm=True`` builds it with ``restarts=0``: its hyperfit is one
+        L-BFGS-B start from the fresh kernel's default point, with no
+        random restarts.  Either tier, and a prior-mean wrapper around it,
+        takes the same policy.
+        """
+        restarts = {"restarts": 0} if warm else {}
         if self.tier_for(n) == "sparse":
             gp = SparseGaussianProcess(
                 kernel=self.kernel_factory(),
                 seed=self.seed,
                 fit_workers=self.fit_workers,
                 max_inducing=self.max_inducing,
+                **restarts,
             )
         else:
             gp = GaussianProcess(
                 kernel=self.kernel_factory(),
                 seed=self.seed,
                 fit_workers=self.fit_workers,
+                **restarts,
             )
         if self.prior_mean is not None:
             return PriorMeanGP(gp, self.prior_mean)

@@ -73,9 +73,11 @@ class MLConfigTuner(SearchStrategy):
         predict probe cost at the target shard (see
         :class:`~repro.core.bo.BayesianProposer`).  Off by default.
     fit_workers:
-        Fan each GP hyperparameter refit's multi-start restarts across
+        Fan a cold GP hyperparameter fit's multi-start restarts across
         ``fit_workers`` processes (bit-identical results to serial; see
-        :class:`~repro.core.gp.GaussianProcess`).  Surfaced on the CLI as
+        :class:`~repro.core.gp.GaussianProcess`).  Only cold fits (a
+        surrogate's first, and the first after a re-tune) multi-start;
+        later refits run one start in-process.  Surfaced on the CLI as
         ``--fit-workers``.
     vectorized_candidates:
         Keep proposal candidates in encoded form end-to-end (the fast

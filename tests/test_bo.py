@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.configspace import ConfigSpace, FloatParameter, IntParameter
-from repro.core import GPFitError, TrialHistory
+from repro.core import GPFitError, GaussianProcess, Matern52, TrialHistory
+from repro.core import bo as bo_module
+from repro.core import gp as gp_module
 from repro.core.bo import BayesianProposer
 from repro.mlsim import Measurement, TrainingConfig
 
@@ -500,3 +502,194 @@ class TestFallbacks:
             record(history, config, toy_objective(config))
         assert proposer.fallbacks == 0
         assert proposer.last_fit_diagnostics["fallbacks"] == 0
+
+
+#: Starts in a cold fit: the kernel's default point plus the GP's default
+#: number of random restarts.
+COLD_STARTS = 1 + GaussianProcess().restarts
+
+
+@pytest.fixture
+def hyperfit_starts(monkeypatch):
+    """Records the start points of every hyperfit, one list per fit."""
+    fits = []
+    real = gp_module._run_hyperfit_tasks
+
+    def spy(tasks, fit_workers):
+        fits.append([task[6] for task in tasks])
+        return real(tasks, fit_workers)
+
+    monkeypatch.setattr(gp_module, "_run_hyperfit_tasks", spy)
+    return fits
+
+
+def _default_start(dims):
+    """A fresh Matern-5/2 kernel's log-params plus the default log noise."""
+    return np.append(Matern52(dims).get_log_params(), np.log(1e-2))
+
+
+class TestRefitPolicy:
+    """Multi-start hyperfits only on a cold cache; one start otherwise."""
+
+    def _history(self, space, n, seed=0):
+        rng = np.random.default_rng(seed)
+        history = TrialHistory()
+        for _ in range(n):
+            config = space.sample(rng)
+            record(history, config, toy_objective(config))
+        return history
+
+    def _step(self, proposer, history, rng, fits):
+        """One propose-and-record step; the start counts of its fits."""
+        before = len(fits)
+        config = proposer.propose(history, rng)
+        record(history, config, toy_objective(config))
+        return [len(starts) for starts in fits[before:]]
+
+    def test_cold_then_warm_then_cold_after_retuning(self, hyperfit_starts):
+        space = toy_space()
+        proposer = BayesianProposer(
+            space, acquisition="eipc", n_initial=4, n_candidates=32, refit_every=1, seed=0
+        )
+        rng = np.random.default_rng(0)
+        history = self._history(space, 6)
+        # Objective fit, then cost fit: both cold.
+        assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS] * 2
+        for _ in range(3):
+            assert self._step(proposer, history, rng, hyperfit_starts) == [1, 1]
+        # A warm refit's one start is the fresh kernel's default point.
+        for starts in hyperfit_starts[2:]:
+            assert np.array_equal(starts[0], _default_start(space.dims))
+        proposer.apply_retuning(5, discount=0.5)
+        assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS] * 2
+        assert self._step(proposer, history, rng, hyperfit_starts) == [1, 1]
+
+    def test_rebuilds_between_refits_run_no_hyperfit(self, hyperfit_starts):
+        space = toy_space()
+        proposer = BayesianProposer(
+            space, n_initial=4, n_candidates=32, refit_every=3, seed=1
+        )
+        rng = np.random.default_rng(1)
+        history = self._history(space, 6, seed=1)
+        counts = [self._step(proposer, history, rng, hyperfit_starts) for _ in range(7)]
+        assert counts == [[COLD_STARTS], [], [], [1], [], [], [1]]
+
+    def test_prior_mean_surrogate_follows_policy(self, hyperfit_starts):
+        from repro.core.gp import PriorMeanGP
+
+        space = toy_space()
+        proposer = BayesianProposer(
+            space,
+            n_initial=4,
+            n_candidates=32,
+            refit_every=1,
+            prior_mean=lambda rows: rows[:, 0] - rows[:, 1],
+            seed=2,
+        )
+        rng = np.random.default_rng(2)
+        history = self._history(space, 6, seed=2)
+        assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS]
+        assert isinstance(proposer._objective_cache.gp, PriorMeanGP)
+        assert self._step(proposer, history, rng, hyperfit_starts) == [1]
+        proposer.apply_retuning(3, discount=0.5)
+        assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS]
+        assert self._step(proposer, history, rng, hyperfit_starts) == [1]
+
+    def test_sparse_tier_follows_policy(self, hyperfit_starts):
+        from repro.core.gp import SparseGaussianProcess
+
+        space = toy_space()
+        proposer = BayesianProposer(
+            space,
+            n_initial=4,
+            n_candidates=32,
+            refit_every=1,
+            sparse_threshold=8,
+            max_inducing=6,
+            seed=3,
+        )
+        rng = np.random.default_rng(3)
+        history = self._history(space, 6, seed=3)
+        assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS]
+        # Crossing into the sparse tier keeps the cache warm.
+        for _ in range(3):
+            assert self._step(proposer, history, rng, hyperfit_starts) == [1]
+        assert isinstance(proposer._objective_cache.gp, SparseGaussianProcess)
+        proposer.apply_retuning(5, discount=0.5)
+        assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS]
+        assert isinstance(proposer._objective_cache.gp, SparseGaussianProcess)
+        assert self._step(proposer, history, rng, hyperfit_starts) == [1]
+
+    def test_no_reuse_baseline_multi_starts_every_hyperfit(self, hyperfit_starts):
+        space = toy_space()
+        proposer = BayesianProposer(
+            space,
+            acquisition="eipc",
+            n_initial=4,
+            n_candidates=32,
+            refit_every=2,
+            reuse_surrogate=False,
+            seed=4,
+        )
+        rng = np.random.default_rng(4)
+        history = self._history(space, 6, seed=4)
+        counts = [self._step(proposer, history, rng, hyperfit_starts) for _ in range(3)]
+        # The cost GP refits on every call, the objective on its cadence.
+        assert counts == [[COLD_STARTS] * 2, [COLD_STARTS], [COLD_STARTS] * 2]
+
+    def test_fit_below_three_rows_leaves_cache_cold(self, hyperfit_starts):
+        space = toy_space()
+        proposer = BayesianProposer(
+            space, n_initial=2, n_candidates=32, refit_every=1, seed=5
+        )
+        rng = np.random.default_rng(5)
+        history = self._history(space, 2, seed=5)
+        # Two rows: no hyperfit runs, so the three-row fit is the cold one.
+        assert self._step(proposer, history, rng, hyperfit_starts) == []
+        assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS]
+        assert self._step(proposer, history, rng, hyperfit_starts) == [1]
+
+
+class _NotPDAboveVariance2(Matern52):
+    """Matern-5/2 whose covariance is all -1 (not PD at any jitter) once
+    its signal variance passes 2: starts drawn there fail."""
+
+    def from_sq_dists(self, sq):
+        if self.variance > 2.0:
+            return np.full_like(sq, -1.0)
+        return super().from_sq_dists(sq)
+
+
+class TestLMLFailureDiagnostics:
+    def test_failed_evaluations_surface_in_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(
+            bo_module, "make_kernel", lambda name, dims: _NotPDAboveVariance2(dims)
+        )
+        space = toy_space()
+        proposer = BayesianProposer(
+            space, acquisition="eipc", n_initial=4, n_candidates=32, seed=0
+        )
+        rng = np.random.default_rng(0)
+        history = TrialHistory()
+        for _ in range(8):
+            config = proposer.propose(history, rng)
+            record(history, config, toy_objective(config))
+        failures = proposer.last_fit_diagnostics["lml_failures"]
+        assert failures > 0
+        assert failures == (
+            proposer._objective_cache.lml_failures + proposer._cost_cache.lml_failures
+        )
+        assert proposer.fallbacks == 0
+        # A re-tune empties the caches but keeps the count.
+        proposer.apply_retuning(2, discount=0.5)
+        assert proposer.lml_failures == failures
+
+    def test_healthy_fits_report_zero(self):
+        space = toy_space()
+        proposer = BayesianProposer(space, n_initial=4, n_candidates=32, seed=0)
+        rng = np.random.default_rng(0)
+        history = TrialHistory()
+        for _ in range(8):
+            config = proposer.propose(history, rng)
+            record(history, config, toy_objective(config))
+        assert proposer.last_fit_diagnostics["lml_failures"] == 0

@@ -8,6 +8,8 @@ interaction between shard outages and `FailureStreakRule` — a shard
 outage must not end a session whose other shards are healthy.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from repro.core import (
 )
 from repro.core.bo import BayesianProposer
 from repro.core.detect import _PageHinkley
-from repro.core.gp import GaussianProcess
+from repro.core.gp import GaussianProcess, GPFitError
 from repro.core.stopping import FailureStreakRule, StoppedStrategy
 from repro.core.strategy import SearchStrategy
 from repro.mlsim import (
@@ -475,6 +477,44 @@ class TestChangePointDetector:
         assert [t.config for t in plain.history] == [
             t.config for t in watched.history
         ]
+
+    def test_unpredictable_surrogate_residual_is_counted_and_skipped(self):
+        """A cached GP that cannot predict is a counted skip (the window
+        residual stands in); any other error is not swallowed."""
+
+        class FailingGP:
+            def __init__(self, error):
+                self.error = error
+
+            def predict(self, x):
+                raise self.error
+
+        def strategy(error):
+            proposer = SimpleNamespace(
+                space=stub_space(),
+                _log_active=False,
+                _objective_cache=SimpleNamespace(gp=FailingGP(error)),
+            )
+            return SimpleNamespace(_proposer=proposer)
+
+        history = TrialHistory()
+        errors = (GPFitError("singular"), np.linalg.LinAlgError("not PD"), ValueError("dim"))
+        for error in errors:
+            detector = ChangePointDetector(warmup=8, window=10)
+            detector.on_session_start(strategy(error), None, stub_space(), None)
+            for index in range(5):
+                self._feed(detector, history, 100.0 + index, index)
+            assert detector.skipped_residuals == 5
+            # From the fourth probe on, the window holds three objectives
+            # and its z-score stands in for the skipped residual.
+            assert len(detector._resid_hist) == 2
+            detector.on_session_start(strategy(error), None, stub_space(), None)
+            assert detector.skipped_residuals == 0
+
+        detector = ChangePointDetector(warmup=8, window=10)
+        detector.on_session_start(strategy(KeyError("x")), None, stub_space(), None)
+        with pytest.raises(KeyError):
+            self._feed(detector, history, 100.0, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
