@@ -1,17 +1,15 @@
 """P3 — fast surrogate layer: proposal latency vs. history size and batch width.
 
 Times the interactive hot path of the tuner — one BO proposal — against
-history size (n in {16, 64, 256}) and constant-liar batch width, in two
-modes:
-
-- ``incremental`` — the shipped fast path: persistent surrogates whose
-  cached Cholesky factors are extended on append
-  (:meth:`repro.core.gp.GaussianProcess.extend`), hyperparameter refits on
-  the real-trial cadence with analytic LML gradients;
-- ``rebuild`` — the no-cache baseline
-  (``BayesianProposer(reuse_surrogate=False)``): every proposal refits the
-  objective surrogate from scratch and the cost surrogate with a full
-  hyperparameter optimisation.
+history size (n in {16, 64, 256}) and constant-liar batch width on the
+shipped ``incremental`` path: persistent surrogates whose cached Cholesky
+factors are extended on append
+(:meth:`repro.core.gp.GaussianProcess.extend`), hyperparameter refits on
+the real-trial cadence with analytic LML gradients.  Next to each median
+latency, ``full_fits`` counts the surrogate ``fit`` calls (objective and
+cost GP, either tier) in the timed loop: a deterministic work counter
+that rises if proposals stop extending their cached factors and refit
+instead.
 
 The ``hyperfit`` section times one full hyperparameter fit (restarts=2)
 at each history size.
@@ -36,11 +34,13 @@ Run as a script to (re)generate the committed latency baseline::
 """
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
 import sys
 import time
+from unittest import mock
 
 try:
     import repro  # noqa: F401
@@ -54,13 +54,12 @@ import numpy as np
 from repro.configspace import ml_config_space
 from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
-from repro.core.gp import GaussianProcess
+from repro.core.gp import GaussianProcess, SparseGaussianProcess
 from repro.core.kernels import make_kernel
 from repro.core.parallel import propose_batch
 from repro.mlsim import Measurement, TrainingConfig
 
-SCHEMA = "bench_p3_surrogate/v3"
-MODES = ("incremental", "rebuild")
+SCHEMA = "bench_p3_surrogate/v4"
 
 
 def _history(space, n, seed=0):
@@ -82,15 +81,33 @@ def _history(space, n, seed=0):
     return history
 
 
-def _proposer(space, mode, seed=0):
+def _proposer(space, seed=0):
     return BayesianProposer(
         space,
         acquisition="eipc",  # the tuner's default: exercises the cost GP too
         n_initial=8,
         n_candidates=512,
-        reuse_surrogate=(mode == "incremental"),
         seed=seed,
     )
+
+
+@contextlib.contextmanager
+def _count_fits():
+    """Count ``fit`` calls on either GP tier while the block runs.
+
+    Yields a callable returning the count.  The sparse tier's scratch
+    hyperfit is an exact-tier ``fit`` and counts too; the ``propose`` and
+    ``batch`` cells stay below the sparse threshold.
+    """
+    with mock.patch.object(
+        GaussianProcess, "fit", autospec=True, side_effect=GaussianProcess.fit
+    ) as exact, mock.patch.object(
+        SparseGaussianProcess,
+        "fit",
+        autospec=True,
+        side_effect=SparseGaussianProcess.fit,
+    ) as sparse:
+        yield lambda: exact.call_count + sparse.call_count
 
 
 def _record_objective(history, config, rng):
@@ -106,40 +123,42 @@ def _record_objective(history, config, rng):
     )
 
 
-def time_propose(space, n, mode, repeats, seed=0):
-    """Median latency (ms) of one proposal against an n-trial history.
+def time_propose(space, n, repeats, seed=0):
+    """(median ms, full fits) of one proposal against an n-trial history.
 
     The history grows by one real observation per timed call — the
     steady-state loop a CherryPick-style tuner runs between probes, with
     hyperparameter refits landing at their natural cadence.
     """
     history = _history(space, n, seed=seed)
-    proposer = _proposer(space, mode, seed=seed)
+    proposer = _proposer(space, seed=seed)
     rng = np.random.default_rng(seed + 1)
     proposer.propose(history, rng)  # warm-up: first model fit
     samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        config = proposer.propose(history, rng)
-        samples.append((time.perf_counter() - start) * 1e3)
-        _record_objective(history, config, rng)
-    return statistics.median(samples)
+    with _count_fits() as fits:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            config = proposer.propose(history, rng)
+            samples.append((time.perf_counter() - start) * 1e3)
+            _record_objective(history, config, rng)
+    return statistics.median(samples), fits()
 
 
-def time_batch_round(space, n, k, mode, repeats, seed=0):
-    """Median latency (ms) of one k-wide constant-liar proposal round."""
+def time_batch_round(space, n, k, repeats, seed=0):
+    """(median ms, full fits) of one k-wide constant-liar proposal round."""
     history = _history(space, n, seed=seed)
-    proposer = _proposer(space, mode, seed=seed)
+    proposer = _proposer(space, seed=seed)
     rng = np.random.default_rng(seed + 2)
     proposer.propose(history, rng)  # warm-up
     samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        batch = propose_batch(proposer, history, rng, k)
-        samples.append((time.perf_counter() - start) * 1e3)
-        for config in batch:
-            _record_objective(history, config, rng)
-    return statistics.median(samples)
+    with _count_fits() as fits:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            batch = propose_batch(proposer, history, rng, k)
+            samples.append((time.perf_counter() - start) * 1e3)
+            for config in batch:
+                _record_objective(history, config, rng)
+    return statistics.median(samples), fits()
 
 
 def time_large_propose(space, n, sparse, repeats, seed=0, warm=64):
@@ -159,7 +178,6 @@ def time_large_propose(space, n, sparse, repeats, seed=0, warm=64):
         acquisition="eipc",
         n_initial=8,
         n_candidates=512,
-        reuse_surrogate=True,
         refit_every=10**9,
         sparse_threshold=(512 if sparse else None),
         max_inducing=256,
@@ -195,13 +213,17 @@ def time_hyperfit(n, repeats, seed=0, dim=8):
 
 
 def run_suite(quick=False, seed=0):
-    """Measure every (axis, mode) cell and return the BENCH_P3 payload."""
+    """Measure every axis cell and return the BENCH_P3 payload.
+
+    The ``propose`` axis runs the same repeats with and without
+    ``quick``, so its ``full_fits`` counts match the committed baseline.
+    """
     nodes = 16
     space = ml_config_space(nodes)
     history_sizes = (16, 64) if quick else (16, 64, 256)
     batch_cells = ((4, 64),) if quick else ((4, 64), (8, 256))
     large_sizes = (1024,) if quick else (1024, 4096)
-    propose_repeats = 5 if quick else 9
+    propose_repeats = 9
     batch_repeats = 2 if quick else 3
     large_repeats = 2 if quick else 3
     hyperfit_repeats = 3 if quick else 5
@@ -226,16 +248,9 @@ def run_suite(quick=False, seed=0):
     results["config"]["max_inducing"] = 256
 
     for n in history_sizes:
-        cell = {}
-        for mode in MODES:
-            cell[mode + "_ms"] = time_propose(space, n, mode, propose_repeats, seed)
-        cell["speedup"] = cell["rebuild_ms"] / cell["incremental_ms"]
-        results["propose"][f"n={n}"] = cell
-        print(
-            f"propose n={n:>3}: rebuild {cell['rebuild_ms']:8.1f} ms  "
-            f"incremental {cell['incremental_ms']:8.1f} ms  "
-            f"speedup {cell['speedup']:5.1f}x"
-        )
+        ms, fits = time_propose(space, n, propose_repeats, seed)
+        results["propose"][f"n={n}"] = {"incremental_ms": ms, "full_fits": fits}
+        print(f"propose n={n:>3}: incremental {ms:8.1f} ms  full fits {fits}")
 
     for n in large_sizes:
         cell = {
@@ -255,16 +270,9 @@ def run_suite(quick=False, seed=0):
         )
 
     for k, n in batch_cells:
-        cell = {}
-        for mode in MODES:
-            cell[mode + "_ms"] = time_batch_round(space, n, k, mode, batch_repeats, seed)
-        cell["speedup"] = cell["rebuild_ms"] / cell["incremental_ms"]
-        results["batch"][f"k={k},n={n}"] = cell
-        print(
-            f"batch k={k} n={n:>3}: rebuild {cell['rebuild_ms']:8.1f} ms  "
-            f"incremental {cell['incremental_ms']:8.1f} ms  "
-            f"speedup {cell['speedup']:5.1f}x"
-        )
+        ms, fits = time_batch_round(space, n, k, batch_repeats, seed)
+        results["batch"][f"k={k},n={n}"] = {"incremental_ms": ms, "full_fits": fits}
+        print(f"batch k={k} n={n:>3}: incremental {ms:8.1f} ms  full fits {fits}")
 
     for n in history_sizes:
         cell = {"fit_ms": time_hyperfit(n, repeats=hyperfit_repeats, seed=seed)}
@@ -278,7 +286,7 @@ def bench_p3_surrogate(benchmark):
     """pytest-benchmark entry: one fast-path proposal at n=64."""
     space = ml_config_space(16)
     history = _history(space, 64)
-    proposer = _proposer(space, "incremental")
+    proposer = _proposer(space)
     rng = np.random.default_rng(1)
     proposer.propose(history, rng)  # warm the surrogate cache
 

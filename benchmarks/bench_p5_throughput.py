@@ -3,12 +3,12 @@
 Four axes, one per layer this change touches:
 
 - ``throughput`` — steady-state BO proposal latency (and candidates/sec at
-  the tuner's default 512-candidate set) with the vectorized encoded
-  end-to-end candidate pipeline vs the ``vectorized_candidates=False``
-  scalar baseline, at history sizes n in {16, 64, 256}.  Both arms share
-  every surrogate-level optimisation, so the speedup isolates the
-  candidate pipeline itself and is hardware-independent (both sides run on
-  the same machine in the same process).
+  the tuner's default 512-candidate set) through the vectorized candidate
+  pipeline, which keeps candidates encoded end-to-end, at history sizes
+  n in {16, 64, 256}.  ``scalar_samples`` counts the per-config
+  :meth:`ConfigSpace.sample` calls the timed proposals make: a
+  deterministic work counter that must stay 0, because every candidate
+  comes from the batched sampler.
 - ``hyperfit`` — one full GP hyperparameter fit (multi-start L-BFGS-B)
   with the restarts fanned across ``fit_workers`` processes vs in-process
   serial.  Results are bit-identical; only wall-clock changes.  On a
@@ -27,7 +27,7 @@ Run as a script to (re)generate the committed baseline::
     PYTHONPATH=src python benchmarks/bench_p5_throughput.py --quick   # CI smoke
 
 ``scripts/bench_report.py`` renders the JSON; CI gates on
-``throughput/n=64/speedup`` (same-machine ratio, hardware-independent).
+``throughput/n=64/scalar_samples`` (a hardware-independent count).
 """
 
 import argparse
@@ -36,6 +36,7 @@ import os
 import statistics
 import sys
 import time
+from unittest import mock
 
 try:
     import repro  # noqa: F401
@@ -46,14 +47,14 @@ except ImportError:  # standalone `python benchmarks/bench_p5_throughput.py`
 
 import numpy as np
 
-from repro.configspace import ml_config_space
+from repro.configspace import ConfigSpace, ml_config_space
 from repro.core import TrialHistory, TuningBudget
 from repro.core.bo import BayesianProposer
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import make_kernel
 from repro.mlsim import Measurement, TrainingConfig
 
-SCHEMA = "bench_p5_throughput/v1"
+SCHEMA = "bench_p5_throughput/v2"
 N_CANDIDATES = 512
 
 
@@ -76,8 +77,11 @@ def _history(space, n, seed=0):
     return history
 
 
-def time_propose(space, n, vectorized, repeats, seed=0):
-    """Median steady-state proposal latency (ms) against a static history.
+def time_propose(space, n, repeats, seed=0):
+    """(median ms, scalar samples) of a steady-state proposal.
+
+    The history is static; ``scalar samples`` counts
+    :meth:`ConfigSpace.sample` calls during the timed proposals.
 
     ``refit_every`` is parked far out so the cells time the candidate
     pipeline + scoring, not hyperparameter refits (those are the
@@ -89,17 +93,19 @@ def time_propose(space, n, vectorized, repeats, seed=0):
         acquisition="eipc",
         n_candidates=N_CANDIDATES,
         refit_every=10**9,
-        vectorized_candidates=vectorized,
         seed=seed,
     )
     rng = np.random.default_rng(seed + 1)
     proposer.propose(history, rng)  # warm-up: first model fit
     samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        proposer.propose(history, rng)
-        samples.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(samples)
+    with mock.patch.object(
+        ConfigSpace, "sample", autospec=True, side_effect=ConfigSpace.sample
+    ) as scalar_sample:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            proposer.propose(history, rng)
+            samples.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(samples), scalar_sample.call_count
 
 
 def time_hyperfit(n, fit_workers, repeats, seed=0, dim=8, restarts=6):
@@ -242,19 +248,17 @@ def run_suite(quick=False, seed=0):
     }
 
     for n in history_sizes:
+        ms, scalar_samples = time_propose(space, n, propose_repeats, seed)
         cell = {
-            "scalar_ms": time_propose(space, n, False, propose_repeats, seed),
-            "vectorized_ms": time_propose(space, n, True, propose_repeats, seed),
+            "vectorized_ms": ms,
+            "vectorized_cps": N_CANDIDATES / ms * 1e3,
+            "scalar_samples": scalar_samples,
         }
-        cell["speedup"] = cell["scalar_ms"] / cell["vectorized_ms"]
-        cell["scalar_cps"] = N_CANDIDATES / cell["scalar_ms"] * 1e3
-        cell["vectorized_cps"] = N_CANDIDATES / cell["vectorized_ms"] * 1e3
         results["throughput"][f"n={n}"] = cell
         print(
-            f"throughput n={n:>3}: scalar {cell['scalar_ms']:7.1f} ms  "
-            f"vectorized {cell['vectorized_ms']:6.1f} ms  "
-            f"speedup {cell['speedup']:5.2f}x  "
-            f"({cell['vectorized_cps']:,.0f} cand/s)"
+            f"throughput n={n:>3}: vectorized {ms:6.1f} ms  "
+            f"({cell['vectorized_cps']:,.0f} cand/s)  "
+            f"scalar samples {scalar_samples}"
         )
 
     for n in hyperfit_sizes:

@@ -6,11 +6,11 @@ Two claims, one payload:
   default budgets (3000 random samples + the coarse grid + refinement)
   through the vectorised batch path
   (:func:`~repro.mlsim.perf.estimate_columns` over encoded candidate
-  matrices) against the historical per-config scalar loop.  The two
-  paths are bit-identical — same ``(config, value)`` at every seed; the
-  benchmark re-asserts it — so the ``speedup`` column is pure engine
-  win.  CI gates ``speedup >= 3.0`` (committed baseline is higher; the
-  gate leaves headroom for slower runners).
+  matrices).  ``scalar_evals`` counts the per-config
+  :meth:`~repro.mlsim.TrainingEnvironment.true_objective` calls inside
+  the search; CI gates it at 0, a hardware-independent check that every
+  candidate is evaluated in batches.  Bit-identity with a per-config
+  loop is a tier-1 test (``tests/test_harness.py``).
 
 - ``sweep/demo`` — a small :func:`~repro.harness.run_sweep` grid
   (workload × strategy over several seeds) run cold through the fork
@@ -34,6 +34,7 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 try:
     import repro  # noqa: F401
@@ -51,7 +52,7 @@ from repro.harness.optimum import clear_optimum_cache, estimate_optimum
 from repro.mlsim import TrainingEnvironment
 from repro.workloads import get_workload
 
-SCHEMA = "bench_p9_sweep/v1"
+SCHEMA = "bench_p9_sweep/v2"
 WORKLOAD = "resnet50-imagenet"
 NODES = 16
 OPTIMUM_SAMPLES = 3000  # estimate_optimum's default budget — what CI gates
@@ -64,36 +65,28 @@ DEMO_STRATEGIES = ("random", "mlconfig-bo")
 
 
 def _optimum_cell():
-    """Time scalar vs batch optimum search; assert bit-identical results."""
+    """Best-of wall time and per-config evaluations of the optimum search."""
     env = TrainingEnvironment(
         get_workload(WORKLOAD), homogeneous(NODES), seed=3, objective_name="throughput"
     )
     space = ml_config_space(NODES)
-
-    def best_of(vectorized):
-        best_s, outcome = float("inf"), None
+    best_s = float("inf")
+    with mock.patch.object(
+        TrainingEnvironment,
+        "true_objective",
+        autospec=True,
+        side_effect=TrainingEnvironment.true_objective,
+    ) as scalar_eval:
         for _ in range(TIMING_REPEATS):
             clear_optimum_cache()
             start = time.perf_counter()
-            outcome = estimate_optimum(
-                env, space, samples=OPTIMUM_SAMPLES, vectorized=vectorized
-            )
+            estimate_optimum(env, space, samples=OPTIMUM_SAMPLES)
             best_s = min(best_s, time.perf_counter() - start)
-        return best_s, outcome
-
-    scalar_s, scalar_result = best_of(vectorized=False)
-    batch_s, batch_result = best_of(vectorized=True)
     clear_optimum_cache()
-    identical = scalar_result == batch_result
-    assert identical, (
-        f"batch optimum diverged from scalar: {batch_result} != {scalar_result}"
-    )
     return {
         "samples": OPTIMUM_SAMPLES,
-        "scalar_ms": round(scalar_s * 1e3, 2),
-        "batch_ms": round(batch_s * 1e3, 2),
-        "speedup": round(scalar_s / batch_s, 2),
-        "identical": 1,
+        "batch_ms": round(best_s * 1e3, 2),
+        "scalar_evals": scalar_eval.call_count,
     }
 
 
@@ -174,8 +167,8 @@ def run_suite(quick=False):
     results["sweep"]["optimum"] = optimum
     print(
         f"optimum search ({OPTIMUM_SAMPLES} samples): "
-        f"scalar {optimum['scalar_ms']:.1f} ms  batch {optimum['batch_ms']:.1f} ms  "
-        f"speedup x{optimum['speedup']:.2f} (bit-identical)"
+        f"batch {optimum['batch_ms']:.1f} ms  "
+        f"scalar evals {optimum['scalar_evals']}"
     )
     for name, cell in _demo_cells(quick).items():
         results["sweep"][name] = cell

@@ -10,24 +10,26 @@ Two subcommands:
 ``check``
     Compare a freshly measured JSON against a committed baseline and exit
     non-zero when a watched metric regressed beyond the allowed ratio —
-    the CI gate for proposal latency::
+    e.g. the CI gate on the sparse tier's large-history speedup::
 
         python scripts/bench_report.py check \
             --baseline BENCH_P3.json --current /tmp/bench_now.json \
-            --metric propose/n=64/speedup --min-ratio 0.5
+            --metric large/n=1024/speedup --min-ratio 0.5
 
     ``--max-ratio`` bounds lower-is-better metrics (latencies):
     fail when ``current > max_ratio * baseline``.  ``--min-ratio`` bounds
     higher-is-better metrics (speedups): fail when
-    ``current < min_ratio * baseline``.  Prefer gating on ``speedup``
-    fields in CI — both sides of a speedup are measured on the same
-    machine in the same run, so the verdict does not depend on how fast
-    the runner hardware happens to be.
+    ``current < min_ratio * baseline``.  Of the timed fields, prefer
+    gating on ``speedup`` — both sides of a speedup are measured on the
+    same machine in the same run, so the verdict does not depend on how
+    fast the runner hardware happens to be.
 
     ``--min-value`` / ``--max-value`` gate on the current measurement
     alone (no baseline): fail when ``current < min_value`` or
-    ``current > max_value``.  Use these for properties that must hold on
-    the runner itself — e.g. "parallel hyperfit beats serial at all" on a
+    ``current > max_value``.  Use these for deterministic work counters
+    (e.g. ``--metric propose/n=64/full_fits --max-value 4``), which do not
+    depend on the runner at all, and for properties that must hold on the
+    runner itself — e.g. "parallel hyperfit beats serial at all" on a
     multi-core CI machine, where a ratio against a baseline recorded on
     different hardware would be meaningless.
 
@@ -219,7 +221,7 @@ def main(argv=None):
         "--metric",
         action="append",
         required=True,
-        help="section/cell/field path, e.g. propose/n=64/speedup "
+        help="section/cell/field path, e.g. large/n=1024/speedup "
         "(repeatable)",
     )
     check.add_argument(

@@ -19,6 +19,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -347,8 +348,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return 2
-    if args.max_wall_hours is not None and args.max_wall_hours <= 0:
-        print("--max-wall-hours must be positive", file=sys.stderr)
+    if args.max_wall_hours is not None and not (
+        math.isfinite(args.max_wall_hours) and args.max_wall_hours > 0
+    ):
+        print("--max-wall-hours must be positive and finite", file=sys.stderr)
         return 2
     if args.shards is not None and args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)

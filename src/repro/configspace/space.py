@@ -275,9 +275,7 @@ class ConfigSpace:
             f"constraints may be unsatisfiable: {sorted(self.constraints)}"
         )
 
-    def sample_batch(
-        self, rng: np.random.Generator, count: int, vectorized: bool = True
-    ) -> List[ConfigDict]:
+    def sample_batch(self, rng: np.random.Generator, count: int) -> List[ConfigDict]:
         """``count`` independent uniform valid configurations (vectorised).
 
         Distribution-identical to ``[self.sample(rng) for _ in
@@ -289,11 +287,7 @@ class ConfigSpace:
         the RNG stream *ordering* differs from the scalar loop whenever any
         draw is rejected — seeded trajectories of callers (TPE, Hyperband,
         ``estimate_optimum``) therefore changed when this landed.
-        ``vectorized=False`` restores the historical per-config stream
-        exactly.
         """
-        if not vectorized:
-            return [self.sample(rng) for _ in range(count)]
         columns = self._sample_columns(rng, count)
         return [self.config_at(columns, i) for i in range(count)]
 

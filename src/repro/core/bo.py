@@ -55,14 +55,11 @@ instead of rebuilding them per call:
   prediction, and hyper-refit costs bounded by ``max_inducing`` instead of
   the history size — the tier that keeps 10^4-trial histories interactive.
 
-``reuse_surrogate=False`` disables the caching and restores rebuild-per-
-call surrogates (with a full multi-start cost-GP hyperparameter fit per
-call, and multi-start objective refits); it
-exists as the benchmark baseline (``benchmarks/bench_p3_surrogate.py``).
-Note it is a *conservative* baseline, not a bit-exact replay of the
-pre-optimisation code: its refits still use analytic LML gradients and
-the real-trial refit cadence, so measured speedups understate the gap to
-the true finite-difference past.
+Candidates stay encoded end-to-end: the random set is drawn by
+:meth:`ConfigSpace.sample_batch_encoded` (vectorised rejection sampling
+and constraint masking), scored in place, and only the winning row's typed
+dict is ever built; the hill-climb scores
+:meth:`ConfigSpace.neighbors_batch` rows the same way.
 """
 
 from __future__ import annotations
@@ -90,8 +87,7 @@ class _SurrogateCache:
       fitted hypers are cached for the rebuild path.  A *cold* cache (no
       hyperfit has run on it yet) runs the multi-start search; a *warm*
       one runs a single start from the fresh kernel's default point
-      (``SurrogateFactory.build(n, warm=True)``).  With
-      ``allow_extend=False`` every hyperfit multi-starts;
+      (``SurrogateFactory.build(n, warm=True)``);
     - cached training set is a prefix of ``(x, y)`` *and* the cached GP is
       still the tier the factory picks for the new size — incremental
       extension of the cached factors, hyperparameters fixed;
@@ -153,12 +149,10 @@ class _SurrogateCache:
         y: np.ndarray,
         factory: SurrogateFactory,
         optimize: bool,
-        allow_extend: bool = True,
         noise_scale: Optional[np.ndarray] = None,
     ):
         if (
             not optimize
-            and allow_extend
             and self.gp is not None
             and factory.tier_for(y.shape[0]) == factory.tier_of(self.gp)
             and self._extends_cached(x, y)
@@ -169,9 +163,7 @@ class _SurrogateCache:
                 self.gp.extend(x[n:], y[n:])
             self._x, self._y, self._scale = x, y, noise_scale
             return self.gp
-        # The no-reuse baseline (``allow_extend=False``) carries nothing
-        # between calls but the hypers, so each of its hyperfits is cold.
-        gp = factory.build(y.shape[0], warm=self._warm and allow_extend)
+        gp = factory.build(y.shape[0], warm=self._warm)
         if optimize or self.hypers is None:
             try:
                 gp.fit(x, y, optimize_hypers=True, noise_scale=noise_scale)
@@ -249,32 +241,6 @@ class BayesianProposer:
         relative improvement.  Default ``"never"``: on this substrate an
         A/B comparison showed no benefit (see EXPERIMENTS.md commentary),
         and the recorded benchmarks use the raw scale.
-    reuse_surrogate:
-        Keep the fitted surrogates persistent between ``propose`` calls and
-        extend their cached Cholesky factors when the history grew by pure
-        appends (see the module docstring).  ``False`` rebuilds every
-        surrogate per call — kept as the (conservative) benchmark
-        baseline.
-    vectorized_candidates:
-        Run the candidate pipeline on encoded ``(count, dims)`` arrays
-        end-to-end: candidates are drawn by
-        :meth:`ConfigSpace.sample_batch_encoded` (vectorised rejection
-        sampling and constraint masking), scored in place, and only the
-        winning row's typed dict is ever touched; the hill-climb scores
-        :meth:`ConfigSpace.neighbors_batch` rows the same way.  ``False``
-        restores the scalar per-config loop (one :meth:`ConfigSpace.sample`
-        call per candidate plus an ``encode_batch`` re-encode), which
-        reproduces the historical *candidate RNG stream* bit-identically —
-        kept as the benchmark baseline
-        (``benchmarks/bench_p5_throughput.py``).  The flag scopes the
-        candidate pipeline only: the shared GP prediction path got
-        structurally faster in the same change (cached scaled inputs,
-        inverse-factor variances) and its last-ulp differences can flip a
-        near-tie argmax, so the fallback is not a bit-exact replay of
-        pre-change proposal *sequences*, only of their candidate stream.
-        The two paths draw the same marginal candidate distribution but
-        consume the RNG stream in a different order, so individual
-        proposals may differ between them.
     fit_workers:
         Fan a cold surrogate fit's multi-start L-BFGS-B restarts across
         ``fit_workers`` processes (see
@@ -330,8 +296,6 @@ class BayesianProposer:
         local_search_steps: int = 8,
         refit_every: int = 3,
         log_objective: str = "never",
-        reuse_surrogate: bool = True,
-        vectorized_candidates: bool = True,
         shard_cost_feature: bool = False,
         fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
@@ -367,8 +331,6 @@ class BayesianProposer:
         # and reuse the cached values in between.
         self.refit_every = refit_every
         self.log_objective = log_objective
-        self.reuse_surrogate = reuse_surrogate
-        self.vectorized_candidates = vectorized_candidates
         self.shard_cost_feature = shard_cost_feature
         self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
@@ -612,7 +574,6 @@ class BayesianProposer:
                 self.space.dims, self.seed, prior_mean=self.prior_mean
             ),
             optimize=refit_due,
-            allow_extend=self.reuse_surrogate,
             noise_scale=noise_scale,
         )
         if refit_due:
@@ -623,30 +584,21 @@ class BayesianProposer:
             cost_model = self._fit_cost_model(history, refit_due)
 
         incumbent = float(np.max(y))
-        if self.vectorized_candidates:
-            cand_x, lookup = self._candidate_matrix(history, rng)
-        else:
-            candidates = self._candidate_set(history, rng)
-            cand_x = self.space.encode_batch(candidates)
-            lookup = candidates.__getitem__
+        cand_x, lookup = self._candidate_matrix(history, rng)
         scored = self._score_encoded(cand_x, surrogate, incumbent, cost_model)
         order = int(np.argmax(scored))
         best_config, best_score = lookup(order), float(scored[order])
 
         # Local refinement: climb the acquisition surface via single-knob
-        # moves from the best random candidate.  The vectorised path keeps
-        # every move in encoded form (one base row, one slice overwritten
-        # per move) and scores the matrix in place.
+        # moves from the best random candidate.  Every move stays in
+        # encoded form (one base row, one slice overwritten per move) and
+        # the matrix is scored in place.
         current, current_score = best_config, best_score
         current_row = cand_x[order]
         for _ in range(self.local_search_steps):
-            if self.vectorized_candidates:
-                moves_x, moves = self.space.neighbors_batch(
-                    current, rng, base_row=current_row
-                )
-            else:
-                moves = self.space.neighbors(current, rng)
-                moves_x = self.space.encode_batch(moves)
+            moves_x, moves = self.space.neighbors_batch(
+                current, rng, base_row=current_row
+            )
             if not moves:
                 break
             move_scores = self._score_encoded(moves_x, surrogate, incumbent, cost_model)
@@ -668,25 +620,8 @@ class BayesianProposer:
         }
         return current
 
-    def _candidate_set(
-        self, history: TrialHistory, rng: np.random.Generator
-    ) -> List[ConfigDict]:
-        """Scalar candidate generation — the historical per-config loop.
-
-        Kept as the ``vectorized_candidates=False`` baseline: the explicit
-        ``sample`` loop reproduces the pre-vectorisation RNG stream exactly
-        (``ConfigSpace.sample_batch`` itself is batched now and consumes
-        the stream in a different order under rejection).
-        """
-        candidates = [self.space.sample(rng) for _ in range(self.n_candidates)]
-        best = history.best()
-        if best is not None:
-            candidates.extend(self.space.neighbors(best.config, rng))
-            candidates.append(dict(best.config))
-        return candidates
-
     def _candidate_matrix(self, history: TrialHistory, rng: np.random.Generator):
-        """Vectorised candidate generation: encoded matrix + winner lookup.
+        """Candidate generation: encoded matrix + winner lookup.
 
         The matrix comes straight from the batched sampling pipeline
         (encode once); the incumbent's neighbourhood rows are spliced from
@@ -790,17 +725,13 @@ class BayesianProposer:
         )
         # Successes appear in history order, so a new probe appends one row
         # and the cached cost factor extends exactly like the objective's.
-        # Without surrogate reuse the pre-optimisation behaviour is kept:
-        # a full hyperparameter fit on every single call.
-        optimize = refit_due if self.reuse_surrogate else True
         dims = x.shape[1]
         try:
             return self._cost_cache.update(
                 x,
                 log_cost,
                 factory=self._surrogate_factory(dims, self.seed + 1),
-                optimize=optimize,
-                allow_extend=self.reuse_surrogate,
+                optimize=refit_due,
                 noise_scale=cost_scale,
             )
         except GPFitError as error:

@@ -71,7 +71,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.fleet import EnvironmentPool, EnvironmentShard
 from repro.core.strategy import SearchStrategy, TuningBudget, TuningResult
-from repro.core.trial import Trial, TrialHistory
+from repro.core.trial import Trial, TrialHistory, billable_cost_s
 from repro.mlsim import Measurement, TrainingEnvironment
 
 #: Attempts a preempted probe gets (original launch + relaunches) before
@@ -143,7 +143,7 @@ def _measure_preemptible(pool, strategy, shard, config, start_s, history):
     measurement = None
     for _ in range(MAX_PROBE_ATTEMPTS):
         measurement = _measure_on(pool, shard, strategy, config, t)
-        end_s = t + max(0.0, measurement.probe_cost_s)
+        end_s = t + billable_cost_s(measurement.probe_cost_s)
         preempt_s = injector.preemption_at(shard.name, t, end_s)
         if preempt_s is None:
             return measurement, end_s
@@ -484,7 +484,7 @@ class SerialExecutor(Executor):
                 measurement = _measure_on(self.pool, shard, strategy, config, t)
             finally:
                 self.pool.release(shard.name)
-            end_s = t + max(0.0, measurement.probe_cost_s)
+            end_s = t + billable_cost_s(measurement.probe_cost_s)
             preempt_s = injector.preemption_at(shard.name, t, end_s)
             if preempt_s is None:
                 return measurement, end_s, shard
@@ -621,11 +621,11 @@ class ParallelExecutor(Executor):
                 if shard is None:
                     _set_env_clock(env, round_start_wall_s)
                     measurement = strategy.measure(env, config)
-                    duration = measurement.probe_cost_s
+                    duration = billable_cost_s(measurement.probe_cost_s)
                 elif injector is None:
                     _set_env_clock(shard.env, round_start_wall_s)
                     measurement = shard.measure(strategy, config)
-                    duration = measurement.probe_cost_s
+                    duration = billable_cost_s(measurement.probe_cost_s)
                 else:
                     # Preempted members retry on their own shard after it
                     # recovers (the slot is held for the whole round); the
@@ -804,7 +804,7 @@ class AsyncExecutor(Executor):
         for _, _, _, measurement, start_s, shard in self._in_flight:
             elapsed = min(
                 max(0.0, stop_wall_s - start_s),
-                max(0.0, measurement.probe_cost_s),
+                billable_cost_s(measurement.probe_cost_s),
             )
             history.charge_cancelled(
                 elapsed, shard=None if shard is None else shard.name
@@ -854,7 +854,7 @@ class AsyncExecutor(Executor):
             return False
         if budget.max_cost_s is not None:
             committed = history.total_cost_s + sum(
-                entry[3].probe_cost_s for entry in self._in_flight
+                billable_cost_s(entry[3].probe_cost_s) for entry in self._in_flight
             )
             if committed >= budget.max_cost_s:
                 return False
@@ -899,14 +899,16 @@ class AsyncExecutor(Executor):
             if shard is None:
                 _set_env_clock(env, start_s)
                 measurement = strategy.measure(env, config)
-                completion_s = start_s + max(0.0, measurement.probe_cost_s)
+                completion_s = start_s + billable_cost_s(measurement.probe_cost_s)
             else:
                 self.pool.acquire(shard.name)
                 try:
                     if injector is None:
                         _set_env_clock(shard.env, start_s)
                         measurement = shard.measure(strategy, config)
-                        completion_s = start_s + max(0.0, measurement.probe_cost_s)
+                        completion_s = start_s + billable_cost_s(
+                            measurement.probe_cost_s
+                        )
                     else:
                         # Outage preemptions retry on the same shard after
                         # recovery (the slot stays occupied); the recorded

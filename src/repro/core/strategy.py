@@ -9,6 +9,7 @@ evaluation fair (identical spaces, identical budgets, identical noise).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -29,7 +30,8 @@ class TuningBudget:
     ``max_wall_clock_s`` bounds the session's simulated wall-clock — the
     axis asynchronous execution actually optimises, since K workers can
     burn machine-seconds K times faster than the stopwatch advances.  Any
-    cap may be None (unbounded), but at least one must be set.
+    cap may be None (unbounded), but at least one must be set; a set cap
+    must be finite (NaN or inf would never fire).
     """
 
     max_trials: Optional[int] = 40
@@ -43,6 +45,10 @@ class TuningBudget:
             and self.max_wall_clock_s is None
         ):
             raise ValueError("budget must bound trials, cost, or wall-clock")
+        for name in ("max_trials", "max_cost_s", "max_wall_clock_s"):
+            cap = getattr(self, name)
+            if cap is not None and not math.isfinite(cap):
+                raise ValueError(f"{name} must be finite (None means unbounded)")
         if self.max_trials is not None and self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
         if self.max_cost_s is not None and self.max_cost_s <= 0:

@@ -27,6 +27,16 @@ from repro.configspace import ConfigDict
 from repro.mlsim import Measurement
 
 
+def billable_cost_s(cost_s: float) -> float:
+    """``cost_s`` if it is a finite, non-negative probe cost, else 0.0.
+
+    :meth:`TrialHistory.record` stores a probe with any other cost as a
+    failed trial billed 0.0; executors apply the same rule to probes that
+    are still in flight.
+    """
+    return cost_s if math.isfinite(cost_s) and cost_s >= 0.0 else 0.0
+
+
 def measurement_to_payload(measurement: Measurement) -> dict:
     """A JSON-exact payload for a :class:`~repro.mlsim.Measurement`.
 
@@ -232,6 +242,10 @@ class TrialHistory:
         stored as a failed trial (``ok=False``, ``objective=None``, an
         error naming the value): one such value would otherwise poison
         every later surrogate fit and make :meth:`best` order-dependent.
+        Likewise a NaN, infinite or negative ``probe_cost_s`` is stored as
+        a failed trial billed 0.0 (error ``invalid probe cost nan``): one
+        such cost would otherwise turn ``total_cost_s`` into NaN, which
+        never reaches a cost cap.
         """
         objective = measurement.objective
         if measurement.ok and objective is not None and not math.isfinite(objective):
@@ -240,6 +254,14 @@ class TrialHistory:
                 ok=False,
                 objective=None,
                 error=f"non-finite objective {float(objective)}",
+            )
+        cost = measurement.probe_cost_s
+        if billable_cost_s(cost) != cost:  # NaN, infinite or negative
+            error = f"invalid probe cost {float(cost)}"
+            if measurement.error:
+                error = f"{measurement.error}; {error}"
+            measurement = dataclasses.replace(
+                measurement, ok=False, objective=None, probe_cost_s=0.0, error=error
             )
         if wall_clock_s is None:
             wall_clock_s = measurement.probe_cost_s

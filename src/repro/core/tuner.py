@@ -79,11 +79,6 @@ class MLConfigTuner(SearchStrategy):
         surrogate's first, and the first after a re-tune) multi-start;
         later refits run one start in-process.  Surfaced on the CLI as
         ``--fit-workers``.
-    vectorized_candidates:
-        Keep proposal candidates in encoded form end-to-end (the fast
-        default); ``False`` restores the scalar per-config candidate loop
-        — the benchmark baseline (see
-        :class:`~repro.core.bo.BayesianProposer`).
     sparse_threshold / max_inducing:
         Surrogate tier policy for long sessions: past ``sparse_threshold``
         trials the GP surrogates switch to the inducing-point sparse tier
@@ -113,7 +108,6 @@ class MLConfigTuner(SearchStrategy):
         batch_lie: str = "incumbent",
         shard_cost_feature: bool = False,
         fit_workers: int = 1,
-        vectorized_candidates: bool = True,
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         prior_mean=None,
@@ -140,7 +134,6 @@ class MLConfigTuner(SearchStrategy):
         self.batch_lie = batch_lie
         self.shard_cost_feature = shard_cost_feature
         self.fit_workers = fit_workers
-        self.vectorized_candidates = vectorized_candidates
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
@@ -263,7 +256,6 @@ class MLConfigTuner(SearchStrategy):
                 beta=self.beta,
                 shard_cost_feature=self.shard_cost_feature,
                 fit_workers=self.fit_workers,
-                vectorized_candidates=self.vectorized_candidates,
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 prior_mean=self.prior_mean,

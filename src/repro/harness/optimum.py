@@ -7,23 +7,24 @@ we can estimate it to high confidence using the *noise-free* objective
 and a large search budget: dense random sampling, the full coarse grid, and
 exhaustive single-knob refinement from the best points found.
 
-The default path evaluates candidates through
-:meth:`TrainingEnvironment.true_objective_batch`: the coarse grid and the
+Candidates are evaluated in batches through
+:meth:`TrainingEnvironment.true_objective_columns`: the coarse grid and the
 random samples are stacked into one encoded candidate matrix, duplicate
 rows are collapsed before evaluation, and each refinement round scores the
-whole neighbourhood in one batch.  The result is bit-identical to the
-historical per-config loop (kept as ``vectorized=False``) at every seed —
-same RNG stream, same first-strictly-better winner — just without the
-per-candidate Python round-trips.
+whole neighbourhood in one batch.  The result is bit-identical to a
+per-config loop over :meth:`TrainingEnvironment.true_objective` at every
+seed — same RNG stream, same first-strictly-better winner — just without
+the per-candidate Python round-trips (a frozen copy of that loop in the
+tests is the reference).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.configspace import ConfigDict, ConfigSpace, to_training_config
+from repro.configspace import ConfigDict, ConfigSpace
 from repro.mlsim import PerfColumns, TrainingEnvironment
 
 _cache: Dict[tuple, Tuple[ConfigDict, float]] = {}
@@ -56,31 +57,26 @@ def estimate_optimum(
     grid_resolution: int = 3,
     refinement_rounds: int = 30,
     seed: int = 0,
-    vectorized: bool = True,
 ) -> Tuple[ConfigDict, float]:
     """Best (config, objective) pair found by a large noise-free search.
 
     Results are memoised per (workload, cluster, objective, space, drift)
     so the harness can normalise many tuning runs against one optimum
-    estimate.  ``vectorized=False`` runs the historical per-config loop;
-    the two paths return identical results (tier-1 tested) and share the
-    memo, so the flag only matters for benchmarking them against each
-    other.
+    estimate.
     """
     key = _cache_key(env, space, samples, seed)
     if key in _cache:
         return _cache[key]
 
     rng = np.random.default_rng(seed)
-    search = _search_batch if vectorized else _search_scalar
-    best_config, best_value = search(
+    best_config, best_value = _search(
         env, space, samples, grid_resolution, refinement_rounds, rng
     )
     _cache[key] = (best_config, best_value)
     return best_config, best_value
 
 
-def _search_batch(
+def _search(
     env: TrainingEnvironment,
     space: ConfigSpace,
     samples: int,
@@ -115,7 +111,7 @@ def _search_batch(
     # collisions) before evaluation.  Encoding is injective per parameter,
     # so equal rows are equal configs: scattering each unique value back
     # through ``inverse`` reproduces the full candidate column exactly, and
-    # first-occurrence argmax is the scalar loop's first-strictly-better
+    # first-occurrence argmax is a per-config loop's first-strictly-better
     # winner.
     _, first, inverse = np.unique(matrix, axis=0, return_index=True, return_inverse=True)
     unique_columns = {name: column[first] for name, column in combined.items()}
@@ -130,7 +126,7 @@ def _search_batch(
     best_config = space.config_at(combined, best_index)
 
     # Exhaustive single-knob hill climbing from the incumbent, one batch
-    # per round.  The scalar loop updates its incumbent while scanning a
+    # per round.  A per-config loop updates its incumbent while scanning a
     # round's neighbours, but with strict-``>`` updates that reduces to:
     # take the first neighbour attaining the round's max iff it strictly
     # beats the round-start incumbent.
@@ -150,44 +146,6 @@ def _search_batch(
         if float(move_values[top]) > best_value:
             best_config, best_value = dict(moves[top]), float(move_values[top])
         else:
-            break
-    return best_config, best_value
-
-
-def _search_scalar(
-    env: TrainingEnvironment,
-    space: ConfigSpace,
-    samples: int,
-    grid_resolution: int,
-    refinement_rounds: int,
-    rng: np.random.Generator,
-) -> Tuple[ConfigDict, float]:
-    """The historical per-config search (the batch path's reference)."""
-    best_config: Optional[ConfigDict] = None
-    best_value = -np.inf
-
-    def consider(config: ConfigDict) -> None:
-        nonlocal best_config, best_value
-        value = env.true_objective(to_training_config(config))
-        if value is not None and value > best_value:
-            best_config, best_value = dict(config), value
-
-    for config in space.grid(grid_resolution):
-        consider(config)
-    for config in space.sample_batch(rng, samples):
-        consider(config)
-    if best_config is None:
-        raise RuntimeError("no feasible configuration found while estimating optimum")
-
-    # Exhaustive single-knob hill climbing from the incumbent.
-    for _ in range(refinement_rounds):
-        improved = False
-        for neighbor in space.neighbors(best_config, rng):
-            value = env.true_objective(to_training_config(neighbor))
-            if value is not None and value > best_value:
-                best_config, best_value = dict(neighbor), value
-                improved = True
-        if not improved:
             break
     return best_config, best_value
 

@@ -17,9 +17,9 @@ _spec.loader.exec_module(bench_report)
 @pytest.fixture
 def results():
     return {
-        "schema": "bench-p3/v3",
+        "schema": "bench-p3/v4",
         "quick": False,
-        "propose": {"n=64": {"incremental_ms": 4.0, "speedup": 3.0}},
+        "propose": {"n=64": {"incremental_ms": 4.0, "full_fits": 4}},
         "large": {
             "n=1024": {"exact_ms": 900.0, "sparse_ms": 30.0, "speedup": 30.0},
             "n=4096": {"exact_ms": 4000.0, "sparse_ms": 40.0, "speedup": 100.0},
@@ -53,14 +53,14 @@ class TestRender:
     def test_sweep_section_renders_last_in_preferred_order(self, results):
         results["drift"] = {"seed=0": {"recovery_speedup": 10.96}}
         results["sweep"] = {
-            "optimum": {"scalar_ms": 331.6, "batch_ms": 47.8, "speedup": 6.93},
+            "optimum": {"batch_ms": 47.8, "scalar_evals": 0},
             "demo:resnet:random": {"median": 0.48, "iqr": 0.06},
         }
         assert "sweep" in bench_report.PREFERRED_SECTION_ORDER
         text = bench_report.render(results)
         assert "## sweep" in text
         assert text.index("## drift") < text.index("## sweep")
-        assert "6.93" in text
+        assert "47.80" in text
 
 
 class TestCheck:
@@ -81,13 +81,9 @@ class TestCheck:
         argv = ["check", "--current", current, "--metric", "large/n=4096/speedup"]
         assert bench_report.main(argv + ["--min-value", "5.0"]) == 0
         assert bench_report.main(argv + ["--min-value", "500.0"]) == 1
-        assert (
-            bench_report.main(
-                ["check", "--current", current,
-                 "--metric", "large/n=1024/sparse_ms", "--max-value", "100.0"]
-            )
-            == 0
-        )
+        counter = ["check", "--current", current, "--metric", "propose/n=64/full_fits"]
+        assert bench_report.main(counter + ["--max-value", "4"]) == 0
+        assert bench_report.main(counter + ["--max-value", "3"]) == 1
 
     def test_exactly_one_bound_required(self, tmp_path, results):
         current = _write(tmp_path, "cur.json", results)

@@ -268,19 +268,6 @@ class TestPersistentSurrogate:
         propose_batch(proposer, history, rng, 8)
         assert proposer._last_refit_at == refit_mark
 
-    def test_reuse_disabled_rebuilds_per_call(self):
-        space = toy_space()
-        proposer = BayesianProposer(
-            space, n_initial=3, n_candidates=64, reuse_surrogate=False, seed=3
-        )
-        rng = np.random.default_rng(3)
-        history = self._history(space, 6, seed=3)
-        proposer.propose(history, rng)
-        first = proposer._objective_cache.gp
-        config = proposer.propose(history, rng)
-        assert space.is_valid(config)
-        assert proposer._objective_cache.gp is not first
-
     def test_non_append_history_change_falls_back_to_rebuild(self):
         space = toy_space()
         proposer = BayesianProposer(
@@ -619,23 +606,6 @@ class TestRefitPolicy:
         assert self._step(proposer, history, rng, hyperfit_starts) == [COLD_STARTS]
         assert isinstance(proposer._objective_cache.gp, SparseGaussianProcess)
         assert self._step(proposer, history, rng, hyperfit_starts) == [1]
-
-    def test_no_reuse_baseline_multi_starts_every_hyperfit(self, hyperfit_starts):
-        space = toy_space()
-        proposer = BayesianProposer(
-            space,
-            acquisition="eipc",
-            n_initial=4,
-            n_candidates=32,
-            refit_every=2,
-            reuse_surrogate=False,
-            seed=4,
-        )
-        rng = np.random.default_rng(4)
-        history = self._history(space, 6, seed=4)
-        counts = [self._step(proposer, history, rng, hyperfit_starts) for _ in range(3)]
-        # The cost GP refits on every call, the objective on its cadence.
-        assert counts == [[COLD_STARTS] * 2, [COLD_STARTS], [COLD_STARTS] * 2]
 
     def test_fit_below_three_rows_leaves_cache_cold(self, hyperfit_starts):
         space = toy_space()

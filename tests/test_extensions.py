@@ -237,6 +237,16 @@ class TestCli:
         assert code == 2
         assert "--max-wall-hours" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hours", ["nan", "inf"])
+    def test_tune_rejects_non_finite_wall_cap(self, capsys, hours):
+        """Regression: NaN passed the ``<= 0`` check and never fired."""
+        code = cli_main(
+            ["tune", "--workload", "lstm-ptb", "--trials", "4",
+             "--max-wall-hours", hours]
+        )
+        assert code == 2
+        assert "--max-wall-hours" in capsys.readouterr().err
+
     def test_unknown_experiment_id(self, capsys):
         assert cli_main(["experiment", "--id", "Z9"]) == 1
         assert "unknown experiment" in capsys.readouterr().err

@@ -108,6 +108,40 @@ class TestSpeedup:
         assert metrics.speedup(-100.0, -300.0) == pytest.approx(3.0)
 
 
+def _reference_search_scalar(
+    env, space, samples, grid_resolution, refinement_rounds, rng
+):
+    """Frozen per-config ``estimate_optimum`` search (the batch reference).
+
+    One :meth:`TrainingEnvironment.true_objective` call per grid point,
+    sample and neighbour; the incumbent moves on every strictly better
+    value.
+    """
+    best_config, best_value = None, -np.inf
+
+    def consider(config):
+        nonlocal best_config, best_value
+        value = env.true_objective(to_training_config(config))
+        if value is not None and value > best_value:
+            best_config, best_value = dict(config), value
+
+    for config in space.grid(grid_resolution):
+        consider(config)
+    for config in space.sample_batch(rng, samples):
+        consider(config)
+    assert best_config is not None
+    for _ in range(refinement_rounds):
+        improved = False
+        for neighbor in space.neighbors(best_config, rng):
+            value = env.true_objective(to_training_config(neighbor))
+            if value is not None and value > best_value:
+                best_config, best_value = dict(neighbor), value
+                improved = True
+        if not improved:
+            break
+    return best_config, best_value
+
+
 class TestEstimateOptimum:
     def test_optimum_dominates_random_search(self):
         clear_optimum_cache()
@@ -148,15 +182,14 @@ class TestEstimateOptimum:
         space = ml_config_space(8)
         clear_optimum_cache()
         batch = estimate_optimum(
-            env, space, samples=300, refinement_rounds=8, seed=seed, vectorized=True
+            env, space, samples=300, refinement_rounds=8, seed=seed
         )
         clear_optimum_cache()
-        scalar = estimate_optimum(
-            env, space, samples=300, refinement_rounds=8, seed=seed, vectorized=False
+        scalar = _reference_search_scalar(
+            env, space, 300, 3, 8, np.random.default_rng(seed)
         )
-        clear_optimum_cache()
         # Same winning config AND the exact same float, not approx: the
-        # batch engine replays the scalar path's operation order.
+        # batch engine replays the per-config loop's operation order.
         assert batch == scalar
 
     def test_drifted_environment_does_not_reuse_stationary_optimum(self):

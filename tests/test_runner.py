@@ -210,8 +210,8 @@ class TestFitWorkers:
         assert [t.config for t in serial.history] == [t.config for t in fanned.history]
 
 
-class TestVectorizedCandidateFlag:
-    def test_scalar_fallback_deterministic_and_valid(self):
+class TestCandidatePipeline:
+    def test_proposal_deterministic_and_valid(self):
         from repro.configspace import ml_config_space
         from repro.core.bo import BayesianProposer
         from repro.core.trial import TrialHistory
@@ -236,19 +236,12 @@ class TestVectorizedCandidateFlag:
                 )
             return h
 
-        proposals = {}
-        for vectorized in (False, True):
-            h = history()
-            proposer = BayesianProposer(
-                space, n_initial=4, vectorized_candidates=vectorized, seed=0
-            )
-            rng = np.random.default_rng(9)
-            first = proposer.propose(h, rng)
-            assert space.is_valid(first)
-            # same flag + same seed: bit-reproducible
-            again = BayesianProposer(
-                space, n_initial=4, vectorized_candidates=vectorized, seed=0
-            ).propose(history(), np.random.default_rng(9))
-            assert first == again
-            proposals[vectorized] = first
-        assert all(space.is_valid(c) for c in proposals.values())
+        first = BayesianProposer(space, n_initial=4, seed=0).propose(
+            history(), np.random.default_rng(9)
+        )
+        assert space.is_valid(first)
+        # same seed: bit-reproducible
+        again = BayesianProposer(space, n_initial=4, seed=0).propose(
+            history(), np.random.default_rng(9)
+        )
+        assert first == again

@@ -1,7 +1,9 @@
 """Tests for the TuningSession / executor layer and its callbacks."""
 
+import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -779,3 +781,87 @@ class TestParallelSpeedup:
         assert parallel_reach * 1.2 <= serial_reach
         # Machine cost is still honestly accounted: more than wall-clock.
         assert parallel.total_cost_s > parallel.total_wall_clock_s
+
+
+class NanCostAtProbe(TrainingEnvironment):
+    """Reports probe ``bad_index`` with a NaN probe cost."""
+
+    bad_index = 2
+
+    def measure(self, config, probe_iterations=None, charge_startup=True):
+        index = self.trials_run
+        measurement = super().measure(config, probe_iterations, charge_startup)
+        if index == self.bad_index:
+            measurement = dataclasses.replace(measurement, probe_cost_s=float("nan"))
+        return measurement
+
+
+class TestProbeCostBoundary:
+    """A NaN, infinite or negative probe cost is a failed, unbilled trial."""
+
+    def _run(self, env_cls, tmp_path):
+        env = env_cls(get_workload("resnet50-imagenet"), homogeneous(NODES), seed=0)
+        log = tmp_path / "trials.jsonl"
+        session = TuningSession(RandomSearch(), callbacks=[JsonlTrialLog(str(log))])
+        budget = TuningBudget(max_trials=40, max_cost_s=600.0)
+        return session.run(env, space(), budget, seed=0), log
+
+    def test_nan_cost_probe_fails_and_cost_cap_still_fires(self, tmp_path):
+        clean, _ = self._run(TrainingEnvironment, tmp_path)
+        result, log = self._run(NanCostAtProbe, tmp_path)
+        bad = result.history[NanCostAtProbe.bad_index]
+        assert not bad.ok
+        assert bad.objective is None
+        assert bad.measurement.probe_cost_s == 0.0
+        assert bad.measurement.error == "invalid probe cost nan"
+        # The cap fires (not all 40 trials run) on a finite ledger.
+        assert math.isfinite(result.total_cost_s)
+        assert result.total_cost_s >= 600.0
+        assert result.num_trials < 40
+        assert clean.num_trials <= result.num_trials <= clean.num_trials + 1
+        # Every trial-log line is strict JSON (no bare NaN).
+        for line in log.read_text().splitlines():
+            json.loads(line, parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("cost", [float("inf"), -5.0])
+    def test_infinite_or_negative_cost_is_failed_and_unbilled(self, cost):
+        history = TrialHistory()
+        trial = history.record(
+            {"x": 0.5},
+            Measurement(
+                config=TrainingConfig(),
+                ok=False,
+                fidelity="stub",
+                error="crashed",
+                probe_cost_s=cost,
+            ),
+        )
+        assert history.total_cost_s == 0.0
+        assert history.total_wall_clock_s == 0.0
+        assert trial.measurement.probe_cost_s == 0.0
+        assert trial.measurement.error == f"crashed; invalid probe cost {cost}"
+
+    def test_in_flight_nan_cost_is_not_committed(self):
+        # Costs cycle NaN, 40 on three workers under a 35 s cap.  The NaN
+        # probe is in flight when the third slot asks to launch: committed
+        # cost is 0 + 40, so the cap holds the slot.  Summed as NaN, the
+        # committed cost would never reach the cap and NaN/40 probes would
+        # keep launching into the overshoot.
+        strategy = CostedStrategy([float("nan"), 40.0])
+        result = TuningSession(strategy, executor=AsyncExecutor(3)).run(
+            StubEnv(),
+            stub_space(),
+            TuningBudget(max_trials=40, max_cost_s=35.0),
+            seed=0,
+        )
+        assert result.num_trials == 2
+        assert result.total_cost_s == 40.0
+
+
+class TestBudgetCaps:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cap", ["max_trials", "max_cost_s", "max_wall_clock_s"])
+    def test_non_finite_cap_rejected(self, cap, bad):
+        caps = {"max_trials": None, cap: bad}
+        with pytest.raises(ValueError, match=f"{cap} must be finite"):
+            TuningBudget(**caps)
