@@ -8,11 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import GridSearch, RandomSearch
+from repro.baselines import CherryPick, GridSearch, RandomSearch, SuccessiveHalving
 from repro.cluster import homogeneous
 from repro.configspace import FloatParameter, ConfigSpace, ml_config_space
 from repro.core import (
     AsyncExecutor,
+    EnvironmentPool,
+    EnvironmentShard,
     MLConfigTuner,
     ParallelExecutor,
     SerialExecutor,
@@ -26,8 +28,10 @@ from repro.core.session import (
     SessionCallback,
     executor_for,
 )
+from repro.core.fleet import FailureInjector, OutageWindow
 from repro.core.stopping import PlateauRule, StoppedStrategy, WallClockCapRule
 from repro.core.strategy import SearchStrategy
+from repro.harness.chaos import result_fingerprint
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
 from repro.workloads import get_workload
 
@@ -865,3 +869,89 @@ class TestBudgetCaps:
         caps = {"max_trials": None, cap: bad}
         with pytest.raises(ValueError, match=f"{cap} must be finite"):
             TuningBudget(**caps)
+
+
+def one_slot_outage_pool(seed=0):
+    """One shard that goes down twice, so probes get preempted."""
+    return EnvironmentPool(
+        [EnvironmentShard("solo", make_env(seed=seed))],
+        injector=FailureInjector(
+            outages=[
+                OutageWindow("solo", 40.0, 160.0),
+                OutageWindow("solo", 300.0, 500.0),
+                OutageWindow("solo", 900.0, 1000.0),
+            ]
+        ),
+    )
+
+
+def three_shard_pool(seed=0):
+    return EnvironmentPool(
+        [
+            EnvironmentShard(f"s{i}", make_env(seed=seed + i), cost_multiplier=m)
+            for i, m in enumerate((1.0, 1.25, 0.8))
+        ]
+    )
+
+
+EQUIVALENT_STRATEGIES = {
+    "random": lambda: RandomSearch(),
+    "grid": lambda: GridSearch(),
+    "bo": lambda: MLConfigTuner(n_initial=4),
+    "cherrypick": lambda: CherryPick(n_initial=4),
+    "halving": lambda: SuccessiveHalving(),
+}
+
+EQUIVALENT_BUDGETS = {
+    "trials": TuningBudget(max_trials=10),
+    "cost": TuningBudget(max_trials=None, max_cost_s=1500.0),
+    "wall": TuningBudget(max_trials=None, max_wall_clock_s=1500.0),
+}
+
+
+class TestOneWorkerEquivalence:
+    """The executors are one engine: at one slot they must agree bit-for-bit."""
+
+    @staticmethod
+    def fingerprint(strategy, executor, env, budget, seed=1):
+        result = TuningSession(strategy, executor=executor).run(
+            env, space(), budget, seed=seed
+        )
+        return result_fingerprint(result)
+
+    @pytest.mark.parametrize("budget", sorted(EQUIVALENT_BUDGETS))
+    @pytest.mark.parametrize("strategy", sorted(EQUIVALENT_STRATEGIES))
+    def test_serial_async_parallel_agree_at_one_worker(self, strategy, budget):
+        factory = EQUIVALENT_STRATEGIES[strategy]
+        cap = EQUIVALENT_BUDGETS[budget]
+        serial = self.fingerprint(factory(), SerialExecutor(), make_env(), cap)
+        assert self.fingerprint(factory(), AsyncExecutor(1), make_env(), cap) == serial
+        assert (
+            self.fingerprint(factory(), ParallelExecutor(1), make_env(), cap) == serial
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("strategy", ["random", "bo"])
+    def test_serial_matches_async_on_one_slot_pool_with_outages(self, strategy, seed):
+        factory = EQUIVALENT_STRATEGIES[strategy]
+        cap = TuningBudget(max_trials=12)
+        serial_result = TuningSession(
+            factory(), executor=SerialExecutor(pool=one_slot_outage_pool(seed))
+        ).run(None, space(), cap, seed=seed)
+        async_result = TuningSession(
+            factory(), executor=AsyncExecutor(pool=one_slot_outage_pool(seed))
+        ).run(None, space(), cap, seed=seed)
+        assert serial_result.history.cancelled_cost_s > 0  # preemptions happened
+        assert result_fingerprint(async_result) == result_fingerprint(serial_result)
+
+    @pytest.mark.parametrize("strategy", ["random", "bo"])
+    def test_serial_matches_one_worker_parallel_on_a_fleet(self, strategy):
+        factory = EQUIVALENT_STRATEGIES[strategy]
+        cap = TuningBudget(max_trials=10)
+        serial = self.fingerprint(
+            factory(), SerialExecutor(pool=three_shard_pool()), None, cap
+        )
+        parallel = self.fingerprint(
+            factory(), ParallelExecutor(1, pool=three_shard_pool()), None, cap
+        )
+        assert parallel == serial
