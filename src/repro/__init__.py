@@ -23,15 +23,16 @@ Parallel and asynchronous tuning
 --------------------------------
 
 Every strategy runs inside a :class:`~repro.core.session.TuningSession`
-whose executor decides how probes execute.  The default
-``SerialExecutor`` probes one configuration at a time;
-``ParallelExecutor(workers=K)`` probes K per synchronous round (the BO
-tuner diversifies each batch with constant-liar fantasisation);
-``AsyncExecutor(workers=K)`` drops the round barrier — each worker pulls
-a fresh proposal the moment its probe completes, conditioned on the
-probes still in flight.  All executors account machine cost for every
-probe; wall-clock is the round's slowest probe under the barrier, or each
-worker's own timeline without it::
+whose executor decides how probes execute.  One engine sits behind three
+presets: the default ``SerialExecutor`` probes one configuration at a
+time; ``AsyncExecutor(workers=K)`` keeps K probes in flight with no round
+barrier — a freed worker pulls a fresh proposal at once, conditioned on
+the probes still running; ``ParallelExecutor(workers=K)`` probes K per
+synchronous round (the BO tuner diversifies each batch with constant-liar
+fantasisation).  At one worker on one environment all three give
+bit-identical sessions.  Every probe's machine cost is billed; wall-clock
+is each worker's own timeline, or the round's slowest probe under the
+barrier::
 
     from repro.core import AsyncExecutor
 

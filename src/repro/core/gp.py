@@ -44,6 +44,7 @@ import copy
 import math
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
@@ -121,6 +122,13 @@ def _fit_pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
+#: Hyperparameter fits in this process whose worker pool could not be used
+#: and that ran their starts in-process instead (read it through
+#: :attr:`GaussianProcess.pool_fallbacks`).
+_POOL_FALLBACKS = 0
+_POOL_FALLBACK_WARNED = False
+
+
 def _run_hyperfit_tasks(
     tasks: List[tuple], fit_workers: int
 ) -> List[Tuple[float, np.ndarray, int]]:
@@ -128,16 +136,28 @@ def _run_hyperfit_tasks(
 
     Falls back to in-process execution when the pool cannot be used
     (sandboxes that forbid subprocesses, broken pools) — the results are
-    identical either way, only the wall-clock differs.
+    identical either way, only the wall-clock differs.  Each fallback is
+    counted in ``_POOL_FALLBACKS``; the first in a process warns.
     """
+    global _POOL_FALLBACKS, _POOL_FALLBACK_WARNED
     if fit_workers > 1 and len(tasks) > 1:
         try:
             pool = _fit_pool(min(fit_workers, len(tasks)))
             return list(pool.map(_hyperfit_one, tasks))
-        except (BrokenProcessPool, OSError, PermissionError):
+        except (BrokenProcessPool, OSError, PermissionError) as exc:
             for stale in _FIT_POOLS.values():
                 stale.shutdown(wait=False, cancel_futures=True)
             _FIT_POOLS.clear()
+            _POOL_FALLBACKS += 1
+            if not _POOL_FALLBACK_WARNED:
+                _POOL_FALLBACK_WARNED = True
+                warnings.warn(
+                    f"GP hyperparameter fit pool unavailable "
+                    f"({type(exc).__name__}: {exc}); running fit starts "
+                    f"in-process (same results, less parallelism)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
     return [_hyperfit_one(task) for task in tasks]
 
 
@@ -325,6 +345,12 @@ class GaussianProcess:
         #: returned the failure sentinel (covariance not factorable, or a
         #: non-finite LML), summed over every start of every fit.
         self.lml_failures = 0
+
+    @property
+    def pool_fallbacks(self) -> int:
+        """Process-wide count of hyperparameter fits that could not use the
+        ``fit_workers`` pool and ran in-process (same results, slower)."""
+        return _POOL_FALLBACKS
 
     # -- fitting ---------------------------------------------------------
 

@@ -9,15 +9,17 @@ because the fantasised observation kills the acquisition around each
 already-chosen point.
 
 This module is the proposal half of the session/executor architecture in
-:mod:`repro.core.session`.  The execution half lives there, in two
-flavours that call into here:
+:mod:`repro.core.session`, whose one execution engine asks for proposals
+in two ways:
 
-- :class:`~repro.core.session.ParallelExecutor` requests a whole round via
-  :meth:`SearchStrategy.propose_batch` → :func:`propose_batch`;
-- :class:`~repro.core.session.AsyncExecutor` requests one point per freed
-  worker via :meth:`SearchStrategy.propose_async` → :func:`propose_async`,
-  fantasising over the configurations still in flight on the other
-  workers.
+- the round barrier (:class:`~repro.core.session.ParallelExecutor`)
+  requests a whole round via :meth:`SearchStrategy.propose_batch` →
+  :func:`propose_batch`;
+- the barrier-free drain (:class:`~repro.core.session.AsyncExecutor`, and
+  :class:`~repro.core.session.SerialExecutor` with nothing in flight)
+  requests one point per freed slot via
+  :meth:`SearchStrategy.propose_async` → :func:`propose_async`,
+  fantasising over the configurations still in flight on the other slots.
 
 Both paths share the same lie computation (:func:`_fantasy_lies`) and
 fantasy construction: the fantasy lies about the objective *and* the probe

@@ -162,7 +162,8 @@ def training_shard_templates(
     ]
 
 
-EXECUTOR_MODES = ("async", "serial")
+#: The values ``TenantSpec.executor_mode`` accepts.
+TENANT_EXECUTOR_MODES = ("async", "serial")
 
 
 @dataclass
@@ -400,10 +401,10 @@ class TuningService:
             )
         if spec.weight <= 0:
             raise AdmissionError(f"tenant {spec.name!r}: weight must be positive")
-        if spec.executor_mode not in EXECUTOR_MODES:
+        if spec.executor_mode not in TENANT_EXECUTOR_MODES:
             raise AdmissionError(
                 f"tenant {spec.name!r}: executor_mode must be one of "
-                f"{EXECUTOR_MODES}, got {spec.executor_mode!r}"
+                f"{TENANT_EXECUTOR_MODES}, got {spec.executor_mode!r}"
             )
         handle = TenantHandle(spec, order=len(self._handles))
         self._handles.append(handle)

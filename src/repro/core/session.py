@@ -1,40 +1,37 @@
-"""Tuning sessions: the propose→probe loop with pluggable trial execution.
+"""Tuning sessions: the propose→probe→record loop with pluggable execution.
 
-The seed hard-wired the run loop inside :meth:`SearchStrategy.run`: one
-probe at a time, cost accounted as pure machine-seconds.  This module
-extracts that loop into a :class:`TuningSession`, which owns the budget,
-history, and RNG, and delegates *how probes execute* to an
-:class:`Executor`:
+A :class:`TuningSession` owns the budget, history, and RNG and delegates
+*how probes execute* to an :class:`Executor`.  There is one execution
+engine — slots that free up at virtual times, an in-flight heap, one
+probe path, one outage wait — and three presets of it:
 
-- :class:`SerialExecutor` — one probe per round, exactly the seed's
-  semantics (histories are trial-for-trial identical at the same seed);
-- :class:`ParallelExecutor` — K probes per round, the cluster setting the
-  paper targets.  Strategies supply the batch via
+- :class:`SerialExecutor` — the engine at one floating slot: one probe at
+  a time, trial-for-trial identical to the seed's serial loop;
+- :class:`AsyncExecutor` — the engine at K slots with **no round
+  barrier**: a freed slot launches at once, the strategy proposing via
+  :meth:`SearchStrategy.propose_async` conditioned on the probes still in
+  flight, and the wall-clock is each slot's own timeline;
+- :class:`ParallelExecutor` — the same probe path behind a synchronous
+  round barrier: K members per round from
   :meth:`SearchStrategy.propose_batch` (the BO tuner uses constant-liar
-  fantasisation, see :mod:`repro.core.parallel`), every member is probed,
-  and the history is charged machine cost for all K probes but wall-clock
-  only for the slowest one — the synchronous round barrier a real K-machine
-  deployment pays;
-- :class:`AsyncExecutor` — K workers with **no round barrier**: a
-  simulated event-driven free-list where each worker pulls a fresh
-  proposal (conditioned on the still-in-flight configurations via
-  :meth:`SearchStrategy.propose_async`) the moment its probe completes.
-  Machine cost is identical per probe to the synchronous executors; the
-  wall-clock is each worker's own timeline, so heterogeneous probe
-  durations no longer leave K-1 workers idle behind a round's straggler.
+  fantasisation, see :mod:`repro.core.parallel`), machine cost for every
+  member, wall-clock for the slowest one.
 
-Every executor can additionally fan the session across an
-:class:`~repro.core.fleet.EnvironmentPool` — a fleet of named environment
-shards with per-shard capacities and probe-speed multipliers.  With
-``pool=`` set, probe dispatch goes through the pool's
-:class:`~repro.core.fleet.ShardScheduler`, worker slots become *shard*
-slots (so per-shard wall-clock timelines replace the single environment's
-timeline), every trial records the shard it ran on (``Trial.shard``,
-itemised by :meth:`~repro.core.trial.TrialHistory.cost_by_shard`), and
-asynchronous proposals receive the target shard's descriptor so
-constant-liar fantasies can lie with shard-specific probe cost.
-``pool=None`` (the default) keeps single-environment semantics
-bit-identical to the pre-fleet code.
+At one worker the three agree bit-for-bit, except where the serial
+executor redirects a preempted probe to another shard (below).
+
+With ``pool=`` an executor fans the session across an
+:class:`~repro.core.fleet.EnvironmentPool` of named shards: the pool's
+:class:`~repro.core.fleet.ShardScheduler` places each launch, every trial
+records its shard (itemised by
+:meth:`~repro.core.trial.TrialHistory.cost_by_shard`), and a slot is
+either *pinned* to one unit of a shard's capacity (async slots, round
+members) or *floating* (the serial slot).  When a failure injector's
+outage preempts a probe, its burned wall-clock is billed as cancelled
+cost and the probe relaunches: a floating slot's probe is redirected to
+any healthy shard, while a pinned slot's probe retries on its own shard
+once it recovers.  With the whole fleet down the session clock waits out
+the earliest recovery.  ``pool=None`` keeps single-environment semantics.
 
 Sessions also emit lifecycle events to :class:`SessionCallback` observers;
 :class:`ProgressLogger` (per-round progress lines) and
@@ -55,7 +52,7 @@ import os
 import sys
 from abc import ABC, abstractmethod
 from heapq import heappop, heappush
-from typing import IO, List, Optional, Sequence, TextIO, Union
+from typing import IO, List, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -125,31 +122,6 @@ def _abandoned_measurement(last: Measurement) -> Measurement:
         error="probe preempted by repeated shard outages",
         probe_cost_s=0.0,
     )
-
-
-def _measure_preemptible(pool, strategy, shard, config, start_s, history):
-    """Run one probe on a shard, retrying across outage preemptions.
-
-    Returns ``(measurement, end_s)``.  Each attempt that an outage window
-    cuts short bills the wall-clock it burned via
-    :meth:`~repro.core.trial.TrialHistory.charge_cancelled` and relaunches
-    on the same shard once it recovers; after
-    :data:`MAX_PROBE_ATTEMPTS` preemptions the probe is abandoned as a
-    failed zero-cost measurement (the serial executor redirects to other
-    shards instead — it holds no other slots while waiting).
-    """
-    injector = pool.injector
-    t = float(start_s)
-    measurement = None
-    for _ in range(MAX_PROBE_ATTEMPTS):
-        measurement = _measure_on(pool, shard, strategy, config, t)
-        end_s = t + billable_cost_s(measurement.probe_cost_s)
-        preempt_s = injector.preemption_at(shard.name, t, end_s)
-        if preempt_s is None:
-            return measurement, end_s
-        history.charge_cancelled(max(0.0, preempt_s - t), shard=shard.name)
-        t = injector.up_after(shard.name, preempt_s)
-    return _abandoned_measurement(measurement), t
 
 
 class SessionCallback:
@@ -342,51 +314,90 @@ class JsonlTrialLog(SessionCallback):
         self._handle = None
 
 
-class Executor(ABC):
-    """How one round of probes executes against the environment.
+class _Launch(NamedTuple):
+    """One in-flight probe; heap-ordered by completion, then launch ordinal."""
 
-    Executors constructed with ``pool=`` dispatch probes through an
-    :class:`~repro.core.fleet.EnvironmentPool` instead of the single
-    environment passed to :meth:`run_round` (which may then be ``None``):
-    the pool's scheduler picks the shard, the shard's environment runs the
-    probe, and the recorded trial carries the shard name.
+    end_s: float
+    launch_index: int
+    config: ConfigDict
+    measurement: Measurement
+    start_s: float
+    shard: Optional[EnvironmentShard]
+    pin: Optional[EnvironmentShard]
+
+
+class Executor(ABC):
+    """The propose → probe → record engine shared by the three executors.
+
+    An executor owns *slots*, ``(free_s, pin)`` pairs: the virtual time
+    the slot frees up and the shard it is pinned to.  A pinned slot is one
+    unit of a shard's capacity and holds it from launch to completion.  A
+    floating slot (``pin=None``) belongs to no shard: on a pool the
+    scheduler places each of its probes, which hold a shard only while
+    they measure.
+
+    :meth:`_event_step` is the barrier-free drain that
+    :class:`SerialExecutor` and :class:`AsyncExecutor` run;
+    :class:`ParallelExecutor` puts a round barrier over the same
+    :meth:`_probe` and outage wait.  With ``pool=`` the environment passed
+    to :meth:`run_round` may be ``None``.
     """
 
     workers: int = 1
     pool: Optional[EnvironmentPool] = None
 
-    def reset(self, seed: int = 0) -> None:
-        """Hook: clear per-session state (called at the start of every run).
+    def _slot_pins(self) -> List[Optional[EnvironmentShard]]:
+        """The shard each slot is pinned to: ``workers`` floating slots."""
+        return [None] * self.workers
 
-        Stateful executors (the async free-list) must override this so a
-        reused instance does not leak in-flight probes or worker timelines
-        from a previous session; overrides must call ``super().reset(seed)``
-        so an attached pool re-derives its per-shard RNG streams from the
-        session seed and rewinds occupancy and environment counters.
+    def _reset_slots(self) -> None:
+        self._slots: List[tuple] = [(0.0, pin) for pin in self._slot_pins()]
+        self._in_flight: List[_Launch] = []
+        self._launched = 0
+
+    def reset(self, seed: int = 0) -> None:
+        """Clear per-session state (called at the start of every run).
+
+        Frees every slot, drops in-flight probes, and re-derives an
+        attached pool's per-shard RNG streams from the session seed
+        (rewinding occupancy and environment counters), so a reused
+        executor replays the same session.
         """
         if self.pool is not None:
             self.pool.reset(seed)
+        self._reset_slots()
 
     def has_pending(self) -> bool:
-        """Hook: True while launched-but-unrecorded probes are in flight.
+        """True while launched-but-unrecorded probes are in flight.
 
         The session keeps calling :meth:`run_round` to drain them after
         the strategy finishes (their measurements exist and their machine
         time was spent — discarding them would under-report the session);
         only budget exhaustion cancels pending probes outright.
         """
-        return False
+        return bool(self._in_flight)
 
     def cancel_pending(self, history: TrialHistory) -> None:
-        """Hook: cancel in-flight probes when the session stops mid-flight.
+        """Bill the partial machine cost of every cancelled in-flight probe.
 
-        Called once after the session loop exits with probes still
-        pending (budget exhaustion — the only exit that strands them).
-        Executors that track in-flight probes bill the machine time each
-        one burned up to the cancellation instant via
-        :meth:`TrialHistory.charge_cancelled`; a cancelled probe produced
-        no trial, but its elapsed seconds were still spent on the cluster.
+        Called once when the session stops on its budget with probes still
+        in flight.  A cancelled probe produced no trial, but it ran from
+        its launch until the stop — the session clock at which the budget
+        fired — so that wall-time, clamped to the probe's own duration, is
+        billed via :meth:`TrialHistory.charge_cancelled` under its shard.
         """
+        stop_wall_s = history.total_wall_clock_s
+        for launch in self._in_flight:
+            elapsed = min(
+                max(0.0, stop_wall_s - launch.start_s),
+                billable_cost_s(launch.measurement.probe_cost_s),
+            )
+            history.charge_cancelled(
+                elapsed, shard=None if launch.shard is None else launch.shard.name
+            )
+            if launch.pin is not None:
+                self.pool.release(launch.pin.name)
+        self._in_flight = []
 
     @abstractmethod
     def run_round(
@@ -401,132 +412,268 @@ class Executor(ABC):
     ) -> List[Trial]:
         """Propose, probe, and record one round; return the recorded trials."""
 
+    def _probe(self, strategy, env, config, shard, start_s, history, redirect=False):
+        """Run one probe launched at ``start_s``: ``(measurement, end_s, shard)``.
 
-class SerialExecutor(Executor):
-    """One probe per round — the seed's exact serial semantics.
+        Without a pool (``shard=None``) the probe runs on ``env``.  On a
+        pool it runs on ``shard`` under any open failure spike, and an
+        outage that cuts an attempt short bills the wall-clock it burned
+        (:meth:`TrialHistory.charge_cancelled`) and relaunches it:
 
-    With a pool, each probe is placed on the shard the scheduler picks
-    (one at a time, so the pool is never saturated); the wall-clock stays
-    the serial sum of probe costs.  A homogeneous pool over one shared
-    environment reproduces the single-environment trial sequence
-    bit-identically, whatever the shard rotation.
-    """
+        - ``redirect`` (a floating slot): the scheduler re-places the probe
+          at the preemption instant on any healthy shard, after the next
+          recovery if the whole fleet is down; the returned shard is where
+          it last ran.  The probe occupies a shard only while it measures;
+        - otherwise (a pinned slot, occupied across retries): on the same
+          shard once it recovers, so ``end_s`` includes the dead time.
 
-    def __init__(self, pool: Optional[EnvironmentPool] = None) -> None:
-        self.pool = pool
-
-    def run_round(self, strategy, env, space, history, rng, budget, events):
-        shard: Optional[EnvironmentShard] = None
-        injector = None if self.pool is None else self.pool.injector
-        round_start_s = history.total_wall_clock_s
-        if self.pool is not None:
-            if injector is not None:
-                self.pool.set_clock(round_start_s)
-            shard = self.pool.scheduler.select(self.pool)
-            if shard is None and injector is not None:
-                # Every shard is inside an outage window: the session
-                # waits out the earliest recovery (dead wall-clock, no
-                # machine cost) instead of stalling out.
-                up = self.pool.next_up_s()
-                if up is not None and up > round_start_s:
-                    history.advance_wall_clock(up - round_start_s)
-                    round_start_s = history.total_wall_clock_s
-                    self.pool.set_clock(round_start_s)
-                    shard = self.pool.scheduler.select(self.pool)
-            if shard is None:
-                return []
-        config = strategy.propose(history, space, rng)
-        events.trial_start(len(history), config)
-        if shard is None:
-            _set_env_clock(env, round_start_s)
-            measurement = strategy.measure(env, config)
-            trial = history.record(config, measurement)
-        elif injector is None:
-            _set_env_clock(shard.env, round_start_s)
-            self.pool.acquire(shard.name)
-            try:
-                measurement = shard.measure(strategy, config)
-            finally:
-                self.pool.release(shard.name)
-            trial = history.record(config, measurement, shard=shard.name)
-        else:
-            measurement, end_s, shard = self._probe_with_redirect(
-                strategy, shard, config, round_start_s, history
-            )
-            trial = history.record(
-                config,
-                measurement,
-                wall_clock_s=max(0.0, end_s - round_start_s),
-                shard=shard.name,
-            )
-        strategy.observe(trial)
-        events.trial_end(trial)
-        return [trial]
-
-    def _probe_with_redirect(self, strategy, shard, config, start_s, history):
-        """Probe under failure injection, redirecting across preemptions.
-
-        Each attempt that an outage preempts bills the burned wall-clock
-        (:meth:`TrialHistory.charge_cancelled`) and asks the scheduler to
-        re-place the probe at the preemption instant — downed shards are
-        skipped, so the relaunch lands on any healthy shard (or the
-        original one after it recovers).  After
-        :data:`MAX_PROBE_ATTEMPTS` attempts, or with the whole fleet
-        down past its last recovery, the probe is abandoned as a failed
-        zero-cost measurement.  Returns ``(measurement, end_s, shard)``.
+        After :data:`MAX_PROBE_ATTEMPTS` attempts, or with no shard to
+        redirect to, the probe is abandoned as a failed zero-cost
+        measurement.
         """
-        injector = self.pool.injector
+        if shard is None:
+            _set_env_clock(env, start_s)
+            measurement = strategy.measure(env, config)
+            end_s = start_s + billable_cost_s(measurement.probe_cost_s)
+            return measurement, end_s, None
+        pool = self.pool
+        injector = pool.injector
         t = float(start_s)
-        measurement = None
         for _ in range(MAX_PROBE_ATTEMPTS):
-            self.pool.acquire(shard.name)
+            if redirect:
+                pool.acquire(shard.name)
             try:
-                measurement = _measure_on(self.pool, shard, strategy, config, t)
+                measurement = _measure_on(pool, shard, strategy, config, t)
             finally:
-                self.pool.release(shard.name)
+                if redirect:
+                    pool.release(shard.name)
             end_s = t + billable_cost_s(measurement.probe_cost_s)
-            preempt_s = injector.preemption_at(shard.name, t, end_s)
+            preempt_s = None
+            if injector is not None:
+                preempt_s = injector.preemption_at(shard.name, t, end_s)
             if preempt_s is None:
                 return measurement, end_s, shard
             history.charge_cancelled(max(0.0, preempt_s - t), shard=shard.name)
+            if not redirect:
+                t = injector.up_after(shard.name, preempt_s)
+                continue
             t = preempt_s
-            self.pool.set_clock(t)
-            next_shard = self.pool.scheduler.select(self.pool)
+            pool.set_clock(t)
+            next_shard = pool.scheduler.select(pool)
             if next_shard is None:
-                up = self.pool.next_up_s()
-                if up is not None and up > t:
+                up = self._recovery_after(t)
+                if up is not None:
                     t = up
-                    self.pool.set_clock(t)
-                    next_shard = self.pool.scheduler.select(self.pool)
+                    pool.set_clock(t)
+                    next_shard = pool.scheduler.select(pool)
             if next_shard is None:
                 break
             shard = next_shard
         return _abandoned_measurement(measurement), t, shard
 
+    def _recovery_after(self, t: float) -> Optional[float]:
+        """The fleet's earliest shard recovery after ``t``, if a shard is down.
+
+        The pool clock must already stand at ``t``.
+        """
+        if self.pool is None:
+            return None
+        up = self.pool.next_up_s()
+        return up if up is not None and up > t else None
+
+    def _wait_out_outage(self, history: TrialHistory) -> bool:
+        """Advance the session clock to the fleet's next recovery.
+
+        The wait is dead wall-clock with no machine cost.  Returns
+        ``False`` (and waits for nothing) when no shard is down.
+        """
+        up = self._recovery_after(history.total_wall_clock_s)
+        if up is None:
+            return False
+        history.advance_wall_clock(up - history.total_wall_clock_s)
+        self.pool.set_clock(history.total_wall_clock_s)
+        return True
+
+    def _pending_configs(self) -> List[ConfigDict]:
+        """In-flight configurations, in launch order."""
+        return [
+            launch.config
+            for launch in sorted(self._in_flight, key=lambda e: e.launch_index)
+        ]
+
+    def _next_free_slot(self):
+        """``(slot index, shard)`` of the next launch, or None if none may launch.
+
+        Without a pool: the earliest-freed slot, so each launch is
+        conditioned on exactly the trials completed by its start time.
+        With a pool: the scheduler picks the shard, then the earliest-freed
+        slot that may run there (pinned to it, or floating) — placement
+        policy decides *where*, the free-list still decides *when*.
+        """
+        if not self._slots:
+            return None
+        shard = None
+        indices = range(len(self._slots))
+        if self.pool is not None:
+            shard = self.pool.scheduler.select(self.pool)
+            if shard is None:
+                return None
+            indices = [
+                i
+                for i, (_, pin) in enumerate(self._slots)
+                if pin is None or pin is shard
+            ]
+            if not indices:
+                return None
+        return min(indices, key=lambda i: self._slots[i][0]), shard
+
+    def _may_launch(
+        self,
+        start_s: float,
+        strategy: SearchStrategy,
+        history: TrialHistory,
+        space: ConfigSpace,
+        budget: TuningBudget,
+    ) -> bool:
+        if strategy.finished(history, space):
+            return False
+        if budget.max_trials is not None and self._launched >= budget.max_trials:
+            return False
+        if budget.max_wall_clock_s is not None and start_s >= budget.max_wall_clock_s:
+            return False
+        if budget.max_cost_s is not None:
+            committed = history.total_cost_s + sum(
+                billable_cost_s(launch.measurement.probe_cost_s)
+                for launch in self._in_flight
+            )
+            if committed >= budget.max_cost_s:
+                return False
+        return True
+
+    def _fill_slots(self, strategy, env, space, history, rng, budget, events):
+        while True:
+            picked = self._next_free_slot()
+            if picked is None:
+                break
+            index, shard = picked
+            free_s, pin = self._slots[index]
+            # A slot can sit idle past its free-time while launches are
+            # gated — a stopping rule may un-finish when a draining probe
+            # records a success (e.g. FailureStreakRule).  It re-launches
+            # at the current session clock, never in the past, keeping
+            # completion stamps monotone.
+            start_s = max(free_s, history.total_wall_clock_s)
+            if not self._may_launch(start_s, strategy, history, space, budget):
+                break
+            pending = self._pending_configs()
+            # Only a pinned slot knows its shard for sure (a floating
+            # slot's probe may be redirected), so only it tells the
+            # strategy where the launch runs.
+            if pin is None:
+                config = strategy.propose_async(history, pending, space, rng)
+            else:
+                config = strategy.propose_async(
+                    history, pending, space, rng, shard=pin.descriptor
+                )
+            if config is None:
+                # The strategy declines to launch until in-flight results
+                # land (e.g. a rung boundary); the slot stays free.
+                break
+            del self._slots[index]
+            events.trial_start(self._launched, config)
+            if pin is not None:
+                self.pool.acquire(pin.name)
+            try:
+                measurement, end_s, shard = self._probe(
+                    strategy, env, config, shard, start_s, history,
+                    redirect=pin is None,
+                )
+            except BaseException:
+                # A raising probe must not strand the slot: put it back
+                # and free the shard so a caller that catches the error
+                # sees consistent pool occupancy.
+                if pin is not None:
+                    self.pool.release(pin.name)
+                self._slots.append((free_s, pin))
+                raise
+            heappush(
+                self._in_flight,
+                _Launch(
+                    end_s, self._launched, config, measurement, start_s, shard, pin
+                ),
+            )
+            self._launched += 1
+
+    def _event_step(self, strategy, env, space, history, rng, budget, events):
+        """One event: fill the free slots, then record the earliest completion."""
+        if self.pool is not None and self.pool.injector is not None:
+            self.pool.set_clock(history.total_wall_clock_s)
+        self._fill_slots(strategy, env, space, history, rng, budget, events)
+        while not self._in_flight:
+            if not self._slots or not self._wait_out_outage(history):
+                return []
+            self._fill_slots(strategy, env, space, history, rng, budget, events)
+        launch = heappop(self._in_flight)
+        self._slots.append((launch.end_s, launch.pin))
+        if launch.pin is not None:
+            self.pool.release(launch.pin.name)
+        # Events drain in completion order, so the session clock only ever
+        # advances; each trial's stamp is its physical completion time.
+        trial = history.record(
+            launch.config,
+            launch.measurement,
+            wall_clock_s=max(0.0, launch.end_s - history.total_wall_clock_s),
+            completed_at_wall_s=launch.end_s,
+            launch_index=launch.launch_index,
+            shard=None if launch.shard is None else launch.shard.name,
+        )
+        strategy.observe(trial)
+        events.trial_end(trial)
+        return [trial]
+
+
+class SerialExecutor(Executor):
+    """One probe at a time: the event engine with one floating slot.
+
+    Reproduces the seed's serial loop trial for trial (the wall-clock is
+    the serial sum of probe costs).  With a pool the scheduler places each
+    probe, and a probe preempted by an outage is redirected to any healthy
+    shard.  A homogeneous pool over one shared environment reproduces the
+    single-environment trial sequence bit-identically, whatever the shard
+    rotation.
+    """
+
+    def __init__(self, pool: Optional[EnvironmentPool] = None) -> None:
+        self.pool = pool
+        self._reset_slots()
+
+    def run_round(self, strategy, env, space, history, rng, budget, events):
+        return self._event_step(strategy, env, space, history, rng, budget, events)
+
 
 class ParallelExecutor(Executor):
     """K-way synchronous parallel probing with honest wall-clock accounting.
 
-    Each round asks the strategy for up to ``workers`` configurations,
-    probes every member, and records all of them under one round index.
-    Machine cost accrues for every probe; wall-clock accrues once per
-    round, at the cost of the slowest member (the synchronous barrier).
-    The batch is truncated near the trial budget so a session never
-    overshoots ``max_trials``.
+    The round barrier over the engine's probe path: each round asks the
+    strategy for up to ``workers`` configurations
+    (:meth:`SearchStrategy.propose_batch`), probes every member, and
+    records all of them under one round index.  Machine cost accrues for
+    every probe; wall-clock accrues once per round, at the cost of the
+    slowest member.  The batch is truncated near the trial budget so a
+    session never overshoots ``max_trials``.
 
-    Probes are *simulated* member by member (the convention the
-    constant-liar module established): each member is measured, recorded,
-    and observed before the next, so gates like the BO tuner's early
+    Members are *simulated* in batch order (the convention the
+    constant-liar module established): each is measured, recorded, and
+    observed before the next, so gates like the BO tuner's early
     termination see round-mates' results — on a real cluster the short
     probes that drive the gate finish in the first fraction of the round,
-    long before the round barrier.  Only the wall-clock accounting treats
-    the round as concurrent.
+    long before the barrier.  Only the wall-clock accounting treats the
+    round as concurrent.
 
-    With a pool, the round width is the pool's total slot capacity and
-    every member is placed on a shard (acquired for the whole round — the
-    barrier holds all slots until the round closes); probe durations then
-    reflect each shard's ``cost_multiplier`` and trials carry the shard
-    name.
+    With a pool, the round width is the pool's free slot capacity (downed
+    shards and a shrunken service lease narrow it) and every member holds
+    a pinned shard slot for the whole round, so a preempted member retries
+    on its own shard.
     """
 
     def __init__(
@@ -548,28 +695,15 @@ class ParallelExecutor(Executor):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.pool = pool
+        self._reset_slots()
 
     def run_round(self, strategy, env, space, history, rng, budget, events):
         k = self.workers
-        injector = None if self.pool is None else self.pool.injector
-        if injector is not None:
-            self.pool.set_clock(history.total_wall_clock_s)
-            if self.pool.free_capacity() == 0:
-                # The whole fleet is inside outage windows: wait out the
-                # earliest recovery (dead wall-clock, no machine cost).
-                up = self.pool.next_up_s()
-                if up is not None and up > history.total_wall_clock_s:
-                    history.advance_wall_clock(up - history.total_wall_clock_s)
-                    self.pool.set_clock(history.total_wall_clock_s)
-            # Downed shards drop out of the round width exactly like a
-            # shrunken lease — the barrier narrows instead of tripping the
-            # mid-assignment saturation error below.
-            k = min(k, self.pool.free_capacity())
-        if self.pool is not None and self.pool.lease_width is not None:
-            # Under a service lease the round width is the leased free
-            # capacity, not the raw slot count — a shrunken lease narrows
-            # the round (a zero-width lease skips it) instead of tripping
-            # the mid-assignment saturation error below.
+        if self.pool is not None:
+            if self.pool.injector is not None:
+                self.pool.set_clock(history.total_wall_clock_s)
+                if self.pool.free_capacity() == 0:
+                    self._wait_out_outage(history)
             k = min(k, self.pool.free_capacity())
         if budget.max_trials is not None:
             k = min(k, budget.max_trials - len(history))
@@ -581,15 +715,11 @@ class ParallelExecutor(Executor):
         trials = []
         round_wall_s = 0.0
         try:
-            # All members launch at the round start, so shard slots are
-            # assigned up front (and held until the round closes — the
-            # synchronous barrier occupies its machines for the whole
-            # round).  Assignment runs *before* the proposals so the
-            # strategy sees where each member will run — cost-aware
-            # strategies condition each member's proposal and fantasy on
-            # its own shard's probe speed — and inside the try so a
-            # scheduler failing mid-assignment cannot leak the slots
-            # already acquired.
+            # Every member launches at the round start, so its shard slot
+            # is assigned and acquired before the proposals — cost-aware
+            # strategies condition each member on its own shard's probe
+            # speed — and inside the try so a scheduler failing
+            # mid-assignment cannot leak the slots already acquired.
             descriptors = None
             if self.pool is not None:
                 for _ in range(k):
@@ -609,37 +739,28 @@ class ParallelExecutor(Executor):
             if self.pool is None:
                 shards = [None] * len(batch)
             elif len(batch) < len(shards):
-                # Short batch (grid exhaustion, rung boundary): the unused
-                # trailing slots never probe anything — hand them back now
-                # rather than holding them across the round barrier.
+                # Short batch (grid exhaustion, rung boundary): hand the
+                # unused slots back rather than hold them across the round.
                 for shard in shards[len(batch):]:
                     self.pool.release(shard.name)
                 shards = shards[: len(batch)]
             for offset, config in enumerate(batch):
                 events.trial_start(len(history) + offset, config)
             for member, (config, shard) in enumerate(zip(batch, shards)):
-                if shard is None:
-                    _set_env_clock(env, round_start_wall_s)
-                    measurement = strategy.measure(env, config)
-                    duration = billable_cost_s(measurement.probe_cost_s)
-                elif injector is None:
-                    _set_env_clock(shard.env, round_start_wall_s)
-                    measurement = shard.measure(strategy, config)
-                    duration = billable_cost_s(measurement.probe_cost_s)
-                else:
-                    # Preempted members retry on their own shard after it
-                    # recovers (the slot is held for the whole round); the
-                    # member's duration then includes the dead time.
-                    measurement, end_s = _measure_preemptible(
-                        self.pool, strategy, shard, config,
-                        round_start_wall_s, history,
-                    )
+                measurement, end_s, _ = self._probe(
+                    strategy, env, config, shard, round_start_wall_s, history
+                )
+                if self.pool is not None and self.pool.injector is not None:
+                    # A member an outage may preempt lasts until its final
+                    # attempt ends, dead time included; any other member
+                    # lasts exactly its probe cost.
                     duration = max(0.0, end_s - round_start_wall_s)
-                # The session total advances by the running round maximum (the
-                # slowest member so far — exactly the round's slowest probe
-                # once the round completes), while each trial is stamped with
-                # its own physical completion time: round start plus its own
-                # probe cost, independent of batch order.
+                else:
+                    duration = billable_cost_s(measurement.probe_cost_s)
+                # The session total advances by the running round maximum
+                # (the slowest member so far), while each trial is stamped
+                # with its own physical completion time, independent of
+                # batch order.
                 new_wall_s = max(round_wall_s, duration)
                 trial = history.record(
                     config,
@@ -653,39 +774,24 @@ class ParallelExecutor(Executor):
                 strategy.observe(trial)
                 events.trial_end(trial)
                 trials.append(trial)
-                # A cost-bounded budget stops mid-round: the remaining members
-                # are cancelled, capping overshoot at one *recorded* probe — as
-                # in serial.  Cancellation is not free: every member launched
-                # at the round start, so each cancelled member's slot was
-                # occupied from the round start until the cancellation order
-                # went out — the round's latest completion so far (the running
-                # wall maximum, which covers the case where an earlier, slower
-                # member is what actually pushed the total over the cap).
-                # That elapsed wall-clock is billed as machine cost (itemised
-                # in ``cancelled_cost_s`` and under the member's shard); the
-                # cancelled probes were never measured, so the bill is the
-                # slot-occupancy time, the quantity a real cluster invoice
-                # charges for.
-                # A wall-clock cap deliberately does NOT cancel mid-round: the
-                # whole batch launched at the round start, before the cap could
-                # gate anything, and members record in batch order rather than
-                # completion order — cancelling on the running wall total would
-                # drop probes that physically completed before the cap whenever
-                # a slow member happens to record first.  The cap instead stops
-                # the session at the round boundary (the loop's budget check).
+                # A cost cap stops mid-round, capping overshoot at one
+                # recorded probe as in serial.  Every member launched at the
+                # round start, so each cancelled member's slot was occupied
+                # until the cancellation went out — the round's latest
+                # completion so far — and that slot time is billed as
+                # machine cost.  A wall-clock cap does NOT cancel mid-round:
+                # members record in batch order, not completion order, so
+                # cancelling on the running wall total would drop probes
+                # that physically completed before the cap; the session
+                # stops at the round boundary instead.
                 if (
                     budget.max_cost_s is not None
                     and history.total_cost_s >= budget.max_cost_s
                 ):
-                    elapsed = round_wall_s
-                    for cancelled_shard in shards[member + 1:]:
+                    for cancelled in shards[member + 1:]:
                         history.charge_cancelled(
-                            elapsed,
-                            shard=(
-                                None
-                                if cancelled_shard is None
-                                else cancelled_shard.name
-                            ),
+                            round_wall_s,
+                            shard=None if cancelled is None else cancelled.name,
                         )
                     break
         finally:
@@ -697,52 +803,39 @@ class ParallelExecutor(Executor):
 
 
 class AsyncExecutor(Executor):
-    """Barrier-free K-worker probing: a simulated event-driven free-list.
+    """Barrier-free K-worker probing: the event engine with K slots.
 
-    Each worker holds one in-flight (configuration, completion-time) slot.
-    A ``run_round`` call is one *event step*: first every free worker is
-    filled — the strategy supplies each launch through
+    A ``run_round`` call is one event step: every free slot is filled —
+    the strategy supplies each launch through
     :meth:`SearchStrategy.propose_async`, conditioned on the
-    configurations still pending on the other workers (the BO tuner
-    fantasises them with the constant liar) — then the earliest in-flight
-    probe completes, is recorded and observed, and its worker rejoins the
-    free list at that completion time, ready for the next step's refill.
+    configurations still in flight (the BO tuner fantasises them with the
+    constant liar) — then the earliest in-flight probe completes, is
+    recorded and observed, and its slot frees at that completion time.
 
-    Accounting matches the synchronous executors probe-for-probe on the
-    machine-cost axis (every probe second is billed) but the wall-clock is
-    each worker's own timeline: the session clock advances to each
-    completion in order, so the final ``total_wall_clock_s`` is the
-    makespan of the greedy schedule — never worse than the synchronous
-    round barrier for the same probe sequence, and strictly better
-    whenever probe durations are heterogeneous enough that a round's
-    stragglers would have idled the other workers.
+    Machine cost matches the synchronous executor probe for probe, but
+    the wall-clock is each slot's own timeline: the session clock advances
+    to each completion in order, so ``total_wall_clock_s`` is the makespan
+    of the greedy schedule — never worse than the round barrier for the
+    same probe sequence, and better whenever a round's stragglers would
+    have idled the other workers.
 
     Launch gating near the budget: no probe is launched beyond
     ``max_trials``, past the point where committed machine cost (recorded
     plus in-flight) reaches ``max_cost_s``, or with a start time at or
-    past ``max_wall_clock_s``.  When the *strategy* finishes (grid
-    exhausted, EI threshold) the in-flight probes drain to completion and
-    are recorded; only *budget* exhaustion cancels them outright (start
-    event without end event), mirroring the synchronous executor's
-    cancellation of a round's unprobed remainder.  A cancelled probe is
-    not free: it ran from its launch until the session stopped, so
-    :meth:`cancel_pending` bills that elapsed wall-clock (clamped to the
-    probe's own duration) as machine cost via
-    :meth:`TrialHistory.charge_cancelled` — the cluster bill keeps every
-    second a worker actually burned, recorded or not.
+    past ``max_wall_clock_s``.  When the *strategy* finishes the in-flight
+    probes drain to completion and are recorded; only *budget* exhaustion
+    cancels them (start event without end event, partial cost billed by
+    :meth:`cancel_pending`).
 
     Trials are recorded in *completion* order: :attr:`Trial.index` is the
     completion ordinal while ``on_trial_start`` carries the launch
-    ordinal, and each trial's round is its own event step (``num_rounds``
-    equals the number of completions).
+    ordinal, and each trial's round is its own event step.
 
-    With a pool, the worker slots are the pool's *shard* slots: a freed
-    slot belongs to a specific shard, the scheduler decides which shard's
-    slot to fill next, each launch hands the strategy the target shard's
-    descriptor (so constant-liar fantasies lie with shard-specific probe
-    cost), and each slot's timeline advances at its shard's own probe
-    speed — the per-shard wall-clock timelines that replace the single
-    environment's clock.
+    With a pool, the slots are the pool's shard slots, pinned one per unit
+    of shard capacity: the scheduler decides which shard's slot to fill
+    next, each launch hands the strategy the target shard's descriptor (so
+    constant-liar fantasies lie with shard-specific probe cost), and a
+    preempted probe retries on its own shard.
     """
 
     def __init__(
@@ -767,212 +860,15 @@ class AsyncExecutor(Executor):
                 raise ValueError("workers must be >= 1")
             self.workers = workers
         self.pool = pool
-        self.reset()
+        self._reset_slots()
 
-    def reset(self, seed: int = 0) -> None:
-        # Per-session state: free slots as (freed-up time, shard) pairs —
-        # shard is None without a pool — the in-flight heap of
-        # (completion_s, launch ordinal, config, measurement, start_s,
-        # shard), and the launch counter the budget gate checks.
-        super().reset(seed)
+    def _slot_pins(self) -> List[Optional[EnvironmentShard]]:
         if self.pool is None:
-            self._slots: List[tuple] = [(0.0, None)] * self.workers
-        else:
-            self._slots = [
-                (0.0, shard)
-                for shard in self.pool.shards
-                for _ in range(shard.capacity)
-            ]
-        self._in_flight: List[tuple] = []
-        self._launched = 0
-
-    def has_pending(self) -> bool:
-        return bool(self._in_flight)
-
-    def cancel_pending(self, history: TrialHistory) -> None:
-        """Bill the partial machine cost of every cancelled in-flight probe.
-
-        The cancellation instant is the session clock at which the budget
-        fired — the wall-clock stamp of the completion that exhausted it.
-        Each in-flight probe is billed the wall-time between its launch
-        and that instant, clamped to its own duration (a probe whose
-        completion coincides with the stop is billed in full) and
-        itemised under its shard, and the in-flight list is cleared so a
-        drained executor reports no pending work.
-        """
-        stop_wall_s = history.total_wall_clock_s
-        for _, _, _, measurement, start_s, shard in self._in_flight:
-            elapsed = min(
-                max(0.0, stop_wall_s - start_s),
-                billable_cost_s(measurement.probe_cost_s),
-            )
-            history.charge_cancelled(
-                elapsed, shard=None if shard is None else shard.name
-            )
-            if shard is not None:
-                self.pool.release(shard.name)
-        self._in_flight = []
-
-    def _pending_configs(self) -> List[ConfigDict]:
-        """In-flight configurations, in launch order."""
-        return [entry[2] for entry in sorted(self._in_flight, key=lambda e: e[1])]
-
-    def _next_free_slot(self) -> Optional[int]:
-        """Index of the slot to fill next, or None when nothing may launch.
-
-        Without a pool: the earliest-freed slot, so each launch is
-        conditioned on exactly the trials completed by its start time.
-        With a pool: the scheduler picks the shard, then that shard's
-        earliest-freed slot — placement policy decides *where*, the
-        free-list still decides *when*.
-        """
-        if not self._slots:
-            return None
-        if self.pool is None:
-            return min(range(len(self._slots)), key=lambda i: self._slots[i][0])
-        shard = self.pool.scheduler.select(self.pool)
-        if shard is None:
-            return None
-        candidates = [i for i, slot in enumerate(self._slots) if slot[1] is shard]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda i: self._slots[i][0])
-
-    def _may_launch(
-        self,
-        start_s: float,
-        strategy: SearchStrategy,
-        history: TrialHistory,
-        space: ConfigSpace,
-        budget: TuningBudget,
-    ) -> bool:
-        if strategy.finished(history, space):
-            return False
-        if budget.max_trials is not None and self._launched >= budget.max_trials:
-            return False
-        if budget.max_wall_clock_s is not None and start_s >= budget.max_wall_clock_s:
-            return False
-        if budget.max_cost_s is not None:
-            committed = history.total_cost_s + sum(
-                billable_cost_s(entry[3].probe_cost_s) for entry in self._in_flight
-            )
-            if committed >= budget.max_cost_s:
-                return False
-        return True
-
-    def _fill_slots(self, strategy, env, space, history, rng, budget, events):
-        # Fill every free slot (earliest-free first; the scheduler picks
-        # the shard when a pool is attached), so each launch is
-        # conditioned on exactly the trials completed by its start time.
-        injector = None if self.pool is None else self.pool.injector
-        while True:
-            slot_index = self._next_free_slot()
-            if slot_index is None:
-                break
-            free_s, shard = self._slots[slot_index]
-            # A worker can sit idle past its free-time while launches are
-            # gated — a stopping rule may un-finish when a draining probe
-            # records a success (e.g. FailureStreakRule).  It re-launches
-            # at the current session clock, never in the past, keeping
-            # completion stamps monotone.
-            start_s = max(free_s, history.total_wall_clock_s)
-            if not self._may_launch(start_s, strategy, history, space, budget):
-                break
-            if shard is None:
-                config = strategy.propose_async(
-                    history, self._pending_configs(), space, rng
-                )
-            else:
-                config = strategy.propose_async(
-                    history,
-                    self._pending_configs(),
-                    space,
-                    rng,
-                    shard=shard.descriptor,
-                )
-            if config is None:
-                # The strategy declines to launch until in-flight results
-                # land (e.g. a rung boundary); the worker stays free.
-                break
-            del self._slots[slot_index]
-            events.trial_start(self._launched, config)
-            if shard is None:
-                _set_env_clock(env, start_s)
-                measurement = strategy.measure(env, config)
-                completion_s = start_s + billable_cost_s(measurement.probe_cost_s)
-            else:
-                self.pool.acquire(shard.name)
-                try:
-                    if injector is None:
-                        _set_env_clock(shard.env, start_s)
-                        measurement = shard.measure(strategy, config)
-                        completion_s = start_s + billable_cost_s(
-                            measurement.probe_cost_s
-                        )
-                    else:
-                        # Outage preemptions retry on the same shard after
-                        # recovery (the slot stays occupied); the recorded
-                        # completion then includes the dead time.
-                        measurement, completion_s = _measure_preemptible(
-                            self.pool, strategy, shard, config, start_s, history
-                        )
-                except BaseException:
-                    # A raising probe must not strand the slot: put it back
-                    # and free the shard so a caller that catches the error
-                    # sees consistent pool occupancy.
-                    self.pool.release(shard.name)
-                    self._slots.append((free_s, shard))
-                    raise
-            heappush(
-                self._in_flight,
-                (
-                    completion_s,
-                    self._launched,
-                    config,
-                    measurement,
-                    start_s,
-                    shard,
-                ),
-            )
-            self._launched += 1
+            return super()._slot_pins()
+        return [shard for shard in self.pool.shards for _ in range(shard.capacity)]
 
     def run_round(self, strategy, env, space, history, rng, budget, events):
-        injector = None if self.pool is None else self.pool.injector
-        if injector is not None:
-            self.pool.set_clock(history.total_wall_clock_s)
-        self._fill_slots(strategy, env, space, history, rng, budget, events)
-        while not self._in_flight:
-            if injector is None or not self._slots:
-                return []
-            # Nothing launched and nothing in flight: if shards are down,
-            # wait out the earliest recovery (dead wall-clock, no machine
-            # cost) and refill; otherwise the session is genuinely done.
-            up = self.pool.next_up_s()
-            now = history.total_wall_clock_s
-            if up is None or up <= now:
-                return []
-            history.advance_wall_clock(up - now)
-            self.pool.set_clock(history.total_wall_clock_s)
-            self._fill_slots(strategy, env, space, history, rng, budget, events)
-        completion_s, launch_ordinal, config, measurement, _, shard = heappop(
-            self._in_flight
-        )
-        self._slots.append((completion_s, shard))
-        if shard is not None:
-            self.pool.release(shard.name)
-        # Events drain in completion order, so the session clock only ever
-        # advances; each trial's stamp is its physical completion time.
-        trial = history.record(
-            config,
-            measurement,
-            wall_clock_s=max(0.0, completion_s - history.total_wall_clock_s),
-            completed_at_wall_s=completion_s,
-            launch_index=launch_ordinal,
-            shard=None if shard is None else shard.name,
-        )
-        strategy.observe(trial)
-        events.trial_end(trial)
-        return [trial]
+        return self._event_step(strategy, env, space, history, rng, budget, events)
 
 
 EXECUTOR_MODES = ("sync", "async")
@@ -985,12 +881,9 @@ def executor_for(
 ) -> Executor:
     """The executor for a worker count, execution mode, and optional pool.
 
-    ``workers=1`` deliberately maps to :class:`SerialExecutor` in *both*
-    modes: with one worker there is no barrier to remove, and the serial
-    path goes through :meth:`propose` and is guaranteed seed-identical to
-    the pre-session loop, while the multi-worker paths route through
-    ``propose_batch`` / ``propose_async``.  With K > 1, ``"sync"`` builds
-    the round-barrier :class:`ParallelExecutor` and ``"async"`` the
+    ``workers=1`` maps to :class:`SerialExecutor` in *both* modes: with
+    one worker there is no barrier to remove.  With K > 1, ``"sync"``
+    builds the round-barrier :class:`ParallelExecutor` and ``"async"`` the
     barrier-free :class:`AsyncExecutor`.
 
     With ``pool=``, concurrency comes from the pool's slots rather than

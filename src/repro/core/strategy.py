@@ -113,9 +113,12 @@ class SearchStrategy(ABC):
 
     Subclasses implement :meth:`propose`; the run loop, budget accounting,
     and trial recording live in :class:`~repro.core.session.TuningSession`
-    and are shared so every strategy pays identical costs for identical
-    behaviour.  :meth:`run` is a compatibility shim that executes a serial
-    session; pass ``executor=ParallelExecutor(k)`` (or build a
+    and its executor engine, shared so every strategy pays identical costs
+    for identical behaviour.  Executors ask for launches through
+    :meth:`propose_async` (serial and async) or :meth:`propose_batch`
+    (round barrier); both default to :meth:`propose`.  :meth:`run` is a
+    compatibility shim that executes a serial session; pass
+    ``executor=AsyncExecutor(k)`` or ``ParallelExecutor(k)`` (or build a
     ``TuningSession`` directly) for K-way parallel probing.
     """
 

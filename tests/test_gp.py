@@ -755,3 +755,41 @@ class TestLMLFailures:
     def test_healthy_fit_counts_none(self):
         x, y = self._data()
         assert GaussianProcess(restarts=3).fit(x, y).lml_failures == 0
+
+
+class TestHyperfitPoolFallback:
+    """A fit pool that cannot start is counted and warned about, not hidden."""
+
+    def test_broken_pool_runs_in_process_counted_and_warned_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.random((16, 3))
+        y = np.sin(3 * x[:, 0]) + x[:, 1]
+
+        def fit(workers):
+            gp = GaussianProcess(
+                kernel=Matern52(3), restarts=3, seed=5, fit_workers=workers
+            )
+            return gp.fit(x, y)
+
+        serial = fit(1)
+
+        def broken_pool(workers):
+            raise OSError("subprocesses are not allowed here")
+
+        monkeypatch.setattr(gp_module, "_fit_pool", broken_pool)
+        monkeypatch.setattr(gp_module, "_POOL_FALLBACK_WARNED", False)
+        before = serial.pool_fallbacks
+        with pytest.warns(RuntimeWarning, match="pool unavailable") as caught:
+            fallbacks = [fit(2), fit(2)]
+        assert sum("pool unavailable" in str(w.message) for w in caught) == 1
+        assert serial.pool_fallbacks == before + 2
+        for fallback in fallbacks:
+            assert np.array_equal(
+                fallback.kernel.lengthscales, serial.kernel.lengthscales
+            )
+            assert fallback.kernel.variance == serial.kernel.variance
+            assert fallback.noise_variance == serial.noise_variance
+            assert (
+                fallback.log_marginal_likelihood()
+                == serial.log_marginal_likelihood()
+            )
