@@ -4,8 +4,10 @@ Two claims, one payload:
 
 - ``checkpoint/quick`` — the cost of running the quick BO cell with a
   crash-safe checkpoint at its most aggressive cadence
-  (``every_n_trials=1``: a snapshot rewrite plus an fsynced WAL append
-  per trial) against the same session with no checkpoint at all.  CI
+  (``every_n_trials=1``: per trial, an fsynced WAL probe record and a
+  flushed trial record carrying the audit state; the snapshot is written
+  at session start and end only) against the same session with no
+  checkpoint at all.  CI
   gates ``overhead_fraction <= 0.10`` — durability must stay under 10%
   of session wall time.  The cell also re-asserts the subsystem's core
   promise before any timing is trusted: the checkpointed run and a

@@ -2,7 +2,9 @@
 """Crash-safe tuning: checkpoint a session, kill it mid-run, resume exactly.
 
 Runs the BO tuner with a crash-consistent checkpoint (fsynced write-ahead
-log + atomic snapshot), simulates a process crash partway through, then
+log + atomic snapshot at session start and end), simulates a process
+crash partway through, inspects the crashed checkpoint (its history is
+rebuilt from the write-ahead log, so it holds every logged trial), then
 resumes from the checkpoint with freshly-built components — and shows the
 resumed result is bit-identical to an uninterrupted run of the same seed.
 
@@ -19,6 +21,7 @@ import tempfile
 import os
 
 from repro import (
+    Checkpoint,
     CheckpointConfig,
     MLConfigTuner,
     TrainingEnvironment,
@@ -62,6 +65,14 @@ def main() -> None:
         except ChaosKill:
             print("crashed the session at trial 11 "
                   f"(WAL: {os.path.getsize(checkpoint.wal_path)} bytes)")
+
+        # Offline inspection of the crashed run: the history comes from
+        # the WAL's trial records, so it is never staler than the log.
+        crashed = Checkpoint.load(checkpoint.path)
+        print(f"inspected: status {crashed.status}, "
+              f"{len(crashed.history)} trials, {crashed.wal_trials} in the WAL")
+        assert crashed.status == "running"
+        assert len(crashed.history) == crashed.wal_trials == 12
 
         # A restarted process has nothing but the checkpoint: fresh
         # strategy, fresh environment.  Replay rebuilds all of it.

@@ -171,14 +171,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="checkpoint the session to PATH (snapshot) + PATH.wal "
-        "(per-probe write-ahead log) so a crashed run can be resumed "
-        "bit-identically with --resume",
+        help="checkpoint the session to PATH.wal (write-ahead log of every "
+        "probe and trial) + PATH (snapshot at session start and end) so a "
+        "crashed run can be resumed bit-identically with --resume",
     )
     tune.add_argument(
         "--checkpoint-every", type=int, default=1, metavar="N",
-        help="refresh the checkpoint snapshot every N recorded trials "
-        "(the WAL is per-probe durable regardless; default 1)",
+        help="carry the strategy's audit state on every N-th trial record "
+        "of the WAL (how stale the inspectable audit state may be; never "
+        "affects resume; default 1)",
     )
     tune.add_argument(
         "--resume", action="store_true",
@@ -547,7 +548,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.checkpoint:
         print(f"checkpoint: {args.checkpoint} "
               f"({'resumed' if args.resume else 'written'}, "
-              f"snapshot every {args.checkpoint_every} trial"
+              f"audit state every {args.checkpoint_every} trial"
               f"{'s' if args.checkpoint_every != 1 else ''})")
     print("configuration:")
     for knob, value in sorted(result.best_config.items()):

@@ -6,20 +6,36 @@ memory, so a process crash at trial 180 of a 200-trial session used to
 throw the whole session away.  This module makes sessions durable with
 two artifacts per checkpoint path:
 
-- **an append-only write-ahead log** (``<path>.wal``, JSON lines): one
-  ``probe`` record per executor-level :meth:`SearchStrategy.measure`
-  call — the measurement that came back, at *pre-shard-scaling* values,
-  plus the environment's probe counters after the call — and one
-  ``trial`` record per recorded trial (the divergence check).  Each
-  record is flushed and ``fsync``'d before the session acts on the
-  result, so the log is always consistent up to its last complete line;
-- **an atomic snapshot** (``<path>``, single JSON document rewritten via
+- **an append-only write-ahead log** (``<path>.wal``, JSON lines), which
+  is the checkpoint proper: one ``probe`` record per executor-level
+  :meth:`SearchStrategy.measure` call — the measurement that came back,
+  at *pre-shard-scaling* values, plus the environment's probe counters
+  after the call — and one ``trial`` record per recorded trial, carrying
+  the trial itself (:meth:`~repro.core.trial.Trial.to_payload`), the
+  history's running ledgers after it (total cost, total wall, cancelled
+  cost, cost by shard) and any history events recorded since the
+  previous trial record.  Every ``every_n_trials``-th trial record also
+  carries the audit state (the strategy's
+  :meth:`~SearchStrategy.snapshot_state` and the environment probe
+  counters).  Only probe records are ``fsync``'d, before the session
+  acts on the result; the header and trial records are only flushed,
+  because resume re-derives trial records — they are the replay's
+  divergence check — and appends land in file order, so the next
+  probe's ``fsync`` makes them durable too.  The log is always
+  consistent up to its last complete line;
+- **an atomic snapshot** (``<path>``, single JSON document written via
   ``mkstemp`` + ``os.replace`` like
-  :class:`~repro.core.transfer.HistoryRepository`): session metadata
-  (strategy, seed, budget, space/executor fingerprints), the fully
-  serialised :class:`~repro.core.trial.TrialHistory`, environment probe
-  counters, and the strategy's :meth:`~SearchStrategy.snapshot_state`
-  audit payload, refreshed every ``every_n_trials`` recorded trials.
+  :class:`~repro.core.transfer.HistoryRepository`) at session start and
+  session end only: session metadata (strategy, seed, budget,
+  space/executor fingerprints), the status (``running``/``complete``),
+  the history's ledgers and events, environment probe counters and the
+  strategy's audit payload.  It never holds the trials — the WAL does —
+  so a trial costs one small append, not an O(n) rewrite.
+
+:meth:`Checkpoint.load` rebuilds the history from the WAL's trial
+records, so a mid-run inspection shows every trial the log holds; the
+end-of-session snapshot adds what happens after the last trial
+(cancellation charges, trailing events, outage waits).
 
 Resume is **replay**, not state surgery: the loop restarts from trial
 zero with the same seed and re-executes every deterministic proposal,
@@ -43,6 +59,8 @@ lost suffix costs nothing but the re-probe of its measurements — the
 continuation is still bit-identical.  A corrupt snapshot falls back to
 the WAL's header record; only when both are unreadable does resume fail,
 with a named :class:`CheckpointError`, never a raw decoder traceback.
+A trial record lost with the tail (say, cut off right after its probe
+record) is re-appended when resume reaches that trial live.
 """
 
 from __future__ import annotations
@@ -52,21 +70,20 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence
-
-import numpy as np
+from typing import IO, Callable, List, Optional
 
 from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.strategy import SearchStrategy, TuningBudget
 from repro.core.trial import (
     Trial,
     TrialHistory,
+    event_to_payload,
     measurement_from_payload,
     measurement_to_payload,
 )
 
 #: Bump on any incompatible change to the snapshot or WAL record layout.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -78,10 +95,12 @@ class CheckpointConfig:
     """Where and how often a session checkpoints.
 
     ``path`` is the snapshot file; the write-ahead log lives beside it at
-    ``path + ".wal"``.  ``every_n_trials`` is the snapshot refresh
-    cadence — the WAL is per-probe durable regardless, so the cadence
-    only bounds how stale the *inspectable* snapshot may be, never how
-    much work a crash loses.  ``fsync=False`` trades the per-record
+    ``path + ".wal"``.  ``every_n_trials`` is the audit cadence: every
+    N-th trial record also carries the strategy's audit state and the
+    environment probe counters.  The trials themselves are in every
+    trial record regardless, so the cadence only bounds how stale the
+    *inspectable* audit state may be, never how much work a crash loses
+    and never what resume does.  ``fsync=False`` trades the per-probe
     ``os.fsync`` for OS-buffered durability (a crash of the machine, not
     just the process, may then lose the tail).
     """
@@ -217,14 +236,90 @@ def _read_wal_records(wal_path: str):
     return records, offset, torn
 
 
-def _atomic_write_json(path: str, payload: dict, fsync: bool = True) -> None:
-    """Write one JSON document atomically (mkstemp + os.replace)."""
+def _check_version(version, what: str) -> None:
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{what} has version {version!r}; this build supports version "
+            f"{CHECKPOINT_VERSION}"
+        )
+
+
+def _read_snapshot(path: str) -> dict:
+    """The snapshot document (``OSError``/``ValueError`` when unreadable)."""
+    with open(path) as handle:
+        snapshot = json.load(handle)
+    if not isinstance(snapshot, dict):
+        raise ValueError("snapshot is not a JSON object")
+    return snapshot
+
+
+def _encode(payload: dict, audit: Optional[dict] = None) -> bytes:
+    """``payload`` as UTF-8 JSON, encoded in one shot (the C encoder).
+
+    ``audit`` is the dict inside ``payload`` holding the strategy's
+    ``strategy_state``.  An unserialisable audit payload must never take
+    the checkpoint down with it — the audit is forensics, the WAL is the
+    restore path — so it is replaced by an error marker and the payload
+    encoded again.
+    """
+    try:
+        text = json.dumps(payload)
+    except (TypeError, ValueError):
+        if audit is None:
+            raise
+        audit["strategy_state"] = {
+            "error": "snapshot_state() returned non-JSON state"
+        }
+        text = json.dumps(payload)
+    return text.encode("utf-8")
+
+
+def _inspected_history(snapshot: dict, trial_records: List[dict]):
+    """``(history, strategy_state, env_counters)`` a checkpoint shows.
+
+    The trials are the WAL's trial records; the ledgers and events are
+    the last trial record's, unless the snapshot was written at the same
+    trial count (a completed session), whose end-of-session ledgers
+    also hold what came after the last trial.  The audit state is the
+    newest of the snapshot's and the trial records' audits.
+    """
+    at = snapshot.get("trials", 0)
+    state = snapshot.get("strategy_state")
+    counters = snapshot.get("env_counters", {})
+    ledgers = TrialHistory().ledger_payload()
+    events: List[dict] = []
+    for record in trial_records:
+        ledgers = record["ledgers"]
+        events.extend(record.get("events", ()))
+        audit = record.get("audit")
+        if audit is not None and record["trial"]["index"] >= at:
+            state, counters = audit["strategy_state"], audit["env_counters"]
+    if at == len(trial_records):
+        ledgers, events = snapshot["ledgers"], snapshot["events"]
+    history = TrialHistory.from_payload(
+        {
+            "trials": [record["trial"] for record in trial_records],
+            **ledgers,
+            "events": events,
+        }
+    )
+    return history, state, dict(counters)
+
+
+def _atomic_write_json(
+    path: str, payload: dict, fsync: bool = True, audit: Optional[dict] = None
+) -> None:
+    """Write one JSON document atomically (mkstemp + os.replace).
+
+    ``audit`` is as for :func:`_encode`.
+    """
+    data = _encode(payload, audit)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".checkpoint-tmp-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
@@ -237,12 +332,14 @@ def _atomic_write_json(path: str, payload: dict, fsync: bool = True) -> None:
 
 @dataclass
 class Checkpoint:
-    """A loaded snapshot, for inspection (``repro`` never mutates it).
+    """A loaded checkpoint, for inspection (``repro`` never mutates it).
 
-    ``history`` is the fully deserialised trial history as of the last
-    snapshot refresh; ``wal_probes`` / ``wal_trials`` count the durable
-    WAL records, which may run ahead of the snapshot (the WAL is
-    per-probe durable, the snapshot refreshes every N trials).
+    ``history`` is rebuilt from the WAL's trial records, so it is never
+    staler than the log: ``len(history) == wal_trials``.  ``status`` is
+    the snapshot's — ``running`` until the session ends.
+    ``strategy_state`` and ``env_counters`` are the newest audit state,
+    at most ``every_n_trials`` trials old while the session runs.
+    ``wal_probes`` / ``wal_trials`` count the durable WAL records.
     """
 
     version: int
@@ -256,39 +353,44 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        """Load ``path`` (and its WAL) for offline inspection."""
+        """Load ``path`` and its WAL for offline inspection."""
         config = CheckpointConfig(path)
         try:
-            with open(path) as handle:
-                snapshot = json.load(handle)
-            if not isinstance(snapshot, dict):
-                raise ValueError("snapshot is not a JSON object")
+            snapshot = _read_snapshot(path)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
         except ValueError as exc:
             raise CheckpointError(
                 f"corrupt checkpoint snapshot {path!r}: {exc}"
             ) from None
-        version = snapshot.get("version")
-        if version != CHECKPOINT_VERSION:
+        _check_version(snapshot.get("version"), f"checkpoint {path!r}")
+        if not os.path.exists(config.wal_path):
             raise CheckpointError(
-                f"checkpoint {path!r} has version {version!r}; this build "
-                f"supports version {CHECKPOINT_VERSION}"
+                f"no write-ahead log at {config.wal_path!r}: the trial "
+                f"history lives in the log"
             )
-        wal_probes = wal_trials = 0
-        if os.path.exists(config.wal_path):
-            records, _, _ = _read_wal_records(config.wal_path)
-            wal_probes = sum(1 for r in records if r.get("type") == "probe")
-            wal_trials = sum(1 for r in records if r.get("type") == "trial")
+        records, _, _ = _read_wal_records(config.wal_path)
+        if records and records[0].get("type") == "header":
+            _check_version(
+                records[0].get("version"), f"checkpoint WAL {config.wal_path!r}"
+            )
+        trials = [r for r in records if r.get("type") == "trial"]
+        try:
+            history, state, counters = _inspected_history(snapshot, trials)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint {path!r} has a malformed ledger or trial record: "
+                f"{exc!r}"
+            ) from None
         return cls(
-            version=int(version),
+            version=CHECKPOINT_VERSION,
             meta=dict(snapshot.get("meta", {})),
             status=str(snapshot.get("status", "unknown")),
-            history=TrialHistory.from_payload(snapshot["history"]),
-            strategy_state=snapshot.get("strategy_state"),
-            env_counters=dict(snapshot.get("env_counters", {})),
-            wal_probes=wal_probes,
-            wal_trials=wal_trials,
+            history=history,
+            strategy_state=state,
+            env_counters=counters,
+            wal_probes=sum(1 for r in records if r.get("type") == "probe"),
+            wal_trials=len(trials),
         )
 
 
@@ -299,8 +401,8 @@ class CheckpointJournal:
     checkpoint at the path) or :meth:`load` for a resume (replays the
     durable WAL prefix, quarantining a torn tail).  The session wires it
     in through :class:`JournalledStrategy` (probe records) and the
-    journal's :meth:`recorder` callback (trial records + snapshot
-    refreshes).
+    journal's :meth:`recorder` callback (trial records, and the snapshot
+    at session start and end).
     """
 
     def __init__(
@@ -316,6 +418,8 @@ class CheckpointJournal:
         self._probes = list(probes or [])
         self._trials = list(trials or [])
         self._cursor = 0
+        # History events already carried by a trial record.
+        self._events_logged = 0
         self._probe_count = len(self._probes)
         self._handle: Optional[IO[bytes]] = None
         self._append_offset = append_offset
@@ -334,6 +438,8 @@ class CheckpointJournal:
         directory = os.path.dirname(os.path.abspath(config.wal_path))
         os.makedirs(directory, exist_ok=True)
         journal._handle = open(config.wal_path, "wb")
+        # Not fsync'd: the first probe's fsync makes it durable, and the
+        # start snapshot carries the same metadata.
         journal._append(
             {"type": "header", "version": CHECKPOINT_VERSION, "meta": meta}
         )
@@ -369,12 +475,8 @@ class CheckpointJournal:
                 stacklevel=2,
             )
         header = records[0] if records and records[0].get("type") == "header" else None
-        if header is not None and header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint WAL {wal_path!r} has version "
-                f"{header.get('version')!r}; this build supports version "
-                f"{CHECKPOINT_VERSION}"
-            )
+        if header is not None:
+            _check_version(header.get("version"), f"checkpoint WAL {wal_path!r}")
         meta = cls._load_meta(config, header)
         probes = [r for r in records if r.get("type") == "probe"]
         trials = [r for r in records if r.get("type") == "trial"]
@@ -385,16 +487,10 @@ class CheckpointJournal:
         """Session metadata from the snapshot, else the WAL header."""
         snapshot_error = None
         try:
-            with open(config.path) as handle:
-                snapshot = json.load(handle)
-            if not isinstance(snapshot, dict) or "meta" not in snapshot:
+            snapshot = _read_snapshot(config.path)
+            if "meta" not in snapshot:
                 raise ValueError("snapshot is not a checkpoint object")
-            version = snapshot.get("version")
-            if version != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"checkpoint {config.path!r} has version {version!r}; "
-                    f"this build supports version {CHECKPOINT_VERSION}"
-                )
+            _check_version(snapshot.get("version"), f"checkpoint {config.path!r}")
             return dict(snapshot["meta"])
         except CheckpointError:
             raise
@@ -462,7 +558,9 @@ class CheckpointJournal:
 
     # -- recording ---------------------------------------------------------
 
-    def _append(self, record: dict) -> None:
+    def _append(
+        self, record: dict, sync: bool = False, audit: Optional[dict] = None
+    ) -> None:
         if self._handle is None:
             # Lazily reopened on the first live append after a resume —
             # truncated to the durable offset computed at load (the torn
@@ -472,9 +570,9 @@ class CheckpointJournal:
                 handle.truncate(self._append_offset)
             handle.seek(0, os.SEEK_END)
             self._handle = handle
-        self._handle.write((json.dumps(record) + "\n").encode("utf-8"))
+        self._handle.write(_encode(record, audit) + b"\n")
         self._handle.flush()
-        if self.config.fsync:
+        if sync and self.config.fsync:
             os.fsync(self._handle.fileno())
 
     def record_probe(self, config: ConfigDict, measurement, env) -> None:
@@ -486,24 +584,30 @@ class CheckpointJournal:
                 "config": dict(config),
                 "measurement": measurement_to_payload(measurement),
                 "env": _env_counter_payload(env),
-            }
+            },
+            sync=True,
         )
         self._probe_count += 1
 
-    def on_trial(self, trial: Trial) -> bool:
+    def on_trial(
+        self, trial: Trial, history: TrialHistory, audit: Callable[[], dict]
+    ) -> bool:
         """Record (or, in the replay region, verify) one recorded trial.
 
-        Returns True for a live trial — the recorder refreshes the
-        snapshot on live trials only, so replay never moves the snapshot
-        backwards.  A replayed trial that disagrees with its WAL record
-        means the replay diverged; fail loudly.
+        Returns True for a live trial, whose record is appended: the
+        trial, ``history``'s ledgers after it, the events recorded since
+        the previous trial record, and — every ``every_n_trials``-th
+        trial — ``audit()``.  The record is flushed but not fsync'd (see
+        the module docstring).  A replayed trial that disagrees with its
+        WAL record means the replay diverged; fail loudly.
         """
         if trial.index < len(self._trials):
-            recorded = self._trials[trial.index]
+            recorded = self._trials[trial.index]["trial"]
             if (
-                recorded.get("cost") != trial.cumulative_cost_s
-                or recorded.get("wall") != trial.cumulative_wall_clock_s
-                or recorded.get("objective") != trial.objective
+                recorded["cumulative_cost_s"] != trial.cumulative_cost_s
+                or recorded["cumulative_wall_clock_s"]
+                != trial.cumulative_wall_clock_s
+                or recorded["measurement"]["objective"] != trial.objective
             ):
                 raise CheckpointError(
                     f"resume diverged at trial {trial.index}: replay produced "
@@ -511,30 +615,26 @@ class CheckpointJournal:
                     f"cost={trial.cumulative_cost_s!r}, "
                     f"wall={trial.cumulative_wall_clock_s!r}) but the "
                     f"write-ahead log recorded "
-                    f"(objective={recorded.get('objective')!r}, "
-                    f"cost={recorded.get('cost')!r}, "
-                    f"wall={recorded.get('wall')!r})"
+                    f"(objective={recorded['measurement']['objective']!r}, "
+                    f"cost={recorded['cumulative_cost_s']!r}, "
+                    f"wall={recorded['cumulative_wall_clock_s']!r})"
                 )
+            self._events_logged = len(history.events)
             return False
-        self._append(
-            {
-                "type": "trial",
-                "index": trial.index,
-                "launch": trial.launch_index,
-                "round": trial.round_index,
-                "shard": trial.shard,
-                "objective": trial.objective,
-                "cost": trial.cumulative_cost_s,
-                "wall": trial.cumulative_wall_clock_s,
-            }
-        )
-        self._trials.append(
-            {
-                "objective": trial.objective,
-                "cost": trial.cumulative_cost_s,
-                "wall": trial.cumulative_wall_clock_s,
-            }
-        )
+        record = {
+            "type": "trial",
+            "trial": trial.to_payload(),
+            "ledgers": history.ledger_payload(),
+        }
+        if len(history.events) > self._events_logged:
+            record["events"] = [
+                event_to_payload(event)
+                for event in history.events[self._events_logged :]
+            ]
+            self._events_logged = len(history.events)
+        if (trial.index + 1) % self.config.every_n_trials == 0:
+            record["audit"] = audit()
+        self._append(record, audit=record.get("audit"))
         return True
 
     def write_snapshot(
@@ -544,30 +644,21 @@ class CheckpointJournal:
         env_counters: dict,
         status: str = "running",
     ) -> None:
-        """Atomically rewrite the snapshot document."""
-        state = None
-        try:
-            state = strategy.snapshot_state()
-            if state is not None:
-                json.dumps(state)
-        except (TypeError, ValueError):
-            # An unserialisable audit payload must never take the
-            # checkpoint down with it — the snapshot is forensics, the
-            # WAL is the restore path.
-            state = {"error": "snapshot_state() returned non-JSON state"}
+        """Atomically rewrite the snapshot document (no trials: see the
+        module docstring)."""
+        snapshot = {
+            "version": CHECKPOINT_VERSION,
+            "meta": self.meta,
+            "status": status,
+            "trials": len(history),
+            "probes": self._probe_count,
+            "ledgers": history.ledger_payload(),
+            "events": [event_to_payload(event) for event in history.events],
+            "env_counters": env_counters,
+            "strategy_state": strategy.snapshot_state(),
+        }
         _atomic_write_json(
-            self.config.path,
-            {
-                "version": CHECKPOINT_VERSION,
-                "meta": self.meta,
-                "status": status,
-                "trials": len(history),
-                "probes": self._probe_count,
-                "history": history.to_payload(),
-                "env_counters": env_counters,
-                "strategy_state": state,
-            },
-            fsync=self.config.fsync,
+            self.config.path, snapshot, fsync=self.config.fsync, audit=snapshot
         )
 
     def recorder(self, session) -> "_CheckpointRecorder":
@@ -575,7 +666,11 @@ class CheckpointJournal:
         return _CheckpointRecorder(self, session)
 
     def close(self) -> None:
+        """Make every appended record durable and release the log."""
         if self._handle is not None:
+            self._handle.flush()
+            if self.config.fsync:
+                os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
 
@@ -614,26 +709,27 @@ class _CheckpointRecorder:
         pass
 
     def on_trial_end(self, trial: Trial) -> None:
-        live = self._journal.on_trial(trial)
-        if live and (trial.index + 1) % self._journal.config.every_n_trials == 0:
-            self._journal.write_snapshot(
-                self._session.history,
-                self._session.strategy,
-                _session_env_counters(self._session),
-                status="running",
-            )
+        self._journal.on_trial(trial, self._session.history, self._audit)
+
+    def _audit(self) -> dict:
+        return {
+            "strategy_state": self._session.strategy.snapshot_state(),
+            "env_counters": _session_env_counters(self._session),
+        }
 
     def on_round_end(self, round_index, trials, history) -> None:
         pass
 
     def on_session_end(self, result) -> None:
+        # The WAL first: the complete snapshot never counts a trial whose
+        # record is not durable.
+        self._journal.close()
         self._journal.write_snapshot(
             result.history,
             self._session.strategy,
             _session_env_counters(self._session),
             status="complete",
         )
-        self._journal.close()
 
 
 class JournalledStrategy(SearchStrategy):

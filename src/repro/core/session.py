@@ -990,9 +990,10 @@ class TuningSession:
 
         ``checkpoint`` (a :class:`~repro.core.checkpoint.CheckpointConfig`
         or a bare path) makes the session durable: every probe is logged
-        to a write-ahead log before the loop acts on it and the snapshot
-        refreshes every ``every_n_trials`` recorded trials, so a crashed
-        process can pick the session back up with :meth:`resume`.
+        to a write-ahead log before the loop acts on it, every recorded
+        trial appends a trial record there, and the snapshot is written
+        at session start and end only, so a crashed process can pick the
+        session back up with :meth:`resume`.
         Starting fresh at a path *overwrites* any previous checkpoint
         there (use :meth:`restore`/:meth:`resume` to continue one).
         An already-loaded :class:`CheckpointJournal` continues its replay

@@ -82,7 +82,7 @@ def measurement_from_payload(payload: dict) -> Measurement:
 
 
 class RestoredEvent:
-    """A session event deserialised from a checkpoint snapshot.
+    """A session event deserialised from a checkpoint.
 
     Original event objects (e.g. :class:`~repro.core.detect.DriftEvent`)
     are serialised field-by-field when their fields are JSON-safe; this
@@ -108,11 +108,18 @@ class RestoredEvent:
         return f"RestoredEvent({self.kind}, {body})"
 
 
-def _event_to_payload(event: object) -> dict:
+def event_to_payload(event: object) -> dict:
     """Serialise a history event: fields when JSON-safe, repr otherwise."""
     kind = type(event).__name__
     if isinstance(event, RestoredEvent):
-        return {"kind": event.kind, "fields": event.fields, "detail": event.detail}
+        # The original event's own payload shape, so a restored history
+        # re-serialises to the payload it was restored from.
+        payload: dict = {"kind": event.kind}
+        if event.fields or not event.detail:
+            payload["fields"] = event.fields
+        if event.detail:
+            payload["detail"] = event.detail
+        return payload
     if dataclasses.is_dataclass(event) and not isinstance(event, type):
         try:
             fields = dataclasses.asdict(event)
@@ -360,13 +367,20 @@ class TrialHistory:
         """
         return {
             "trials": [trial.to_payload() for trial in self._trials],
+            **self.ledger_payload(),
+            "events": [event_to_payload(event) for event in self.events],
+        }
+
+    def ledger_payload(self) -> dict:
+        """The running ledgers alone: the :meth:`to_payload` keys that are
+        neither trials nor events."""
+        return {
             "total_cost_s": self.total_cost_s,
             "total_wall_clock_s": self.total_wall_clock_s,
             "cancelled_cost_s": self.cancelled_cost_s,
             "cost_by_shard": [
                 [shard, cost] for shard, cost in self._cost_by_shard.items()
             ],
-            "events": [_event_to_payload(event) for event in self.events],
         }
 
     @classmethod

@@ -9,6 +9,7 @@ WAL tails on the crash path, outage-injected fleets, and TuningService
 crash recovery (restart the tenant, leave neighbours unperturbed).
 """
 
+import json
 import os
 
 import pytest
@@ -174,6 +175,47 @@ class TestKillResumeMatrix:
                 checkpoint,
             )
         assert result_fingerprint(resumed) == result_fingerprint(baseline)
+
+    @pytest.mark.parametrize("cell", sorted(EXECUTOR_CELLS))
+    def test_lost_trial_record_is_reappended_on_resume(self, cell, tmp_path):
+        # Trial records are not fsync'd: a machine crash right after
+        # trial k's probe record can lose trial k's record.  Resume must
+        # still be exact and write the lost record again.
+        executor_factory, environment_factory = EXECUTOR_CELLS[cell]
+        budget = TuningBudget(max_trials=10)
+        baseline = run_baseline(
+            bo_factory, executor_factory, environment_factory, space(), budget,
+            seed=3,
+        )
+        checkpoint = CheckpointConfig(str(tmp_path / "lost.ckpt"))
+        assert run_with_kill(
+            bo_factory, executor_factory, environment_factory, space(), budget,
+            checkpoint, kill_at=5, seed=3,
+        )
+        with open(checkpoint.wal_path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        lost = json.loads(lines[-1])
+        assert lost["type"] == "trial" and lost["trial"]["index"] == 5
+        if cell == "serial":
+            probe = json.loads(lines[-2])
+            assert probe["type"] == "probe"
+            assert probe["config"] == lost["trial"]["config"]
+        with open(checkpoint.wal_path, "wb") as handle:
+            handle.writelines(lines[:-1])
+        resumed = resume_session(
+            bo_factory, executor_factory, environment_factory, space(), checkpoint
+        )
+        assert result_fingerprint(resumed) == result_fingerprint(baseline)
+        with open(checkpoint.wal_path) as handle:
+            trials = [
+                record for record in map(json.loads, handle)
+                if record["type"] == "trial"
+            ]
+        assert [r["trial"]["index"] for r in trials] == list(range(10))
+        # The trial and its ledgers come back bit-identical (the audit
+        # state is forensics and may differ after a replay).
+        assert trials[5]["trial"] == lost["trial"]
+        assert trials[5]["ledgers"] == lost["ledgers"]
 
     def test_outage_injected_pool_resumes_identically(self, tmp_path):
         def pooled_factory():

@@ -18,14 +18,24 @@ from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
 from repro.core import (
     CHECKPOINT_VERSION,
+    ChangePointDetector,
     Checkpoint,
     CheckpointConfig,
     CheckpointError,
+    EnvironmentPool,
+    EnvironmentShard,
     MLConfigTuner,
+    RetuningPolicy,
     TuningBudget,
 )
 from repro.core.checkpoint import CheckpointJournal
-from repro.core.session import JsonlTrialLog, TuningSession
+from repro.core.fleet import FailureInjector, OutageWindow
+from repro.core.session import (
+    AsyncExecutor,
+    JsonlTrialLog,
+    SessionCallback,
+    TuningSession,
+)
 from repro.core.transfer import HistoryRepository
 from repro.core.trial import (
     RestoredEvent,
@@ -34,7 +44,7 @@ from repro.core.trial import (
     measurement_from_payload,
     measurement_to_payload,
 )
-from repro.mlsim import TrainingEnvironment
+from repro.mlsim import StepDrift, TrainingEnvironment
 from repro.workloads import get_workload
 
 NODES = 8
@@ -244,30 +254,201 @@ def test_checkpoint_load_reports_progress(tmp_path):
     assert loaded.history.to_payload() == result.history.to_payload()
 
 
+class CountingRandom(RandomSearch):
+    """Random search whose audit state counts the trials it observed."""
+
+    def reset(self):
+        super().reset()
+        self.observed = 0
+
+    def observe(self, trial):
+        super().observe(trial)
+        self.observed += 1
+
+    def snapshot_state(self):
+        return {"observed": self.observed}
+
+
 def test_snapshot_cadence_bounds_snapshot_staleness(tmp_path):
     ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"), every_n_trials=4)
 
     class Kill(Exception):
         pass
 
-    from repro.core.session import SessionCallback
-
     class Killer(SessionCallback):
         def on_trial_end(self, trial):
             if trial.index == 5:
                 raise Kill()
 
-    session = TuningSession(RandomSearch(), callbacks=[Killer()])
+    session = TuningSession(CountingRandom(), callbacks=[Killer()])
     with pytest.raises(Kill):
         session.run(
             make_env(), space(), TuningBudget(max_trials=8), seed=1,
             checkpoint=ckpt,
         )
     loaded = Checkpoint.load(ckpt.path)
-    # Snapshot refreshed at trial 4; WAL is per-probe durable beyond it.
-    assert len(loaded.history) == 4
-    assert loaded.wal_trials == 6
+    # The history comes from the WAL's trial records, so it is never
+    # stale; only the audit state follows the every-4-trials cadence.
+    assert len(loaded.history) == loaded.wal_trials == 6
     assert loaded.status == "running"
+    assert loaded.strategy_state == {"observed": 4}
+    assert loaded.env_counters["env"]["trials_run"] == 4
+
+
+@pytest.mark.parametrize("every", [1, 4])
+def test_snapshot_is_written_at_session_start_and_end_only(
+    tmp_path, monkeypatch, every
+):
+    calls = []
+    write = CheckpointJournal.write_snapshot
+
+    def counting(self, history, strategy, env_counters, status="running"):
+        calls.append(status)
+        write(self, history, strategy, env_counters, status)
+
+    monkeypatch.setattr(CheckpointJournal, "write_snapshot", counting)
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"), every_n_trials=every)
+    TuningSession(RandomSearch()).run(
+        make_env(), space(), TuningBudget(max_trials=9), seed=1, checkpoint=ckpt
+    )
+    assert calls == ["running", "complete"]
+
+
+def test_v1_checkpoint_is_a_named_version_error(tmp_path):
+    """A checkpoint in the old layout (the snapshot holds the history,
+    trial records hold only the divergence fields) fails by version."""
+    ckpt, result = run_checkpointed(tmp_path)
+    with open(ckpt.path) as handle:
+        snapshot = json.load(handle)
+    meta = snapshot["meta"]
+    with open(ckpt.path, "w") as handle:
+        json.dump(
+            {
+                "version": 1,
+                "meta": meta,
+                "status": "complete",
+                "trials": len(result.history),
+                "probes": len(result.history),
+                "history": result.history.to_payload(),
+                "env_counters": snapshot["env_counters"],
+                "strategy_state": None,
+            },
+            handle,
+        )
+    with open(ckpt.wal_path) as handle:
+        records = [json.loads(line) for line in handle]
+    lines = [json.dumps({"type": "header", "version": 1, "meta": meta})]
+    for record in records[1:]:
+        if record["type"] == "trial":
+            trial = record["trial"]
+            record = {
+                "type": "trial",
+                "index": trial["index"],
+                "launch": trial["launch_index"],
+                "round": trial["round_index"],
+                "shard": trial["shard"],
+                "objective": trial["measurement"]["objective"],
+                "cost": trial["cumulative_cost_s"],
+                "wall": trial["cumulative_wall_clock_s"],
+            }
+        lines.append(json.dumps(record))
+    with open(ckpt.wal_path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match="version 1"):
+        TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
+    with pytest.raises(CheckpointError, match="version 1"):
+        Checkpoint.load(ckpt.path)
+
+
+class _Inspector(SessionCallback):
+    """Loads the checkpoint after every trial, as an outside reader would."""
+
+    def __init__(self, path):
+        self.path = path
+        self.session = None
+        self.views = []
+
+    def on_trial_end(self, trial):
+        loaded = Checkpoint.load(self.path)
+        self.views.append(
+            (loaded.history.to_payload(), self.session.history.to_payload())
+        )
+
+
+def test_loaded_history_matches_pooled_async_session_exactly(tmp_path):
+    """Ledgers and events of the WAL view, mid-run and at the end.
+
+    A pooled async BO session whose second shard goes down mid-run
+    (preempting its in-flight probes), whose fleet drifts (one detected
+    change-point), and whose cost cap cancels the probes still in flight.
+    """
+    ckpt = CheckpointConfig(str(tmp_path / "pool.ckpt"))
+    pool = EnvironmentPool(
+        [
+            EnvironmentShard(
+                f"s{i}",
+                TrainingEnvironment(
+                    get_workload("resnet50-imagenet"),
+                    homogeneous(NODES),
+                    seed=i,
+                    drift=StepDrift(at_s=400.0, intensity=2.0),
+                ),
+                capacity=2,
+                cost_multiplier=multiplier,
+            )
+            for i, multiplier in enumerate((1.0, 1.3))
+        ],
+        injector=FailureInjector(outages=[OutageWindow("s1", 800.0, 1400.0)]),
+    )
+    inspector = _Inspector(ckpt.path)
+    session = TuningSession(
+        MLConfigTuner(n_initial=4, seed=0),
+        executor=AsyncExecutor(pool=pool),
+        callbacks=[inspector],
+        detector=ChangePointDetector(
+            policy=RetuningPolicy(mode="discount"), warmup=4, window=6
+        ),
+    )
+    inspector.session = session
+    result = session.run(
+        None, space(), TuningBudget(max_trials=40, max_cost_s=3600.0), seed=0,
+        checkpoint=ckpt,
+    )
+    history = result.history
+    last_live = inspector.views[-1][1]
+    assert len(history.events) == 1  # the drift change-point
+    assert last_live["cancelled_cost_s"] > 0  # outage preemptions
+    assert history.cancelled_cost_s > last_live["cancelled_cost_s"]  # cost cap
+    # Mid-run: the checkpoint shows the live history after every trial.
+    assert len(inspector.views) == len(history)
+    for loaded, live in inspector.views:
+        assert loaded == live
+    assert any(loaded["events"] for loaded, _ in inspector.views)
+    # Complete: the end-of-session ledgers add the final cancellation.
+    loaded = Checkpoint.load(ckpt.path)
+    assert loaded.status == "complete"
+    assert loaded.history.to_payload() == history.to_payload()
+
+
+def test_non_json_audit_state_is_marked_not_fatal(tmp_path):
+    class Opaque(RandomSearch):
+        def snapshot_state(self):
+            return {"handle": object()}
+
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"), every_n_trials=2)
+    result = TuningSession(Opaque()).run(
+        make_env(), space(), TuningBudget(max_trials=4), seed=1, checkpoint=ckpt
+    )
+    marker = {"error": "snapshot_state() returned non-JSON state"}
+    with open(ckpt.wal_path) as handle:
+        audits = [
+            record["audit"] for record in map(json.loads, handle)
+            if "audit" in record
+        ]
+    assert [audit["strategy_state"] for audit in audits] == [marker, marker]
+    loaded = Checkpoint.load(ckpt.path)
+    assert loaded.strategy_state == marker
+    assert loaded.history.to_payload() == result.history.to_payload()
 
 
 def test_strategy_snapshot_state_is_recorded_for_bo(tmp_path):
