@@ -188,8 +188,9 @@ class _SurrogateCache:
 class _EncodedRowCache:
     """Incremental encoder for append-mostly trial lists.
 
-    Proposal latency used to include re-encoding the *entire* history (and
-    the cost model's success list) on every call.  Trials are frozen and
+    Proposal latency used to include re-encoding the *entire* history on
+    every call.  One cache serves both surrogates: the cost model masks
+    the objective's rows to its successes.  Trials are frozen and
     history clones share trial objects, so an identity-prefix comparison
     tells exactly which suffix is new: only those rows are encoded and the
     cached block is reused for the shared prefix.  A constant-liar round's
@@ -350,7 +351,6 @@ class BayesianProposer:
         self._objective_cache = _SurrogateCache()
         self._cost_cache = _SurrogateCache()
         self._train_rows = _EncodedRowCache(space)
-        self._cost_rows = _EncodedRowCache(space)
         self._shard_weights: dict = {}
         self._target_shard_weight: Optional[float] = None
         self.last_fit_diagnostics: dict = {}
@@ -703,13 +703,17 @@ class BayesianProposer:
     def _fit_cost_model(
         self, history: TrialHistory, refit_due: bool
     ) -> Optional[GaussianProcess]:
-        successes = history.successful()
+        trials = history.trials
+        ok = np.array([t.ok for t in trials], dtype=bool)
+        successes = [t for t in trials if t.ok]
+        # The objective's training rows, already encoded this proposal.
+        x = self._train_rows.rows(trials)[ok]
         keep, cost_scale = self._stale_split(successes)
         if keep is not None:
             successes = [t for t, k in zip(successes, keep) if k]
+            x = x[keep]
         if len(successes) < 3:
             return None
-        x = self._cost_rows.rows(successes)
         if self.shard_cost_feature:
             # One extra input dimension: the cost multiplier of the shard
             # each probe ran on (1.0 for shard-less trials).  Fantasies

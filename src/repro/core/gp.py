@@ -53,7 +53,7 @@ import numpy as np
 from scipy import linalg, optimize
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
-from repro.core.kernels import Kernel, Matern52, _pairwise_sq_dists
+from repro.core.kernels import Kernel, Matern52
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
@@ -167,7 +167,9 @@ def _diagonal(matrix: np.ndarray) -> np.ndarray:
 
 
 def _chol_with_jitter(
-    matrix: np.ndarray, jitters: Tuple[float, ...] = _JITTERS
+    matrix: np.ndarray,
+    jitters: Tuple[float, ...] = _JITTERS,
+    shift: float | np.ndarray | None = None,
 ) -> Tuple[np.ndarray, float]:
     """Cholesky factor with the smallest jitter in ``jitters`` that succeeds.
 
@@ -175,11 +177,18 @@ def _chol_with_jitter(
     lower factor as ``scipy.linalg.cholesky(lower=True)``, without its
     per-call finiteness scan and identity allocation.  Each rung adds the
     jitter to a fresh copy of ``matrix``'s diagonal, i.e. ``matrix +
-    jitter * I`` entry for entry.
+    jitter * I`` entry for entry.  ``shift`` (a scalar or per-row vector,
+    e.g. the observation noise) is added to that copy's diagonal first:
+    each diagonal entry is ``(matrix_ii + shift_i) + jitter``, the same
+    floats as shifting ``matrix`` beforehand, while ``matrix`` itself is
+    left untouched.
     """
     for jitter in jitters:
         work = np.array(matrix, order="F")
-        _diagonal(work)[...] += jitter
+        diagonal = _diagonal(work)
+        if shift is not None:
+            diagonal += shift
+        diagonal += jitter
         chol, info = _potrf(work, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return chol, jitter
@@ -191,12 +200,21 @@ class _LMLObjective:
 
     Built once per L-BFGS-B restart (the identity and the ``n log 2 pi``
     constant with it); each call maps log-parameters to ``(-lml, -grad)``
-    and sets them on ``kernel``, which the objective owns.  An evaluation
-    computes the scaled squared distances once, for both the covariance
-    (``from_sq_dists``) and the gradient contraction
-    (:meth:`Kernel.grad_log_params_dot`), and calls LAPACK
-    ``dpotrf``/``dpotrs`` directly.  Every float comes from the same
-    operations in the same order as ``kernel(x, x) + noise_diag`` through
+    and sets them on ``kernel``, which the objective owns.
+
+    An evaluation computes its kernel terms once, in one
+    :meth:`Kernel.lml_terms` pass: the scaled rows ``a = x / l`` and
+    ``a * a``, the squared distances, the noise-free covariance ``K`` and
+    the lengthscale weight ``W``.  The noise (and each jitter rung) is
+    added to the factorisation's Fortran work copy as ``(K + noise) +
+    jitter``, so ``K`` stays noise-free for the gradient, which contracts
+    the same terms in :meth:`Kernel.grad_log_params_dot` instead of
+    recomputing the distances and the Matérn ``sqrt``/``exp``.  That call
+    stays the single gradient call of a successful evaluation (the
+    benchmark tracer counts it as one LML evaluation); a sentinel
+    evaluation makes none.  LAPACK ``dpotrf``/``dpotrs`` are called
+    directly.  Every float comes from the same operations in the same
+    order as ``kernel(x, x) + noise_diag`` through
     ``scipy.linalg.cholesky`` and ``cho_solve``, so values and gradients
     are bit-identical to that formulation; in particular ``K^-1`` is
     ``dpotrs`` against the identity, not ``dpotri``, whose rounding
@@ -226,7 +244,6 @@ class _LMLObjective:
         self.fit_noise = fit_noise
         self.noise_scale = noise_scale
         self._num_kernel = kernel.num_params()
-        self._distances = hasattr(kernel, "from_sq_dists")
         self._eye = np.eye(n)
         self._log_norm = 0.5 * n * np.log(2.0 * np.pi)
         self.failures = 0
@@ -239,16 +256,12 @@ class _LMLObjective:
             log_noise = min(max(log_params[num_kernel], -12.0), 2.0)
             self.noise_variance = float(np.exp(log_noise))
         noise = self.noise_variance
-        if self._distances:
-            sq = _pairwise_sq_dists(x, x, kernel.lengthscales)
-            cov = kernel.from_sq_dists(sq)
-        else:
-            sq = None
-            cov = kernel(x, x)
         scale = self.noise_scale
-        _diagonal(cov)[...] += noise if scale is None else noise * scale
+        terms = kernel.lml_terms(x)
         try:
-            chol, _ = _chol_with_jitter(cov)
+            chol, _ = _chol_with_jitter(
+                terms.k, shift=noise if scale is None else noise * scale
+            )
         except GPFitError:
             self.failures += 1
             return 1e12, np.zeros_like(log_params)
@@ -264,7 +277,7 @@ class _LMLObjective:
         k_inv, _ = _potrs(chol, self._eye, lower=1)
         a_mat = np.outer(alpha, alpha) - k_inv
         grad = np.empty_like(log_params)
-        grad[:num_kernel] = 0.5 * kernel.grad_log_params_dot(x, a_mat, sq=sq)
+        grad[:num_kernel] = 0.5 * kernel.grad_log_params_dot(x, a_mat, terms)
         if self.fit_noise:
             if scale is None:
                 # dK/d(log noise) = noise * I, so the trace term collapses.

@@ -16,7 +16,7 @@ instead of scipy's finite-difference fallback.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,26 @@ def _pairwise_sq_dists(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray)
     return np.maximum(sq, 0.0)
 
 
+def _self_sq_dists(
+    x: np.ndarray, lengthscales: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, a * a, _pairwise_sq_dists(x, x, lengthscales))``, ``a = x / lengthscales``.
+
+    The same operations in the same order as :func:`_pairwise_sq_dists`,
+    so the distances are bit-identical to it; the scaled rows and their
+    squares are returned for the gradient contraction.  The second GEMM
+    operand is a copy of ``a``: ``a @ a.T`` on one buffer makes numpy call
+    SYRK, whose rounding differs from the GEMM ``_pairwise_sq_dists`` runs.
+    """
+    a = x / lengthscales
+    b = a.copy()
+    a_sq = a * a
+    norms = a_sq.sum(axis=1)
+    sq = norms[:, None] + norms[None, :] - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return a, a_sq, sq
+
+
 def _per_dim_sq_dists(x: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     """Per-dimension scaled squared distances, shape ``(d, n, n)``.
 
@@ -44,6 +64,22 @@ def _per_dim_sq_dists(x: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     a = x / lengthscales
     diff = a[:, None, :] - a[None, :, :]
     return np.moveaxis(diff * diff, 2, 0)
+
+
+class KernelTerms(NamedTuple):
+    """One marginal-likelihood evaluation's kernel terms at the training inputs.
+
+    ``k`` is the noise-free covariance ``K(x, x)``.  The ARD distance
+    kernels also fill the lengthscale weight ``weight`` (``W`` with
+    ``dK/d(log l_d) = W ∘ sq_d``: ``K`` itself for RBF,
+    ``(5v/3)(1 + r) e^{-r}`` for Matérn-5/2), the scaled rows ``a = x /
+    lengthscales`` and ``a_sq = a * a``; other kernels leave them ``None``.
+    """
+
+    k: np.ndarray
+    weight: Optional[np.ndarray] = None
+    a: Optional[np.ndarray] = None
+    a_sq: Optional[np.ndarray] = None
 
 
 class Kernel:
@@ -77,8 +113,19 @@ class Kernel:
         """
         raise NotImplementedError
 
+    def lml_terms(self, x: np.ndarray) -> KernelTerms:
+        """The kernel terms one marginal-likelihood evaluation at ``x`` needs.
+
+        Computed once per evaluation and shared by the covariance the
+        objective factors and :meth:`grad_log_params_dot`.  The base form
+        holds only the covariance; the ARD kernels add the distance terms
+        their closed-form gradient contraction reuses.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return KernelTerms(self(x, x))
+
     def grad_log_params_dot(
-        self, x: np.ndarray, m: np.ndarray, sq: Optional[np.ndarray] = None
+        self, x: np.ndarray, m: np.ndarray, terms: Optional[KernelTerms] = None
     ) -> np.ndarray:
         """``sum_ij m_ij * dK_ij/d(log theta_p)`` for every hyperparameter.
 
@@ -98,34 +145,35 @@ class Kernel:
         with ``a = x / lengthscales``, ``s``/``c`` the row/column sums of
         ``m W``.
 
-        ``sq`` optionally passes in ``_pairwise_sq_dists(x, x,
-        lengthscales)`` when the caller already holds it (the marginal
-        likelihood objective builds the covariance from the same
-        distances), so the contraction does not recompute them.  Kernels
-        without a distance form ignore it.
+        ``terms`` passes in :meth:`lml_terms` at ``x`` when the caller
+        already holds it (the marginal-likelihood objective factors its
+        ``k``), so the contraction recomputes no distance, ``sqrt`` or
+        ``exp``; without it the terms are computed here.  The objective
+        makes exactly one call per successful evaluation, which is what
+        the benchmark tracer counts as one LML evaluation.  Kernels
+        without a closed form ignore ``terms``.
         """
         return np.einsum("ij,pij->p", m, self.grad_log_params(x))
 
     def _ard_grad_dot(
-        self, x: np.ndarray, m: np.ndarray, k_matrix: np.ndarray, weight: np.ndarray
+        self, x: np.ndarray, m: np.ndarray, terms: Optional[KernelTerms]
     ) -> np.ndarray:
-        """The shared RBF/Matérn contraction: ``dK/d(log l_d) = weight ∘ sq_d``.
+        """The shared RBF/Matérn contraction: ``dK/d(log l_d) = W ∘ sq_d``.
 
-        ``x`` is the 2-D float input array the public method normalised.
-
-        ``k_matrix`` is the covariance itself (the ``log variance``
-        derivative); ``weight`` the shared lengthscale-derivative weight
-        matrix.  O(n^2 d) via one GEMM, no ``(p, n, n)`` tensor.
+        ``terms.k`` is the covariance itself (the ``log variance``
+        derivative); ``terms.weight`` the shared lengthscale-derivative
+        weight matrix.  O(n^2 d) via one GEMM, no ``(p, n, n)`` tensor.
         """
-        a = x / self.lengthscales
-        w = m * weight
+        if terms is None:
+            terms = self.lml_terms(x)
+        a, a_sq = terms.a, terms.a_sq
+        w = m * terms.weight
         out = np.empty(self.num_params())
-        out[0] = float((m * k_matrix).sum())
+        out[0] = float((m * terms.k).sum())
         row = w.sum(axis=1)
         col = w.sum(axis=0)
-        sq = a * a
         out[1:] = (
-            row @ sq + col @ sq - 2.0 * np.einsum("id,id->d", a, w @ a)
+            row @ a_sq + col @ a_sq - 2.0 * np.einsum("id,id->d", a, w @ a)
         )
         return out
 
@@ -182,15 +230,17 @@ class RBF(Kernel):
         grads[1:] = k[None, :, :] * sq_d
         return grads
 
-    def grad_log_params_dot(
-        self, x: np.ndarray, m: np.ndarray, sq: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        # dK/d(log l_d) = K ∘ sq_d: the shared weight matrix is K itself.
+    def lml_terms(self, x: np.ndarray) -> KernelTerms:
+        # dK/d(log l_d) = K ∘ sq_d: the lengthscale weight is K itself.
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if sq is None:
-            sq = _pairwise_sq_dists(x, x, self.lengthscales)
+        a, a_sq, sq = _self_sq_dists(x, self.lengthscales)
         k = self.from_sq_dists(sq)
-        return self._ard_grad_dot(x, m, k, k)
+        return KernelTerms(k, k, a, a_sq)
+
+    def grad_log_params_dot(
+        self, x: np.ndarray, m: np.ndarray, terms: Optional[KernelTerms] = None
+    ) -> np.ndarray:
+        return self._ard_grad_dot(x, m, terms)
 
 
 class Matern52(Kernel):
@@ -206,11 +256,19 @@ class Matern52(Kernel):
         return self.from_sq_dists(sq)
 
     def from_sq_dists(self, sq: np.ndarray) -> np.ndarray:
-        """Covariance from precomputed scaled squared distances.
+        """Covariance from precomputed scaled squared distances."""
+        return self._covariance_and_weight(sq, with_weight=False)[0]
+
+    def _covariance_and_weight(
+        self, sq: np.ndarray, with_weight: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(K, W)`` from scaled squared distances; ``W`` only if asked.
 
         In-place ufunc forms of ``variance * (1 + r + r^2/3) * exp(-r)``
         with the same operation order (bit-identical results, fewer
-        temporaries on 10^4-element candidate blocks).
+        temporaries on 10^4-element candidate blocks).  The lengthscale
+        weight ``W = (5v/3)(1 + r) exp(-r)`` reuses this pass's ``1 + r``
+        and ``exp(-r)``, so the ``sqrt``/``exp`` run once per evaluation.
         """
         r = np.multiply(sq, 5.0)
         np.sqrt(r, out=r)
@@ -219,10 +277,14 @@ class Matern52(Kernel):
         poly = np.multiply(r, r)
         np.divide(poly, 3.0, out=poly)
         r += 1.0
+        weight = None
+        if with_weight:
+            weight = np.multiply(r, (5.0 / 3.0) * self.variance)
+            weight *= decay
         r += poly
         np.multiply(r, self.variance, out=r)
         np.multiply(r, decay, out=r)
-        return r
+        return r, weight
 
     def grad_log_params(self, x: np.ndarray) -> np.ndarray:
         # With r = sqrt(5 sq): dK/d(sq) = -(5v/6)(1 + r) exp(-r), finite at
@@ -237,20 +299,18 @@ class Matern52(Kernel):
         grads[1:] = ((5.0 / 3.0) * self.variance * (1.0 + r) * decay)[None] * sq_d
         return grads
 
-    def grad_log_params_dot(
-        self, x: np.ndarray, m: np.ndarray, sq: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def lml_terms(self, x: np.ndarray) -> KernelTerms:
         # dK/d(log l_d) = (5v/3)(1 + r) e^{-r} ∘ sq_d: one shared weight
         # matrix for every lengthscale.
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if sq is None:
-            sq = _pairwise_sq_dists(x, x, self.lengthscales)
-        r = np.sqrt(5.0 * sq)
-        decay = np.exp(-r)
-        one_r = 1.0 + r
-        k = self.variance * (one_r + r * r / 3.0) * decay
-        weight = (5.0 / 3.0) * self.variance * one_r * decay
-        return self._ard_grad_dot(x, m, k, weight)
+        a, a_sq, sq = _self_sq_dists(x, self.lengthscales)
+        k, weight = self._covariance_and_weight(sq, with_weight=True)
+        return KernelTerms(k, weight, a, a_sq)
+
+    def grad_log_params_dot(
+        self, x: np.ndarray, m: np.ndarray, terms: Optional[KernelTerms] = None
+    ) -> np.ndarray:
+        return self._ard_grad_dot(x, m, terms)
 
 
 KERNELS = {"rbf": RBF, "matern52": Matern52}

@@ -629,6 +629,13 @@ class _NotPDAboveVariance2(Matern52):
             return np.full_like(sq, -1.0)
         return super().from_sq_dists(sq)
 
+    def lml_terms(self, x):
+        # The hyperfit objective's covariance source.
+        terms = super().lml_terms(x)
+        if self.variance > 2.0:
+            return terms._replace(k=np.full_like(terms.k, -1.0))
+        return terms
+
 
 class TestLMLFailureDiagnostics:
     def test_failed_evaluations_surface_in_diagnostics(self, monkeypatch):

@@ -712,12 +712,57 @@ class TestFusedObjective:
             assert fused.log_marginal_likelihood() == other.log_marginal_likelihood()
 
 
+class TestGradientCallCount:
+    """A successful objective evaluation calls ``grad_log_params_dot``
+    exactly once and a sentinel evaluation never: the benchmark tracer
+    counts LML evaluations by wrapping that method on the kernel class."""
+
+    @pytest.mark.parametrize("kernel_cls", [RBF, Matern52])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_one_call_per_evaluation_none_per_sentinel(
+        self, kernel_cls, scaled, monkeypatch
+    ):
+        original = kernel_cls.grad_log_params_dot
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_cls, "grad_log_params_dot", counted)
+        rng = np.random.default_rng(7)
+        x = rng.random((10, 3))
+        z = rng.standard_normal(10)
+        scale = np.linspace(1.0, 4.0, 10) if scaled else None
+        params = np.zeros(kernel_cls(3).num_params())
+
+        def calls_made(noise, fit_noise, targets=z, sentinel=False):
+            objective = _LMLObjective(kernel_cls(3), x, targets, noise, fit_noise, scale)
+            log_params = np.append(params, np.log(1e-2)) if fit_noise else params
+            before = len(calls)
+            assert (objective(log_params)[0] == 1e12) == sentinel
+            return len(calls) - before
+
+        assert calls_made(1e-2, False) == 1
+        assert calls_made(1e-2, True) == 1
+        # Not PD at any jitter rung, then a non-finite LML: both sentinels.
+        assert calls_made(-1.0, False, sentinel=True) == 0
+        assert calls_made(1e-2, False, np.full(10, np.inf), sentinel=True) == 0
+
+
 class _NotPDMatern52(Matern52):
     """Every covariance entry is -1, so ``K + noise I`` is not PD at any
-    jitter rung (along the all-ones vector it is ``noise + jitter - n``)."""
+    jitter rung (along the all-ones vector it is ``noise + jitter - n``).
+
+    Both covariance sources are overridden: ``from_sq_dists`` (posterior
+    and prediction) and ``lml_terms`` (the hyperfit objective)."""
 
     def from_sq_dists(self, sq):
         return np.full_like(sq, -1.0)
+
+    def lml_terms(self, x):
+        terms = super().lml_terms(x)
+        return terms._replace(k=np.full_like(terms.k, -1.0))
 
 
 class TestLMLFailures:
