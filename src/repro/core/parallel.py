@@ -36,10 +36,6 @@ constant-liar round extend one cached Cholesky factor in O(n^2) apiece
 surrogates from scratch, and because fantasies carry the ``"fantasy"``
 fidelity they never advance the proposer's hyperparameter-refit cadence —
 a round costs at most one refit, not k (see :mod:`repro.core.bo`).
-
-:func:`run_parallel_round` predates the executor layer and is kept as a
-convenience for driving a bare proposer; new code should run a
-``TuningSession`` with a ``ParallelExecutor`` or ``AsyncExecutor`` instead.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.configspace import ConfigDict, ConfigSpace, to_training_config
+from repro.configspace import ConfigDict, to_training_config
 from repro.core.bo import BayesianProposer
 from repro.core.trial import TrialHistory
 from repro.mlsim import Measurement
@@ -233,25 +229,3 @@ def propose_async(
         _append_fantasy(extended, config, lie_value, cost_lie * cost_scale)
     return proposer.propose(extended, rng, shard_weight=shard_weight)
 
-
-def run_parallel_round(
-    proposer: BayesianProposer,
-    env,
-    space: ConfigSpace,
-    history: TrialHistory,
-    rng: np.random.Generator,
-    batch_size: int,
-) -> List:
-    """Propose a batch, probe every member, and record the real results.
-
-    Returns the recorded trials.  Probes are simulated sequentially (the
-    simulation has no wall-clock), but the *cost accounting* is what a
-    parallel deployment would see: the caller can divide the round's probe
-    cost by ``batch_size`` when modelling wall-clock speedup.
-    """
-    batch = propose_batch(proposer, history, rng, batch_size)
-    trials = []
-    for config in batch:
-        measurement = env.measure(to_training_config(config))
-        trials.append(history.record(config, measurement))
-    return trials

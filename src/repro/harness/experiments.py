@@ -46,7 +46,6 @@ from repro.mlsim import (
     DEFAULT_CONFIG,
     TrainingConfig,
     TrainingEnvironment,
-    estimate,
 )
 from repro.workloads import MODEL_ZOO, SUITE, core_suite, get_workload
 

@@ -12,7 +12,12 @@ reproduces exactly that interface on top of the simulators:
   exactly as they would on a real cluster;
 - measurements carry multiplicative lognormal noise, and the environment
   tracks the cumulative probe cost so the harness can report search cost in
-  simulated machine-hours.
+  simulated machine-hours;
+- ``true_objective`` / ``true_objective_batch`` give the noise-free
+  objective the harness normalises against (tuners never see it).  They
+  run the batch engine (:func:`~repro.mlsim.perf.estimate_columns`);
+  analytic probes run the scalar model (:func:`~repro.mlsim.perf.estimate`),
+  which is faster for one config.  The two agree bit for bit.
 
 Two fidelity modes share one external behaviour: ``"analytic"`` uses the
 closed-form model (fast — used for the large benchmark sweeps), ``"event"``
@@ -28,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster import Cluster, ClusterSpec, PlacementError, place
+from repro.cluster import Cluster, ClusterSpec
 from repro.mlsim.allreduce import run_allreduce_probe
 from repro.mlsim.config import TrainingConfig
 from repro.mlsim.drift import DriftSchedule, DriftState
@@ -37,8 +42,8 @@ from repro.mlsim.perf import (
     InfeasibleConfigError,
     PerfColumns,
     estimate,
-    estimate_batch,
     estimate_columns,
+    place_config,
 )
 from repro.mlsim.ps import run_ps_probe
 from repro.sim import RngRegistry, Simulator
@@ -248,99 +253,6 @@ class TrainingEnvironment:
         self.total_probe_cost_s += measurement.probe_cost_s
         return measurement
 
-    def measure_batch(
-        self,
-        configs: Sequence[TrainingConfig],
-        probe_iterations: Optional[int] = None,
-        charge_startup: bool = True,
-    ) -> List[Measurement]:
-        """Probe many configurations in one call.
-
-        Identical to ``[self.measure(c, ...) for c in configs]`` — same
-        trial-index assignment, same per-trial noise and failure streams
-        (they are keyed by trial index, not by call order), same
-        measurements bit-for-bit — but the analytic fidelity evaluates the
-        whole batch through :func:`~repro.mlsim.perf.estimate_batch`
-        instead of one closed-form solve per probe.  The event fidelity
-        has no batched form and falls back to the scalar loop.
-        """
-        configs = [config.canonical() for config in configs]
-        iterations = (
-            probe_iterations if probe_iterations is not None else self.probe_iterations
-        )
-        if iterations < 2:
-            raise ValueError("probe_iterations must be >= 2")
-        if self.fidelity != "analytic":
-            return [
-                self.measure(config, probe_iterations, charge_startup)
-                for config in configs
-            ]
-        batch = estimate_batch(
-            configs,
-            self.workload,
-            self.cluster,
-            node_speed_factors=self._node_speed_factors(),
-        )
-        results: List[Measurement] = []
-        for i, config in enumerate(configs):
-            trial_index = self.trials_run
-            self.trials_run += 1
-            failure_rate = self.transient_failure_rate
-            extra = self.extra_failure_rate
-            if self.drift is not None:
-                extra += self._drift_state().failure_rate_boost
-            if extra > 0:
-                failure_rate = min(failure_rate + extra, 0.999)
-            if failure_rate > 0:
-                failure_rng = (
-                    RngRegistry(self.seed)
-                    .fork(trial_index + 1)
-                    .stream("transient.failure")
-                )
-                if failure_rng.random() < failure_rate:
-                    wasted = STARTUP_OVERHEAD_S * (1.0 + 2.0 * failure_rng.random())
-                    measurement = Measurement(
-                        config=config,
-                        ok=False,
-                        fidelity=self.fidelity,
-                        error="transient worker failure (injected)",
-                        probe_cost_s=(
-                            wasted
-                            if charge_startup
-                            else max(0.0, wasted - STARTUP_OVERHEAD_S)
-                        ),
-                    )
-                    self.total_probe_cost_s += measurement.probe_cost_s
-                    results.append(measurement)
-                    continue
-            if batch.ok[i]:
-                measurement = self._finish(
-                    config,
-                    float(batch.throughput[i]),
-                    float(batch.iteration_time_s[i]),
-                    float(batch.mean_staleness[i]),
-                    trial_index,
-                    iterations,
-                )
-                if not charge_startup:
-                    measurement = replace(
-                        measurement,
-                        probe_cost_s=max(
-                            0.0, measurement.probe_cost_s - STARTUP_OVERHEAD_S
-                        ),
-                    )
-            else:
-                measurement = Measurement(
-                    config=config,
-                    ok=False,
-                    fidelity=self.fidelity,
-                    error=self._infeasible_error(config),
-                    probe_cost_s=STARTUP_OVERHEAD_S if charge_startup else 0.0,
-                )
-            self.total_probe_cost_s += measurement.probe_cost_s
-            results.append(measurement)
-        return results
-
     def true_objective(
         self, config: TrainingConfig, at_s: Optional[float] = None
     ) -> Optional[float]:
@@ -350,44 +262,27 @@ class TrainingEnvironment:
         optimum — not available to tuners.  Under a drift schedule the
         objective is time-varying; ``at_s`` evaluates it at a specific
         virtual timestamp (default: the environment's current clock).
+
+        A one-row :meth:`true_objective_batch`: the truth path is the batch
+        engine, the probe path (:meth:`measure`) the scalar model, and a
+        noise-free successful probe reads the same value bit for bit.
         """
-        config = config.canonical()
-        try:
-            perf = estimate(
-                config,
-                self.workload,
-                self.cluster,
-                self._worker_speeds(config, at_s=at_s),
-            )
-        except InfeasibleConfigError:
-            return None
-        throughput = perf.throughput
-        if self.drift is not None:
-            state = self._drift_state(at_s)
-            if state.intensity != 1.0:
-                throughput = throughput / state.intensity
-        if self.objective_name == "throughput":
-            return throughput
-        return -self._tta(
-            throughput,
-            perf.mean_staleness,
-            config.global_batch,
-            config.compression_ratio,
-        )
+        value = float(self.true_objective_batch([config], at_s)[0])
+        return None if math.isnan(value) else value
 
     def true_objective_batch(
         self, configs: Sequence[TrainingConfig], at_s: Optional[float] = None
     ) -> np.ndarray:
         """Noise-free objectives for a whole batch; NaN marks infeasible.
 
-        The vectorised twin of :meth:`true_objective`: feasible rows are
-        bit-identical to the scalar call at the same ``at_s``, infeasible
-        rows come back NaN (the array analogue of the scalar ``None``).
-        This is what lets :func:`~repro.harness.estimate_optimum` evaluate
-        thousands of candidates per call instead of one.
+        Infeasible rows come back NaN (the array analogue of
+        :meth:`true_objective`'s ``None``).  This is what lets
+        :func:`~repro.harness.estimate_optimum` evaluate thousands of
+        candidates per call instead of one.
 
-        No canonicalisation pass: :func:`~repro.mlsim.perf.estimate_batch`
-        accepts raw configs, and the objective terms read downstream
+        No canonicalisation pass: :meth:`PerfColumns.from_configs
+        <repro.mlsim.perf.PerfColumns.from_configs>` accepts raw configs,
+        and the objective terms read downstream
         (``global_batch``, ``compression_ratio``) are canonicalisation
         invariants.
         """
@@ -401,8 +296,8 @@ class TrainingEnvironment:
         The zero-object entry point: callers that already hold knob
         columns (:func:`~repro.harness.estimate_optimum` stacking encoded
         candidate matrices) skip per-row ``TrainingConfig`` construction
-        entirely.  Same contract — feasible rows bit-identical to the
-        scalar path, NaN elsewhere.
+        entirely.  Same contract: feasible rows equal a noise-free
+        :meth:`measure`'s objective bit for bit, NaN elsewhere.
         """
         batch = estimate_columns(
             columns,
@@ -435,32 +330,17 @@ class TrainingEnvironment:
         t = self.clock_s if at_s is None else float(at_s)
         return self.drift.state_at(t, self.cluster.total_nodes)
 
-    def _worker_speeds(self, config: TrainingConfig, at_s: Optional[float] = None):
-        try:
-            placement = place(
-                self.cluster.total_nodes,
-                config.num_ps if config.uses_ps else 0,
-                config.num_workers,
-                config.colocate_ps if config.uses_ps else False,
-            )
-        except PlacementError as exc:
-            raise InfeasibleConfigError(str(exc)) from exc
-        if self.drift is None:
-            return [self._speed_factors[n] for n in placement.worker_nodes]
-        state = self._drift_state(at_s)
-        if state.is_identity:
-            return [self._speed_factors[n] for n in placement.worker_nodes]
-        return [
-            self._speed_factors[n] * state.node_scale(n)
-            for n in placement.worker_nodes
-        ]
+    def _worker_speeds(self, config: TrainingConfig) -> List[float]:
+        """Speed factors of ``config``'s workers, in placement order."""
+        factors = self._node_speed_factors().tolist()
+        return [factors[n] for n in place_config(config, self.cluster).worker_nodes]
 
     def _node_speed_factors(self, at_s: Optional[float] = None) -> np.ndarray:
         """Per-*node* speed factors at ``at_s`` (drift included).
 
         The batched estimator indexes by node id because different rows
-        place their workers on different nodes; ``_worker_speeds`` is the
-        same data gathered for one config's placement.
+        place their workers on different nodes; ``_worker_speeds`` gathers
+        them over one config's placement for the scalar model.
         """
         if self.drift is None:
             return np.asarray(self._speed_factors, dtype=float)
@@ -473,21 +353,6 @@ class TrainingEnvironment:
                 for node, factor in enumerate(self._speed_factors)
             ],
             dtype=float,
-        )
-
-    def _infeasible_error(self, config: TrainingConfig) -> str:
-        """The scalar path's error message for an infeasible config.
-
-        The batch mask only says *that* a row is infeasible; the message
-        (placement vs memory vs batch floor) comes from replaying the
-        scalar checks, which raise before any heavy work.
-        """
-        try:
-            estimate(config, self.workload, self.cluster, self._worker_speeds(config))
-        except InfeasibleConfigError as exc:
-            return str(exc)
-        raise RuntimeError(
-            "estimate_batch marked a row infeasible that the scalar model accepts"
         )
 
     def _tta_batch(

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.cluster import ClusterSpec, PlacementError, place
+from repro.cluster import ClusterSpec, Placement, PlacementError, place
 from repro.mlsim.config import DEFAULT_CONFIG, _PRECISION_FACTOR, TrainingConfig
 from repro.mlsim.pipeline import (
     DECODE_BYTES_PER_CORE_PER_SEC,
@@ -87,17 +87,14 @@ class PerfEstimate:
     bottleneck: str
 
 
-def check_feasible(
-    config: TrainingConfig, workload: Workload, cluster: ClusterSpec
-) -> None:
-    """Raise :class:`InfeasibleConfigError` if the config cannot run.
+def place_config(config: TrainingConfig, cluster: ClusterSpec) -> Placement:
+    """The config's role placement on ``cluster``.
 
-    Checks machine count (placement) and worker memory (model replica +
-    optimizer state + activations must fit).  These are the two failure
-    modes a real tuner observes as crashed trials.
+    Raises :class:`InfeasibleConfigError` when the cluster has too few
+    machines.
     """
     try:
-        place(
+        return place(
             cluster.total_nodes,
             config.num_ps if config.uses_ps else 0,
             config.num_workers,
@@ -105,6 +102,19 @@ def check_feasible(
         )
     except PlacementError as exc:
         raise InfeasibleConfigError(str(exc)) from exc
+
+
+def check_feasible(
+    config: TrainingConfig, workload: Workload, cluster: ClusterSpec
+) -> Placement:
+    """Raise :class:`InfeasibleConfigError` if the config cannot run.
+
+    Checks machine count (placement) and worker memory (model replica +
+    optimizer state + activations must fit).  These are the two failure
+    modes a real tuner observes as crashed trials.  Returns the placement
+    it built, so :func:`estimate` places each config once.
+    """
+    placement = place_config(config, cluster)
 
     model = workload.model
     # Weights + gradients + optimizer state (momentum): 3x parameters.
@@ -129,6 +139,7 @@ def check_feasible(
             f"io_threads {config.io_threads} leaves no compute cores on a "
             f"{min_cores}-core node"
         )
+    return placement
 
 
 def _straggler_tail_factor(num_workers: int, jitter_cv: float) -> float:
@@ -148,20 +159,15 @@ def worker_compute_times(
     workload: Workload,
     cluster: ClusterSpec,
     speed_factors: Sequence[float],
+    placement: Placement,
 ) -> List[float]:
     """Per-worker mean compute time for one local minibatch.
 
-    ``speed_factors`` has one entry per *worker*, in placement order,
+    ``speed_factors`` has one entry per *worker*, in ``placement`` order,
     already including persistent-straggler slowdowns.
     """
     flops = workload.model.flops_per_sample * config.batch_per_worker
     node_specs = cluster.node_specs()
-    placement = place(
-        cluster.total_nodes,
-        config.num_ps if config.uses_ps else 0,
-        config.num_workers,
-        config.colocate_ps if config.uses_ps else False,
-    )
     times = []
     for rank, node_id in enumerate(placement.worker_nodes):
         spec = node_specs[node_id]
@@ -205,7 +211,7 @@ def estimate(
     Raises :class:`InfeasibleConfigError` for unrunnable configurations.
     """
     config = config.canonical()
-    check_feasible(config, workload, cluster)
+    placement = check_feasible(config, workload, cluster)
     if speed_factors is None:
         speed_factors = [1.0] * config.num_workers
     if len(speed_factors) != config.num_workers:
@@ -215,25 +221,23 @@ def estimate(
 
     model = workload.model
     grad_bytes = model.param_bytes * config.gradient_bytes_factor
-    comp_times = worker_compute_times(config, workload, cluster, speed_factors)
+    comp_times = worker_compute_times(config, workload, cluster, speed_factors, placement)
     mean_comp = sum(comp_times) / len(comp_times)
     tail = _straggler_tail_factor(config.num_workers, cluster.jitter_cv)
     max_comp = max(comp_times) * tail
 
     if config.uses_ps:
-        return _estimate_ps(config, workload, cluster, grad_bytes, comp_times, mean_comp, max_comp)
-    return _estimate_allreduce(config, cluster, grad_bytes, max_comp)
+        return _estimate_ps(
+            config, cluster, placement, grad_bytes, comp_times, mean_comp, max_comp
+        )
+    return _estimate_allreduce(config, cluster, placement, grad_bytes, max_comp)
 
 
-def _nic_rates(config: TrainingConfig, cluster: ClusterSpec) -> tuple:
+def _nic_rates(
+    config: TrainingConfig, cluster: ClusterSpec, placement: Placement
+) -> tuple:
     """(worker NIC, PS NIC) bytes/sec, accounting for colocation sharing."""
     node_specs = cluster.node_specs()
-    placement = place(
-        cluster.total_nodes,
-        config.num_ps if config.uses_ps else 0,
-        config.num_workers,
-        config.colocate_ps if config.uses_ps else False,
-    )
     worker_nic = min(node_specs[n].nic_bytes_per_sec for n in placement.worker_nodes)
     if config.uses_ps and placement.ps_nodes:
         ps_nic = min(node_specs[n].nic_bytes_per_sec for n in placement.ps_nodes)
@@ -251,14 +255,14 @@ def _nic_rates(config: TrainingConfig, cluster: ClusterSpec) -> tuple:
 
 def _estimate_ps(
     config: TrainingConfig,
-    workload: Workload,
     cluster: ClusterSpec,
+    placement: Placement,
     grad_bytes: float,
     comp_times: Sequence[float],
     mean_comp: float,
     max_comp: float,
 ) -> PerfEstimate:
-    worker_nic, ps_nic = _nic_rates(config, cluster)
+    worker_nic, ps_nic = _nic_rates(config, cluster, placement)
     latency = cluster.latency_s
     shard_bytes = grad_bytes / config.num_ps
 
@@ -332,12 +336,12 @@ def _estimate_ps(
 def _estimate_allreduce(
     config: TrainingConfig,
     cluster: ClusterSpec,
+    placement: Placement,
     grad_bytes: float,
     max_comp: float,
 ) -> PerfEstimate:
     n = config.num_workers
     node_specs = cluster.node_specs()
-    placement = place(cluster.total_nodes, 0, n, False)
     ring_nic = min(node_specs[i].nic_bytes_per_sec for i in placement.worker_nodes)
     latency = cluster.latency_s
     if n == 1:

@@ -14,7 +14,6 @@ from repro.core.parallel import (
     _fantasy_lies,
     propose_async,
     propose_batch,
-    run_parallel_round,
 )
 from repro.core.stopping import (
     CostCapRule,
@@ -170,19 +169,6 @@ class TestConstantLiar:
         before = len(history)
         propose_batch(proposer, history, np.random.default_rng(2), batch_size=3)
         assert len(history) == before
-
-    def test_run_parallel_round_records_real_results(self):
-        env = TrainingEnvironment(
-            get_workload("resnet50-imagenet"), homogeneous(8), seed=0
-        )
-        space = ml_config_space(8)
-        proposer = BayesianProposer(space, n_initial=4, n_candidates=128, seed=0)
-        history = TrialHistory()
-        rng = np.random.default_rng(0)
-        trials = run_parallel_round(proposer, env, space, history, rng, batch_size=3)
-        assert len(trials) == 3
-        assert len(history) == 3
-        assert all(t.measurement.fidelity == "analytic" for t in trials)
 
     def test_validation(self):
         space, proposer, history = self._setup()
