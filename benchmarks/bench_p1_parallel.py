@@ -2,8 +2,9 @@
 
 The table runs the BO tuner under serial and parallel executors on one
 trial budget and reports both cost axes (machine hours vs wall-clock
-hours).  The timed kernel is one constant-liar batch proposal — the
-per-round overhead a ParallelExecutor adds on top of probing.
+hours).  The timed kernel is one constant-liar round of proposals, each
+member fantasising its predecessors as a ParallelExecutor asks for them —
+the per-round overhead the executor adds on top of probing.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import emit
 from repro.configspace import ml_config_space
 from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
-from repro.core.parallel import propose_batch
+from repro.core.parallel import propose_async
 from repro.harness.experiments import exp_p1_parallel_speedup
 from repro.mlsim import Measurement, TrainingConfig
 
@@ -25,7 +26,7 @@ def bench_p1_parallel(benchmark):
     )
     assert "wall-clock hours" in table
 
-    # Timed kernel: one 4-point constant-liar batch on a 20-trial history.
+    # Timed kernel: one 4-member constant-liar round on a 20-trial history.
     space = ml_config_space(16)
     rng = np.random.default_rng(0)
     history = TrialHistory()
@@ -44,7 +45,11 @@ def bench_p1_parallel(benchmark):
     proposer = BayesianProposer(space, n_initial=8, n_candidates=128, seed=0)
 
     def kernel():
-        return propose_batch(proposer, history, np.random.default_rng(1), batch_size=4)
+        rng = np.random.default_rng(1)
+        batch = []
+        for _ in range(4):
+            batch.append(propose_async(proposer, history, list(batch), rng))
+        return batch
 
     batch = benchmark(kernel)
     assert len(batch) == 4

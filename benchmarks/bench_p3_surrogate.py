@@ -56,7 +56,7 @@ from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
 from repro.core.gp import GaussianProcess, SparseGaussianProcess
 from repro.core.kernels import make_kernel
-from repro.core.parallel import propose_batch
+from repro.core.parallel import propose_async
 from repro.mlsim import Measurement, TrainingConfig
 
 SCHEMA = "bench_p3_surrogate/v4"
@@ -145,7 +145,11 @@ def time_propose(space, n, repeats, seed=0):
 
 
 def time_batch_round(space, n, k, repeats, seed=0):
-    """(median ms, full fits) of one k-wide constant-liar proposal round."""
+    """(median ms, full fits) of one k-wide constant-liar proposal round.
+
+    Each member is proposed as a ParallelExecutor asks for it: one
+    :func:`propose_async` call with the round's earlier members pending.
+    """
     history = _history(space, n, seed=seed)
     proposer = _proposer(space, seed=seed)
     rng = np.random.default_rng(seed + 2)
@@ -154,7 +158,9 @@ def time_batch_round(space, n, k, repeats, seed=0):
     with _count_fits() as fits:
         for _ in range(repeats):
             start = time.perf_counter()
-            batch = propose_batch(proposer, history, rng, k)
+            batch = []
+            for _ in range(k):
+                batch.append(propose_async(proposer, history, list(batch), rng))
             samples.append((time.perf_counter() - start) * 1e3)
             for config in batch:
                 _record_objective(history, config, rng)

@@ -39,7 +39,8 @@ def main() -> None:
     )
 
     print(f"\nNow probing {workers} configurations per round "
-          f"(constant-liar batches, trial log -> {trial_log}):")
+          f"(each member proposed with its round-mates fantasised by the "
+          f"constant liar, trial log -> {trial_log}):")
     parallel = MLConfigTuner(seed=0).run(
         TrainingEnvironment(workload, cluster, seed=0),
         space,

@@ -9,14 +9,13 @@ the ablations isolate.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.bo import BayesianProposer
 from repro.core.parallel import propose_async as constant_liar_async
-from repro.core.parallel import propose_batch as constant_liar_batch
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 
@@ -85,27 +84,6 @@ class CherryPick(SearchStrategy):
         self._maybe_stop(history)
         return config
 
-    def propose_batch(
-        self,
-        history: TrialHistory,
-        space: ConfigSpace,
-        rng: np.random.Generator,
-        k: int,
-        shards=None,
-    ) -> List[ConfigDict]:
-        """Constant-liar batch, same as the paper's tuner uses.
-
-        The EI-threshold stopping rule still applies: the check runs on
-        the last (fantasy-extended) fit, so a parallel session stops at
-        the same convergence signal a serial one would.  On a fleet, each
-        member's fantasy lies with its own shard's probe speed.
-        """
-        batch = constant_liar_batch(
-            self._ensure_proposer(space), history, rng, k, shards=shards
-        )
-        self._maybe_stop(history)
-        return batch
-
     def propose_async(
         self,
         history: TrialHistory,
@@ -131,17 +109,23 @@ class CherryPick(SearchStrategy):
         return config
 
     def _maybe_stop(self, history: TrialHistory) -> None:
-        if len(history) < self.min_trials:
-            return
+        """Set the stop flag from the latest fit's EI-threshold verdict.
+
+        The flag is assigned, not latched: a barrier round proposes each
+        member in turn, and its verdict is the last member's fit — the
+        fit conditioned on every round-mate.  Serial and asynchronous
+        sessions never propose again once the flag is set.
+        """
         diagnostics = self._proposer.last_fit_diagnostics
-        if not diagnostics:
-            return
         incumbent = diagnostics.get("incumbent")
         acq = diagnostics.get("acquisition_value")
-        if incumbent is None or acq is None or incumbent == 0:
-            return
-        if acq < self.ei_stop_fraction * abs(incumbent):
-            self._stopped = True
+        self._stopped = (
+            len(history) >= self.min_trials
+            and incumbent is not None
+            and acq is not None
+            and incumbent != 0
+            and acq < self.ei_stop_fraction * abs(incumbent)
+        )
 
     def finished(self, history: TrialHistory, space: ConfigSpace) -> bool:
         return self._stopped

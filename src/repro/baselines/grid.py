@@ -9,7 +9,7 @@ variant used in the tuning literature.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -56,29 +56,23 @@ class GridSearch(SearchStrategy):
         self._cursor += 1
         return point
 
-    def propose_batch(
+    def propose_async(
         self,
         history: TrialHistory,
+        pending: Sequence[ConfigDict],
         space: ConfigSpace,
         rng: np.random.Generator,
-        k: int,
-        shards=None,
-    ) -> List[ConfigDict]:
-        """Up to ``k`` remaining grid points.
+        shard=None,
+    ) -> Optional[ConfigDict]:
+        """The next grid point, or ``None`` once the grid is exhausted.
 
-        Unlike the default hook, the batch never pads past the end of the
-        grid with random samples — the round just comes back short and the
-        session stops at exhaustion, matching serial semantics.
+        Unlike :meth:`propose`, a launch never pads past the end of the
+        grid with random samples: a barrier round just comes back short
+        and the session stops at exhaustion, matching serial semantics.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self._points is None:
-            self._materialise(space)
-        batch = []
-        while len(batch) < k and self._cursor < len(self._points):
-            batch.append(self._points[self._cursor])
-            self._cursor += 1
-        return batch
+        if self.finished(history, space):
+            return None
+        return self.propose(history, space, rng)
 
     def finished(self, history: TrialHistory, space: ConfigSpace) -> bool:
         if self._points is None:

@@ -109,30 +109,6 @@ class SuccessiveHalving(SearchStrategy):
         self._next_probe_iterations = self._rung_iterations
         return self._pending.pop(0)
 
-    def propose_batch(
-        self,
-        history: TrialHistory,
-        space: ConfigSpace,
-        rng: np.random.Generator,
-        k: int,
-        shards=None,
-    ) -> List[ConfigDict]:
-        """Up to ``k`` members of the *current* rung.
-
-        The default hook would call :meth:`propose` k times, which can
-        cross a rung boundary mid-batch: promotion would then run on
-        partial rung results and later members would be probed at the next
-        rung's fidelity.  Restricting a round to one rung keeps every
-        member at the same probe length; the round simply comes back short
-        at a rung boundary.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        batch = [self.propose(history, space, rng)]
-        while len(batch) < k and self._pending:
-            batch.append(self._pending.pop(0))
-        return batch
-
     def propose_async(
         self,
         history: TrialHistory,
@@ -148,7 +124,10 @@ class SuccessiveHalving(SearchStrategy):
         ``None``) instead of promoting on partial results — which would
         also push the in-flight members' old-fidelity objectives into the
         next rung's result set.  While the rung still has unlaunched
-        members they launch freely; they all share one probe length.
+        members they launch freely; they all share one probe length.  A
+        barrier round therefore stays within one rung: it comes back short
+        at a rung boundary instead of probing later members at the next
+        rung's fidelity.
         """
         if not self._pending and pending:
             return None

@@ -516,16 +516,6 @@ class CheckpointJournal:
         """True while durable probe records remain to be replayed."""
         return self._cursor < len(self._probes)
 
-    @property
-    def preloaded_trials(self) -> int:
-        """Number of trial records loaded from the WAL (the replay region)."""
-        return len(self._trials)
-
-    @property
-    def probe_count(self) -> int:
-        """Total probe records, preloaded plus appended this session."""
-        return self._probe_count
-
     def next_probe_record(self) -> Optional[dict]:
         """The next probe record to replay, or None once live."""
         if self._cursor >= len(self._probes):
@@ -751,9 +741,6 @@ class JournalledStrategy(SearchStrategy):
 
     def propose(self, history, space, rng) -> ConfigDict:
         return self.inner.propose(history, space, rng)
-
-    def propose_batch(self, history, space, rng, k, shards=None):
-        return self.inner.propose_batch(history, space, rng, k, shards=shards)
 
     def propose_async(self, history, pending, space, rng, shard=None):
         return self.inner.propose_async(history, pending, space, rng, shard=shard)

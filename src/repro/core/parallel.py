@@ -9,22 +9,22 @@ because the fantasised observation kills the acquisition around each
 already-chosen point.
 
 This module is the proposal half of the session/executor architecture in
-:mod:`repro.core.session`, whose one execution engine asks for proposals
-in two ways:
+:mod:`repro.core.session`, whose one execution engine asks for every
+launch through one hook, :meth:`SearchStrategy.propose_async` →
+:func:`propose_async`, fantasising over the configurations still in
+flight:
 
-- the round barrier (:class:`~repro.core.session.ParallelExecutor`)
-  requests a whole round via :meth:`SearchStrategy.propose_batch` →
-  :func:`propose_batch`;
 - the barrier-free drain (:class:`~repro.core.session.AsyncExecutor`, and
   :class:`~repro.core.session.SerialExecutor` with nothing in flight)
-  requests one point per freed slot via
-  :meth:`SearchStrategy.propose_async` → :func:`propose_async`,
-  fantasising over the configurations still in flight on the other slots.
+  asks once per freed slot, with the probes running on the other slots
+  pending;
+- the round barrier (:class:`~repro.core.session.ParallelExecutor`) asks
+  once per round member, with the round's earlier members pending — so
+  member m of a round is the constant liar's m-th point.
 
-Both paths share the same lie computation (:func:`_fantasy_lies`) and
-fantasy construction: the fantasy lies about the objective *and* the probe
-cost (a zero cost would poison a cost-aware proposer's cost surrogate),
-and its :class:`~repro.mlsim.Measurement` carries the fantasy's own typed
+The fantasy lies about the objective *and* the probe cost (a zero cost
+would poison a cost-aware proposer's cost surrogate), and its
+:class:`~repro.mlsim.Measurement` carries the fantasy's own typed
 configuration, so consumers reading ``measurement.config`` (cost models,
 importance analysis, logs) see the knob values that were actually
 fantasised.
@@ -40,7 +40,7 @@ a round costs at most one refit, not k (see :mod:`repro.core.bo`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,21 +95,12 @@ def _append_fantasy(
     config: ConfigDict,
     lie_value: Optional[float],
     cost_lie: float,
-    shard: Optional[str] = None,
 ) -> None:
     """Record one fantasy trial for ``config`` on the working history.
 
     A ``None`` lie (no successful trial to lie about) records the fantasy
     as a failed probe: it still documents that machine time is committed
     at ``config`` without fabricating an objective value.
-
-    ``shard`` stamps the fantasy with the shard the probe will occupy, so
-    a shard-conditioned cost surrogate encodes the (shard-scaled) cost lie
-    at that shard's own weight — the batch path's fantasies can then carry
-    *different* shards within one round, which the single target-weight
-    fallback (:meth:`BayesianProposer._row_weight`) cannot express.  The
-    stamp lives only on the cloned working history, so per-shard cost
-    itemisation never sees a fantasy.
     """
     extended.record(
         config,
@@ -120,70 +111,7 @@ def _append_fantasy(
             objective=lie_value,
             probe_cost_s=cost_lie,
         ),
-        shard=shard,
     )
-
-
-def propose_batch(
-    proposer: BayesianProposer,
-    history: TrialHistory,
-    rng: np.random.Generator,
-    batch_size: int,
-    lie: str = "incumbent",
-    shards: Optional[Sequence] = None,
-) -> List[ConfigDict]:
-    """Propose ``batch_size`` diverse configurations for parallel probing.
-
-    ``lie`` selects the fantasy value: ``"incumbent"`` (the constant liar —
-    conservative, strongly diversifying) or ``"mean"`` (the mean of
-    observed objectives — milder).
-
-    ``shards`` carries the round's shard assignments (one
-    :class:`~repro.core.fleet.ShardDescriptor` or ``None`` per member, in
-    batch order) when the round fans across a heterogeneous pool.  Each
-    member's proposal then scores candidates at its own shard's
-    ``cost_multiplier``, and its fantasy commits the probe-cost lie scaled
-    to that shard's speed and stamped with the shard name — so the round
-    is no longer shard-blind: a member bound for a 1.5x shard lies about
-    1.5x the machine seconds, at the right weight in a shard-conditioned
-    cost surrogate.
-
-    One metadata-preserving working copy of the history is built per call
-    (:meth:`TrialHistory.clone`) and fantasies are appended to it
-    incrementally — O(n + k) bookkeeping per round rather than the O(k·n)
-    full replay a per-fantasy rebuild would cost, and the replayed trials
-    keep their round/wall-clock stamps.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if lie not in ("incumbent", "mean"):
-        raise ValueError(f"lie must be 'incumbent' or 'mean', got {lie!r}")
-    if shards is not None and len(shards) < batch_size:
-        raise ValueError(
-            f"shards has {len(shards)} entries for a batch of {batch_size}"
-        )
-
-    lie_value, cost_lie = _fantasy_lies(history, lie)
-    extended = history.clone()
-    batch: List[ConfigDict] = []
-    for member in range(batch_size):
-        shard = shards[member] if shards is not None else None
-        if shard is None:
-            config = proposer.propose(extended, rng)
-            _append_fantasy(extended, config, lie_value, cost_lie)
-        else:
-            config = proposer.propose(
-                extended, rng, shard_weight=shard.cost_multiplier
-            )
-            _append_fantasy(
-                extended,
-                config,
-                lie_value,
-                cost_lie * shard.cost_multiplier,
-                shard=shard.name,
-            )
-        batch.append(config)
-    return batch
 
 
 def propose_async(
@@ -197,11 +125,17 @@ def propose_async(
 ) -> ConfigDict:
     """Propose one configuration conditioned on in-flight probes.
 
-    The asynchronous analogue of :func:`propose_batch`: the worker that
-    just freed up needs exactly one point, but the other workers are still
-    probing ``pending`` — fantasising those as constant-liar observations
-    steers the acquisition away from points already being evaluated.  With
-    no pending probes this is a plain sequential proposal.
+    The launch needs exactly one point, but ``pending`` configurations are
+    already committed — probing on other workers, or proposed earlier in
+    the same barrier round — and fantasising those as constant-liar
+    observations steers the acquisition away from them.  With no pending
+    probes this is a plain sequential proposal.
+
+    ``lie`` selects the fantasy value: ``"incumbent"`` (the constant liar —
+    conservative, strongly diversifying) or ``"mean"`` (the mean of
+    observed objectives — milder).  One metadata-preserving working copy
+    of the history is built per call (:meth:`TrialHistory.clone`), so the
+    replayed trials keep their round and wall-clock stamps.
 
     ``cost_scale`` scales the probe-cost lie to the target shard's probe
     speed when the session fans across a heterogeneous
@@ -211,11 +145,11 @@ def propose_async(
     predict probe cost *at the target shard* (see
     :class:`~repro.core.bo.BayesianProposer`).  Deliberate
     approximation: every pending fantasy is priced at the *target*
-    shard's scale, not at the shard each in-flight probe actually
-    occupies (the strategy-facing ``pending`` contract carries
-    configurations only) — with the shard cost feature on, the fantasy
-    rows are encoded at the same target weight, so the surrogate's
-    weight→cost relationship stays internally consistent.
+    shard's scale, not at the shard each in-flight probe (or earlier
+    round member) actually occupies — the strategy-facing ``pending``
+    contract carries configurations only.  With the shard cost feature
+    on, the fantasy rows are encoded at the same target weight, so the
+    surrogate's weight→cost relationship stays internally consistent.
     """
     if lie not in ("incumbent", "mean"):
         raise ValueError(f"lie must be 'incumbent' or 'mean', got {lie!r}")

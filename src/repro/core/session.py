@@ -12,10 +12,14 @@ probe path, one outage wait — and three presets of it:
   :meth:`SearchStrategy.propose_async` conditioned on the probes still in
   flight, and the wall-clock is each slot's own timeline;
 - :class:`ParallelExecutor` — the same probe path behind a synchronous
-  round barrier: K members per round from
-  :meth:`SearchStrategy.propose_batch` (the BO tuner uses constant-liar
-  fantasisation, see :mod:`repro.core.parallel`), machine cost for every
-  member, wall-clock for the slowest one.
+  round barrier: K members per round, machine cost for every member,
+  wall-clock for the slowest one.
+
+Every launch is proposed through one hook,
+:meth:`SearchStrategy.propose_async`, conditioned on the configurations
+already committed — in flight on other slots, or earlier in the same
+barrier round (the BO tuner fantasises them with the constant liar, see
+:mod:`repro.core.parallel`).
 
 At one worker the three agree bit-for-bit, except where the serial
 executor redirects a preempted probe to another shard (below).
@@ -339,8 +343,8 @@ class Executor(ABC):
     :meth:`_event_step` is the barrier-free drain that
     :class:`SerialExecutor` and :class:`AsyncExecutor` run;
     :class:`ParallelExecutor` puts a round barrier over the same
-    :meth:`_probe` and outage wait.  With ``pool=`` the environment passed
-    to :meth:`run_round` may be ``None``.
+    :meth:`_propose` hook, :meth:`_probe` and outage wait.  With ``pool=``
+    the environment passed to :meth:`run_round` may be ``None``.
     """
 
     workers: int = 1
@@ -501,6 +505,20 @@ class Executor(ABC):
             for launch in sorted(self._in_flight, key=lambda e: e.launch_index)
         ]
 
+    @staticmethod
+    def _propose(strategy, history, pending, space, rng, pin):
+        """Ask the strategy for one launch on a slot pinned to ``pin``.
+
+        Only a pinned slot knows its shard for sure (a floating slot's
+        probe may be redirected), so only it tells the strategy where the
+        launch runs.
+        """
+        if pin is None:
+            return strategy.propose_async(history, pending, space, rng)
+        return strategy.propose_async(
+            history, pending, space, rng, shard=pin.descriptor
+        )
+
     def _next_free_slot(self):
         """``(slot index, shard)`` of the next launch, or None if none may launch.
 
@@ -565,16 +583,9 @@ class Executor(ABC):
             start_s = max(free_s, history.total_wall_clock_s)
             if not self._may_launch(start_s, strategy, history, space, budget):
                 break
-            pending = self._pending_configs()
-            # Only a pinned slot knows its shard for sure (a floating
-            # slot's probe may be redirected), so only it tells the
-            # strategy where the launch runs.
-            if pin is None:
-                config = strategy.propose_async(history, pending, space, rng)
-            else:
-                config = strategy.propose_async(
-                    history, pending, space, rng, shard=pin.descriptor
-                )
+            config = self._propose(
+                strategy, history, self._pending_configs(), space, rng, pin
+            )
             if config is None:
                 # The strategy declines to launch until in-flight results
                 # land (e.g. a rung boundary); the slot stays free.
@@ -655,25 +666,28 @@ class ParallelExecutor(Executor):
     """K-way synchronous parallel probing with honest wall-clock accounting.
 
     The round barrier over the engine's probe path: each round asks the
-    strategy for up to ``workers`` configurations
-    (:meth:`SearchStrategy.propose_batch`), probes every member, and
-    records all of them under one round index.  Machine cost accrues for
-    every probe; wall-clock accrues once per round, at the cost of the
-    slowest member.  The batch is truncated near the trial budget so a
-    session never overshoots ``max_trials``.
+    strategy for up to ``workers`` configurations, one member at a time
+    through :meth:`SearchStrategy.propose_async` with the members proposed
+    so far as ``pending`` (a ``None`` ends the round short; the round does
+    not re-check :meth:`SearchStrategy.finished` between members), probes
+    every member, and records all of them under one round index.  Machine
+    cost accrues for every probe; wall-clock accrues once per round, at
+    the cost of the slowest member.  The round is truncated near the trial
+    budget so a session never overshoots ``max_trials``.
 
-    Members are *simulated* in batch order (the convention the
-    constant-liar module established): each is measured, recorded, and
-    observed before the next, so gates like the BO tuner's early
+    Members are *simulated* in round order: each is measured, recorded,
+    and observed before the next, so gates like the BO tuner's early
     termination see round-mates' results — on a real cluster the short
     probes that drive the gate finish in the first fraction of the round,
     long before the barrier.  Only the wall-clock accounting treats the
-    round as concurrent.
+    round as concurrent.  That ordering is why the barrier keeps its own
+    round loop instead of running on :meth:`_event_step`, which records
+    in completion order.
 
     With a pool, the round width is the pool's free slot capacity (downed
     shards and a shrunken service lease narrow it) and every member holds
-    a pinned shard slot for the whole round, so a preempted member retries
-    on its own shard.
+    a pinned shard slot for the whole round, so its proposal is told its
+    shard and a preempted member retries on its own shard.
     """
 
     def __init__(
@@ -720,8 +734,9 @@ class ParallelExecutor(Executor):
             # strategies condition each member on its own shard's probe
             # speed — and inside the try so a scheduler failing
             # mid-assignment cannot leak the slots already acquired.
-            descriptors = None
-            if self.pool is not None:
+            if self.pool is None:
+                shards = [None] * k
+            else:
                 for _ in range(k):
                     shard = self.pool.scheduler.select(self.pool)
                     if shard is None:
@@ -732,18 +747,23 @@ class ParallelExecutor(Executor):
                         )
                     self.pool.acquire(shard.name)
                     shards.append(shard)
-                descriptors = [shard.descriptor for shard in shards]
-            batch = strategy.propose_batch(history, space, rng, k, shards=descriptors)
+            # A decline (grid exhaustion, rung boundary) ends the round
+            # short; its unused shard slots go back rather than sit idle
+            # across the round.
+            batch: List[ConfigDict] = []
+            for shard in shards:
+                config = self._propose(
+                    strategy, history, list(batch), space, rng, shard
+                )
+                if config is None:
+                    break
+                batch.append(config)
+            for shard in shards[len(batch):]:
+                if shard is not None:
+                    self.pool.release(shard.name)
+            shards = shards[: len(batch)]
             if not batch:
                 return []
-            if self.pool is None:
-                shards = [None] * len(batch)
-            elif len(batch) < len(shards):
-                # Short batch (grid exhaustion, rung boundary): hand the
-                # unused slots back rather than hold them across the round.
-                for shard in shards[len(batch):]:
-                    self.pool.release(shard.name)
-                shards = shards[: len(batch)]
             for offset, config in enumerate(batch):
                 events.trial_start(len(history) + offset, config)
             for member, (config, shard) in enumerate(zip(batch, shards)):
@@ -795,10 +815,9 @@ class ParallelExecutor(Executor):
                         )
                     break
         finally:
-            if self.pool is not None:
-                for shard in shards:
-                    if shard is not None:
-                        self.pool.release(shard.name)
+            for shard in shards:
+                if shard is not None:
+                    self.pool.release(shard.name)
         return trials
 
 

@@ -17,7 +17,7 @@ Example
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -177,16 +177,6 @@ class StoppedStrategy(SearchStrategy):
         self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
     ) -> ConfigDict:
         return self.inner.propose(history, space, rng)
-
-    def propose_batch(
-        self,
-        history: TrialHistory,
-        space: ConfigSpace,
-        rng: np.random.Generator,
-        k: int,
-        shards=None,
-    ) -> List[ConfigDict]:
-        return self.inner.propose_batch(history, space, rng, k, shards=shards)
 
     def propose_async(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -114,12 +114,11 @@ class SearchStrategy(ABC):
     Subclasses implement :meth:`propose`; the run loop, budget accounting,
     and trial recording live in :class:`~repro.core.session.TuningSession`
     and its executor engine, shared so every strategy pays identical costs
-    for identical behaviour.  Executors ask for launches through
-    :meth:`propose_async` (serial and async) or :meth:`propose_batch`
-    (round barrier); both default to :meth:`propose`.  :meth:`run` is a
-    compatibility shim that executes a serial session; pass
-    ``executor=AsyncExecutor(k)`` or ``ParallelExecutor(k)`` (or build a
-    ``TuningSession`` directly) for K-way parallel probing.
+    for identical behaviour.  Every executor asks for launches through
+    one hook, :meth:`propose_async`, which defaults to :meth:`propose`.
+    :meth:`run` is a compatibility shim that executes a serial session;
+    pass ``executor=AsyncExecutor(k)`` or ``ParallelExecutor(k)`` (or
+    build a ``TuningSession`` directly) for K-way parallel probing.
     """
 
     name: str = "strategy"
@@ -133,37 +132,6 @@ class SearchStrategy(ABC):
     ) -> ConfigDict:
         """Return the next configuration to probe."""
 
-    def propose_batch(
-        self,
-        history: TrialHistory,
-        space: ConfigSpace,
-        rng: np.random.Generator,
-        k: int,
-        shards: Optional[Sequence] = None,
-    ) -> List[ConfigDict]:
-        """Hook: return up to ``k`` configurations to probe concurrently.
-
-        The default makes ``k`` sequential :meth:`propose` calls against
-        the same history — only safe when :meth:`propose` has no side
-        effects that :meth:`measure`/:meth:`finished` depend on.  Cursor
-        strategies override to stay within their structure (grid stops at
-        exhaustion, successive halving stays within one rung) and
-        model-based strategies override with a diversifying scheme — the
-        BO tuner uses constant-liar fantasisation
-        (:mod:`repro.core.parallel`).
-
-        ``shards`` carries the round's shard assignments — one
-        :class:`~repro.core.fleet.ShardDescriptor` (or ``None``) per
-        member, in batch order — when the session fans across an
-        :class:`~repro.core.fleet.EnvironmentPool`.  Cost-aware strategies
-        use it to condition each member's proposal and constant-liar
-        fantasy on the shard that member will actually occupy; the default
-        ignores it.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return [self.propose(history, space, rng) for _ in range(k)]
-
     def propose_async(
         self,
         history: TrialHistory,
@@ -172,13 +140,15 @@ class SearchStrategy(ABC):
         rng: np.random.Generator,
         shard=None,
     ) -> Optional[ConfigDict]:
-        """Hook: one configuration for a worker that just freed up.
+        """Hook: one configuration for the next launch.
 
-        ``pending`` holds the configurations still in flight on the other
-        workers (launch order) so model-based strategies can condition on
-        them — the BO tuner fantasises them away with the constant liar
-        (:func:`repro.core.parallel.propose_async`), which keeps an
-        asynchronous session from re-proposing a point already running.
+        ``pending`` holds the configurations already committed (launch
+        order) so model-based strategies can condition on them: the probes
+        still in flight on the other workers of an asynchronous session,
+        or the members proposed earlier in the same round of a barrier
+        session.  The BO tuner fantasises them away with the constant liar
+        (:func:`repro.core.parallel.propose_async`), which keeps a session
+        from re-proposing a point already running.
 
         ``shard`` is the :class:`~repro.core.fleet.ShardDescriptor` of the
         environment shard the launch will run on when the session fans
@@ -190,12 +160,13 @@ class SearchStrategy(ABC):
         ignores that skews the cost model's view of committed machine
         time.
 
-        Returning ``None`` declines to launch for now: the executor leaves
-        the worker idle until the next in-flight probe completes and asks
-        again.  Strategies whose structure gates on complete cohorts use
-        this — successive halving refuses to cross a rung boundary while
+        Returning ``None`` declines to launch for now: the asynchronous
+        engine leaves the worker idle until the next in-flight probe
+        completes and asks again, and a barrier round ends short.
+        Strategies whose structure gates on complete cohorts use this —
+        successive halving refuses to cross a rung boundary while
         rung-mates are still in flight, since promotion must see the whole
-        rung.
+        rung, and grid search declines once the grid is exhausted.
 
         The default ignores ``pending`` and ``shard`` and delegates to
         :meth:`propose`, which is correct for stateless samplers and for

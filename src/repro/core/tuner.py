@@ -38,7 +38,6 @@ import numpy as np
 from repro.configspace import ConfigDict, ConfigSpace, to_training_config
 from repro.core.bo import BayesianProposer
 from repro.core.parallel import propose_async as constant_liar_async
-from repro.core.parallel import propose_batch as constant_liar_batch
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 from repro.mlsim import Measurement, TrainingEnvironment
@@ -64,9 +63,10 @@ class MLConfigTuner(SearchStrategy):
         absorbs short-probe noise; 0.25 keeps the false-rejection rate
         negligible at the default noise level.
     batch_lie:
-        Fantasy value used when a parallel executor requests a batch:
-        ``"incumbent"`` (constant liar, strongly diversifying) or
-        ``"mean"`` (milder).  See :mod:`repro.core.parallel`.
+        Fantasy value for configurations already in flight (or proposed
+        earlier in the same round): ``"incumbent"`` (constant liar,
+        strongly diversifying) or ``"mean"`` (milder).  See
+        :mod:`repro.core.parallel`.
     shard_cost_feature:
         On a heterogeneous :class:`~repro.core.fleet.EnvironmentPool`,
         condition the cost surrogate on the shard each probe ran on and
@@ -278,52 +278,6 @@ class MLConfigTuner(SearchStrategy):
             return queued
         return self._ensure_proposer(space).propose(history, rng)
 
-    def propose_batch(
-        self,
-        history: TrialHistory,
-        space: ConfigSpace,
-        rng: np.random.Generator,
-        k: int,
-        shards=None,
-    ) -> list:
-        """Constant-liar batch: k diverse points for parallel probing.
-
-        With ``shards`` (the round's shard assignments, one descriptor per
-        member), each member's proposal and its fantasy condition on that
-        member's own shard: the probe-cost lie scales by the shard's
-        ``cost_multiplier``, the fantasy carries the shard name so a
-        shard-conditioned cost surrogate encodes it at the right weight,
-        and the member's candidates are scored at the target shard — the
-        synchronous analogue of what :meth:`propose_async` already does.
-        """
-        proposer = self._ensure_proposer(space)
-        if shards is not None:
-            for shard in shards:
-                if shard is not None:
-                    self._shard_weights[shard.name] = shard.cost_multiplier
-            proposer.set_shard_weights(self._shard_weights)
-        queued: list = []
-        while len(queued) < k:
-            point = self._queued_point(space, rng)
-            if point is None:
-                break
-            queued.append(point)
-        if queued:
-            if len(queued) == k:
-                return queued
-            rest = constant_liar_batch(
-                proposer,
-                history,
-                rng,
-                k - len(queued),
-                lie=self.batch_lie,
-                shards=shards[len(queued) :] if shards is not None else None,
-            )
-            return queued + rest
-        return constant_liar_batch(
-            proposer, history, rng, k, lie=self.batch_lie, shards=shards
-        )
-
     def propose_async(
         self,
         history: TrialHistory,
@@ -332,13 +286,16 @@ class MLConfigTuner(SearchStrategy):
         rng: np.random.Generator,
         shard=None,
     ) -> ConfigDict:
-        """One point for a freed worker, constant-lying over in-flight probes.
+        """One point for the next launch, constant-lying over ``pending``.
 
-        When the launch targets a fleet shard, the constant-liar fantasies
-        lie with the probe cost scaled to that shard's speed, and the
-        shard's cost multiplier is registered with the proposer so the
-        (optional) shard-conditioned cost surrogate both encodes past
-        probes' shards and predicts at the target shard.
+        A queued re-tuning probe is returned first, unconditioned; once the
+        queue is dry, model proposals fantasise every pending configuration
+        — queued round-mates included.  When the launch targets a fleet
+        shard, the constant-liar fantasies lie with the probe cost scaled
+        to that shard's speed, and the shard's cost multiplier is
+        registered with the proposer so the (optional) shard-conditioned
+        cost surrogate both encodes past probes' shards and predicts at
+        the target shard.
         """
         proposer = self._ensure_proposer(space)
         queued = self._queued_point(space, rng)

@@ -8,6 +8,7 @@ from repro.core import GPFitError, GaussianProcess, Matern52, TrialHistory
 from repro.core import bo as bo_module
 from repro.core import gp as gp_module
 from repro.core.bo import BayesianProposer
+from repro.core.parallel import propose_async
 from repro.mlsim import Measurement, TrainingConfig
 
 
@@ -29,6 +30,14 @@ def record(history, config, objective, ok=True, cost=10.0):
         probe_cost_s=cost,
     )
     history.record(config, measurement)
+
+
+def liar_round(proposer, history, rng, k):
+    """A barrier round's proposals: each member fantasises its predecessors."""
+    batch = []
+    for _ in range(k):
+        batch.append(propose_async(proposer, history, list(batch), rng))
+    return batch
 
 
 class TestInitialDesign:
@@ -235,8 +244,6 @@ class TestPersistentSurrogate:
         assert first.extend_fallbacks == 0
 
     def test_constant_liar_batch_extends_one_cached_factor(self):
-        from repro.core.parallel import propose_batch
-
         space = toy_space()
         proposer = BayesianProposer(
             space, n_initial=3, n_candidates=64, refit_every=100, seed=0
@@ -245,7 +252,7 @@ class TestPersistentSurrogate:
         history = self._history(space, 8, seed=1)
         proposer.propose(history, rng)  # warm the cache (one refit)
         cached = proposer._objective_cache.gp
-        batch = propose_batch(proposer, history, rng, 4)
+        batch = liar_round(proposer, history, rng, 4)
         assert len(batch) == 4
         # The k fantasy proposals extended the same factor; the last call
         # saw the history plus k-1 fantasies.
@@ -253,8 +260,6 @@ class TestPersistentSurrogate:
         assert cached.num_observations == 8 + 3
 
     def test_fantasies_do_not_advance_refit_cadence(self):
-        from repro.core.parallel import propose_batch
-
         space = toy_space()
         proposer = BayesianProposer(
             space, n_initial=3, n_candidates=64, refit_every=3, seed=2
@@ -263,9 +268,9 @@ class TestPersistentSurrogate:
         history = self._history(space, 6, seed=2)
         proposer.propose(history, rng)
         refit_mark = proposer._last_refit_at
-        # A wide batch appends many fantasies, but the cadence counts real
+        # A wide round appends many fantasies, but the cadence counts real
         # trials only: no mid-round refit may fire.
-        propose_batch(proposer, history, rng, 8)
+        liar_round(proposer, history, rng, 8)
         assert proposer._last_refit_at == refit_mark
 
     def test_non_append_history_change_falls_back_to_rebuild(self):
@@ -391,7 +396,6 @@ class TestTierSwitchover:
     def test_sparse_tier_batch_proposals_extend_cached_factor(self):
         """Constant-liar rounds fast-path on the sparse tier too."""
         from repro.core.gp import SparseGaussianProcess
-        from repro.core.parallel import propose_batch
 
         space = toy_space()
         proposer = BayesianProposer(
@@ -408,7 +412,7 @@ class TestTierSwitchover:
         proposer.propose(history, rng)
         cached = proposer._objective_cache.gp
         assert isinstance(cached, SparseGaussianProcess)
-        batch = propose_batch(proposer, history, rng, 4)
+        batch = liar_round(proposer, history, rng, 4)
         assert len(batch) == 4
         assert proposer._objective_cache.gp is cached
         assert cached.num_observations == 12 + 3

@@ -477,9 +477,10 @@ class TestShardAwareProposals:
             def propose(self, history, space_, rng):
                 return {"x": 0.5}
 
-            def propose_batch(self, history, space_, rng, k, shards=None):
-                seen.append(shards)
-                return [{"x": 0.5} for _ in range(k)]
+            def propose_async(self, history, pending, space_, rng, shard=None):
+                config = {"x": 0.25 * (len(pending) + 1)}
+                seen.append((len(history), list(pending), shard, config))
+                return config
 
             def measure(self, env, config):
                 return Measurement(
@@ -491,59 +492,15 @@ class TestShardAwareProposals:
         TuningSession(Recorder(), executor=ParallelExecutor(pool=pool)).run(
             None, stub_space(), TuningBudget(max_trials=4), seed=0
         )
-        # Every round's batch saw one descriptor per member, covering both
-        # shards — the slots are assigned before the proposals are made.
-        assert seen and all(s is not None for s in seen)
-        for round_shards in seen:
-            assert {d.name for d in round_shards} == {"s0", "s1"}
-            assert {d.cost_multiplier for d in round_shards} == {1.0, 2.0}
-
-    def test_batch_fantasies_carry_member_shards(self):
-        from repro.core.fleet import ShardDescriptor
-        from repro.core.parallel import propose_batch
-
-        weights = []
-        histories = []
-
-        class SpyProposer:
-            def propose(self, history, rng, shard_weight=None):
-                weights.append(shard_weight)
-                histories.append(history)
-                return {"x": 0.25}
-
-        history = TrialHistory()
-        for cost in (40.0, 60.0, 80.0):
-            history.record(
-                {"x": 0.5},
-                Measurement(
-                    config=TrainingConfig(), ok=True, fidelity="stub",
-                    objective=1.0, probe_cost_s=cost,
-                ),
-            )
-        shards = [
-            ShardDescriptor("fast", 0, 1, 0.5),
-            ShardDescriptor("slow", 1, 1, 2.0),
-        ]
-        batch = propose_batch(
-            SpyProposer(), history, np.random.default_rng(0), 2, shards=shards
-        )
-        assert len(batch) == 2
-        # Each member proposed at its own shard's weight...
-        assert weights == [0.5, 2.0]
-        # ...and each member's fantasy lies at its own shard's scaled cost
-        # (median real cost 60s), stamped with that shard's name.
-        extended = histories[-1]
-        fast_fantasy, slow_fantasy = extended[3], extended[4]
-        assert fast_fantasy.measurement.fidelity == "fantasy"
-        assert fast_fantasy.shard == "fast"
-        assert fast_fantasy.measurement.probe_cost_s == pytest.approx(30.0)
-        assert slow_fantasy.shard == "slow"
-        assert slow_fantasy.measurement.probe_cost_s == pytest.approx(120.0)
-        with pytest.raises(ValueError):
-            propose_batch(
-                SpyProposer(), history, np.random.default_rng(0), 3,
-                shards=shards,
-            )
+        # Two rounds of two members.  Each member's call saw its own
+        # shard's descriptor (the slots are assigned before the proposals)
+        # and the round's earlier members as pending.
+        assert [recorded for recorded, *_ in seen] == [0, 0, 2, 2]
+        for round_calls in (seen[:2], seen[2:]):
+            (_, pending0, shard0, first), (_, pending1, shard1, _) = round_calls
+            assert pending0 == [] and pending1 == [first]
+            assert {shard0.name, shard1.name} == {"s0", "s1"}
+            assert {shard0.cost_multiplier, shard1.cost_multiplier} == {1.0, 2.0}
 
     def test_constant_liar_scales_cost_lie_to_shard(self):
         captured = {}

@@ -96,6 +96,18 @@ def stub_space():
     return ConfigSpace([FloatParameter("x", 0.0, 1.0)])
 
 
+def round_proposals(strategy, space_, k):
+    """Up to ``k`` members of one barrier round, proposed as the executor does."""
+    rng = np.random.default_rng(0)
+    batch = []
+    for _ in range(k):
+        config = strategy.propose_async(TrialHistory(), list(batch), space_, rng)
+        if config is None:
+            break
+        batch.append(config)
+    return batch
+
+
 class TestSerialEquivalence:
     """TuningSession + SerialExecutor must reproduce the seed loop exactly."""
 
@@ -218,13 +230,23 @@ class TestParallelExecutor:
             assert result.num_trials == 4
             assert result.total_wall_clock_s == pytest.approx(12.0)
 
-    def test_default_propose_batch_advances_grid_cursor(self):
+    def test_round_proposals_advance_grid_cursor(self):
         strategy = GridSearch(resolution=1, seed=0)
-        rng = np.random.default_rng(0)
-        batch = strategy.propose_batch(TrialHistory(), space(), rng, 4)
+        batch = round_proposals(strategy, space(), 4)
         assert len(batch) == 4
         seen = [tuple(sorted(c.items())) for c in batch]
         assert len(seen) == len(set(seen))
+
+    def test_grid_declines_at_exhaustion(self):
+        strategy = GridSearch(resolution=1, seed=0)
+        size = strategy.grid_size(space())
+        batch = round_proposals(strategy, space(), size + 5)
+        # Every grid point once, then None: a round never pads past the
+        # grid with random samples.
+        assert len(batch) == size
+        assert strategy.propose_async(
+            TrialHistory(), batch, space(), np.random.default_rng(0)
+        ) is None
 
     def test_parallel_grid_stops_at_exhaustion_without_random_padding(self):
         serial = GridSearch(resolution=1, seed=0)
@@ -241,12 +263,9 @@ class TestParallelExecutor:
         }
 
     def test_halving_batch_stays_within_one_rung(self):
-        from repro.baselines import SuccessiveHalving
-
         strategy = SuccessiveHalving(bracket_size=6, eta=3, seed=0)
-        rng = np.random.default_rng(0)
-        batch = strategy.propose_batch(TrialHistory(), space(), rng, 100)
-        # The first rung has bracket_size members; the batch never crosses
+        batch = round_proposals(strategy, space(), 100)
+        # The first rung has bracket_size members; the round never crosses
         # into the next rung even when more slots are available.
         assert len(batch) == 6
 
@@ -259,9 +278,44 @@ class TestParallelExecutor:
         )
         assert result.num_trials < 40
 
-    def test_propose_batch_validates_k(self):
-        with pytest.raises(ValueError):
-            RandomSearch().propose_batch(TrialHistory(), space(), np.random.default_rng(0), 0)
+    @pytest.mark.parametrize(
+        "verdicts, expected_trials", [(("stop", "go"), 6), (("go", "stop"), 2)]
+    )
+    def test_cherrypick_round_verdict_is_the_last_members(
+        self, verdicts, expected_trials
+    ):
+        """A round stops on its last member's fit, whatever earlier
+        members' fits said: that fit is conditioned on every round-mate."""
+
+        class ScriptedProposer:
+            def __init__(self):
+                self.calls = 0
+                self.last_fit_diagnostics = {}
+
+            def propose(self, history, rng, shard_weight=None):
+                acquisition = 0.0 if verdicts[self.calls % 2] == "stop" else 1.0
+                self.calls += 1
+                self.last_fit_diagnostics = {
+                    "incumbent": 1.0, "acquisition_value": acquisition,
+                }
+                return {"x": 0.5}
+
+        class ScriptedCherryPick(CherryPick):
+            def _ensure_proposer(self, space_):
+                if self._proposer is None:
+                    self._proposer = ScriptedProposer()
+                return self._proposer
+
+            def measure(self, env, config):
+                return Measurement(
+                    config=TrainingConfig(), ok=True, fidelity="stub",
+                    objective=1.0, probe_cost_s=1.0,
+                )
+
+        result = TuningSession(
+            ScriptedCherryPick(min_trials=0), executor=ParallelExecutor(2)
+        ).run(StubEnv(), stub_space(), TuningBudget(max_trials=6), seed=0)
+        assert result.num_trials == expected_trials
 
 
 class TestAsyncExecutor:

@@ -1,4 +1,4 @@
-"""Tests for stopping rules and constant-liar batch proposals."""
+"""Tests for stopping rules and constant-liar proposals."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.core.parallel import (
     _append_fantasy,
     _fantasy_lies,
     propose_async,
-    propose_batch,
 )
 from repro.core.stopping import (
     CostCapRule,
@@ -121,6 +120,14 @@ class TestStoppedStrategy:
             StoppedStrategy(RandomSearch(), [])
 
 
+def liar_round(proposer, history, rng, k):
+    """A barrier round's proposals: each member fantasises its predecessors."""
+    batch = []
+    for _ in range(k):
+        batch.append(propose_async(proposer, history, list(batch), rng))
+    return batch
+
+
 class TestConstantLiar:
     def _setup(self):
         space = ConfigSpace(
@@ -146,7 +153,7 @@ class TestConstantLiar:
     def test_batch_size_and_validity(self):
         space, proposer, history = self._setup()
         rng = np.random.default_rng(1)
-        batch = propose_batch(proposer, history, rng, batch_size=4)
+        batch = liar_round(proposer, history, rng, 4)
         assert len(batch) == 4
         for config in batch:
             assert space.is_valid(config)
@@ -154,7 +161,7 @@ class TestConstantLiar:
     def test_batch_is_diverse(self):
         space, proposer, history = self._setup()
         rng = np.random.default_rng(1)
-        batch = propose_batch(proposer, history, rng, batch_size=4)
+        batch = liar_round(proposer, history, rng, 4)
         points = np.array([[c["x"], c["y"]] for c in batch])
         # Pairwise distances must not all be ~0 (no near-duplicate batch).
         dists = [
@@ -167,17 +174,11 @@ class TestConstantLiar:
     def test_fantasies_do_not_leak_into_history(self):
         space, proposer, history = self._setup()
         before = len(history)
-        propose_batch(proposer, history, np.random.default_rng(2), batch_size=3)
+        liar_round(proposer, history, np.random.default_rng(2), 3)
         assert len(history) == before
 
     def test_validation(self):
         space, proposer, history = self._setup()
-        with pytest.raises(ValueError):
-            propose_batch(proposer, history, np.random.default_rng(0), batch_size=0)
-        with pytest.raises(ValueError):
-            propose_batch(
-                proposer, history, np.random.default_rng(0), batch_size=2, lie="huge"
-            )
         with pytest.raises(ValueError):
             propose_async(
                 proposer, history, [], np.random.default_rng(0), lie="huge"
