@@ -3,7 +3,7 @@
 import numpy as np
 
 from conftest import emit
-from repro.baselines import WorkloadRepository
+from repro.core import HistoryRepository
 from repro.harness.experiments import exp_a3_warmstart
 
 
@@ -20,7 +20,7 @@ def bench_a3_warmstart(benchmark):
     ]
 
     def kernel():
-        repo = WorkloadRepository()
+        repo = HistoryRepository()
         for i in range(5):
             repo.add_session(f"workload-{i}", observations)
         return repo

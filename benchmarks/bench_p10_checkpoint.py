@@ -13,7 +13,12 @@ Two claims, one payload:
   promise before any timing is trusted: the checkpointed run and a
   resume of its finished checkpoint are both bit-identical to the plain
   run (fingerprints over trials, ledgers, best config, and environment
-  counters).
+  counters).  One more checkpointed run counts the cell's ``os.fsync``
+  and ``os.replace`` calls (``fsyncs``, ``replaces``).  These are
+  deterministic, so CI gates them with no timing noise: one fsync per
+  probe record, one per snapshot and one at close (19 for 16 trials),
+  and one replace per snapshot (2, at session start and end).  A trial
+  record that is fsynced, or a snapshot written every trial, fails them.
 
 - ``checkpoint/resume`` — how long a cold resume takes: load the WAL,
   replay every recorded probe through the full propose loop, and
@@ -36,6 +41,7 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 try:
     import repro  # noqa: F401
@@ -81,6 +87,18 @@ def _run(checkpoint=None):
     )
 
 
+def _durability_calls():
+    """One checkpointed run, with its ``os.fsync``/``os.replace`` counts."""
+    with tempfile.TemporaryDirectory() as scratch:
+        checkpoint = CheckpointConfig(
+            os.path.join(scratch, "count.ckpt"), every_n_trials=1
+        )
+        with mock.patch.object(os, "fsync", wraps=os.fsync) as fsync, \
+                mock.patch.object(os, "replace", wraps=os.replace) as replace:
+            result = _run(checkpoint=checkpoint)
+    return result, fsync.call_count, replace.call_count
+
+
 def _quick_cell(repeats):
     """Time plain vs checkpointed(every=1) runs; assert exact identity."""
     plain_s, plain_result = float("inf"), None
@@ -113,9 +131,14 @@ def _quick_cell(repeats):
             )
             resume_s = min(resume_s, time.perf_counter() - start)
 
+    counted_result, fsyncs, replaces = _durability_calls()
+
     expected = result_fingerprint(plain_result)
     assert result_fingerprint(ckpt_result) == expected, (
         "checkpointed run diverged from the plain run"
+    )
+    assert result_fingerprint(counted_result) == expected, (
+        "counted checkpointed run diverged from the plain run"
     )
     assert result_fingerprint(resumed_result) == expected, (
         "resume of the finished checkpoint diverged from the plain run"
@@ -127,6 +150,8 @@ def _quick_cell(repeats):
             "plain_ms": round(plain_s * 1e3, 2),
             "checkpointed_ms": round(ckpt_s * 1e3, 2),
             "overhead_fraction": round(max(0.0, overhead), 4),
+            "fsyncs": fsyncs,
+            "replaces": replaces,
             "identical": 1,
         },
         "resume": {
@@ -161,6 +186,7 @@ def run_suite(quick=False):
         f"checkpointed {q['checkpointed_ms']:.0f} ms  "
         f"overhead {q['overhead_fraction'] * 100:.1f}% (bit-identical)"
     )
+    print(f"durability calls: {q['fsyncs']} fsyncs, {q['replaces']} replaces")
     print(
         f"cold resume: replay {r['replay_ms']:.0f} ms "
         f"({r['replay_vs_live']:.2f}x live wall, bit-identical)"

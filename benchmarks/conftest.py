@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark suite.
 
-Every bench module regenerates one table/figure of the evaluation (see
-DESIGN.md's per-experiment index) and times a representative kernel with
-pytest-benchmark.  The regenerated tables are printed and also written to
-``benchmarks/results/<EXP>.txt`` so that ``pytest benchmarks/`` leaves the
-reproduction artefacts on disk regardless of output capturing.
+Every bench module regenerates one table/figure of the evaluation (one
+``exp_*`` function of :mod:`repro.harness.experiments` each) and times a
+representative kernel with pytest-benchmark.  The regenerated tables are
+printed and also written to ``benchmarks/results/<EXP>.txt`` so that
+``pytest benchmarks/`` leaves the reproduction artefacts on disk
+regardless of output capturing.
 """
 
 import os

@@ -64,10 +64,7 @@ def main() -> None:
     budget = TuningBudget(max_trials=20)
     arms = (
         ("cold-start", CherryPick(seed=0)),
-        (
-            "landmark-map",
-            OtterTuneStyle(repository=repository.to_workload_repository(), seed=0),
-        ),
+        ("landmark-map", OtterTuneStyle(repository=repository, seed=0)),
         ("repo-prior", MLConfigTuner(n_initial=4, prior_mean=prior, seed=0)),
     )
     curves = {}

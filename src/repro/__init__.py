@@ -74,8 +74,8 @@ experiments (``python -m repro experiment --id P4``) tabulate the
 sync-vs-async wall-clock speedups, worker utilisation, and the
 heterogeneous-fleet matched-quality speedup.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See README.md for the package layout and for the benchmarks with their
+CI gates.
 """
 
 from repro.core import (

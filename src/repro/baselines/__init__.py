@@ -4,7 +4,7 @@ from repro.baselines.cherrypick import CherryPick
 from repro.baselines.grid import GridSearch
 from repro.baselines.hyperband import SuccessiveHalving
 from repro.baselines.local import CoordinateDescent, HillClimbing, SimulatedAnnealing
-from repro.baselines.ottertune import OtterTuneStyle, WorkloadRepository
+from repro.baselines.ottertune import OtterTuneStyle
 from repro.baselines.tpe import TPE
 from repro.baselines.simple import (
     FixedConfig,
@@ -24,7 +24,6 @@ __all__ = [
     "SimulatedAnnealing",
     "SuccessiveHalving",
     "TPE",
-    "WorkloadRepository",
     "default_strategy",
     "expert_strategy",
 ]

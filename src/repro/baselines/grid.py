@@ -23,11 +23,10 @@ class GridSearch(SearchStrategy):
 
     name = "grid"
 
-    def __init__(self, resolution: int = 3, shuffle: bool = True, seed: int = 0) -> None:
+    def __init__(self, resolution: int = 3, seed: int = 0) -> None:
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
         self.resolution = resolution
-        self.shuffle = shuffle
         self.seed = seed
         self._points: Optional[List[ConfigDict]] = None
         self._cursor = 0
@@ -38,10 +37,8 @@ class GridSearch(SearchStrategy):
 
     def _materialise(self, space: ConfigSpace) -> None:
         points = list(space.grid(self.resolution))
-        if self.shuffle:
-            order = np.random.default_rng(self.seed).permutation(len(points))
-            points = [points[i] for i in order]
-        self._points = points
+        order = np.random.default_rng(self.seed).permutation(len(points))
+        self._points = [points[i] for i in order]
         self._cursor = 0
 
     def propose(

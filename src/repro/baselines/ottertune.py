@@ -4,20 +4,24 @@ OtterTune accelerates tuning of a new workload by *mapping* it onto the most
 similar previously-tuned workload and seeding the surrogate with that
 workload's observations.  The adaptation here:
 
-1. a :class:`WorkloadRepository` stores (config, normalised objective)
-   observations from past tuning sessions, keyed by workload name;
+1. a :class:`~repro.core.transfer.HistoryRepository` stores (config,
+   objective) observations from past tuning sessions, keyed by workload
+   name and read back normalised per session;
 2. when tuning a new workload, the first few probes are *landmark*
    configurations that every repository entry has also measured;
 3. similarity = Euclidean distance between normalised landmark responses;
 4. the best-matching workload's observations are imported (rescaled to the
-   target's observed range) as extra GP training data with inflated noise.
+   target's observed range) as extra GP training data: synthetic
+   ``"transfer"``-fidelity trials with zero probe cost, fitted like any
+   other observation.
 
 The warm-start ablation (A3) compares this against cold-start BO.
 
 The repository/landmark/mapping machinery itself lives in
 :mod:`repro.core.transfer` (the tuning service reuses it for persistent
 cross-session warm starts); this module is the strategy-shaped shim over
-it, behaviour-identical to when the code lived here.
+it, behaviour-identical to when the code lived here.  Stored configs that
+no longer fit the space are skipped by every step.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.bo import BayesianProposer
 from repro.core.transfer import (
-    WorkloadRepository,
+    HistoryRepository,
     augment_history,
     landmark_set,
     map_workload,
@@ -37,7 +41,7 @@ from repro.core.transfer import (
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 
-__all__ = ["OtterTuneStyle", "WorkloadRepository"]
+__all__ = ["OtterTuneStyle"]
 
 
 class OtterTuneStyle(SearchStrategy):
@@ -47,19 +51,17 @@ class OtterTuneStyle(SearchStrategy):
 
     def __init__(
         self,
-        repository: Optional[WorkloadRepository] = None,
+        repository: Optional[HistoryRepository] = None,
         n_landmarks: int = 4,
         n_initial: int = 6,
-        transfer_noise_inflation: float = 4.0,
         n_candidates: int = 512,
         seed: int = 0,
     ) -> None:
         if n_landmarks < 2:
             raise ValueError("n_landmarks must be >= 2")
-        self.repository = repository or WorkloadRepository()
+        self.repository = repository if repository is not None else HistoryRepository()
         self.n_landmarks = n_landmarks
         self.n_initial = n_initial
-        self.transfer_noise_inflation = transfer_noise_inflation
         self.n_candidates = n_candidates
         self.seed = seed
         self._landmarks: Optional[List[ConfigDict]] = None

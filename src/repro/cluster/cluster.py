@@ -81,10 +81,6 @@ class ClusterSpec:
         """True when all nodes share one spec."""
         return len({spec.name for spec, _ in self.pools}) == 1
 
-    def min_gflops(self) -> float:
-        """Slowest node class's throughput (before straggler effects)."""
-        return min(spec.gflops for spec, _ in self.pools)
-
 
 def homogeneous(
     count: int,

@@ -127,10 +127,6 @@ class Fabric:
         self._reschedule()
         return done
 
-    def local_copy_time(self) -> float:
-        """Cost of a same-node 'transfer' (loopback): latency only."""
-        return self.latency_s
-
     # -- fair-share engine -------------------------------------------------
 
     def _drain_progress(self) -> None:

@@ -46,7 +46,7 @@ instead of rebuilding them per call:
   cached hypers instead lowered tuning quality.  Resume replays the
   session, so the cold/warm state is rebuilt exactly;
 - any other change to the training set (a fantasy replaced by its real
-  measurement, the failure penalty shifting, the log transform toggling)
+  measurement, the failure penalty shifting)
   misses the cache and falls back to one plain Cholesky refit at the
   cached hyperparameters — correctness never depends on the cache;
 - past ``sparse_threshold`` trials the cache switches the surrogate to the
@@ -235,13 +235,6 @@ class BayesianProposer:
         Surrogate kernel name (``"matern52"`` or ``"rbf"``).
     xi / beta:
         Exploration parameters for EI/PI and UCB respectively.
-    log_objective:
-        ``"auto"`` fits the surrogate to ``log(objective)`` whenever every
-        observed objective is positive (the transform CherryPick applies to
-        running cost); improvement is then measured in log space, i.e.
-        relative improvement.  Default ``"never"``: on this substrate an
-        A/B comparison showed no benefit (see EXPERIMENTS.md commentary),
-        and the recorded benchmarks use the raw scale.
     fit_workers:
         Fan a cold surrogate fit's multi-start L-BFGS-B restarts across
         ``fit_workers`` processes (see
@@ -296,7 +289,6 @@ class BayesianProposer:
         beta: float = 2.0,
         local_search_steps: int = 8,
         refit_every: int = 3,
-        log_objective: str = "never",
         shard_cost_feature: bool = False,
         fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
@@ -310,8 +302,6 @@ class BayesianProposer:
             raise ValueError("n_candidates must be >= 8")
         if refit_every < 1:
             raise ValueError("refit_every must be >= 1")
-        if log_objective not in ("auto", "never"):
-            raise ValueError("log_objective must be 'auto' or 'never'")
         if fit_workers < 1:
             raise ValueError("fit_workers must be >= 1")
         if sparse_threshold is not None and sparse_threshold < 4:
@@ -331,7 +321,6 @@ class BayesianProposer:
         # proposal; hyperparameters drift slowly, so refit every few trials
         # and reuse the cached values in between.
         self.refit_every = refit_every
-        self.log_objective = log_objective
         self.shard_cost_feature = shard_cost_feature
         self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
@@ -347,7 +336,6 @@ class BayesianProposer:
         # in (0, 1] to keep them with noise inflated by ``1/discount``.
         self._stale_before = 0
         self._stale_discount: Optional[float] = None
-        self._log_active = False
         self._objective_cache = _SurrogateCache()
         self._cost_cache = _SurrogateCache()
         self._train_rows = _EncodedRowCache(space)
@@ -471,12 +459,10 @@ class BayesianProposer:
         Rows follow trial order (the GP posterior is permutation-invariant,
         and history order makes a grown history a pure *append* of the
         previous training set — the case the surrogate cache fast-paths).
-        When the log transform is active, targets are log objectives and
-        failures are penalised in log space.  Active re-tuning either drops
-        pre-change-point rows (evict) or returns a per-row noise scale
-        (discount); the failure penalty is computed from the *kept* rows
-        only, so a stale high plateau cannot park the penalty above live
-        post-drift objectives.
+        Active re-tuning either drops pre-change-point rows (evict) or
+        returns a per-row noise scale (discount); the failure penalty is
+        computed from the *kept* rows only, so a stale high plateau cannot
+        park the penalty above live post-drift objectives.
         """
         trials = history.trials
         if not trials:
@@ -494,18 +480,13 @@ class BayesianProposer:
             (t.objective if t.ok else 0.0 for t in trials), dtype=float, count=count
         )
         ys = raw[ok]
-        use_log = self.log_objective == "auto" and ys.size > 0 and bool(np.all(ys > 0))
-        self._log_active = use_log
-        if use_log:
-            ys = np.log(ys)
         if ys.size > 0:
             spread = float(ys.std()) if ys.size > 1 else 0.0
             penalty = ys.min() - (spread if spread > 0 else abs(ys.min()) * 0.1 + 1.0)
         else:
             penalty = -1.0
-        # One vectorised pass: successes get their (possibly logged)
-        # objective, failures the shared penalty — no per-trial np.log or
-        # repeated std() recomputation.
+        # One vectorised pass: successes get their objective, failures the
+        # shared penalty — no repeated std() recomputation.
         targets = np.full(count, float(penalty))
         targets[ok] = ys
         return rows, targets, noise_scale

@@ -410,10 +410,6 @@ class ChangePointDetector(SessionCallback):
             self.skipped_residuals += 1
             return None
         observed = float(trial.objective)
-        if getattr(proposer, "_log_active", False):
-            if observed <= 0:
-                return None
-            observed = float(np.log(observed))
         units = _surrogate_sigma_units(gp)
         noise_std = units[0] if units is not None else 0.0
         sigma = float(np.sqrt(max(float(var[0]), 1e-12) + noise_std**2))

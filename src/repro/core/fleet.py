@@ -495,11 +495,6 @@ class EnvironmentPool:
         """Occupied slots across the whole fleet."""
         return sum(self._busy.values())
 
-    @property
-    def lease_width(self) -> Optional[int]:
-        """The fleet-wide concurrent-slot cap, or ``None`` (uncapped)."""
-        return self._lease_width
-
     def set_lease(self, width: Optional[int]) -> None:
         """Cap fleet-wide concurrency at ``width`` slots (``None`` lifts it).
 

@@ -55,9 +55,10 @@ from repro.mlsim import Measurement
 DEFAULT_COST_LIE_S = 60.0
 
 
-def _fantasy_lies(history: TrialHistory, lie: str) -> Tuple[Optional[float], float]:
+def _fantasy_lies(history: TrialHistory) -> Tuple[Optional[float], float]:
     """The (objective lie, probe-cost lie) pair for fantasy trials.
 
+    The objective lie is the incumbent (the best observed objective).
     With no successful trial the objective lie is ``None`` — the fantasy
     is then recorded as a *failed* probe.  Any constant (0.0 included)
     would fabricate an objective scale the history does not contain; for
@@ -73,13 +74,7 @@ def _fantasy_lies(history: TrialHistory, lie: str) -> Tuple[Optional[float], flo
     surrogate poisoning the lie exists to avoid.
     """
     successes = history.successful()
-    if successes:
-        values = [t.objective for t in successes]
-        lie_value: Optional[float] = (
-            max(values) if lie == "incumbent" else float(np.mean(values))
-        )
-    else:
-        lie_value = None
+    lie_value = max(t.objective for t in successes) if successes else None
     cost_lie = 0.0
     for pool in (successes, history.trials):
         costs = [t.measurement.probe_cost_s for t in pool]
@@ -119,7 +114,6 @@ def propose_async(
     history: TrialHistory,
     pending: Sequence[ConfigDict],
     rng: np.random.Generator,
-    lie: str = "incumbent",
     cost_scale: float = 1.0,
     shard_weight: Optional[float] = None,
 ) -> ConfigDict:
@@ -131,11 +125,10 @@ def propose_async(
     observations steers the acquisition away from them.  With no pending
     probes this is a plain sequential proposal.
 
-    ``lie`` selects the fantasy value: ``"incumbent"`` (the constant liar —
-    conservative, strongly diversifying) or ``"mean"`` (the mean of
-    observed objectives — milder).  One metadata-preserving working copy
-    of the history is built per call (:meth:`TrialHistory.clone`), so the
-    replayed trials keep their round and wall-clock stamps.
+    Each fantasy lies with the incumbent value (the constant liar —
+    conservative, strongly diversifying).  One metadata-preserving working
+    copy of the history is built per call (:meth:`TrialHistory.clone`), so
+    the replayed trials keep their round and wall-clock stamps.
 
     ``cost_scale`` scales the probe-cost lie to the target shard's probe
     speed when the session fans across a heterogeneous
@@ -151,13 +144,11 @@ def propose_async(
     on, the fantasy rows are encoded at the same target weight, so the
     surrogate's weight→cost relationship stays internally consistent.
     """
-    if lie not in ("incumbent", "mean"):
-        raise ValueError(f"lie must be 'incumbent' or 'mean', got {lie!r}")
     if cost_scale <= 0:
         raise ValueError(f"cost_scale must be positive, got {cost_scale!r}")
     if not pending:
         return proposer.propose(history, rng, shard_weight=shard_weight)
-    lie_value, cost_lie = _fantasy_lies(history, lie)
+    lie_value, cost_lie = _fantasy_lies(history)
     extended = history.clone()
     for config in pending:
         _append_fantasy(extended, config, lie_value, cost_lie * cost_scale)

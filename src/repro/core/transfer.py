@@ -1,32 +1,34 @@
-"""Cross-session transfer learning: workload repositories, mapping, priors.
+"""Cross-session transfer learning: the history repository, mapping, priors.
 
 OtterTune-style transfer (Van Aken et al., SIGMOD'17) lived inside the
 baseline strategy (:mod:`repro.baselines.ottertune`); the tuning service
 needs the same machinery independent of any one strategy, so it moved
 here:
 
-- :class:`WorkloadRepository` — in-memory store of past (config,
-  normalised objective) observations keyed by workload name.  The exact
-  class the OtterTune baseline has always used (the baseline re-exports
-  it).
+- :class:`HistoryRepository` — completed sessions' (config, objective)
+  observations keyed by workload name, read back normalised per session.
+  With a path it persists them as JSON lines on disk (atomic
+  tempfile+rename writes, the same discipline as the experiment cache);
+  without one it lives in memory.  Each session can carry a numeric
+  workload fingerprint (:func:`workload_fingerprint`) so a new tenant can
+  be matched to the nearest prior workload *before* spending any probes
+  on landmarks.
 - :func:`landmark_set` / :func:`map_workload` / :func:`augment_history` —
   the landmark-probing mapping pipeline, extracted verbatim from the
   baseline: probe a few shared landmark configurations, compare their
   normalised responses against a quick GP prediction per stored workload,
   import the best match's observations as synthetic ``"transfer"``
   -fidelity measurements.
-- :class:`HistoryRepository` — the *persistent* tier: completed sessions
-  stored as JSON lines on disk (atomic tempfile+rename writes, the same
-  discipline as the experiment cache), each keyed by a numeric workload
-  fingerprint (:func:`workload_fingerprint`) so a new tenant can be
-  matched to the nearest prior workload *before* spending any probes on
-  landmarks.
 - :class:`TransferPrior` / :func:`build_prior` — a deterministic
   normalised-response predictor fitted once to a mapped workload's stored
   observations; installed as a surrogate prior mean
   (:class:`~repro.core.gp.PriorMeanGP` via
   ``BayesianProposer(prior_mean=...)``) it warm-starts a new session's
   posterior from the repository instead of from flat.
+
+A repository outlives the space its sessions were recorded under, so
+every reader here (mapping, augmentation, priors) sees only the stored
+configs that still fit the current space (:func:`_space_observations`).
 """
 
 from __future__ import annotations
@@ -46,41 +48,32 @@ from repro.core.kernels import make_kernel
 from repro.core.trial import TrialHistory
 
 
-class WorkloadRepository:
-    """Past tuning observations, keyed by workload name.
+# -- reading stored observations against a space ---------------------------
 
-    Observations are stored with objectives normalised to zero mean / unit
-    variance per workload, so cross-workload comparison is scale-free.
+
+def _config_fits_space(space: ConfigSpace, config: ConfigDict) -> bool:
+    """Whether a stored config belongs to this space.
+
+    A repository outlives the space it was recorded under; encoding or
+    validity checks on a config with missing or foreign knobs raise
+    rather than return False, so treat any such config as non-matching.
     """
+    try:
+        space.encode(config)
+        return bool(space.is_valid(config))
+    except (KeyError, TypeError, ValueError):
+        return False
 
-    def __init__(self) -> None:
-        self._data: Dict[str, List[Tuple[ConfigDict, float]]] = {}
 
-    def add_session(
-        self, workload_name: str, observations: Sequence[Tuple[ConfigDict, float]]
-    ) -> None:
-        """Store a finished tuning session's (config, objective) pairs."""
-        if len(observations) < 2:
-            raise ValueError("need at least 2 observations to normalise")
-        values = np.array([obj for _, obj in observations], dtype=float)
-        mean, std = float(values.mean()), float(values.std())
-        if std <= 0:
-            std = 1.0
-        normalised = [
-            (dict(config), (obj - mean) / std) for config, obj in observations
-        ]
-        self._data.setdefault(workload_name, []).extend(normalised)
-
-    def workloads(self) -> List[str]:
-        """Names of workloads with stored sessions."""
-        return sorted(self._data)
-
-    def observations(self, workload_name: str) -> List[Tuple[ConfigDict, float]]:
-        """Stored (config, normalised objective) pairs for a workload."""
-        return list(self._data.get(workload_name, []))
-
-    def __len__(self) -> int:
-        return len(self._data)
+def _space_observations(
+    repository, workload_name: str, space: ConfigSpace
+) -> List[Tuple[ConfigDict, float]]:
+    """A workload's stored (config, normalised objective) pairs that fit ``space``."""
+    return [
+        (config, value)
+        for config, value in repository.observations(workload_name)
+        if _config_fits_space(space, config)
+    ]
 
 
 # -- landmark mapping (extracted from the OtterTune baseline) ---------------
@@ -108,10 +101,9 @@ def map_workload(
 ) -> Optional[str]:
     """The repository workload whose landmark responses match the target's.
 
-    ``repository`` is anything with the :class:`WorkloadRepository`
-    read surface (``workloads()`` / ``observations()``).  Returns ``None``
-    while fewer than two landmark probes have succeeded, or when no stored
-    workload has enough observations to compare against.
+    Returns ``None`` while fewer than two landmark probes have succeeded,
+    or when no stored workload has enough observations that fit ``space``
+    to compare against.
     """
     landmark_trials = [t for t in history.trials[:n_landmarks] if t.ok]
     if len(landmark_trials) < 2:
@@ -122,7 +114,7 @@ def map_workload(
 
     best_name, best_dist = None, np.inf
     for name in repository.workloads():
-        observations = repository.observations(name)
+        observations = _space_observations(repository, name, space)
         if len(observations) < 3:
             continue
         # Predict the prior workload's (normalised) response at the
@@ -172,9 +164,7 @@ def augment_history(
     augmented = TrialHistory()
     for trial in history.trials:
         augmented.record(trial.config, trial.measurement)
-    for config, norm_obj in repository.observations(workload_name):
-        if not space.is_valid(config):
-            continue
+    for config, norm_obj in _space_observations(repository, workload_name, space):
         synthetic = Measurement(
             config=TrainingConfig.from_dict(config),
             ok=True,
@@ -232,18 +222,20 @@ def _json_default(value):
 
 
 class HistoryRepository:
-    """Completed tuning sessions persisted as JSON lines on disk.
+    """Completed tuning sessions, in memory or as JSON lines on disk.
 
-    One line per stored session: the workload name, its numeric
+    One record per stored session: the workload name, its numeric
     fingerprint, the raw (config, objective) observations, and free-form
-    metadata.  Objectives are stored *raw* and normalised on read (the
-    same per-session zero-mean/unit-variance convention as
-    :class:`WorkloadRepository`), so the file is also useful to offline
-    analysis at its original scale.
+    metadata.  Objectives are stored *raw* and normalised on read (zero
+    mean / unit variance per session), so cross-workload comparison is
+    scale-free and the file is also useful to offline analysis at its
+    original scale.
 
-    Writes are atomic — the whole file is rewritten to a temp file in the
-    same directory and swapped in with ``os.replace`` (the experiment
-    cache's discipline), so a crash mid-write can never leave a truncated
+    With ``path=None`` the repository lives in memory: it loads nothing
+    and :meth:`add_session` writes nothing.  With a path, writes are
+    atomic — the whole file is rewritten to a temp file in the same
+    directory and swapped in with ``os.replace`` (the experiment cache's
+    discipline), so a crash mid-write can never leave a truncated
     repository behind.  Loading tolerates a missing file (an empty
     repository); corrupt lines (external edits, torn copies) are
     *quarantined* rather than fatal — each bad line is appended to a
@@ -253,12 +245,12 @@ class HistoryRepository:
     ``strict=True`` to restore the old fail-loud behaviour.
     """
 
-    def __init__(self, path: str, strict: bool = False) -> None:
+    def __init__(self, path: Optional[str] = None, strict: bool = False) -> None:
         self.path = path
         self.strict = strict
         self.quarantined_lines = 0
         self._entries: List[dict] = []
-        if os.path.exists(path):
+        if path is not None and os.path.exists(path):
             bad: List[Tuple[int, str]] = []
             with open(path) as handle:
                 for line_number, line in enumerate(handle, start=1):
@@ -316,7 +308,7 @@ class HistoryRepository:
         fingerprint: Optional[Dict[str, float]] = None,
         metadata: Optional[dict] = None,
     ) -> None:
-        """Persist a finished session's raw (config, objective) pairs."""
+        """Store a finished session's raw (config, objective) pairs."""
         if len(observations) < 2:
             raise ValueError("need at least 2 observations to normalise")
         entry = {
@@ -328,7 +320,8 @@ class HistoryRepository:
             "metadata": dict(metadata) if metadata else {},
         }
         self._entries.append(entry)
-        self._flush()
+        if self.path is not None:
+            self._flush()
 
     def sessions(self) -> List[dict]:
         """Stored session records, in insertion order (copies)."""
@@ -344,10 +337,8 @@ class HistoryRepository:
     def observations(self, workload_name: str) -> List[Tuple[ConfigDict, float]]:
         """(config, normalised objective) pairs for a workload.
 
-        Normalisation is per stored session (each session's objectives get
-        zero mean / unit variance before merging), matching what
-        :meth:`WorkloadRepository.add_session` would have produced for the
-        same sequence of sessions.
+        Normalisation is per stored session: each session's objectives get
+        zero mean / unit variance (unit scale when constant) before merging.
         """
         pairs: List[Tuple[ConfigDict, float]] = []
         for entry in self._entries:
@@ -430,22 +421,6 @@ class HistoryRepository:
                 best_name, best_dist = name, dist
         return best_name
 
-    def to_workload_repository(self) -> WorkloadRepository:
-        """An in-memory :class:`WorkloadRepository` view of the store.
-
-        Replays every persisted session through
-        :meth:`WorkloadRepository.add_session`, so landmark mapping code
-        written against the in-memory class works on the persistent store
-        unchanged.
-        """
-        repository = WorkloadRepository()
-        for entry in self._entries:
-            repository.add_session(
-                entry["workload"],
-                [(config, objective) for config, objective in entry["observations"]],
-            )
-        return repository
-
 
 # -- transfer priors ---------------------------------------------------------
 
@@ -482,19 +457,6 @@ class TransferPrior:
         return self._gp.predict_mean(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
-def _config_fits_space(space: ConfigSpace, config: ConfigDict) -> bool:
-    """Whether a stored config belongs to this space.
-
-    A persistent repository outlives the space it was recorded under;
-    validity checks on a config with missing or foreign knobs raise
-    rather than return False, so treat any such config as non-matching.
-    """
-    try:
-        return bool(space.is_valid(config))
-    except (KeyError, TypeError, ValueError):
-        return False
-
-
 def build_prior(
     repository,
     workload_name: str,
@@ -504,16 +466,11 @@ def build_prior(
 ) -> Optional[TransferPrior]:
     """A :class:`TransferPrior` over a repository workload, or ``None``.
 
-    ``repository`` is anything with the :class:`WorkloadRepository` read
-    surface.  Returns ``None`` when the workload has too few valid
-    observations or the prior GP cannot be fitted (degenerate data) —
-    callers fall back to a cold start.
+    Returns ``None`` when the workload has too few observations that fit
+    ``space`` or the prior GP cannot be fitted (degenerate data) — callers
+    fall back to a cold start.
     """
-    observations = [
-        (config, value)
-        for config, value in repository.observations(workload_name)
-        if _config_fits_space(space, config)
-    ]
+    observations = _space_observations(repository, workload_name, space)
     if len(observations) < 3:
         return None
     try:

@@ -514,20 +514,6 @@ class TrialHistory:
         """
         return [t.cumulative_wall_clock_s for t in self._trials]
 
-    def trials_to_reach(self, threshold: float) -> Optional[int]:
-        """Number of trials to first reach ``objective >= threshold``."""
-        for trial in self._trials:
-            if trial.ok and trial.objective >= threshold:
-                return trial.index + 1
-        return None
-
-    def cost_to_reach(self, threshold: float) -> Optional[float]:
-        """Probe cost (simulated seconds) to first reach ``threshold``."""
-        for trial in self._trials:
-            if trial.ok and trial.objective >= threshold:
-                return trial.cumulative_cost_s
-        return None
-
     def wall_clock_to_reach(self, threshold: float) -> Optional[float]:
         """Earliest wall-clock (simulated seconds) at which ``threshold`` held.
 

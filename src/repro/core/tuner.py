@@ -62,11 +62,6 @@ class MLConfigTuner(SearchStrategy):
         ``rejection_margin * |incumbent|`` below the incumbent.  The margin
         absorbs short-probe noise; 0.25 keeps the false-rejection rate
         negligible at the default noise level.
-    batch_lie:
-        Fantasy value for configurations already in flight (or proposed
-        earlier in the same round): ``"incumbent"`` (constant liar,
-        strongly diversifying) or ``"mean"`` (milder).  See
-        :mod:`repro.core.parallel`.
     shard_cost_feature:
         On a heterogeneous :class:`~repro.core.fleet.EnvironmentPool`,
         condition the cost surrogate on the shard each probe ran on and
@@ -105,7 +100,6 @@ class MLConfigTuner(SearchStrategy):
         early_termination: bool = True,
         short_probe_fraction: float = 0.25,
         rejection_margin: float = 0.25,
-        batch_lie: str = "incumbent",
         shard_cost_feature: bool = False,
         fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
@@ -122,8 +116,6 @@ class MLConfigTuner(SearchStrategy):
             raise ValueError("short_probe_fraction must be in (0, 1)")
         if rejection_margin < 0:
             raise ValueError("rejection_margin must be non-negative")
-        if batch_lie not in ("incumbent", "mean"):
-            raise ValueError("batch_lie must be 'incumbent' or 'mean'")
         if fit_workers < 1:
             raise ValueError("fit_workers must be >= 1")
         self.acquisition = acquisition
@@ -131,7 +123,6 @@ class MLConfigTuner(SearchStrategy):
         self.early_termination = early_termination
         self.short_probe_fraction = short_probe_fraction
         self.rejection_margin = rejection_margin
-        self.batch_lie = batch_lie
         self.shard_cost_feature = shard_cost_feature
         self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
@@ -313,7 +304,6 @@ class MLConfigTuner(SearchStrategy):
             history,
             pending,
             rng,
-            lie=self.batch_lie,
             cost_scale=cost_scale,
             shard_weight=shard_weight,
         )

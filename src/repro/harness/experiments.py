@@ -3,13 +3,13 @@
 Each ``exp_*`` function runs (or reuses, via memoisation) the simulations
 behind one table or figure and returns an :class:`ExperimentTable` — the
 exact rows the paper-style artefact reports.  The benchmark suite
-(``benchmarks/bench_*.py``) calls these and prints them; EXPERIMENTS.md
-records a reference run.
+(``benchmarks/bench_*.py``) calls these and prints them.
 
 All experiments are *reconstructions*: the target paper's text was not
-available (see DESIGN.md), so the experiment set follows the standard
-ICDCS-era tuner evaluation recipe (speedup table, convergence curves,
-search cost, TTA, scalability, sync-mode crossover, ablations).
+available (PAPER.md holds only its identifier), so the experiment set
+follows the standard ICDCS-era tuner evaluation recipe (speedup table,
+convergence curves, search cost, TTA, scalability, sync-mode crossover,
+ablations).
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from repro.baselines import (
     CherryPick,
     OtterTuneStyle,
     RandomSearch,
-    WorkloadRepository,
     default_strategy,
     expert_strategy,
 )
 from repro.cluster import ClusterSpec, homogeneous
 from repro.configspace import ml_config_space, to_training_config
-from repro.core import MLConfigTuner, TuningBudget
+from repro.core import HistoryRepository, MLConfigTuner, TuningBudget
 from repro.harness import metrics
 from repro.harness.comparison import (
     Comparison,
@@ -1279,7 +1278,7 @@ def exp_a3_warmstart(
 
         # Build the repository from prior tuning sessions (random search is
         # enough to populate it with diverse observations).
-        repository = WorkloadRepository()
+        repository = HistoryRepository()
         for prior_name in prior_workloads:
             env = TrainingEnvironment(get_workload(prior_name), cluster, seed=seed)
             session = RandomSearch().run(

@@ -34,10 +34,6 @@ class DatasetSpec:
         if self.sample_cost_cv < 0:
             raise ValueError(f"{self.name}: sample_cost_cv must be non-negative")
 
-    def epoch_bytes(self) -> float:
-        """Serialized size of one full pass over the data."""
-        return self.num_samples * self.bytes_per_sample
-
 
 IMAGENET = DatasetSpec(name="imagenet", num_samples=1_281_167, bytes_per_sample=110e3)
 CIFAR10 = DatasetSpec(name="cifar10", num_samples=50_000, bytes_per_sample=3.1e3)

@@ -179,39 +179,6 @@ class TestCostAware:
             BayesianProposer(space, acquisition="nope")
 
 
-class TestLogObjectiveOption:
-    def test_log_transform_activates_for_positive_objectives(self):
-        space = toy_space()
-        proposer = BayesianProposer(
-            space, n_initial=3, n_candidates=64, log_objective="auto", seed=0
-        )
-        rng = np.random.default_rng(0)
-        history = TrialHistory()
-        for _ in range(6):
-            config = proposer.propose(history, rng)
-            record(history, config, 10.0 + config["x"])  # strictly positive
-        assert proposer._log_active
-
-    def test_log_transform_skipped_for_negative_objectives(self):
-        space = toy_space()
-        proposer = BayesianProposer(
-            space, n_initial=3, n_candidates=64, log_objective="auto", seed=0
-        )
-        rng = np.random.default_rng(0)
-        history = TrialHistory()
-        for _ in range(6):
-            config = proposer.propose(history, rng)
-            record(history, config, toy_objective(config))  # negative values
-        assert not proposer._log_active
-
-    def test_never_is_default_and_off(self):
-        space = toy_space()
-        proposer = BayesianProposer(space, n_initial=3, n_candidates=64, seed=0)
-        assert proposer.log_objective == "never"
-        with pytest.raises(ValueError):
-            BayesianProposer(space, log_objective="sometimes")
-
-
 class TestPersistentSurrogate:
     """The proposer must reuse (and extend) its surrogate across calls."""
 

@@ -492,7 +492,6 @@ class TestChangePointDetector:
         def strategy(error):
             proposer = SimpleNamespace(
                 space=stub_space(),
-                _log_active=False,
                 _objective_cache=SimpleNamespace(gp=FailingGP(error)),
             )
             return SimpleNamespace(_proposer=proposer)

@@ -8,12 +8,11 @@ from repro.baselines import (
     RandomSearch,
     SuccessiveHalving,
     TPE,
-    WorkloadRepository,
     default_strategy,
 )
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
-from repro.core import MLConfigTuner, TuningBudget, knob_importance
+from repro.core import HistoryRepository, MLConfigTuner, TuningBudget, knob_importance
 from repro.harness import compare_strategies, estimate_optimum, metrics
 from repro.mlsim import TrainingEnvironment
 from repro.workloads import get_workload
@@ -123,7 +122,7 @@ class TestTransferPipeline:
         sibling) should map Inception onto ResNet, not word2vec."""
         nodes = 8
         space = ml_config_space(nodes)
-        repo = WorkloadRepository()
+        repo = HistoryRepository()
         for prior in ("resnet50-imagenet", "word2vec-wiki"):
             env = TrainingEnvironment(get_workload(prior), homogeneous(nodes), seed=3)
             session = RandomSearch().run(

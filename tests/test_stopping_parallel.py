@@ -179,9 +179,9 @@ class TestConstantLiar:
 
     def test_validation(self):
         space, proposer, history = self._setup()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cost_scale"):
             propose_async(
-                proposer, history, [], np.random.default_rng(0), lie="huge"
+                proposer, history, [], np.random.default_rng(0), cost_scale=-1.0
             )
 
     def test_cost_lie_falls_back_to_all_trials_then_default(self):
@@ -199,7 +199,7 @@ class TestConstantLiar:
                     objective=None, probe_cost_s=cost,
                 ),
             )
-        lie_value, cost_lie = _fantasy_lies(all_failed, "incumbent")
+        lie_value, cost_lie = _fantasy_lies(all_failed)
         # No success to lie about: the objective lie is None (the fantasy
         # records as a failed probe) — any constant would fabricate an
         # objective scale, and for negated objectives (tta) 0.0 would
@@ -213,9 +213,9 @@ class TestConstantLiar:
         assert extended[0].measurement.probe_cost_s == 40.0
 
         # No trials at all (or only zero-cost ones): a positive default.
-        assert _fantasy_lies(TrialHistory(), "incumbent")[1] == DEFAULT_COST_LIE_S
+        assert _fantasy_lies(TrialHistory())[1] == DEFAULT_COST_LIE_S
         zero_cost = make_history([None, None], cost=0.0)
-        assert _fantasy_lies(zero_cost, "incumbent")[1] == DEFAULT_COST_LIE_S
+        assert _fantasy_lies(zero_cost)[1] == DEFAULT_COST_LIE_S
         # Zero-cost *successes* fall through too: first to the all-trials
         # median, then to the default.
         mixed = make_history([1.0], cost=0.0)
@@ -226,9 +226,9 @@ class TestConstantLiar:
                 objective=None, probe_cost_s=20.0,
             ),
         )
-        assert _fantasy_lies(mixed, "incumbent") == (1.0, 10.0)
+        assert _fantasy_lies(mixed) == (1.0, 10.0)
         zero_success = make_history([1.0, 2.0], cost=0.0)
-        assert _fantasy_lies(zero_success, "incumbent") == (2.0, DEFAULT_COST_LIE_S)
+        assert _fantasy_lies(zero_success) == (2.0, DEFAULT_COST_LIE_S)
 
     def test_fantasy_measurement_carries_fantasy_config(self):
         """Regression: fantasies used to carry a default TrainingConfig."""

@@ -11,13 +11,12 @@ from repro.baselines import (
     OtterTuneStyle,
     RandomSearch,
     SimulatedAnnealing,
-    WorkloadRepository,
     default_strategy,
     expert_strategy,
 )
 from repro.cluster import homogeneous
 from repro.configspace import from_training_config, ml_config_space
-from repro.core import TuningBudget
+from repro.core import HistoryRepository, TuningBudget
 from repro.mlsim import DEFAULT_CONFIG, TrainingEnvironment
 from repro.workloads import get_workload
 
@@ -152,14 +151,14 @@ class TestCherryPick:
 
 class TestOtterTune:
     def test_repository_normalises(self):
-        repo = WorkloadRepository()
+        repo = HistoryRepository()
         observations = [({"a": i}, float(i)) for i in range(5)]
         repo.add_session("w1", observations)
         values = [v for _, v in repo.observations("w1")]
         assert abs(sum(values)) < 1e-9  # zero mean
 
     def test_repository_needs_two_observations(self):
-        repo = WorkloadRepository()
+        repo = HistoryRepository()
         with pytest.raises(ValueError):
             repo.add_session("w1", [({"a": 1}, 1.0)])
 
@@ -171,7 +170,7 @@ class TestOtterTune:
         assert result.best_objective > 0
 
     def test_maps_to_prior_workload(self):
-        repo = WorkloadRepository()
+        repo = HistoryRepository()
         prior_env = make_env(seed=1)
         session = RandomSearch().run(
             prior_env, space(), TuningBudget(max_trials=15), seed=1

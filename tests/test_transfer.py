@@ -1,21 +1,24 @@
 """Tests for repro.core.transfer and the PriorMeanGP warm-start tier.
 
 Covers the OtterTune extraction (the baseline must remain bit-identical
-to its pre-refactor behaviour), the persistent HistoryRepository, the
-fingerprint-based nearest-workload matching, TransferPrior construction,
-and the residual-GP prior-mean wrapper the service installs.
+to its pre-refactor behaviour), the HistoryRepository (in memory and on
+disk), stored configs that no longer fit the space, the fingerprint-based
+nearest-workload matching, TransferPrior construction, and the
+residual-GP prior-mean wrapper the service installs.
 """
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.baselines.ottertune as ottertune_module
-from repro.baselines import OtterTuneStyle, RandomSearch, WorkloadRepository
+from repro.baselines import OtterTuneStyle, RandomSearch
 from repro.cluster import homogeneous
-from repro.configspace import ml_config_space
+from repro.configspace import ml_config_space, to_training_config
 from repro.core import TuningBudget
 from repro.core.bo import BayesianProposer
 from repro.core.gp import GaussianProcess, GPFitError, PriorMeanGP, SurrogateFactory
@@ -45,8 +48,8 @@ def space():
     return ml_config_space(NODES)
 
 
-def seeded_repository(seed=1, trials=15):
-    repo = WorkloadRepository()
+def seeded_repository(seed=1, trials=15, path=None):
+    repo = HistoryRepository(path)
     session = RandomSearch().run(
         make_env(seed=seed), space(), TuningBudget(max_trials=trials), seed=seed
     )
@@ -131,11 +134,6 @@ class _FrozenOtterTune(OtterTuneStyle):
 
 
 class TestOtterTuneExtraction:
-    def test_shim_reexports_the_same_repository_class(self):
-        import repro.core.transfer as transfer
-
-        assert ottertune_module.WorkloadRepository is transfer.WorkloadRepository
-
     def test_shim_trajectory_bit_identical_to_frozen_reference(self):
         repo = seeded_repository()
         budget = TuningBudget(max_trials=14)
@@ -163,6 +161,58 @@ class TestOtterTuneExtraction:
     def test_augment_history_passthrough_without_mapping(self):
         history = TrialHistory()
         assert augment_history(history, space(), seeded_repository(), None) is history
+
+
+_objectives = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_varied = st.lists(
+    st.tuples(st.integers(1, 64), _objectives), min_size=2, max_size=20
+)
+_constant = st.tuples(st.integers(2, 20), _objectives).map(
+    lambda size_value: [(i + 1, size_value[1]) for i in range(size_value[0])]
+)
+_sessions = st.tuples(
+    st.sampled_from(["a", "b", "c"]),
+    st.one_of(_varied, _constant).map(
+        lambda pairs: [({"num_workers": k}, value) for k, value in pairs]
+    ),
+)
+
+
+def stale_repository(path):
+    """The seeded repository plus a session recorded before a knob existed."""
+    repo = seeded_repository(path=path)
+    session = RandomSearch().run(
+        make_env(seed=2), space(), TuningBudget(max_trials=15), seed=2
+    )
+    stale = [
+        ({k: v for k, v in t.config.items() if k != "architecture"}, t.objective)
+        for t in session.history.successful()
+    ]
+    repo.add_session("legacy", stale)
+    return repo
+
+
+class TestStoredConfigsOutsideTheSpace:
+    """Every repository reader skips stored configs that do not fit the space."""
+
+    def test_ottertune_runs_to_budget(self, tmp_path):
+        repo = stale_repository(os.path.join(tmp_path, "h.jsonl"))
+        strategy = OtterTuneStyle(repository=repo, seed=0)
+        result = strategy.run(make_env(), space(), TuningBudget(max_trials=12), seed=0)
+        assert result.num_trials == 12
+        assert strategy.mapped_workload == "prior"
+
+    def test_readers_skip_the_stale_session(self, tmp_path):
+        repo = stale_repository(os.path.join(tmp_path, "h.jsonl"))
+        s = space()
+        history = TrialHistory()
+        env = make_env()
+        for config in landmark_set(s, 4, 0):
+            history.record(config, env.measure(to_training_config(config)))
+        assert map_workload(repo, history, s, 4, 0) == "prior"
+        augmented = augment_history(history, s, repo, "legacy")
+        assert len(augmented) == len(history)
+        assert build_prior(repo, "legacy", s) is None
 
 
 class TestHistoryRepository:
@@ -194,17 +244,23 @@ class TestHistoryRepository:
         assert abs(values[:4].mean()) < 1e-9
         assert abs(values[4:].mean()) < 1e-9
 
-    def test_matches_in_memory_repository(self, tmp_path):
-        persistent = HistoryRepository(os.path.join(tmp_path, "h.jsonl"))
-        in_memory = WorkloadRepository()
-        for name, offset in (("a", 0.0), ("b", 5.0)):
-            persistent.add_session(name, self._observations(offset=offset))
-            in_memory.add_session(name, self._observations(offset=offset))
-        converted = persistent.to_workload_repository()
-        assert converted.workloads() == in_memory.workloads()
-        for name in in_memory.workloads():
-            assert persistent.observations(name) == in_memory.observations(name)
-            assert converted.observations(name) == in_memory.observations(name)
+    @given(sessions=st.lists(_sessions, min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_in_memory_repository(self, sessions):
+        """In memory, on disk, and reloaded from disk read back the same."""
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "h.jsonl")
+            in_memory, on_disk = HistoryRepository(), HistoryRepository(path)
+            for name, observations in sessions:
+                in_memory.add_session(name, observations)
+                on_disk.add_session(name, observations)
+            reloaded = HistoryRepository(path)
+            assert os.listdir(scratch) == ["h.jsonl"]
+        for repo in (on_disk, reloaded):
+            assert repo.workloads() == in_memory.workloads()
+            assert len(repo) == len(in_memory) == len(sessions)
+            for name in in_memory.workloads():
+                assert repo.observations(name) == in_memory.observations(name)
 
     def test_needs_two_observations(self, tmp_path):
         repo = HistoryRepository(os.path.join(tmp_path, "h.jsonl"))
@@ -414,8 +470,6 @@ class TestPriorMeanGP:
         prior = lambda q: np.zeros(len(np.atleast_2d(q)))  # noqa: E731
         env = make_env()
         history = TrialHistory()
-        from repro.configspace import to_training_config
-
         seeding = BayesianProposer(s, n_initial=3, seed=0)
         for _ in range(4):
             config = seeding.propose(history, np.random.default_rng(1))
