@@ -1,36 +1,32 @@
 """F3 — search cost to reach near-optimal configurations.
 
-Shares the memoised comparison sweep with F2.  The timed kernel is the
-metric-extraction pass over a full comparison (cheap, but it is the code
+Shares the memoised sweep sessions with F2.  The timed kernel is the
+metric-extraction pass over the full sweep (cheap, but it is the code
 path every experiment report runs).
 """
 
 from conftest import emit
-from repro.harness.experiments import _core_comparisons, exp_f3_search_cost
-from repro.harness import metrics
+from repro.harness import metrics, run_sweep
+from repro.harness.experiments import _core_cells, exp_f3_search_cost
 
 
 def bench_f3_search_cost(benchmark):
     table = emit(exp_f3_search_cost(nodes=16, budget_trials=36, repeats=2, seed=0))
     assert "mlconfig-bo" in table
 
-    comparisons = _core_comparisons(16, 36, 2, 0)
+    cells = run_sweep(_core_cells(16, 36, 0), seeds=[0, 1])["cells"]
 
     def kernel():
         rows = []
-        for comparison in comparisons.values():
-            for outcome in comparison.outcomes.values():
-                for result in outcome.results:
-                    rows.append(
-                        (
-                            metrics.trials_to_within(
-                                result, comparison.optimum_value, 0.05
-                            ),
-                            metrics.cost_to_within(
-                                result, comparison.optimum_value, 0.05
-                            ),
-                        )
+        for cell in cells.values():
+            optimum = cell["optimum_value"]
+            for result in cell["results"]:
+                rows.append(
+                    (
+                        metrics.trials_to_within(result, optimum, 0.05),
+                        metrics.cost_to_within(result, optimum, 0.05),
                     )
+                )
         return rows
 
     rows = benchmark(kernel)

@@ -38,14 +38,8 @@ except ImportError:  # standalone `python benchmarks/bench_p4_fleet.py`
 
 import numpy as np
 
-from repro.cluster import homogeneous
-from repro.configspace import ml_config_space
-from repro.core import MLConfigTuner, TuningBudget
-from repro.core.session import executor_for
-from repro.harness import metrics
-from repro.harness.experiments import build_fleet_pool
-from repro.mlsim import TrainingEnvironment
-from repro.workloads import get_workload
+from repro.harness import metrics, run_sweep
+from repro.harness.experiments import fleet_cells
 
 SCHEMA = "bench_p4_fleet/v1"
 NODES = 64
@@ -56,28 +50,16 @@ SCHEDULER = "roundrobin"
 
 
 def run_pair(seed):
-    """Single-shard vs 4-shard fleet at one seed; returns the result cell."""
-    workload = get_workload(WORKLOAD)
-    cluster = homogeneous(NODES)
-    space = ml_config_space(NODES)
-    budget = TuningBudget(max_trials=TRIALS)
+    """Single-shard vs 4-shard fleet at one seed; returns the result cell.
 
-    single = MLConfigTuner(seed=seed).run(
-        TrainingEnvironment(workload, cluster, seed=seed),
-        space,
-        budget,
-        seed=seed,
-    )
-    pool = build_fleet_pool(
-        get_workload(WORKLOAD), NODES, seed, SHARD_MULTIPLIERS, SCHEDULER
-    )
-    fleet = MLConfigTuner(seed=seed).run(
-        None,
-        space,
-        budget,
-        seed=seed,
-        executor=executor_for(len(SHARD_MULTIPLIERS), "async", pool=pool),
-    )
+    The two arms are P4's own sweep cells (``fleet_cells``), so the pair
+    is the P4 table's ``single`` and round-robin rows at these settings.
+    """
+    cells = run_sweep(
+        fleet_cells(NODES, TRIALS, seed, WORKLOAD, SHARD_MULTIPLIERS, (SCHEDULER,)),
+        [seed],
+    )["cells"]
+    single, fleet = cells["single"]["results"][0], cells[SCHEDULER]["results"][0]
 
     _, single_reach, fleet_reach = metrics.matched_quality_reach(single, fleet)
     cost_by_shard = fleet.history.cost_by_shard()

@@ -13,9 +13,10 @@ Four axes, one per layer this change touches:
   with the restarts fanned across ``fit_workers`` processes vs in-process
   serial.  Results are bit-identical; only wall-clock changes.  On a
   single-core host the parallel arms show ~1x (see ``config.host_cpus``).
-- ``harness`` — one P1-style strategy-comparison sweep
-  (``compare_strategies``) with its (strategy × repeat) cells fanned
-  across ``n_jobs`` worker processes vs serial.  Cell results are
+- ``harness`` — one P1-style strategy sweep (``run_sweep``) with its
+  (strategy × seed) sessions fanned across ``n_jobs`` worker processes
+  vs serial.  Each timed arm starts with both experiment-cache tiers
+  empty, so it times sessions, not cache reads.  Session results are
   identical; the speedup is bounded by ``config.host_cpus``.
 - ``cache`` — the disk-memoised experiment tier: one experiment cell
   computed cold (and persisted) vs re-loaded warm from the JSON cache by
@@ -48,7 +49,7 @@ except ImportError:  # standalone `python benchmarks/bench_p5_throughput.py`
 import numpy as np
 
 from repro.configspace import ConfigSpace, ml_config_space
-from repro.core import TrialHistory, TuningBudget
+from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import make_kernel
@@ -127,52 +128,55 @@ def time_hyperfit(n, fit_workers, repeats, seed=0, dim=8, restarts=6):
 
 
 def time_harness(quick, seed=0):
-    """One P1-style comparison sweep: serial vs cell-parallel wall-clock."""
-    from repro.baselines import (
-        CoordinateDescent,
-        RandomSearch,
-        SimulatedAnnealing,
-    )
-    from repro.cluster import homogeneous
-    from repro.core import MLConfigTuner
-    from repro.harness import compare_strategies
-    from repro.workloads import get_workload
+    """One P1-style strategy sweep: serial vs session-parallel wall-clock."""
+    import tempfile
 
-    strategies = {
-        "mlconfig-bo": lambda s: MLConfigTuner(seed=s),
-        "random": lambda s: RandomSearch(),
-        "annealing": lambda s: SimulatedAnnealing(seed=s),
-        "coordinate": lambda s: CoordinateDescent(seed=s),
-    }
+    import repro.harness.experiments as experiments
+    from repro.harness import SweepCell, run_sweep
+
+    strategies = ("mlconfig-bo", "random", "annealing", "coordinate")
     if quick:
-        strategies = dict(list(strategies.items())[:2])
+        strategies = strategies[:2]
     repeats = 2 if quick else 3
     # Keep the BO cells past their initial design so every cell does real
     # surrogate work — near-empty cells would time pool overhead, not the
     # harness.
     trials = 12 if quick else 16
-    workload = get_workload("resnet50-imagenet")
-    cluster = homogeneous(16)
-    budget = TuningBudget(max_trials=trials)
+    cells = [
+        SweepCell(
+            name=name,
+            workload="resnet50-imagenet",
+            nodes=16,
+            strategy=name,
+            max_trials=trials,
+            optimum_seed=seed,
+        )
+        for name in strategies
+    ]
+    seeds = range(seed, seed + repeats)
 
     def sweep(n_jobs):
+        # Both cache tiers start empty: a warm memo would time reads.
+        experiments.clear_experiment_cache()
         start = time.perf_counter()
-        comparison = compare_strategies(
-            strategies,
-            workload,
-            cluster,
-            budget,
-            repeats=repeats,
-            seed=seed,
-            n_jobs=n_jobs,
-        )
-        return time.perf_counter() - start, comparison
+        report = run_sweep(cells, seeds, n_jobs=n_jobs)
+        return time.perf_counter() - start, report
 
-    sweep(1)  # warm the optimum cache so both timed arms share it
-    serial_s, serial = sweep(1)
-    parallel_s, parallel = sweep(4)
-    for name in serial.outcomes:
-        if serial.outcomes[name].normalized_best != parallel.outcomes[name].normalized_best:
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    with tempfile.TemporaryDirectory(prefix="bench-p5-sweep-") as scratch:
+        os.environ["REPRO_CACHE_DIR"] = scratch
+        try:
+            sweep(1)  # warm the optimum cache so both timed arms share it
+            serial_s, serial = sweep(1)
+            parallel_s, parallel = sweep(4)
+            experiments.clear_experiment_cache()
+        finally:
+            if previous is None:
+                os.environ.pop("REPRO_CACHE_DIR", None)
+            else:
+                os.environ["REPRO_CACHE_DIR"] = previous
+    for name in strategies:
+        if serial["cells"][name]["values"] != parallel["cells"][name]["values"]:
             raise AssertionError(f"n_jobs=4 diverged from serial on {name!r}")
     return {
         "cells": len(strategies) * repeats,

@@ -3,22 +3,23 @@
 Three independent knobs make repeated evaluation sweeps scale with the
 hardware instead of with patience — none of them changes any result:
 
-1. ``compare_strategies(n_jobs=...)`` fans the independent
-   (strategy × repeat) tuning sessions of a comparison across worker
-   processes (:mod:`repro.harness.runner`).  ``n_jobs=None`` uses one
-   process per CPU; results are identical to serial.
+1. ``run_sweep(cells, seeds, n_jobs=...)`` fans the independent
+   (cell × seed) tuning sessions of a sweep across worker processes
+   (:mod:`repro.harness.runner`).  ``n_jobs=None`` uses one process per
+   CPU; results are identical to serial.
 
 2. ``MLConfigTuner(fit_workers=K)`` (CLI: ``--fit-workers K``) fans a
    cold GP fit's multi-start L-BFGS-B restarts across ``K`` processes
    (a surrogate's first fit, and the first after a re-tune; later refits
    run one start in-process).  The same starts run either way and the
    best-of reduction is order-independent, so the fitted hyperparameters
-   are bit-identical to serial.
+   are bit-identical to serial.  (Not exercised below: sweep cells run
+   the registry's default-configured tuners.)
 
 3. The experiment memoiser keeps a persistent JSON tier on disk (default
    ``.repro_cache/`` under the working directory, relocatable via the
-   ``REPRO_CACHE_DIR`` environment variable): a table cell an ``exp_*``
-   function computed in *any* earlier run is loaded instead of recomputed.
+   ``REPRO_CACHE_DIR`` environment variable): a sweep session or table
+   cell computed in *any* earlier run is loaded instead of recomputed.
    ``clear_experiment_cache()`` wipes both tiers.
 
 Run with::
@@ -29,41 +30,37 @@ Run with::
 import os
 import time
 
-from repro.baselines import RandomSearch, SimulatedAnnealing
-from repro.cluster import homogeneous
-from repro.core import MLConfigTuner, TuningBudget
-from repro.harness import compare_strategies
+from repro.harness import SweepCell, run_sweep
 from repro.harness.experiments import (
     clear_experiment_cache,
     experiment_cache_dir,
     exp_f5_scalability,
 )
-from repro.workloads import get_workload
 
 
 def main() -> None:
-    workload = get_workload("resnet50-imagenet")
-    cluster = homogeneous(16)
-    budget = TuningBudget(max_trials=16)
-    strategies = {
-        "mlconfig-bo": lambda seed: MLConfigTuner(seed=seed, fit_workers=2),
-        "random": lambda seed: RandomSearch(),
-        "annealing": lambda seed: SimulatedAnnealing(seed=seed),
-    }
-
-    # -- 1 + 2: cell-parallel comparison, process-parallel GP refits ------
-    for n_jobs in (1, None):  # None = one worker process per CPU
-        start = time.perf_counter()
-        comparison = compare_strategies(
-            strategies, workload, cluster, budget, repeats=2, seed=0, n_jobs=n_jobs
+    cells = [
+        SweepCell(
+            name=name,
+            workload="resnet50-imagenet",
+            nodes=16,
+            strategy=name,
+            max_trials=16,
         )
+        for name in ("mlconfig-bo", "random", "annealing")
+    ]
+
+    # -- 1: session-parallel sweep ----------------------------------------
+    for n_jobs in (1, None):  # None = one worker process per CPU
+        clear_experiment_cache()  # time the sessions, not cache reads
+        start = time.perf_counter()
+        report = run_sweep(cells, seeds=[0, 1], n_jobs=n_jobs)["cells"]
         elapsed = time.perf_counter() - start
         label = "serial" if n_jobs == 1 else f"n_jobs={os.cpu_count()}"
         print(f"[{label:>9}] sweep took {elapsed:5.1f} s wall-clock")
-        for name in comparison.ranking():
-            outcome = comparison.outcomes[name]
+        for name in sorted(report, key=lambda n: -report[n]["stats"]["mean"]):
             print(
-                f"            {name:>12}: {outcome.mean_normalized_best:.3f} "
+                f"            {name:>12}: {report[name]['stats']['mean']:.3f} "
                 f"of optimum"
             )
 

@@ -340,8 +340,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.fit_workers < 1:
         print("--fit-workers must be >= 1", file=sys.stderr)
         return 2
-    if args.sparse_threshold is not None and 0 < args.sparse_threshold < 4:
+    if args.sparse_threshold not in (None, 0) and args.sparse_threshold < 4:
         print("--sparse-threshold must be 0 (off) or >= 4", file=sys.stderr)
+        return 2
+    if not 0.0 <= args.straggler_fraction <= 1.0:
+        print("--straggler-fraction must be in [0, 1]", file=sys.stderr)
         return 2
     if args.max_inducing is not None and args.max_inducing < 4:
         print("--max-inducing must be >= 4", file=sys.stderr)
@@ -699,6 +702,9 @@ def _cmd_experiment(exp_id: str) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    if getattr(args, "nodes", 2) < 2:
+        print("--nodes must be >= 2", file=sys.stderr)
+        return 2
     if args.command == "list-workloads":
         return _cmd_list_workloads()
     if args.command == "describe-space":

@@ -409,8 +409,9 @@ class EnvironmentPool:
     session-start state: occupancy cleared, scheduler reset, per-shard RNG
     streams re-derived from the session seed, and each distinct
     environment's probe counters rewound so a reused pool replays
-    identical measurement-noise streams (the property
-    ``compare_strategies(pool=...)`` relies on for repeat comparability).
+    identical measurement-noise streams: its sessions compare like the
+    fleet cells of :func:`~repro.harness.sweep.run_sweep`, which build a
+    fresh pool per session.
     """
 
     def __init__(

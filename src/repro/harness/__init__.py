@@ -1,4 +1,4 @@
-"""Experiment harness: metrics, optimum estimation, comparisons, tables."""
+"""Experiment harness: metrics, optimum estimation, seed sweeps, tables."""
 
 from repro.harness import metrics
 from repro.harness.chaos import (
@@ -12,12 +12,7 @@ from repro.harness.chaos import (
     run_with_kill,
     tear_wal,
 )
-from repro.harness.comparison import (
-    Comparison,
-    StrategyOutcome,
-    compare_strategies,
-    standard_strategy_set,
-)
+from repro.harness.comparison import standard_strategy_set, strategy_registry
 from repro.harness.optimum import clear_optimum_cache, estimate_optimum
 from repro.harness.runner import fork_available, resolve_n_jobs, run_cells
 from repro.harness.sweep import SweepCell, run_sweep, seed_spread_stats
@@ -31,9 +26,7 @@ from repro.harness.tables import (
 
 __all__ = [
     "ChaosKill",
-    "Comparison",
     "KillSwitch",
-    "StrategyOutcome",
     "SweepCell",
     "ascii_chart",
     "clear_optimum_cache",
@@ -44,7 +37,6 @@ __all__ = [
     "run_baseline",
     "run_with_kill",
     "tear_wal",
-    "compare_strategies",
     "estimate_optimum",
     "fork_available",
     "metrics",
@@ -56,5 +48,6 @@ __all__ = [
     "save_csv",
     "seed_spread_stats",
     "standard_strategy_set",
+    "strategy_registry",
     "to_csv",
 ]

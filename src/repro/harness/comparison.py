@@ -1,209 +1,22 @@
-"""Head-to-head comparison of tuning strategies.
+"""Named tuning strategies for the harness's sweep cells.
 
-The comparison protocol matches the papers': every strategy tunes the same
-workload on the same simulated cluster (identical heterogeneity, identical
-measurement-noise stream per trial index), repeated over several seeds, and
-is scored against the noise-free optimum.
+Every strategy a :class:`~repro.harness.sweep.SweepCell` names resolves
+through :func:`strategy_registry`: the F2/F3 lineup of
+:func:`standard_strategy_set` plus the tuner variants the ablation tables
+(A1, A2) compare.  A factory takes the session seed and builds a fresh
+strategy, so every (cell, seed) session is independent of every other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict
 
-import numpy as np
-
-from repro.cluster import ClusterSpec
-from repro.configspace import ConfigSpace, ml_config_space
-from repro.core.session import executor_for
-from repro.core.strategy import SearchStrategy, TuningBudget, TuningResult
-from repro.harness import metrics
-from repro.harness.optimum import estimate_optimum
-from repro.harness.runner import run_cells
-from repro.mlsim import TrainingEnvironment
-from repro.workloads import Workload
+from repro.core.strategy import SearchStrategy
 
 StrategyFactory = Callable[[int], SearchStrategy]
 
 
-@dataclass
-class StrategyOutcome:
-    """Aggregated results of one strategy over repeats."""
-
-    name: str
-    results: List[TuningResult]
-    normalized_best: List[float]
-    mean_curve: List[float]
-    trials_to_5pct: List[Optional[int]]
-    cost_to_5pct: List[Optional[float]]
-    trials_to_10pct: List[Optional[int]]
-    mean_total_cost_s: float
-    mean_total_wall_clock_s: float = 0.0
-
-    @property
-    def mean_normalized_best(self) -> float:
-        return float(np.mean(self.normalized_best))
-
-    @property
-    def std_normalized_best(self) -> float:
-        return float(np.std(self.normalized_best))
-
-    def mean_trials_to(self, which: str = "5pct") -> Optional[float]:
-        """Mean trials-to-threshold over repeats that reached it."""
-        values = self.trials_to_5pct if which == "5pct" else self.trials_to_10pct
-        reached = [v for v in values if v is not None]
-        if not reached:
-            return None
-        return float(np.mean(reached))
-
-    def reach_rate(self, which: str = "5pct") -> float:
-        """Fraction of repeats that got within the threshold."""
-        values = self.trials_to_5pct if which == "5pct" else self.trials_to_10pct
-        return sum(v is not None for v in values) / len(values)
-
-
-@dataclass
-class Comparison:
-    """A full head-to-head experiment."""
-
-    workload: str
-    cluster_nodes: int
-    optimum_value: float
-    optimum_config: dict
-    budget_trials: Optional[int]
-    outcomes: Dict[str, StrategyOutcome] = field(default_factory=dict)
-
-    def ranking(self) -> List[str]:
-        """Strategy names, best mean normalized performance first."""
-        return sorted(
-            self.outcomes,
-            key=lambda name: -self.outcomes[name].mean_normalized_best,
-        )
-
-
-def compare_strategies(
-    strategies: Dict[str, StrategyFactory],
-    workload: Workload,
-    cluster: ClusterSpec,
-    budget: TuningBudget,
-    repeats: int = 3,
-    objective: str = "throughput",
-    fidelity: str = "analytic",
-    space: Optional[ConfigSpace] = None,
-    env_seed: int = 0,
-    seed: int = 0,
-    workers: int = 1,
-    executor_mode: str = "sync",
-    pool=None,
-    n_jobs: int = 1,
-) -> Comparison:
-    """Run every strategy ``repeats`` times and aggregate.
-
-    Each repeat uses a distinct strategy seed but the *same* environment
-    seed (same cluster, same per-trial-index noise): strategies are
-    compared on an identical problem instance, the simulation analogue of
-    benchmarking tuners against one physical deployment.
-
-    ``n_jobs`` fans the independent (strategy × repeat) cells across
-    worker processes (:mod:`repro.harness.runner`; ``None`` = one per
-    CPU).  Every cell builds its own strategy and environment from its
-    own seed, so results are identical to ``n_jobs=1`` — the knob changes
-    only the wall-clock of the comparison itself, never its outcome, and
-    is therefore deliberately *not* part of any experiment cache key.
-
-    ``workers`` × ``executor_mode`` select the execution axis: one worker
-    probes serially (the seed semantics); K > 1 with ``"sync"`` probes K
-    configurations per round through a
-    :class:`~repro.core.session.ParallelExecutor`, with ``"async"``
-    through a barrier-free :class:`~repro.core.session.AsyncExecutor` —
-    the outcomes carry the corresponding wall-clock accounting.
-
-    ``pool`` fans every session across an
-    :class:`~repro.core.fleet.EnvironmentPool` instead of a fresh
-    single environment per repeat; the sessions run over the pool's full
-    slot capacity (a fleet with the default ``workers=1`` would otherwise
-    silently degrade to serial probing and report no fleet speedup), and
-    the pool is rewound at each session start (occupancy, scheduler,
-    per-shard RNG streams, environment probe counters), which keeps
-    repeats comparable.  ``workload`` and ``cluster`` still define the
-    reference environment the noise-free optimum is estimated on.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    space = space or ml_config_space(cluster.total_nodes)
-    if pool is not None:
-        workers = max(workers, pool.total_capacity)
-    executor = executor_for(workers, mode=executor_mode, pool=pool)
-
-    reference_env = TrainingEnvironment(
-        workload, cluster, seed=env_seed, fidelity="analytic", objective_name=objective
-    )
-    optimum_config, optimum_value = estimate_optimum(reference_env, space, seed=seed)
-
-    comparison = Comparison(
-        workload=workload.name,
-        cluster_nodes=cluster.total_nodes,
-        optimum_value=optimum_value,
-        optimum_config=optimum_config,
-        budget_trials=budget.max_trials,
-    )
-
-    def run_cell(factory: StrategyFactory, repeat: int) -> TuningResult:
-        strategy = factory(seed + repeat)
-        env = (
-            None
-            if pool is not None
-            else TrainingEnvironment(
-                workload,
-                cluster,
-                seed=env_seed,
-                fidelity=fidelity,
-                objective_name=objective,
-            )
-        )
-        return strategy.run(env, space, budget, seed=seed + repeat, executor=executor)
-
-    names = list(strategies)
-    cells = [
-        (lambda factory=strategies[name], repeat=repeat: run_cell(factory, repeat))
-        for name in names
-        for repeat in range(repeats)
-    ]
-    cell_results = run_cells(cells, n_jobs=n_jobs)
-
-    for position, name in enumerate(names):
-        results: List[TuningResult] = list(
-            cell_results[position * repeats : (position + 1) * repeats]
-        )
-        curves = [metrics.normalized_best_so_far(r, optimum_value) for r in results]
-        comparison.outcomes[name] = StrategyOutcome(
-            name=name,
-            results=results,
-            normalized_best=[
-                metrics.normalize_objective(r.best_objective, optimum_value)
-                for r in results
-            ],
-            mean_curve=metrics.mean_curve(curves),
-            trials_to_5pct=[
-                metrics.trials_to_within(r, optimum_value, 0.05) for r in results
-            ],
-            cost_to_5pct=[
-                metrics.cost_to_within(r, optimum_value, 0.05) for r in results
-            ],
-            trials_to_10pct=[
-                metrics.trials_to_within(r, optimum_value, 0.10) for r in results
-            ],
-            mean_total_cost_s=float(np.mean([r.total_cost_s for r in results])),
-            mean_total_wall_clock_s=float(
-                np.mean([r.total_wall_clock_s for r in results])
-            ),
-        )
-    return comparison
-
-
-def standard_strategy_set(seed_offset: int = 0) -> Dict[str, StrategyFactory]:
+def standard_strategy_set() -> Dict[str, StrategyFactory]:
     """The five-tuner lineup used by the convergence figures."""
     from repro.baselines import (
         CherryPick,
@@ -216,11 +29,32 @@ def standard_strategy_set(seed_offset: int = 0) -> Dict[str, StrategyFactory]:
     from repro.core import MLConfigTuner
 
     return {
-        "mlconfig-bo": lambda seed: MLConfigTuner(seed=seed + seed_offset),
-        "cherrypick": lambda seed: CherryPick(seed=seed + seed_offset),
+        "mlconfig-bo": lambda seed: MLConfigTuner(seed=seed),
+        "cherrypick": lambda seed: CherryPick(seed=seed),
         "random": lambda seed: RandomSearch(),
-        "grid": lambda seed: GridSearch(seed=seed + seed_offset),
-        "annealing": lambda seed: SimulatedAnnealing(seed=seed + seed_offset),
-        "coordinate": lambda seed: CoordinateDescent(seed=seed + seed_offset),
-        "halving": lambda seed: SuccessiveHalving(seed=seed + seed_offset),
+        "grid": lambda seed: GridSearch(seed=seed),
+        "annealing": lambda seed: SimulatedAnnealing(seed=seed),
+        "coordinate": lambda seed: CoordinateDescent(seed=seed),
+        "halving": lambda seed: SuccessiveHalving(seed=seed),
     }
+
+
+def strategy_registry() -> Dict[str, StrategyFactory]:
+    """Every strategy name a sweep cell may carry.
+
+    The standard lineup, plus the BO tuner with each non-default
+    acquisition function (``ei``, ``pi``, ``ucb``; the default ``eipc``
+    is ``mlconfig-bo``) and without early termination
+    (``no-early-term``).
+    """
+    from repro.core import MLConfigTuner
+
+    registry = standard_strategy_set()
+    for acquisition in ("ei", "pi", "ucb"):
+        registry[acquisition] = lambda seed, acquisition=acquisition: MLConfigTuner(
+            acquisition=acquisition, seed=seed
+        )
+    registry["no-early-term"] = lambda seed: MLConfigTuner(
+        early_termination=False, seed=seed
+    )
+    return registry

@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,23 +30,16 @@ from repro.baselines import (
     default_strategy,
     expert_strategy,
 )
-from repro.cluster import ClusterSpec, homogeneous
-from repro.configspace import ml_config_space, to_training_config
+from repro.cluster import homogeneous
+from repro.configspace import ml_config_space
 from repro.core import HistoryRepository, MLConfigTuner, TuningBudget
 from repro.harness import metrics
-from repro.harness.comparison import (
-    Comparison,
-    compare_strategies,
-    standard_strategy_set,
-)
+from repro.harness.comparison import standard_strategy_set
 from repro.harness.optimum import estimate_optimum
+from repro.harness.sweep import SweepCell, run_sweep
 from repro.harness.tables import render_table
-from repro.mlsim import (
-    DEFAULT_CONFIG,
-    TrainingConfig,
-    TrainingEnvironment,
-)
-from repro.workloads import MODEL_ZOO, SUITE, core_suite, get_workload
+from repro.mlsim import TrainingConfig, TrainingEnvironment
+from repro.workloads import SUITE, core_suite, get_workload
 
 
 @dataclass
@@ -156,9 +149,10 @@ def _memoised(key: tuple, compute: Callable[[], Any]) -> Any:
 
     Lookup order: in-memory dict, then the persistent JSON tier (keyed by
     a stable hash of ``_CACHE_SCHEMA`` + the key's fingerprint), then
-    ``compute()``.  Values that JSON cannot express (live ``Comparison`` /
+    ``compute()``.  Values that JSON cannot express (live
     ``TuningResult`` objects) stay memory-only — the disk tier is for the
-    row-shaped payloads the ``exp_*`` tables memoise.  Keys must never
+    row-shaped payloads the ``exp_*`` tables memoise and the history
+    payloads of :func:`~repro.harness.sweep.run_sweep`'s sessions.  Keys must never
     include execution knobs that cannot change the value (``n_jobs``,
     ``fit_workers``): those would fragment the cache for identical
     results.
@@ -382,37 +376,31 @@ def exp_f1_surface(
 
 
 # ---------------------------------------------------------------------------
-# F2 + F3: convergence curves and search cost (shared comparisons)
+# F2 + F3: convergence curves and search cost (one shared sweep)
 # ---------------------------------------------------------------------------
 
-def _core_comparisons(
+def _core_cells(
     nodes: int,
     budget_trials: int,
-    repeats: int,
     seed: int,
     workers: int = 1,
     executor_mode: str = "sync",
-) -> Dict[str, Comparison]:
-    def compute() -> Dict[str, Comparison]:
-        cluster = homogeneous(nodes)
-        comparisons = {}
-        for workload in core_suite():
-            comparisons[workload.name] = compare_strategies(
-                standard_strategy_set(),
-                workload,
-                cluster,
-                TuningBudget(max_trials=budget_trials),
-                repeats=repeats,
-                seed=seed,
-                workers=workers,
-                executor_mode=executor_mode,
-            )
-        return comparisons
-
-    return _memoised(
-        ("core-comparisons", nodes, budget_trials, repeats, seed, workers, executor_mode),
-        compute,
-    )
+) -> List[SweepCell]:
+    """The F2/F3 sweep: every standard strategy on every core workload."""
+    return [
+        SweepCell(
+            name=f"{workload.name}:{strategy}",
+            workload=workload.name,
+            nodes=nodes,
+            strategy=strategy,
+            max_trials=budget_trials,
+            optimum_seed=seed,
+            workers=workers,
+            executor_mode=executor_mode,
+        )
+        for workload in core_suite()
+        for strategy in standard_strategy_set()
+    ]
 
 
 def exp_f2_convergence(
@@ -423,30 +411,51 @@ def exp_f2_convergence(
     checkpoints: Sequence[int] = (4, 8, 12, 16, 20, 24, 30, 36),
 ) -> List[ExperimentTable]:
     """Normalized best-so-far vs trial count, one table per core workload."""
-    comparisons = _core_comparisons(nodes, budget_trials, repeats, seed)
+    cells = run_sweep(
+        _core_cells(nodes, budget_trials, seed), range(seed, seed + repeats)
+    )["cells"]
+    strategies = list(standard_strategy_set())
     tables = []
-    for workload_name, comparison in comparisons.items():
-        headers = ["trial"] + list(comparison.outcomes.keys())
+    for workload in core_suite():
+        optimum = cells[f"{workload.name}:{strategies[0]}"]["optimum_value"]
+        curves = [
+            metrics.mean_curve(
+                [
+                    metrics.normalized_best_so_far(result, optimum)
+                    for result in cells[f"{workload.name}:{name}"]["results"]
+                ]
+            )
+            for name in strategies
+        ]
         rows = []
         for checkpoint in checkpoints:
             if checkpoint > budget_trials:
                 continue
-            row: List[Any] = [checkpoint]
-            for name in comparison.outcomes:
-                curve = comparison.outcomes[name].mean_curve
-                index = min(checkpoint, len(curve)) - 1
-                row.append(curve[index])
-            rows.append(row)
+            rows.append(
+                [checkpoint]
+                + [curve[min(checkpoint, len(curve)) - 1] for curve in curves]
+            )
         tables.append(
             ExperimentTable(
                 exp_id="F2",
-                title=f"Mean normalized best-so-far — {workload_name} "
-                f"({repeats} repeats, optimum={comparison.optimum_value:.1f})",
-                headers=headers,
+                title=f"Mean normalized best-so-far — {workload.name} "
+                f"({repeats} repeats, optimum={optimum:.1f})",
+                headers=["trial"] + strategies,
                 rows=rows,
             )
         )
     return tables
+
+
+def _mean_reached(values: Sequence[Optional[float]]) -> Optional[float]:
+    """Mean over the repeats that reached a threshold (None if none did)."""
+    reached = [v for v in values if v is not None]
+    return float(np.mean(reached)) if reached else None
+
+
+def _reach_rate(values: Sequence[Optional[float]]) -> float:
+    """Fraction of repeats that reached a threshold."""
+    return sum(v is not None for v in values) / len(values)
 
 
 def exp_f3_search_cost(
@@ -464,27 +473,32 @@ def exp_f3_search_cost(
     reports the wall-clock hours the chosen executor (round-barrier sync
     or barrier-free async) actually takes.
     """
-    comparisons = _core_comparisons(
-        nodes, budget_trials, repeats, seed, workers, executor_mode
-    )
+    cells = run_sweep(
+        _core_cells(nodes, budget_trials, seed, workers, executor_mode),
+        range(seed, seed + repeats),
+    )["cells"]
     rows = []
-    for workload_name, comparison in comparisons.items():
-        for name, outcome in comparison.outcomes.items():
-            cost_5 = [c for c in outcome.cost_to_5pct if c is not None]
-            rows.append(
-                [
-                    workload_name,
-                    name,
-                    outcome.mean_normalized_best,
-                    outcome.mean_trials_to("10pct"),
-                    outcome.reach_rate("10pct"),
-                    outcome.mean_trials_to("5pct"),
-                    outcome.reach_rate("5pct"),
-                    float(np.mean(cost_5)) / 3600.0 if cost_5 else None,
-                    outcome.mean_total_cost_s / 3600.0,
-                    outcome.mean_total_wall_clock_s / 3600.0,
-                ]
-            )
+    for cell in cells.values():
+        optimum, results = cell["optimum_value"], cell["results"]
+        to_10 = [metrics.trials_to_within(r, optimum, 0.10) for r in results]
+        to_5 = [metrics.trials_to_within(r, optimum, 0.05) for r in results]
+        cost_5 = _mean_reached(
+            [metrics.cost_to_within(r, optimum, 0.05) for r in results]
+        )
+        rows.append(
+            [
+                cell["workload"],
+                cell["strategy"],
+                cell["stats"]["mean"],
+                _mean_reached(to_10),
+                _reach_rate(to_10),
+                _mean_reached(to_5),
+                _reach_rate(to_5),
+                cost_5 / 3600.0 if cost_5 is not None else None,
+                cell["mean_probe_hours"],
+                cell["mean_wall_clock_hours"],
+            ]
+        )
     execution = (
         "serial" if workers == 1 else f"{workers}-worker {executor_mode}"
     )
@@ -740,45 +754,37 @@ def exp_f6_sync_crossover(
 # P1: parallel-probing wall-clock speedup (session/executor layer)
 # ---------------------------------------------------------------------------
 
-def _mode_sweep(
+def _executor_results(
     nodes: int,
     budget_trials: int,
     seed: int,
     workload_name: str,
     worker_counts: Sequence[int],
 ) -> Dict[tuple, Any]:
-    """BO-tuner results per (workers, mode) at one trial budget (memoised).
+    """BO-tuner results per (workers, mode) at one trial budget.
 
     ``workers=1`` is serial under both modes and is run once, keyed as
     ``(1, "sync")``.
     """
-
-    def compute() -> Dict[tuple, Any]:
-        from repro.core.session import executor_for
-
-        workload = get_workload(workload_name)
-        cluster = homogeneous(nodes)
-        space = ml_config_space(nodes)
-        budget = TuningBudget(max_trials=budget_trials)
-
-        def run(workers: int, mode: str):
-            env = TrainingEnvironment(workload, cluster, seed=seed)
-            return MLConfigTuner(seed=seed).run(
-                env, space, budget, seed=seed, executor=executor_for(workers, mode)
-            )
-
-        results = {}
-        for workers in sorted(set(worker_counts)):
-            modes = ("sync",) if workers == 1 else ("sync", "async")
-            for mode in modes:
-                results[(workers, mode)] = run(workers, mode)
-        return results
-
-    return _memoised(
-        ("mode-sweep", nodes, budget_trials, seed, workload_name,
-         tuple(sorted(set(worker_counts)))),
-        compute,
-    )
+    cells = [
+        SweepCell(
+            name=f"{workers}:{mode}",
+            workload=workload_name,
+            nodes=nodes,
+            strategy="mlconfig-bo",
+            max_trials=budget_trials,
+            env_seed=seed,
+            workers=workers,
+            executor_mode=mode,
+        )
+        for workers in sorted(set(worker_counts))
+        for mode in (("sync",) if workers == 1 else ("sync", "async"))
+    ]
+    report = run_sweep(cells, [seed])["cells"]
+    return {
+        (cell.workers, cell.executor_mode): report[cell.name]["results"][0]
+        for cell in cells
+    }
 
 
 def exp_p1_parallel_speedup(
@@ -801,46 +807,36 @@ def exp_p1_parallel_speedup(
     equal quality" axis that keeps a fast-but-worse run from looking
     strictly better.
     """
-
-    def compute() -> List[List[Any]]:
-        results = _mode_sweep(nodes, budget_trials, seed, workload_name, worker_counts)
-        serial = results.get((1, "sync"))
-        if serial is None:
-            serial = _mode_sweep(nodes, budget_trials, seed, workload_name, (1,))[
-                (1, "sync")
-            ]
-        serial_wall = serial.total_wall_clock_s
-        serial_best = serial.best_objective or 0.0
-
-        def reach_h(result):
-            reach = result.history.wall_clock_to_reach(serial_best)
-            return reach / 3600.0 if reach is not None else None
-
-        rows = []
-        for workers in sorted(set(worker_counts)):
-            sync = results[(workers, "sync")]
-            asyn = results.get((workers, "async"), sync)
-            rows.append(
-                [
-                    workers,
-                    sync.best_objective,
-                    asyn.best_objective,
-                    sync.total_cost_s / 3600.0,
-                    asyn.total_cost_s / 3600.0,
-                    sync.total_wall_clock_s / 3600.0,
-                    asyn.total_wall_clock_s / 3600.0,
-                    serial_wall / sync.total_wall_clock_s,
-                    serial_wall / asyn.total_wall_clock_s,
-                    reach_h(sync),
-                    reach_h(asyn),
-                ]
-            )
-        return rows
-
-    rows = _memoised(
-        ("p1", "v3", nodes, budget_trials, seed, workload_name, tuple(worker_counts)),
-        compute,
+    results = _executor_results(
+        nodes, budget_trials, seed, workload_name, (1, *worker_counts)
     )
+    serial = results[(1, "sync")]
+    serial_wall = serial.total_wall_clock_s
+    serial_best = serial.best_objective or 0.0
+
+    def reach_h(result):
+        reach = result.history.wall_clock_to_reach(serial_best)
+        return reach / 3600.0 if reach is not None else None
+
+    rows = []
+    for workers in sorted(set(worker_counts)):
+        sync = results[(workers, "sync")]
+        asyn = results.get((workers, "async"), sync)
+        rows.append(
+            [
+                workers,
+                sync.best_objective,
+                asyn.best_objective,
+                sync.total_cost_s / 3600.0,
+                asyn.total_cost_s / 3600.0,
+                sync.total_wall_clock_s / 3600.0,
+                asyn.total_wall_clock_s / 3600.0,
+                serial_wall / sync.total_wall_clock_s,
+                serial_wall / asyn.total_wall_clock_s,
+                reach_h(sync),
+                reach_h(asyn),
+            ]
+        )
     return ExperimentTable(
         exp_id="P1",
         title=f"Parallel probing: sync vs async wall-clock — {workload_name}, "
@@ -886,36 +882,30 @@ def exp_p2_async_speedup(
     the async free-list reclaims by refilling every worker the moment its
     probe completes.
     """
-
-    def compute() -> List[List[Any]]:
-        results = _mode_sweep(nodes, budget_trials, seed, workload_name, worker_counts)
-        rows = []
-        for workers in sorted(set(worker_counts)):
-            # One worker is serial in every mode — one honestly-labelled row.
-            modes = ("serial",) if workers == 1 else ("sync", "async")
-            for mode in modes:
-                result = results[(workers, "sync" if workers == 1 else mode)]
-                wall_s = result.total_wall_clock_s
-                utilisation = (
-                    result.total_cost_s / (workers * wall_s) if wall_s > 0 else None
-                )
-                rows.append(
-                    [
-                        workers,
-                        mode,
-                        result.best_objective,
-                        result.total_cost_s / 3600.0,
-                        wall_s / 3600.0,
-                        utilisation,
-                        1.0 - utilisation if utilisation is not None else None,
-                    ]
-                )
-        return rows
-
-    rows = _memoised(
-        ("p2", nodes, budget_trials, seed, workload_name, tuple(worker_counts)),
-        compute,
+    results = _executor_results(
+        nodes, budget_trials, seed, workload_name, worker_counts
     )
+    rows = []
+    for workers in sorted(set(worker_counts)):
+        # One worker is serial in every mode — one honestly-labelled row.
+        modes = ("serial",) if workers == 1 else ("sync", "async")
+        for mode in modes:
+            result = results[(workers, "sync" if workers == 1 else mode)]
+            wall_s = result.total_wall_clock_s
+            utilisation = (
+                result.total_cost_s / (workers * wall_s) if wall_s > 0 else None
+            )
+            rows.append(
+                [
+                    workers,
+                    mode,
+                    result.best_objective,
+                    result.total_cost_s / 3600.0,
+                    wall_s / 3600.0,
+                    utilisation,
+                    1.0 - utilisation if utilisation is not None else None,
+                ]
+            )
     return ExperimentTable(
         exp_id="P2",
         title=f"Async probing: worker utilisation vs the round barrier — "
@@ -939,92 +929,35 @@ def exp_p2_async_speedup(
 # P4: heterogeneous-fleet sharding (EnvironmentPool layer)
 # ---------------------------------------------------------------------------
 
-def build_fleet_pool(
-    workload,
-    nodes: int,
-    seed: int,
-    shard_multipliers: Sequence[float],
-    scheduler_name: str = "roundrobin",
-    capacities: Optional[Sequence[int]] = None,
-):
-    """A heterogeneous probing fleet over one target cluster.
-
-    Every shard is a replica of the same ``nodes``-node cluster — the
-    objective surface is shared — but shard ``i`` runs probes at
-    ``shard_multipliers[i]`` times the baseline duration (older hardware,
-    contended tenancy) and gets its own measurement-noise stream
-    (environment seed ``seed + i``).  Shard 0 at multiplier 1.0 with seed
-    ``seed`` is exactly the single-cluster baseline environment.
-    """
-    from repro.core.fleet import EnvironmentPool, EnvironmentShard, make_scheduler
-
-    cluster = homogeneous(nodes)
-    capacities = capacities or [1] * len(shard_multipliers)
-    shards = [
-        EnvironmentShard(
-            f"shard{i}",
-            TrainingEnvironment(workload, cluster, seed=seed + i),
-            capacity=capacity,
-            cost_multiplier=multiplier,
-        )
-        for i, (multiplier, capacity) in enumerate(
-            zip(shard_multipliers, capacities)
-        )
-    ]
-    return EnvironmentPool(shards, scheduler=make_scheduler(scheduler_name))
-
-
-def _fleet_sweep(
+def fleet_cells(
     nodes: int,
     budget_trials: int,
     seed: int,
     workload_name: str,
     shard_multipliers: Sequence[float],
     schedulers: Sequence[str],
-) -> Dict[str, Any]:
-    """BO-tuner results for the single-shard baseline and each scheduler."""
-
-    def compute() -> Dict[str, Any]:
-        from repro.core.session import executor_for
-
-        workload = get_workload(workload_name)
-        cluster = homogeneous(nodes)
-        space = ml_config_space(nodes)
-        budget = TuningBudget(max_trials=budget_trials)
-
-        results: Dict[str, Any] = {
-            "single": MLConfigTuner(seed=seed).run(
-                TrainingEnvironment(workload, cluster, seed=seed),
-                space,
-                budget,
-                seed=seed,
-            )
-        }
-        for scheduler_name in schedulers:
-            pool = build_fleet_pool(
-                workload, nodes, seed, shard_multipliers, scheduler_name
-            )
-            results[scheduler_name] = MLConfigTuner(seed=seed).run(
-                None,
-                space,
-                budget,
-                seed=seed,
-                executor=executor_for(len(shard_multipliers), "async", pool=pool),
-            )
-        return results
-
-    return _memoised(
-        (
-            "fleet-sweep",
-            nodes,
-            budget_trials,
-            seed,
-            workload_name,
-            tuple(shard_multipliers),
-            tuple(schedulers),
-        ),
-        compute,
+) -> List[SweepCell]:
+    """The P4 sweep: the serial single-shard baseline, then one async
+    fleet cell per scheduler (cell names ``single`` and the scheduler's).
+    """
+    common = dict(
+        workload=workload_name,
+        nodes=nodes,
+        strategy="mlconfig-bo",
+        max_trials=budget_trials,
+        env_seed=seed,
     )
+    return [SweepCell(name="single", **common)] + [
+        SweepCell(
+            name=scheduler,
+            workers=len(shard_multipliers),
+            executor_mode="async",
+            shard_multipliers=shard_multipliers,
+            scheduler=scheduler,
+            **common,
+        )
+        for scheduler in schedulers
+    ]
 
 
 def exp_p4_fleet(
@@ -1050,55 +983,43 @@ def exp_p4_fleet(
     baseline is still improving at the budget, which is exactly the
     regime where fanning the session out pays.
     """
-
-    def compute() -> List[List[Any]]:
-        results = _fleet_sweep(
-            nodes, budget_trials, seed, workload_name, shard_multipliers, schedulers
-        )
-        single = results["single"]
-        single_wall = single.total_wall_clock_s
-        rows = []
-        for name, result in results.items():
-            _, single_reach, reach = metrics.matched_quality_reach(single, result)
-            cost_by_shard = {
-                shard: cost
-                for shard, cost in result.history.cost_by_shard().items()
-                if shard is not None
-            }
-            busiest = (
-                max(cost_by_shard, key=cost_by_shard.get) if cost_by_shard else "-"
-            )
-            rows.append(
-                [
-                    name,
-                    1 if name == "single" else len(shard_multipliers),
-                    result.best_objective,
-                    result.total_cost_s / 3600.0,
-                    result.total_wall_clock_s / 3600.0,
-                    single_wall / result.total_wall_clock_s,
-                    reach / 3600.0 if reach is not None else None,
-                    (
-                        single_reach / reach
-                        if reach is not None and single_reach is not None
-                        else None
-                    ),
-                    busiest,
-                ]
-            )
-        return rows
-
-    rows = _memoised(
-        (
-            "p4",
-            nodes,
-            budget_trials,
-            seed,
-            workload_name,
-            tuple(shard_multipliers),
-            tuple(schedulers),
-        ),
-        compute,
+    cells = fleet_cells(
+        nodes, budget_trials, seed, workload_name, shard_multipliers, schedulers
     )
+    results = {
+        name: cell["results"][0]
+        for name, cell in run_sweep(cells, [seed])["cells"].items()
+    }
+    single = results["single"]
+    single_wall = single.total_wall_clock_s
+    rows = []
+    for name, result in results.items():
+        _, single_reach, reach = metrics.matched_quality_reach(single, result)
+        cost_by_shard = {
+            shard: cost
+            for shard, cost in result.history.cost_by_shard().items()
+            if shard is not None
+        }
+        busiest = (
+            max(cost_by_shard, key=cost_by_shard.get) if cost_by_shard else "-"
+        )
+        rows.append(
+            [
+                name,
+                1 if name == "single" else len(shard_multipliers),
+                result.best_objective,
+                result.total_cost_s / 3600.0,
+                result.total_wall_clock_s / 3600.0,
+                single_wall / result.total_wall_clock_s,
+                reach / 3600.0 if reach is not None else None,
+                (
+                    single_reach / reach
+                    if reach is not None and single_reach is not None
+                    else None
+                ),
+                busiest,
+            ]
+        )
     return ExperimentTable(
         exp_id="P4",
         title=f"Heterogeneous-fleet sharding — {workload_name}, "
@@ -1125,6 +1046,30 @@ def exp_p4_fleet(
 # A1: acquisition-function ablation
 # ---------------------------------------------------------------------------
 
+def _variant_sweep(
+    variants: Dict[str, str],
+    nodes: int,
+    budget_trials: int,
+    repeats: int,
+    seed: int,
+    workload_name: str,
+) -> Dict[str, Any]:
+    """An ablation sweep: one cell per row label, each naming its registry
+    strategy, on one workload over ``repeats`` seeds (report cells by label)."""
+    cells = [
+        SweepCell(
+            name=label,
+            workload=workload_name,
+            nodes=nodes,
+            strategy=strategy,
+            max_trials=budget_trials,
+            optimum_seed=seed,
+        )
+        for label, strategy in variants.items()
+    ]
+    return run_sweep(cells, range(seed, seed + repeats))["cells"]
+
+
 def exp_a1_acquisition(
     nodes: int = 16,
     budget_trials: int = 30,
@@ -1133,36 +1078,25 @@ def exp_a1_acquisition(
     workload_name: str = "resnet50-imagenet",
 ) -> ExperimentTable:
     """EI vs PI vs UCB vs cost-aware EI inside the same tuner."""
-
-    def compute() -> List[List[Any]]:
-        workload = get_workload(workload_name)
-        cluster = homogeneous(nodes)
-        strategies = {
-            acq: (lambda seed_, acq=acq: MLConfigTuner(acquisition=acq, seed=seed_))
-            for acq in ("ei", "pi", "ucb", "eipc")
-        }
-        comparison = compare_strategies(
-            strategies,
-            workload,
-            cluster,
-            TuningBudget(max_trials=budget_trials),
-            repeats=repeats,
-            seed=seed,
-        )
-        rows = []
-        for name, outcome in comparison.outcomes.items():
-            rows.append(
+    cells = _variant_sweep(
+        {"ei": "ei", "pi": "pi", "ucb": "ucb", "eipc": "mlconfig-bo"},
+        nodes, budget_trials, repeats, seed, workload_name,
+    )
+    rows = [
+        [
+            name,
+            cell["stats"]["mean"],
+            float(np.std(cell["values"])),
+            _mean_reached(
                 [
-                    name,
-                    outcome.mean_normalized_best,
-                    outcome.std_normalized_best,
-                    outcome.mean_trials_to("10pct"),
-                    outcome.mean_total_cost_s / 3600.0,
+                    metrics.trials_to_within(r, cell["optimum_value"], 0.10)
+                    for r in cell["results"]
                 ]
-            )
-        return rows
-
-    rows = _memoised(("a1", nodes, budget_trials, repeats, seed, workload_name), compute)
+            ),
+            cell["mean_probe_hours"],
+        ]
+        for name, cell in cells.items()
+    ]
     return ExperimentTable(
         exp_id="A1",
         title=f"Acquisition-function ablation — {workload_name}",
@@ -1173,13 +1107,23 @@ def exp_a1_acquisition(
             "trials→10%",
             "total probe hours",
         ],
-    rows=rows,
+        rows=rows,
     )
 
 
 # ---------------------------------------------------------------------------
 # A2: early-termination ablation
 # ---------------------------------------------------------------------------
+
+def _probes_cut_short(result) -> int:
+    """Probes an early-terminating tuner cut short, estimated from the
+    history: successful probes costing under half the median one."""
+    costs = [t.measurement.probe_cost_s for t in result.history.successful()]
+    if not costs:
+        return 0
+    median = float(np.median(costs))
+    return sum(1 for c in costs if c < 0.5 * median)
+
 
 def exp_a2_early_termination(
     nodes: int = 16,
@@ -1189,61 +1133,19 @@ def exp_a2_early_termination(
     workload_name: str = "resnet50-imagenet",
 ) -> ExperimentTable:
     """Early termination of bad probes: quality vs search-cost trade-off."""
-
-    def compute() -> List[List[Any]]:
-        workload = get_workload(workload_name)
-        cluster = homogeneous(nodes)
-        strategies = {
-            "with-early-term": lambda s: MLConfigTuner(early_termination=True, seed=s),
-            "no-early-term": lambda s: MLConfigTuner(early_termination=False, seed=s),
-        }
-        comparison = compare_strategies(
-            strategies,
-            workload,
-            cluster,
-            TuningBudget(max_trials=budget_trials),
-            repeats=repeats,
-            seed=seed,
-        )
-        rows = []
-        for name, outcome in comparison.outcomes.items():
-            rows.append(
-                [
-                    name,
-                    outcome.mean_normalized_best,
-                    outcome.mean_total_cost_s / 3600.0,
-                    float(
-                        np.mean(
-                            [
-                                getattr(r, "probes_terminated_early", 0)
-                                for r in _tuner_objects(outcome)
-                            ]
-                        )
-                    ),
-                ]
-            )
-        return rows
-
-    def _tuner_objects(outcome):
-        # The strategy object is not retained in results; recover the count
-        # from the histories instead: short probes are those whose cost is
-        # below half the median successful probe cost.
-        counts = []
-        for result in outcome.results:
-            costs = [t.measurement.probe_cost_s for t in result.history.successful()]
-            if not costs:
-                counts.append(_Count(0))
-                continue
-            median = float(np.median(costs))
-            short = sum(1 for c in costs if c < 0.5 * median)
-            counts.append(_Count(short))
-        return counts
-
-    class _Count:
-        def __init__(self, n):
-            self.probes_terminated_early = n
-
-    rows = _memoised(("a2", nodes, budget_trials, repeats, seed, workload_name), compute)
+    cells = _variant_sweep(
+        {"with-early-term": "mlconfig-bo", "no-early-term": "no-early-term"},
+        nodes, budget_trials, repeats, seed, workload_name,
+    )
+    rows = [
+        [
+            name,
+            cell["stats"]["mean"],
+            cell["mean_probe_hours"],
+            float(np.mean([_probes_cut_short(r) for r in cell["results"]])),
+        ]
+        for name, cell in cells.items()
+    ]
     return ExperimentTable(
         exp_id="A2",
         title=f"Early-termination ablation — {workload_name}",

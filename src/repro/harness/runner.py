@@ -1,15 +1,15 @@
 """Process-parallel execution of independent experiment cells.
 
 A *cell* is one self-contained unit of harness work — one
-(strategy × repeat) tuning session of a comparison, one experiment sweep
-point — expressed as a zero-argument callable.  Cells are independent by
+(cell × seed) tuning session of a :func:`~repro.harness.sweep.run_sweep`
+— expressed as a zero-argument callable.  Cells are independent by
 construction (each builds its own strategy/environment from its own seed),
 so they can run across worker processes without changing any result.
 
 The runner uses **fork-based** workers: the cells themselves are inherited
 through the process image and never pickled — only their indices cross the
 pipe, and only the return values are pickled back.  That is what lets
-``compare_strategies(n_jobs=4)`` parallelise over the closures and lambda
+``run_sweep(n_jobs=4)`` parallelise over the closures and lambda
 strategy factories the harness is full of, which a spawn-based pool could
 not serialise.  On platforms without ``fork`` (or with ``n_jobs=1``) cells
 run serially in-process; results are identical either way, only the

@@ -1,19 +1,26 @@
-"""N-seed statistical sweeps over scenario cells.
+"""N-seed sweeps over scenario cells: the harness's one seed loop.
 
 The paper's headline claims are seed-spread claims — "the tuner reaches
-within 5% of optimal in N trials, across seeds" — but the harness so far
-only exposed per-comparison repeats.  This module runs a grid of
-*scenario cells* (workload × cluster size × strategy × objective) over a
-shared seed list and reports per-cell spread statistics (mean, median,
-quartiles, extremes) the way the papers' boxplots do.
+within 5% of optimal in N trials, across seeds".  :func:`run_sweep` runs
+a grid of *scenario cells* (workload × cluster size × strategy ×
+objective × execution) over a shared seed list and reports per-cell
+spread statistics (mean, median, quartiles, extremes) the way the papers'
+boxplots do, together with every session's
+:class:`~repro.core.strategy.TuningResult`.  It is the only (cell × seed)
+session loop in the harness: the F2/F3, A1/A2, P1/P2 and P4 tables, the
+P9 sweep benchmark and the examples all build cell lists and read its
+report.
 
 Execution reuses the two workhorses the rest of the harness runs on:
 
 - :func:`repro.harness.runner.run_cells` fans the independent
   (cell × seed) sessions across fork workers, and
 - :func:`repro.harness.experiments._memoised` persists each session's
-  summary to the on-disk experiment cache, so re-renders and CI reruns
-  pay only for cold cells.
+  :meth:`TrialHistory.to_payload <repro.core.trial.TrialHistory.to_payload>`
+  to the on-disk experiment cache, so re-renders and CI reruns pay only
+  for cold cells.  The result handed back is rebuilt from that payload
+  whether the session ran now or was loaded, so a warm render computes
+  its tables from exactly what a cold one did.
 
 Noise-free optima (the normalisation anchors) are estimated *in the
 parent process* before the fan-out: the fork snapshot then hands every
@@ -23,16 +30,17 @@ worker a warm optimum memo instead of each one re-searching the space.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
-from repro.core.strategy import TuningBudget
+from repro.core.session import EXECUTOR_MODES, executor_for
+from repro.core.strategy import TuningBudget, TuningResult
+from repro.core.trial import TrialHistory
 from repro.harness import metrics
-from repro.harness.comparison import standard_strategy_set
-from repro.harness.experiments import _memoised
+from repro.harness.comparison import strategy_registry
 from repro.harness.optimum import estimate_optimum
 from repro.harness.runner import run_cells
 from repro.mlsim import TrainingEnvironment
@@ -43,9 +51,14 @@ from repro.workloads import get_workload
 class SweepCell:
     """One scenario of a sweep: what to tune, on what, with which tuner.
 
-    All-scalar and frozen so a cell can sit directly in a memo key and in
-    JSON reports.  ``strategy`` names an entry of
-    :func:`~repro.harness.comparison.standard_strategy_set`.
+    Frozen, and built of scalars plus one tuple of floats, so a cell can
+    sit directly in a memo key and in JSON reports.  ``strategy`` names an entry of
+    :func:`~repro.harness.comparison.strategy_registry`.  ``workers`` ×
+    ``executor_mode`` pick the executor
+    (:func:`~repro.core.session.executor_for`).  A non-empty
+    ``shard_multipliers`` runs the session on a :func:`build_fleet_pool`
+    fleet of that many replicas placed by ``scheduler``, whose shard
+    ``i`` uses environment seed ``env_seed + i``.
     """
 
     name: str
@@ -58,17 +71,65 @@ class SweepCell:
     noise_cv: float = 0.03
     optimum_samples: int = 3000
     optimum_seed: int = 0
+    workers: int = 1
+    executor_mode: str = "sync"
+    shard_multipliers: Tuple[float, ...] = ()
+    scheduler: str = "roundrobin"
 
     def __post_init__(self) -> None:
-        if self.strategy not in standard_strategy_set():
+        if self.strategy not in strategy_registry():
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of "
-                f"{sorted(standard_strategy_set())}"
+                f"{sorted(strategy_registry())}"
             )
         if self.nodes < 2:
             raise ValueError("nodes must be >= 2")
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.executor_mode not in EXECUTOR_MODES:
+            raise ValueError(f"unknown executor mode {self.executor_mode!r}")
+        object.__setattr__(self, "shard_multipliers", tuple(self.shard_multipliers))
+
+
+def build_fleet_pool(
+    workload,
+    nodes: int,
+    seed: int,
+    shard_multipliers: Sequence[float],
+    scheduler_name: str = "roundrobin",
+    objective_name: str = "throughput",
+    noise_cv: float = 0.03,
+):
+    """A heterogeneous probing fleet over one target cluster.
+
+    Every shard is a replica of the same ``nodes``-node cluster — the
+    objective surface is shared — but shard ``i`` runs probes at
+    ``shard_multipliers[i]`` times the baseline duration (older hardware,
+    contended tenancy) and gets its own measurement-noise stream
+    (environment seed ``seed + i``).  Shard 0 at multiplier 1.0 with seed
+    ``seed`` is exactly the single-cluster baseline environment.  Each
+    shard has one probe slot.
+    """
+    from repro.core.fleet import EnvironmentPool, EnvironmentShard, make_scheduler
+
+    cluster = homogeneous(nodes)
+    shards = [
+        EnvironmentShard(
+            f"shard{i}",
+            TrainingEnvironment(
+                workload,
+                cluster,
+                seed=seed + i,
+                objective_name=objective_name,
+                noise_cv=noise_cv,
+            ),
+            cost_multiplier=multiplier,
+        )
+        for i, multiplier in enumerate(shard_multipliers)
+    ]
+    return EnvironmentPool(shards, scheduler=make_scheduler(scheduler_name))
 
 
 def seed_spread_stats(values: Sequence[float]) -> Dict[str, float]:
@@ -88,35 +149,51 @@ def seed_spread_stats(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _run_one(cell: SweepCell, seed: int, optimum_value: float) -> Dict[str, float]:
-    """One (cell, seed) tuning session, summarised to plain floats."""
-    factory = standard_strategy_set()[cell.strategy]
-    strategy = factory(seed)
-    env = TrainingEnvironment(
-        get_workload(cell.workload),
-        homogeneous(cell.nodes),
-        seed=cell.env_seed,
-        objective_name=cell.objective,
-        noise_cv=cell.noise_cv,
+def _session(cell: SweepCell, seed: int) -> dict:
+    """One (cell, seed) tuning session, as its history payload."""
+    workload = get_workload(cell.workload)
+    env = pool = None
+    if cell.shard_multipliers:
+        pool = build_fleet_pool(
+            workload,
+            cell.nodes,
+            cell.env_seed,
+            cell.shard_multipliers,
+            cell.scheduler,
+            objective_name=cell.objective,
+            noise_cv=cell.noise_cv,
+        )
+    else:
+        env = TrainingEnvironment(
+            workload,
+            homogeneous(cell.nodes),
+            seed=cell.env_seed,
+            objective_name=cell.objective,
+            noise_cv=cell.noise_cv,
+        )
+    result = strategy_registry()[cell.strategy](seed).run(
+        env,
+        ml_config_space(cell.nodes),
+        TuningBudget(max_trials=cell.max_trials),
+        seed=seed,
+        executor=executor_for(cell.workers, cell.executor_mode, pool=pool),
     )
-    space = ml_config_space(cell.nodes)
-    result = strategy.run(
-        env, space, TuningBudget(max_trials=cell.max_trials), seed=seed
+    return result.history.to_payload()
+
+
+def _rebuilt(cell: SweepCell, payload: dict) -> TuningResult:
+    """The session's result, rebuilt from its memoised history payload.
+
+    ``strategy`` is the cell's registry name and ``environment`` the
+    cell's fields: the live environment is not kept.
+    """
+    history = TrialHistory.from_payload(payload)
+    return TuningResult(
+        strategy=cell.strategy,
+        history=history,
+        best_trial=history.best(),
+        environment=asdict(cell),
     )
-    return {
-        "seed": seed,
-        "normalized_best": metrics.normalize_objective(
-            result.best_objective, optimum_value
-        ),
-        "best_objective": (
-            float(result.best_objective)
-            if result.best_objective is not None
-            else float("nan")
-        ),
-        "trials": result.num_trials,
-        "probe_cost_s": float(result.total_cost_s),
-        "wall_clock_s": float(result.total_wall_clock_s),
-    }
 
 
 def run_sweep(
@@ -126,13 +203,22 @@ def run_sweep(
 ) -> Dict[str, object]:
     """Run every cell over every seed and aggregate spread statistics.
 
-    Returns a JSON-shaped report: per cell the raw ``normalized_best``
-    values in seed order plus :func:`seed_spread_stats` over them, and
-    mean trial/cost accounting.  ``n_jobs`` fans the (cell × seed)
-    sessions over fork workers (``None`` = one per CPU); results are
-    identical to serial execution — each session is a pure function of
-    (cell, seed) — so the knob is not part of the memo key.
+    Returns a report: per cell the raw ``normalized_best`` values in seed
+    order plus :func:`seed_spread_stats` over them, mean trial/cost
+    accounting, and ``results`` — each seed's
+    :class:`~repro.core.strategy.TuningResult`, for tables that need
+    whole histories.  Everything but ``results`` is JSON-shaped.
+
+    Session ``seed`` seeds both the strategy factory and the session; the
+    environment keeps ``cell.env_seed`` across seeds, so a cell's seeds
+    are repeats on one problem instance.  ``n_jobs`` fans the
+    (cell × seed) sessions over fork workers (``None`` = one per CPU);
+    results are identical to serial execution — each session is a pure
+    function of (cell, seed) — so the knob is not part of the memo key,
+    and neither is the cell's ``name``.
     """
+    from repro.harness.experiments import _memoised  # imports this module
+
     cells = list(cells)
     seeds = [int(s) for s in seeds]
     if not cells:
@@ -163,32 +249,36 @@ def run_sweep(
         optima[cell.name] = optimum_value
 
     # Phase 2: fan (cell × seed) sessions out, memoised per session.
-    def job(cell: SweepCell, seed: int):
-        key = (
-            "sweep-session",
-            tuple(sorted(asdict(cell).items())),
-            seed,
-        )
-        return _memoised(key, lambda: _run_one(cell, seed, optima[cell.name]))
+    def job(cell: SweepCell, seed: int) -> dict:
+        fields = asdict(cell)
+        del fields["name"]
+        key = ("sweep-session", tuple(sorted(fields.items())), seed)
+        return _memoised(key, lambda: _session(cell, seed))
 
-    jobs = [
-        (lambda cell=cell, seed=seed: job(cell, seed))
-        for cell in cells
-        for seed in seeds
-    ]
-    rows = run_cells(jobs, n_jobs=n_jobs)
+    payloads = run_cells(
+        [
+            (lambda cell=cell, seed=seed: job(cell, seed))
+            for cell in cells
+            for seed in seeds
+        ],
+        n_jobs=n_jobs,
+    )
 
     report: Dict[str, object] = {
         "seeds": seeds,
         "n_cells": len(cells),
-        "n_sessions": len(rows),
+        "n_sessions": len(payloads),
         "cells": {},
     }
     for position, cell in enumerate(cells):
-        cell_rows: List[Dict[str, float]] = list(
-            rows[position * len(seeds) : (position + 1) * len(seeds)]
-        )
-        values = [row["normalized_best"] for row in cell_rows]
+        results: List[TuningResult] = [
+            _rebuilt(cell, payload)
+            for payload in payloads[position * len(seeds) : (position + 1) * len(seeds)]
+        ]
+        values = [
+            metrics.normalize_objective(result.best_objective, optima[cell.name])
+            for result in results
+        ]
         report["cells"][cell.name] = {
             "workload": cell.workload,
             "nodes": cell.nodes,
@@ -198,12 +288,13 @@ def run_sweep(
             "optimum_value": optima[cell.name],
             "values": values,
             "stats": seed_spread_stats(values),
-            "mean_trials": float(np.mean([row["trials"] for row in cell_rows])),
+            "mean_trials": float(np.mean([r.num_trials for r in results])),
             "mean_probe_hours": float(
-                np.mean([row["probe_cost_s"] for row in cell_rows]) / 3600.0
+                np.mean([r.total_cost_s for r in results]) / 3600.0
             ),
             "mean_wall_clock_hours": float(
-                np.mean([row["wall_clock_s"] for row in cell_rows]) / 3600.0
+                np.mean([r.total_wall_clock_s for r in results]) / 3600.0
             ),
+            "results": results,
         }
     return report

@@ -1,11 +1,13 @@
 """Smoke tests for the cheap experiment functions and table rendering.
 
-The heavy sweeps (T3, F2-F5, A1-A3) are exercised by the benchmark suite;
-here we verify the light experiments produce well-formed tables fast.
+The heavy sweeps (T3, F2-F5, A1-A3) run at full size in the benchmark
+suite; here the light experiments produce well-formed tables fast, and
+the tables built on ``run_sweep`` render at light settings.
 """
 
 import pytest
 
+from repro.harness import clear_optimum_cache, experiments
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
     ExperimentTable,
@@ -13,6 +15,17 @@ from repro.harness.experiments import (
     exp_t1_config_space,
     exp_t2_workloads,
 )
+
+#: Light settings for every table that runs its sessions through run_sweep.
+SWEPT_TABLES = {
+    "F2": dict(nodes=8, budget_trials=8, repeats=2),
+    "F3": dict(nodes=8, budget_trials=8, repeats=2),
+    "A1": dict(nodes=8, budget_trials=8, repeats=2),
+    "A2": dict(nodes=8, budget_trials=8, repeats=2),
+    "P1": dict(nodes=8, budget_trials=8),
+    "P2": dict(nodes=8, budget_trials=8),
+    "P4": dict(nodes=8, budget_trials=8),
+}
 
 
 class TestLightExperiments:
@@ -63,3 +76,24 @@ class TestLightExperiments:
 
     def test_cache_clears(self):
         clear_experiment_cache()  # must not raise
+
+
+class TestSweptTables:
+    @pytest.mark.parametrize("exp_id", sorted(SWEPT_TABLES))
+    def test_warm_render_equals_cold(self, exp_id, tmp_path, monkeypatch):
+        """A render served by the disk tier equals the cold render."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_experiment_cache()
+        clear_optimum_cache()
+
+        def render():
+            result = ALL_EXPERIMENTS[exp_id](**SWEPT_TABLES[exp_id])
+            tables = result if isinstance(result, list) else [result]
+            return "\n".join(table.render() for table in tables)
+
+        cold = render()
+        assert list(tmp_path.glob("cell-*.json"))
+        experiments._memo.clear()
+        clear_optimum_cache()
+        assert render() == cold
+        clear_experiment_cache()

@@ -247,6 +247,39 @@ class TestCli:
         assert code == 2
         assert "--max-wall-hours" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["describe-space"],
+            ["tune", "--workload", "lstm-ptb", "--trials", "2"],
+            ["serve", "--trials", "2"],
+        ],
+        ids=["describe-space", "tune", "serve"],
+    )
+    def test_rejects_single_node_cluster(self, capsys, argv):
+        """Regression: --nodes 1 used to crash with a raw ValueError."""
+        assert cli_main(argv + ["--nodes", "1"]) == 2
+        assert "--nodes must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan"])
+    def test_tune_rejects_out_of_range_straggler_fraction(self, capsys, fraction):
+        """Regression: an out-of-range fraction crashed with a raw ValueError."""
+        code = cli_main(
+            ["tune", "--workload", "lstm-ptb", "--nodes", "4", "--trials", "2",
+             "--straggler-fraction", fraction]
+        )
+        assert code == 2
+        assert "--straggler-fraction must be in [0, 1]" in capsys.readouterr().err
+
+    def test_tune_rejects_negative_sparse_threshold(self, capsys):
+        """Regression: a negative threshold silently turned the sparse tier off."""
+        code = cli_main(
+            ["tune", "--workload", "lstm-ptb", "--nodes", "4", "--trials", "2",
+             "--sparse-threshold", "-5"]
+        )
+        assert code == 2
+        assert "--sparse-threshold must be 0 (off) or >= 4" in capsys.readouterr().err
+
     def test_unknown_experiment_id(self, capsys):
         assert cli_main(["experiment", "--id", "Z9"]) == 1
         assert "unknown experiment" in capsys.readouterr().err

@@ -675,41 +675,30 @@ class TestFleetLogging:
 
 
 class TestHarnessIntegration:
-    def test_compare_strategies_over_pool(self):
-        from repro.harness.comparison import compare_strategies
+    def test_fleet_cell_sweep(self, tmp_path, monkeypatch):
+        from repro.harness import SweepCell, run_sweep
 
-        workload = get_workload("resnet50-imagenet")
-        cluster = homogeneous(NODES)
-        pool = EnvironmentPool(
-            [
-                EnvironmentShard(
-                    f"shard{i}",
-                    TrainingEnvironment(workload, cluster, seed=i),
-                    cost_multiplier=m,
-                )
-                for i, m in enumerate([1.0, 1.5])
-            ]
-        )
-        comparison = compare_strategies(
-            {"random": lambda s: RandomSearch()},
-            workload,
-            cluster,
-            TuningBudget(max_trials=6),
-            repeats=2,
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cell = SweepCell(
+            name="fleet",
+            workload="resnet50-imagenet",
+            nodes=NODES,
+            strategy="random",
+            max_trials=6,
+            workers=2,
             executor_mode="async",
-            pool=pool,
+            shard_multipliers=(1.0, 1.5),
         )
-        outcome = comparison.outcomes["random"]
-        assert len(outcome.results) == 2
-        for result in outcome.results:
+        results = run_sweep([cell], seeds=[0, 1])["cells"]["fleet"]["results"]
+        assert len(results) == 2
+        for result in results:
             assert all(t.shard in ("shard0", "shard1") for t in result.history)
-            # The default workers=1 must not silently degrade the fleet to
-            # serial probing: probes overlapped, so the stopwatch reads
-            # less than the machine bill.
+            # Both shards probe at once: the stopwatch reads less than the
+            # machine bill.
             assert result.total_wall_clock_s < result.total_cost_s
-        # The pool rewinds between repeats: the same strategy seed would
-        # replay identically, and distinct repeat seeds stay comparable.
-        assert outcome.results[0].num_trials == outcome.results[1].num_trials
+        # Every seed builds its own fleet from the same environment seeds,
+        # so the seeds stay comparable.
+        assert results[0].num_trials == results[1].num_trials
 
     def test_exp_p4_fleet_light(self):
         from repro.harness.experiments import clear_experiment_cache, exp_p4_fleet

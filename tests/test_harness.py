@@ -1,4 +1,4 @@
-"""Tests for harness metrics, optimum estimation, comparisons, and tables."""
+"""Tests for harness metrics, optimum estimation, and tables."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,9 @@ import pytest
 from repro.baselines import RandomSearch
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
-from repro.core import MLConfigTuner, TrialHistory, TuningBudget, TuningResult
+from repro.core import TrialHistory, TuningBudget, TuningResult
 from repro.harness import (
     clear_optimum_cache,
-    compare_strategies,
     estimate_optimum,
     metrics,
     render_series,
@@ -223,37 +222,6 @@ class TestEstimateOptimum:
         assert early_value != drifted_value
         assert early_value == stationary_value  # pre-onset surface is stationary
         clear_optimum_cache()
-
-
-class TestCompareStrategies:
-    def test_structure_and_ranking(self):
-        comparison = compare_strategies(
-            {
-                "random": lambda seed: RandomSearch(),
-                "bo": lambda seed: MLConfigTuner(seed=seed, n_initial=4),
-            },
-            WORKLOAD,
-            homogeneous(8),
-            TuningBudget(max_trials=10),
-            repeats=2,
-            seed=0,
-        )
-        assert set(comparison.outcomes) == {"random", "bo"}
-        for outcome in comparison.outcomes.values():
-            assert len(outcome.results) == 2
-            assert len(outcome.mean_curve) >= 10
-            assert 0 < outcome.mean_normalized_best <= 1.05
-        assert comparison.ranking()[0] in {"random", "bo"}
-
-    def test_repeats_validation(self):
-        with pytest.raises(ValueError):
-            compare_strategies(
-                {"r": lambda seed: RandomSearch()},
-                WORKLOAD,
-                homogeneous(8),
-                TuningBudget(max_trials=2),
-                repeats=0,
-            )
 
 
 class TestTables:

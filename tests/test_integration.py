@@ -13,7 +13,7 @@ from repro.baselines import (
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
 from repro.core import HistoryRepository, MLConfigTuner, TuningBudget, knob_importance
-from repro.harness import compare_strategies, estimate_optimum, metrics
+from repro.harness import SweepCell, estimate_optimum, metrics, run_sweep
 from repro.mlsim import TrainingEnvironment
 from repro.workloads import get_workload
 
@@ -139,22 +139,17 @@ class TestTransferPipeline:
         assert strategy.mapped_workload == "resnet50-imagenet"
 
 
-class TestComparisonOptimumConsistency:
-    def test_no_strategy_beats_the_estimated_optimum_materially(self):
-        nodes = 8
-        workload = get_workload("lstm-ptb")
-        comparison = compare_strategies(
-            {
-                "bo": lambda seed: MLConfigTuner(seed=seed),
-                "random": lambda seed: RandomSearch(),
-            },
-            workload,
-            homogeneous(nodes),
-            TuningBudget(max_trials=15),
-            repeats=2,
-            seed=4,
-        )
-        for outcome in comparison.outcomes.values():
+class TestSweepOptimumConsistency:
+    def test_no_strategy_beats_the_estimated_optimum_materially(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cells = [
+            SweepCell(name=name, workload="lstm-ptb", nodes=8, strategy=name,
+                      max_trials=15, optimum_seed=4)
+            for name in ("mlconfig-bo", "random")
+        ]
+        for cell in run_sweep(cells, seeds=[4, 5])["cells"].values():
             # Measurement noise can push a observed value slightly past the
             # noise-free optimum, but not by more than the noise envelope.
-            assert outcome.mean_normalized_best < 1.12
+            assert cell["stats"]["mean"] < 1.12

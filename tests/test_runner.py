@@ -1,6 +1,6 @@
 """Tests for the process-parallel harness layers (PR 5).
 
-Covers the fork-based cell runner, ``compare_strategies(n_jobs=)``
+Covers the fork-based cell runner, ``run_sweep(n_jobs=)``
 serial-equivalence, the disk tier of the experiment memoiser, and the
 ``fit_workers`` process-parallel GP hyperfits.
 """
@@ -10,12 +10,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines import RandomSearch, SimulatedAnnealing
 from repro.cluster import homogeneous
 from repro.core import MLConfigTuner, TuningBudget
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import make_kernel
-from repro.harness import compare_strategies, fork_available, resolve_n_jobs, run_cells
+from repro.harness import (
+    SweepCell,
+    fork_available,
+    resolve_n_jobs,
+    run_cells,
+    run_sweep,
+)
 from repro.workloads import get_workload
 
 needs_fork = pytest.mark.skipif(
@@ -62,29 +67,30 @@ class TestRunCells:
         assert run_cells([], n_jobs=4) == []
 
 
-class TestCompareStrategiesNJobs:
+class TestRunSweepNJobs:
     @needs_fork
-    def test_parallel_comparison_equals_serial(self):
-        strategies = {
-            "random": lambda seed: RandomSearch(),
-            "annealing": lambda seed: SimulatedAnnealing(seed=seed),
-        }
-        workload = get_workload("resnet50-imagenet")
-        cluster = homogeneous(8)
-        budget = TuningBudget(max_trials=5)
-        serial = compare_strategies(
-            strategies, workload, cluster, budget, repeats=2, seed=3, n_jobs=1
-        )
-        parallel = compare_strategies(
-            strategies, workload, cluster, budget, repeats=2, seed=3, n_jobs=4
-        )
-        assert serial.optimum_value == parallel.optimum_value
-        for name in strategies:
-            a, b = serial.outcomes[name], parallel.outcomes[name]
-            assert a.normalized_best == b.normalized_best
-            assert a.mean_curve == b.mean_curve
-            assert a.mean_total_cost_s == b.mean_total_cost_s
-            assert a.trials_to_5pct == b.trials_to_5pct
+    def test_parallel_sweep_equals_serial(self, tmp_path, monkeypatch):
+        import repro.harness.experiments as experiments
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cells = [
+            SweepCell(name=name, workload="resnet50-imagenet", nodes=8,
+                      strategy=name, max_trials=5, optimum_seed=3)
+            for name in ("random", "annealing")
+        ]
+        experiments.clear_experiment_cache()
+        serial = run_sweep(cells, seeds=[3, 4], n_jobs=1)["cells"]
+        experiments.clear_experiment_cache()  # the parallel arm runs its sessions
+        parallel = run_sweep(cells, seeds=[3, 4], n_jobs=4)["cells"]
+        experiments.clear_experiment_cache()
+        for cell in cells:
+            a, b = serial[cell.name], parallel[cell.name]
+            assert a["optimum_value"] == b["optimum_value"]
+            assert a["values"] == b["values"]
+            assert a["mean_probe_hours"] == b["mean_probe_hours"]
+            assert [r.history.to_payload() for r in a["results"]] == [
+                r.history.to_payload() for r in b["results"]
+            ]
 
 
 class TestDiskMemoiser:

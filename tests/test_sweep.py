@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.harness import SweepCell, clear_optimum_cache, run_sweep, seed_spread_stats
+from repro.cluster import homogeneous
+from repro.configspace import ml_config_space
+from repro.core import TuningBudget
+from repro.core.session import executor_for
+from repro.harness import (
+    SweepCell,
+    clear_optimum_cache,
+    run_sweep,
+    seed_spread_stats,
+    strategy_registry,
+    sweep,
+)
 from repro.harness.experiments import clear_experiment_cache
+from repro.mlsim import TrainingEnvironment
+from repro.workloads import get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +49,36 @@ def small_cells():
             optimum_samples=150,
         ),
     ]
+
+
+def execution_cells():
+    """A serial, an async (3 workers) and a 4-shard async fleet cell."""
+    common = dict(
+        workload="resnet50-imagenet", nodes=8, max_trials=10, optimum_samples=150
+    )
+    return [
+        SweepCell(name="serial", strategy="random", **common),
+        SweepCell(
+            name="async3", strategy="mlconfig-bo", workers=3, executor_mode="async",
+            **common,
+        ),
+        SweepCell(
+            name="fleet4", strategy="random", workers=4, executor_mode="async",
+            shard_multipliers=(1.0, 1.25, 0.8, 1.5), **common,
+        ),
+    ]
+
+
+def comparable(report):
+    """The report with each session result replaced by its history payload
+    (results carry live histories, which compare by identity)."""
+    return {
+        **report,
+        "cells": {
+            name: {**cell, "results": [r.history.to_payload() for r in cell["results"]]}
+            for name, cell in report["cells"].items()
+        },
+    }
 
 
 class TestSeedSpreadStats:
@@ -85,13 +128,17 @@ class TestRunSweep:
             assert stats["min"] <= stats["median"] <= stats["max"]
             assert cell["mean_trials"] <= 6.0
             assert cell["optimum_value"] > 0
+            # One result per seed, the source of its ``values`` entry.
+            assert len(cell["results"]) == len(seeds)
+            assert [r.num_trials for r in cell["results"]] == [6] * len(seeds)
 
     def test_parallel_matches_serial(self):
-        serial = run_sweep(small_cells(), seeds=[0, 1], n_jobs=1)
+        cells = small_cells() + execution_cells()
+        serial = run_sweep(cells, seeds=[0, 1], n_jobs=1)
         clear_experiment_cache()
         clear_optimum_cache()
-        parallel = run_sweep(small_cells(), seeds=[0, 1], n_jobs=2)
-        assert serial == parallel
+        parallel = run_sweep(cells, seeds=[0, 1], n_jobs=2)
+        assert comparable(serial) == comparable(parallel)
 
     def test_sessions_are_memoised_across_calls(self):
         from repro.harness import experiments
@@ -103,7 +150,45 @@ class TestRunSweep:
         experiments._memo.clear()
         clear_optimum_cache()
         second = run_sweep(cells, seeds=[0, 1], n_jobs=1)
-        assert first == second
+        assert comparable(first) == comparable(second)
+
+    @pytest.mark.parametrize("cell", execution_cells(), ids=lambda cell: cell.name)
+    def test_memoised_session_comes_back_exact(self, cell, tmp_path, monkeypatch):
+        from repro.harness import experiments
+
+        seed = 2
+        run_sweep([cell], seeds=[seed])
+        # The session must have reached the disk tier: a payload JSON does
+        # not reproduce would silently stay memory-only.
+        assert len(list((tmp_path / "cache").glob("cell-*.json"))) == 1
+        experiments._memo.clear()
+
+        def recompute(*_):
+            raise AssertionError("the disk tier should have served the session")
+
+        monkeypatch.setattr(sweep, "_session", recompute)
+        rebuilt = run_sweep([cell], seeds=[seed])["cells"][cell.name]["results"][0]
+
+        workload = get_workload(cell.workload)
+        env = pool = None
+        if cell.shard_multipliers:
+            pool = sweep.build_fleet_pool(
+                workload, cell.nodes, cell.env_seed, cell.shard_multipliers
+            )
+        else:
+            env = TrainingEnvironment(
+                workload, homogeneous(cell.nodes), seed=cell.env_seed
+            )
+        live = strategy_registry()[cell.strategy](seed).run(
+            env,
+            ml_config_space(cell.nodes),
+            TuningBudget(max_trials=cell.max_trials),
+            seed=seed,
+            executor=executor_for(cell.workers, cell.executor_mode, pool=pool),
+        )
+        assert rebuilt.history.to_payload() == live.history.to_payload()
+        assert rebuilt.best_config == live.best_config
+        assert rebuilt.best_objective == live.best_objective
 
     def test_rejects_duplicate_names_and_empty_inputs(self):
         cells = small_cells()
