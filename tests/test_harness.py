@@ -8,13 +8,16 @@ from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
 from repro.core import TrialHistory, TuningBudget, TuningResult
 from repro.harness import (
+    SweepCell,
     clear_optimum_cache,
     estimate_optimum,
     metrics,
     render_series,
     render_table,
+    run_sweep,
     to_csv,
 )
+from repro.harness.experiments import clear_experiment_cache
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
 from repro.workloads import get_workload
 
@@ -222,6 +225,41 @@ class TestEstimateOptimum:
         assert early_value != drifted_value
         assert early_value == stationary_value  # pre-onset surface is stationary
         clear_optimum_cache()
+
+
+class TestCompareStrategies:
+    """Two strategies over shared seeds, compared through one sweep."""
+
+    def test_structure_and_ranking(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        clear_experiment_cache()
+        cells = [
+            SweepCell(
+                name=name,
+                workload=WORKLOAD.name,
+                nodes=8,
+                strategy=strategy,
+                max_trials=10,
+            )
+            for name, strategy in (("random", "random"), ("bo", "mlconfig-bo"))
+        ]
+        report = run_sweep(cells, seeds=[0, 1])
+        assert set(report["cells"]) == {"random", "bo"}
+        for cell in report["cells"].values():
+            assert len(cell["results"]) == 2
+            curve = metrics.mean_curve(
+                [
+                    metrics.normalized_best_so_far(result, cell["optimum_value"])
+                    for result in cell["results"]
+                ]
+            )
+            assert len(curve) >= 10
+            assert 0 < cell["stats"]["mean"] <= 1.05
+        ranking = sorted(
+            report["cells"], key=lambda name: -report["cells"][name]["stats"]["mean"]
+        )
+        assert ranking[0] in {"random", "bo"}
+        clear_experiment_cache()
 
 
 class TestTables:
