@@ -36,11 +36,27 @@ Two subcommands:
     A gated metric missing from either JSON exits 2 with a message naming
     the metric (stale benchmark file), distinct from exit 1 (regression).
 
+    ``--exact`` compares every deterministic field of a run with the
+    committed file and fails on any difference::
+
+        python scripts/bench_report.py check --exact \
+            --baseline BENCH_P4.json --current /tmp/bench_p4_now.json
+
+    ``EXACT_FIELDS`` lists each schema's deterministic fields (simulated
+    time, work counters, sweep statistics); timings are never listed.  A
+    quick run covers a subset of the committed cells, so cells the run
+    did not produce are not compared, and ``RUN_SIZE_CELLS`` (values that
+    depend on the run's seed list or repeat count) are compared only when
+    both files have the same ``quick`` flag.  A listed field or cell the
+    committed file lacks exits 2 (stale file); a schema with no list
+    exits 2 too.
+
 Metrics are addressed as ``section/cell/field`` paths into the JSON
 (e.g. ``propose/n=64/incremental_ms``).
 """
 
 import argparse
+import fnmatch
 import json
 import sys
 
@@ -59,6 +75,71 @@ def _lookup(results, metric):
     if not isinstance(node, (int, float)):
         raise KeyError(f"metric {metric!r} resolves to {type(node).__name__}, not a number")
     return float(node)
+
+
+#: Deterministic fields per schema for ``check --exact``: section → cell
+#: pattern → field patterns (``fnmatch`` globs).  Timings are never listed.
+EXACT_FIELDS = {
+    "bench_p3_surrogate/v4": {
+        "propose": {"n=*": ("full_fits",)},
+        "batch": {"*": ("full_fits",)},
+    },
+    "bench_p4_fleet/v1": {
+        "fleet": {
+            "seed=*": (
+                "fleet_best", "fleet_machine_h", "fleet_wall_h",
+                "itemisation_error_s", "matched_speedup", "shard*_machine_h",
+                "single_best", "single_machine_h", "single_wall_h", "wall_speedup",
+            ),
+            "aggregate": ("matched_speedup", "wall_speedup"),
+        },
+    },
+    "bench_p5_throughput/v2": {
+        "throughput": {"n=*": ("scalar_samples",)},
+    },
+    "bench_p7_service/v1": {
+        "service": {
+            "seed=*": ("cold_*", "warm_*", "tenants_per_generation"),
+            "sessions_per_hour": ("warm_vs_cold", "warm_vs_cold_min"),
+        },
+    },
+    "bench_p8_drift/v1": {
+        "drift": {
+            "seed=*": (
+                "adaptive_recovery_s", "adaptive_trials", "detections",
+                "first_detection_wall_s", "oblivious_recovery_s",
+                "oblivious_trials", "recovery_speedup",
+            ),
+            "recovery": ("speedup_mean", "speedup_min"),
+        },
+    },
+    "bench_p9_sweep/v2": {
+        "sweep": {
+            "optimum": ("samples", "scalar_evals"),
+            "demo:*": ("seeds", "mean", "median", "q1", "q3", "iqr", "min", "max", "mean_trials"),
+            "throughput": ("sessions",),
+        },
+    },
+    "bench_p10_checkpoint/v1": {
+        "checkpoint": {
+            "quick": ("fsyncs", "replaces", "trials", "identical"),
+            "resume": ("identical",),
+        },
+    },
+}
+
+#: Cells whose values depend on how much a run does — its seed list, or
+#: how many timed rounds it counts — which a quick run shortens
+#: (``section/cell`` globs): compared only when both files have the same
+#: ``quick`` flag.
+RUN_SIZE_CELLS = (
+    "batch/*",
+    "fleet/aggregate",
+    "service/sessions_per_hour",
+    "drift/recovery",
+    "sweep/demo:*",
+    "sweep/throughput",
+)
 
 
 PREFERRED_SECTION_ORDER = (
@@ -133,13 +214,98 @@ def cmd_report(args):
     return 0
 
 
+def check_exact(baseline, current):
+    """``(compared, differences, stale, skipped)`` over the listed fields.
+
+    ``differences`` and ``stale`` are lists of ``section/cell/field``
+    paths; ``stale`` names listed cells or fields the run produced but the
+    committed file lacks (or the reverse, for a cell both carry).
+    """
+    spec = EXACT_FIELDS[baseline["schema"]]
+    same_size = baseline.get("quick") == current.get("quick")
+    compared, differences, stale, skipped = 0, [], [], 0
+    for section, cells in spec.items():
+        base_cells = baseline.get(section, {})
+        now_cells = current.get(section, {})
+        for pattern, field_patterns in cells.items():
+            for cell in sorted(fnmatch.filter(now_cells, pattern)):
+                path = f"{section}/{cell}"
+                if any(fnmatch.fnmatchcase(path, glob) for glob in RUN_SIZE_CELLS):
+                    if not same_size:
+                        skipped += 1
+                        continue
+                if cell not in base_cells:
+                    stale.append(path)
+                    continue
+                base, now = base_cells[cell], now_cells[cell]
+                fields = {
+                    field
+                    for field in set(base) | set(now)
+                    if any(fnmatch.fnmatchcase(field, glob) for glob in field_patterns)
+                }
+                for field in sorted(fields):
+                    if field not in base or field not in now:
+                        stale.append(f"{path}/{field}")
+                        continue
+                    compared += 1
+                    if base[field] != now[field]:
+                        differences.append(f"{path}/{field}")
+                        print(
+                            f"{path}/{field}: baseline {base[field]!r} "
+                            f"current {now[field]!r} DIFFERS"
+                        )
+    return compared, differences, stale, skipped
+
+
+def cmd_check_exact(args):
+    bounds = (args.max_ratio, args.min_ratio, args.max_value, args.min_value)
+    if args.baseline is None or args.metric or any(b is not None for b in bounds):
+        print(
+            "check: --exact compares a whole file; pass --baseline, "
+            "and no --metric or bound"
+        )
+        return 2
+    baseline, current = _load(args.baseline), _load(args.current)
+    schema = baseline.get("schema")
+    if schema not in EXACT_FIELDS:
+        print(f"check: no deterministic fields are listed for schema {schema!r}")
+        return 2
+    if current.get("schema") != schema:
+        print(
+            f"check: current file {args.current!r} has schema "
+            f"{current.get('schema')!r}, baseline has {schema!r}"
+        )
+        return 2
+    compared, differences, stale, skipped = check_exact(baseline, current)
+    for path in stale:
+        print(
+            f"check: {path} is missing from one file — regenerate the committed "
+            f"baseline {args.baseline!r} with the current benchmark script"
+        )
+    if not compared:
+        print("check: no deterministic field was compared")
+    if stale or not compared:
+        return 2
+    note = f", {skipped} run-size cell(s) skipped (quick vs full)" if skipped else ""
+    if differences:
+        print(f"FAIL: {len(differences)} of {compared} deterministic field(s) differ{note}")
+        return 1
+    print(f"PASS: {compared} deterministic field(s) equal the committed file{note}")
+    return 0
+
+
 def cmd_check(args):
+    if args.exact:
+        return cmd_check_exact(args)
     bounds = (args.max_ratio, args.min_ratio, args.max_value, args.min_value)
     if sum(bound is not None for bound in bounds) != 1:
         print(
             "check: pass exactly one of "
-            "--max-ratio / --min-ratio / --max-value / --min-value"
+            "--max-ratio / --min-ratio / --max-value / --min-value / --exact"
         )
+        return 2
+    if not args.metric:
+        print("check: bounds gate named metrics; pass --metric")
         return 2
     ratio_mode = args.max_ratio is not None or args.min_ratio is not None
     if ratio_mode and args.baseline is None:
@@ -220,7 +386,7 @@ def main(argv=None):
     check.add_argument(
         "--metric",
         action="append",
-        required=True,
+        default=[],
         help="section/cell/field path, e.g. large/n=1024/speedup "
         "(repeatable)",
     )
@@ -240,6 +406,10 @@ def main(argv=None):
         "--min-value", type=float, default=None,
         help="fail when current < min_value — absolute bound for metrics that "
         "must hold on the runner itself (e.g. a live multi-core speedup floor)",
+    )
+    check.add_argument(
+        "--exact", action="store_true",
+        help="fail when any deterministic field differs from --baseline",
     )
     check.set_defaults(func=cmd_check)
 

@@ -15,6 +15,7 @@ its rejection rate so pathological constraint sets are visible.
 from __future__ import annotations
 
 import itertools
+from collections import abc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -384,17 +385,19 @@ class ConfigSpace:
         config: ConfigDict,
         rng: np.random.Generator,
         base_row: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, List[ConfigDict]]:
+    ) -> Tuple[np.ndarray, "NeighborMoves"]:
         """:meth:`neighbors` plus the encoded move matrix in one pass.
 
-        Returns ``(matrix, moves)`` with ``moves`` identical to
+        Returns ``(matrix, moves)`` with ``moves`` equal to
         :meth:`neighbors` and ``matrix`` bit-identical to
         ``encode_batch(moves)``: a single-knob move shares every other
         parameter's encoding with ``config``, so each row is the base
         encoding with one slice overwritten instead of a from-scratch
         re-encode — the hill-climb scores the rows in place.  Validity is
         decided by one :meth:`valid_mask` pass over the whole
-        neighbourhood instead of per-move predicate loops.
+        neighbourhood instead of per-move predicate loops.  ``moves`` is a
+        :class:`NeighborMoves` sequence that builds a move's typed dict
+        only when it is read (the hill-climb reads one per step).
 
         ``base_row`` optionally supplies ``encode(config)`` when the
         caller already holds it (the hill-climb scored it last step).
@@ -402,48 +405,46 @@ class ConfigSpace:
         base = np.asarray(base_row, dtype=float) if base_row is not None else self.encode(config)
         # Moves come out grouped by parameter (the same order the scalar
         # path emits), so each parameter's rows form one contiguous range.
-        all_moves: List[Tuple[Parameter, Tuple[int, int], Any]] = []
-        ranges: Dict[str, Tuple[int, List[Any]]] = {}
-        for param, offsets in zip(self.parameters, self._offsets):
+        all_moves: List[Tuple[int, Any]] = []
+        ranges: Dict[int, Tuple[int, List[Any]]] = {}
+        for index, param in enumerate(self.parameters):
             param_moves = param.neighbors(config[param.name], rng)
             if param_moves:
-                ranges[param.name] = (len(all_moves), param_moves)
-                for move in param_moves:
-                    all_moves.append((param, offsets, move))
+                ranges[index] = (len(all_moves), param_moves)
+                all_moves.extend((index, move) for move in param_moves)
         if not all_moves:
-            return np.empty((0, self._dims)), []
+            return np.empty((0, self._dims)), NeighborMoves(self, config, [])
         # One column batch for the whole neighbourhood: every column is the
         # base value except the moved knob's contiguous range.
         count = len(all_moves)
         columns: ColumnBatch = {}
-        for param in self.parameters:
+        for index, param in enumerate(self.parameters):
             value = config[param.name]
             if isinstance(value, (bool, np.bool_)):
-                column = np.full(count, bool(value), dtype=bool)
+                column = np.empty(count, dtype=bool)
+                column.fill(bool(value))
             elif isinstance(value, (int, np.integer)):
-                column = np.full(count, int(value), dtype=np.int64)
+                column = np.empty(count, dtype=np.int64)
+                column.fill(int(value))
             elif isinstance(value, (float, np.floating)):
-                column = np.full(count, float(value), dtype=float)
+                column = np.empty(count, dtype=float)
+                column.fill(float(value))
             else:
                 column = np.empty(count, dtype=object)
                 column[:] = value
-            moved = ranges.get(param.name)
+            moved = ranges.get(index)
             if moved is not None:
                 start, param_moves = moved
                 column[start : start + len(param_moves)] = param_moves
             columns[param.name] = column
-        mask = self.valid_mask(columns)
-        matrix = np.tile(base, (int(mask.sum()), 1))
-        moves: List[ConfigDict] = []
-        row = 0
-        for i in np.nonzero(mask)[0]:
-            param, (start, end), move = all_moves[i]
-            matrix[row, start:end] = param.encode(move)
-            candidate = dict(config)
-            candidate[param.name] = move
-            moves.append(candidate)
-            row += 1
-        return matrix, moves
+        valid = np.flatnonzero(self.valid_mask(columns)).tolist()
+        matrix = np.empty((len(valid), self._dims))
+        matrix[:] = base
+        moves = [all_moves[i] for i in valid]
+        for row, (index, move) in enumerate(moves):
+            start, end = self._offsets[index]
+            matrix[row, start:end] = self.parameters[index].encode(move)
+        return matrix, NeighborMoves(self, config, moves)
 
     # -- enumeration -----------------------------------------------------------
 
@@ -485,3 +486,36 @@ class ConfigSpace:
             row["cardinality"] = param.cardinality()
             rows.append(row)
         return rows
+
+
+class NeighborMoves(abc.Sequence):
+    """The valid single-knob moves of :meth:`ConfigSpace.neighbors_batch`.
+
+    A read-only sequence of typed dicts, equal to the list
+    :meth:`ConfigSpace.neighbors` returns.  Each move is kept as
+    ``(parameter index, value)`` and its dict (a copy of the base config
+    with one knob replaced) is built when it is read.
+    """
+
+    __slots__ = ("_parameters", "_config", "_moves")
+
+    def __init__(
+        self, space: ConfigSpace, config: ConfigDict, moves: List[Tuple[int, Any]]
+    ) -> None:
+        self._parameters = space.parameters
+        self._config = dict(config)
+        self._moves = moves
+
+    def __len__(self) -> int:
+        return len(self._moves)
+
+    def __getitem__(self, index: int) -> ConfigDict:
+        param_index, value = self._moves[index]
+        candidate = dict(self._config)
+        candidate[self._parameters[param_index].name] = value
+        return candidate
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, NeighborMoves)):
+            return list(self) == list(other)
+        return NotImplemented

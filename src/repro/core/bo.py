@@ -65,7 +65,7 @@ dict is ever built; the hill-climb scores
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,8 +211,14 @@ class _EncodedRowCache:
             prefix += 1
         if prefix == len(trials) == len(cached):
             return self._rows
-        fresh = self.space.encode_batch([t.config for t in trials[prefix:]])
-        rows = np.vstack((self._rows[:prefix], fresh)) if prefix else fresh
+        suffix = trials[prefix:]
+        if len(suffix) == 1:
+            # The common case, one new trial: ``encode`` gives the same row
+            # as ``encode_batch`` without its per-column array overhead.
+            fresh = self.space.encode(suffix[0].config)[None, :]
+        else:
+            fresh = self.space.encode_batch([t.config for t in suffix])
+        rows = np.concatenate((self._rows[:prefix], fresh)) if prefix else fresh
         self._trials = list(trials)
         self._rows = rows
         return rows
@@ -612,18 +618,20 @@ class BayesianProposer:
         built for the other candidates.
         """
         x, columns = self.space.sample_batch_encoded(rng, self.n_candidates)
-        extras: List[ConfigDict] = []
+        moves: Sequence[ConfigDict] = ()
         best = history.best()
         if best is not None:
             moves_x, moves = self.space.neighbors_batch(best.config, rng)
             best_x = self.space.encode(best.config)
             x = np.vstack((x, moves_x, best_x[None, :]))
-            extras = moves + [dict(best.config)]
 
         def lookup(index: int) -> ConfigDict:
             if index < self.n_candidates:
                 return self.space.config_at(columns, index)
-            return extras[index - self.n_candidates]
+            index -= self.n_candidates
+            if index < len(moves):
+                return moves[index]
+            return dict(best.config)
 
         return x, lookup
 
@@ -664,8 +672,11 @@ class BayesianProposer:
                 cost_x = np.empty((x.shape[0], x.shape[1] + 1))
                 cost_x[:, :-1] = x
                 cost_x[:, -1] = float(weight)
-            log_cost = cost_model.predict_mean(cost_x)
-            cost = np.exp(np.clip(log_cost, -2.0, 20.0))
+            # np.exp(np.clip(log_cost, -2, 20)), in place.
+            cost = cost_model.predict_mean(cost_x)
+            np.maximum(cost, -2.0, out=cost)
+            np.minimum(cost, 20.0, out=cost)
+            np.exp(cost, out=cost)
         else:
             cost = np.ones(x.shape[0])
         return self.acquisition(mu, sigma, incumbent, cost=cost, xi=self.xi)

@@ -8,6 +8,13 @@ Exact GP regression with a learned homoscedastic noise term:
   using analytic gradients (one Cholesky per step serves both the value
   and the full gradient) instead of scipy's finite-difference fallback,
   which costs an extra O(n^3) factorisation per hyperparameter per step;
+- each start runs L-BFGS-B (Byrd, Lu, Nocedal and Zhu, SIAM J. Sci.
+  Comput. 1995) through scipy's reverse-communication routine
+  ``scipy.optimize._lbfgsb.setulb`` (Zhu, Byrd, Lu and Nocedal, ACM TOMS
+  1997, Algorithm 778) in a loop of its own, :func:`_lbfgsb`: the same
+  iterates as ``scipy.optimize.minimize(method="L-BFGS-B")``, without the
+  ``ScalarFunction`` wrapper that costs about as much as an evaluation at
+  the history sizes sessions see;
 - targets standardised internally so kernel priors are scale-free.
 
 This is the surrogate model inside the BO tuner and the OtterTune-style
@@ -50,10 +57,11 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+from scipy.optimize._lbfgsb import setulb as _setulb
 
-from repro.core.kernels import Kernel, Matern52
+from repro.core.kernels import Kernel, Matern52, _sum
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
@@ -72,28 +80,95 @@ class GPFitError(RuntimeError):
     """Raised when the GP cannot be fit (degenerate data)."""
 
 
+#: L-BFGS-B settings of every hyperfit start: scipy's
+#: ``minimize(method="L-BFGS-B")`` defaults (``maxcor``, ``ftol`` as
+#: ``factr``, ``gtol``, ``maxls``, ``maxfun``) with the 200-iteration cap.
+_LBFGSB_MEMORY = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 200
+_LBFGSB_MAXFUN = 15000
+
+
+def _lbfgsb(objective, start: np.ndarray, bounds) -> Tuple[float, np.ndarray, int]:
+    """Minimise ``objective`` over the box ``bounds`` from ``start`` by L-BFGS-B.
+
+    ``objective(x)`` returns ``(value, gradient)`` and must not modify
+    ``x``.  Returns ``(fun, x, evaluations)``.  This is the loop of scipy's
+    ``_minimize_lbfgsb`` (scipy 1.17) over the reverse-communication
+    routine ``scipy.optimize._lbfgsb.setulb`` of Zhu, Byrd, Lu and Nocedal
+    (ACM TOMS 1997, Algorithm 778), without the ``ScalarFunction`` wrapper
+    that ``minimize`` puts around every evaluation: the start is clipped
+    to the bounds and evaluated first, the routine gets each value as the
+    objective returned it, a point is evaluated once even when the routine
+    asks for it again, and ``fun`` is the last evaluated value, as
+    ``OptimizeResult.fun`` is.  So every iterate, ``fun`` and ``x`` equal
+    ``minimize(objective, start, jac=True, method="L-BFGS-B",
+    bounds=bounds, options={"maxiter": 200})``; a tier-1 test checks this
+    against the installed scipy, because ``setulb`` is a private interface.
+    """
+    lower = np.array([lo for lo, _ in bounds], dtype=float)
+    upper = np.array([hi for _, hi in bounds], dtype=float)
+    x = np.clip(start, lower, upper)
+    n = x.shape[0]
+    m = _LBFGSB_MEMORY
+    nbd = np.full(n, 2, dtype=np.int32)  # 2: bounded below and above
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    evaluated = x.copy()
+    value, grad = objective(evaluated)
+    evaluations = 1
+    f, g = np.array(0.0), np.zeros(n)
+    iterations = 0
+    while True:
+        _setulb(
+            m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
+        )
+        if task[0] == 3:  # FG: the value and gradient at x
+            if not (x == evaluated).all():  # np.array_equal, shapes equal
+                evaluated = x.copy()
+                value, grad = objective(evaluated)
+                evaluations += 1
+            # A copy, so the routine never writes into the kept gradient.
+            f, g = value, grad.astype(np.float64)
+        elif task[0] == 1:  # NEW_X: one iteration done
+            iterations += 1
+            if iterations >= _LBFGSB_MAXITER:
+                task[0], task[1] = 5, 504  # STOP: iteration limit
+            elif evaluations > _LBFGSB_MAXFUN:
+                task[0], task[1] = 5, 502  # STOP: evaluation limit
+        else:
+            break
+    return f, x, evaluations
+
+
 def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray, int]:
     """Run one L-BFGS-B start of the marginal-likelihood optimisation.
 
     Returns ``(best negative LML, best log-params, failed evaluations)``;
     the last counts evaluations that hit the ``1e12`` sentinel (see
-    :class:`_LMLObjective`).  Top-level (picklable) so starts can fan out
-    across a process pool; the serial path runs the exact same function
-    in-process, which is what makes ``fit_workers > 1`` bit-identical to
-    serial: every start is a pure function of its task tuple, and the
-    best-of reduction happens in start order either way.
+    :class:`_LMLObjective`).  The start runs on :func:`_lbfgsb`, the
+    bound-constrained quasi-Newton method of Byrd, Lu, Nocedal and Zhu
+    (SIAM J. Sci. Comput. 1995) driven straight through scipy's
+    reverse-communication routine, with the same iterates as
+    ``scipy.optimize.minimize(method="L-BFGS-B")``.  Top-level (picklable)
+    so starts can fan out across a process pool; the serial path runs the
+    exact same function in-process, which is what makes ``fit_workers >
+    1`` bit-identical to serial: every start is a pure function of its
+    task tuple, and the best-of reduction happens in start order either
+    way.
     """
     kernel, x, z, noise_variance, fit_noise, bounds, start, scale = task
     objective = _LMLObjective(kernel, x, z, noise_variance, fit_noise, scale)
-    result = optimize.minimize(
-        objective,
-        start,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=bounds,
-        options={"maxiter": 200},
-    )
-    return float(result.fun), result.x, objective.failures
+    fun, params, _ = _lbfgsb(objective, start, bounds)
+    return float(fun), params, objective.failures
 
 
 #: Persistent hyperfit worker pools, keyed by worker count and owner PID —
@@ -161,35 +236,49 @@ def _run_hyperfit_tasks(
     return [_hyperfit_one(task) for task in tasks]
 
 
-def _diagonal(matrix: np.ndarray) -> np.ndarray:
-    """Writable view of a square matrix's diagonal, in either memory order."""
-    return np.einsum("ii->i", matrix)
+class _CholWork:
+    """A Fortran-order ``(n, n)`` work buffer and a view of its diagonal.
+
+    ``dpotrf`` factors a Fortran-order array in place, so a buffer made
+    once serves every rung of the jitter ladder (and, held by
+    :class:`_LMLObjective`, every evaluation of a hyperfit) without a new
+    allocation or a per-rung diagonal lookup.
+    """
+
+    def __init__(self, n: int) -> None:
+        flat = np.empty(n * n)
+        self.matrix = flat.reshape((n, n), order="F")
+        self.diagonal = flat[:: n + 1]
 
 
 def _chol_with_jitter(
     matrix: np.ndarray,
     jitters: Tuple[float, ...] = _JITTERS,
     shift: float | np.ndarray | None = None,
+    work: Optional[_CholWork] = None,
 ) -> Tuple[np.ndarray, float]:
     """Cholesky factor with the smallest jitter in ``jitters`` that succeeds.
 
     Calls LAPACK ``dpotrf`` directly: the same routine, inputs and cleaned
     lower factor as ``scipy.linalg.cholesky(lower=True)``, without its
-    per-call finiteness scan and identity allocation.  Each rung adds the
-    jitter to a fresh copy of ``matrix``'s diagonal, i.e. ``matrix +
-    jitter * I`` entry for entry.  ``shift`` (a scalar or per-row vector,
-    e.g. the observation noise) is added to that copy's diagonal first:
-    each diagonal entry is ``(matrix_ii + shift_i) + jitter``, the same
-    floats as shifting ``matrix`` beforehand, while ``matrix`` itself is
-    left untouched.
+    per-call finiteness scan and identity allocation.  Each rung copies
+    ``matrix`` into the work buffer and adds the jitter to the copy's
+    diagonal, i.e. ``matrix + jitter * I`` entry for entry.  ``shift`` (a
+    scalar or per-row vector, e.g. the observation noise) is added to that
+    copy's diagonal first: each diagonal entry is ``(matrix_ii + shift_i)
+    + jitter``, the same floats as shifting ``matrix`` beforehand, while
+    ``matrix`` itself is left untouched.  The factor is returned in
+    ``work``'s buffer, a fresh one unless the caller passes its own.
     """
+    if work is None:
+        work = _CholWork(matrix.shape[0])
     for jitter in jitters:
-        work = np.array(matrix, order="F")
-        diagonal = _diagonal(work)
+        np.copyto(work.matrix, matrix)
+        diagonal = work.diagonal
         if shift is not None:
             diagonal += shift
         diagonal += jitter
-        chol, info = _potrf(work, lower=1, clean=1, overwrite_a=1)
+        chol, info = _potrf(work.matrix, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return chol, jitter
     raise GPFitError("covariance matrix not positive definite at any jitter level")
@@ -198,15 +287,16 @@ def _chol_with_jitter(
 class _LMLObjective:
     """Negative log marginal likelihood and its gradient, for one hyperfit.
 
-    Built once per L-BFGS-B restart (the identity and the ``n log 2 pi``
-    constant with it); each call maps log-parameters to ``(-lml, -grad)``
-    and sets them on ``kernel``, which the objective owns.
+    Built once per L-BFGS-B restart (the identity, the ``n log 2 pi``
+    constant and the factorisation's Fortran work buffer with it); each
+    call maps log-parameters to ``(-lml, -grad)`` and sets them on
+    ``kernel``, which the objective owns.
 
     An evaluation computes its kernel terms once, in one
     :meth:`Kernel.lml_terms` pass: the scaled rows ``a = x / l`` and
     ``a * a``, the squared distances, the noise-free covariance ``K`` and
     the lengthscale weight ``W``.  The noise (and each jitter rung) is
-    added to the factorisation's Fortran work copy as ``(K + noise) +
+    added to the factorisation's work copy as ``(K + noise) +
     jitter``, so ``K`` stays noise-free for the gradient, which contracts
     the same terms in :meth:`Kernel.grad_log_params_dot` instead of
     recomputing the distances and the Matérn ``sqrt``/``exp``.  That call
@@ -245,6 +335,7 @@ class _LMLObjective:
         self.noise_scale = noise_scale
         self._num_kernel = kernel.num_params()
         self._eye = np.eye(n)
+        self._work = _CholWork(n)
         self._log_norm = 0.5 * n * np.log(2.0 * np.pi)
         self.failures = 0
 
@@ -260,7 +351,9 @@ class _LMLObjective:
         terms = kernel.lml_terms(x)
         try:
             chol, _ = _chol_with_jitter(
-                terms.k, shift=noise if scale is None else noise * scale
+                terms.k,
+                shift=noise if scale is None else noise * scale,
+                work=self._work,
             )
         except GPFitError:
             self.failures += 1
@@ -268,29 +361,37 @@ class _LMLObjective:
         alpha, _ = _potrs(chol, z, lower=1)
         lml = (
             -0.5 * float(z @ alpha)
-            - float(np.log(chol.diagonal()).sum())
+            - float(_sum(np.log(chol.diagonal())))
             - self._log_norm
         )
         if not math.isfinite(lml):
             self.failures += 1
             return 1e12, np.zeros_like(log_params)
         k_inv, _ = _potrs(chol, self._eye, lower=1)
-        a_mat = np.outer(alpha, alpha) - k_inv
-        grad = np.empty_like(log_params)
-        grad[:num_kernel] = 0.5 * kernel.grad_log_params_dot(x, a_mat, terms)
+        # np.outer(alpha, alpha) - k_inv, in one temporary.
+        a_mat = alpha[:, None] * alpha[None, :]
+        a_mat -= k_inv
+        # The negated gradient, built in place: -0.5 * g is -(0.5 * g)
+        # exactly, since rounding is symmetric in sign.
+        neg_grad = np.empty_like(log_params)
+        np.multiply(
+            kernel.grad_log_params_dot(x, a_mat, terms), -0.5, out=neg_grad[:num_kernel]
+        )
         if self.fit_noise:
             if scale is None:
                 # dK/d(log noise) = noise * I, so the trace term collapses.
-                grad[num_kernel] = 0.5 * noise * (float(alpha @ alpha) - k_inv.trace())
+                neg_grad[num_kernel] = (
+                    -0.5 * noise * (float(alpha @ alpha) - k_inv.trace())
+                )
             else:
                 # dK/d(log noise) = noise * diag(scale): the trace picks up
                 # the per-observation scale weights.
-                grad[num_kernel] = (
-                    0.5
+                neg_grad[num_kernel] = (
+                    -0.5
                     * noise
                     * (float(alpha @ (scale * alpha)) - float(k_inv.diagonal() @ scale))
                 )
-        return -lml, -grad
+        return -lml, neg_grad
 
 
 class GaussianProcess:
@@ -604,9 +705,10 @@ class GaussianProcess:
         """
         if self._a_train is not None:
             b = x_star / self.kernel.lengthscales
-            bb = np.sum(b * b, axis=1)[None, :]
-            sq = self._aa_train + bb - 2.0 * (self._a_train @ b.T)
-            return self.kernel.from_sq_dists(np.maximum(sq, 0.0))
+            bb = _sum(b * b, axis=1)[None, :]
+            sq = self._aa_train + bb
+            sq -= 2.0 * (self._a_train @ b.T)
+            return self.kernel.from_sq_dists(np.maximum(sq, 0.0, out=sq))
         return self.kernel(self._x, x_star)
 
     def predict(self, x_star: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -631,11 +733,13 @@ class GaussianProcess:
                 check_finite=False,
             )
         v = self._chol_inv @ k_star
-        var_z = self.kernel.diag(x_star) - np.sum(v * v, axis=0)
-        var_z = np.maximum(var_z, 1e-12)
-        mean = mean_z * self._y_std + self._y_mean
-        var = var_z * self._y_std**2
-        return mean, var
+        v *= v
+        var_z = self.kernel.diag(x_star) - _sum(v, axis=0)
+        np.maximum(var_z, 1e-12, out=var_z)
+        mean_z *= self._y_std
+        mean_z += self._y_mean
+        var_z *= self._y_std**2
+        return mean_z, var_z
 
     def predict_mean(self, x_star: np.ndarray) -> np.ndarray:
         """Posterior mean only — skips the variance's triangular solve.
@@ -647,8 +751,10 @@ class GaussianProcess:
         if self._x is None or self._chol is None:
             raise GPFitError("predict() before fit()")
         x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-        k_star = self._cross_covariance(x_star)
-        return (k_star.T @ self._alpha) * self._y_std + self._y_mean
+        mean = self._cross_covariance(x_star).T @ self._alpha
+        mean *= self._y_std
+        mean += self._y_mean
+        return mean
 
     def log_marginal_likelihood(self) -> float:
         """LML of the current fit (standardised-target units).

@@ -23,6 +23,9 @@ import numpy as np
 _MIN_LOG = -8.0
 _MAX_LOG = 8.0
 
+#: ``ndarray.sum`` without its Python-level dispatch (the same reduction).
+_sum = np.add.reduce
+
 
 def _pairwise_sq_dists(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances after per-dimension scaling."""
@@ -48,7 +51,7 @@ def _self_sq_dists(
     a = x / lengthscales
     b = a.copy()
     a_sq = a * a
-    norms = a_sq.sum(axis=1)
+    norms = _sum(a_sq, axis=1)
     sq = norms[:, None] + norms[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return a, a_sq, sq
@@ -169,9 +172,9 @@ class Kernel:
         a, a_sq = terms.a, terms.a_sq
         w = m * terms.weight
         out = np.empty(self.num_params())
-        out[0] = float((m * terms.k).sum())
-        row = w.sum(axis=1)
-        col = w.sum(axis=0)
+        out[0] = float(_sum(m * terms.k, axis=None))
+        row = _sum(w, axis=1)
+        col = _sum(w, axis=0)
         out[1:] = (
             row @ a_sq + col @ a_sq - 2.0 * np.einsum("id,id->d", a, w @ a)
         )
@@ -184,12 +187,18 @@ class Kernel:
         return np.concatenate(([np.log(self.variance)], np.log(self.lengthscales)))
 
     def set_log_params(self, log_params: np.ndarray) -> None:
-        """Inverse of :meth:`get_log_params`, with clipping for stability."""
-        log_params = np.clip(np.asarray(log_params, dtype=float), _MIN_LOG, _MAX_LOG)
+        """Inverse of :meth:`get_log_params`, with clipping for stability.
+
+        Runs once per marginal-likelihood evaluation, so the clip is a
+        ``maximum``/``minimum`` pair: the same values as ``np.clip``
+        (NaN included), without its Python-level dispatch.
+        """
+        log_params = np.asarray(log_params, dtype=float)
         if log_params.shape != (1 + self.input_dim,):
             raise ValueError(
                 f"expected {1 + self.input_dim} log params, got {log_params.shape}"
             )
+        log_params = np.minimum(np.maximum(log_params, _MIN_LOG), _MAX_LOG)
         self.variance = float(np.exp(log_params[0]))
         self.lengthscales = np.exp(log_params[1:])
 

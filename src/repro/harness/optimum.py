@@ -131,7 +131,8 @@ def _search(
     # take the first neighbour attaining the round's max iff it strictly
     # beats the round-start incumbent.
     for _ in range(refinement_rounds):
-        _, moves = space.neighbors_batch(best_config, rng)
+        # Every move's dict is read below, once per column: build them once.
+        moves = list(space.neighbors_batch(best_config, rng)[1])
         if not moves:
             break
         move_columns = {

@@ -140,3 +140,92 @@ class TestCheck:
         assert f"baseline file {baseline!r}" in captured
         assert "committed baseline" in captured
         assert "current file" not in captured
+
+
+def _fleet(quick=False, seeds=(0, 1, 2, 3)):
+    """A BENCH_P4-shaped payload: per-seed cells plus a seed-list aggregate."""
+    cells = {
+        f"seed={seed}": {
+            "matched_speedup": 1.5 + seed,
+            "fleet_best": 3000.0 - seed,
+            "shard0_machine_h": 0.4,
+            "wall_speedup": 2.0,
+        }
+        for seed in seeds
+    }
+    cells["aggregate"] = {"matched_speedup": 2.76 if not quick else 2.5, "wall_speedup": 3.0}
+    return {"schema": "bench_p4_fleet/v1", "quick": quick, "fleet": cells}
+
+
+class TestCheckExact:
+    def _check(self, tmp_path, baseline, current):
+        argv = [
+            "check", "--exact",
+            "--baseline", _write(tmp_path, "base.json", baseline),
+            "--current", _write(tmp_path, "cur.json", current),
+        ]
+        return bench_report.main(argv)
+
+    def test_identical_passes(self, tmp_path, capsys):
+        assert self._check(tmp_path, _fleet(), _fleet()) == 0
+        assert "PASS: 18 deterministic field(s)" in capsys.readouterr().out
+
+    def test_one_changed_field_fails_and_is_named(self, tmp_path, capsys):
+        current = _fleet()
+        current["fleet"]["seed=3"]["shard0_machine_h"] = 0.41
+        assert self._check(tmp_path, _fleet(), current) == 1
+        out = capsys.readouterr().out
+        assert "fleet/seed=3/shard0_machine_h: baseline 0.4 current 0.41 DIFFERS" in out
+        assert "FAIL: 1 of 18" in out
+
+    def test_quick_run_checks_its_seeds_and_skips_run_size_cells(self, tmp_path, capsys):
+        quick = _fleet(quick=True, seeds=(0, 3))
+        assert self._check(tmp_path, _fleet(), quick) == 0
+        out = capsys.readouterr().out
+        assert "PASS: 8 deterministic field(s)" in out
+        assert "1 run-size cell(s) skipped (quick vs full)" in out
+        quick["fleet"]["seed=0"]["matched_speedup"] = 9.0
+        assert self._check(tmp_path, _fleet(), quick) == 1
+
+    def test_timings_are_never_compared(self, tmp_path):
+        baseline = {
+            "schema": "bench_p10_checkpoint/v1",
+            "quick": False,
+            "checkpoint": {
+                "quick": {"fsyncs": 19, "replaces": 2, "trials": 16, "identical": 1,
+                          "plain_ms": 521.7, "overhead_fraction": 0.047},
+                "resume": {"identical": 1, "replay_ms": 633.9},
+            },
+        }
+        current = json.loads(json.dumps(baseline))
+        current["quick"] = True
+        current["checkpoint"]["quick"]["plain_ms"] = 300.0
+        current["checkpoint"]["resume"]["replay_ms"] = 100.0
+        assert self._check(tmp_path, baseline, current) == 0
+        current["checkpoint"]["quick"]["fsyncs"] = 35
+        assert self._check(tmp_path, baseline, current) == 1
+
+    def test_stale_baseline_and_unknown_schema_are_usage_errors(self, tmp_path, capsys):
+        stale = _fleet()
+        del stale["fleet"]["seed=3"]["fleet_best"]
+        assert self._check(tmp_path, stale, _fleet()) == 2
+        assert "fleet/seed=3/fleet_best is missing" in capsys.readouterr().out
+        missing_cell = _fleet(seeds=(0, 1))
+        assert self._check(tmp_path, missing_cell, _fleet()) == 2
+        unknown = dict(_fleet(), schema="bench_p4_fleet/v9")
+        assert self._check(tmp_path, unknown, unknown) == 2
+
+    def test_exact_takes_no_metric_or_bound(self, tmp_path):
+        path = _write(tmp_path, "f.json", _fleet())
+        argv = ["check", "--exact", "--baseline", path, "--current", path]
+        assert bench_report.main(argv + ["--metric", "fleet/seed=0/matched_speedup"]) == 2
+        assert bench_report.main(argv + ["--min-value", "1.0"]) == 2
+        assert bench_report.main(["check", "--exact", "--current", path]) == 2
+
+    @pytest.mark.parametrize(
+        "name", ["P3", "P4", "P5", "P7", "P8", "P9", "P10"],
+    )
+    def test_every_committed_file_lists_fields_that_exist(self, name):
+        committed = json.loads((_SCRIPT.parent.parent / f"BENCH_{name}.json").read_text())
+        compared, differences, stale, skipped = bench_report.check_exact(committed, committed)
+        assert compared > 0 and differences == [] and stale == [] and skipped == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, optimize
 
 from repro.core import (
     GPFitError,
@@ -838,3 +838,163 @@ class TestHyperfitPoolFallback:
                 fallback.log_marginal_likelihood()
                 == serial.log_marginal_likelihood()
             )
+
+
+class _NotPDAtLargeVariance(Matern52):
+    """Matérn-5/2 whose covariance is not PD at any jitter rung once the
+    log variance passes 1.0: an L-BFGS-B start below that line walks into
+    the ``1e12`` sentinel mid-search rather than at its first evaluation."""
+
+    def lml_terms(self, x):
+        terms = super().lml_terms(x)
+        if self.variance > np.e:
+            return terms._replace(k=np.full_like(terms.k, -1.0))
+        return terms
+
+
+def _hyperfit_tasks_of_sessions():
+    """Every hyperfit start of two short eipc tuning sessions, as recorded
+    task tuples (kernel copies taken before the start runs)."""
+    from repro.cluster import homogeneous
+    from repro.configspace import ml_config_space
+    from repro.core import MLConfigTuner, TuningBudget, TuningSession
+    from repro.mlsim import TrainingEnvironment
+    from repro.workloads import get_workload
+
+    tasks = []
+    original = gp_module._hyperfit_one
+
+    def recording(task):
+        tasks.append(copy.deepcopy(task))
+        return original(task)
+
+    gp_module._hyperfit_one = recording
+    try:
+        for seed, workload in ((0, "resnet50-imagenet"), (1, "vgg16-imagenet")):
+            env = TrainingEnvironment(get_workload(workload), homogeneous(8), seed=seed)
+            TuningSession(MLConfigTuner(n_initial=4, seed=seed)).run(
+                env, ml_config_space(8), TuningBudget(max_trials=18), seed=seed
+            )
+    finally:
+        gp_module._hyperfit_one = original
+    return tasks
+
+
+def _sentinel_tasks():
+    """Hyperfit tasks that hit the failure sentinel: at the start (every
+    evaluation fails) and mid-search (a region of the box fails)."""
+    rng = np.random.default_rng(3)
+    x = rng.random((12, 3))
+    z = np.sin(3 * x[:, 0]) + x[:, 1]
+    z = (z - z.mean()) / z.std()
+    tasks = []
+    for kernel in (_NotPDMatern52(3), _NotPDAtLargeVariance(3)):
+        bounds = kernel.param_bounds() + [(np.log(1e-6), np.log(1.0))]
+        for start in (np.array([0.9, -0.7, -0.7, -0.7, -4.0]), np.full(5, -1.0)):
+            tasks.append((kernel, x, z, 1e-2, True, bounds, start, None))
+    return tasks
+
+
+def _counted(objective):
+    calls = []
+
+    def call(log_params):
+        calls.append(1)
+        return objective(log_params)
+
+    return call, calls
+
+
+class TestLBFGSBLoop:
+    """The hyperfit's L-BFGS-B loop takes the same path as scipy's
+    ``minimize``.  It calls scipy's private ``setulb`` routine, and CI
+    installs scipy without a pin, so this is where a changed interface or
+    a changed loop in a new scipy release shows up."""
+
+    @staticmethod
+    def _both(task):
+        outcomes = []
+        for route in ("lbfgsb", "minimize"):
+            kernel, x, z, noise, fit_noise, bounds, start, scale = copy.deepcopy(task)
+            objective = _LMLObjective(kernel, x, z, noise, fit_noise, scale)
+            call, calls = _counted(objective)
+            if route == "lbfgsb":
+                fun, params, evaluations = gp_module._lbfgsb(call, start, bounds)
+                assert evaluations == len(calls)
+            else:
+                result = optimize.minimize(
+                    call, start, method="L-BFGS-B", jac=True, bounds=bounds,
+                    options={"maxiter": 200},
+                )
+                fun, params = result.fun, result.x
+            outcomes.append((float(fun), params, objective.failures, len(calls)))
+        return outcomes
+
+    def _assert_same(self, tasks):
+        for task in tasks:
+            (fun, params, failures, calls), (ref_fun, ref_params, ref_failures, ref_calls) = (
+                self._both(task)
+            )
+            assert fun == ref_fun
+            assert np.array_equal(params, ref_params)
+            assert failures == ref_failures
+            assert calls == ref_calls
+
+    def test_matches_minimize_on_recorded_session_starts(self):
+        tasks = _hyperfit_tasks_of_sessions()
+        assert len(tasks) >= 20
+        self._assert_same(tasks)
+
+    def test_matches_minimize_on_sentinel_starts(self):
+        tasks = _sentinel_tasks()
+        self._assert_same(tasks)
+        failures = [self._both(task)[0][2] for task in tasks]
+        calls = [self._both(task)[0][3] for task in tasks]
+        # _NotPDMatern52 fails every evaluation, so a start is one call;
+        # the mid-search tasks fail some evaluations, not all of them.
+        assert failures[:2] == [1, 1] and calls[:2] == [1, 1]
+        assert all(0 < f < c for f, c in zip(failures[2:], calls[2:]))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kernel_cls=st.sampled_from([RBF, Matern52]),
+        fit_noise=st.booleans(),
+        scaled=st.booleans(),
+        n=st.integers(min_value=3, max_value=30),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_minimize_on_random_starts(self, seed, kernel_cls, fit_noise, scaled, n):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 6))
+        x = rng.random((n, dim))
+        z = rng.standard_normal(n)
+        kernel = kernel_cls(dim)
+        bounds = kernel.param_bounds()
+        if fit_noise:
+            bounds = bounds + [(np.log(1e-6), np.log(1.0))]
+        # Starts inside and outside the box (the loop clips them).
+        start = rng.uniform(-9.0, 9.0, len(bounds))
+        scale = np.where(rng.random(n) < 0.5, 1.0, 4.0) if scaled else None
+        self._assert_same([(kernel, x, z, 1e-2, fit_noise, bounds, start, scale)])
+
+    def test_src_has_one_lbfgsb_call_site_and_no_minimize(self):
+        import ast
+        import pathlib
+
+        import repro
+
+        setulb_calls, minimize_uses = [], []
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name in ("setulb", "_setulb"):
+                        setulb_calls.append(path.name)
+                    if name in ("minimize", "fmin_l_bfgs_b"):
+                        minimize_uses.append(path.name)
+                if isinstance(node, ast.ImportFrom):
+                    if any(alias.name in ("minimize", "fmin_l_bfgs_b") for alias in node.names):
+                        minimize_uses.append(path.name)
+        assert setulb_calls == ["gp.py"]
+        assert minimize_uses == []
