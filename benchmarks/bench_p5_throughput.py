@@ -131,7 +131,7 @@ def time_harness(quick, seed=0):
     """One P1-style strategy sweep: serial vs session-parallel wall-clock."""
     import tempfile
 
-    import repro.harness.experiments as experiments
+    import repro.harness.cache as cache
     from repro.harness import SweepCell, run_sweep
 
     strategies = ("mlconfig-bo", "random", "annealing", "coordinate")
@@ -157,7 +157,7 @@ def time_harness(quick, seed=0):
 
     def sweep(n_jobs):
         # Both cache tiers start empty: a warm memo would time reads.
-        experiments.clear_experiment_cache()
+        cache.clear_experiment_cache()
         start = time.perf_counter()
         report = run_sweep(cells, seeds, n_jobs=n_jobs)
         return time.perf_counter() - start, report
@@ -169,7 +169,7 @@ def time_harness(quick, seed=0):
             sweep(1)  # warm the optimum cache so both timed arms share it
             serial_s, serial = sweep(1)
             parallel_s, parallel = sweep(4)
-            experiments.clear_experiment_cache()
+            cache.clear_experiment_cache()
         finally:
             if previous is None:
                 os.environ.pop("REPRO_CACHE_DIR", None)
@@ -190,6 +190,7 @@ def time_cache(quick, seed=0):
     """Disk-memoised experiment tier: cold compute vs warm cross-run load."""
     import tempfile
 
+    import repro.harness.cache as cache
     import repro.harness.experiments as experiments
 
     previous = os.environ.get("REPRO_CACHE_DIR")
@@ -203,7 +204,7 @@ def time_cache(quick, seed=0):
         cold_s = time.perf_counter() - start
         # A fresh process would start with an empty memory tier; simulate
         # that and let the disk tier answer.
-        experiments._memo.clear()
+        cache._memo.clear()
         start = time.perf_counter()
         warm = experiments.exp_f5_scalability(**kwargs)
         warm_s = time.perf_counter() - start
@@ -211,7 +212,7 @@ def time_cache(quick, seed=0):
             list(map(str, row)) for row in cold.rows
         ]:
             raise AssertionError("disk-cached cell diverged from fresh compute")
-        experiments.clear_experiment_cache()
+        cache.clear_experiment_cache()
     finally:
         if previous is None:
             os.environ.pop("REPRO_CACHE_DIR", None)

@@ -5,15 +5,19 @@ tuner: 40% of the nodes become 5x stragglers and ambient interference
 inflates workload intensity.  Under the ``tta`` (time-to-accuracy)
 objective this *moves* the optimal configuration — the post-drift
 optimum switches architecture and sync mode, it doesn't just sit lower.
-Two arms tune the same workload at the same seed:
+Two arms tune the same workload at the same seed.  They are two
+:class:`~repro.harness.SweepCell` scenarios (the drift as a ``--drift``
+spec string, a wall-clock budget) run by one
+:func:`~repro.harness.run_sweep` call, so each session is memoised on
+disk and a rerun loads it:
 
 - *oblivious* — the stock :class:`~repro.core.MLConfigTuner`; its
   surrogate keeps averaging pre- and post-drift observations and its
   early-termination incumbent keeps gating probes against a throughput
   the cluster no longer delivers;
-- *adaptive* — the same tuner plus a
+- *adaptive* — the same tuner plus a default
   :class:`~repro.core.detect.ChangePointDetector` (Page–Hinkley over
-  normalised surrogate residuals) driving a
+  normalised surrogate residuals) driving a ``discount``
   :class:`~repro.core.detect.RetuningPolicy` that noise-discounts
   pre-drift history in the surrogate, drops the stale incumbent,
   re-probes the incumbent configuration, and queues fresh exploration
@@ -22,19 +26,20 @@ Two arms tune the same workload at the same seed:
 The two arms are bit-identical until the first alarm (the detector only
 observes), so the comparison isolates the detect-and-re-tune loop.
 
-*Recovery time* is how long after the drift each arm takes until its
-**recommendation** — the config a deployment would copy, per
+*Recovery time* (:func:`repro.harness.metrics.recovery_time_s`) is how
+long after the drift each arm takes until its **recommendation** — the
+config a deployment would copy, per
 :meth:`~repro.core.trial.TrialHistory.recommendation` — clears
 ``RECOVERY_FRACTION`` of the post-drift optimum on the *true* post-drift
-objective (optimum found by direct search over the noise-free surface at
-a post-drift clock).  Scoring recommendations is what keeps the
-comparison honest: the oblivious arm stumbles across decent post-drift
-configs too, but its recommendation stays pinned to the stale pre-drift
-record because post-drift measurements are worse on an absolute scale.
-Both arms run to the same simulated ``HORIZON_S``; an arm that never
-recovers is charged the full post-drift horizon.  ``recovery_speedup``
-— the ratio CI gates at >= 2.0 — is oblivious recovery time over
-adaptive recovery time.
+objective (optimum found by :func:`~repro.harness.estimate_optimum` on
+the drifted environment at a post-drift clock).  Scoring recommendations
+is what keeps the comparison honest: the oblivious arm stumbles across
+decent post-drift configs too, but its recommendation stays pinned to
+the stale pre-drift record because post-drift measurements are worse on
+an absolute scale.  Both arms run to the same simulated ``HORIZON_S``;
+an arm that never recovers is charged the full post-drift horizon.
+``recovery_speedup`` — the ratio CI gates at >= 2.0 — is oblivious
+recovery time over adaptive recovery time.
 
 Everything is simulated time, so the numbers are deterministic per seed —
 independent of runner hardware.  Run as a script to (re)generate the
@@ -61,10 +66,9 @@ except ImportError:  # standalone `python benchmarks/bench_p8_drift.py`
 import numpy as np
 
 from repro.cluster import homogeneous
-from repro.configspace import ml_config_space, to_training_config
-from repro.core import MLConfigTuner, TuningBudget, TuningSession
-from repro.core.detect import ChangePointDetector, RetuningPolicy
-from repro.mlsim import CompositeDrift, StepDrift, StragglerOnset, TrainingEnvironment
+from repro.configspace import ml_config_space
+from repro.harness import SweepCell, estimate_optimum, metrics, run_sweep
+from repro.mlsim import TrainingEnvironment, parse_drift_spec
 from repro.workloads import get_workload
 
 SCHEMA = "bench_p8_drift/v1"
@@ -78,32 +82,38 @@ STRAGGLER_SLOWDOWN = 5.0
 INTENSITY = 2.0
 RECOVERY_FRACTION = 0.625  # recovered = recommendation within 1.6x of optimal tta
 POST_DRIFT_CLOCK_S = DRIFT_AT_S + 1.0  # both drift terms are steps
-
-DETECTOR_KNOBS = dict(delta=0.3, threshold=8.0, warmup=10, cooldown=8, clip=4.0)
-POLICY_KNOBS = dict(mode="discount", discount=0.25, refresh_initial=2)
-
-
-def make_drift():
-    return CompositeDrift(
-        (
-            StragglerOnset(
-                at_s=DRIFT_AT_S,
-                fraction=STRAGGLER_FRACTION,
-                slowdown=STRAGGLER_SLOWDOWN,
-            ),
-            StepDrift(at_s=DRIFT_AT_S, intensity=INTENSITY),
-        )
-    )
+DRIFT = (
+    f"stragglers:at={DRIFT_AT_S:g},fraction={STRAGGLER_FRACTION:g},"
+    f"slowdown={STRAGGLER_SLOWDOWN:g};step:at={DRIFT_AT_S:g},intensity={INTENSITY:g}"
+)
 
 
-def make_env(seed):
-    return TrainingEnvironment(
+def post_drift_env():
+    """The drifted environment with its clock past the drift: the surface
+    recovery is scored on.  The schedule is seed-independent, so one
+    environment serves every arm."""
+    env = TrainingEnvironment(
         get_workload(WORKLOAD),
         homogeneous(NODES),
-        seed=seed,
         objective_name=OBJECTIVE,
-        drift=make_drift(),
+        drift=parse_drift_spec(DRIFT),
     )
+    env.set_clock(POST_DRIFT_CLOCK_S)
+    return env
+
+
+def post_drift_optimum():
+    """Noise-free post-drift optimum: a 1,500-sample search refined for up
+    to 40 rounds (memoised on the drift schedule and the clock)."""
+    _, optimum = estimate_optimum(
+        post_drift_env(),
+        ml_config_space(NODES),
+        samples=1500,
+        grid_resolution=1,
+        refinement_rounds=40,
+        seed=1234,
+    )
+    return optimum
 
 
 def recovery_bar(optimum):
@@ -118,126 +128,44 @@ def recovery_bar(optimum):
     return optimum / RECOVERY_FRACTION
 
 
-_post_optimum = None
-
-
-def post_drift_optimum():
-    """Noise-free post-drift optimum by direct search (drift-aware).
-
-    :func:`~repro.harness.estimate_optimum` memoises by environment
-    identity without the drift clock, so the benchmark runs its own
-    search: a broad random sweep plus neighbourhood hill-climbing over
-    ``true_objective`` evaluated at a post-drift clock.  The drift
-    schedule is seed-independent, so one search serves every arm.
-    """
-    global _post_optimum
-    if _post_optimum is not None:
-        return _post_optimum
-    env = make_env(seed=0)
-    space = ml_config_space(NODES)
-    rng = np.random.default_rng(1234)
-
-    def value(config):
-        obj = env.true_objective(to_training_config(config), at_s=POST_DRIFT_CLOCK_S)
-        return -np.inf if obj is None else float(obj)
-
-    best_config, best = None, -np.inf
-    for _ in range(1500):
-        config = space.sample(rng)
-        score = value(config)
-        if score > best:
-            best_config, best = config, score
-    for _ in range(40):
-        moves = space.neighbors(best_config, rng)
-        scores = [value(move) for move in moves]
-        if not scores or max(scores) <= best:
-            break
-        top = int(np.argmax(scores))
-        best_config, best = moves[top], float(scores[top])
-    _post_optimum = best
-    return best
-
-
-def recovery_time_s(history, bar):
-    """Wall-clock seconds after the drift until the tuner's
-    *recommendation* — the config a deployment would copy, per
-    :meth:`~repro.core.trial.TrialHistory.recommendation` — clears
-    ``bar`` on the post-drift true objective.
-
-    Scoring the recommendation rather than any probed config is what
-    makes the comparison honest: a drift-oblivious tuner may stumble
-    across good post-drift configs, but its recommendation stays pinned
-    to the stale pre-drift record (post-drift measurements are worse on
-    an absolute scale, so they never outrank it).  A detector-equipped
-    tuner re-bases its recommendation on post-change measurements via
-    the recorded :class:`~repro.core.detect.DriftEvent`.
-
-    Never-recovered sessions are charged the full post-drift horizon —
-    identical for both arms because both run to ``HORIZON_S``.
-    """
-    env = make_env(seed=0)
-    cutoffs = sorted(
-        int(getattr(event, "trial_index")) + 1
-        for event in history.events
-        if getattr(event, "trial_index", None) is not None
+def arm_cells(seed):
+    """The oblivious and the adaptive arm at one seed, as sweep cells."""
+    common = dict(
+        workload=WORKLOAD,
+        nodes=NODES,
+        strategy="mlconfig-bo",
+        objective=OBJECTIVE,
+        max_trials=None,
+        max_wall_clock_s=HORIZON_S,
+        env_seed=seed,
+        drift=DRIFT,
     )
-    trials = list(history)
-    best = None  # current recommendation (best measured since last cutoff)
-    pending = list(cutoffs)
-    for trial in trials:
-        while pending and trial.index >= pending[0]:
-            cutoff = pending.pop(0)
-            best = None
-            for prior in trials:
-                if prior.index >= cutoff and prior.index <= trial.index and prior.ok:
-                    if best is None or prior.objective > best.objective:
-                        best = prior
-        if trial.ok and (best is None or trial.objective > best.objective):
-            best = trial
-        if trial.cumulative_wall_clock_s <= DRIFT_AT_S or best is None:
-            continue
-        obj = env.true_objective(
-            to_training_config(best.config), at_s=POST_DRIFT_CLOCK_S
-        )
-        if obj is not None and obj >= bar:
-            return trial.cumulative_wall_clock_s - DRIFT_AT_S
-    return HORIZON_S - DRIFT_AT_S
-
-
-def run_arm(seed, adaptive):
-    """One serial tuning session under drift; returns (history, events)."""
-    env = make_env(seed=seed)
-    space = ml_config_space(NODES)
-    strategy = MLConfigTuner(seed=seed)
-    detector = None
-    if adaptive:
-        detector = ChangePointDetector(
-            policy=RetuningPolicy(**POLICY_KNOBS), **DETECTOR_KNOBS
-        )
-    session = TuningSession(strategy, detector=detector)
-    budget = TuningBudget(max_trials=None, max_wall_clock_s=HORIZON_S)
-    session.run(env, space, budget, seed=seed)
-    events = [] if detector is None else detector.events
-    return session.history, events
+    return [
+        SweepCell(name="oblivious", **common),
+        SweepCell(name="adaptive", retune="discount", **common),
+    ]
 
 
 def run_pair(seed):
     """Oblivious vs adaptive arm at one seed; returns the result cell."""
+    env = post_drift_env()
     bar = recovery_bar(post_drift_optimum())
-    oblivious_history, _ = run_arm(seed, adaptive=False)
-    adaptive_history, events = run_arm(seed, adaptive=True)
-    oblivious_s = recovery_time_s(oblivious_history, bar)
-    adaptive_s = recovery_time_s(adaptive_history, bar)
+    report = run_sweep(arm_cells(seed), [seed])["cells"]
+    oblivious, adaptive = (
+        report[name]["results"][0].history for name in ("oblivious", "adaptive")
+    )
+    oblivious_s = metrics.recovery_time_s(oblivious, env, bar, DRIFT_AT_S, HORIZON_S)
+    adaptive_s = metrics.recovery_time_s(adaptive, env, bar, DRIFT_AT_S, HORIZON_S)
     return {
         "oblivious_recovery_s": oblivious_s,
         "adaptive_recovery_s": adaptive_s,
         "recovery_speedup": oblivious_s / max(adaptive_s, 1e-9),
-        "detections": len(events),
+        "detections": len(adaptive.events),
         "first_detection_wall_s": (
-            events[0].wall_clock_s if events else None
+            adaptive.events[0].wall_clock_s if adaptive.events else None
         ),
-        "oblivious_trials": len(oblivious_history),
-        "adaptive_trials": len(adaptive_history),
+        "oblivious_trials": len(oblivious),
+        "adaptive_trials": len(adaptive),
     }
 
 

@@ -30,12 +30,9 @@ Run with::
 import os
 import time
 
-from repro.harness import SweepCell, run_sweep
-from repro.harness.experiments import (
-    clear_experiment_cache,
-    experiment_cache_dir,
-    exp_f5_scalability,
-)
+from repro.harness import SweepCell, cache, run_sweep
+from repro.harness.cache import clear_experiment_cache, experiment_cache_dir
+from repro.harness.experiments import exp_f5_scalability
 
 
 def main() -> None:
@@ -72,9 +69,7 @@ def main() -> None:
 
     # A fresh process starts with an empty in-memory tier; the disk tier
     # (one JSON file per cell under experiment_cache_dir()) still answers.
-    import repro.harness.experiments as experiments
-
-    experiments._memo.clear()
+    cache._memo.clear()
     start = time.perf_counter()
     table = exp_f5_scalability(node_counts=(8,), budget_trials=8)
     warm = time.perf_counter() - start

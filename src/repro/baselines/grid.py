@@ -75,9 +75,3 @@ class GridSearch(SearchStrategy):
         if self._points is None:
             return False
         return self._cursor >= len(self._points)
-
-    def grid_size(self, space: ConfigSpace) -> int:
-        """Number of valid grid points at this resolution."""
-        if self._points is None:
-            self._materialise(space)
-        return len(self._points)

@@ -14,7 +14,6 @@ and rung promotion happens in :meth:`observe` once a rung's results are in.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -72,10 +71,6 @@ class SuccessiveHalving(SearchStrategy):
         self._rung_results = []
         self._rung_population = 0
         self._next_probe_iterations = self.min_probe_iterations
-
-    def num_rungs(self) -> int:
-        """Rungs per bracket at the configured size and eta."""
-        return int(math.floor(math.log(self.bracket_size, self.eta))) + 1
 
     def _start_bracket(self, space: ConfigSpace, rng: np.random.Generator) -> None:
         self._pending = space.sample_batch(rng, self.bracket_size)

@@ -162,7 +162,3 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         """Look up a node by id."""
         return self.nodes[node_id]
-
-    def slowest_factor(self) -> float:
-        """Smallest speed factor across nodes (straggler severity)."""
-        return min(node.speed_factor for node in self.nodes)

@@ -37,10 +37,6 @@ class Placement:
     def num_workers(self) -> int:
         return len(self.worker_nodes)
 
-    def machines_used(self) -> int:
-        """Distinct nodes consumed by this placement."""
-        return len(set(self.ps_nodes) | set(self.worker_nodes))
-
 
 def place(
     num_nodes: int,

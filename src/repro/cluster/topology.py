@@ -46,9 +46,6 @@ class Topology:
             return True
         return self.rack_of.get(a) == self.rack_of.get(b)
 
-    def num_racks(self) -> int:
-        return len(set(self.rack_of.values()))
-
 
 def two_tier(
     nic_bytes_per_sec: Sequence[float],

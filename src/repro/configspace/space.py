@@ -107,10 +107,6 @@ class ConfigSpace:
         """True when every constraint accepts ``config``."""
         return all(check(config) for check in self.constraints.values())
 
-    def violated_constraints(self, config: ConfigDict) -> List[str]:
-        """Names of constraints ``config`` fails (for diagnostics)."""
-        return [name for name, check in self.constraints.items() if not check(config)]
-
     def config_at(self, columns: ColumnBatch, index: int) -> ConfigDict:
         """Row ``index`` of a columns batch as a typed dict.
 

@@ -50,7 +50,11 @@ def _validate(mu: np.ndarray, sigma: np.ndarray) -> tuple:
 def expected_improvement(
     mu: np.ndarray, sigma: np.ndarray, incumbent: float, xi: float = 0.0
 ) -> np.ndarray:
-    """EI over the incumbent, with optional exploration margin ``xi``."""
+    """EI over the incumbent, with optional exploration margin ``xi``.
+
+    ``xi`` is in the units of ``mu`` and ``incumbent``: the objective's
+    raw units, so a fixed margin weighs less the larger the objective.
+    """
     mu, sigma = _validate(mu, sigma)
     gap = mu - incumbent - xi
     z = gap / sigma

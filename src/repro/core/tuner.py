@@ -90,7 +90,9 @@ class MLConfigTuner(SearchStrategy):
         installs before a tenant session starts.  Must be set before the
         first proposal.
     n_candidates / kernel / xi / beta / seed:
-        Forwarded to :class:`~repro.core.bo.BayesianProposer`.
+        Forwarded to :class:`~repro.core.bo.BayesianProposer`.  ``xi`` is
+        in the objective's raw units (samples/s, or negated seconds for
+        ``tta``), so the default 0.01 is negligible at the suite's scales.
     """
 
     def __init__(

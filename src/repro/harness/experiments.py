@@ -14,26 +14,17 @@ ablations).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines import (
-    CherryPick,
-    OtterTuneStyle,
-    RandomSearch,
-    default_strategy,
-    expert_strategy,
-)
+from repro.baselines import CherryPick, OtterTuneStyle, RandomSearch
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
-from repro.core import HistoryRepository, MLConfigTuner, TuningBudget
+from repro.core import HistoryRepository, TuningBudget
 from repro.harness import metrics
+from repro.harness.cache import _memoised
 from repro.harness.comparison import standard_strategy_set
 from repro.harness.optimum import estimate_optimum
 from repro.harness.sweep import SweepCell, run_sweep
@@ -57,157 +48,6 @@ class ExperimentTable:
         if self.notes:
             text += f"\n  note: {self.notes}"
         return text
-
-
-# Memoised heavy computations, keyed by experiment parameters, so multiple
-# benchmarks (F2 and F3 share comparisons) don't redo identical sweeps.
-# Two tiers: the in-memory dict below, and a persistent JSON tier on disk
-# (one file per cell) so repeated benchmark/CI runs stop recomputing
-# identical cells across *processes*.
-_memo: Dict[tuple, Any] = {}
-
-#: Version tag hashed into every disk-cache key.  Bump when the meaning of
-#: cached experiment payloads changes incompatibly.
-_CACHE_SCHEMA = "repro-experiments/v1"
-
-_code_fingerprint_cache: Optional[str] = None
-
-
-def _code_fingerprint() -> str:
-    """A fingerprint of the installed ``repro`` source, for cache keys.
-
-    Experiment cells are deterministic functions of (code, parameters), so
-    the disk tier must not survive code changes — PR 5 itself shifted
-    every seeded trajectory.  The newest source mtime under the package
-    directory changes whenever any module is edited or a new checkout is
-    installed, which invalidates exactly then; computed once per process.
-    """
-    global _code_fingerprint_cache
-    if _code_fingerprint_cache is None:
-        import repro
-
-        newest = 0
-        root = os.path.dirname(os.path.abspath(repro.__file__))
-        for directory, _, files in os.walk(root):
-            for name in files:
-                if name.endswith(".py"):
-                    try:
-                        stamp = os.stat(os.path.join(directory, name)).st_mtime_ns
-                    except OSError:
-                        continue
-                    newest = max(newest, stamp)
-        _code_fingerprint_cache = f"src-{newest}"
-    return _code_fingerprint_cache
-
-#: Filename prefix for this module's cache cells — `clear_experiment_cache`
-#: only ever deletes files carrying it, so pointing REPRO_CACHE_DIR at a
-#: shared directory cannot lose foreign files.
-_CACHE_PREFIX = "cell-"
-
-
-def experiment_cache_dir() -> str:
-    """Directory of the persistent experiment-cell cache.
-
-    ``REPRO_CACHE_DIR`` relocates it; the default is ``.repro_cache`` under
-    the current working directory (gitignored in this repository).
-    """
-    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.getcwd(), ".repro_cache"
-    )
-
-
-def _key_fingerprint(obj: Any) -> Any:
-    """A JSON-stable rendering of a memo key (tuples become lists)."""
-    if isinstance(obj, (list, tuple)):
-        return [_key_fingerprint(item) for item in obj]
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    return repr(obj)
-
-
-def _cache_path(key: tuple) -> str:
-    fingerprint = json.dumps(
-        [_CACHE_SCHEMA, _code_fingerprint(), _key_fingerprint(key)],
-        sort_keys=True,
-        default=repr,
-    )
-    digest = hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()[:32]
-    return os.path.join(experiment_cache_dir(), f"{_CACHE_PREFIX}{digest}.json")
-
-
-class _CellEncoder(json.JSONEncoder):
-    """JSON encoder accepting numpy scalars (rows are full of them)."""
-
-    def default(self, o):  # noqa: D102 - stdlib signature
-        if isinstance(o, np.generic):
-            return o.item()
-        return super().default(o)
-
-
-def _memoised(key: tuple, compute: Callable[[], Any]) -> Any:
-    """Two-tier memoisation of one experiment cell.
-
-    Lookup order: in-memory dict, then the persistent JSON tier (keyed by
-    a stable hash of ``_CACHE_SCHEMA`` + the key's fingerprint), then
-    ``compute()``.  Values that JSON cannot express (live
-    ``TuningResult`` objects) stay memory-only — the disk tier is for the
-    row-shaped payloads the ``exp_*`` tables memoise and the history
-    payloads of :func:`~repro.harness.sweep.run_sweep`'s sessions.  Keys must never
-    include execution knobs that cannot change the value (``n_jobs``,
-    ``fit_workers``): those would fragment the cache for identical
-    results.
-    """
-    if key in _memo:
-        return _memo[key]
-    path = _cache_path(key)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("key") == _key_fingerprint(key):
-            _memo[key] = payload["value"]
-            return _memo[key]
-    except (OSError, ValueError):
-        pass
-    value = compute()
-    _memo[key] = value
-    try:
-        blob = json.dumps(
-            {"schema": _CACHE_SCHEMA, "key": _key_fingerprint(key), "value": value},
-            cls=_CellEncoder,
-        )
-        # Persist only values JSON represents *faithfully*: int-keyed dicts
-        # stringify and tuples become lists without raising, which would
-        # hand warm loads a differently-typed value than the cold compute.
-        if json.loads(blob)["value"] != value:
-            return value
-    except (TypeError, ValueError):
-        return value  # not JSON-expressible: memory tier only
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".cell-tmp-"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        os.replace(tmp_path, path)  # atomic: concurrent runs see old or new
-    except OSError:
-        pass  # read-only filesystem etc.: cache stays in-memory
-    return value
-
-
-def clear_experiment_cache() -> None:
-    """Drop memoised experiment data — both tiers (used by tests)."""
-    _memo.clear()
-    try:
-        entries = os.listdir(experiment_cache_dir())
-    except OSError:
-        return
-    for name in entries:
-        if name.startswith(_CACHE_PREFIX) and name.endswith(".json"):
-            try:
-                os.unlink(os.path.join(experiment_cache_dir(), name))
-            except OSError:
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -275,50 +115,62 @@ def exp_t2_workloads() -> ExperimentTable:
 # T3: speedup of tuned configuration over default/expert
 # ---------------------------------------------------------------------------
 
+def _fixed_config_cells(
+    workloads: Sequence[str],
+    nodes: int,
+    budget_trials: int,
+    seed: int,
+    objective: str = "throughput",
+    workers: int = 1,
+    executor_mode: str = "sync",
+) -> List[SweepCell]:
+    """The T3/F4 sweep: per workload, the one-probe ``default`` and
+    ``expert`` configurations and the BO tuner (cells ``workload:strategy``).
+    ``workers`` × ``executor_mode`` apply to the tuner only."""
+    common = dict(nodes=nodes, objective=objective, env_seed=seed, optimum_seed=seed)
+    fixed = dict(max_trials=1, **common)
+    tuned = dict(
+        max_trials=budget_trials, workers=workers, executor_mode=executor_mode, **common
+    )
+    return [
+        SweepCell(name=f"{name}:{strategy}", workload=name, strategy=strategy, **options)
+        for name in workloads
+        for strategy, options in (
+            ("default", fixed), ("expert", fixed), ("mlconfig-bo", tuned)
+        )
+    ]
+
+
+def _first_results(report: Dict[str, Any]) -> Dict[str, Any]:
+    """Each cell's first-seed result, by cell name (single-seed tables)."""
+    return {name: cell["results"][0] for name, cell in report["cells"].items()}
+
+
 def exp_t3_speedup(
     nodes: int = 16, budget_trials: int = 30, seed: int = 0
 ) -> ExperimentTable:
     """Best-found throughput per workload: tuner vs default vs expert."""
-
-    def compute() -> List[List[Any]]:
-        rows = []
-        cluster = homogeneous(nodes)
-        space = ml_config_space(nodes)
-        for name in sorted(SUITE):
-            workload = SUITE[name]
-            env_args = dict(workload=workload, cluster=cluster, seed=seed)
-            opt_env = TrainingEnvironment(**env_args)
-            _, optimum = estimate_optimum(opt_env, space, seed=seed)
-
-            tuned = MLConfigTuner(seed=seed).run(
-                TrainingEnvironment(**env_args),
-                space,
-                TuningBudget(max_trials=budget_trials),
-                seed=seed,
-            )
-            default = default_strategy().run(
-                TrainingEnvironment(**env_args), space, TuningBudget(max_trials=1), seed=seed
-            )
-            expert = expert_strategy(nodes, workload.compute_comm_ratio).run(
-                TrainingEnvironment(**env_args), space, TuningBudget(max_trials=1), seed=seed
-            )
-            tuned_obj = tuned.best_objective or 0.0
-            default_obj = default.best_objective or float("nan")
-            expert_obj = expert.best_objective or float("nan")
-            rows.append(
-                [
-                    name,
-                    default_obj,
-                    expert_obj,
-                    tuned_obj,
-                    metrics.speedup(tuned_obj, default_obj) if default_obj else None,
-                    metrics.speedup(tuned_obj, expert_obj) if expert_obj else None,
-                    metrics.normalize_objective(tuned_obj, optimum),
-                ]
-            )
-        return rows
-
-    rows = _memoised(("t3", nodes, budget_trials, seed), compute)
+    workloads = sorted(SUITE)
+    cells = _fixed_config_cells(workloads, nodes, budget_trials, seed)
+    report = run_sweep(cells, [seed])
+    results = _first_results(report)
+    rows = []
+    for name in workloads:
+        optimum = report["cells"][f"{name}:mlconfig-bo"]["optimum_value"]
+        tuned_obj = results[f"{name}:mlconfig-bo"].best_objective or 0.0
+        default_obj = results[f"{name}:default"].best_objective or float("nan")
+        expert_obj = results[f"{name}:expert"].best_objective or float("nan")
+        rows.append(
+            [
+                name,
+                default_obj,
+                expert_obj,
+                tuned_obj,
+                metrics.speedup(tuned_obj, default_obj) if default_obj else None,
+                metrics.speedup(tuned_obj, expert_obj) if expert_obj else None,
+                metrics.normalize_objective(tuned_obj, optimum),
+            ]
+        )
     return ExperimentTable(
         exp_id="T3",
         title=f"Tuned vs default vs expert throughput ({nodes} nodes, {budget_trials} trials)",
@@ -540,63 +392,31 @@ def exp_f4_tta(
     executors) and wall-clock hours under the selected ``workers`` ×
     ``executor_mode`` execution.
     """
-
-    def compute() -> List[List[Any]]:
-        from repro.core.session import executor_for
-
-        rows = []
-        cluster = homogeneous(nodes)
-        space = ml_config_space(nodes)
-        for name in workload_names:
-            workload = get_workload(name)
-            env_args = dict(
-                workload=workload, cluster=cluster, seed=seed, objective_name="tta"
-            )
-            tuned = MLConfigTuner(seed=seed).run(
-                TrainingEnvironment(**env_args),
-                space,
-                TuningBudget(max_trials=budget_trials),
-                seed=seed,
-                executor=executor_for(workers, mode=executor_mode),
-            )
-            default = default_strategy().run(
-                TrainingEnvironment(**env_args), space, TuningBudget(max_trials=1), seed=seed
-            )
-            expert = expert_strategy(nodes, workload.compute_comm_ratio).run(
-                TrainingEnvironment(**env_args), space, TuningBudget(max_trials=1), seed=seed
-            )
-            tuned_tta = -tuned.best_objective / 3600.0
-            default_tta = -default.best_objective / 3600.0
-            expert_tta = -expert.best_objective / 3600.0
-            search_hours = tuned.total_cost_s / 3600.0
-            wall_hours = tuned.total_wall_clock_s / 3600.0
-            rows.append(
-                [
-                    name,
-                    default_tta,
-                    expert_tta,
-                    tuned_tta,
-                    default_tta / tuned_tta,
-                    expert_tta / tuned_tta,
-                    search_hours,
-                    wall_hours,
-                    (default_tta - tuned_tta) > wall_hours,
-                ]
-            )
-        return rows
-
-    rows = _memoised(
-        (
-            "f4",
-            nodes,
-            budget_trials,
-            seed,
-            tuple(workload_names),
-            workers,
-            executor_mode,
-        ),
-        compute,
+    cells = _fixed_config_cells(
+        workload_names, nodes, budget_trials, seed, "tta", workers, executor_mode
     )
+    results = _first_results(run_sweep(cells, [seed]))
+    rows = []
+    for name in workload_names:
+        tuned = results[f"{name}:mlconfig-bo"]
+        tuned_tta = -tuned.best_objective / 3600.0
+        default_tta = -results[f"{name}:default"].best_objective / 3600.0
+        expert_tta = -results[f"{name}:expert"].best_objective / 3600.0
+        search_hours = tuned.total_cost_s / 3600.0
+        wall_hours = tuned.total_wall_clock_s / 3600.0
+        rows.append(
+            [
+                name,
+                default_tta,
+                expert_tta,
+                tuned_tta,
+                default_tta / tuned_tta,
+                expert_tta / tuned_tta,
+                search_hours,
+                wall_hours,
+                (default_tta - tuned_tta) > wall_hours,
+            ]
+        )
     execution = "serial" if workers == 1 else f"{workers}-worker {executor_mode}"
     return ExperimentTable(
         exp_id="F4",
@@ -627,42 +447,30 @@ def exp_f5_scalability(
     workload_name: str = "resnet50-imagenet",
 ) -> ExperimentTable:
     """Tuning quality as the cluster (and the config space) grows."""
-
-    def compute() -> List[List[Any]]:
-        rows = []
-        workload = get_workload(workload_name)
-        for nodes in node_counts:
-            cluster = homogeneous(nodes)
-            space = ml_config_space(nodes)
-            env_args = dict(workload=workload, cluster=cluster, seed=seed)
-            opt_env = TrainingEnvironment(**env_args)
-            _, optimum = estimate_optimum(opt_env, space, seed=seed)
-            tuned = MLConfigTuner(seed=seed).run(
-                TrainingEnvironment(**env_args),
-                space,
-                TuningBudget(max_trials=budget_trials),
-                seed=seed,
-            )
-            random = RandomSearch().run(
-                TrainingEnvironment(**env_args),
-                space,
-                TuningBudget(max_trials=budget_trials),
-                seed=seed,
-            )
-            rows.append(
-                [
-                    nodes,
-                    optimum,
-                    metrics.normalize_objective(tuned.best_objective, optimum),
-                    metrics.normalize_objective(random.best_objective, optimum),
-                    space.cardinality(),
-                ]
-            )
-        return rows
-
-    rows = _memoised(
-        ("f5", tuple(node_counts), budget_trials, seed, workload_name), compute
-    )
+    cells = [
+        SweepCell(
+            name=f"{nodes}:{strategy}",
+            workload=workload_name,
+            nodes=nodes,
+            strategy=strategy,
+            max_trials=budget_trials,
+            env_seed=seed,
+            optimum_seed=seed,
+        )
+        for nodes in node_counts
+        for strategy in ("mlconfig-bo", "random")
+    ]
+    report = run_sweep(cells, [seed])["cells"]
+    rows = [
+        [
+            nodes,
+            report[f"{nodes}:mlconfig-bo"]["optimum_value"],
+            report[f"{nodes}:mlconfig-bo"]["values"][0],
+            report[f"{nodes}:random"]["values"][0],
+            ml_config_space(nodes).cardinality(),
+        ]
+        for nodes in node_counts
+    ]
     return ExperimentTable(
         exp_id="F5",
         title=f"Tuning quality vs cluster size — {workload_name}, {budget_trials} trials",
@@ -986,10 +794,7 @@ def exp_p4_fleet(
     cells = fleet_cells(
         nodes, budget_trials, seed, workload_name, shard_multipliers, schedulers
     )
-    results = {
-        name: cell["results"][0]
-        for name, cell in run_sweep(cells, [seed])["cells"].items()
-    }
+    results = _first_results(run_sweep(cells, [seed]))
     single = results["single"]
     single_wall = single.total_wall_clock_s
     rows = []

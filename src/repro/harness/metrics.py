@@ -7,7 +7,9 @@ The metrics mirror what the tuning papers report:
   throughput (maximise positive) and time-to-accuracy (maximise negative);
 - *best-so-far curves*: normalized performance after each trial (figure F2);
 - *search cost to within x%*: trials and simulated probe-hours until the
-  tuner first holds a configuration within ``x`` of the optimum (figure F3).
+  tuner first holds a configuration within ``x`` of the optimum (figure F3);
+- *recovery time*: simulated seconds after a drift until the tuner's
+  recommendation is good again on the drifted surface (benchmark P8).
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.configspace import to_training_config
 from repro.core.strategy import TuningResult
+from repro.core.trial import TrialHistory
 
 
 def normalize_objective(value: Optional[float], optimum: float) -> float:
@@ -117,3 +121,37 @@ def matched_quality_reach(
         baseline.history.wall_clock_to_reach(matched),
         result.history.wall_clock_to_reach(matched),
     )
+
+
+def recovery_time_s(
+    history: TrialHistory, env, bar: float, drift_at_s: float, horizon_s: float
+) -> float:
+    """Seconds after ``drift_at_s`` until the recommendation clears ``bar``.
+
+    The recommendation — the config a deployment would copy — is replayed
+    trial by trial: the best success since the latest recorded
+    change-point (:class:`~repro.core.detect.DriftEvent`; none until a
+    post-change trial succeeds), or since the start without one.  It is
+    scored on ``env``'s noise-free objective at ``env``'s
+    clock, so set that clock past the drift.  A drift-oblivious tuner's
+    recommendation stays pinned to its stale pre-drift record, however
+    good the post-drift configs it probes.  A session that never recovers
+    is charged ``horizon_s - drift_at_s``.
+    """
+    cutoffs = {
+        int(event.trial_index) + 1
+        for event in history.events
+        if getattr(event, "trial_index", None) is not None
+    }
+    best = None
+    for trial in history:
+        if trial.index in cutoffs:
+            best = None  # pre-change records no longer count
+        if trial.ok and (best is None or trial.objective > best.objective):
+            best = trial
+        if trial.cumulative_wall_clock_s <= drift_at_s or best is None:
+            continue
+        value = env.true_objective(to_training_config(best.config))
+        if value is not None and value >= bar:
+            return trial.cumulative_wall_clock_s - drift_at_s
+    return horizon_s - drift_at_s

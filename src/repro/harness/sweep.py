@@ -7,15 +7,24 @@ objective × execution) over a shared seed list and reports per-cell
 spread statistics (mean, median, quartiles, extremes) the way the papers'
 boxplots do, together with every session's
 :class:`~repro.core.strategy.TuningResult`.  It is the only (cell × seed)
-session loop in the harness: the F2/F3, A1/A2, P1/P2 and P4 tables, the
-P9 sweep benchmark and the examples all build cell lists and read its
-report.
+session loop in the harness: the T3, F2–F5, A1/A2, P1/P2 and P4
+tables, the P8 and P9 benchmarks and the examples all build cell lists
+and read its report.
+
+A cell can also be a *scenario*: ``drift`` makes its environment
+non-stationary (a :func:`~repro.mlsim.parse_drift_spec` string, the
+CLI's ``--drift`` grammar), ``retune`` attaches a
+:class:`~repro.core.detect.ChangePointDetector` at its defaults with that
+:class:`~repro.core.detect.RetuningPolicy` mode (the CLI's
+``--detect-drift --retune-mode``), and ``max_wall_clock_s`` caps the
+session's simulated wall-clock instead of, or as well as, its trial
+count.  The P8 drift benchmark's two arms are two such cells.
 
 Execution reuses the two workhorses the rest of the harness runs on:
 
 - :func:`repro.harness.runner.run_cells` fans the independent
   (cell × seed) sessions across fork workers, and
-- :func:`repro.harness.experiments._memoised` persists each session's
+- :func:`repro.harness.cache._memoised` persists each session's
   :meth:`TrialHistory.to_payload <repro.core.trial.TrialHistory.to_payload>`
   to the on-disk experiment cache, so re-renders and CI reruns pay only
   for cold cells.  The result handed back is rebuilt from that payload
@@ -36,14 +45,16 @@ import numpy as np
 
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
+from repro.core.detect import ChangePointDetector, RetuningPolicy
 from repro.core.session import EXECUTOR_MODES, executor_for
 from repro.core.strategy import TuningBudget, TuningResult
 from repro.core.trial import TrialHistory
 from repro.harness import metrics
+from repro.harness.cache import _memoised
 from repro.harness.comparison import strategy_registry
 from repro.harness.optimum import estimate_optimum
 from repro.harness.runner import run_cells
-from repro.mlsim import TrainingEnvironment
+from repro.mlsim import TrainingEnvironment, parse_drift_spec
 from repro.workloads import get_workload
 
 
@@ -52,13 +63,16 @@ class SweepCell:
     """One scenario of a sweep: what to tune, on what, with which tuner.
 
     Frozen, and built of scalars plus one tuple of floats, so a cell can
-    sit directly in a memo key and in JSON reports.  ``strategy`` names an entry of
-    :func:`~repro.harness.comparison.strategy_registry`.  ``workers`` ×
+    sit directly in a memo key and in JSON reports.  ``strategy`` names an
+    entry of :func:`~repro.harness.comparison.strategy_registry`.  The
+    budget is ``max_trials`` and/or ``max_wall_clock_s`` (simulated
+    seconds); ``None`` leaves that cap off.  ``workers`` ×
     ``executor_mode`` pick the executor
     (:func:`~repro.core.session.executor_for`).  A non-empty
     ``shard_multipliers`` runs the session on a :func:`build_fleet_pool`
     fleet of that many replicas placed by ``scheduler``, whose shard
-    ``i`` uses environment seed ``env_seed + i``.
+    ``i`` uses environment seed ``env_seed + i``.  ``drift`` and
+    ``retune`` make the cell a drift scenario (see the module docstring).
     """
 
     name: str
@@ -66,15 +80,16 @@ class SweepCell:
     nodes: int
     strategy: str
     objective: str = "throughput"
-    max_trials: int = 40
+    max_trials: Optional[int] = 40
+    max_wall_clock_s: Optional[float] = None
     env_seed: int = 0
-    noise_cv: float = 0.03
-    optimum_samples: int = 3000
     optimum_seed: int = 0
     workers: int = 1
     executor_mode: str = "sync"
     shard_multipliers: Tuple[float, ...] = ()
     scheduler: str = "roundrobin"
+    drift: str = ""
+    retune: str = ""
 
     def __post_init__(self) -> None:
         if self.strategy not in strategy_registry():
@@ -84,13 +99,33 @@ class SweepCell:
             )
         if self.nodes < 2:
             raise ValueError("nodes must be >= 2")
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.executor_mode not in EXECUTOR_MODES:
             raise ValueError(f"unknown executor mode {self.executor_mode!r}")
         object.__setattr__(self, "shard_multipliers", tuple(self.shard_multipliers))
+        self.budget()
+        self.drift_schedule()
+        self.detector()
+
+    def budget(self) -> TuningBudget:
+        """The session budget (raises on a missing or invalid cap)."""
+        return TuningBudget(
+            max_trials=self.max_trials, max_wall_clock_s=self.max_wall_clock_s
+        )
+
+    def drift_schedule(self):
+        """The parsed ``drift`` schedule, or ``None`` for a stationary cell."""
+        try:
+            return parse_drift_spec(self.drift)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad drift spec {self.drift!r}: {exc}") from None
+
+    def detector(self) -> Optional[ChangePointDetector]:
+        """A fresh detector for one session, or ``None`` without ``retune``."""
+        if not self.retune:
+            return None
+        return ChangePointDetector(policy=RetuningPolicy(mode=self.retune))
 
 
 def build_fleet_pool(
@@ -99,8 +134,7 @@ def build_fleet_pool(
     seed: int,
     shard_multipliers: Sequence[float],
     scheduler_name: str = "roundrobin",
-    objective_name: str = "throughput",
-    noise_cv: float = 0.03,
+    **env_options,
 ):
     """A heterogeneous probing fleet over one target cluster.
 
@@ -110,7 +144,8 @@ def build_fleet_pool(
     contended tenancy) and gets its own measurement-noise stream
     (environment seed ``seed + i``).  Shard 0 at multiplier 1.0 with seed
     ``seed`` is exactly the single-cluster baseline environment.  Each
-    shard has one probe slot.
+    shard has one probe slot.  ``env_options`` go to every shard's
+    :class:`~repro.mlsim.TrainingEnvironment`.
     """
     from repro.core.fleet import EnvironmentPool, EnvironmentShard, make_scheduler
 
@@ -118,13 +153,7 @@ def build_fleet_pool(
     shards = [
         EnvironmentShard(
             f"shard{i}",
-            TrainingEnvironment(
-                workload,
-                cluster,
-                seed=seed + i,
-                objective_name=objective_name,
-                noise_cv=noise_cv,
-            ),
+            TrainingEnvironment(workload, cluster, seed=seed + i, **env_options),
             cost_multiplier=multiplier,
         )
         for i, multiplier in enumerate(shard_multipliers)
@@ -152,6 +181,7 @@ def seed_spread_stats(values: Sequence[float]) -> Dict[str, float]:
 def _session(cell: SweepCell, seed: int) -> dict:
     """One (cell, seed) tuning session, as its history payload."""
     workload = get_workload(cell.workload)
+    env_options = dict(objective_name=cell.objective, drift=cell.drift_schedule())
     env = pool = None
     if cell.shard_multipliers:
         pool = build_fleet_pool(
@@ -160,23 +190,20 @@ def _session(cell: SweepCell, seed: int) -> dict:
             cell.env_seed,
             cell.shard_multipliers,
             cell.scheduler,
-            objective_name=cell.objective,
-            noise_cv=cell.noise_cv,
+            **env_options,
         )
     else:
         env = TrainingEnvironment(
-            workload,
-            homogeneous(cell.nodes),
-            seed=cell.env_seed,
-            objective_name=cell.objective,
-            noise_cv=cell.noise_cv,
+            workload, homogeneous(cell.nodes), seed=cell.env_seed, **env_options
         )
-    result = strategy_registry()[cell.strategy](seed).run(
+    detector = cell.detector()
+    result = strategy_registry()[cell.strategy](seed, cell).run(
         env,
         ml_config_space(cell.nodes),
-        TuningBudget(max_trials=cell.max_trials),
+        cell.budget(),
         seed=seed,
         executor=executor_for(cell.workers, cell.executor_mode, pool=pool),
+        callbacks=[] if detector is None else [detector],
     )
     return result.history.to_payload()
 
@@ -217,8 +244,6 @@ def run_sweep(
     function of (cell, seed) — so the knob is not part of the memo key,
     and neither is the cell's ``name``.
     """
-    from repro.harness.experiments import _memoised  # imports this module
-
     cells = list(cells)
     seeds = [int(s) for s in seeds]
     if not cells:
@@ -231,7 +256,8 @@ def run_sweep(
 
     # Phase 1 (parent process): noise-free optima.  Estimated here so the
     # fork pool inherits a warm optimum memo — and so every seed of a cell
-    # normalises against the same anchor.
+    # normalises against the same anchor.  A drifting cell normalises
+    # against its stationary (pre-drift) surface.
     optima: Dict[str, float] = {}
     for cell in cells:
         reference = TrainingEnvironment(
@@ -241,10 +267,7 @@ def run_sweep(
             objective_name=cell.objective,
         )
         _, optimum_value = estimate_optimum(
-            reference,
-            ml_config_space(cell.nodes),
-            samples=cell.optimum_samples,
-            seed=cell.optimum_seed,
+            reference, ml_config_space(cell.nodes), seed=cell.optimum_seed
         )
         optima[cell.name] = optimum_value
 

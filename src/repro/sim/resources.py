@@ -32,21 +32,14 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._waiting: Deque[Signal] = deque()
-        # Cumulative statistics for utilisation reporting.
+        # Cumulative statistics for queueing reports.
         self.total_acquisitions = 0
         self.total_wait_time = 0.0
-        self._busy_time = 0.0
-        self._last_change = 0.0
-
-    def _account(self) -> None:
-        self._busy_time += self.in_use * (self.sim.now - self._last_change)
-        self._last_change = self.sim.now
 
     def acquire(self) -> Waitable:
         """Return a waitable that completes when a slot is granted."""
         signal = Signal(self.sim)
         if self.in_use < self.capacity and not self._waiting:
-            self._account()
             self.in_use += 1
             self.total_acquisitions += 1
             signal.complete(self.sim.now)
@@ -59,7 +52,6 @@ class Resource:
         """Release one slot, granting it to the earliest waiter if any."""
         if self.in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._account()
         if self._waiting:
             signal = self._waiting.popleft()
             self.total_wait_time += self.sim.now - getattr(signal, "requested_at", self.sim.now)
@@ -76,13 +68,6 @@ class Resource:
             yield self.sim.timeout(duration)
         finally:
             self.release()
-
-    def utilization(self) -> float:
-        """Mean fraction of capacity busy since construction."""
-        self._account()
-        if self.sim.now <= 0:
-            return 0.0
-        return self._busy_time / (self.sim.now * self.capacity)
 
     @property
     def queue_length(self) -> int:

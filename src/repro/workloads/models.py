@@ -79,18 +79,6 @@ class ConvergenceProfile:
         ) if compression_ratio < 1.0 else 1.0
         return self.base_iters * scale * saturation * staleness * compression
 
-    def samples_to_target(
-        self,
-        global_batch: int,
-        mean_staleness: float = 0.0,
-        compression_ratio: float = 1.0,
-    ) -> float:
-        """Total samples processed before hitting the target metric."""
-        return (
-            self.iterations_to_target(global_batch, mean_staleness, compression_ratio)
-            * global_batch
-        )
-
 
 @dataclass(frozen=True)
 class ModelSpec:

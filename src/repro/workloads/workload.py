@@ -51,10 +51,6 @@ class Workload:
         """FLOPs per communicated byte — the workload's tuning fingerprint."""
         return self.model.compute_comm_ratio
 
-    def epochs_for_iterations(self, iterations: float, global_batch: int) -> float:
-        """Convert an iteration count to dataset epochs."""
-        return iterations * global_batch / self.dataset.num_samples
-
 
 # The standard evaluation suite: one workload per task family, spanning
 # three orders of magnitude in compute/communication ratio.

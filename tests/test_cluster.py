@@ -132,7 +132,6 @@ class TestClusterInstantiation:
     def test_no_stragglers_by_default(self):
         cluster = Cluster(Simulator(), homogeneous(8, jitter_cv=0.0), RngRegistry(0))
         assert all(n.speed_factor == 1.0 for n in cluster.nodes)
-        assert cluster.slowest_factor() == 1.0
 
     def test_jitter_spreads_speed_factors(self):
         spec = homogeneous(16, jitter_cv=0.1)

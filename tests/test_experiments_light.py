@@ -7,19 +7,22 @@ the tables built on ``run_sweep`` render at light settings.
 
 import pytest
 
-from repro.harness import clear_optimum_cache, experiments
+from repro.harness import cache, clear_optimum_cache
+from repro.harness.cache import clear_experiment_cache
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
     ExperimentTable,
-    clear_experiment_cache,
     exp_t1_config_space,
     exp_t2_workloads,
 )
 
 #: Light settings for every table that runs its sessions through run_sweep.
 SWEPT_TABLES = {
+    "T3": dict(nodes=8, budget_trials=8),
     "F2": dict(nodes=8, budget_trials=8, repeats=2),
     "F3": dict(nodes=8, budget_trials=8, repeats=2),
+    "F4": dict(nodes=8, budget_trials=8),
+    "F5": dict(node_counts=(8,), budget_trials=8),
     "A1": dict(nodes=8, budget_trials=8, repeats=2),
     "A2": dict(nodes=8, budget_trials=8, repeats=2),
     "P1": dict(nodes=8, budget_trials=8),
@@ -93,7 +96,7 @@ class TestSweptTables:
 
         cold = render()
         assert list(tmp_path.glob("cell-*.json"))
-        experiments._memo.clear()
+        cache._memo.clear()
         clear_optimum_cache()
         assert render() == cold
         clear_experiment_cache()

@@ -62,10 +62,6 @@ class TestSuccessiveHalving:
         with pytest.raises(ValueError):
             SuccessiveHalving(min_probe_iterations=1)
 
-    def test_num_rungs(self):
-        assert SuccessiveHalving(bracket_size=9, eta=3).num_rungs() == 3
-        assert SuccessiveHalving(bracket_size=8, eta=2).num_rungs() == 4
-
 
 class TestGradientCompression:
     def test_config_validation(self):

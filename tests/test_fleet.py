@@ -701,7 +701,8 @@ class TestHarnessIntegration:
         assert results[0].num_trials == results[1].num_trials
 
     def test_exp_p4_fleet_light(self):
-        from repro.harness.experiments import clear_experiment_cache, exp_p4_fleet
+        from repro.harness.cache import clear_experiment_cache
+        from repro.harness.experiments import exp_p4_fleet
 
         clear_experiment_cache()
         table = exp_p4_fleet(

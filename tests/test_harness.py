@@ -17,7 +17,7 @@ from repro.harness import (
     run_sweep,
     to_csv,
 )
-from repro.harness.experiments import clear_experiment_cache
+from repro.harness.cache import clear_experiment_cache
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
 from repro.workloads import get_workload
 

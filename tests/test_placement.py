@@ -5,17 +5,22 @@ import pytest
 from repro.cluster import PlacementError, feasible, place
 
 
+def machines_used(placement):
+    """Distinct nodes a placement consumes."""
+    return len(set(placement.ps_nodes) | set(placement.worker_nodes))
+
+
 class TestDedicatedPlacement:
     def test_servers_then_workers(self):
         placement = place(num_nodes=8, num_ps=2, num_workers=4, colocate=False)
         assert placement.ps_nodes == (0, 1)
         assert placement.worker_nodes == (2, 3, 4, 5)
         assert not placement.colocated
-        assert placement.machines_used() == 6
+        assert machines_used(placement) == 6
 
     def test_exact_fit(self):
         placement = place(num_nodes=6, num_ps=2, num_workers=4, colocate=False)
-        assert placement.machines_used() == 6
+        assert machines_used(placement) == 6
 
     def test_overflow_raises(self):
         with pytest.raises(PlacementError):
@@ -27,11 +32,11 @@ class TestColocatedPlacement:
         placement = place(num_nodes=4, num_ps=3, num_workers=4, colocate=True)
         assert placement.worker_nodes == (0, 1, 2, 3)
         assert placement.ps_nodes == (0, 1, 2)
-        assert placement.machines_used() == 4
+        assert machines_used(placement) == 4
 
     def test_more_ps_than_workers(self):
         placement = place(num_nodes=6, num_ps=6, num_workers=3, colocate=True)
-        assert placement.machines_used() == 6
+        assert machines_used(placement) == 6
         assert len(placement.ps_nodes) == 6
 
     def test_needs_max_of_counts(self):

@@ -70,7 +70,7 @@ class TestRunCells:
 class TestRunSweepNJobs:
     @needs_fork
     def test_parallel_sweep_equals_serial(self, tmp_path, monkeypatch):
-        import repro.harness.experiments as experiments
+        import repro.harness.cache as cache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cells = [
@@ -78,11 +78,11 @@ class TestRunSweepNJobs:
                       strategy=name, max_trials=5, optimum_seed=3)
             for name in ("random", "annealing")
         ]
-        experiments.clear_experiment_cache()
+        cache.clear_experiment_cache()
         serial = run_sweep(cells, seeds=[3, 4], n_jobs=1)["cells"]
-        experiments.clear_experiment_cache()  # the parallel arm runs its sessions
+        cache.clear_experiment_cache()  # the parallel arm runs its sessions
         parallel = run_sweep(cells, seeds=[3, 4], n_jobs=4)["cells"]
-        experiments.clear_experiment_cache()
+        cache.clear_experiment_cache()
         for cell in cells:
             a, b = serial[cell.name], parallel[cell.name]
             assert a["optimum_value"] == b["optimum_value"]
@@ -96,70 +96,71 @@ class TestRunSweepNJobs:
 class TestDiskMemoiser:
     @pytest.fixture(autouse=True)
     def _isolated_cache(self, tmp_path, monkeypatch):
-        import repro.harness.experiments as experiments
+        import repro.harness.cache as cache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        experiments._memo.clear()
+        cache._memo.clear()
         yield
-        experiments._memo.clear()
+        cache._memo.clear()
 
     def test_round_trip_without_recompute(self):
-        import repro.harness.experiments as experiments
+        import repro.harness.cache as cache
 
-        value = experiments._memoised(
+        value = cache._memoised(
             ("cell", 1, 2.5), lambda: [[1, None, "x", 2.5]]
         )
-        experiments._memo.clear()  # simulate a fresh process
+        cache._memo.clear()  # simulate a fresh process
         calls = []
-        reloaded = experiments._memoised(
+        reloaded = cache._memoised(
             ("cell", 1, 2.5), lambda: calls.append(1) or [["fresh"]]
         )
         assert calls == []
         assert reloaded == value
 
     def test_distinct_keys_do_not_collide(self):
-        import repro.harness.experiments as experiments
+        import repro.harness.cache as cache
 
-        experiments._memoised(("k", 1), lambda: "one")
-        experiments._memo.clear()
-        assert experiments._memoised(("k", 2), lambda: "two") == "two"
+        cache._memoised(("k", 1), lambda: "one")
+        cache._memo.clear()
+        assert cache._memoised(("k", 2), lambda: "two") == "two"
 
     def test_numpy_scalars_serialisable(self):
-        import repro.harness.experiments as experiments
+        import repro.harness.cache as cache
 
-        value = experiments._memoised(
+        value = cache._memoised(
             ("np-cell",), lambda: [[np.float64(1.5), np.int64(3)]]
         )
-        experiments._memo.clear()
-        assert experiments._memoised(("np-cell",), lambda: None) == [[1.5, 3]]
+        cache._memo.clear()
+        assert cache._memoised(("np-cell",), lambda: None) == [[1.5, 3]]
         assert value[0][0] == 1.5
 
     def test_unserialisable_values_stay_memory_only(self, tmp_path):
-        import repro.harness.experiments as experiments
+        import repro.harness.cache as cache
 
-        value = experiments._memoised(("obj-cell",), lambda: {("tuple", "key"): 1})
+        value = cache._memoised(("obj-cell",), lambda: {("tuple", "key"): 1})
         assert value == {("tuple", "key"): 1}
         assert not [f for f in os.listdir(tmp_path) if f.startswith("cell-")]
         # memory tier still serves it
-        assert experiments._memoised(("obj-cell",), lambda: None) == value
+        assert cache._memoised(("obj-cell",), lambda: None) == value
 
     def test_clear_experiment_cache_wipes_disk(self, tmp_path):
-        import repro.harness.experiments as experiments
+        import repro.harness.cache as cache
 
-        experiments._memoised(("wipe-cell",), lambda: [1, 2, 3])
+        cache._memoised(("wipe-cell",), lambda: [1, 2, 3])
         assert [f for f in os.listdir(tmp_path) if f.startswith("cell-")]
-        experiments.clear_experiment_cache()
+        cache.clear_experiment_cache()
         assert not [f for f in os.listdir(tmp_path) if f.startswith("cell-")]
         calls = []
-        experiments._memoised(("wipe-cell",), lambda: calls.append(1) or [9])
+        cache._memoised(("wipe-cell",), lambda: calls.append(1) or [9])
         assert calls == [1]
 
     def test_experiment_table_round_trips_through_disk(self):
+        import repro.harness.cache as cache
         import repro.harness.experiments as experiments
 
         kwargs = dict(node_counts=(8,), budget_trials=3, seed=0)
         cold = experiments.exp_f5_scalability(**kwargs)
-        experiments._memo.clear()
+        cache._memo.clear()
         warm = experiments.exp_f5_scalability(**kwargs)
         assert [list(map(str, r)) for r in warm.rows] == [
             list(map(str, r)) for r in cold.rows

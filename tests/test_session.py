@@ -239,7 +239,7 @@ class TestParallelExecutor:
 
     def test_grid_declines_at_exhaustion(self):
         strategy = GridSearch(resolution=1, seed=0)
-        size = strategy.grid_size(space())
+        size = len(list(space().grid(1)))
         batch = round_proposals(strategy, space(), size + 5)
         # Every grid point once, then None: a round never pads past the
         # grid with random samples.

@@ -61,19 +61,6 @@ class TestResource:
         assert sim.now == 3.0
         assert resource.in_use == 0
 
-    def test_utilization_full_single_user(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-
-        def proc():
-            yield resource.acquire()
-            yield sim.timeout(10.0)
-            resource.release()
-
-        sim.spawn(proc())
-        sim.run()
-        assert resource.utilization() == pytest.approx(1.0)
-
     def test_queue_length_counts_waiters(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)

@@ -96,7 +96,7 @@ class TestGridSearch:
     def test_stops_when_grid_exhausted(self):
         strategy = GridSearch(resolution=1)
         result = strategy.run(make_env(), space(), TuningBudget(max_trials=500))
-        assert result.num_trials == strategy.grid_size(space())
+        assert result.num_trials == len(list(space().grid(1)))
 
     def test_no_duplicate_points_within_grid(self):
         strategy = GridSearch(resolution=2, seed=1)

@@ -1,5 +1,7 @@
 """Tests for the N-seed statistical sweep harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.harness import (
     strategy_registry,
     sweep,
 )
-from repro.harness.experiments import clear_experiment_cache
+from repro.harness.cache import clear_experiment_cache
 from repro.mlsim import TrainingEnvironment
 from repro.workloads import get_workload
 
@@ -38,7 +40,6 @@ def small_cells():
             nodes=8,
             strategy="random",
             max_trials=6,
-            optimum_samples=150,
         ),
         SweepCell(
             name="resnet-coordinate",
@@ -46,16 +47,13 @@ def small_cells():
             nodes=8,
             strategy="coordinate",
             max_trials=6,
-            optimum_samples=150,
         ),
     ]
 
 
 def execution_cells():
     """A serial, an async (3 workers) and a 4-shard async fleet cell."""
-    common = dict(
-        workload="resnet50-imagenet", nodes=8, max_trials=10, optimum_samples=150
-    )
+    common = dict(workload="resnet50-imagenet", nodes=8, max_trials=10)
     return [
         SweepCell(name="serial", strategy="random", **common),
         SweepCell(
@@ -104,6 +102,16 @@ class TestSweepCell:
         with pytest.raises(ValueError, match="unknown strategy"):
             SweepCell(name="x", workload="resnet50-imagenet", nodes=8, strategy="gibberish")
 
+    def test_expert_reads_the_cell(self):
+        from repro.baselines import expert_strategy
+
+        for workload in ("resnet50-imagenet", "word2vec-wiki"):
+            cell = SweepCell(
+                name="x", workload=workload, nodes=12, strategy="expert", max_trials=1
+            )
+            expected = expert_strategy(12, get_workload(workload).compute_comm_ratio)
+            assert strategy_registry()["expert"](0, cell).config == expected.config
+
     def test_cells_are_hashable_and_frozen(self):
         cell = small_cells()[0]
         assert hash(cell)
@@ -141,27 +149,27 @@ class TestRunSweep:
         assert comparable(serial) == comparable(parallel)
 
     def test_sessions_are_memoised_across_calls(self):
-        from repro.harness import experiments
+        from repro.harness import cache
 
         cells = small_cells()[:1]
         first = run_sweep(cells, seeds=[0, 1], n_jobs=1)
         # Drop only the in-memory tier: the persistent disk tier must
         # serve the rerun with identical session summaries.
-        experiments._memo.clear()
+        cache._memo.clear()
         clear_optimum_cache()
         second = run_sweep(cells, seeds=[0, 1], n_jobs=1)
         assert comparable(first) == comparable(second)
 
     @pytest.mark.parametrize("cell", execution_cells(), ids=lambda cell: cell.name)
     def test_memoised_session_comes_back_exact(self, cell, tmp_path, monkeypatch):
-        from repro.harness import experiments
+        from repro.harness import cache
 
         seed = 2
         run_sweep([cell], seeds=[seed])
         # The session must have reached the disk tier: a payload JSON does
         # not reproduce would silently stay memory-only.
         assert len(list((tmp_path / "cache").glob("cell-*.json"))) == 1
-        experiments._memo.clear()
+        cache._memo.clear()
 
         def recompute(*_):
             raise AssertionError("the disk tier should have served the session")
@@ -179,7 +187,7 @@ class TestRunSweep:
             env = TrainingEnvironment(
                 workload, homogeneous(cell.nodes), seed=cell.env_seed
             )
-        live = strategy_registry()[cell.strategy](seed).run(
+        live = strategy_registry()[cell.strategy](seed, cell).run(
             env,
             ml_config_space(cell.nodes),
             TuningBudget(max_trials=cell.max_trials),
@@ -198,3 +206,121 @@ class TestRunSweep:
             run_sweep([], seeds=[0])
         with pytest.raises(ValueError, match="seed"):
             run_sweep(cells, seeds=[])
+
+
+#: A test-sized P8 scenario: straggler onset plus an intensity step at
+#: 900 s, on 8 nodes, to a 2,700 s horizon.  At session seed 0 the
+#: adaptive arm's detector alarms once after the drift.
+DRIFT_AT_S = 900.0
+HORIZON_S = 2700.0
+DRIFT = "stragglers:at=900,fraction=0.4,slowdown=5;step:at=900,intensity=2"
+
+
+def drift_cells():
+    """The oblivious and the ``discount`` re-tuning arm of one scenario."""
+    common = dict(
+        workload="resnet50-imagenet",
+        nodes=8,
+        strategy="mlconfig-bo",
+        objective="tta",
+        max_trials=None,
+        max_wall_clock_s=HORIZON_S,
+        drift=DRIFT,
+    )
+    return [
+        SweepCell(name="oblivious", **common),
+        SweepCell(name="adaptive", retune="discount", **common),
+    ]
+
+
+class TestDriftCells:
+    def run_arms(self):
+        report = run_sweep(drift_cells(), seeds=[0])["cells"]
+        return [report[name]["results"][0].history for name in ("oblivious", "adaptive")]
+
+    def recovery(self, history):
+        from repro.harness import estimate_optimum, metrics
+        from repro.mlsim import parse_drift_spec
+
+        env = TrainingEnvironment(
+            get_workload("resnet50-imagenet"),
+            homogeneous(8),
+            objective_name="tta",
+            drift=parse_drift_spec(DRIFT),
+        )
+        env.set_clock(DRIFT_AT_S + 1.0)
+        _, optimum = estimate_optimum(env, ml_config_space(8), samples=200)
+        return metrics.recovery_time_s(
+            history, env, optimum / 0.625, DRIFT_AT_S, HORIZON_S
+        )
+
+    def test_cold_and_warm_agree_with_the_live_detector(self, tmp_path):
+        from repro.harness import cache
+
+        cold = self.run_arms()
+        assert len(list((tmp_path / "cache").glob("cell-*.json"))) == 2
+        cache._memo.clear()
+        clear_optimum_cache()
+        warm = self.run_arms()
+
+        # The same session run live: its detector's events are the record.
+        cell = drift_cells()[1]
+        detector = cell.detector()
+        live = strategy_registry()[cell.strategy](0, cell).run(
+            TrainingEnvironment(
+                get_workload(cell.workload),
+                homogeneous(cell.nodes),
+                objective_name=cell.objective,
+                drift=cell.drift_schedule(),
+            ),
+            ml_config_space(cell.nodes),
+            TuningBudget(max_trials=None, max_wall_clock_s=HORIZON_S),
+            seed=0,
+            callbacks=[detector],
+        )
+        assert detector.events, "the scenario must alarm at least once"
+        expected = [dataclasses.asdict(event) for event in detector.events]
+        for history in (cold[1], warm[1]):
+            assert [event.kind for event in history.events] == ["DriftEvent"] * len(
+                expected
+            )
+            assert [event.fields for event in history.events] == expected
+        assert cold[1].to_payload() == live.history.to_payload()
+        assert not cold[0].events and not warm[0].events
+        for cold_history, warm_history in zip(cold, warm):
+            assert cold_history.to_payload() == warm_history.to_payload()
+            assert self.recovery(cold_history) == self.recovery(warm_history)
+
+    def test_arms_are_identical_until_the_first_alarm(self):
+        oblivious, adaptive = self.run_arms()
+        first = adaptive.events[0].trial_index
+        assert first < len(oblivious) - 1
+        prefix = slice(0, first + 1)
+        assert [t.to_payload() for t in list(oblivious)[prefix]] == [
+            t.to_payload() for t in list(adaptive)[prefix]
+        ]
+        # ...and the re-tune changes what follows.
+        assert [t.to_payload() for t in oblivious] != [
+            t.to_payload() for t in adaptive
+        ]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(drift="quake:at=5"), "drift spec"),
+            (dict(drift="step:at=soon"), "drift spec"),
+            (dict(drift="step:when=5"), "drift spec"),
+            (dict(retune="forget"), "mode"),
+            (dict(max_wall_clock_s=0.0), "positive"),
+            (dict(max_wall_clock_s=-60.0), "positive"),
+            (dict(max_wall_clock_s=float("inf")), "finite"),
+            (dict(max_wall_clock_s=float("nan")), "finite"),
+            (dict(max_trials=None), "budget"),
+        ],
+    )
+    def test_invalid_scenarios_raise_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SweepCell(
+                name="x", workload="resnet50-imagenet", nodes=8, strategy="random",
+                **fields,
+            )

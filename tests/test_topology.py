@@ -36,7 +36,7 @@ class TestTopologyConstruction:
         assert topo.rack_of[0] == 0
         assert topo.rack_of[3] == 0
         assert topo.rack_of[4] == 1
-        assert topo.num_racks() == 2
+        assert len(set(topo.rack_of.values())) == 2
 
     def test_uplink_capacity_is_aggregate_over_oversubscription(self):
         topo = two_tier([1e9] * 4, rack_size=2, oversubscription=4.0)
@@ -116,7 +116,7 @@ class TestClusterIntegration:
         spec = homogeneous(8, rack_size=4, oversubscription=4.0)
         cluster = Cluster(Simulator(), spec, RngRegistry(0))
         assert cluster.topology is not None
-        assert cluster.topology.num_racks() == 2
+        assert len(set(cluster.topology.rack_of.values())) == 2
 
     def test_flat_cluster_has_no_topology(self):
         cluster = Cluster(Simulator(), homogeneous(8), RngRegistry(0))

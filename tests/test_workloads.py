@@ -81,8 +81,8 @@ class TestConvergenceProfile:
     def test_diminishing_returns_beyond_critical_batch(self):
         """Far beyond the critical batch, samples-to-target grows."""
         profile = self._profile()
-        small = profile.samples_to_target(64)
-        huge = profile.samples_to_target(64 * 1024)
+        small = 64 * profile.iterations_to_target(64)
+        huge = 64 * 1024 * profile.iterations_to_target(64 * 1024)
         assert huge > 2 * small
 
     def test_staleness_increases_iterations(self):
@@ -102,11 +102,6 @@ class TestConvergenceProfile:
 
 
 class TestWorkload:
-    def test_epochs_for_iterations(self):
-        workload = get_workload("resnet50-imagenet")
-        epochs = workload.epochs_for_iterations(10_000, 256)
-        assert epochs == pytest.approx(10_000 * 256 / 1_281_167)
-
     def test_compute_comm_ratio_delegates_to_model(self):
         workload = get_workload("lstm-ptb")
         assert workload.compute_comm_ratio == workload.model.compute_comm_ratio
