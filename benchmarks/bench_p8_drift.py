@@ -39,7 +39,10 @@ the stale pre-drift record because post-drift measurements are worse on
 an absolute scale.  Both arms run to the same simulated ``HORIZON_S``;
 an arm that never recovers is charged the full post-drift horizon.
 ``recovery_speedup`` — the ratio CI gates at >= 2.0 — is oblivious
-recovery time over adaptive recovery time.
+recovery time over adaptive recovery time.  The adaptive arm's alarms
+are split at the drift (:func:`repro.harness.metrics.split_alarms`): an
+alarm at or before ``DRIFT_AT_S`` is a ``false_alarms`` entry, and
+``detections`` and ``first_detection_wall_s`` read only later ones.
 
 Everything is simulated time, so the numbers are deterministic per seed —
 independent of runner hardware.  Run as a script to (re)generate the
@@ -156,14 +159,14 @@ def run_pair(seed):
     )
     oblivious_s = metrics.recovery_time_s(oblivious, env, bar, DRIFT_AT_S, HORIZON_S)
     adaptive_s = metrics.recovery_time_s(adaptive, env, bar, DRIFT_AT_S, HORIZON_S)
+    false_alarms, detections = metrics.split_alarms(adaptive, DRIFT_AT_S)
     return {
         "oblivious_recovery_s": oblivious_s,
         "adaptive_recovery_s": adaptive_s,
         "recovery_speedup": oblivious_s / max(adaptive_s, 1e-9),
-        "detections": len(adaptive.events),
-        "first_detection_wall_s": (
-            adaptive.events[0].wall_clock_s if adaptive.events else None
-        ),
+        "false_alarms": len(false_alarms),
+        "detections": len(detections),
+        "first_detection_wall_s": detections[0].wall_clock_s if detections else None,
         "oblivious_trials": len(oblivious),
         "adaptive_trials": len(adaptive),
     }
@@ -204,7 +207,8 @@ def run_suite(quick=False):
             f"seed={seed}: oblivious {cell['oblivious_recovery_s'] / 60:.1f} min  "
             f"adaptive {cell['adaptive_recovery_s'] / 60:.1f} min  "
             f"speedup x{cell['recovery_speedup']:.2f}  "
-            f"({cell['detections']} detection(s))"
+            f"({cell['detections']} detection(s), "
+            f"{cell['false_alarms']} false alarm(s))"
         )
     results["drift"]["recovery"] = {
         "speedup_mean": float(np.mean(speedups)),

@@ -107,7 +107,7 @@ EXACT_FIELDS = {
         "drift": {
             "seed=*": (
                 "adaptive_recovery_s", "adaptive_trials", "detections",
-                "first_detection_wall_s", "oblivious_recovery_s",
+                "false_alarms", "first_detection_wall_s", "oblivious_recovery_s",
                 "oblivious_trials", "recovery_speedup",
             ),
             "recovery": ("speedup_mean", "speedup_min"),

@@ -76,11 +76,6 @@ class ClusterSpec:
             specs.extend([spec] * count)
         return specs
 
-    @property
-    def is_homogeneous(self) -> bool:
-        """True when all nodes share one spec."""
-        return len({spec.name for spec, _ in self.pools}) == 1
-
 
 def homogeneous(
     count: int,

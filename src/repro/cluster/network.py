@@ -42,8 +42,9 @@ class Fabric:
     ----------
     sim:
         The simulation kernel.
-    egress_capacity / ingress_capacity:
-        Per-node NIC capacities in bytes/second, indexed by node id.
+    egress_capacity:
+        Per-node NIC capacities in bytes/second, indexed by node id; a NIC
+        has the same capacity in both directions.
     latency_s:
         One-way propagation + protocol latency applied to every transfer in
         addition to its serialisation time.
@@ -53,7 +54,6 @@ class Fabric:
         self,
         sim: Simulator,
         egress_capacity: Dict[int, float],
-        ingress_capacity: Optional[Dict[int, float]] = None,
         latency_s: float = 100e-6,
         topology: Optional["Topology"] = None,
     ) -> None:
@@ -61,7 +61,6 @@ class Fabric:
 
         self.sim = sim
         self.egress_capacity = dict(egress_capacity)
-        self.ingress_capacity = dict(ingress_capacity or egress_capacity)
         self.latency_s = latency_s
         self.topology = topology if topology is not None else FLAT
         self._active: Dict[int, Transfer] = {}
@@ -74,7 +73,6 @@ class Fabric:
         self._link_capacity: Dict[tuple, float] = {}
         for node, capacity in self.egress_capacity.items():
             self._link_capacity[("eg", node)] = capacity
-        for node, capacity in self.ingress_capacity.items():
             self._link_capacity[("in", node)] = capacity
         for rack, capacity in self.topology.uplink_capacity.items():
             self._link_capacity[("up", rack)] = capacity
@@ -102,7 +100,7 @@ class Fabric:
             raise ValueError("transfer size must be non-negative")
         if src not in self.egress_capacity:
             raise KeyError(f"unknown source node {src}")
-        if dst not in self.ingress_capacity:
+        if dst not in self.egress_capacity:
             raise KeyError(f"unknown destination node {dst}")
         done = Signal(self.sim)
         if size_bytes == 0 or src == dst:
@@ -240,11 +238,6 @@ class Fabric:
             # The latency term is paid at the end of serialisation.
             self.sim.schedule(self.latency_s, flow.done.complete, (self.sim.now,))
         self._reschedule()
-
-    @property
-    def active_transfers(self) -> int:
-        """Number of flows currently in flight."""
-        return len(self._active)
 
 
 def analytic_transfer_time(

@@ -1,7 +1,6 @@
 """Typed configuration spaces with unit-cube encodings for GP surrogates."""
 
 from repro.configspace.mlspace import (
-    default_config_dict,
     from_training_config,
     ml_config_space,
     to_training_config,
@@ -34,7 +33,6 @@ __all__ = [
     "FloatParameter",
     "IntParameter",
     "Parameter",
-    "default_config_dict",
     "from_training_config",
     "ml_config_space",
     "to_training_config",

@@ -8,8 +8,6 @@ infeasible (the tuner has to learn the feasible region's shape too).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.configspace.params import (
@@ -127,10 +125,3 @@ def from_training_config(config: TrainingConfig) -> ConfigDict:
     if values["sync_mode"] != "ssp":
         values["staleness_bound"] = max(1, values["staleness_bound"])
     return values
-
-
-def default_config_dict(space: Optional[ConfigSpace] = None) -> ConfigDict:
-    """The framework-default configuration as a typed dict."""
-    from repro.mlsim.config import DEFAULT_CONFIG
-
-    return from_training_config(DEFAULT_CONFIG)

@@ -75,6 +75,9 @@ from repro.core.gp import GaussianProcess, GPFitError, SurrogateFactory
 from repro.core.kernels import make_kernel
 from repro.core.trial import TrialHistory
 
+# Upper bound on single-knob hill-climb moves after candidate scoring.
+LOCAL_SEARCH_STEPS = 8
+
 
 class _SurrogateCache:
     """One persistent GP reused across propose calls (extend-or-rebuild).
@@ -296,7 +299,6 @@ class BayesianProposer:
         kernel: str = "matern52",
         xi: float = 0.01,
         beta: float = 2.0,
-        local_search_steps: int = 8,
         refit_every: int = 3,
         shard_cost_feature: bool = False,
         fit_workers: int = 1,
@@ -325,7 +327,6 @@ class BayesianProposer:
         self.kernel_name = kernel
         self.xi = xi
         self.beta = beta
-        self.local_search_steps = local_search_steps
         # Full marginal-likelihood refits are the dominant cost of a
         # proposal; hyperparameters drift slowly, so refit every few trials
         # and reuse the cached values in between.
@@ -585,7 +586,7 @@ class BayesianProposer:
         # the matrix is scored in place.
         current, current_score = best_config, best_score
         current_row = cand_x[order]
-        for _ in range(self.local_search_steps):
+        for _ in range(LOCAL_SEARCH_STEPS):
             moves_x, moves = self.space.neighbors_batch(
                 current, rng, base_row=current_row
             )

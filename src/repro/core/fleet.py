@@ -79,62 +79,26 @@ class OutageWindow:
             raise ValueError("need 0 <= start_s < end_s")
 
 
-@dataclass(frozen=True)
-class FailureSpike:
-    """A window of elevated transient-failure probability on one shard.
-
-    While open, probes launched on the shard get ``rate`` added to the
-    environment's ``transient_failure_rate`` — a spot-reclamation wave or
-    flaky switch that kills jobs without taking the whole shard down.
-    """
-
-    shard: str
-    start_s: float
-    end_s: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not self.shard:
-            raise ValueError("spike shard name must be non-empty")
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise ValueError("need 0 <= start_s < end_s")
-        if not 0.0 < self.rate < 1.0:
-            raise ValueError("spike rate must be in (0, 1)")
-
-
 class FailureInjector:
     """Scheduled shard failures, keyed (like drift) by virtual time.
 
-    Holds :class:`OutageWindow`s and :class:`FailureSpike`s and answers
-    pure time queries — no mutable state, so same-seed sessions replay the
-    same failures bit-identically.  Attached to a pool via
+    Holds :class:`OutageWindow`s and answers pure time queries — no
+    mutable state, so same-seed sessions replay the same failures
+    bit-identically.  Attached to a pool via
     ``EnvironmentPool(..., injector=...)``; ``None`` keeps every code path
     identical to the failure-free fleet.
     """
 
-    def __init__(
-        self,
-        outages: Sequence[OutageWindow] = (),
-        spikes: Sequence[FailureSpike] = (),
-    ) -> None:
+    def __init__(self, outages: Sequence[OutageWindow] = ()) -> None:
         self._outages: Dict[str, List[OutageWindow]] = {}
         for window in outages:
             self._outages.setdefault(window.shard, []).append(window)
         for windows in self._outages.values():
             windows.sort(key=lambda w: w.start_s)
-        self._spikes: Dict[str, List[FailureSpike]] = {}
-        for spike in spikes:
-            self._spikes.setdefault(spike.shard, []).append(spike)
-        for spikes_list in self._spikes.values():
-            spikes_list.sort(key=lambda s: s.start_s)
 
     @property
     def outages(self) -> Tuple[OutageWindow, ...]:
         return tuple(w for windows in self._outages.values() for w in windows)
-
-    @property
-    def spikes(self) -> Tuple[FailureSpike, ...]:
-        return tuple(s for spikes in self._spikes.values() for s in spikes)
 
     def is_down(self, name: str, t: float) -> bool:
         """Whether the shard is inside an outage window at ``t``."""
@@ -173,26 +137,11 @@ class FailureInjector:
                     best = window.start_s
         return best
 
-    def failure_boost(self, name: str, t: float) -> float:
-        """Summed spike rates open on the shard at ``t``."""
-        return sum(
-            s.rate for s in self._spikes.get(name, ()) if s.start_s <= t < s.end_s
-        )
-
     def describe(self) -> Dict[str, object]:
         return {
             "outages": [
                 {"shard": w.shard, "start_s": w.start_s, "end_s": w.end_s}
                 for w in self.outages
-            ],
-            "spikes": [
-                {
-                    "shard": s.shard,
-                    "start_s": s.start_s,
-                    "end_s": s.end_s,
-                    "rate": s.rate,
-                }
-                for s in self.spikes
             ],
         }
 
@@ -443,7 +392,7 @@ class EnvironmentPool:
         self.injector = injector
         if injector is not None:
             known = set(names)
-            for window in list(injector.outages) + list(injector.spikes):
+            for window in injector.outages:
                 if window.shard not in known:
                     raise ValueError(
                         f"injector references unknown shard {window.shard!r}"

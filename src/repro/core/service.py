@@ -13,12 +13,12 @@ capacity, each warm-started from prior tunings of similar workloads:
   elastic ceiling (``max_slots``), a fair-share ``weight``, and the
   workload being tuned (the warm-start key).
 - :class:`TuningService` performs **admission control** (a tenant
-  demanding more slots than the fleet has — or arriving past
-  ``max_tenants`` — is rejected with :class:`AdmissionError`; aggregate
-  oversubscription queues instead), schedules admitted tenants by
-  **virtual time** (always stepping the tenant whose session clock is
-  furthest behind, so simulated wall-clocks interleave exactly as N real
-  concurrent sessions would), and enforces capacity through **leases**
+  demanding more slots than the fleet has is rejected with
+  :class:`AdmissionError`; aggregate oversubscription queues instead),
+  schedules admitted tenants by **virtual time** (always stepping the
+  tenant whose session clock is furthest behind, so simulated
+  wall-clocks interleave exactly as N real concurrent sessions would),
+  and enforces capacity through **leases**
   (:meth:`~repro.core.fleet.EnvironmentPool.set_lease`): each scheduling
   round recomputes a weighted fair-share allocation — every active
   tenant's guarantee first, then spare slots handed work-conservingly to
@@ -61,12 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.configspace import ConfigSpace
 from repro.core.checkpoint import CheckpointConfig
-from repro.core.fleet import (
-    EnvironmentPool,
-    EnvironmentShard,
-    RoundRobinScheduler,
-    ShardScheduler,
-)
+from repro.core.fleet import EnvironmentPool, EnvironmentShard
 from repro.core.session import (
     AsyncExecutor,
     SerialExecutor,
@@ -79,6 +74,16 @@ from repro.core.transfer import (
     build_prior,
     workload_fingerprint,
 )
+
+
+# A warm-started strategy's initial design is trimmed to this many probes
+# (a tenant starting from an informative prior needs fewer space-filling
+# probes; never below the proposer's floor of 2).
+WARM_N_INITIAL = 4
+# Restarts per tenant before a crash is surfaced as a real failure: a
+# deterministic strategy bug would otherwise crash again at the same trial
+# forever.
+MAX_RECOVERIES = 1
 
 
 class AdmissionError(RuntimeError):
@@ -268,6 +273,12 @@ class ServiceResult:
         return len(self.completed) / (self.makespan_s / 3600.0)
 
 
+def _trim_initial_design(target) -> None:
+    """Trim a warm-started strategy's initial design to :data:`WARM_N_INITIAL`."""
+    if hasattr(target, "n_initial"):
+        target.n_initial = max(2, min(target.n_initial, WARM_N_INITIAL))
+
+
 class _LedgerCallback(SessionCallback):
     """Accrues every recorded probe's machine cost into the service ledger."""
 
@@ -293,22 +304,12 @@ class TuningService:
         The configuration space every tenant searches.
     repository:
         Optional persistent :class:`~repro.core.transfer.HistoryRepository`.
-        When set, completed tenant sessions are recorded into it
-        (``record_sessions``) and new tenants are warm-started from their
-        nearest prior workload (``warm_start``).
-    warm_start / warm_n_initial:
-        Warm-start switch, and the initial-design size a warm-started
-        strategy is trimmed to (a tenant starting from an informative
-        prior needs fewer space-filling probes; clamped to >= 2;
-        ``None`` leaves the strategy's design untouched).
-    record_sessions:
-        Record each completed tenant's real (non-fantasy) successes into
-        the repository, keyed by workload name and fingerprint.
-    max_tenants:
-        Admission cap on total submissions (``None`` = unlimited).
-    scheduler_factory:
-        Builds each tenant pool's private placement scheduler (default
-        :class:`~repro.core.fleet.RoundRobinScheduler`).
+        When set, each completed tenant's real (non-fantasy) successes are
+        recorded into it, keyed by workload name and fingerprint, and new
+        tenants are warm-started from their nearest prior workload.
+    warm_start:
+        Warm-start switch; a warm-started strategy's initial design is
+        trimmed to :data:`WARM_N_INITIAL`.
     checkpoint_dir:
         When set, every tenant session checkpoints to
         ``<dir>/<tenant>.ckpt`` (see :mod:`repro.core.checkpoint`), and a
@@ -319,11 +320,8 @@ class TuningService:
         machine time re-spent), its fleet lease is re-acquired at the
         next scheduling round, and every neighbouring tenant is
         unperturbed (private pools and RNG streams mean the interleaving
-        order cannot leak across tenants).
-    max_recoveries:
-        Restart attempts per tenant before a crash is surfaced as a real
-        failure — a deterministic strategy bug would otherwise crash
-        again at the same trial forever.
+        order cannot leak across tenants).  At most
+        :data:`MAX_RECOVERIES` restarts per tenant.
     """
 
     def __init__(
@@ -332,12 +330,7 @@ class TuningService:
         space: ConfigSpace,
         repository: Optional[HistoryRepository] = None,
         warm_start: bool = True,
-        warm_n_initial: Optional[int] = 4,
-        record_sessions: bool = True,
-        max_tenants: Optional[int] = None,
-        scheduler_factory: Optional[Callable[[], ShardScheduler]] = None,
         checkpoint_dir: Optional[str] = None,
-        max_recoveries: int = 1,
     ) -> None:
         templates = list(templates)
         if not templates:
@@ -345,22 +338,11 @@ class TuningService:
         names = [template.name for template in templates]
         if len(set(names)) != len(names):
             raise ValueError(f"shard template names must be unique, got {names}")
-        if max_tenants is not None and max_tenants < 1:
-            raise ValueError("max_tenants must be >= 1 (or None)")
         self.templates = templates
         self.space = space
         self.repository = repository
         self.warm_start = warm_start
-        self.warm_n_initial = warm_n_initial
-        self.record_sessions = record_sessions
-        self.max_tenants = max_tenants
-        self.scheduler_factory = (
-            scheduler_factory if scheduler_factory is not None else RoundRobinScheduler
-        )
-        if max_recoveries < 0:
-            raise ValueError("max_recoveries must be >= 0")
         self.checkpoint_dir = checkpoint_dir
-        self.max_recoveries = max_recoveries
         self.total_capacity = sum(template.capacity for template in templates)
         self._handles: List[TenantHandle] = []
         self._clock = 0.0
@@ -374,7 +356,7 @@ class TuningService:
 
         Rejection (:class:`AdmissionError`) is immediate and clean: a
         tenant whose *guarantee* cannot ever be met (more slots than the
-        fleet has), an invalid spec, or a submission past ``max_tenants``.
+        fleet has) or an invalid spec.
         Aggregate oversubscription is not a rejection — the tenant queues
         and activates when enough guaranteed slots free up.
         """
@@ -382,11 +364,6 @@ class TuningService:
             raise AdmissionError("tenant name must be non-empty")
         if any(handle.spec.name == spec.name for handle in self._handles):
             raise AdmissionError(f"tenant name {spec.name!r} already submitted")
-        if self.max_tenants is not None and len(self._handles) >= self.max_tenants:
-            raise AdmissionError(
-                f"tenant {spec.name!r} rejected: service is at its "
-                f"max_tenants limit ({self.max_tenants})"
-            )
         if spec.slots < 1:
             raise AdmissionError(f"tenant {spec.name!r}: slots must be >= 1")
         if spec.ceiling < spec.slots:
@@ -433,8 +410,7 @@ class TuningService:
             if prior is None or not hasattr(target, "prior_mean"):
                 return strategy
             target.prior_mean = prior
-            if self.warm_n_initial is not None and hasattr(target, "n_initial"):
-                target.n_initial = max(2, min(target.n_initial, self.warm_n_initial))
+            _trim_initial_design(target)
             return strategy
         handle._prior_built = True
         if (
@@ -453,17 +429,15 @@ class TuningService:
         if prior is None:
             return strategy
         target.prior_mean = prior
-        if self.warm_n_initial is not None and hasattr(target, "n_initial"):
-            # An informative prior replaces most of the space-filling
-            # design; keep >= 2 (the proposer's floor).
-            target.n_initial = max(2, min(target.n_initial, self.warm_n_initial))
+        _trim_initial_design(target)
         handle.warm = True
         handle.mapped_from = source
         handle._stashed_prior = prior
         return strategy
 
     def _build_pool(self, spec: TenantSpec) -> EnvironmentPool:
-        """The tenant's private fleet view: fresh envs, scheduler, RNGs."""
+        """The tenant's private fleet view: fresh envs, round-robin
+        scheduler, RNGs."""
         shards = [
             EnvironmentShard(
                 template.name,
@@ -473,7 +447,7 @@ class TuningService:
             )
             for index, template in enumerate(self.templates)
         ]
-        return EnvironmentPool(shards, scheduler=self.scheduler_factory())
+        return EnvironmentPool(shards)
 
     def _tenant_checkpoint(self, spec: TenantSpec) -> Optional[CheckpointConfig]:
         if self.checkpoint_dir is None:
@@ -586,7 +560,7 @@ class TuningService:
         service ledger first — the replay re-accrues them trial by trial,
         so without the rollback every recovery would double-count.
         """
-        if self.checkpoint_dir is None or handle.recoveries >= self.max_recoveries:
+        if self.checkpoint_dir is None or handle.recoveries >= MAX_RECOVERIES:
             return False
         path = handle.checkpoint_path
         if path is None or not os.path.exists(path + ".wal"):
@@ -616,11 +590,7 @@ class TuningService:
 
     def _record(self, handle: TenantHandle, result: TuningResult) -> None:
         spec = handle.spec
-        if (
-            self.repository is None
-            or not self.record_sessions
-            or spec.workload is None
-        ):
+        if self.repository is None or spec.workload is None:
             return
         observations = [
             (trial.config, trial.objective)

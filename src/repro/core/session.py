@@ -92,27 +92,6 @@ def _set_env_clock(env, t: float) -> None:
         set_clock(t)
 
 
-def _measure_on(pool, shard, strategy, config, t: float):
-    """One probe attempt on a shard at virtual time ``t``.
-
-    Stamps the shard environment's clock and applies any open
-    failure-rate spike from the pool's injector as a transient
-    ``extra_failure_rate`` for just this probe.
-    """
-    env = shard.env
-    _set_env_clock(env, t)
-    injector = pool.injector
-    if injector is not None:
-        boost = injector.failure_boost(shard.name, t)
-        if boost > 0 and hasattr(env, "extra_failure_rate"):
-            env.extra_failure_rate = boost
-            try:
-                return shard.measure(strategy, config)
-            finally:
-                env.extra_failure_rate = 0.0
-    return shard.measure(strategy, config)
-
-
 def _abandoned_measurement(last: Measurement) -> Measurement:
     """The failed, zero-cost record of a probe abandoned to outages.
 
@@ -420,7 +399,7 @@ class Executor(ABC):
         """Run one probe launched at ``start_s``: ``(measurement, end_s, shard)``.
 
         Without a pool (``shard=None``) the probe runs on ``env``.  On a
-        pool it runs on ``shard`` under any open failure spike, and an
+        pool it runs on ``shard``, and an
         outage that cuts an attempt short bills the wall-clock it burned
         (:meth:`TrialHistory.charge_cancelled`) and relaunches it:
 
@@ -447,7 +426,8 @@ class Executor(ABC):
             if redirect:
                 pool.acquire(shard.name)
             try:
-                measurement = _measure_on(pool, shard, strategy, config, t)
+                _set_env_clock(shard.env, t)
+                measurement = shard.measure(strategy, config)
             finally:
                 if redirect:
                     pool.release(shard.name)

@@ -5,7 +5,9 @@ progress stalls, when the expected improvement no longer justifies probe
 cost, or when a good-enough configuration is in hand.  These rules plug
 into any :class:`~repro.core.strategy.SearchStrategy` via
 :class:`StoppedStrategy`, which wraps a strategy and ends the session when
-any rule fires — without touching the strategy's own logic.
+any rule fires — without touching the strategy's own logic.  Caps on
+probe cost and session wall-clock are budget fields
+(``TuningBudget.max_cost_s`` and ``max_wall_clock_s``), not rules.
 
 Example
 -------
@@ -82,47 +84,6 @@ class TargetRule(StoppingRule):
 
     def reason(self) -> str:
         return f"objective target {self.target} reached"
-
-
-class CostCapRule(StoppingRule):
-    """Stop once cumulative probe cost exceeds a cap (simulated seconds).
-
-    Redundant with ``TuningBudget.max_cost_s`` when used alone; provided so
-    cost caps compose with other rules in one place.
-    """
-
-    def __init__(self, max_cost_s: float) -> None:
-        if max_cost_s <= 0:
-            raise ValueError("max_cost_s must be positive")
-        self.max_cost_s = max_cost_s
-
-    def should_stop(self, history: TrialHistory) -> bool:
-        return history.total_cost_s >= self.max_cost_s
-
-    def reason(self) -> str:
-        return f"probe cost cap {self.max_cost_s:.0f}s reached"
-
-
-class WallClockCapRule(StoppingRule):
-    """Stop once session wall-clock exceeds a cap (simulated seconds).
-
-    The stopwatch axis: under parallel or asynchronous execution this is
-    the cap a person waiting on the tuning session would set, as opposed
-    to :class:`CostCapRule`'s cluster bill.  Redundant with
-    ``TuningBudget.max_wall_clock_s`` when used alone; provided so
-    wall-clock caps compose with other rules in one place.
-    """
-
-    def __init__(self, max_wall_clock_s: float) -> None:
-        if max_wall_clock_s <= 0:
-            raise ValueError("max_wall_clock_s must be positive")
-        self.max_wall_clock_s = max_wall_clock_s
-
-    def should_stop(self, history: TrialHistory) -> bool:
-        return history.total_wall_clock_s >= self.max_wall_clock_s
-
-    def reason(self) -> str:
-        return f"wall-clock cap {self.max_wall_clock_s:.0f}s reached"
 
 
 class FailureStreakRule(StoppingRule):

@@ -9,12 +9,13 @@ The metrics mirror what the tuning papers report:
 - *search cost to within x%*: trials and simulated probe-hours until the
   tuner first holds a configuration within ``x`` of the optimum (figure F3);
 - *recovery time*: simulated seconds after a drift until the tuner's
-  recommendation is good again on the drifted surface (benchmark P8).
+  recommendation is good again on the drifted surface (benchmark P8),
+  and the detector's alarms split into false alarms and detections.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +122,19 @@ def matched_quality_reach(
         baseline.history.wall_clock_to_reach(matched),
         result.history.wall_clock_to_reach(matched),
     )
+
+
+def split_alarms(history: TrialHistory, drift_at_s: float) -> Tuple[list, list]:
+    """A session's change-point alarms as ``(false_alarms, detections)``.
+
+    An alarm (:class:`~repro.core.detect.DriftEvent`) raised at or before
+    ``drift_at_s`` of simulated wall-clock cannot have detected the drift
+    at ``drift_at_s``, so it is a false alarm; later alarms are
+    detections.  Both lists keep the recorded order.
+    """
+    false_alarms = [e for e in history.events if e.wall_clock_s <= drift_at_s]
+    detections = [e for e in history.events if e.wall_clock_s > drift_at_s]
+    return false_alarms, detections
 
 
 def recovery_time_s(

@@ -31,9 +31,10 @@ Execution reuses the two workhorses the rest of the harness runs on:
   whether the session ran now or was loaded, so a warm render computes
   its tables from exactly what a cold one did.
 
-Noise-free optima (the normalisation anchors) are estimated *in the
-parent process* before the fan-out: the fork snapshot then hands every
-worker a warm optimum memo instead of each one re-searching the space.
+Noise-free optima (the normalisation anchors) are estimated in the
+parent process before the fan-out, one per distinct reference problem,
+and memoised on disk beside the sessions, so a warm render runs no
+search at all.
 """
 
 from __future__ import annotations
@@ -223,6 +224,33 @@ def _rebuilt(cell: SweepCell, payload: dict) -> TuningResult:
     )
 
 
+def _optimum(cell: SweepCell) -> float:
+    """The noise-free optimum of the cell's stationary reference problem,
+    memoised on the fields that define it."""
+
+    def search() -> float:
+        reference = TrainingEnvironment(
+            get_workload(cell.workload),
+            homogeneous(cell.nodes),
+            seed=cell.env_seed,
+            objective_name=cell.objective,
+        )
+        _, value = estimate_optimum(
+            reference, ml_config_space(cell.nodes), seed=cell.optimum_seed
+        )
+        return value
+
+    key = (
+        "sweep-optimum",
+        cell.workload,
+        cell.nodes,
+        cell.objective,
+        cell.env_seed,
+        cell.optimum_seed,
+    )
+    return _memoised(key, search)
+
+
 def run_sweep(
     cells: Sequence[SweepCell],
     seeds: Sequence[int],
@@ -254,22 +282,10 @@ def run_sweep(
     if len(set(names)) != len(names):
         raise ValueError("cell names must be unique")
 
-    # Phase 1 (parent process): noise-free optima.  Estimated here so the
-    # fork pool inherits a warm optimum memo — and so every seed of a cell
-    # normalises against the same anchor.  A drifting cell normalises
-    # against its stationary (pre-drift) surface.
-    optima: Dict[str, float] = {}
-    for cell in cells:
-        reference = TrainingEnvironment(
-            get_workload(cell.workload),
-            homogeneous(cell.nodes),
-            seed=cell.env_seed,
-            objective_name=cell.objective,
-        )
-        _, optimum_value = estimate_optimum(
-            reference, ml_config_space(cell.nodes), seed=cell.optimum_seed
-        )
-        optima[cell.name] = optimum_value
+    # Phase 1: noise-free optima, so every seed of a cell normalises
+    # against the same anchor.  A drifting cell normalises against its
+    # stationary (pre-drift) surface.
+    optima = {cell.name: _optimum(cell) for cell in cells}
 
     # Phase 2: fan (cell × seed) sessions out, memoised per session.
     def job(cell: SweepCell, seed: int) -> dict:

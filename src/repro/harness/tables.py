@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 def _format_cell(value: Any) -> str:
@@ -69,24 +69,6 @@ def render_series(
     return render_table(headers, rows, title=title)
 
 
-def ascii_chart(
-    values: Sequence[float],
-    width: int = 50,
-    label: str = "",
-) -> str:
-    """A one-line horizontal bar for quick visual comparison."""
-    if not values:
-        return label
-    peak = max(values)
-    if peak <= 0:
-        return label
-    bars = []
-    for value in values:
-        n = int(round(width * value / peak))
-        bars.append("█" * n)
-    return "\n".join(f"{label}{bar}" for bar in bars)
-
-
 def to_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """CSV text for downstream plotting."""
     buffer = io.StringIO()
@@ -95,9 +77,3 @@ def to_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     for row in rows:
         writer.writerow(["" if v is None else v for v in row])
     return buffer.getvalue()
-
-
-def save_csv(path: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    """Write CSV to ``path`` (creating parent directories is the caller's job)."""
-    with open(path, "w", newline="") as handle:
-        handle.write(to_csv(headers, rows))

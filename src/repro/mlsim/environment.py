@@ -144,11 +144,8 @@ class TrainingEnvironment:
         self.transient_failure_rate = transient_failure_rate
         self.drift = drift
         # Virtual clock for drift evaluation (executors stamp it with the
-        # session wall-clock before each probe) and a transient per-probe
-        # failure boost (failure-rate spikes from the fleet's injector).
-        # Both are inert while ``drift is None`` / the boost is 0.0.
+        # session wall-clock before each probe); inert while ``drift is None``.
         self.clock_s = 0.0
-        self.extra_failure_rate = 0.0
         self.trials_run = 0
         self.total_probe_cost_s = 0.0
         # The cluster's persistent heterogeneity: instantiate once so both
@@ -170,7 +167,6 @@ class TrainingEnvironment:
         self.trials_run = 0
         self.total_probe_cost_s = 0.0
         self.clock_s = 0.0
-        self.extra_failure_rate = 0.0
 
     def set_clock(self, t: float) -> None:
         """Advance the virtual clock the drift schedule is evaluated at.
@@ -202,11 +198,10 @@ class TrainingEnvironment:
         trial_index = self.trials_run
         self.trials_run += 1
         failure_rate = self.transient_failure_rate
-        extra = self.extra_failure_rate
         if self.drift is not None:
-            extra += self._drift_state().failure_rate_boost
-        if extra > 0:
-            failure_rate = min(failure_rate + extra, 0.999)
+            extra = self._drift_state().failure_rate_boost
+            if extra > 0:
+                failure_rate = min(failure_rate + extra, 0.999)
         if failure_rate > 0:
             failure_rng = (
                 RngRegistry(self.seed).fork(trial_index + 1).stream("transient.failure")

@@ -168,7 +168,6 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
-        self._steps = 0
 
     # -- scheduling ----------------------------------------------------
 
@@ -208,7 +207,6 @@ class Simulator:
                 f"time went backwards: event at {event.time} < now {self.now}"
             )
         self.now = event.time
-        self._steps += 1
         event.fire()
         return True
 
@@ -234,8 +232,3 @@ class Simulator:
             # callers measuring elapsed time see the full window.
             self.now = until
         return self.now
-
-    @property
-    def steps_executed(self) -> int:
-        """Total number of events fired since construction."""
-        return self._steps

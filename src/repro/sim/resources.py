@@ -69,11 +69,6 @@ class Resource:
         finally:
             self.release()
 
-    @property
-    def queue_length(self) -> int:
-        """Number of processes currently waiting for a slot."""
-        return len(self._waiting)
-
 
 class Store:
     """An unbounded FIFO channel.

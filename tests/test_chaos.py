@@ -367,7 +367,7 @@ class TestServiceRecovery:
         assert recorded <= svc.total_cost_s() + 1e-9
 
     def test_repeated_crash_exhausts_max_recoveries(self, tmp_path):
-        svc = _service(checkpoint_dir=str(tmp_path), max_recoveries=1)
+        svc = _service(checkpoint_dir=str(tmp_path))
         # A deterministic bug: the rebuilt instance crashes again too.
         doomed = TenantSpec(
             "doomed",

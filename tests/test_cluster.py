@@ -81,7 +81,7 @@ class TestClusterSpec:
     def test_homogeneous_builder(self):
         spec = homogeneous(8)
         assert spec.total_nodes == 8
-        assert spec.is_homogeneous
+        assert len({s.name for s in spec.node_specs()}) == 1
 
     def test_homogeneous_by_name(self):
         spec = homogeneous(4, "gpu-v100")
@@ -94,7 +94,6 @@ class TestClusterSpec:
     def test_heterogeneous_pools(self):
         spec = ClusterSpec(pools=((CATALOGUE["std-cpu"], 4), (CATALOGUE["big-cpu"], 2)))
         assert spec.total_nodes == 6
-        assert not spec.is_homogeneous
         assert len(spec.node_specs()) == 6
 
     def test_validation(self):

@@ -26,7 +26,6 @@ from repro.core import (
     EnvironmentPool,
     EnvironmentShard,
     FailureInjector,
-    FailureSpike,
     MLConfigTuner,
     OutageWindow,
     RetuningPolicy,
@@ -244,18 +243,6 @@ class TestFailureInjector:
         # probe entirely clear of the window runs through
         assert injector.preemption_at("s0", 200.0, 300.0) is None
         assert injector.preemption_at("s1", 50.0, 150.0) is None
-
-    def test_failure_boost_sums_open_spikes(self):
-        injector = FailureInjector(
-            spikes=[
-                FailureSpike("s0", 0.0, 100.0, rate=0.2),
-                FailureSpike("s0", 50.0, 150.0, rate=0.3),
-            ]
-        )
-        assert injector.failure_boost("s0", 25.0) == pytest.approx(0.2)
-        assert injector.failure_boost("s0", 75.0) == pytest.approx(0.5)
-        assert injector.failure_boost("s0", 125.0) == pytest.approx(0.3)
-        assert injector.failure_boost("s1", 75.0) == 0.0
 
     def test_parse_outage_spec(self):
         windows = parse_outage_spec("shard0:100-2000;shard2:1000-1500,9000-9900")

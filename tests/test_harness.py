@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import RandomSearch
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
-from repro.core import TrialHistory, TuningBudget, TuningResult
+from repro.core import DriftEvent, TrialHistory, TuningBudget, TuningResult
 from repro.harness import (
     SweepCell,
     clear_optimum_cache,
@@ -142,6 +142,21 @@ def _reference_search_scalar(
         if not improved:
             break
     return best_config, best_value
+
+
+class TestSplitAlarms:
+    def test_pre_drift_alarm_is_a_false_alarm(self):
+        # P8 seed 2's shape: one alarm before the drift at 1,800 s and one
+        # after it.
+        history = TrialHistory()
+        history.record_event(DriftEvent(3, 1602.8, 9.1, 8.0, "decrease"))
+        history.record_event(DriftEvent(10, 1953.2, 8.4, 8.0, "decrease"))
+        # Swept sessions come back from their payload, with restored events.
+        for source in (history, TrialHistory.from_payload(history.to_payload())):
+            false_alarms, detections = metrics.split_alarms(source, 1800.0)
+            assert [event.wall_clock_s for event in false_alarms] == [1602.8]
+            assert [event.wall_clock_s for event in detections] == [1953.2]
+        assert metrics.split_alarms(TrialHistory(), 1800.0) == ([], [])
 
 
 class TestEstimateOptimum:

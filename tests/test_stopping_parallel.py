@@ -15,7 +15,6 @@ from repro.core.parallel import (
     propose_async,
 )
 from repro.core.stopping import (
-    CostCapRule,
     FailureStreakRule,
     PlateauRule,
     StoppedStrategy,
@@ -75,11 +74,6 @@ class TestOtherRules:
         assert not rule.should_stop(make_history([50.0]))
         assert rule.should_stop(make_history([50.0, 120.0]))
 
-    def test_cost_cap_rule(self):
-        rule = CostCapRule(max_cost_s=25.0)
-        assert not rule.should_stop(make_history([1.0, 1.0], cost=10.0))
-        assert rule.should_stop(make_history([1.0, 1.0, 1.0], cost=10.0))
-
     def test_failure_streak_rule(self):
         rule = FailureStreakRule(streak=3)
         assert not rule.should_stop(make_history([None, None, 1.0]))
@@ -87,7 +81,8 @@ class TestOtherRules:
 
     def test_reasons_are_informative(self):
         assert "trials" in PlateauRule(patience=4).reason()
-        assert "cap" in CostCapRule(10.0).reason()
+        assert "target" in TargetRule(10.0).reason()
+        assert "failed" in FailureStreakRule(3).reason()
 
 
 class TestStoppedStrategy:
@@ -108,11 +103,11 @@ class TestStoppedStrategy:
         env = TrainingEnvironment(
             get_workload("resnet50-imagenet"), homogeneous(8), seed=0
         )
-        strategy = StoppedStrategy(MLConfigTuner(seed=0), [CostCapRule(2000.0)])
+        strategy = StoppedStrategy(MLConfigTuner(seed=0), [PlateauRule(patience=10)])
         result = strategy.run(
             env, ml_config_space(8), TuningBudget(max_trials=40), seed=0
         )
-        assert result.history.total_cost_s >= 2000.0 or result.num_trials == 40
+        assert strategy.stop_reason is not None or result.num_trials == 40
         assert "stop" in strategy.name
 
     def test_needs_rules(self):

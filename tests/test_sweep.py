@@ -1,6 +1,7 @@
 """Tests for the N-seed statistical sweep harness."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.core.session import executor_for
 from repro.harness import (
     SweepCell,
     clear_optimum_cache,
+    estimate_optimum,
     run_sweep,
     seed_spread_stats,
     strategy_registry,
@@ -77,6 +79,15 @@ def comparable(report):
             for name, cell in report["cells"].items()
         },
     }
+
+
+def session_files(cache_dir):
+    """The disk-tier files that hold sweep sessions (not optima)."""
+    return [
+        path
+        for path in cache_dir.glob("cell-*.json")
+        if json.loads(path.read_text())["key"][0] == "sweep-session"
+    ]
 
 
 class TestSeedSpreadStats:
@@ -160,6 +171,26 @@ class TestRunSweep:
         second = run_sweep(cells, seeds=[0, 1], n_jobs=1)
         assert comparable(first) == comparable(second)
 
+    def test_warm_sweep_runs_no_optimum_search(self, monkeypatch):
+        from repro.harness import cache
+
+        cells = small_cells() + [
+            dataclasses.replace(small_cells()[0], name="env-seed-3", env_seed=3)
+        ]
+        cold = run_sweep(cells, seeds=[0, 1], n_jobs=1)
+        cache._memo.clear()
+        clear_optimum_cache()
+        searches = []
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return estimate_optimum(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "estimate_optimum", counting)
+        warm = run_sweep(cells, seeds=[0, 1], n_jobs=1)
+        assert searches == []
+        assert comparable(warm) == comparable(cold)
+
     @pytest.mark.parametrize("cell", execution_cells(), ids=lambda cell: cell.name)
     def test_memoised_session_comes_back_exact(self, cell, tmp_path, monkeypatch):
         from repro.harness import cache
@@ -168,7 +199,7 @@ class TestRunSweep:
         run_sweep([cell], seeds=[seed])
         # The session must have reached the disk tier: a payload JSON does
         # not reproduce would silently stay memory-only.
-        assert len(list((tmp_path / "cache").glob("cell-*.json"))) == 1
+        assert len(session_files(tmp_path / "cache")) == 1
         cache._memo.clear()
 
         def recompute(*_):
@@ -258,7 +289,7 @@ class TestDriftCells:
         from repro.harness import cache
 
         cold = self.run_arms()
-        assert len(list((tmp_path / "cache").glob("cell-*.json"))) == 2
+        assert len(session_files(tmp_path / "cache")) == 2
         cache._memo.clear()
         clear_optimum_cache()
         warm = self.run_arms()
