@@ -16,21 +16,23 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 import numpy as np
-from scipy import special
+
+from repro.core._scipy_ext import load_extension
 
 AcquisitionFn = Callable[..., np.ndarray]
 
 _EPS = 1e-12
 
-#: sqrt(2*pi) — the standard-normal pdf normaliser (matches scipy's
-#: ``_norm_pdf_C``, so the closed forms below are bit-identical to
+#: The standard-normal cdf: the ``ndtr`` ufunc that ``scipy.special.ndtr``
+#: and ``scipy.stats.norm.cdf`` call, loaded from scipy's compiled module
+#: without importing either package.
+(_norm_cdf,) = load_extension("scipy.special._special_ufuncs", "ndtr")
+
+#: sqrt(2*pi) — the standard-normal pdf normaliser, scipy.stats's
+#: ``_norm_pdf_C``: ``_norm_pdf`` and ``_norm_cdf`` are bit-identical to
 #: ``stats.norm.pdf``/``cdf`` without their per-call distribution-object
-#: overhead, which dominated acquisition time on 512-candidate batches).
+#: overhead, which dominated acquisition time on 512-candidate batches.
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-def _norm_cdf(z: np.ndarray) -> np.ndarray:
-    return special.ndtr(z)
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:

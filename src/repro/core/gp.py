@@ -1,4 +1,4 @@
-"""Gaussian-process regression, implemented from scratch on numpy/scipy.
+"""Gaussian-process regression, implemented from scratch on numpy and LAPACK.
 
 Exact GP regression with a learned homoscedastic noise term:
 
@@ -15,7 +15,14 @@ Exact GP regression with a learned homoscedastic noise term:
   iterates as ``scipy.optimize.minimize(method="L-BFGS-B")``, without the
   ``ScalarFunction`` wrapper that costs about as much as an evaluation at
   the history sizes sessions see;
-- targets standardised internally so kernel priors are scale-free.
+- targets standardised internally so kernel priors are scale-free;
+- the LAPACK routines (``dpotrf``, ``dpotrs``, ``dtrtrs``) and ``setulb``
+  are loaded straight from scipy's compiled modules
+  (``scipy.linalg._flapack``, ``scipy.optimize._lbfgsb``) by
+  :func:`repro.core._scipy_ext.load_extension`, without importing
+  ``scipy.linalg`` or ``scipy.optimize``; :func:`_cholesky`,
+  :func:`_cho_solve` and :func:`_solve_lower` make the calls scipy's
+  ``cholesky``, ``cho_solve`` and ``solve_triangular`` would.
 
 This is the surrogate model inside the BO tuner and the OtterTune-style
 baseline.  At the configuration budgets the paper itself runs (tens of
@@ -57,11 +64,15 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
-from scipy.optimize._lbfgsb import setulb as _setulb
+from numpy.linalg import LinAlgError
 
+from repro.core._scipy_ext import load_extension
 from repro.core.kernels import Kernel, Matern52, _sum
+
+_potrf, _potrs, _trtrs = load_extension(
+    "scipy.linalg._flapack", "dpotrf", "dpotrs", "dtrtrs"
+)
+(_setulb,) = load_extension("scipy.optimize._lbfgsb", "setulb")
 
 _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
@@ -236,6 +247,53 @@ def _run_hyperfit_tasks(
     return [_hyperfit_one(task) for task in tasks]
 
 
+# The three LAPACK calls below are the ones scipy 1.17's ``cholesky``,
+# ``cho_solve`` and ``solve_triangular`` make for 2-D float64 input, with
+# the same finiteness checks and errors; a tier-1 test compares them
+# bitwise against scipy.linalg.
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cholesky(a, lower=True)``: LAPACK ``dpotrf``.
+
+    A non-finite entry raises ``ValueError``; a matrix that is not
+    positive definite raises ``LinAlgError``.
+    """
+    chol, info = _potrf(np.asarray_chkfinite(a), lower=1, clean=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return chol
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((chol, True), b)``: LAPACK ``dpotrs``."""
+    x, info = _potrs(np.asarray_chkfinite(chol), np.asarray_chkfinite(b), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _solve_lower(a: np.ndarray, b: np.ndarray, check_finite: bool = True) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(a, b, lower=True, check_finite=...)``.
+
+    LAPACK ``dtrtrs``, which expects Fortran order: a C-ordered ``a`` is
+    passed as ``a.T``, an upper factor solved transposed.
+    """
+    if check_finite:
+        a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
+    if a.flags.f_contiguous:
+        x, info = _trtrs(a, b, lower=1)
+    else:
+        x, info = _trtrs(a.T, b, lower=0, trans=1)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 class _CholWork:
     """A Fortran-order ``(n, n)`` work buffer and a view of its diagonal.
 
@@ -259,9 +317,10 @@ def _chol_with_jitter(
 ) -> Tuple[np.ndarray, float]:
     """Cholesky factor with the smallest jitter in ``jitters`` that succeeds.
 
-    Calls LAPACK ``dpotrf`` directly: the same routine, inputs and cleaned
-    lower factor as ``scipy.linalg.cholesky(lower=True)``, without its
-    per-call finiteness scan and identity allocation.  Each rung copies
+    Calls LAPACK ``dpotrf`` as :func:`_cholesky` does (the routine,
+    inputs and cleaned lower factor of ``scipy.linalg.cholesky(lower=True)``),
+    but into a reused Fortran-order buffer and without the finiteness
+    scan; a failed rung moves up the ladder.  Each rung copies
     ``matrix`` into the work buffer and adds the jitter to the copy's
     diagonal, i.e. ``matrix + jitter * I`` entry for entry.  ``shift`` (a
     scalar or per-row vector, e.g. the observation noise) is added to that
@@ -303,10 +362,12 @@ class _LMLObjective:
     stays the single gradient call of a successful evaluation (the
     benchmark tracer counts it as one LML evaluation); a sentinel
     evaluation makes none.  LAPACK ``dpotrf``/``dpotrs`` are called
-    directly.  Every float comes from the same operations in the same
-    order as ``kernel(x, x) + noise_diag`` through
-    ``scipy.linalg.cholesky`` and ``cho_solve``, so values and gradients
-    are bit-identical to that formulation; in particular ``K^-1`` is
+    without the finiteness scans of :func:`_cholesky` and
+    :func:`_cho_solve`.  Every float comes from the same operations in
+    the same order as ``kernel(x, x) + noise_diag`` factored by
+    :func:`_cholesky` and solved by :func:`_cho_solve` (scipy's
+    ``cholesky`` and ``cho_solve``), so values and gradients are
+    bit-identical to that formulation; in particular ``K^-1`` is
     ``dpotrs`` against the identity, not ``dpotri``, whose rounding
     differs.  The gradient is ``-0.5 tr((aa^T - K^-1) dK/dtheta)`` per
     hyperparameter, collapsed inside the kernel's closed-form contraction
@@ -589,7 +650,7 @@ class GaussianProcess:
 
     def _finish_posterior(self) -> None:
         """Solve for the weights and cache the LML from the current factor."""
-        self._alpha = linalg.cho_solve((self._chol, True), self._z)
+        self._alpha = _cho_solve(self._chol, self._z)
         n = self._x.shape[0]
         self._lml = (
             -0.5 * float(self._z @ self._alpha)
@@ -651,7 +712,7 @@ class GaussianProcess:
         k_new = self.kernel(x_new, x_new) + (
             self.noise_variance + self._jitter
         ) * np.eye(m)
-        l21 = linalg.solve_triangular(self._chol, k_cross, lower=True)  # (n, m)
+        l21 = _solve_lower(self._chol, k_cross)  # (n, m)
         schur = k_new - l21.T @ l21
         l22 = self._chol_of_schur(schur, float(np.max(np.diag(k_new))))
 
@@ -687,8 +748,8 @@ class GaussianProcess:
         guarantees, so the caller rebuilds from scratch instead.
         """
         try:
-            l22 = linalg.cholesky(schur, lower=True)
-        except linalg.LinAlgError:
+            l22 = _cholesky(schur)
+        except LinAlgError:
             return None
         if float(np.min(np.diag(l22)) ** 2) < _EXTEND_PIVOT_FLOOR * scale:
             return None
@@ -726,11 +787,8 @@ class GaussianProcess:
         # later predict a matmul instead of a LAPACK solve, which is what
         # the hill-climb's many small neighbourhood batches are made of.
         if self._chol_inv is None:
-            self._chol_inv = linalg.solve_triangular(
-                self._chol,
-                np.eye(self._chol.shape[0]),
-                lower=True,
-                check_finite=False,
+            self._chol_inv = _solve_lower(
+                self._chol, np.eye(self._chol.shape[0]), check_finite=False
             )
         v = self._chol_inv @ k_star
         v *= v
@@ -970,11 +1028,8 @@ class SparseGaussianProcess:
         x_m = self._x[self._idx]
         k_mm = self.kernel(x_m, x_m)
         self._chol, self._jitter = _chol_with_jitter(k_mm, _INDUCING_JITTERS)
-        self._chol_inv = linalg.solve_triangular(
-            self._chol,
-            np.eye(self._chol.shape[0]),
-            lower=True,
-            check_finite=False,
+        self._chol_inv = _solve_lower(
+            self._chol, np.eye(self._chol.shape[0]), check_finite=False
         )
         # Scaled inducing inputs: cross-covariances against candidates and
         # new observations cost one small GEMM (same trick as the exact
@@ -987,8 +1042,8 @@ class SparseGaussianProcess:
             self._aa_induce = None
         n = self._x.shape[0]
         m = self._idx.shape[0]
-        proj = linalg.solve_triangular(
-            self._chol, self._inducing_cross(self._x), lower=True, check_finite=False
+        proj = _solve_lower(
+            self._chol, self._inducing_cross(self._x), check_finite=False
         )
         capacity = max(64, 2 * n)
         self._a_proj = np.empty((m, capacity))
@@ -1008,17 +1063,12 @@ class SparseGaussianProcess:
         m = self._idx.shape[0]
         noise = self.noise_variance
         b_mat = np.eye(m) + self._gram / noise
-        self._chol_b = linalg.cholesky(b_mat, lower=True)
+        self._chol_b = _cholesky(b_mat)
         a_view = self._a_proj[:, :n]
         az = a_view @ self._z
-        self._c = (
-            linalg.solve_triangular(
-                self._chol_b, az, lower=True, check_finite=False
-            )
-            / noise
-        )
-        self._proj_inv = linalg.solve_triangular(
-            self._chol_b, self._chol_inv, lower=True, check_finite=False
+        self._c = _solve_lower(self._chol_b, az, check_finite=False) / noise
+        self._proj_inv = _solve_lower(
+            self._chol_b, self._chol_inv, check_finite=False
         )
         # Collapsed DTC evidence: z ~ N(0, A^T A + noise I).
         self._lml = float(
@@ -1072,8 +1122,8 @@ class SparseGaussianProcess:
             self._rebuild()
             return self
 
-        cols = linalg.solve_triangular(
-            self._chol, self._inducing_cross(x_new), lower=True, check_finite=False
+        cols = _solve_lower(
+            self._chol, self._inducing_cross(x_new), check_finite=False
         )
         if total > self._a_proj.shape[1]:
             grown = np.empty((self._a_proj.shape[0], max(2 * total, 64)))

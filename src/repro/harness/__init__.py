@@ -16,7 +16,7 @@ from repro.harness.comparison import standard_strategy_set, strategy_registry
 from repro.harness.optimum import clear_optimum_cache, estimate_optimum
 from repro.harness.runner import fork_available, resolve_n_jobs, run_cells
 from repro.harness.sweep import SweepCell, run_sweep, seed_spread_stats
-from repro.harness.tables import render_series, render_table, to_csv
+from repro.harness.tables import render_series, render_table
 
 __all__ = [
     "ChaosKill",
@@ -41,5 +41,4 @@ __all__ = [
     "seed_spread_stats",
     "standard_strategy_set",
     "strategy_registry",
-    "to_csv",
 ]

@@ -1,4 +1,4 @@
-"""ASCII table and CSV rendering for experiment outputs.
+"""ASCII table rendering for experiment outputs.
 
 Every benchmark prints its table/figure data through these helpers so the
 console output of ``pytest benchmarks/`` *is* the reproduction artefact:
@@ -7,8 +7,6 @@ the same rows/series the paper's tables and figures report.
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Any, Optional, Sequence
 
 
@@ -67,13 +65,3 @@ def render_series(
         for i, x in enumerate(x_values)
     ]
     return render_table(headers, rows, title=title)
-
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """CSV text for downstream plotting."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    return buffer.getvalue()

@@ -15,7 +15,6 @@ from repro.harness import (
     render_series,
     render_table,
     run_sweep,
-    to_csv,
 )
 from repro.harness.cache import clear_experiment_cache
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
@@ -296,9 +295,3 @@ class TestTables:
     def test_series_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             render_series("x", [1, 2], {"s": [0.1]})
-
-    def test_csv_roundtrip(self):
-        csv_text = to_csv(["a", "b"], [[1, None], ["x", 2.5]])
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,"
