@@ -5,8 +5,8 @@ Two claims, one payload:
 - ``sweep/optimum`` — :func:`~repro.harness.estimate_optimum` at its
   default budgets (3000 random samples + the coarse grid + refinement)
   through the vectorised batch path
-  (:func:`~repro.mlsim.perf.estimate_columns` over encoded candidate
-  matrices).  ``scalar_evals`` counts the per-config
+  (:func:`~repro.mlsim.perf.estimate_columns` over the candidates' knob
+  columns).  ``scalar_evals`` counts the per-config
   :meth:`~repro.mlsim.TrainingEnvironment.true_objective` calls inside
   the search; CI gates it at 0, a hardware-independent check that every
   candidate is evaluated in batches.  Bit-identity with a per-config

@@ -285,7 +285,7 @@ class ConfigSpace:
         draw is rejected — seeded trajectories of callers (TPE, Hyperband,
         ``estimate_optimum``) therefore changed when this landed.
         """
-        columns = self._sample_columns(rng, count)
+        columns = self.sample_columns(rng, count)
         return [self.config_at(columns, i) for i in range(count)]
 
     def sample_batch_encoded(
@@ -301,11 +301,16 @@ class ConfigSpace:
         ``encode_batch`` of the decoded configs to floating-point rounding
         (see :meth:`Parameter.encode_column`).
         """
-        columns = self._sample_columns(rng, count)
+        columns = self.sample_columns(rng, count)
         return self._encode_columns(columns, count), columns
 
-    def _sample_columns(self, rng: np.random.Generator, count: int) -> ColumnBatch:
+    def sample_columns(self, rng: np.random.Generator, count: int) -> ColumnBatch:
         """Vectorised rejection sampling → columns of ``count`` valid rows.
+
+        The typed per-parameter columns behind :meth:`sample_batch` and
+        :meth:`sample_batch_encoded`, with the same RNG calls, for callers
+        that need neither dicts nor the encoded matrix
+        (:func:`~repro.harness.estimate_optimum` scores the columns).
 
         Each round draws fresh unit-cube rows for every still-unfilled
         slot, decodes them column-wise, and applies :meth:`valid_mask`;

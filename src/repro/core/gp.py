@@ -54,20 +54,21 @@ hyperparameters); nothing else mutates it.
 
 from __future__ import annotations
 
+import atexit
 import copy
 import math
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from repro.core._scipy_ext import load_extension
 from repro.core.kernels import Kernel, Matern52, _sum
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _potrf, _potrs, _trtrs = load_extension(
     "scipy.linalg._flapack", "dpotrf", "dpotrs", "dtrtrs"
@@ -184,9 +185,25 @@ def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray, int]:
 
 #: Persistent hyperfit worker pools, keyed by worker count and owner PID —
 #: the PID guard drops pools inherited through a fork (their workers
-#: belong to the parent and would dead-letter our submissions).
+#: belong to the parent and would dead-letter our submissions).  Only a
+#: ``fit_workers > 1`` fit creates one, so ``multiprocessing`` and
+#: ``concurrent.futures`` are imported there, not with this module.
 _FIT_POOLS: Dict[int, ProcessPoolExecutor] = {}
 _FIT_POOLS_PID: Optional[int] = None
+
+
+@atexit.register
+def _shutdown_fit_pools() -> None:
+    """Shut this process's fit pools down at interpreter exit.
+
+    Imported lazily, ``concurrent.futures.process`` is torn down before
+    this module, so a pool still referenced here would be collected
+    without its module and print ``Exception ignored`` at exit.
+    """
+    if _FIT_POOLS_PID == os.getpid():
+        for pool in _FIT_POOLS.values():
+            pool.shutdown()
+    _FIT_POOLS.clear()
 
 
 def _fit_pool(workers: int) -> ProcessPoolExecutor:
@@ -196,6 +213,9 @@ def _fit_pool(workers: int) -> ProcessPoolExecutor:
         _FIT_POOLS_PID = os.getpid()
     pool = _FIT_POOLS.get(workers)
     if pool is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # Prefer fork: workers come up in milliseconds and inherit numpy
         # warm; spawn (macOS/Windows default) works too since tasks and
         # results are plain picklable tuples.
@@ -227,6 +247,8 @@ def _run_hyperfit_tasks(
     """
     global _POOL_FALLBACKS, _POOL_FALLBACK_WARNED
     if fit_workers > 1 and len(tasks) > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             pool = _fit_pool(min(fit_workers, len(tasks)))
             return list(pool.map(_hyperfit_one, tasks))
@@ -476,7 +498,10 @@ class GaussianProcess:
         way, every restart is an independent pure function, and the
         best-of reduction runs in start order — ``fit_workers > 1`` fits
         bit-identical hyperparameters to serial.  Falls back to serial
-        when subprocesses are unavailable.
+        when subprocesses are unavailable.  The pool, and the
+        ``multiprocessing`` and ``concurrent.futures`` modules behind it,
+        come up on the first fit that uses it; a serial tuner never
+        imports them.
     """
 
     def __init__(

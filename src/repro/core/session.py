@@ -1099,7 +1099,7 @@ class TuningSession:
         result = TuningResult(
             strategy=self.strategy.name,
             history=self._history,
-            best_trial=self._history.best(),
+            best_trial=self._history.recommendation(),
             environment=self._env_like.describe(),
         )
         self._result = result

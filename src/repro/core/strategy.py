@@ -72,7 +72,12 @@ class TuningBudget:
 
 @dataclass
 class TuningResult:
-    """Outcome of one tuning session."""
+    """Outcome of one tuning session.
+
+    ``best_trial`` is the history's :meth:`~TrialHistory.recommendation`:
+    the best measured trial, or after a detected change-point the best
+    trial measured since the latest one.
+    """
 
     strategy: str
     history: TrialHistory
@@ -81,12 +86,12 @@ class TuningResult:
 
     @property
     def best_config(self) -> Optional[ConfigDict]:
-        """The best configuration found, or None if every probe failed."""
+        """The recommended configuration, or None if every probe failed."""
         return self.best_trial.config if self.best_trial else None
 
     @property
     def best_objective(self) -> Optional[float]:
-        """The best measured objective, or None."""
+        """The recommended trial's measured objective, or None."""
         return self.best_trial.objective if self.best_trial else None
 
     @property

@@ -11,7 +11,6 @@ row-shaped tables of :mod:`repro.harness.experiments` both memoise here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -33,26 +32,39 @@ def _code_fingerprint() -> str:
 
     Experiment cells are deterministic functions of (code, parameters), so
     the disk tier must not survive code changes: one edit can shift
-    every seeded trajectory.  The newest source mtime under the package
-    directory changes whenever any module is edited or a new checkout is
-    installed, which invalidates exactly then; computed once per process.
+    every seeded trajectory.  The fingerprint hashes the source itself
+    (:func:`_source_digest` of the package directory), so it changes
+    exactly when a module does, and a fresh checkout of unchanged source
+    reuses the memo; computed once per process.
     """
     global _code_fingerprint_cache
     if _code_fingerprint_cache is None:
         import repro
 
-        newest = 0
         root = os.path.dirname(os.path.abspath(repro.__file__))
-        for directory, _, files in os.walk(root):
-            for name in files:
-                if name.endswith(".py"):
-                    try:
-                        stamp = os.stat(os.path.join(directory, name)).st_mtime_ns
-                    except OSError:
-                        continue
-                    newest = max(newest, stamp)
-        _code_fingerprint_cache = f"src-{newest}"
+        _code_fingerprint_cache = f"src-{_source_digest(root)[:32]}"
     return _code_fingerprint_cache
+
+
+def _source_digest(root: str) -> str:
+    """SHA-256 of the sorted relative paths and bytes of every ``.py``
+    file under ``root``; file times do not enter it."""
+    import hashlib
+
+    sources = []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                sources.append((os.path.relpath(path, root).replace(os.sep, "/"), path))
+    digest = hashlib.sha256()
+    for relative, path in sorted(sources):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
 
 #: Filename prefix for this module's cache cells — `clear_experiment_cache`
 #: only ever deletes files carrying it, so pointing REPRO_CACHE_DIR at a
@@ -81,6 +93,8 @@ def _key_fingerprint(obj: Any) -> Any:
 
 
 def _cache_path(key: tuple) -> str:
+    import hashlib
+
     fingerprint = json.dumps(
         [_CACHE_SCHEMA, _code_fingerprint(), _key_fingerprint(key)],
         sort_keys=True,

@@ -7,15 +7,18 @@ we can estimate it to high confidence using the *noise-free* objective
 and a large search budget: dense random sampling, the full coarse grid, and
 exhaustive single-knob refinement from the best points found.
 
-Candidates are evaluated in batches through
+Candidates are scored in batches through
 :meth:`TrainingEnvironment.true_objective_columns`: the coarse grid and the
-random samples are stacked into one encoded candidate matrix, duplicate
-rows are collapsed before evaluation, and each refinement round scores the
-whole neighbourhood in one batch.  The result is bit-identical to a
-per-config loop over :meth:`TrainingEnvironment.true_objective` at every
-seed — same RNG stream, same first-strictly-better winner — just without
-the per-candidate Python round-trips (a frozen copy of that loop in the
-tests is the reference).
+random samples form one knob-column batch (the batch engine works through
+it a block of rows at a time), and each refinement round scores the whole
+neighbourhood in one batch.  Nothing is encoded or de-duplicated: a
+candidate the grid and the sampler both produced is scored twice, to the
+same value, and the first-occurrence argmax picks the grid copy, as a
+per-config loop's first-strictly-better update would.  The result is
+bit-identical to a per-config loop over
+:meth:`TrainingEnvironment.true_objective` at every seed — same RNG
+stream, same winner — just without the per-candidate Python round-trips
+(a frozen copy of that loop in the tests is the reference).
 """
 
 from __future__ import annotations
@@ -76,6 +79,28 @@ def estimate_optimum(
     return best_config, best_value
 
 
+def _candidate_columns(
+    space: ConfigSpace, samples: int, grid_resolution: int, rng: np.random.Generator
+) -> Dict[str, np.ndarray]:
+    """The coarse grid, then ``samples`` random configs, as knob columns.
+
+    The whole search runs on arrays: no per-candidate dict outlives its
+    grid step, and no ``TrainingConfig`` is ever built.  The grid uses no
+    randomness, so drawing the samples first changes nothing.
+    """
+    sample_columns = space.sample_columns(rng, samples)
+    grid_values: Dict[str, list] = {name: [] for name in space.names()}
+    for config in space.grid(grid_resolution):
+        for name, values in grid_values.items():
+            values.append(config[name])
+    return {
+        name: np.concatenate(
+            [np.array(values, dtype=sample_columns[name].dtype), sample_columns[name]]
+        )
+        for name, values in grid_values.items()
+    }
+
+
 def _search(
     env: TrainingEnvironment,
     space: ConfigSpace,
@@ -84,41 +109,14 @@ def _search(
     refinement_rounds: int,
     rng: np.random.Generator,
 ) -> Tuple[ConfigDict, float]:
-    grid_configs = list(space.grid(grid_resolution))
-    sample_matrix, sample_columns = space.sample_batch_encoded(rng, samples)
-    parts = []
-    if grid_configs:
-        parts.append(space.encode_batch(grid_configs))
-    if samples:
-        parts.append(sample_matrix)
-    if not parts:
+    combined = _candidate_columns(space, samples, grid_resolution, rng)
+    count = len(combined[space.names()[0]])
+    if not count:
         raise RuntimeError("no feasible configuration found while estimating optimum")
-    matrix = np.vstack(parts)
-
-    # One knob-column batch covering grid + samples: the whole search runs
-    # on arrays — no per-candidate dict or TrainingConfig is ever built.
-    combined: Dict[str, np.ndarray] = {}
-    for name in space.names():
-        column = sample_columns[name]
-        if grid_configs:
-            grid_part = np.array(
-                [config[name] for config in grid_configs], dtype=column.dtype
-            )
-            column = np.concatenate([grid_part, column])
-        combined[name] = column
-
-    # Collapse duplicate rows (grid points the sampler re-drew, categorical
-    # collisions) before evaluation.  Encoding is injective per parameter,
-    # so equal rows are equal configs: scattering each unique value back
-    # through ``inverse`` reproduces the full candidate column exactly, and
-    # first-occurrence argmax is a per-config loop's first-strictly-better
-    # winner.
-    _, first, inverse = np.unique(matrix, axis=0, return_index=True, return_inverse=True)
-    unique_columns = {name: column[first] for name, column in combined.items()}
-    unique_values = env.true_objective_columns(
-        PerfColumns.from_knob_columns(unique_columns, len(first))
+    values = env.true_objective_columns(
+        PerfColumns.from_knob_columns(combined, count)
     )
-    values = np.where(np.isnan(unique_values), -np.inf, unique_values)[inverse]
+    values = np.where(np.isnan(values), -np.inf, values)
     best_index = int(np.argmax(values))
     best_value = float(values[best_index])
     if best_value == -np.inf:

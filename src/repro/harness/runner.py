@@ -16,11 +16,12 @@ run serially in-process; results are identical either way, only the
 wall-clock differs.
 
 ``n_jobs=None`` asks for one job per CPU (``os.cpu_count()``).
+``multiprocessing`` is imported only when a pool is considered, so a
+process that never fans out never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -38,6 +39,8 @@ def _run_cell(index: int) -> Any:
 
 def fork_available() -> bool:
     """True when fork-based worker processes can be used on this platform."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -66,6 +69,8 @@ def run_cells(cells: Sequence[Cell], n_jobs: Optional[int] = 1) -> List[Any]:
         return [cell() for cell in cells]
     _ACTIVE_CELLS = cells
     try:
+        import multiprocessing
+
         context = multiprocessing.get_context("fork")
         # The pool MUST be created after _ACTIVE_CELLS is set: workers see
         # the cells through the fork snapshot taken at pool start.  Only

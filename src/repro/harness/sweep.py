@@ -219,7 +219,7 @@ def _rebuilt(cell: SweepCell, payload: dict) -> TuningResult:
     return TuningResult(
         strategy=cell.strategy,
         history=history,
-        best_trial=history.best(),
+        best_trial=history.recommendation(),
         environment=asdict(cell),
     )
 

@@ -289,8 +289,8 @@ class TrainingEnvironment:
         """:meth:`true_objective_batch` on a columnar batch.
 
         The zero-object entry point: callers that already hold knob
-        columns (:func:`~repro.harness.estimate_optimum` stacking encoded
-        candidate matrices) skip per-row ``TrainingConfig`` construction
+        columns (:func:`~repro.harness.estimate_optimum` scoring its grid
+        and samples) skip per-row ``TrainingConfig`` construction
         entirely.  Same contract: feasible rows equal a noise-free
         :meth:`measure`'s objective bit for bit, NaN elsewhere.
         """

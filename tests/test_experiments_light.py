@@ -5,8 +5,12 @@ suite; here the light experiments produce well-formed tables fast, and
 the tables built on ``run_sweep`` render at light settings.
 """
 
+import os
+import shutil
+
 import pytest
 
+import repro
 from repro.harness import cache, clear_optimum_cache
 from repro.harness.cache import clear_experiment_cache
 from repro.harness.experiments import (
@@ -79,6 +83,33 @@ class TestLightExperiments:
 
     def test_cache_clears(self):
         clear_experiment_cache()  # must not raise
+
+
+class TestCodeFingerprint:
+    """The memo's code key hashes the source, not file times."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        source = os.path.dirname(os.path.abspath(repro.__file__))
+        return shutil.copytree(
+            source, tmp_path / "a", ignore=shutil.ignore_patterns("__pycache__")
+        )
+
+    def test_copies_with_different_mtimes_agree(self, tree, tmp_path):
+        copy = shutil.copytree(tree, tmp_path / "b", copy_function=shutil.copy)
+        os.utime(copy / "cli.py", ns=(1, 1))
+        assert cache._source_digest(str(tree)) == cache._source_digest(str(copy))
+
+    def test_touching_a_file_keeps_it(self, tree):
+        before = cache._source_digest(str(tree))
+        os.utime(tree / "core" / "gp.py", ns=(10**18, 10**18))
+        assert cache._source_digest(str(tree)) == before
+
+    def test_a_one_byte_edit_changes_it(self, tree):
+        before = cache._source_digest(str(tree))
+        with open(tree / "core" / "gp.py", "ab") as handle:
+            handle.write(b" ")
+        assert cache._source_digest(str(tree)) != before
 
 
 class TestSweptTables:

@@ -208,6 +208,57 @@ class TestEstimateOptimum:
         # batch engine replays the per-config loop's operation order.
         assert batch == scalar
 
+    @pytest.mark.parametrize("nodes, drifted", [(2, False), (4, True), (16, False)])
+    def test_default_budget_bit_identical_to_scalar(self, nodes, drifted):
+        # The default budget scores the grid and 3,000 samples as one
+        # batch, duplicates included: at 2 and 4 nodes the sampler redraws
+        # grid points, and a duplicate must not change the winner.
+        from repro.mlsim import CompositeDrift, StepDrift, StragglerOnset
+
+        space = ml_config_space(nodes)
+        drift = (
+            CompositeDrift(
+                (
+                    StragglerOnset(at_s=10.0, fraction=0.5, slowdown=8.0),
+                    StepDrift(at_s=10.0, intensity=2.0),
+                )
+            )
+            if drifted
+            else None
+        )
+        env = TrainingEnvironment(WORKLOAD, homogeneous(nodes), seed=0, drift=drift)
+        env.set_clock(50.0)
+        if nodes < 16:
+            candidates = list(space.grid(3)) + space.sample_batch(
+                np.random.default_rng(0), 3000
+            )
+            rows = np.unique(space.encode_batch(candidates), axis=0).shape[0]
+            assert rows < len(candidates), "the scenario must have duplicate rows"
+        clear_optimum_cache()
+        batch = estimate_optimum(env, space, seed=0)
+        clear_optimum_cache()
+        scalar = _reference_search_scalar(env, space, 3000, 3, 30, np.random.default_rng(0))
+        assert batch == scalar
+
+    def test_default_search_memory_is_bounded(self):
+        # The batch engine scores the 8,184 candidates of a 16-node search
+        # in row blocks (about 2.2 MB traced); the bound fails if it scores
+        # them all at once (about 11 MB).
+        import tracemalloc
+
+        env = TrainingEnvironment(get_workload("vgg16-imagenet"), homogeneous(16), seed=0)
+        space = ml_config_space(16)
+        estimate_optimum(env, space, seed=1)  # first-use allocations
+        clear_optimum_cache()
+        tracemalloc.start()
+        try:
+            estimate_optimum(env, space, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            clear_optimum_cache()
+        assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
     def test_drifted_environment_does_not_reuse_stationary_optimum(self):
         # Regression: the memo key once ignored the drift schedule, so a
         # drifted environment silently reused its stationary twin's

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, PlacementError, homogeneous, place
 from repro.cluster.node import CATALOGUE
+from repro.mlsim import perf
 from repro.mlsim import (
     CompositeDrift,
     InfeasibleConfigError,
@@ -25,6 +26,7 @@ from repro.mlsim import (
     TrainingEnvironment,
     estimate,
     estimate_batch,
+    estimate_columns,
 )
 from repro.workloads import get_workload
 
@@ -134,6 +136,73 @@ class TestEstimateBatchParity:
                 getattr(from_columns, field), getattr(from_configs, field)
             ), field
         assert list(from_columns.sync_mode) == list(from_configs.sync_mode)
+
+
+def mixed_block_columns(blocks):
+    """``blocks`` engine blocks of knob columns, then one more row.
+
+    Block 0 mixes everything (PS and all-reduce, the three sync modes,
+    up to 18 workers on 8 nodes, so many rows are infeasible), block 1 is
+    infeasible throughout (every row needs 9 or more nodes), block 2 runs
+    at most two workers per row (a smaller ``max_workers`` pad), and the
+    rest repeat the pattern.
+    """
+    rng = np.random.default_rng(11)
+    count = blocks * perf._BLOCK_ROWS + 1
+    workers = rng.integers(1, 19, count)
+    block = np.arange(count) // perf._BLOCK_ROWS % 3
+    workers[block == 1] = rng.integers(9, 19, int((block == 1).sum()))
+    workers[block == 2] = rng.integers(1, 3, int((block == 2).sum()))
+    columns = {
+        "architecture": rng.choice(np.array(["ps", "allreduce"], dtype=object), count),
+        "num_workers": workers,
+        "num_ps": rng.integers(1, 7, count),
+        "colocate_ps": rng.random(count) < 0.5,
+        "sync_mode": rng.choice(np.array(["bsp", "asp", "ssp"], dtype=object), count),
+        "staleness_bound": rng.integers(0, 13, count),
+        "batch_per_worker": rng.integers(1, 513, count),
+        "intra_op_threads": rng.integers(0, 25, count),
+        "gradient_precision": rng.choice(np.array(["fp32", "fp16"], dtype=object), count),
+        "compression_ratio": rng.choice([1.0, 0.5, 0.1, 0.01], count),
+        "io_threads": rng.integers(0, 5, count),
+        "prefetch_batches": rng.integers(0, 4, count),
+    }
+    return PerfColumns.from_knob_columns(columns, count), block
+
+
+class TestBlockedEngine:
+    """Row blocks of ``estimate_columns`` equal one unblocked evaluation."""
+
+    B = perf._BLOCK_ROWS
+
+    @pytest.mark.parametrize(
+        "length", [1, B - 1, B, B + 1, 2 * B, 3 * B - 1, 3 * B, 4 * B + 1]
+    )
+    def test_bit_identical_to_a_single_block(self, length, monkeypatch):
+        columns, block = mixed_block_columns(4)
+        columns = perf._row_block(columns, slice(0, length))
+        factors = np.random.default_rng(3).uniform(0.25, 1.5, HETEROGENEOUS.total_nodes)
+        blocked = estimate_columns(columns, WORKLOAD, HETEROGENEOUS, factors)
+        monkeypatch.setattr(perf, "_BLOCK_ROWS", length)
+        single = estimate_columns(columns, WORKLOAD, HETEROGENEOUS, factors)
+
+        assert np.array_equal(blocked.ok, single.ok)
+        for i in range(length):
+            if single.ok[i]:
+                assert blocked.row(i) == single.row(i)  # full-dataclass bit equality
+            else:
+                assert np.isnan(blocked.throughput[i])
+                assert blocked.bottleneck[i] is None
+        if length > 2 * self.B:
+            assert not blocked.ok[block[:length] == 1].any()
+            kinds = {
+                (bool(ps), sync) for ps, sync in zip(columns.uses_ps, columns.sync_mode)
+            }
+            assert kinds == {
+                (True, "bsp"), (True, "asp"), (True, "ssp"),
+                (False, "bsp"), (False, "asp"), (False, "ssp"),
+            }
+            assert single.ok.any() and not single.ok.all()
 
 
 DRIFT = CompositeDrift(

@@ -269,6 +269,24 @@ class TestDriftCells:
         report = run_sweep(drift_cells(), seeds=[0])["cells"]
         return [report[name]["results"][0].history for name in ("oblivious", "adaptive")]
 
+    def run_adaptive_live(self):
+        """The adaptive arm at seed 0 as a live session: (detector, result)."""
+        cell = drift_cells()[1]
+        detector = cell.detector()
+        result = strategy_registry()[cell.strategy](0, cell).run(
+            TrainingEnvironment(
+                get_workload(cell.workload),
+                homogeneous(cell.nodes),
+                objective_name=cell.objective,
+                drift=cell.drift_schedule(),
+            ),
+            ml_config_space(cell.nodes),
+            TuningBudget(max_trials=None, max_wall_clock_s=HORIZON_S),
+            seed=0,
+            callbacks=[detector],
+        )
+        return detector, result
+
     def recovery(self, history):
         from repro.harness import estimate_optimum, metrics
         from repro.mlsim import parse_drift_spec
@@ -295,20 +313,7 @@ class TestDriftCells:
         warm = self.run_arms()
 
         # The same session run live: its detector's events are the record.
-        cell = drift_cells()[1]
-        detector = cell.detector()
-        live = strategy_registry()[cell.strategy](0, cell).run(
-            TrainingEnvironment(
-                get_workload(cell.workload),
-                homogeneous(cell.nodes),
-                objective_name=cell.objective,
-                drift=cell.drift_schedule(),
-            ),
-            ml_config_space(cell.nodes),
-            TuningBudget(max_trials=None, max_wall_clock_s=HORIZON_S),
-            seed=0,
-            callbacks=[detector],
-        )
+        detector, live = self.run_adaptive_live()
         assert detector.events, "the scenario must alarm at least once"
         expected = [dataclasses.asdict(event) for event in detector.events]
         for history in (cold[1], warm[1]):
@@ -321,6 +326,21 @@ class TestDriftCells:
         for cold_history, warm_history in zip(cold, warm):
             assert cold_history.to_payload() == warm_history.to_payload()
             assert self.recovery(cold_history) == self.recovery(warm_history)
+
+    def test_result_recommends_a_post_event_trial(self):
+        # The adaptive arm's best measurement comes before its alarm, on
+        # the surface the drift replaced; the session's result and the
+        # sweep's rebuilt result both carry the best trial after the alarm.
+        swept = run_sweep(drift_cells(), seeds=[0])["cells"]["adaptive"]["results"][0]
+        _, live = self.run_adaptive_live()
+        for result in (live, swept):
+            history = result.history
+            cutoff = history.events[-1].trial_index
+            recommended = history.recommendation()
+            assert history.best().index <= cutoff < recommended.index
+            assert result.best_trial.index == recommended.index
+            assert result.best_config == recommended.config
+            assert result.best_objective == recommended.objective
 
     def test_arms_are_identical_until_the_first_alarm(self):
         oblivious, adaptive = self.run_arms()
