@@ -6,15 +6,19 @@ Runs the BO tuner over the same trial budget serially and with a
 session layer accounts: *machine cost* (every probe second, the cluster
 bill) and *wall-clock* (only the slowest probe of each synchronous round —
 what the person waiting for a configuration experiences).  A progress line
-is logged per round, and every trial is streamed to a JSONL file.
+is logged per round, and the session record is streamed to a JSONL trial
+log, which is read back at the end: it must rebuild the live history, or
+the script exits non-zero.
 
 Run:  python examples/parallel_tuning.py
 """
 
+import json
 import os
+import sys
 import tempfile
 
-from repro import MLConfigTuner, TuningBudget
+from repro import MLConfigTuner, TrialHistory, TuningBudget
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
 from repro.core.session import JsonlTrialLog, ParallelExecutor, ProgressLogger
@@ -76,6 +80,12 @@ def main() -> None:
               f"{reach / 3600:.2f} wall-clock hours — "
               f"{serial.total_wall_clock_s / reach:.1f}x faster than the "
               f"serial session's {serial.total_wall_clock_s / 3600:.2f} hours.")
+
+    with open(trial_log) as handle:
+        logged = TrialHistory.from_payload(json.loads(line) for line in handle)
+    if logged.to_payload() != parallel.history.to_payload():
+        sys.exit(f"the trial log {trial_log} does not rebuild the session's history")
+    print(f"\nThe trial log rebuilds all {len(logged)} trials of the parallel session.")
 
 
 if __name__ == "__main__":

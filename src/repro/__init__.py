@@ -67,7 +67,8 @@ shard (``result.history.cost_by_shard()``)::
 The CLI exposes the same axes: ``python -m repro tune --workers 4
 --executor async`` probes on a four-worker free-list, ``--max-wall-hours``
 caps the stopwatch (``TuningBudget.max_wall_clock_s``), ``--trial-log
-PATH`` streams every trial as JSON lines for offline analysis, and
+PATH`` streams the session record (the WAL's trial records) as JSON lines
+for offline analysis, and
 ``--shards N`` / ``--shard-spec "std-cpu:16,gpu-v100:8x2@0.5"`` (with
 ``--scheduler``) fan the session across a fleet.  The ``P1``/``P2``/``P4``
 experiments (``python -m repro experiment --id P4``) tabulate the

@@ -167,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--trial-log", default=None, metavar="PATH",
-        help="write every trial as a JSON line to PATH",
+        help="write the session record to PATH as JSON lines: a header, one "
+        "trial record per trial (the checkpoint WAL's, without its audit "
+        "state) and an end record; TrialHistory.from_payload reads it back",
     )
     tune.add_argument(
         "--checkpoint", default=None, metavar="PATH",

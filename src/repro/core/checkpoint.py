@@ -10,11 +10,12 @@ two artifacts per checkpoint path:
   is the checkpoint proper: one ``probe`` record per executor-level
   :meth:`SearchStrategy.measure` call — the measurement that came back,
   at *pre-shard-scaling* values, plus the environment's probe counters
-  after the call — and one ``trial`` record per recorded trial, carrying
-  the trial itself (:meth:`~repro.core.trial.Trial.to_payload`), the
-  history's running ledgers after it (total cost, total wall, cancelled
-  cost, cost by shard) and any history events recorded since the
-  previous trial record.  Every ``every_n_trials``-th trial record also
+  after the call — and one ``trial`` record per recorded trial, the
+  session record of :func:`~repro.core.trial.trial_record` that the
+  ``--trial-log`` file holds too: the trial itself, the history's
+  running ledgers after it (total cost, total wall, cancelled cost, cost
+  by shard) and any history events recorded since the previous trial
+  record.  Every ``every_n_trials``-th trial record also
   carries the audit state (the strategy's
   :meth:`~SearchStrategy.snapshot_state` and the environment probe
   counters).  Only probe records are ``fsync``'d, before the session
@@ -32,9 +33,10 @@ two artifacts per checkpoint path:
   strategy's audit payload.  It never holds the trials — the WAL does —
   so a trial costs one small append, not an O(n) rewrite.
 
-:meth:`Checkpoint.load` rebuilds the history from the WAL's trial
-records, so a mid-run inspection shows every trial the log holds; the
-end-of-session snapshot adds what happens after the last trial
+:meth:`Checkpoint.load` rebuilds the history from the WAL's records
+(:meth:`~repro.core.trial.TrialHistory.from_payload`), so a mid-run
+inspection shows every trial the log holds; the end-of-session snapshot
+adds an ``end`` record for what happens after the last trial
 (cancellation charges, trailing events, outage waits).
 
 Resume is **replay**, not state surgery: the loop restarts from trial
@@ -80,6 +82,7 @@ from repro.core.trial import (
     event_to_payload,
     measurement_from_payload,
     measurement_to_payload,
+    trial_record,
 )
 
 #: Bump on any incompatible change to the snapshot or WAL record layout.
@@ -100,14 +103,11 @@ class CheckpointConfig:
     environment probe counters.  The trials themselves are in every
     trial record regardless, so the cadence only bounds how stale the
     *inspectable* audit state may be, never how much work a crash loses
-    and never what resume does.  ``fsync=False`` trades the per-probe
-    ``os.fsync`` for OS-buffered durability (a crash of the machine, not
-    just the process, may then lose the tail).
+    and never what resume does.
     """
 
     path: str
     every_n_trials: int = 1
-    fsync: bool = True
 
     def __post_init__(self) -> None:
         if not self.path:
@@ -153,7 +153,8 @@ def executor_fingerprint(executor) -> dict:
     }
 
 
-def _budget_payload(budget: TuningBudget) -> dict:
+def budget_payload(budget: TuningBudget) -> dict:
+    """A budget's caps as JSON (the checkpoint meta and trial-log header)."""
     return {
         "max_trials": budget.max_trials,
         "max_cost_s": budget.max_cost_s,
@@ -172,13 +173,13 @@ def session_meta(
     return {
         "strategy": strategy.name,
         "seed": int(seed),
-        "budget": _budget_payload(budget),
+        "budget": budget_payload(budget),
         "space": space_fingerprint(space),
         "executor": executor_fingerprint(executor),
     }
 
 
-def _env_counter_payload(env) -> dict:
+def env_counter_payload(env) -> dict:
     """The probe counters that key an environment's noise streams."""
     trials_run = getattr(env, "trials_run", None)
     cost = getattr(env, "total_probe_cost_s", None)
@@ -211,7 +212,8 @@ def _read_wal_records(wal_path: str):
     Returns ``(records, durable_offset, torn_tail)``: everything from the
     first unparseable line (or a final line with no newline — a record is
     written newline-included in one buffered write, so a missing newline
-    means the write was cut short) onward is the torn tail.
+    means the write was cut short) onward is the torn tail.  A header
+    record of another version raises :class:`CheckpointError`.
     """
     with open(wal_path, "rb") as handle:
         data = handle.read()
@@ -233,6 +235,8 @@ def _read_wal_records(wal_path: str):
             break
         records.append(record)
         offset = newline + 1
+    if records and records[0]["type"] == "header":
+        _check_version(records[0].get("version"), f"checkpoint WAL {wal_path!r}")
     return records, offset, torn
 
 
@@ -274,41 +278,20 @@ def _encode(payload: dict, audit: Optional[dict] = None) -> bytes:
     return text.encode("utf-8")
 
 
-def _inspected_history(snapshot: dict, trial_records: List[dict]):
-    """``(history, strategy_state, env_counters)`` a checkpoint shows.
-
-    The trials are the WAL's trial records; the ledgers and events are
-    the last trial record's, unless the snapshot was written at the same
-    trial count (a completed session), whose end-of-session ledgers
-    also hold what came after the last trial.  The audit state is the
-    newest of the snapshot's and the trial records' audits.
-    """
+def _audit_state(snapshot: dict, trial_records: List[dict]):
+    """``(strategy_state, env_counters)``: the newest of the snapshot's
+    and the trial records' audits."""
     at = snapshot.get("trials", 0)
     state = snapshot.get("strategy_state")
     counters = snapshot.get("env_counters", {})
-    ledgers = TrialHistory().ledger_payload()
-    events: List[dict] = []
     for record in trial_records:
-        ledgers = record["ledgers"]
-        events.extend(record.get("events", ()))
         audit = record.get("audit")
         if audit is not None and record["trial"]["index"] >= at:
             state, counters = audit["strategy_state"], audit["env_counters"]
-    if at == len(trial_records):
-        ledgers, events = snapshot["ledgers"], snapshot["events"]
-    history = TrialHistory.from_payload(
-        {
-            "trials": [record["trial"] for record in trial_records],
-            **ledgers,
-            "events": events,
-        }
-    )
-    return history, state, dict(counters)
+    return state, dict(counters)
 
 
-def _atomic_write_json(
-    path: str, payload: dict, fsync: bool = True, audit: Optional[dict] = None
-) -> None:
+def _atomic_write_json(path: str, payload: dict, audit: Optional[dict] = None) -> None:
     """Write one JSON document atomically (mkstemp + os.replace).
 
     ``audit`` is as for :func:`_encode`.
@@ -321,8 +304,7 @@ def _atomic_write_json(
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
             handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -370,13 +352,22 @@ class Checkpoint:
                 f"history lives in the log"
             )
         records, _, _ = _read_wal_records(config.wal_path)
-        if records and records[0].get("type") == "header":
-            _check_version(
-                records[0].get("version"), f"checkpoint WAL {config.wal_path!r}"
-            )
         trials = [r for r in records if r.get("type") == "trial"]
         try:
-            history, state, counters = _inspected_history(snapshot, trials)
+            if snapshot.get("trials", 0) == len(trials):
+                # Written at the same trial count (a completed session):
+                # its ledgers also hold what came after the last trial,
+                # and its events past the trial records' trail them.
+                logged = sum(len(record.get("events", ())) for record in trials)
+                records.append(
+                    {
+                        "type": "end",
+                        "ledgers": snapshot["ledgers"],
+                        "events": snapshot["events"][logged:],
+                    }
+                )
+            history = TrialHistory.from_payload(records)
+            state, counters = _audit_state(snapshot, trials)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint {path!r} has a malformed ledger or trial record: "
@@ -400,9 +391,9 @@ class CheckpointJournal:
     Created by :meth:`create` for a fresh session (truncates any previous
     checkpoint at the path) or :meth:`load` for a resume (replays the
     durable WAL prefix, quarantining a torn tail).  The session wires it
-    in through :class:`JournalledStrategy` (probe records) and the
-    journal's :meth:`recorder` callback (trial records, and the snapshot
-    at session start and end).
+    in through :class:`JournalledStrategy` (probe records) and a session
+    callback (:meth:`on_trial` and the snapshot at session start and
+    end).
     """
 
     def __init__(
@@ -474,9 +465,7 @@ class CheckpointJournal:
                 f"durable record",
                 stacklevel=2,
             )
-        header = records[0] if records and records[0].get("type") == "header" else None
-        if header is not None:
-            _check_version(header.get("version"), f"checkpoint WAL {wal_path!r}")
+        header = records[0] if records and records[0]["type"] == "header" else None
         meta = cls._load_meta(config, header)
         probes = [r for r in records if r.get("type") == "probe"]
         trials = [r for r in records if r.get("type") == "trial"]
@@ -562,7 +551,7 @@ class CheckpointJournal:
             self._handle = handle
         self._handle.write(_encode(record, audit) + b"\n")
         self._handle.flush()
-        if sync and self.config.fsync:
+        if sync:
             os.fsync(self._handle.fileno())
 
     def record_probe(self, config: ConfigDict, measurement, env) -> None:
@@ -573,7 +562,7 @@ class CheckpointJournal:
                 "k": self._probe_count,
                 "config": dict(config),
                 "measurement": measurement_to_payload(measurement),
-                "env": _env_counter_payload(env),
+                "env": env_counter_payload(env),
             },
             sync=True,
         )
@@ -611,17 +600,8 @@ class CheckpointJournal:
                 )
             self._events_logged = len(history.events)
             return False
-        record = {
-            "type": "trial",
-            "trial": trial.to_payload(),
-            "ledgers": history.ledger_payload(),
-        }
-        if len(history.events) > self._events_logged:
-            record["events"] = [
-                event_to_payload(event)
-                for event in history.events[self._events_logged :]
-            ]
-            self._events_logged = len(history.events)
+        record = trial_record(trial, history, self._events_logged)
+        self._events_logged = len(history.events)
         if (trial.index + 1) % self.config.every_n_trials == 0:
             record["audit"] = audit()
         self._append(record, audit=record.get("audit"))
@@ -647,79 +627,15 @@ class CheckpointJournal:
             "env_counters": env_counters,
             "strategy_state": strategy.snapshot_state(),
         }
-        _atomic_write_json(
-            self.config.path, snapshot, fsync=self.config.fsync, audit=snapshot
-        )
-
-    def recorder(self, session) -> "_CheckpointRecorder":
-        """The session callback that writes trial records and snapshots."""
-        return _CheckpointRecorder(self, session)
+        _atomic_write_json(self.config.path, snapshot, audit=snapshot)
 
     def close(self) -> None:
         """Make every appended record durable and release the log."""
         if self._handle is not None:
             self._handle.flush()
-            if self.config.fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
-
-
-def _session_env_counters(session) -> dict:
-    """Probe counters for every environment the session touches (audit)."""
-    pool = session.executor.pool
-    if pool is not None:
-        return pool.env_counters()
-    env = getattr(session, "_env", None)
-    if env is None:
-        return {}
-    return {"env": _env_counter_payload(env)}
-
-
-class _CheckpointRecorder:
-    """Session callback half of the journal (duck-typed, no base class).
-
-    Runs *first* in the callback chain so a later callback raising (or a
-    chaos kill) can never lose a recorded trial's WAL record.
-    """
-
-    def __init__(self, journal: CheckpointJournal, session) -> None:
-        self._journal = journal
-        self._session = session
-
-    def on_session_start(self, strategy, env, space, budget) -> None:
-        self._journal.write_snapshot(
-            self._session.history,
-            self._session.strategy,
-            _session_env_counters(self._session),
-            status="running",
-        )
-
-    def on_trial_start(self, index: int, config) -> None:
-        pass
-
-    def on_trial_end(self, trial: Trial) -> None:
-        self._journal.on_trial(trial, self._session.history, self._audit)
-
-    def _audit(self) -> dict:
-        return {
-            "strategy_state": self._session.strategy.snapshot_state(),
-            "env_counters": _session_env_counters(self._session),
-        }
-
-    def on_round_end(self, round_index, trials, history) -> None:
-        pass
-
-    def on_session_end(self, result) -> None:
-        # The WAL first: the complete snapshot never counts a trial whose
-        # record is not durable.
-        self._journal.close()
-        self._journal.write_snapshot(
-            result.history,
-            self._session.strategy,
-            _session_env_counters(self._session),
-            status="complete",
-        )
 
 
 class JournalledStrategy(SearchStrategy):

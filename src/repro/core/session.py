@@ -39,7 +39,8 @@ the earliest recovery.  ``pool=None`` keeps single-environment semantics.
 
 Sessions also emit lifecycle events to :class:`SessionCallback` observers;
 :class:`ProgressLogger` (per-round progress lines) and
-:class:`JsonlTrialLog` (a JSONL sink for offline analysis) ship here.
+:class:`JsonlTrialLog` (the session record, :mod:`repro.core.trial`, as
+JSON lines for offline analysis) ship here.
 
 Example
 -------
@@ -62,17 +63,26 @@ import numpy as np
 
 from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointConfig,
     CheckpointError,
     CheckpointJournal,
     JournalledStrategy,
+    budget_payload,
+    env_counter_payload,
     executor_fingerprint,
     session_meta,
     space_fingerprint,
 )
 from repro.core.fleet import EnvironmentPool, EnvironmentShard
 from repro.core.strategy import SearchStrategy, TuningBudget, TuningResult
-from repro.core.trial import Trial, TrialHistory, billable_cost_s
+from repro.core.trial import (
+    Trial,
+    TrialHistory,
+    billable_cost_s,
+    end_record,
+    trial_record,
+)
 from repro.mlsim import Measurement, TrainingEnvironment
 
 #: Attempts a preempted probe gets (original launch + relaunches) before
@@ -111,8 +121,9 @@ class SessionCallback:
     """Observer of session lifecycle events.  Every hook is an optional no-op.
 
     Hooks fire in a fixed order: ``on_session_start``, then per round
-    ``on_trial_start`` for every launched probe, ``on_trial_end`` for every
-    recorded trial, ``on_round_end`` once, and finally ``on_session_end``.
+    ``on_trial_start`` for every launched probe, ``on_trial_recorded`` (on
+    every callback) and then ``on_trial_end`` for every recorded trial,
+    ``on_round_end`` once, and finally ``on_session_end``.
 
     Under an :class:`AsyncExecutor` there is no round barrier:
     ``on_trial_start`` fires at *launch* (its ``index`` is the launch
@@ -136,6 +147,9 @@ class SessionCallback:
 
     def on_trial_start(self, index: int, config: ConfigDict) -> None:
         """A probe of ``config`` is being launched as trial ``index``."""
+
+    def on_trial_recorded(self, trial: Trial, history: TrialHistory) -> None:
+        """``trial`` was just recorded in ``history`` (the live history)."""
 
     def on_trial_end(self, trial: Trial) -> None:
         """A probe finished and was recorded in the history."""
@@ -163,7 +177,9 @@ class _Events:
         for callback in self._callbacks:
             callback.on_trial_start(index, config)
 
-    def trial_end(self, trial: Trial) -> None:
+    def trial_end(self, trial: Trial, history: TrialHistory) -> None:
+        for callback in self._callbacks:
+            callback.on_trial_recorded(trial, history)
         for callback in self._callbacks:
             callback.on_trial_end(trial)
 
@@ -203,7 +219,13 @@ class ProgressLogger(SessionCallback):
 
 
 class JsonlTrialLog(SessionCallback):
-    """Write the session as JSON lines: session markers plus one trial per line.
+    """Write the session record (:mod:`repro.core.trial`) as JSON lines.
+
+    A ``header`` record (``version``, strategy, environment, budget), one
+    ``trial`` record per trial — the checkpoint WAL's, without its audit
+    state — and, at session end, an ``end`` record with the final ledgers
+    and trailing events.  :meth:`TrialHistory.from_payload` rebuilds the
+    session's history from the file's records.
 
     The file is truncated at session start, so one sink instance logs one
     session at a time (reuse across sequential sessions overwrites).
@@ -218,11 +240,11 @@ class JsonlTrialLog(SessionCallback):
         self.path = path
         self.durable = durable
         self._handle: Optional[IO[str]] = None
+        # History events already carried by a record.
+        self._events_logged = 0
 
-    def _write(self, payload: dict) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "w")
-        self._handle.write(json.dumps(payload) + "\n")
+    def _write(self, record: dict) -> None:
+        self._handle.write(json.dumps(record) + "\n")
         self._handle.flush()
         if self.durable:
             os.fsync(self._handle.fileno())
@@ -230,71 +252,78 @@ class JsonlTrialLog(SessionCallback):
     def on_session_start(self, strategy, env, space, budget) -> None:
         if self._handle is not None:
             self._handle.close()
-            self._handle = None
+        self._handle = open(self.path, "w")
+        self._events_logged = 0
         self._write(
             {
-                "event": "session_start",
+                "type": "header",
+                "version": CHECKPOINT_VERSION,
                 "strategy": strategy.name,
                 "environment": env.describe(),
-                "budget_trials": budget.max_trials,
-                "budget_cost_s": budget.max_cost_s,
-                "budget_wall_clock_s": budget.max_wall_clock_s,
+                "budget": budget_payload(budget),
             }
         )
 
-    def on_trial_end(self, trial: Trial) -> None:
+    def on_trial_recorded(self, trial: Trial, history: TrialHistory) -> None:
         if self._handle is None:
-            # Same guard as on_session_end: a trial event with no session
-            # open would lazily reopen the file in "w" mode and truncate a
-            # previously completed session's log.
+            # Same guard as on_session_end: a trial record with no session
+            # open belongs to no log.
             return
-        self._write(
-            {
-                "event": "trial",
-                "index": trial.index,
-                "launch": trial.launch_index,
-                "round": trial.round_index,
-                "shard": trial.shard,
-                "config": trial.config,
-                "ok": trial.ok,
-                "objective": None if trial.objective is None else float(trial.objective),
-                "probe_cost_s": float(trial.measurement.probe_cost_s),
-                "cumulative_cost_s": float(trial.cumulative_cost_s),
-                "cumulative_wall_clock_s": float(trial.cumulative_wall_clock_s),
-            }
-        )
+        self._write(trial_record(trial, history, self._events_logged))
+        self._events_logged = len(history.events)
 
     def on_session_end(self, result: TuningResult) -> None:
         if self._handle is None:
             # No session is open: the callback was attached to a session
             # that aborted before on_session_start, or session_end fired
-            # twice.  Writing would lazily reopen the file in "w" mode and
-            # truncate the log to a lone session_end record.
+            # twice.  The log is left as it is: no file for the former, the
+            # completed session's records for the latter.
             return
-        best = result.best_objective
-        payload = {
-            "event": "session_end",
-            "num_trials": result.num_trials,
-            "best_objective": None if best is None else float(best),
-            "total_cost_s": float(result.total_cost_s),
-            "total_wall_clock_s": float(result.history.total_wall_clock_s),
-        }
-        if result.history.cancelled_cost_s > 0:
-            payload["cancelled_cost_s"] = float(result.history.cancelled_cost_s)
-        cost_by_shard = result.history.cost_by_shard()
-        if any(shard is not None for shard in cost_by_shard):
-            # Fleet sessions: itemise the machine bill per shard so the log
-            # alone reconstructs where the probe seconds went.  Non-pool
-            # cost (the None key) is labelled "unsharded".
-            payload["cost_by_shard"] = {
-                (shard if shard is not None else "unsharded"): float(cost)
-                for shard, cost in sorted(
-                    cost_by_shard.items(), key=lambda item: item[0] or ""
-                )
-            }
-        self._write(payload)
+        self._write(end_record(result.history, self._events_logged))
         self._handle.close()
         self._handle = None
+
+
+class _CheckpointRecorder(SessionCallback):
+    """The checkpoint's session callback: one WAL trial record per trial,
+    and the snapshot at session start and end.
+
+    Runs *first* in the callback chain so a later callback raising (or a
+    chaos kill) can never lose a recorded trial's WAL record.
+    """
+
+    def __init__(self, journal: CheckpointJournal, session: "TuningSession") -> None:
+        self._journal = journal
+        self._session = session
+
+    def _env_counters(self) -> dict:
+        """Probe counters for every environment the session touches."""
+        pool = self._session.executor.pool
+        if pool is not None:
+            return pool.env_counters()
+        return {"env": env_counter_payload(self._session._env)}
+
+    def _audit(self) -> dict:
+        return {
+            "strategy_state": self._session.strategy.snapshot_state(),
+            "env_counters": self._env_counters(),
+        }
+
+    def on_session_start(self, strategy, env, space, budget) -> None:
+        self._journal.write_snapshot(
+            self._session.history, strategy, self._env_counters(), status="running"
+        )
+
+    def on_trial_recorded(self, trial: Trial, history: TrialHistory) -> None:
+        self._journal.on_trial(trial, history, self._audit)
+
+    def on_session_end(self, result: TuningResult) -> None:
+        # The WAL first: the complete snapshot never counts a trial whose
+        # record is not durable.
+        self._journal.close()
+        self._journal.write_snapshot(
+            result.history, self._session.strategy, self._env_counters(), "complete"
+        )
 
 
 class _Launch(NamedTuple):
@@ -619,7 +648,7 @@ class Executor(ABC):
             shard=None if launch.shard is None else launch.shard.name,
         )
         strategy.observe(trial)
-        events.trial_end(trial)
+        events.trial_end(trial, history)
         return [trial]
 
 
@@ -772,7 +801,7 @@ class ParallelExecutor(Executor):
                 )
                 round_wall_s = new_wall_s
                 strategy.observe(trial)
-                events.trial_end(trial)
+                events.trial_end(trial, history)
                 trials.append(trial)
                 # A cost cap stops mid-round, capping overshoot at one
                 # recorded probe as in serial.  Every member launched at the
@@ -959,7 +988,6 @@ class TuningSession:
         # The strategy the loop actually drives: the raw strategy, or a
         # JournalledStrategy proxy when a checkpoint is attached.
         self._loop_strategy: SearchStrategy = strategy
-        self._journal: Optional[CheckpointJournal] = None
 
     @property
     def history(self) -> Optional[TrialHistory]:
@@ -1023,7 +1051,6 @@ class TuningSession:
         self._budget = budget
         self._rng = np.random.default_rng(seed)
         self._history = TrialHistory()
-        self._journal = journal
         self._loop_strategy = (
             self.strategy
             if journal is None
@@ -1034,7 +1061,7 @@ class TuningSession:
         # and a later callback raising can never lose a trial's record.
         callbacks = list(self.callbacks)
         if journal is not None:
-            callbacks.insert(0, journal.recorder(self))
+            callbacks.insert(0, _CheckpointRecorder(journal, self))
         self._events = _Events(callbacks)
         self._stalled = False
         self._result = None

@@ -13,6 +13,12 @@ budget boundary (:meth:`TrialHistory.charge_cancelled`, itemised in
 ``cancelled_cost_s``).  *Wall-clock* (``cumulative_wall_clock_s``) is what
 a stopwatch next to the tuning session reads: serial probing accrues every
 probe, K-way-parallel probing accrues only the slowest probe of each round.
+
+The *session record* is defined here too: JSON objects keyed by
+``type`` — :func:`trial_record` and :func:`end_record` write them.  The
+checkpoint WAL, the ``--trial-log`` file and the experiment memo
+(:meth:`TrialHistory.to_payload`) all hold such records, and
+:meth:`TrialHistory.from_payload` rebuilds a history from any of them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.configspace import ConfigDict
 from repro.mlsim import Measurement
@@ -37,11 +43,17 @@ def billable_cost_s(cost_s: float) -> float:
     return cost_s if math.isfinite(cost_s) and cost_s >= 0.0 else 0.0
 
 
+def _strict(value: Optional[float]):
+    """``value``, or ``"inf"``/``"-inf"``/``"nan"``, which ``float()`` reads."""
+    return value if value is None or math.isfinite(value) else repr(float(value))
+
+
 def measurement_to_payload(measurement: Measurement) -> dict:
     """A JSON-exact payload for a :class:`~repro.mlsim.Measurement`.
 
-    Every field is a JSON-native scalar: Python's ``json`` round-trips
-    floats via ``repr`` (bit-exact, ``inf`` included) and the config is a
+    Every field is a strict-JSON scalar: Python's ``json`` round-trips
+    floats via ``repr`` (bit-exact), a non-finite one (a failed probe's
+    ``tta_s``) is written as a string, and the config is a
     :class:`~repro.mlsim.config.TrainingConfig` of plain scalars, so
     ``measurement_from_payload(measurement_to_payload(m)) == m`` holds
     bit-for-bit — the property the checkpoint WAL's replay guarantee
@@ -52,12 +64,12 @@ def measurement_to_payload(measurement: Measurement) -> dict:
         "ok": bool(measurement.ok),
         "fidelity": measurement.fidelity,
         "error": measurement.error,
-        "throughput": measurement.throughput,
-        "iteration_time_s": measurement.iteration_time_s,
-        "mean_staleness": measurement.mean_staleness,
-        "tta_s": measurement.tta_s,
-        "probe_cost_s": measurement.probe_cost_s,
-        "objective": measurement.objective,
+        "throughput": _strict(measurement.throughput),
+        "iteration_time_s": _strict(measurement.iteration_time_s),
+        "mean_staleness": _strict(measurement.mean_staleness),
+        "tta_s": _strict(measurement.tta_s),
+        "probe_cost_s": _strict(measurement.probe_cost_s),
+        "objective": _strict(measurement.objective),
     }
 
 
@@ -128,14 +140,6 @@ def event_to_payload(event: object) -> dict:
         except (TypeError, ValueError):
             pass
     return {"kind": kind, "detail": repr(event)}
-
-
-def _event_from_payload(payload: dict) -> RestoredEvent:
-    return RestoredEvent(
-        payload.get("kind", "event"),
-        fields=payload.get("fields"),
-        detail=payload.get("detail", ""),
-    )
 
 
 @dataclass(frozen=True)
@@ -354,26 +358,21 @@ class TrialHistory:
         copy.events = list(self.events)
         return copy
 
-    def to_payload(self) -> dict:
-        """A JSON payload capturing the full history state.
+    def to_payload(self) -> List[dict]:
+        """The history as session records: one trial record per trial,
+        then an end record with the ledgers and every event.
 
-        Trials and both running cost ledgers round-trip bit-exactly
-        (``json`` serialises floats via ``repr``).  ``cost_by_shard`` is
-        encoded as ``[shard-or-null, seconds]`` pairs because JSON object
-        keys cannot be ``None``.  Events are serialised field-by-field
-        when JSON-safe and by ``repr`` otherwise (see
-        :class:`RestoredEvent`), so an inspected history preserves e.g. a
-        drift event's ``trial_index`` but not the original event class.
+        Trials and ledgers round-trip bit-exactly through
+        :meth:`from_payload`.  Events are serialised field-by-field when
+        JSON-safe and by ``repr`` otherwise (see :class:`RestoredEvent`),
+        so a rebuilt history keeps e.g. a drift event's ``trial_index``
+        but not the original event class.
         """
-        return {
-            "trials": [trial.to_payload() for trial in self._trials],
-            **self.ledger_payload(),
-            "events": [event_to_payload(event) for event in self.events],
-        }
+        return [trial_record(trial) for trial in self._trials] + [end_record(self)]
 
     def ledger_payload(self) -> dict:
-        """The running ledgers alone: the :meth:`to_payload` keys that are
-        neither trials nor events."""
+        """The running ledgers; ``cost_by_shard`` as ``[shard-or-null,
+        seconds]`` pairs, because JSON object keys cannot be ``None``."""
         return {
             "total_cost_s": self.total_cost_s,
             "total_wall_clock_s": self.total_wall_clock_s,
@@ -384,17 +383,35 @@ class TrialHistory:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "TrialHistory":
-        """Inverse of :meth:`to_payload` (events become :class:`RestoredEvent`)."""
+    def from_payload(cls, records: Iterable[dict]) -> "TrialHistory":
+        """The history that session ``records`` describe (a trial log, a
+        WAL, or :meth:`to_payload`).
+
+        Trials come from trial records, the ledgers from the last record
+        carrying them, and events (as :class:`RestoredEvent`) from every
+        record in order.  Header and probe records, and audit content,
+        are skipped.
+        """
         history = cls()
-        history._trials = [Trial.from_payload(item) for item in payload["trials"]]
-        history.total_cost_s = float(payload["total_cost_s"])
-        history.total_wall_clock_s = float(payload["total_wall_clock_s"])
-        history.cancelled_cost_s = float(payload["cancelled_cost_s"])
-        history._cost_by_shard = {
-            shard: float(cost) for shard, cost in payload["cost_by_shard"]
-        }
-        history.events = [_event_from_payload(item) for item in payload["events"]]
+        ledgers = None
+        for record in records:
+            kind = record["type"]
+            if kind == "trial":
+                history._trials.append(Trial.from_payload(record["trial"]))
+            elif kind != "end":
+                continue
+            ledgers = record.get("ledgers", ledgers)
+            history.events.extend(
+                RestoredEvent(item["kind"], item.get("fields"), item.get("detail", ""))
+                for item in record.get("events", ())
+            )
+        if ledgers is not None:
+            history.total_cost_s = float(ledgers["total_cost_s"])
+            history.total_wall_clock_s = float(ledgers["total_wall_clock_s"])
+            history.cancelled_cost_s = float(ledgers["cancelled_cost_s"])
+            history._cost_by_shard = {
+                shard: float(cost) for shard, cost in ledgers["cost_by_shard"]
+            }
         return history
 
     def cost_by_shard(self) -> Dict[Optional[str], float]:
@@ -527,3 +544,33 @@ class TrialHistory:
             if t.ok and t.objective >= threshold
         ]
         return min(times) if times else None
+
+
+def trial_record(
+    trial: Trial, history: Optional[TrialHistory] = None, events_from: int = 0
+) -> dict:
+    """The session record of one trial.
+
+    With ``history`` (the live history ``trial`` was just recorded in) it
+    also carries the ledgers and any events from index ``events_from`` on:
+    the record the checkpoint WAL and the trial log write per trial.
+    """
+    record = {"type": "trial", "trial": trial.to_payload()}
+    if history is not None:
+        record["ledgers"] = history.ledger_payload()
+        if len(history.events) > events_from:
+            record["events"] = [
+                event_to_payload(event) for event in history.events[events_from:]
+            ]
+    return record
+
+
+def end_record(history: TrialHistory, events_from: int = 0) -> dict:
+    """The record that closes a session: the final ledgers and the events
+    from index ``events_from`` on."""
+    events = history.events[events_from:]
+    return {
+        "type": "end",
+        "ledgers": history.ledger_payload(),
+        "events": [event_to_payload(event) for event in events],
+    }

@@ -11,6 +11,7 @@ row-shaped tables of :mod:`repro.harness.experiments` both memoise here.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -151,6 +152,7 @@ def _memoised(key: tuple, compute: Callable[[], Any]) -> Any:
             return value
     except (TypeError, ValueError):
         return value  # not JSON-expressible: memory tier only
+    tmp_path = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(
@@ -160,7 +162,11 @@ def _memoised(key: tuple, compute: Callable[[], Any]) -> Any:
             handle.write(blob)
         os.replace(tmp_path, path)  # atomic: concurrent runs see old or new
     except OSError:
-        pass  # read-only filesystem etc.: cache stays in-memory
+        # Read-only filesystem, full disk etc.: the cache stays in-memory,
+        # and a half-written temp file must not outlive the attempt.
+        if tmp_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
     return value
 
 

@@ -103,6 +103,31 @@ def test_history_payload_roundtrip_is_bit_exact():
     assert restored.events[-1].trial_index == 2
 
 
+def test_wal_probe_and_trial_records_are_strict_json(tmp_path):
+    """Failed probes carry ``tta_s = inf``; the WAL writes it as the
+    string ``"inf"``, which any JSON reader accepts, and reads it back."""
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
+    env = TrainingEnvironment(
+        get_workload("resnet50-imagenet"), homogeneous(16), seed=0
+    )
+    result = TuningSession(RandomSearch()).run(
+        env, ml_config_space(16), TuningBudget(max_trials=40), seed=0,
+        checkpoint=ckpt,
+    )
+    assert result.history.failed(), "the session must hold a failed probe"
+    kinds = []
+    with open(ckpt.wal_path) as handle:
+        for line in handle:
+            record = json.loads(line)
+            record.pop("audit", None)
+            json.dumps(record, allow_nan=False)  # raises on a non-finite float
+            kinds.append(record["type"])
+    assert kinds.count("probe") == kinds.count("trial") == 40
+    loaded = Checkpoint.load(ckpt.path)
+    assert loaded.history.to_payload() == result.history.to_payload()
+    assert all(t.measurement.tta_s == float("inf") for t in loaded.history.failed())
+
+
 def test_restored_event_preserves_fields_and_raises_on_missing():
     event = RestoredEvent("DriftEvent", {"trial_index": 7})
     assert event.trial_index == 7
@@ -415,7 +440,7 @@ def test_loaded_history_matches_pooled_async_session_exactly(tmp_path):
         checkpoint=ckpt,
     )
     history = result.history
-    last_live = inspector.views[-1][1]
+    last_live = inspector.views[-1][1][-1]["ledgers"]  # the end record's
     assert len(history.events) == 1  # the drift change-point
     assert last_live["cancelled_cost_s"] > 0  # outage preemptions
     assert history.cancelled_cost_s > last_live["cancelled_cost_s"]  # cost cap
@@ -423,7 +448,7 @@ def test_loaded_history_matches_pooled_async_session_exactly(tmp_path):
     assert len(inspector.views) == len(history)
     for loaded, live in inspector.views:
         assert loaded == live
-    assert any(loaded["events"] for loaded, _ in inspector.views)
+    assert any(loaded[-1]["events"] for loaded, _ in inspector.views)
     # Complete: the end-of-session ledgers add the final cancellation.
     loaded = Checkpoint.load(ckpt.path)
     assert loaded.status == "complete"
@@ -475,7 +500,10 @@ def test_durable_trial_log_matches_buffered(tmp_path):
         RandomSearch(), callbacks=[JsonlTrialLog(durable, durable=True)]
     ).run(make_env(), space(), TuningBudget(max_trials=5), seed=4)
     with open(buffered) as a, open(durable) as b:
-        assert a.read() == b.read()
+        text = a.read()
+        assert text == b.read()
+    records = [json.loads(line) for line in text.splitlines()]
+    assert [r["type"] for r in records] == ["header"] + ["trial"] * 5 + ["end"]
 
 
 # -- repository quarantine ---------------------------------------------------

@@ -112,6 +112,22 @@ class TestCodeFingerprint:
         assert cache._source_digest(str(tree)) != before
 
 
+class TestMemoWrite:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A disk-tier write that fails keeps the value in memory and
+        leaves nothing behind in the cache directory."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_experiment_cache()
+
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cache.os, "replace", failing_replace)
+        assert cache._memoised(("memo-write-test", 1), lambda: {"v": 1}) == {"v": 1}
+        assert os.listdir(tmp_path) == []
+        clear_experiment_cache()
+
+
 class TestSweptTables:
     @pytest.mark.parametrize("exp_id", sorted(SWEPT_TABLES))
     def test_warm_render_equals_cold(self, exp_id, tmp_path, monkeypatch):

@@ -638,13 +638,14 @@ class TestFleetLogging:
             callbacks=[JsonlTrialLog(path)],
         ).run(None, stub_space(), TuningBudget(max_trials=4), seed=0)
         records = [json.loads(line) for line in open(path)]
-        trials = [r for r in records if r["event"] == "trial"]
+        trials = [r["trial"] for r in records if r["type"] == "trial"]
         assert {t["shard"] for t in trials} == {"s0", "s1"}
         end = records[-1]
-        assert end["event"] == "session_end"
-        assert set(end["cost_by_shard"]) == {"s0", "s1"}
-        assert sum(end["cost_by_shard"].values()) == pytest.approx(
-            end["total_cost_s"]
+        assert end["type"] == "end"
+        cost_by_shard = dict(map(tuple, end["ledgers"]["cost_by_shard"]))
+        assert set(cost_by_shard) == {"s0", "s1"}
+        assert sum(cost_by_shard.values()) == pytest.approx(
+            end["ledgers"]["total_cost_s"]
         )
 
     def test_jsonl_records_cancelled_cost(self, tmp_path):
@@ -661,7 +662,8 @@ class TestFleetLogging:
             seed=0,
         )
         end = [json.loads(line) for line in open(path)][-1]
-        assert end["cancelled_cost_s"] == pytest.approx(1.0)
+        assert end["type"] == "end"
+        assert end["ledgers"]["cancelled_cost_s"] == pytest.approx(1.0)
 
     def test_jsonl_shard_is_null_outside_pools(self, tmp_path):
         path = str(tmp_path / "single.jsonl")
@@ -669,9 +671,13 @@ class TestFleetLogging:
             CostedStrategy([1.0]), callbacks=[JsonlTrialLog(path)]
         ).run(StubEnv(), stub_space(), TuningBudget(max_trials=2), seed=0)
         records = [json.loads(line) for line in open(path)]
-        trials = [r for r in records if r["event"] == "trial"]
+        trials = [r["trial"] for r in records if r["type"] == "trial"]
+        assert len(trials) == 2
         assert all(t["shard"] is None for t in trials)
-        assert "cost_by_shard" not in records[-1]
+        # All machine cost sits under the null shard.
+        assert [shard for shard, _ in records[-1]["ledgers"]["cost_by_shard"]] == [
+            None
+        ]
 
 
 class TestHarnessIntegration:

@@ -12,6 +12,7 @@ from repro.baselines import CherryPick, GridSearch, RandomSearch, SuccessiveHalv
 from repro.cluster import homogeneous
 from repro.configspace import FloatParameter, ConfigSpace, ml_config_space
 from repro.core import (
+    CHECKPOINT_VERSION,
     AsyncExecutor,
     EnvironmentPool,
     EnvironmentShard,
@@ -687,15 +688,20 @@ class TestCallbacks:
             callbacks=[JsonlTrialLog(path)],
         )
         records = [json.loads(line) for line in open(path)]
-        assert records[0]["event"] == "session_start"
-        assert records[0]["strategy"] == "random"
-        assert records[-1]["event"] == "session_end"
-        assert records[-1]["num_trials"] == 4
-        trials = [r for r in records if r["event"] == "trial"]
-        assert len(trials) == 4
+        header, end = records[0], records[-1]
+        assert header["type"] == "header"
+        assert header["version"] == CHECKPOINT_VERSION
+        assert header["strategy"] == "random"
+        assert header["budget"]["max_trials"] == 4
+        assert end["type"] == "end"
+        trials = [r["trial"] for r in records if r["type"] == "trial"]
+        assert len(trials) == 4 == len(records) - 2
         assert [t["index"] for t in trials] == [0, 1, 2, 3]
         assert trials[-1]["cumulative_cost_s"] == pytest.approx(result.total_cost_s)
+        assert end["ledgers"]["total_cost_s"] == result.total_cost_s
         assert trials[0]["config"] == result.history[0].config
+        rebuilt = TrialHistory.from_payload(records)
+        assert rebuilt.to_payload() == result.history.to_payload()
 
     def test_jsonl_session_end_without_start_is_noop(self, tmp_path):
         """Regression: session_end before session_start must not crash.

@@ -375,3 +375,104 @@ class TestDriftCells:
                 name="x", workload="resnet50-imagenet", nodes=8, strategy="random",
                 **fields,
             )
+
+
+class TestOneSessionRecord:
+    """One session written three ways — the trial log, the checkpoint WAL
+    and the memo payload — rebuilds to the live history from each."""
+
+    CELL = SweepCell(
+        name="record",
+        workload="resnet50-imagenet",
+        nodes=8,
+        strategy="mlconfig-bo",
+        objective="tta",
+        max_trials=None,
+        max_wall_clock_s=HORIZON_S,
+        drift=DRIFT,
+        retune="discount",
+        workers=2,
+        executor_mode="async",
+        shard_multipliers=(1.0, 1.5),
+    )
+    SEED = 1
+
+    def run_live(self, tmp_path):
+        """The cell's session run directly, with a trial log and a
+        checkpoint attached: (result, log path, checkpoint path)."""
+        from repro.core import CheckpointConfig, TuningSession
+        from repro.core.session import JsonlTrialLog
+
+        cell = self.CELL
+        pool = sweep.build_fleet_pool(
+            get_workload(cell.workload),
+            cell.nodes,
+            cell.env_seed,
+            cell.shard_multipliers,
+            cell.scheduler,
+            objective_name=cell.objective,
+            drift=cell.drift_schedule(),
+        )
+        log = str(tmp_path / "trials.jsonl")
+        ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
+        session = TuningSession(
+            strategy_registry()[cell.strategy](self.SEED, cell),
+            executor=executor_for(cell.workers, cell.executor_mode, pool=pool),
+            callbacks=[cell.detector(), JsonlTrialLog(log)],
+        )
+        result = session.run(
+            None, ml_config_space(cell.nodes), cell.budget(), seed=self.SEED,
+            checkpoint=ckpt,
+        )
+        return result, log, ckpt.path
+
+    def test_log_wal_and_memo_rebuild_the_live_history(self, tmp_path):
+        from repro.core import Checkpoint, TrialHistory
+        from repro.harness import cache
+
+        live, log, ckpt = self.run_live(tmp_path)
+        history = live.history
+        assert history.events, "the scenario must alarm"
+        assert history.cancelled_cost_s > 0, "the wall cap must cancel a probe"
+        assert {t.shard for t in history} == {"shard0", "shard1"}
+        with open(log) as handle:
+            log_records = [json.loads(line) for line in handle]
+        rebuilt = {
+            "log": TrialHistory.from_payload(log_records),
+            "wal": Checkpoint.load(ckpt).history,
+        }
+        for temperature in ("cold", "warm"):
+            report = run_sweep([self.CELL], seeds=[self.SEED])
+            rebuilt[temperature] = report["cells"]["record"]["results"][0].history
+            cache._memo.clear()
+            clear_optimum_cache()
+        assert len(session_files(tmp_path / "cache")) == 1  # the warm run's source
+        expected = history.to_payload()
+
+        def ledgers(h):
+            return (
+                h.total_cost_s, h.total_wall_clock_s, h.cancelled_cost_s,
+                h.cost_by_shard(),
+            )
+
+        for name, other in rebuilt.items():
+            assert other.to_payload() == expected, name
+            assert ledgers(other) == ledgers(history), name
+            assert other.recommendation() == history.recommendation(), name
+
+    def test_log_holds_the_wal_trial_records_without_audit(self, tmp_path):
+        _, log, ckpt = self.run_live(tmp_path)
+        with open(log) as handle:
+            log_records = [json.loads(line) for line in handle]
+        with open(ckpt + ".wal") as handle:
+            wal_trials = [
+                record for record in map(json.loads, handle)
+                if record["type"] == "trial"
+            ]
+        for record in wal_trials:
+            record.pop("audit", None)
+        assert [r["type"] for r in log_records[:1] + log_records[-1:]] == [
+            "header", "end"
+        ]
+        assert log_records[1:-1] == wal_trials
+
