@@ -13,7 +13,6 @@ from conftest import emit
 from repro.configspace import ml_config_space
 from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
-from repro.core.parallel import propose_async
 from repro.harness.experiments import exp_p1_parallel_speedup
 from repro.mlsim import Measurement, TrainingConfig
 
@@ -48,7 +47,7 @@ def bench_p1_parallel(benchmark):
         rng = np.random.default_rng(1)
         batch = []
         for _ in range(4):
-            batch.append(propose_async(proposer, history, list(batch), rng))
+            batch.append(proposer.propose(history, rng, pending=list(batch)))
         return batch
 
     batch = benchmark(kernel)

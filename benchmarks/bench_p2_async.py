@@ -2,10 +2,10 @@
 
 The table runs the BO tuner at one trial budget per (workers, mode) pair
 and reports how much worker-time the sync barrier wastes versus the async
-free-list.  The timed kernel is one ``propose_async`` call — the
-per-launch proposal overhead the async executor adds on top of probing
-(one constant-liar fantasy per in-flight probe, against a 20-trial
-history).
+free-list.  The timed kernel is one ``BayesianProposer.propose`` call
+with three configurations pending — the per-launch proposal overhead the
+async executor adds on top of probing (one constant-liar fantasy per
+in-flight probe, against a 20-trial history).
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from conftest import emit
 from repro.configspace import ml_config_space
 from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
-from repro.core.parallel import propose_async
 from repro.harness.experiments import exp_p2_async_speedup
 from repro.mlsim import Measurement, TrainingConfig
 
@@ -48,7 +47,7 @@ def bench_p2_async(benchmark):
     proposer = BayesianProposer(space, n_initial=8, n_candidates=128, seed=0)
 
     def kernel():
-        return propose_async(proposer, history, pending, np.random.default_rng(1))
+        return proposer.propose(history, np.random.default_rng(1), pending=pending)
 
     config = benchmark(kernel)
     assert space.is_valid(config)

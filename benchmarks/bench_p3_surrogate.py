@@ -56,7 +56,6 @@ from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
 from repro.core.gp import GaussianProcess, SparseGaussianProcess
 from repro.core.kernels import make_kernel
-from repro.core.parallel import propose_async
 from repro.mlsim import Measurement, TrainingConfig
 
 SCHEMA = "bench_p3_surrogate/v4"
@@ -148,7 +147,7 @@ def time_batch_round(space, n, k, repeats, seed=0):
     """(median ms, full fits) of one k-wide constant-liar proposal round.
 
     Each member is proposed as a ParallelExecutor asks for it: one
-    :func:`propose_async` call with the round's earlier members pending.
+    ``proposer.propose`` call with the round's earlier members pending.
     """
     history = _history(space, n, seed=seed)
     proposer = _proposer(space, seed=seed)
@@ -160,7 +159,7 @@ def time_batch_round(space, n, k, repeats, seed=0):
             start = time.perf_counter()
             batch = []
             for _ in range(k):
-                batch.append(propose_async(proposer, history, list(batch), rng))
+                batch.append(proposer.propose(history, rng, pending=list(batch)))
             samples.append((time.perf_counter() - start) * 1e3)
             for config in batch:
                 _record_objective(history, config, rng)

@@ -9,13 +9,12 @@ the ablations isolate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.bo import BayesianProposer
-from repro.core.parallel import propose_async as constant_liar_async
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 
@@ -78,18 +77,11 @@ class CherryPick(SearchStrategy):
         return self._proposer
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
-    ) -> ConfigDict:
-        config = self._ensure_proposer(space).propose(history, rng)
-        self._maybe_stop(history)
-        return config
-
-    def propose_async(
         self,
         history: TrialHistory,
-        pending,
         space: ConfigSpace,
         rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
         shard=None,
     ) -> ConfigDict:
         """Constant-liar single proposal over in-flight probes.
@@ -98,12 +90,8 @@ class CherryPick(SearchStrategy):
         asynchronous session converges on the same signal as a serial one.
         On a fleet, the fantasies lie with the target shard's probe speed.
         """
-        config = constant_liar_async(
-            self._ensure_proposer(space),
-            history,
-            pending,
-            rng,
-            cost_scale=shard.cost_multiplier if shard is not None else 1.0,
+        config = self._ensure_proposer(space).propose(
+            history, rng, pending=pending, shard=shard
         )
         self._maybe_stop(history)
         return config

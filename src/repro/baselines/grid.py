@@ -42,34 +42,26 @@ class GridSearch(SearchStrategy):
         self._cursor = 0
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
-    ) -> ConfigDict:
-        if self._points is None:
-            self._materialise(space)
-        if self._cursor >= len(self._points):
-            # Grid exhausted but budget remains: fall back to random.
-            return space.sample(rng)
-        point = self._points[self._cursor]
-        self._cursor += 1
-        return point
-
-    def propose_async(
         self,
         history: TrialHistory,
-        pending: Sequence[ConfigDict],
         space: ConfigSpace,
         rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
         shard=None,
     ) -> Optional[ConfigDict]:
         """The next grid point, or ``None`` once the grid is exhausted.
 
-        Unlike :meth:`propose`, a launch never pads past the end of the
-        grid with random samples: a barrier round just comes back short
-        and the session stops at exhaustion, matching serial semantics.
+        A launch never pads past the end of the grid with random samples:
+        a barrier round just comes back short and the session stops at
+        exhaustion.  The cursor already moved past ``pending``.
         """
-        if self.finished(history, space):
+        if self._points is None:
+            self._materialise(space)
+        if self._cursor >= len(self._points):
             return None
-        return self.propose(history, space, rng)
+        point = self._points[self._cursor]
+        self._cursor += 1
+        return point
 
     def finished(self, history: TrialHistory, space: ConfigSpace) -> bool:
         if self._points is None:

@@ -14,7 +14,7 @@ and rung promotion happens in :meth:`observe` once a rung's results are in.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,22 +94,11 @@ class SuccessiveHalving(SearchStrategy):
         self._rung_population = len(promoted)
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
-    ) -> ConfigDict:
-        if not self._pending:
-            if self._rung_results and self._rung_population > 1:
-                self._promote()
-            if not self._pending:  # bracket finished (or all crashed)
-                self._start_bracket(space, rng)
-        self._next_probe_iterations = self._rung_iterations
-        return self._pending.pop(0)
-
-    def propose_async(
         self,
         history: TrialHistory,
-        pending: List[ConfigDict],
         space: ConfigSpace,
         rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
         shard=None,
     ) -> Optional[ConfigDict]:
         """One member of the current rung, or ``None`` at a rung boundary.
@@ -124,9 +113,15 @@ class SuccessiveHalving(SearchStrategy):
         at a rung boundary instead of probing later members at the next
         rung's fidelity.
         """
-        if not self._pending and pending:
-            return None
-        return self.propose(history, space, rng)
+        if not self._pending:
+            if pending:
+                return None
+            if self._rung_results and self._rung_population > 1:
+                self._promote()
+            if not self._pending:  # bracket finished (or all crashed)
+                self._start_bracket(space, rng)
+        self._next_probe_iterations = self._rung_iterations
+        return self._pending.pop(0)
 
     def measure(self, env: TrainingEnvironment, config: ConfigDict) -> Measurement:
         iterations = max(2, min(self._next_probe_iterations, 4 * env.probe_iterations))

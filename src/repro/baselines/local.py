@@ -9,7 +9,7 @@ colocation flips) that the BO tuner steps over.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,12 @@ class HillClimbing(SearchStrategy):
         self._stale = 0
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
+        self,
+        history: TrialHistory,
+        space: ConfigSpace,
+        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         if self._current is None or self._stale >= self.patience:
             self._current = space.sample(rng)
@@ -96,7 +101,12 @@ class SimulatedAnnealing(SearchStrategy):
         self._temp = self.initial_temp
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
+        self,
+        history: TrialHistory,
+        space: ConfigSpace,
+        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         if self._current is None:
             self._current = space.sample(rng)
@@ -165,7 +175,12 @@ class CoordinateDescent(SearchStrategy):
                 self._queue.append(candidate)
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
+        self,
+        history: TrialHistory,
+        space: ConfigSpace,
+        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         if self._base is None:
             self._base = from_training_config(DEFAULT_CONFIG)

@@ -26,7 +26,7 @@ no longer fit the space are skipped by every step.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -90,7 +90,12 @@ class OtterTuneStyle(SearchStrategy):
     # -- proposals ---------------------------------------------------------
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
+        self,
+        history: TrialHistory,
+        space: ConfigSpace,
+        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         landmarks = self._landmark_set(space)
         if len(history) < len(landmarks):

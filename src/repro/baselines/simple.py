@@ -8,7 +8,7 @@ practitioner would run without a tuner.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,12 @@ class RandomSearch(SearchStrategy):
     name = "random"
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
+        self,
+        history: TrialHistory,
+        space: ConfigSpace,
+        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         return space.sample(rng)
 
@@ -41,7 +46,12 @@ class FixedConfig(SearchStrategy):
         self.name = name
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
+        self,
+        history: TrialHistory,
+        space: ConfigSpace,
+        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         return dict(self.config)
 

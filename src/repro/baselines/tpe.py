@@ -13,7 +13,7 @@ conditional/categorical structure without a GP.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class TPE(SearchStrategy):
         history: TrialHistory,
         space: ConfigSpace,
         rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         successes = history.successful()
         if len(successes) < self.n_startup:

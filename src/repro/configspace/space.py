@@ -14,7 +14,7 @@ its rejection rate so pathological constraint sets are visible.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import abc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -449,20 +449,39 @@ class ConfigSpace:
 
     # -- enumeration -----------------------------------------------------------
 
-    def grid(self, resolution: int = 4) -> Iterator[ConfigDict]:
-        """Iterate the Cartesian product of per-parameter grids (valid only).
+    def grid_columns(self, resolution: int = 4) -> ColumnBatch:
+        """The valid points of the per-parameter grids' Cartesian product,
+        as columns in ``itertools.product`` order.
 
         ``resolution`` bounds the number of levels per numeric parameter;
-        categoricals always contribute all their choices.
+        categoricals always contribute all their choices.  Each column has
+        the dtype :meth:`sample_columns` gives that parameter, and one
+        :meth:`valid_mask` pass drops the invalid points.
         """
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
         levels = [param.grid(resolution) for param in self.parameters]
+        total = math.prod(len(level) for level in levels)
+        columns: ColumnBatch = {}
+        inner = total
+        for param, level in zip(self.parameters, levels):
+            dtype = param.decode_batch(np.empty((0, param.dims))).dtype
+            values = np.empty(len(level), dtype=dtype)
+            for index, value in enumerate(level):
+                values[index] = value
+            # The last parameter varies fastest, as in itertools.product.
+            inner //= len(level)
+            repeated = np.repeat(values, inner)
+            columns[param.name] = np.tile(repeated, total // len(repeated))
+        mask = self.valid_mask(columns)
+        return {name: column[mask] for name, column in columns.items()}
+
+    def grid(self, resolution: int = 4) -> Iterator[ConfigDict]:
+        """Iterate :meth:`grid_columns` as typed dicts of native values."""
+        columns = self.grid_columns(resolution)
         names = self.names()
-        for combo in itertools.product(*levels):
-            config = dict(zip(names, combo))
-            if self.is_valid(config):
-                yield config
+        for values in zip(*(columns[name].tolist() for name in names)):
+            yield dict(zip(names, values))
 
     def cardinality(self) -> float:
         """Product of per-parameter cardinalities (ignores constraints)."""

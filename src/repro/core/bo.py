@@ -34,8 +34,8 @@ instead of rebuilding them per call:
 - hyperparameters are refit every ``refit_every`` trials; only then is the
   cached factor rebuilt (with L-BFGS-B over analytic gradients).  The refit
   cadence counts **real** trials only, so the k fantasies a constant-liar
-  round appends (:mod:`repro.core.parallel`) never trigger mid-round
-  refits — a round costs one refit at most, not k;
+  round appends (see below) never trigger mid-round refits — a round
+  costs one refit at most, not k;
 - restart policy: only a *cold* surrogate — its first hyperfit, or the
   first after :meth:`BayesianProposer.apply_retuning` reset the caches on
   a detected drift — runs the multi-start search (the kernel's default
@@ -55,6 +55,23 @@ instead of rebuilding them per call:
   prediction, and hyper-refit costs bounded by ``max_inducing`` instead of
   the history size — the tier that keeps 10^4-trial histories interactive.
 
+Parallel and asynchronous probing
+---------------------------------
+Every launch of a session is one :meth:`BayesianProposer.propose` call
+with the configurations already committed as ``pending``: the probes in
+flight on other workers, or the members proposed earlier in the same
+barrier round.  Asking the acquisition for its top-k candidates would
+return k near-duplicates; the *constant liar* of Ginsbourger, Le Riche and
+Carraro ("Kriging is well-suited to parallelize optimization", 2010)
+instead records each pending point on a working copy of the history as a
+fantasy trial that returned the incumbent value, so the fantasised
+observation kills the acquisition around every point already chosen.  The
+fantasy lies about the probe cost too (a zero cost would poison the cost
+surrogate), at the median cost scaled to the target shard's
+``cost_multiplier``, and its measurement carries the fantasy's own typed
+configuration.  Each fantasy is an append, so a round's k proposals extend
+one cached Cholesky factor instead of refitting k surrogates.
+
 Candidates stay encoded end-to-end: the random set is drawn by
 :meth:`ConfigSpace.sample_batch_encoded` (vectorised rejection sampling
 and constraint masking), scored in place, and only the winning row's typed
@@ -69,14 +86,71 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.configspace import ConfigDict, ConfigSpace
+from repro.configspace import ConfigDict, ConfigSpace, to_training_config
 from repro.core.acquisition import get_acquisition
 from repro.core.gp import GaussianProcess, GPFitError, SurrogateFactory
 from repro.core.kernels import make_kernel
 from repro.core.trial import TrialHistory
+from repro.mlsim import Measurement
 
 # Upper bound on single-knob hill-climb moves after candidate scoring.
 LOCAL_SEARCH_STEPS = 8
+
+#: Probe-cost lie used when the history records no probe at all (or only
+#: zero-cost ones): one simulated minute — any positive value keeps the
+#: log-cost surrogate finite; real costs replace it after the first probe.
+DEFAULT_COST_LIE_S = 60.0
+
+
+def _fantasy_history(
+    history: TrialHistory,
+    pending: Sequence[ConfigDict],
+    cost_multiplier: float = 1.0,
+) -> TrialHistory:
+    """A working copy of ``history`` with one constant-liar fantasy per
+    ``pending`` configuration (launch order).
+
+    The objective lie is the incumbent (the best observed objective).
+    With no successful trial there is nothing to lie about, and the
+    fantasy is recorded as a *failed* probe: any constant (0.0 included)
+    would fabricate an objective scale, and for negated objectives like
+    time-to-accuracy 0.0 would be *better* than every feasible value,
+    attracting the acquisition toward the in-flight points.
+
+    The cost lie is the median probe cost over successful trials, else
+    over all trials (failed probes still burned machine time), else
+    :data:`DEFAULT_COST_LIE_S`; each step requires a positive median.  It
+    is scaled by ``cost_multiplier``, the target shard's probe speed: a
+    fantasy on a 1.5x shard commits 1.5x the median machine seconds.
+    Every pending fantasy is priced at the *target* shard, not at the
+    shard each in-flight probe occupies, since ``pending`` carries
+    configurations only.
+
+    :meth:`TrialHistory.clone` keeps the replayed trials' round and
+    wall-clock stamps; ``history`` itself is never mutated.
+    """
+    successes = history.successful()
+    lie_value = max(t.objective for t in successes) if successes else None
+    cost_lie = DEFAULT_COST_LIE_S
+    for pool in (successes, history.trials):
+        costs = [t.measurement.probe_cost_s for t in pool]
+        median = float(np.median(costs)) if costs else 0.0
+        if median > 0.0:
+            cost_lie = median
+            break
+    extended = history.clone()
+    for config in pending:
+        extended.record(
+            config,
+            Measurement(
+                config=to_training_config(config),
+                ok=lie_value is not None,
+                fidelity="fantasy",
+                objective=lie_value,
+                probe_cost_s=cost_lie * cost_multiplier,
+            ),
+        )
+    return extended
 
 
 class _SurrogateCache:
@@ -258,10 +332,9 @@ class BayesianProposer:
     shard_cost_feature:
         Condition the ``"eipc"`` cost surrogate on the environment shard a
         trial ran on: the cost GP's input gains one extra dimension — the
-        shard's ``cost_multiplier`` (looked up via
-        :meth:`set_shard_weights`; 1.0 for shard-less trials) — and
-        candidate scoring predicts probe cost at the *target* shard's
-        multiplier (the ``shard_weight`` argument of :meth:`propose`).
+        shard's ``cost_multiplier`` (looked up in :attr:`shard_weights`;
+        1.0 for shard-less trials) — and candidate scoring predicts probe
+        cost at the multiplier of the ``shard`` passed to :meth:`propose`.
         On a heterogeneous fleet this keeps a slow shard's probes from
         inflating the predicted cost of probing the same point on a fast
         shard.  Off by default; irrelevant outside pool execution.
@@ -349,7 +422,10 @@ class BayesianProposer:
         self._objective_cache = _SurrogateCache()
         self._cost_cache = _SurrogateCache()
         self._train_rows = _EncodedRowCache(space)
-        self._shard_weights: dict = {}
+        #: Shard name → ``cost_multiplier`` of every shard a proposal has
+        #: targeted, in first-seen order.  The shard cost feature encodes
+        #: each recorded trial at its shard's weight (unknown shards 1.0).
+        self.shard_weights: dict = {}
         self._target_shard_weight: Optional[float] = None
         self.last_fit_diagnostics: dict = {}
         #: Surrogate fits that failed (:class:`~repro.core.gp.GPFitError`)
@@ -405,15 +481,6 @@ class BayesianProposer:
             )
             self._factories[key] = factory
         return factory
-
-    def set_shard_weights(self, weights: dict) -> None:
-        """Register shard-name → ``cost_multiplier`` mappings.
-
-        Used by the shard cost feature to encode which shard each recorded
-        trial ran on; unknown shards (and fantasies, which carry no shard)
-        default to the baseline multiplier 1.0.
-        """
-        self._shard_weights.update(weights)
 
     # -- re-tuning ------------------------------------------------------------
 
@@ -507,16 +574,28 @@ class BayesianProposer:
         self,
         history: TrialHistory,
         rng: np.random.Generator,
-        shard_weight: Optional[float] = None,
+        pending: Sequence[ConfigDict] = (),
+        shard=None,
     ) -> ConfigDict:
         """The next configuration to probe.
 
-        ``shard_weight`` is the target shard's ``cost_multiplier`` when
-        the caller knows where the probe will run; the shard-conditioned
-        cost surrogate (``shard_cost_feature=True``) then predicts probe
-        cost at that shard.  Ignored otherwise.
+        ``pending`` holds the configurations already committed (launch
+        order); each is fantasised with the constant liar (see the module
+        docstring), so the proposal steers away from them.  ``shard`` is
+        the :class:`~repro.core.fleet.ShardDescriptor` of the shard the
+        probe will run on, when the caller knows it: the fantasies' cost
+        lie is scaled by its ``cost_multiplier``, the multiplier is
+        recorded in :attr:`shard_weights`, and the shard-conditioned cost
+        surrogate (``shard_cost_feature=True``) predicts probe cost at it.
         """
-        self._target_shard_weight = shard_weight
+        cost_multiplier = 1.0
+        self._target_shard_weight = None
+        if shard is not None:
+            cost_multiplier = shard.cost_multiplier
+            self.shard_weights[shard.name] = cost_multiplier
+            self._target_shard_weight = cost_multiplier
+        if pending:
+            history = _fantasy_history(history, pending, cost_multiplier)
         if len(history) < self.n_initial:
             return self._initial_point(len(history), rng)
         fallbacks = self.fallbacks
@@ -688,7 +767,7 @@ class BayesianProposer:
     def _row_weight(self, trial) -> float:
         """The shard cost multiplier a training row is encoded at."""
         if trial.shard is not None:
-            return float(self._shard_weights.get(trial.shard, 1.0))
+            return float(self.shard_weights.get(trial.shard, 1.0))
         if (
             trial.measurement.fidelity == "fantasy"
             and self._target_shard_weight is not None
@@ -714,7 +793,7 @@ class BayesianProposer:
             # One extra input dimension: the cost multiplier of the shard
             # each probe ran on (1.0 for shard-less trials).  Fantasies
             # carry no shard but their probe-cost lie was scaled by the
-            # *target* shard's multiplier (repro.core.parallel), so they
+            # *target* shard's multiplier (_fantasy_history), so they
             # must be encoded at that same weight — encoding a 1.5x-priced
             # lie at weight 1.0 would teach the GP that baseline probes
             # cost 1.5x the median.

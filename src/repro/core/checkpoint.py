@@ -655,11 +655,8 @@ class JournalledStrategy(SearchStrategy):
         self._journal = journal
         self.name = inner.name
 
-    def propose(self, history, space, rng) -> ConfigDict:
-        return self.inner.propose(history, space, rng)
-
-    def propose_async(self, history, pending, space, rng, shard=None):
-        return self.inner.propose_async(history, pending, space, rng, shard=shard)
+    def propose(self, history, space, rng, pending=(), shard=None):
+        return self.inner.propose(history, space, rng, pending=pending, shard=shard)
 
     def observe(self, trial) -> None:
         self.inner.observe(trial)

@@ -39,14 +39,14 @@ scheduler for a shard, occupy one of its slots, run the probe through
 ``Trial.shard`` set — per-shard machine-cost itemisation then falls out of
 :meth:`repro.core.trial.TrialHistory.cost_by_shard`.  Strategies see the
 target shard as a :class:`ShardDescriptor` through
-:meth:`~repro.core.strategy.SearchStrategy.propose_async`, which is how
+:meth:`~repro.core.strategy.SearchStrategy.propose`, which is how
 constant-liar fantasies lie with shard-specific probe cost.
 
 ``pool=None`` everywhere keeps the single-environment semantics
-bit-identical to the pre-fleet code; a pool built with
-:meth:`EnvironmentPool.homogeneous_over` (N shards sharing one
-environment) run serially reproduces the single-environment trial
-sequence exactly — the regression anchor ``tests/test_fleet.py`` pins.
+bit-identical to the pre-fleet code; a pool of N shards sharing one
+environment instance at cost multiplier 1.0, run serially, reproduces the
+single-environment trial sequence exactly, whatever the shard rotation —
+the regression anchor ``tests/test_fleet.py`` pins.
 """
 
 from __future__ import annotations
@@ -401,31 +401,6 @@ class EnvironmentPool:
         # with the session wall-clock.  Inert while ``injector is None``.
         self.clock_s = 0.0
         self.reset(seed=0)
-
-    @classmethod
-    def homogeneous_over(
-        cls,
-        env,
-        shards: int = 2,
-        capacity: int = 1,
-        scheduler: Optional[ShardScheduler] = None,
-    ) -> "EnvironmentPool":
-        """N shards sharing one environment — the seed-identical fleet.
-
-        Because every shard wraps the *same* environment instance at cost
-        multiplier 1.0, the sequence of measurements a serial session runs
-        through this pool is bit-identical to probing the environment
-        directly, whatever the shard rotation.
-        """
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        return cls(
-            [
-                EnvironmentShard(f"shard{i}", env, capacity=capacity)
-                for i in range(shards)
-            ],
-            scheduler=scheduler,
-        )
 
     # -- occupancy ---------------------------------------------------------
 

@@ -279,19 +279,6 @@ def _trim_initial_design(target) -> None:
         target.n_initial = max(2, min(target.n_initial, WARM_N_INITIAL))
 
 
-class _LedgerCallback(SessionCallback):
-    """Accrues every recorded probe's machine cost into the service ledger."""
-
-    def __init__(self, service: "TuningService") -> None:
-        self._service = service
-
-    def on_trial_end(self, trial) -> None:
-        ledger = self._service._recorded_cost_by_shard
-        ledger[trial.shard] = ledger.get(trial.shard, 0.0) + float(
-            trial.measurement.probe_cost_s
-        )
-
-
 class TuningService:
     """Multiplexes N tenant tuning sessions over one fleet's capacity.
 
@@ -346,8 +333,6 @@ class TuningService:
         self.total_capacity = sum(template.capacity for template in templates)
         self._handles: List[TenantHandle] = []
         self._clock = 0.0
-        self._recorded_cost_by_shard: Dict[Optional[str], float] = {}
-        self._ledger_callback = _LedgerCallback(self)
 
     # -- admission ---------------------------------------------------------
 
@@ -458,7 +443,7 @@ class TuningService:
     def _build_session(
         self,
         handle: TenantHandle,
-        with_ledger: bool = True,
+        checkpointed: bool = True,
         resume: bool = False,
     ) -> TuningSession:
         spec = handle.spec
@@ -471,11 +456,9 @@ class TuningService:
         callbacks = list(spec.callbacks)
         if spec.detector_factory is not None:
             callbacks.append(spec.detector_factory())
-        if with_ledger:
-            callbacks.append(self._ledger_callback)
         session = TuningSession(handle.strategy, executor=executor, callbacks=callbacks)
         handle.session = session
-        checkpoint = self._tenant_checkpoint(spec) if with_ledger else None
+        checkpoint = self._tenant_checkpoint(spec) if checkpointed else None
         if checkpoint is not None:
             handle.checkpoint_path = checkpoint.path
         if resume:
@@ -556,16 +539,15 @@ class TuningService:
 
         Returns True when the tenant is live again (state stays
         ``active``; the next scheduling round re-grants its lease).  The
-        crashed session's recorded probe costs are rolled back from the
-        service ledger first — the replay re-accrues them trial by trial,
-        so without the rollback every recovery would double-count.
+        rebuilt session's history replaces the crashed one, so the service
+        ledger (:attr:`recorded_cost_by_shard`) drops the crashed trials
+        and counts the replayed ones once.
         """
         if self.checkpoint_dir is None or handle.recoveries >= MAX_RECOVERIES:
             return False
         path = handle.checkpoint_path
         if path is None or not os.path.exists(path + ".wal"):
             return False
-        crashed = handle.history
         old_session, old_strategy, old_pool = (
             handle.session,
             handle.strategy,
@@ -578,13 +560,6 @@ class TuningService:
             handle.strategy = old_strategy
             handle.pool = old_pool
             return False
-        # The rebuilt session is live: roll the crashed session's recorded
-        # probe costs out of the ledger before the replay re-accrues them.
-        if crashed is not None:
-            for trial in crashed:
-                cost = float(trial.measurement.probe_cost_s)
-                remaining = self._recorded_cost_by_shard.get(trial.shard, 0.0) - cost
-                self._recorded_cost_by_shard[trial.shard] = remaining
         handle.recoveries += 1
         return True
 
@@ -669,10 +644,10 @@ class TuningService:
         would receive with no contention (its ceiling, capped by the
         fleet).  A pinned-width tenant's concurrent trajectory is
         bit-identical to this baseline; nothing is recorded into the
-        repository or the service ledger.
+        repository or the service ledger, and no checkpoint is written.
         """
         handle = TenantHandle(spec, order=-1)
-        session = self._build_session(handle, with_ledger=False)
+        session = self._build_session(handle, checkpointed=False)
         handle.pool.set_lease(min(spec.ceiling, self.total_capacity))
         while session.step():
             pass
@@ -707,5 +682,17 @@ class TuningService:
 
     @property
     def recorded_cost_by_shard(self) -> Dict[Optional[str], float]:
-        """The live ledger of *recorded* probe cost per shard (no cancellations)."""
-        return dict(self._recorded_cost_by_shard)
+        """*Recorded* probe cost per shard over every tenant (no cancellations).
+
+        The per-shard sum of each recorded trial's ``probe_cost_s`` in the
+        tenants' live histories.
+        """
+        totals: Dict[Optional[str], float] = {}
+        for handle in self._handles:
+            history = handle.history
+            if history is None:
+                continue
+            for trial in history:
+                cost = float(trial.measurement.probe_cost_s)
+                totals[trial.shard] = totals.get(trial.shard, 0.0) + cost
+        return totals

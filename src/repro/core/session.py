@@ -8,18 +8,18 @@ probe path, one outage wait — and three presets of it:
 - :class:`SerialExecutor` — the engine at one floating slot: one probe at
   a time, trial-for-trial identical to the seed's serial loop;
 - :class:`AsyncExecutor` — the engine at K slots with **no round
-  barrier**: a freed slot launches at once, the strategy proposing via
-  :meth:`SearchStrategy.propose_async` conditioned on the probes still in
-  flight, and the wall-clock is each slot's own timeline;
+  barrier**: a freed slot launches at once, the strategy proposing
+  conditioned on the probes still in flight, and the wall-clock is each
+  slot's own timeline;
 - :class:`ParallelExecutor` — the same probe path behind a synchronous
   round barrier: K members per round, machine cost for every member,
   wall-clock for the slowest one.
 
 Every launch is proposed through one hook,
-:meth:`SearchStrategy.propose_async`, conditioned on the configurations
+:meth:`SearchStrategy.propose`, conditioned on the configurations
 already committed — in flight on other slots, or earlier in the same
 barrier round (the BO tuner fantasises them with the constant liar, see
-:mod:`repro.core.parallel`).
+:mod:`repro.core.bo`).
 
 At one worker the three agree bit-for-bit, except where the serial
 executor redirects a preempted probe to another shard (below).
@@ -351,8 +351,9 @@ class Executor(ABC):
     :meth:`_event_step` is the barrier-free drain that
     :class:`SerialExecutor` and :class:`AsyncExecutor` run;
     :class:`ParallelExecutor` puts a round barrier over the same
-    :meth:`_propose` hook, :meth:`_probe` and outage wait.  With ``pool=``
-    the environment passed to :meth:`run_round` may be ``None``.
+    :meth:`SearchStrategy.propose` call, :meth:`_probe` and outage wait.
+    With ``pool=`` the environment passed to :meth:`run_round` may be
+    ``None``.
     """
 
     workers: int = 1
@@ -514,20 +515,6 @@ class Executor(ABC):
             for launch in sorted(self._in_flight, key=lambda e: e.launch_index)
         ]
 
-    @staticmethod
-    def _propose(strategy, history, pending, space, rng, pin):
-        """Ask the strategy for one launch on a slot pinned to ``pin``.
-
-        Only a pinned slot knows its shard for sure (a floating slot's
-        probe may be redirected), so only it tells the strategy where the
-        launch runs.
-        """
-        if pin is None:
-            return strategy.propose_async(history, pending, space, rng)
-        return strategy.propose_async(
-            history, pending, space, rng, shard=pin.descriptor
-        )
-
     def _next_free_slot(self):
         """``(slot index, shard)`` of the next launch, or None if none may launch.
 
@@ -592,8 +579,14 @@ class Executor(ABC):
             start_s = max(free_s, history.total_wall_clock_s)
             if not self._may_launch(start_s, strategy, history, space, budget):
                 break
-            config = self._propose(
-                strategy, history, self._pending_configs(), space, rng, pin
+            # Only a pinned slot knows its shard for sure (a floating
+            # slot's probe may be redirected), so only it names the shard.
+            config = strategy.propose(
+                history,
+                space,
+                rng,
+                pending=self._pending_configs(),
+                shard=None if pin is None else pin.descriptor,
             )
             if config is None:
                 # The strategy declines to launch until in-flight results
@@ -676,7 +669,7 @@ class ParallelExecutor(Executor):
 
     The round barrier over the engine's probe path: each round asks the
     strategy for up to ``workers`` configurations, one member at a time
-    through :meth:`SearchStrategy.propose_async` with the members proposed
+    through :meth:`SearchStrategy.propose` with the members proposed
     so far as ``pending`` (a ``None`` ends the round short; the round does
     not re-check :meth:`SearchStrategy.finished` between members), probes
     every member, and records all of them under one round index.  Machine
@@ -761,8 +754,12 @@ class ParallelExecutor(Executor):
             # across the round.
             batch: List[ConfigDict] = []
             for shard in shards:
-                config = self._propose(
-                    strategy, history, list(batch), space, rng, shard
+                config = strategy.propose(
+                    history,
+                    space,
+                    rng,
+                    pending=list(batch),
+                    shard=None if shard is None else shard.descriptor,
                 )
                 if config is None:
                     break
@@ -835,7 +832,7 @@ class AsyncExecutor(Executor):
 
     A ``run_round`` call is one event step: every free slot is filled —
     the strategy supplies each launch through
-    :meth:`SearchStrategy.propose_async`, conditioned on the
+    :meth:`SearchStrategy.propose`, conditioned on the
     configurations still in flight (the BO tuner fantasises them with the
     constant liar) — then the earliest in-flight probe completes, is
     recorded and observed, and its slot frees at that completion time.

@@ -135,19 +135,14 @@ class StoppedStrategy(SearchStrategy):
         return {"inner": inner_state, "stop_reason": self.stop_reason}
 
     def propose(
-        self, history: TrialHistory, space: ConfigSpace, rng: np.random.Generator
-    ) -> ConfigDict:
-        return self.inner.propose(history, space, rng)
-
-    def propose_async(
         self,
         history: TrialHistory,
-        pending: Sequence[ConfigDict],
         space: ConfigSpace,
         rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
         shard=None,
     ) -> Optional[ConfigDict]:
-        return self.inner.propose_async(history, pending, space, rng, shard=shard)
+        return self.inner.propose(history, space, rng, pending=pending, shard=shard)
 
     def observe(self, trial) -> None:
         self.inner.observe(trial)

@@ -116,11 +116,10 @@ class TuningResult:
 class SearchStrategy(ABC):
     """Template for all tuners: propose → probe → record, until budget.
 
-    Subclasses implement :meth:`propose`; the run loop, budget accounting,
-    and trial recording live in :class:`~repro.core.session.TuningSession`
-    and its executor engine, shared so every strategy pays identical costs
-    for identical behaviour.  Every executor asks for launches through
-    one hook, :meth:`propose_async`, which defaults to :meth:`propose`.
+    Subclasses implement :meth:`propose`, the one proposal hook; the run
+    loop, budget accounting, and trial recording live in
+    :class:`~repro.core.session.TuningSession` and its executor engine,
+    shared so every strategy pays identical costs for identical behaviour.
     :meth:`run` is a compatibility shim that executes a serial session;
     pass ``executor=AsyncExecutor(k)`` or ``ParallelExecutor(k)`` (or
     build a ``TuningSession`` directly) for K-way parallel probing.
@@ -134,26 +133,20 @@ class SearchStrategy(ABC):
         history: TrialHistory,
         space: ConfigSpace,
         rng: np.random.Generator,
-    ) -> ConfigDict:
-        """Return the next configuration to probe."""
-
-    def propose_async(
-        self,
-        history: TrialHistory,
-        pending: Sequence[ConfigDict],
-        space: ConfigSpace,
-        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
         shard=None,
     ) -> Optional[ConfigDict]:
-        """Hook: one configuration for the next launch.
+        """Return the configuration for the next launch, or ``None``.
 
         ``pending`` holds the configurations already committed (launch
         order) so model-based strategies can condition on them: the probes
         still in flight on the other workers of an asynchronous session,
         or the members proposed earlier in the same round of a barrier
         session.  The BO tuner fantasises them away with the constant liar
-        (:func:`repro.core.parallel.propose_async`), which keeps a session
-        from re-proposing a point already running.
+        (:meth:`repro.core.bo.BayesianProposer.propose`), which keeps a
+        session from re-proposing a point already running.  Stateless
+        samplers and cursor strategies may ignore it: a cursor already
+        moved past the pending points.
 
         ``shard`` is the :class:`~repro.core.fleet.ShardDescriptor` of the
         environment shard the launch will run on when the session fans
@@ -172,13 +165,7 @@ class SearchStrategy(ABC):
         successive halving refuses to cross a rung boundary while
         rung-mates are still in flight, since promotion must see the whole
         rung, and grid search declines once the grid is exhausted.
-
-        The default ignores ``pending`` and ``shard`` and delegates to
-        :meth:`propose`, which is correct for stateless samplers and for
-        pure cursor strategies like grid: the cursor already moved past
-        the pending points, so a plain ``propose`` never duplicates them.
         """
-        return self.propose(history, space, rng)
 
     def observe(self, trial: Trial) -> None:
         """Hook: called after each probe (for stateful strategies)."""

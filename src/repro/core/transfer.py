@@ -241,13 +241,11 @@ class HistoryRepository:
     *quarantined* rather than fatal — each bad line is appended to a
     ``<path>.quarantine`` sidecar and skipped, with one warning naming
     the first bad ``file:line`` and the count, so one damaged record
-    cannot take every future warm-started tenant down with it.  Pass
-    ``strict=True`` to restore the old fail-loud behaviour.
+    cannot take every future warm-started tenant down with it.
     """
 
-    def __init__(self, path: Optional[str] = None, strict: bool = False) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.strict = strict
         self.quarantined_lines = 0
         self._entries: List[dict] = []
         if path is not None and os.path.exists(path):
@@ -261,12 +259,7 @@ class HistoryRepository:
                         entry = json.loads(stripped)
                         if not isinstance(entry, dict):
                             raise ValueError("repository line is not an object")
-                    except ValueError as exc:
-                        if strict:
-                            raise ValueError(
-                                f"{path}:{line_number}: corrupt repository "
-                                f"line ({exc})"
-                            ) from None
+                    except ValueError:
                         bad.append((line_number, stripped))
                         continue
                     self._entries.append(entry)

@@ -31,13 +31,12 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.configspace import ConfigDict, ConfigSpace, to_training_config
 from repro.core.bo import BayesianProposer
-from repro.core.parallel import propose_async as constant_liar_async
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 from repro.mlsim import Measurement, TrainingEnvironment
@@ -138,7 +137,6 @@ class MLConfigTuner(SearchStrategy):
         self.name = name or f"mlconfig-bo[{acquisition}]"
         self._proposer: Optional[BayesianProposer] = None
         self._incumbent: Optional[float] = None
-        self._shard_weights: dict = {}
         self._reprobe_queue: list = []
         self._refresh_remaining = 0
         self._pending_retune: Optional[tuple] = None
@@ -156,7 +154,6 @@ class MLConfigTuner(SearchStrategy):
         """
         self._proposer = None
         self._incumbent = None
-        self._shard_weights = {}
         self._reprobe_queue = []
         self._refresh_remaining = 0
         self._pending_retune = None
@@ -170,14 +167,14 @@ class MLConfigTuner(SearchStrategy):
         fitted kernel hypers) so a checkpoint inspection can see how far
         the GP had been trained when the snapshot was taken.
         """
+        proposer = self._proposer
         state: dict = {
             "incumbent": self._incumbent,
             "probes_terminated_early": self.probes_terminated_early,
             "reprobe_queue": [dict(c) for c in self._reprobe_queue],
             "refresh_remaining": self._refresh_remaining,
-            "shard_weights": dict(self._shard_weights),
+            "shard_weights": {} if proposer is None else dict(proposer.shard_weights),
         }
-        proposer = self._proposer
         if proposer is not None:
             cache = getattr(proposer, "_objective_cache", None)
             fingerprint: dict = {}
@@ -265,50 +262,23 @@ class MLConfigTuner(SearchStrategy):
         history: TrialHistory,
         space: ConfigSpace,
         rng: np.random.Generator,
-    ) -> ConfigDict:
-        queued = self._queued_point(space, rng)
-        if queued is not None:
-            return queued
-        return self._ensure_proposer(space).propose(history, rng)
-
-    def propose_async(
-        self,
-        history: TrialHistory,
-        pending,
-        space: ConfigSpace,
-        rng: np.random.Generator,
+        pending: Sequence[ConfigDict] = (),
         shard=None,
     ) -> ConfigDict:
         """One point for the next launch, constant-lying over ``pending``.
 
         A queued re-tuning probe is returned first, unconditioned; once the
         queue is dry, model proposals fantasise every pending configuration
-        — queued round-mates included.  When the launch targets a fleet
-        shard, the constant-liar fantasies lie with the probe cost scaled
-        to that shard's speed, and the shard's cost multiplier is
-        registered with the proposer so the (optional) shard-conditioned
-        cost surrogate both encodes past probes' shards and predicts at
-        the target shard.
+        — queued round-mates included — with the probe-cost lie scaled to
+        the target ``shard``'s speed, and the proposer records the shard's
+        cost multiplier for the (optional) shard-conditioned cost
+        surrogate (see :class:`~repro.core.bo.BayesianProposer`).
         """
         proposer = self._ensure_proposer(space)
         queued = self._queued_point(space, rng)
         if queued is not None:
             return queued
-        cost_scale = 1.0
-        shard_weight = None
-        if shard is not None:
-            self._shard_weights[shard.name] = shard.cost_multiplier
-            proposer.set_shard_weights(self._shard_weights)
-            cost_scale = shard.cost_multiplier
-            shard_weight = shard.cost_multiplier
-        return constant_liar_async(
-            proposer,
-            history,
-            pending,
-            rng,
-            cost_scale=cost_scale,
-            shard_weight=shard_weight,
-        )
+        return proposer.propose(history, rng, pending=pending, shard=shard)
 
     def observe(self, trial) -> None:
         if trial.ok and (self._incumbent is None or trial.objective > self._incumbent):

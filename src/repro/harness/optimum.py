@@ -84,20 +84,14 @@ def _candidate_columns(
 ) -> Dict[str, np.ndarray]:
     """The coarse grid, then ``samples`` random configs, as knob columns.
 
-    The whole search runs on arrays: no per-candidate dict outlives its
-    grid step, and no ``TrainingConfig`` is ever built.  The grid uses no
-    randomness, so drawing the samples first changes nothing.
+    The whole search runs on arrays: no candidate dict and no
+    ``TrainingConfig`` is ever built.
     """
+    grid = space.grid_columns(grid_resolution)
     sample_columns = space.sample_columns(rng, samples)
-    grid_values: Dict[str, list] = {name: [] for name in space.names()}
-    for config in space.grid(grid_resolution):
-        for name, values in grid_values.items():
-            values.append(config[name])
     return {
-        name: np.concatenate(
-            [np.array(values, dtype=sample_columns[name].dtype), sample_columns[name]]
-        )
-        for name, values in grid_values.items()
+        name: np.concatenate([grid[name], sample_columns[name]])
+        for name in space.names()
     }
 
 

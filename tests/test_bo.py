@@ -8,7 +8,6 @@ from repro.core import GPFitError, GaussianProcess, Matern52, TrialHistory
 from repro.core import bo as bo_module
 from repro.core import gp as gp_module
 from repro.core.bo import BayesianProposer
-from repro.core.parallel import propose_async
 from repro.mlsim import Measurement, TrainingConfig
 
 
@@ -36,7 +35,7 @@ def liar_round(proposer, history, rng, k):
     """A barrier round's proposals: each member fantasises its predecessors."""
     batch = []
     for _ in range(k):
-        batch.append(propose_async(proposer, history, list(batch), rng))
+        batch.append(proposer.propose(history, rng, pending=list(batch)))
     return batch
 
 

@@ -280,7 +280,7 @@ class _CrashOnce(SearchStrategy):
     def reset(self):
         self._calls = 0
 
-    def propose(self, history, space, rng):
+    def propose(self, history, space, rng, pending=(), shard=None):
         self._calls += 1
         if self.shared.get("armed") and self._calls > self.healthy:
             self.shared["armed"] = False
@@ -299,7 +299,7 @@ class _AlwaysCrash(SearchStrategy):
     def reset(self):
         self._calls = 0
 
-    def propose(self, history, space, rng):
+    def propose(self, history, space, rng, pending=(), shard=None):
         self._calls += 1
         if self._calls > 3:
             raise RuntimeError("deterministic tenant crash")

@@ -530,13 +530,6 @@ def test_repository_quarantines_corrupt_lines(tmp_path):
         assert len(handle.read().splitlines()) == 2
 
 
-def test_repository_strict_mode_still_fails_loudly(tmp_path):
-    path = tmp_path / "history.jsonl"
-    _write_repo_with_corruption(path)
-    with pytest.raises(ValueError, match="corrupt repository line"):
-        HistoryRepository(str(path), strict=True)
-
-
 def test_repository_quarantine_keeps_writes_working(tmp_path):
     path = tmp_path / "history.jsonl"
     _write_repo_with_corruption(path)

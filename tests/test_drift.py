@@ -271,7 +271,7 @@ class ScriptedStrategy(SearchStrategy):
         self.ok = ok
         self.cost = cost
 
-    def propose(self, history, space, rng):
+    def propose(self, history, space, rng, pending=(), shard=None):
         return {"x": 0.5}
 
     def measure(self, env, config):

@@ -24,8 +24,9 @@ from repro.core import (
     make_scheduler,
     parse_shard_spec,
 )
-from repro.core.bo import BayesianProposer
-from repro.core.parallel import propose_async
+from repro.core import bo
+from repro.core.bo import BayesianProposer, _fantasy_history
+from repro.core.fleet import ShardDescriptor
 from repro.core.session import JsonlTrialLog, executor_for
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
 from repro.workloads import get_workload
@@ -62,7 +63,7 @@ class CostedStrategy(SearchStrategy):
         self.costs = list(costs)
         self.cursor = 0
 
-    def propose(self, history, space_, rng):
+    def propose(self, history, space_, rng, pending=(), shard=None):
         return {"x": 0.5}
 
     def measure(self, env, config):
@@ -236,8 +237,11 @@ class TestSeedDeterminism:
     ):
         budget = TuningBudget(max_trials=trials)
         single = factory().run(make_env(seed=seed), space(), budget, seed=seed)
-        pool = EnvironmentPool.homogeneous_over(
-            make_env(seed=seed), shards=2, scheduler=RoundRobinScheduler()
+        # Two shards wrapping one environment instance at multiplier 1.0.
+        shared = make_env(seed=seed)
+        pool = EnvironmentPool(
+            [EnvironmentShard(f"shard{i}", shared) for i in range(2)],
+            scheduler=RoundRobinScheduler(),
         )
         fleet = factory().run(
             None, space(), budget, seed=seed, executor=executor_for(1, pool=pool)
@@ -256,7 +260,10 @@ class TestSeedDeterminism:
         )
 
     def test_pool_reuse_across_runs_is_deterministic(self):
-        pool = EnvironmentPool.homogeneous_over(make_env(), shards=2)
+        shared = make_env()
+        pool = EnvironmentPool(
+            [EnvironmentShard(f"shard{i}", shared) for i in range(2)]
+        )
         executor = executor_for(1, pool=pool)
         budget = TuningBudget(max_trials=8)
         first = RandomSearch().run(None, space(), budget, seed=1, executor=executor)
@@ -447,10 +454,7 @@ class TestShardAwareProposals:
         class Recorder(SearchStrategy):
             name = "recorder"
 
-            def propose(self, history, space_, rng):
-                return {"x": 0.5}
-
-            def propose_async(self, history, pending, space_, rng, shard=None):
+            def propose(self, history, space_, rng, pending=(), shard=None):
                 seen.append(shard)
                 return {"x": 0.5}
 
@@ -474,10 +478,7 @@ class TestShardAwareProposals:
         class Recorder(SearchStrategy):
             name = "recorder"
 
-            def propose(self, history, space_, rng):
-                return {"x": 0.5}
-
-            def propose_async(self, history, pending, space_, rng, shard=None):
+            def propose(self, history, space_, rng, pending=(), shard=None):
                 config = {"x": 0.25 * (len(pending) + 1)}
                 seen.append((len(history), list(pending), shard, config))
                 return config
@@ -502,15 +503,7 @@ class TestShardAwareProposals:
             assert {shard0.name, shard1.name} == {"s0", "s1"}
             assert {shard0.cost_multiplier, shard1.cost_multiplier} == {1.0, 2.0}
 
-    def test_constant_liar_scales_cost_lie_to_shard(self):
-        captured = {}
-
-        class SpyProposer:
-            def propose(self, history, rng, shard_weight=None):
-                captured["history"] = history
-                captured["shard_weight"] = shard_weight
-                return {"x": 0.25}
-
+    def test_constant_liar_scales_cost_lie_to_shard(self, monkeypatch):
         history = TrialHistory()
         for cost in (40.0, 60.0, 80.0):
             history.record(
@@ -520,25 +513,32 @@ class TestShardAwareProposals:
                     objective=1.0, probe_cost_s=cost,
                 ),
             )
-        propose_async(
-            SpyProposer(),
-            history,
-            [{"x": 0.1}],
-            np.random.default_rng(0),
-            cost_scale=2.0,
-            shard_weight=2.0,
-        )
-        extended = captured["history"]
+        extended = _fantasy_history(history, [{"x": 0.1}], 2.0)
         fantasy = extended[len(extended) - 1]
         # Median real probe cost is 60s; the fantasy lies at 2x for the
         # slow target shard.
         assert fantasy.measurement.fidelity == "fantasy"
         assert fantasy.measurement.probe_cost_s == pytest.approx(120.0)
-        assert captured["shard_weight"] == 2.0
-        with pytest.raises(ValueError):
-            propose_async(
-                SpyProposer(), history, [], np.random.default_rng(0), cost_scale=0.0
-            )
+
+        # A proposal for the slow shard lies at its multiplier, records the
+        # shard's weight, and predicts cost at it.
+        built = []
+
+        def spy(*args):
+            built.append(_fantasy_history(*args))
+            return built[-1]
+
+        monkeypatch.setattr(bo, "_fantasy_history", spy)
+        proposer = BayesianProposer(stub_space(), seed=0)
+        slow = ShardDescriptor("slow", 1, 1, 2.0)
+        proposer.propose(
+            history, np.random.default_rng(0), pending=[{"x": 0.1}], shard=slow
+        )
+        assert built[0][3].measurement.probe_cost_s == pytest.approx(120.0)
+        assert proposer.shard_weights == {"slow": 2.0}
+        assert proposer._target_shard_weight == 2.0
+        with pytest.raises(ValueError, match="cost_multiplier"):
+            EnvironmentShard("free", StubEnv(), cost_multiplier=0.0)
 
     def test_shard_cost_feature_widens_cost_model_input(self):
         sp = space()
@@ -546,7 +546,7 @@ class TestShardAwareProposals:
             sp, acquisition="eipc", n_initial=4, n_candidates=32,
             shard_cost_feature=True, seed=0,
         )
-        proposer.set_shard_weights({"fast": 0.5, "slow": 2.0})
+        proposer.shard_weights.update({"fast": 0.5, "slow": 2.0})
         rng = np.random.default_rng(0)
         history = TrialHistory()
         for i in range(8):
@@ -560,7 +560,9 @@ class TestShardAwareProposals:
                 ),
                 shard="fast" if i % 2 else "slow",
             )
-        config = proposer.propose(history, rng, shard_weight=0.5)
+        config = proposer.propose(
+            history, rng, shard=ShardDescriptor("fast", 0, 1, 0.5)
+        )
         assert sp.is_valid(config)
         cost_gp = proposer._cost_cache.gp
         assert cost_gp is not None
@@ -592,7 +594,7 @@ class TestShardAwareProposals:
                 objective=1.0, probe_cost_s=120.0,
             ),
         )
-        proposer.set_shard_weights({"slow": 1.5})
+        proposer.shard_weights["slow"] = 1.5
         assert proposer._row_weight(real) == pytest.approx(1.5)
         assert proposer._row_weight(fantasy) == pytest.approx(2.0)
         proposer._target_shard_weight = None

@@ -75,7 +75,7 @@ class _ExplodingStrategy(SearchStrategy):
     def reset(self):
         self._calls = 0
 
-    def propose(self, history, space, rng):
+    def propose(self, history, space, rng, pending=(), shard=None):
         self._calls += 1
         if self._calls > self.healthy:
             raise RuntimeError("tenant strategy exploded")

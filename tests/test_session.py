@@ -72,7 +72,7 @@ class CostedStrategy(SearchStrategy):
         self.oks = list(oks) if oks is not None else None
         self.cursor = 0
 
-    def propose(self, history, space_, rng):
+    def propose(self, history, space_, rng, pending=(), shard=None):
         return {"x": 0.5}
 
     def measure(self, env, config):
@@ -102,7 +102,7 @@ def round_proposals(strategy, space_, k):
     rng = np.random.default_rng(0)
     batch = []
     for _ in range(k):
-        config = strategy.propose_async(TrialHistory(), list(batch), space_, rng)
+        config = strategy.propose(TrialHistory(), space_, rng, pending=list(batch))
         if config is None:
             break
         batch.append(config)
@@ -245,8 +245,8 @@ class TestParallelExecutor:
         # Every grid point once, then None: a round never pads past the
         # grid with random samples.
         assert len(batch) == size
-        assert strategy.propose_async(
-            TrialHistory(), batch, space(), np.random.default_rng(0)
+        assert strategy.propose(
+            TrialHistory(), space(), np.random.default_rng(0), pending=batch
         ) is None
 
     def test_parallel_grid_stops_at_exhaustion_without_random_padding(self):
@@ -293,7 +293,7 @@ class TestParallelExecutor:
                 self.calls = 0
                 self.last_fit_diagnostics = {}
 
-            def propose(self, history, rng, shard_weight=None):
+            def propose(self, history, rng, pending=(), shard=None):
                 acquisition = 0.0 if verdicts[self.calls % 2] == "stop" else 1.0
                 self.calls += 1
                 self.last_fit_diagnostics = {
@@ -463,12 +463,12 @@ class TestAsyncExecutor:
         history = TrialHistory()
         launched = []
         for _ in range(4):
-            config = strategy.propose_async(history, launched, sp, rng)
+            config = strategy.propose(history, sp, rng, pending=launched)
             assert config is not None
             launched.append(config)
         # Rung fully launched, nothing observed: promotion would run on an
         # empty result set — the strategy must wait, not cross the rung.
-        assert strategy.propose_async(history, launched, sp, rng) is None
+        assert strategy.propose(history, sp, rng, pending=launched) is None
 
     def test_halving_async_preserves_rung_structure(self):
         """Regression: async halving must not promote on partial rungs.

@@ -7,13 +7,8 @@ from repro.baselines import RandomSearch
 from repro.cluster import homogeneous
 from repro.configspace import ConfigSpace, FloatParameter, ml_config_space
 from repro.core import MLConfigTuner, TrialHistory, TuningBudget
-from repro.core.bo import BayesianProposer
-from repro.core.parallel import (
-    DEFAULT_COST_LIE_S,
-    _append_fantasy,
-    _fantasy_lies,
-    propose_async,
-)
+from repro.core.bo import DEFAULT_COST_LIE_S, BayesianProposer, _fantasy_history
+from repro.core.fleet import EnvironmentShard
 from repro.core.stopping import (
     FailureStreakRule,
     PlateauRule,
@@ -39,6 +34,12 @@ def make_history(objectives, cost=10.0):
             ),
         )
     return history
+
+
+def fantasy_lies(history):
+    """The (objective, probe cost) a fantasy on ``history`` lies with."""
+    fantasy = _fantasy_history(history, [{"x": 0.5}])[len(history)]
+    return fantasy.measurement.objective, fantasy.measurement.probe_cost_s
 
 
 class TestPlateauRule:
@@ -119,7 +120,7 @@ def liar_round(proposer, history, rng, k):
     """A barrier round's proposals: each member fantasises its predecessors."""
     batch = []
     for _ in range(k):
-        batch.append(propose_async(proposer, history, list(batch), rng))
+        batch.append(proposer.propose(history, rng, pending=list(batch)))
     return batch
 
 
@@ -173,11 +174,10 @@ class TestConstantLiar:
         assert len(history) == before
 
     def test_validation(self):
-        space, proposer, history = self._setup()
-        with pytest.raises(ValueError, match="cost_scale"):
-            propose_async(
-                proposer, history, [], np.random.default_rng(0), cost_scale=-1.0
-            )
+        # The fantasies' cost lie is scaled by the target shard's
+        # multiplier, and a shard rejects a non-positive one.
+        with pytest.raises(ValueError, match="cost_multiplier"):
+            EnvironmentShard("slow", None, cost_multiplier=-1.0)
 
     def test_cost_lie_falls_back_to_all_trials_then_default(self):
         """Regression: an all-failed history must not produce a 0s cost lie.
@@ -194,23 +194,19 @@ class TestConstantLiar:
                     objective=None, probe_cost_s=cost,
                 ),
             )
-        lie_value, cost_lie = _fantasy_lies(all_failed)
+        fantasy = _fantasy_history(all_failed, [{"x": 0.5}])[3]
         # No success to lie about: the objective lie is None (the fantasy
         # records as a failed probe) — any constant would fabricate an
         # objective scale, and for negated objectives (tta) 0.0 would
         # outrank every feasible value.
-        assert lie_value is None
-        assert cost_lie == pytest.approx(40.0)
-        extended = TrialHistory()
-        _append_fantasy(extended, {"x": 0.5}, lie_value=None, cost_lie=40.0)
-        assert not extended[0].ok
-        assert extended[0].measurement.objective is None
-        assert extended[0].measurement.probe_cost_s == 40.0
+        assert not fantasy.ok
+        assert fantasy.measurement.objective is None
+        assert fantasy.measurement.probe_cost_s == pytest.approx(40.0)
 
         # No trials at all (or only zero-cost ones): a positive default.
-        assert _fantasy_lies(TrialHistory())[1] == DEFAULT_COST_LIE_S
+        assert fantasy_lies(TrialHistory())[1] == DEFAULT_COST_LIE_S
         zero_cost = make_history([None, None], cost=0.0)
-        assert _fantasy_lies(zero_cost)[1] == DEFAULT_COST_LIE_S
+        assert fantasy_lies(zero_cost)[1] == DEFAULT_COST_LIE_S
         # Zero-cost *successes* fall through too: first to the all-trials
         # median, then to the default.
         mixed = make_history([1.0], cost=0.0)
@@ -221,18 +217,16 @@ class TestConstantLiar:
                 objective=None, probe_cost_s=20.0,
             ),
         )
-        assert _fantasy_lies(mixed) == (1.0, 10.0)
+        assert fantasy_lies(mixed) == (1.0, 10.0)
         zero_success = make_history([1.0, 2.0], cost=0.0)
-        assert _fantasy_lies(zero_success) == (2.0, DEFAULT_COST_LIE_S)
+        assert fantasy_lies(zero_success) == (2.0, DEFAULT_COST_LIE_S)
 
     def test_fantasy_measurement_carries_fantasy_config(self):
         """Regression: fantasies used to carry a default TrainingConfig."""
         from repro.configspace import to_training_config
 
-        extended = TrialHistory()
         config = {"num_workers": 7, "batch_per_worker": 64}
-        _append_fantasy(extended, config, lie_value=1.0, cost_lie=30.0)
-        fantasy = extended[0]
+        fantasy = _fantasy_history(make_history([1.0], cost=30.0), [config])[1]
         assert fantasy.measurement.fidelity == "fantasy"
         assert fantasy.measurement.config == to_training_config(config)
         assert fantasy.measurement.config.num_workers == 7
@@ -261,8 +255,9 @@ class TestConstantLiar:
             round_index=0,
             completed_at_wall_s=2.0,
         )
-        extended = history.clone()
-        _append_fantasy(extended, {"x": 0.3}, lie_value=3.0, cost_lie=4.0)
+        # Lies: the incumbent 3.0 at the median cost 4.0.
+        extended = _fantasy_history(history, [{"x": 0.3}])
+        assert extended[2].objective == 3.0
         assert [t.round_index for t in extended][:2] == [0, 0]
         assert extended[0].cumulative_wall_clock_s == 6.0
         assert extended[1].cumulative_wall_clock_s == 2.0
@@ -275,8 +270,7 @@ class TestConstantLiar:
 
     def test_history_clone_is_isolated(self):
         history = make_history([1.0, 2.0], cost=10.0)
-        clone = history.clone()
-        _append_fantasy(clone, {"x": 0.9}, lie_value=2.0, cost_lie=10.0)
+        clone = _fantasy_history(history, [{"x": 0.9}])
         assert len(clone) == 3 and len(history) == 2
         assert history.total_cost_s == pytest.approx(20.0)
         assert clone.total_cost_s == pytest.approx(30.0)
@@ -284,12 +278,14 @@ class TestConstantLiar:
     def test_propose_async_conditions_on_pending(self):
         space, proposer, history = self._setup()
         rng = np.random.default_rng(3)
-        first = propose_async(proposer, history, [], np.random.default_rng(3))
+        first = proposer.propose(history, np.random.default_rng(3))
         # Fantasising the first point away must steer the next proposal
         # elsewhere — the same seed without pending returns the same point.
-        again = propose_async(proposer, history, [], np.random.default_rng(3))
+        again = proposer.propose(history, np.random.default_rng(3))
         assert first == again
-        second = propose_async(proposer, history, [first], np.random.default_rng(3))
+        second = proposer.propose(
+            history, np.random.default_rng(3), pending=[first]
+        )
         assert second != first
         assert space.is_valid(second)
         assert len(history) == 2 + 6  # setup's 8 trials, no fantasy leaked

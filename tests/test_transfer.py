@@ -267,14 +267,6 @@ class TestHistoryRepository:
         with pytest.raises(ValueError):
             repo.add_session("w", self._observations(n=1))
 
-    def test_corrupt_line_raises_with_location_in_strict_mode(self, tmp_path):
-        path = os.path.join(tmp_path, "h.jsonl")
-        with open(path, "w") as fh:
-            fh.write('{"workload": "w", "observations": []}\n')
-            fh.write("not json\n")
-        with pytest.raises(ValueError, match="h.jsonl:2"):
-            HistoryRepository(path, strict=True)
-
     def test_corrupt_line_quarantined_by_default(self, tmp_path):
         path = os.path.join(tmp_path, "h.jsonl")
         with open(path, "w") as fh:
