@@ -5,8 +5,8 @@ Two claims, one payload:
 - ``checkpoint/quick`` — the cost of running the quick BO cell with a
   crash-safe checkpoint at its most aggressive cadence
   (``every_n_trials=1``: per trial, an fsynced WAL probe record and a
-  flushed trial record carrying the audit state; the snapshot is written
-  at session start and end only) against the same session with no
+  flushed trial record carrying the audit state; the WAL is the
+  checkpoint's only file) against the same session with no
   checkpoint at all.  The two runs are timed in alternating pairs (the
   order flips every pair), and ``overhead_fraction`` is the median of
   the per-pair overheads, so a host that speeds up or slows down
@@ -19,9 +19,10 @@ Two claims, one payload:
   counters).  One more checkpointed run counts the cell's ``os.fsync``
   and ``os.replace`` calls (``fsyncs``, ``replaces``).  These are
   deterministic, so CI gates them with no timing noise: one fsync per
-  probe record, one per snapshot and one at close (19 for 16 trials),
-  and one replace per snapshot (2, at session start and end).  A trial
-  record that is fsynced, or a snapshot written every trial, fails them.
+  probe record, one for the header and one at close (18 for 16 trials),
+  and no replace (the session's end is one appended end record, not an
+  atomically rewritten file).  A trial record that is fsynced, or any
+  atomic rewrite, fails them.
 
 - ``checkpoint/resume`` — how long a cold resume takes: load the WAL,
   replay every recorded probe through the full propose loop, and

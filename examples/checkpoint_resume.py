@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Crash-safe tuning: checkpoint a session, kill it mid-run, resume exactly.
 
-Runs the BO tuner with a crash-consistent checkpoint (fsynced write-ahead
-log + atomic snapshot at session start and end), simulates a process
-crash partway through, inspects the crashed checkpoint (its history is
+Runs the BO tuner with a crash-consistent checkpoint (one file: an
+fsynced write-ahead log that ends with the session's end record),
+simulates a process crash partway through, inspects the crashed checkpoint (its history is
 rebuilt from the write-ahead log, so it holds every logged trial), then
 resumes from the checkpoint with freshly-built components — and shows the
 resumed result is bit-identical to an uninterrupted run of the same seed.
@@ -81,6 +81,10 @@ def main() -> None:
         )
         print(f"resumed:  {len(resumed.history)} trials, "
               f"best objective {resumed.best_objective:.4f}")
+        # The log is the checkpoint's only file; its end record marks
+        # the session complete.
+        assert Checkpoint.load(checkpoint.path).status == "complete"
+        assert os.listdir(scratch) == ["tune.ckpt.wal"]
 
     identical = result_fingerprint(resumed) == result_fingerprint(baseline)
     print(f"bit-identical to the uninterrupted run: {identical}")

@@ -173,8 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="checkpoint the session to PATH.wal (write-ahead log of every "
-        "probe and trial) + PATH (snapshot at session start and end) so a "
+        help="checkpoint the session to PATH.wal, a write-ahead log of every "
+        "probe and trial that ends with the session's end record, so a "
         "crashed run can be resumed bit-identically with --resume",
     )
     tune.add_argument(
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--checkpoint-dir", default=None, metavar="PATH",
-        help="checkpoint every tenant session to PATH/<tenant>.ckpt and "
+        help="checkpoint every tenant session to PATH/<tenant>.ckpt.wal and "
         "restart crashed tenants from their last checkpoint",
     )
     serve.add_argument("--seed", type=int, default=0)
@@ -479,10 +479,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 # The env/fleet is rebuilt from the CLI flags, so the seed
                 # must match the original run or the post-replay noise
                 # stream diverges silently — reject a mismatch up front.
-                try:
-                    recorded_seed = Checkpoint.load(args.checkpoint).meta.get("seed")
-                except CheckpointError:
-                    recorded_seed = None  # WAL-header fallback in restore()
+                recorded_seed = Checkpoint.load(args.checkpoint).meta.get("seed")
                 if recorded_seed is not None and recorded_seed != args.seed:
                     print(
                         f"--resume: checkpoint was written with --seed "

@@ -4,40 +4,37 @@ Everything the tuner accumulates over a session — trial history, RNG
 streams, surrogate caches, budget ledgers, executor free-lists — lives in
 memory, so a process crash at trial 180 of a 200-trial session used to
 throw the whole session away.  This module makes sessions durable with
-two artifacts per checkpoint path:
+one artifact per checkpoint path: an append-only **write-ahead log**
+(``<path>.wal``, JSON lines) holding
 
-- **an append-only write-ahead log** (``<path>.wal``, JSON lines), which
-  is the checkpoint proper: one ``probe`` record per executor-level
-  :meth:`SearchStrategy.measure` call — the measurement that came back,
-  at *pre-shard-scaling* values, plus the environment's probe counters
-  after the call — and one ``trial`` record per recorded trial, the
-  session record of :func:`~repro.core.trial.trial_record` that the
-  ``--trial-log`` file holds too: the trial itself, the history's
-  running ledgers after it (total cost, total wall, cancelled cost, cost
-  by shard) and any history events recorded since the previous trial
-  record.  Every ``every_n_trials``-th trial record also
-  carries the audit state (the strategy's
-  :meth:`~SearchStrategy.snapshot_state` and the environment probe
-  counters).  Only probe records are ``fsync``'d, before the session
-  acts on the result; the header and trial records are only flushed,
-  because resume re-derives trial records — they are the replay's
-  divergence check — and appends land in file order, so the next
-  probe's ``fsync`` makes them durable too.  The log is always
-  consistent up to its last complete line;
-- **an atomic snapshot** (``<path>``, single JSON document written via
-  ``mkstemp`` + ``os.replace`` like
-  :class:`~repro.core.transfer.HistoryRepository`) at session start and
-  session end only: session metadata (strategy, seed, budget,
-  space/executor fingerprints), the status (``running``/``complete``),
-  the history's ledgers and events, environment probe counters and the
-  strategy's audit payload.  It never holds the trials — the WAL does —
-  so a trial costs one small append, not an O(n) rewrite.
+- one ``header`` record (version and session metadata: strategy, seed,
+  budget, space/executor fingerprints), ``fsync``'d when the checkpoint
+  is created, so a log cut back to its header still resumes;
+- one ``probe`` record per executor-level :meth:`SearchStrategy.measure`
+  call — the measurement that came back, at *pre-shard-scaling* values,
+  plus the environment's probe counters after the call — ``fsync``'d
+  before the session acts on the result;
+- one ``trial`` record per recorded trial, the session record of
+  :func:`~repro.core.trial.trial_record` that the ``--trial-log`` file
+  holds too: the trial itself, the history's running ledgers after it
+  (total cost, total wall, cancelled cost, cost by shard) and any
+  history events recorded since the previous trial record.  Every
+  ``every_n_trials``-th trial record also carries the audit state (the
+  strategy's :meth:`~SearchStrategy.snapshot_state` and the environment
+  probe counters).  Trial records are only flushed: resume re-derives
+  them — they are the replay's divergence check — and appends land in
+  file order, so the next probe's ``fsync`` makes them durable too;
+- at session end, one ``end`` record: the
+  :func:`~repro.core.trial.end_record` the trial log closes with (final
+  ledgers and trailing events — cancellation charges, outage waits)
+  plus the audit state.  Closing the log ``fsync``'s it.
 
-:meth:`Checkpoint.load` rebuilds the history from the WAL's records
+The log is thus the trial log's shape with probe records and audit
+added, and it is always consistent up to its last complete line.
+:meth:`Checkpoint.load` rebuilds the history from it
 (:meth:`~repro.core.trial.TrialHistory.from_payload`), so a mid-run
-inspection shows every trial the log holds; the end-of-session snapshot
-adds an ``end`` record for what happens after the last trial
-(cancellation charges, trailing events, outage waits).
+inspection shows every trial the log holds; the session is ``complete``
+exactly when the last durable record is the end record.
 
 Resume is **replay**, not state surgery: the loop restarts from trial
 zero with the same seed and re-executes every deterministic proposal,
@@ -51,25 +48,25 @@ Cholesky factors cannot promise (``extend`` matches a refit only to
 ~1e-8).  Once the log is exhausted the session falls through to live
 probing and keeps appending, so kill → resume → kill → resume chains
 work, and any durable WAL prefix yields a continuation bit-identical to
-the uninterrupted run.
+the uninterrupted run.  Resuming a completed session appends from the
+start of its end record, so the continuation overwrites it with the same
+bytes: a log holds at most one end record, always the last.
 
 Torn writes: a crash can leave a partial final WAL line.  On load, the
 log is parsed up to its last durable record; everything after the first
 torn or corrupt line is moved to a ``<path>.wal.quarantine`` sidecar
 (with one warning naming the file) and the log is truncated there.  The
 lost suffix costs nothing but the re-probe of its measurements — the
-continuation is still bit-identical.  A corrupt snapshot falls back to
-the WAL's header record; only when both are unreadable does resume fail,
-with a named :class:`CheckpointError`, never a raw decoder traceback.
-A trial record lost with the tail (say, cut off right after its probe
-record) is re-appended when resume reaches that trial live.
+continuation is still bit-identical.  A log with no readable header
+fails with a named :class:`CheckpointError`, never a raw decoder
+traceback.  A trial record lost with the tail (say, cut off right after
+its probe record) is re-appended when resume reaches that trial live.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import IO, Callable, List, Optional
@@ -79,14 +76,14 @@ from repro.core.strategy import SearchStrategy, TuningBudget
 from repro.core.trial import (
     Trial,
     TrialHistory,
-    event_to_payload,
+    end_record,
     measurement_from_payload,
     measurement_to_payload,
     trial_record,
 )
 
-#: Bump on any incompatible change to the snapshot or WAL record layout.
-CHECKPOINT_VERSION = 2
+#: Bump on any incompatible change to the WAL record layout.
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -97,13 +94,14 @@ class CheckpointError(RuntimeError):
 class CheckpointConfig:
     """Where and how often a session checkpoints.
 
-    ``path`` is the snapshot file; the write-ahead log lives beside it at
-    ``path + ".wal"``.  ``every_n_trials`` is the audit cadence: every
-    N-th trial record also carries the strategy's audit state and the
-    environment probe counters.  The trials themselves are in every
-    trial record regardless, so the cadence only bounds how stale the
-    *inspectable* audit state may be, never how much work a crash loses
-    and never what resume does.
+    ``path`` names the checkpoint; its one file, the write-ahead log, is
+    ``path + ".wal"`` (nothing is written at ``path`` itself).
+    ``every_n_trials`` is the audit cadence: every N-th trial record also
+    carries the strategy's audit state and the environment probe
+    counters.  The trials themselves are in every trial record
+    regardless, so the cadence only bounds how stale the *inspectable*
+    audit state may be, never how much work a crash loses and never what
+    resume does.
     """
 
     path: str
@@ -209,16 +207,18 @@ def _restore_env_counters(env, payload: dict) -> None:
 def _read_wal_records(wal_path: str):
     """Parse the WAL up to its last durable record.
 
-    Returns ``(records, durable_offset, torn_tail)``: everything from the
-    first unparseable line (or a final line with no newline — a record is
-    written newline-included in one buffered write, so a missing newline
-    means the write was cut short) onward is the torn tail.  A header
-    record of another version raises :class:`CheckpointError`.
+    Returns ``(records, durable_offset, last_offset, torn_tail)``:
+    ``last_offset`` is where the last durable record starts, and
+    everything from the first unparseable line (or a final line with no
+    newline — a record is written newline-included in one buffered write,
+    so a missing newline means the write was cut short) onward is the
+    torn tail.  A header record of another version raises
+    :class:`CheckpointError`.
     """
     with open(wal_path, "rb") as handle:
         data = handle.read()
     records: List[dict] = []
-    offset = 0
+    offset = last = 0
     torn = b""
     while offset < len(data):
         newline = data.find(b"\n", offset)
@@ -234,10 +234,20 @@ def _read_wal_records(wal_path: str):
             torn = data[offset:]
             break
         records.append(record)
-        offset = newline + 1
+        last, offset = offset, newline + 1
     if records and records[0]["type"] == "header":
         _check_version(records[0].get("version"), f"checkpoint WAL {wal_path!r}")
-    return records, offset, torn
+    return records, offset, last, torn
+
+
+def _header_meta(wal_path: str, records: List[dict]) -> dict:
+    """Session metadata from the WAL's header record."""
+    header = records[0] if records else {}
+    if header.get("type") != "header" or not isinstance(header.get("meta"), dict):
+        raise CheckpointError(
+            f"checkpoint WAL {wal_path!r} has no readable header record"
+        )
+    return dict(header["meta"])
 
 
 def _check_version(version, what: str) -> None:
@@ -248,23 +258,14 @@ def _check_version(version, what: str) -> None:
         )
 
 
-def _read_snapshot(path: str) -> dict:
-    """The snapshot document (``OSError``/``ValueError`` when unreadable)."""
-    with open(path) as handle:
-        snapshot = json.load(handle)
-    if not isinstance(snapshot, dict):
-        raise ValueError("snapshot is not a JSON object")
-    return snapshot
-
-
 def _encode(payload: dict, audit: Optional[dict] = None) -> bytes:
     """``payload`` as UTF-8 JSON, encoded in one shot (the C encoder).
 
     ``audit`` is the dict inside ``payload`` holding the strategy's
     ``strategy_state``.  An unserialisable audit payload must never take
-    the checkpoint down with it — the audit is forensics, the WAL is the
-    restore path — so it is replaced by an error marker and the payload
-    encoded again.
+    the checkpoint down with it — the audit is forensics, the probe
+    records are the restore path — so it is replaced by an error marker
+    and the payload encoded again.
     """
     try:
         text = json.dumps(payload)
@@ -278,50 +279,18 @@ def _encode(payload: dict, audit: Optional[dict] = None) -> bytes:
     return text.encode("utf-8")
 
 
-def _audit_state(snapshot: dict, trial_records: List[dict]):
-    """``(strategy_state, env_counters)``: the newest of the snapshot's
-    and the trial records' audits."""
-    at = snapshot.get("trials", 0)
-    state = snapshot.get("strategy_state")
-    counters = snapshot.get("env_counters", {})
-    for record in trial_records:
-        audit = record.get("audit")
-        if audit is not None and record["trial"]["index"] >= at:
-            state, counters = audit["strategy_state"], audit["env_counters"]
-    return state, dict(counters)
-
-
-def _atomic_write_json(path: str, payload: dict, audit: Optional[dict] = None) -> None:
-    """Write one JSON document atomically (mkstemp + os.replace).
-
-    ``audit`` is as for :func:`_encode`.
-    """
-    data = _encode(payload, audit)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".checkpoint-tmp-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
 @dataclass
 class Checkpoint:
     """A loaded checkpoint, for inspection (``repro`` never mutates it).
 
-    ``history`` is rebuilt from the WAL's trial records, so it is never
-    staler than the log: ``len(history) == wal_trials``.  ``status`` is
-    the snapshot's — ``running`` until the session ends.
-    ``strategy_state`` and ``env_counters`` are the newest audit state,
-    at most ``every_n_trials`` trials old while the session runs.
-    ``wal_probes`` / ``wal_trials`` count the durable WAL records.
+    ``history`` is rebuilt from the WAL's records, so it is never staler
+    than the log: ``len(history) == wal_trials``.  ``status`` is
+    ``complete`` when the last durable record is the session's end record,
+    else ``running``.  ``strategy_state`` and ``env_counters`` come from
+    the newest record carrying the audit state, at most ``every_n_trials``
+    trials old while the session runs (``None`` and ``{}`` before the
+    first).  ``wal_probes`` / ``wal_trials`` count the durable WAL
+    records.
     """
 
     version: int
@@ -335,39 +304,20 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        """Load ``path`` and its WAL for offline inspection."""
-        config = CheckpointConfig(path)
+        """Load the checkpoint at ``path`` (its WAL) for offline inspection."""
+        wal_path = CheckpointConfig(path).wal_path
         try:
-            snapshot = _read_snapshot(path)
+            records, *_ = _read_wal_records(wal_path)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
-        except ValueError as exc:
-            raise CheckpointError(
-                f"corrupt checkpoint snapshot {path!r}: {exc}"
-            ) from None
-        _check_version(snapshot.get("version"), f"checkpoint {path!r}")
-        if not os.path.exists(config.wal_path):
-            raise CheckpointError(
-                f"no write-ahead log at {config.wal_path!r}: the trial "
-                f"history lives in the log"
-            )
-        records, _, _ = _read_wal_records(config.wal_path)
-        trials = [r for r in records if r.get("type") == "trial"]
+        meta = _header_meta(wal_path, records)
+        state, counters = None, {}
         try:
-            if snapshot.get("trials", 0) == len(trials):
-                # Written at the same trial count (a completed session):
-                # its ledgers also hold what came after the last trial,
-                # and its events past the trial records' trail them.
-                logged = sum(len(record.get("events", ())) for record in trials)
-                records.append(
-                    {
-                        "type": "end",
-                        "ledgers": snapshot["ledgers"],
-                        "events": snapshot["events"][logged:],
-                    }
-                )
             history = TrialHistory.from_payload(records)
-            state, counters = _audit_state(snapshot, trials)
+            for record in records:
+                audit = record.get("audit")
+                if audit is not None:
+                    state, counters = audit["strategy_state"], audit["env_counters"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint {path!r} has a malformed ledger or trial record: "
@@ -375,25 +325,25 @@ class Checkpoint:
             ) from None
         return cls(
             version=CHECKPOINT_VERSION,
-            meta=dict(snapshot.get("meta", {})),
-            status=str(snapshot.get("status", "unknown")),
+            meta=meta,
+            status="complete" if records[-1]["type"] == "end" else "running",
             history=history,
             strategy_state=state,
-            env_counters=counters,
-            wal_probes=sum(1 for r in records if r.get("type") == "probe"),
-            wal_trials=len(trials),
+            env_counters=dict(counters),
+            wal_probes=sum(1 for r in records if r["type"] == "probe"),
+            wal_trials=len(history),
         )
 
 
 class CheckpointJournal:
-    """The live read/write surface of one checkpoint (snapshot + WAL).
+    """The live read/write surface of one checkpoint's WAL.
 
     Created by :meth:`create` for a fresh session (truncates any previous
     checkpoint at the path) or :meth:`load` for a resume (replays the
     durable WAL prefix, quarantining a torn tail).  The session wires it
     in through :class:`JournalledStrategy` (probe records) and a session
-    callback (:meth:`on_trial` and the snapshot at session start and
-    end).
+    callback (:meth:`on_trial`, and :meth:`write_snapshot` then
+    :meth:`close` at session end).
     """
 
     def __init__(
@@ -419,7 +369,7 @@ class CheckpointJournal:
 
     @classmethod
     def create(cls, config: CheckpointConfig, meta: dict) -> "CheckpointJournal":
-        """Start a fresh checkpoint: header-only WAL + initial snapshot.
+        """Start a fresh checkpoint: a WAL holding the fsync'd header.
 
         Any existing checkpoint at the path is overwritten — starting a
         new session at the same path means the old session's state is no
@@ -429,10 +379,9 @@ class CheckpointJournal:
         directory = os.path.dirname(os.path.abspath(config.wal_path))
         os.makedirs(directory, exist_ok=True)
         journal._handle = open(config.wal_path, "wb")
-        # Not fsync'd: the first probe's fsync makes it durable, and the
-        # start snapshot carries the same metadata.
         journal._append(
-            {"type": "header", "version": CHECKPOINT_VERSION, "meta": meta}
+            {"type": "header", "version": CHECKPOINT_VERSION, "meta": meta},
+            sync=True,
         )
         return journal
 
@@ -441,17 +390,17 @@ class CheckpointJournal:
         """Open an existing checkpoint for resume.
 
         Reads the durable WAL prefix (quarantining and truncating any
-        torn/corrupt tail), takes session metadata from the snapshot —
-        falling back to the WAL header when the snapshot itself is
-        corrupt — and positions the journal to replay every durable probe
-        record before appending live ones.
+        torn/corrupt tail), takes session metadata from the header, and
+        positions the journal to replay every durable probe record before
+        appending live ones — from the start of a completed session's end
+        record, which the continuation writes again.
         """
         wal_path = config.wal_path
         if not os.path.exists(wal_path):
             raise CheckpointError(
                 f"no write-ahead log at {wal_path!r}: nothing to resume from"
             )
-        records, durable_offset, torn = _read_wal_records(wal_path)
+        records, durable_offset, last_offset, torn = _read_wal_records(wal_path)
         if torn:
             with open(config.quarantine_path, "ab") as sidecar:
                 sidecar.write(torn)
@@ -465,38 +414,12 @@ class CheckpointJournal:
                 f"durable record",
                 stacklevel=2,
             )
-        header = records[0] if records and records[0]["type"] == "header" else None
-        meta = cls._load_meta(config, header)
-        probes = [r for r in records if r.get("type") == "probe"]
-        trials = [r for r in records if r.get("type") == "trial"]
+        meta = _header_meta(wal_path, records)
+        if records[-1]["type"] == "end":
+            durable_offset = last_offset
+        probes = [r for r in records if r["type"] == "probe"]
+        trials = [r for r in records if r["type"] == "trial"]
         return cls(config, meta, probes, trials, append_offset=durable_offset)
-
-    @staticmethod
-    def _load_meta(config: CheckpointConfig, header: Optional[dict]) -> dict:
-        """Session metadata from the snapshot, else the WAL header."""
-        snapshot_error = None
-        try:
-            snapshot = _read_snapshot(config.path)
-            if "meta" not in snapshot:
-                raise ValueError("snapshot is not a checkpoint object")
-            _check_version(snapshot.get("version"), f"checkpoint {config.path!r}")
-            return dict(snapshot["meta"])
-        except CheckpointError:
-            raise
-        except (OSError, ValueError) as exc:
-            snapshot_error = exc
-        if header is not None and isinstance(header.get("meta"), dict):
-            warnings.warn(
-                f"{config.path}: unreadable checkpoint snapshot "
-                f"({snapshot_error}); recovering session metadata from the "
-                f"write-ahead log header",
-                stacklevel=3,
-            )
-            return dict(header["meta"])
-        raise CheckpointError(
-            f"checkpoint {config.path!r} is unreadable ({snapshot_error}) and "
-            f"its write-ahead log has no header record to recover from"
-        )
 
     # -- replay ------------------------------------------------------------
 
@@ -542,11 +465,12 @@ class CheckpointJournal:
     ) -> None:
         if self._handle is None:
             # Lazily reopened on the first live append after a resume —
-            # truncated to the durable offset computed at load (the torn
-            # tail, if any, was already quarantined there).
+            # truncated once to the offset computed at load (the torn tail,
+            # if any, was already quarantined there).
             handle = open(self.config.wal_path, "r+b")
             if self._append_offset is not None:
                 handle.truncate(self._append_offset)
+                self._append_offset = None
             handle.seek(0, os.SEEK_END)
             self._handle = handle
         self._handle.write(_encode(record, audit) + b"\n")
@@ -607,27 +531,18 @@ class CheckpointJournal:
         self._append(record, audit=record.get("audit"))
         return True
 
-    def write_snapshot(
-        self,
-        history: TrialHistory,
-        strategy: SearchStrategy,
-        env_counters: dict,
-        status: str = "running",
-    ) -> None:
-        """Atomically rewrite the snapshot document (no trials: see the
-        module docstring)."""
-        snapshot = {
-            "version": CHECKPOINT_VERSION,
-            "meta": self.meta,
-            "status": status,
-            "trials": len(history),
-            "probes": self._probe_count,
-            "ledgers": history.ledger_payload(),
-            "events": [event_to_payload(event) for event in history.events],
-            "env_counters": env_counters,
-            "strategy_state": strategy.snapshot_state(),
-        }
-        _atomic_write_json(self.config.path, snapshot, audit=snapshot)
+    def write_snapshot(self, history: TrialHistory, audit: dict) -> None:
+        """Append the session's end record: :func:`end_record` (the final
+        ledgers and the events no trial record carries) plus ``audit``.
+
+        The log's last record, flushed but not fsync'd — :meth:`close`
+        does that.  The name is kept from when the end of a session wrote
+        a separate snapshot file, because ``perfbench/spans.py`` wraps
+        this method (as ``ckpt.snapshot``).
+        """
+        record = end_record(history, self._events_logged)
+        record["audit"] = audit
+        self._append(record, audit=audit)
 
     def close(self) -> None:
         """Make every appended record durable and release the log."""

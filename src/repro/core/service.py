@@ -229,7 +229,8 @@ class TenantHandle:
         self.mapped_from: Optional[str] = None
         #: Times this tenant was restarted from its checkpoint.
         self.recoveries: int = 0
-        #: Snapshot path when the service checkpoints per tenant.
+        #: Checkpoint path (its WAL is ``<path>.wal``) when the service
+        #: checkpoints per tenant.
         self.checkpoint_path: Optional[str] = None
         # Warm-start prior stash: recovery must rebuild the strategy with
         # the *originally built* prior — the repository may have gained
@@ -299,7 +300,7 @@ class TuningService:
         trimmed to :data:`WARM_N_INITIAL`.
     checkpoint_dir:
         When set, every tenant session checkpoints to
-        ``<dir>/<tenant>.ckpt`` (see :mod:`repro.core.checkpoint`), and a
+        ``<dir>/<tenant>.ckpt.wal`` (see :mod:`repro.core.checkpoint`), and a
         tenant whose session *crashes* mid-run is restarted from its last
         checkpoint instead of being marked failed: its strategy is
         rebuilt with the originally-installed warm-start prior, its

@@ -286,7 +286,7 @@ class JsonlTrialLog(SessionCallback):
 
 class _CheckpointRecorder(SessionCallback):
     """The checkpoint's session callback: one WAL trial record per trial,
-    and the snapshot at session start and end.
+    and the end record, then the log's close, at session end.
 
     Runs *first* in the callback chain so a later callback raising (or a
     chaos kill) can never lose a recorded trial's WAL record.
@@ -296,34 +296,27 @@ class _CheckpointRecorder(SessionCallback):
         self._journal = journal
         self._session = session
 
-    def _env_counters(self) -> dict:
-        """Probe counters for every environment the session touches."""
-        pool = self._session.executor.pool
-        if pool is not None:
-            return pool.env_counters()
-        return {"env": env_counter_payload(self._session._env)}
-
     def _audit(self) -> dict:
+        """The strategy's audit state and the probe counters of every
+        environment the session touches."""
+        pool = self._session.executor.pool
         return {
             "strategy_state": self._session.strategy.snapshot_state(),
-            "env_counters": self._env_counters(),
+            "env_counters": (
+                pool.env_counters()
+                if pool is not None
+                else {"env": env_counter_payload(self._session._env)}
+            ),
         }
-
-    def on_session_start(self, strategy, env, space, budget) -> None:
-        self._journal.write_snapshot(
-            self._session.history, strategy, self._env_counters(), status="running"
-        )
 
     def on_trial_recorded(self, trial: Trial, history: TrialHistory) -> None:
         self._journal.on_trial(trial, history, self._audit)
 
     def on_session_end(self, result: TuningResult) -> None:
-        # The WAL first: the complete snapshot never counts a trial whose
-        # record is not durable.
+        # The end record lands after every trial record, and the close's
+        # fsync makes the complete log durable at once.
+        self._journal.write_snapshot(result.history, self._audit())
         self._journal.close()
-        self._journal.write_snapshot(
-            result.history, self._session.strategy, self._env_counters(), "complete"
-        )
 
 
 class _Launch(NamedTuple):
@@ -1015,9 +1008,9 @@ class TuningSession:
         ``checkpoint`` (a :class:`~repro.core.checkpoint.CheckpointConfig`
         or a bare path) makes the session durable: every probe is logged
         to a write-ahead log before the loop acts on it, every recorded
-        trial appends a trial record there, and the snapshot is written
-        at session start and end only, so a crashed process can pick the
-        session back up with :meth:`resume`.
+        trial appends a trial record there, and the session's end appends
+        an end record; that log is the checkpoint's only file, so a
+        crashed process can pick the session back up with :meth:`resume`.
         Starting fresh at a path *overwrites* any previous checkpoint
         there (use :meth:`restore`/:meth:`resume` to continue one).
         An already-loaded :class:`CheckpointJournal` continues its replay

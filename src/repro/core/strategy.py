@@ -185,8 +185,8 @@ class SearchStrategy(ABC):
     def snapshot_state(self) -> Optional[dict]:
         """Hook: a JSON-serialisable audit snapshot of per-session state.
 
-        Written into checkpoint snapshots (:mod:`repro.core.checkpoint`)
-        for offline inspection — incumbents, queue depths, surrogate-cache
+        Written into the checkpoint WAL's audit state
+        (:mod:`repro.core.checkpoint`) for offline inspection — incumbents, queue depths, surrogate-cache
         fingerprints.  It is **never used to restore**: resume rebuilds
         all strategy state bit-identically by replaying the recorded probe
         stream through the normal propose→observe loop, which is the only

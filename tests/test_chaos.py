@@ -396,5 +396,5 @@ class TestServiceRecovery:
         svc.submit(_tenant("a/b c", seed=1, trials=4))
         svc.run()
         names = sorted(os.listdir(tmp_path))
-        assert "a_b_c.ckpt" in names
         assert "a_b_c.ckpt.wal" in names
+        assert "a_b_c.ckpt" not in names

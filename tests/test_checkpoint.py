@@ -1,7 +1,7 @@
 """Tests for the checkpoint/resume subsystem's serialization and recovery.
 
 Covers the torn-write satellite end to end: payload round-trips at the
-bit level, WAL torn-tail quarantine, corrupt/truncated/empty snapshots,
+bit level, WAL torn-tail quarantine, a WAL with no readable header,
 version mismatches, divergence detection, the durable trial log, and the
 repository quarantine — every failure produces a clean named error or
 recovers to the last durable record, never a raw ``json.JSONDecodeError``.
@@ -9,6 +9,8 @@ recovers to the last durable record, never a raw ``json.JSONDecodeError``.
 
 import json
 import os
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from repro.core.trial import (
     measurement_from_payload,
     measurement_to_payload,
 )
+from repro.harness.chaos import result_fingerprint
 from repro.mlsim import StepDrift, TrainingEnvironment
 from repro.workloads import get_workload
 
@@ -163,63 +166,45 @@ def test_corrupt_wal_middle_quarantines_suffix(tmp_path):
     assert result.history.to_payload() == baseline.history.to_payload()
 
 
-def test_truncated_snapshot_falls_back_to_wal_header(tmp_path):
-    ckpt, baseline = run_checkpointed(tmp_path)
-    with open(ckpt.path, "w") as handle:
-        handle.write('{"version": 1, "meta"')  # torn snapshot write
-    with pytest.warns(UserWarning, match="recovering session metadata"):
-        result = TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
-    assert result.history.to_payload() == baseline.history.to_payload()
-
-
-def test_empty_snapshot_falls_back_to_wal_header(tmp_path):
-    ckpt, baseline = run_checkpointed(tmp_path)
-    open(ckpt.path, "w").close()
-    with pytest.warns(UserWarning, match="recovering session metadata"):
-        result = TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
-    assert result.history.to_payload() == baseline.history.to_payload()
-
-
 def test_missing_wal_is_a_named_error(tmp_path):
     ckpt = CheckpointConfig(str(tmp_path / "nothing.ckpt"))
     with pytest.raises(CheckpointError, match="nothing to resume"):
         TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
 
 
-def test_both_snapshot_and_header_unreadable_is_a_named_error(tmp_path):
+def test_wal_without_a_readable_header_is_a_named_error(tmp_path):
     ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
-    open(ckpt.path, "w").close()
     with open(ckpt.wal_path, "w") as handle:
         handle.write("not json at all\n")
-    with pytest.raises(CheckpointError, match="unreadable"):
-        TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
-
-
-def test_version_mismatch_is_a_named_error(tmp_path):
-    ckpt, _ = run_checkpointed(tmp_path)
-    with open(ckpt.path) as handle:
-        snapshot = json.load(handle)
-    snapshot["version"] = CHECKPOINT_VERSION + 1
-    with open(ckpt.path, "w") as handle:
-        json.dump(snapshot, handle)
-    with pytest.raises(CheckpointError, match="version"):
-        TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError, match="no readable header"):
+        with pytest.warns(UserWarning, match="quarantined"):
+            TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
+    with pytest.raises(CheckpointError, match="no readable header"):
         Checkpoint.load(ckpt.path)
+
+
+def _rewrite_header(ckpt, edit):
+    """Apply ``edit`` to the WAL's header record in place."""
+    with open(ckpt.wal_path) as handle:
+        lines = handle.read().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header)
+    with open(ckpt.wal_path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def test_wal_header_version_mismatch_is_a_named_error(tmp_path):
     ckpt, _ = run_checkpointed(tmp_path)
-    os.unlink(ckpt.path)
-    with open(ckpt.wal_path) as handle:
-        lines = handle.read().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = CHECKPOINT_VERSION + 1
-    lines[0] = json.dumps(header)
-    with open(ckpt.wal_path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _rewrite_header(
+        ckpt, lambda header: header.update(version=CHECKPOINT_VERSION + 1)
+    )
     with pytest.raises(CheckpointError, match="version"):
         CheckpointJournal.load(ckpt)
+    with pytest.raises(CheckpointError, match="version"):
+        TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
+    with pytest.raises(CheckpointError, match="version"):
+        Checkpoint.load(ckpt.path)
 
 
 # -- fingerprint/divergence validation ---------------------------------------
@@ -251,11 +236,8 @@ def test_resume_with_wrong_executor_is_rejected(tmp_path):
 
 def test_resume_with_different_seed_diverges_loudly(tmp_path):
     ckpt, _ = run_checkpointed(tmp_path, seed=1)
-    with open(ckpt.path) as handle:
-        snapshot = json.load(handle)
-    snapshot["meta"]["seed"] = 2  # simulate operator error
-    with open(ckpt.path, "w") as handle:
-        json.dump(snapshot, handle)
+    # Simulate operator error.
+    _rewrite_header(ckpt, lambda header: header["meta"].update(seed=2))
     session = TuningSession(RandomSearch())
     with pytest.raises(CheckpointError, match="diverged"):
         session.restore(ckpt, make_env(), space())
@@ -324,47 +306,52 @@ def test_snapshot_cadence_bounds_snapshot_staleness(tmp_path):
 def test_snapshot_is_written_at_session_start_and_end_only(
     tmp_path, monkeypatch, every
 ):
+    """The session's end record is the one ``write_snapshot`` call."""
     calls = []
     write = CheckpointJournal.write_snapshot
 
-    def counting(self, history, strategy, env_counters, status="running"):
-        calls.append(status)
-        write(self, history, strategy, env_counters, status)
+    def counting(self, history, audit):
+        calls.append(len(history))
+        write(self, history, audit)
 
     monkeypatch.setattr(CheckpointJournal, "write_snapshot", counting)
     ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"), every_n_trials=every)
     TuningSession(RandomSearch()).run(
         make_env(), space(), TuningBudget(max_trials=9), seed=1, checkpoint=ckpt
     )
-    assert calls == ["running", "complete"]
+    assert calls == [9]
+    with open(ckpt.wal_path) as handle:
+        kinds = [json.loads(line)["type"] for line in handle]
+    assert kinds.count("end") == 1 and kinds[-1] == "end"
+    assert os.listdir(tmp_path) == ["s.ckpt.wal"]
 
 
-def test_v1_checkpoint_is_a_named_version_error(tmp_path):
-    """A checkpoint in the old layout (the snapshot holds the history,
-    trial records hold only the divergence fields) fails by version."""
-    ckpt, result = run_checkpointed(tmp_path)
-    with open(ckpt.path) as handle:
-        snapshot = json.load(handle)
-    meta = snapshot["meta"]
+def _old_layout(ckpt, result, version):
+    """Rewrite a finished checkpoint in an older layout: a snapshot
+    document at ``ckpt.path`` beside a WAL whose header reads
+    ``version``.  Version 1 trial records held only the divergence
+    fields; version 2 WALs held today's trial records but no end record."""
+    with open(ckpt.wal_path) as handle:
+        records = [json.loads(line) for line in handle]
+    meta, end = records[0]["meta"], records[-1]
     with open(ckpt.path, "w") as handle:
         json.dump(
             {
-                "version": 1,
+                "version": version,
                 "meta": meta,
                 "status": "complete",
                 "trials": len(result.history),
                 "probes": len(result.history),
-                "history": result.history.to_payload(),
-                "env_counters": snapshot["env_counters"],
+                "ledgers": end["ledgers"],
+                "events": end["events"],
+                "env_counters": end["audit"]["env_counters"],
                 "strategy_state": None,
             },
             handle,
         )
-    with open(ckpt.wal_path) as handle:
-        records = [json.loads(line) for line in handle]
-    lines = [json.dumps({"type": "header", "version": 1, "meta": meta})]
-    for record in records[1:]:
-        if record["type"] == "trial":
+    lines = [json.dumps({"type": "header", "version": version, "meta": meta})]
+    for record in records[1:-1]:
+        if record["type"] == "trial" and version == 1:
             trial = record["trial"]
             record = {
                 "type": "trial",
@@ -379,10 +366,19 @@ def test_v1_checkpoint_is_a_named_version_error(tmp_path):
         lines.append(json.dumps(record))
     with open(ckpt.wal_path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointError, match="version 1"):
-        TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
-    with pytest.raises(CheckpointError, match="version 1"):
-        Checkpoint.load(ckpt.path)
+
+
+def test_v1_checkpoint_is_a_named_version_error(tmp_path):
+    """A checkpoint in an older layout (v1: the snapshot holds the
+    history; v2: a snapshot beside a WAL with no end record) fails by
+    version instead of being read as a running session."""
+    for version in (1, 2):
+        ckpt, result = run_checkpointed(tmp_path, name=f"v{version}.ckpt")
+        _old_layout(ckpt, result, version)
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            Checkpoint.load(ckpt.path)
 
 
 class _Inspector(SessionCallback):
@@ -455,6 +451,74 @@ def test_loaded_history_matches_pooled_async_session_exactly(tmp_path):
     assert loaded.history.to_payload() == history.to_payload()
 
 
+def run_wall_capped(tmp_path, name="async.ckpt"):
+    """A 2-worker async session whose wall cap cancels the probes still
+    in flight after its last trial."""
+    ckpt = CheckpointConfig(str(tmp_path / name))
+    result = TuningSession(RandomSearch(), executor=AsyncExecutor(2)).run(
+        make_env(), space(), TuningBudget(max_wall_clock_s=3600.0), seed=1,
+        checkpoint=ckpt,
+    )
+    return ckpt, result
+
+
+def test_load_reads_the_final_cancellation_from_the_wal_alone(tmp_path):
+    ckpt, result = run_wall_capped(tmp_path)
+    history = result.history
+    assert history.cancelled_cost_s > 0, "the wall cap must cancel a probe"
+    assert history.total_cost_s > history[len(history) - 1].cumulative_cost_s
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(ckpt.wal_path, alone / "copy.ckpt.wal")
+    loaded = Checkpoint.load(str(alone / "copy.ckpt"))
+    assert loaded.status == "complete"
+    assert loaded.history.to_payload() == history.to_payload()
+    assert loaded.history.cancelled_cost_s == history.cancelled_cost_s
+    assert loaded.history.total_cost_s == history.total_cost_s
+    assert loaded.env_counters["env"]["trials_run"] == len(history) + 1
+
+
+def test_resuming_a_completed_checkpoint_leaves_its_wal_unchanged(tmp_path):
+    ckpt, result = run_wall_capped(tmp_path)
+    with open(ckpt.wal_path, "rb") as handle:
+        before = handle.read()
+    resumed = TuningSession(RandomSearch(), executor=AsyncExecutor(2)).resume(
+        ckpt, make_env(), space()
+    )
+    assert result_fingerprint(resumed) == result_fingerprint(result)
+    with open(ckpt.wal_path, "rb") as handle:
+        after = handle.read()
+    assert after == before
+    kinds = [json.loads(line)["type"] for line in after.splitlines()]
+    assert kinds.count("end") == 1 and kinds[-1] == "end"
+
+
+def test_wal_cut_back_to_its_header_resumes_identically(tmp_path, monkeypatch):
+    baseline = TuningSession(RandomSearch()).run(
+        make_env(), space(), TuningBudget(max_trials=8), seed=1
+    )
+    fsyncs = []
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd))
+    ckpt = CheckpointConfig(str(tmp_path / "s.ckpt"))
+    session = TuningSession(RandomSearch()).start(
+        make_env(), space(), TuningBudget(max_trials=8), seed=1, checkpoint=ckpt
+    )
+    # The header is the checkpoint's only file, and durable before the
+    # first probe.
+    assert len(fsyncs) == 1
+    assert os.listdir(tmp_path) == ["s.ckpt.wal"]
+    session.step()
+    monkeypatch.undo()
+    with open(ckpt.wal_path, "rb") as handle:
+        header = handle.readline()
+    with open(ckpt.wal_path, "wb") as handle:
+        handle.write(header)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resumed = TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
+    assert result_fingerprint(resumed) == result_fingerprint(baseline)
+
+
 def test_non_json_audit_state_is_marked_not_fatal(tmp_path):
     class Opaque(RandomSearch):
         def snapshot_state(self):
@@ -470,7 +534,8 @@ def test_non_json_audit_state_is_marked_not_fatal(tmp_path):
             record["audit"] for record in map(json.loads, handle)
             if "audit" in record
         ]
-    assert [audit["strategy_state"] for audit in audits] == [marker, marker]
+    # Trials 2 and 4, then the end record.
+    assert [audit["strategy_state"] for audit in audits] == [marker] * 3
     loaded = Checkpoint.load(ckpt.path)
     assert loaded.strategy_state == marker
     assert loaded.history.to_payload() == result.history.to_payload()
