@@ -201,8 +201,19 @@ def test_wal_header_version_mismatch_is_a_named_error(tmp_path):
     )
     with pytest.raises(CheckpointError, match="version"):
         CheckpointJournal.load(ckpt)
+
+
+def test_version_mismatch_is_a_named_error(tmp_path):
+    """A checkpoint written by a newer version is refused by name on every
+    read path: restore, resume and ``Checkpoint.load``."""
+    ckpt, _ = run_checkpointed(tmp_path)
+    _rewrite_header(
+        ckpt, lambda header: header.update(version=CHECKPOINT_VERSION + 1)
+    )
     with pytest.raises(CheckpointError, match="version"):
         TuningSession(RandomSearch()).restore(ckpt, make_env(), space())
+    with pytest.raises(CheckpointError, match="version"):
+        TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
     with pytest.raises(CheckpointError, match="version"):
         Checkpoint.load(ckpt.path)
 
