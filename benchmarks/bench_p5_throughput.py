@@ -1,6 +1,6 @@
 """P5 — vectorized proposal pipeline + process-parallel harness throughput.
 
-Four axes, one per layer this change touches:
+Three axes, one per layer this change touches:
 
 - ``throughput`` — steady-state BO proposal latency (and candidates/sec at
   the tuner's default 512-candidate set) through the vectorized candidate
@@ -9,10 +9,6 @@ Four axes, one per layer this change touches:
   :meth:`ConfigSpace.sample` calls the timed proposals make: a
   deterministic work counter that must stay 0, because every candidate
   comes from the batched sampler.
-- ``hyperfit`` — one full GP hyperparameter fit (multi-start L-BFGS-B)
-  with the restarts fanned across ``fit_workers`` processes vs in-process
-  serial.  Results are bit-identical; only wall-clock changes.  On a
-  single-core host the parallel arms show ~1x (see ``config.host_cpus``).
 - ``harness`` — one P1-style strategy sweep (``run_sweep``) with its
   (strategy × seed) sessions fanned across ``n_jobs`` worker processes
   vs serial.  Each timed arm starts with both experiment-cache tiers
@@ -51,8 +47,6 @@ import numpy as np
 from repro.configspace import ConfigSpace, ml_config_space
 from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
-from repro.core.gp import GaussianProcess
-from repro.core.kernels import make_kernel
 from repro.mlsim import Measurement, TrainingConfig
 
 SCHEMA = "bench_p5_throughput/v2"
@@ -85,8 +79,8 @@ def time_propose(space, n, repeats, seed=0):
     :meth:`ConfigSpace.sample` calls during the timed proposals.
 
     ``refit_every`` is parked far out so the cells time the candidate
-    pipeline + scoring, not hyperparameter refits (those are the
-    ``hyperfit`` axis).
+    pipeline + scoring, not hyperparameter refits (P3's ``hyperfit``
+    section times those).
     """
     history = _history(space, n, seed=seed)
     proposer = BayesianProposer(
@@ -107,24 +101,6 @@ def time_propose(space, n, repeats, seed=0):
             proposer.propose(history, rng)
             samples.append((time.perf_counter() - start) * 1e3)
     return statistics.median(samples), scalar_sample.call_count
-
-
-def time_hyperfit(n, fit_workers, repeats, seed=0, dim=8, restarts=6):
-    """Median latency (ms) of one full multi-start hyperparameter fit."""
-    rng = np.random.default_rng(seed)
-    x = rng.random((n, dim))
-    y = np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
-    samples = []
-    for _ in range(repeats):
-        gp = GaussianProcess(
-            kernel=make_kernel("matern52", dim),
-            restarts=restarts,
-            fit_workers=fit_workers,
-        )
-        start = time.perf_counter()
-        gp.fit(x, y)
-        samples.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(samples)
 
 
 def time_harness(quick, seed=0):
@@ -231,9 +207,6 @@ def run_suite(quick=False, seed=0):
     space = ml_config_space(nodes)
     history_sizes = (16, 64) if quick else (16, 64, 256)
     propose_repeats = 9 if quick else 31
-    hyperfit_sizes = (64,) if quick else (64, 256)
-    worker_counts = (1, 2) if quick else (1, 2, 4)
-    hyperfit_repeats = 3 if quick else 5
 
     results = {
         "schema": SCHEMA,
@@ -247,7 +220,6 @@ def run_suite(quick=False, seed=0):
             "host_cpus": os.cpu_count(),
         },
         "throughput": {},
-        "hyperfit": {},
         "harness": {},
         "cache": {},
     }
@@ -264,24 +236,6 @@ def run_suite(quick=False, seed=0):
             f"throughput n={n:>3}: vectorized {ms:6.1f} ms  "
             f"({cell['vectorized_cps']:,.0f} cand/s)  "
             f"scalar samples {scalar_samples}"
-        )
-
-    for n in hyperfit_sizes:
-        cell = {}
-        for workers in worker_counts:
-            cell[f"workers{workers}_ms"] = time_hyperfit(
-                n, workers, hyperfit_repeats, seed
-            )
-        for workers in worker_counts[1:]:
-            cell[f"speedup_w{workers}"] = (
-                cell["workers1_ms"] / cell[f"workers{workers}_ms"]
-            )
-        results["hyperfit"][f"n={n}"] = cell
-        print(
-            f"hyperfit n={n:>3}: "
-            + "  ".join(
-                f"w{w} {cell[f'workers{w}_ms']:7.1f} ms" for w in worker_counts
-            )
         )
 
     results["harness"]["p1-sweep"] = time_harness(quick, seed)

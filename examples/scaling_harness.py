@@ -1,22 +1,14 @@
-"""Scaling the experiment harness: parallel cells, parallel fits, disk cache.
+"""Scaling the experiment harness: parallel cells and a disk cache.
 
-Three independent knobs make repeated evaluation sweeps scale with the
-hardware instead of with patience — none of them changes any result:
+Two independent knobs make repeated evaluation sweeps scale with the
+hardware instead of with patience — neither changes any result:
 
 1. ``run_sweep(cells, seeds, n_jobs=...)`` fans the independent
    (cell × seed) tuning sessions of a sweep across worker processes
    (:mod:`repro.harness.runner`).  ``n_jobs=None`` uses one process per
    CPU; results are identical to serial.
 
-2. ``MLConfigTuner(fit_workers=K)`` (CLI: ``--fit-workers K``) fans a
-   cold GP fit's multi-start L-BFGS-B restarts across ``K`` processes
-   (a surrogate's first fit, and the first after a re-tune; later refits
-   run one start in-process).  The same starts run either way and the
-   best-of reduction is order-independent, so the fitted hyperparameters
-   are bit-identical to serial.  (Not exercised below: sweep cells run
-   the registry's default-configured tuners.)
-
-3. The experiment memoiser keeps a persistent JSON tier on disk (default
+2. The experiment memoiser keeps a persistent JSON tier on disk (default
    ``.repro_cache/`` under the working directory, relocatable via the
    ``REPRO_CACHE_DIR`` environment variable): a sweep session or table
    cell computed in *any* earlier run is loaded instead of recomputed.

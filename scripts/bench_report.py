@@ -29,9 +29,9 @@ Two subcommands:
     ``current > max_value``.  Use these for deterministic work counters
     (e.g. ``--metric propose/n=64/full_fits --max-value 4``), which do not
     depend on the runner at all, and for properties that must hold on the
-    runner itself — e.g. "parallel hyperfit beats serial at all" on a
-    multi-core CI machine, where a ratio against a baseline recorded on
-    different hardware would be meaningless.
+    runner itself — e.g. "the process-parallel sweep at least matches the
+    serial one" on a multi-core CI machine, where a ratio against a
+    baseline recorded on different hardware would be meaningless.
 
     A gated metric missing from either JSON exits 2 with a message naming
     the metric (stale benchmark file), distinct from exit 1 (regression).

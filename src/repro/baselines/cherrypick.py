@@ -22,9 +22,7 @@ from repro.core.trial import TrialHistory
 class CherryPick(SearchStrategy):
     """GP + plain EI + EI-threshold stopping, no early termination.
 
-    The GP machinery is :class:`~repro.core.bo.BayesianProposer`'s, so
-    ``fit_workers`` fans out only the multi-start search of a cold
-    surrogate fit; later hyperparameter refits run one start in-process.
+    The GP machinery is :class:`~repro.core.bo.BayesianProposer`'s.
     """
 
     name = "cherrypick"
@@ -35,7 +33,6 @@ class CherryPick(SearchStrategy):
         ei_stop_fraction: float = 0.02,
         min_trials: int = 12,
         n_candidates: int = 512,
-        fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         prior_mean=None,
@@ -43,13 +40,10 @@ class CherryPick(SearchStrategy):
     ) -> None:
         if not 0.0 <= ei_stop_fraction < 1.0:
             raise ValueError("ei_stop_fraction must be in [0, 1)")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         self.n_initial = n_initial
         self.ei_stop_fraction = ei_stop_fraction
         self.min_trials = min_trials
         self.n_candidates = n_candidates
-        self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
@@ -68,7 +62,6 @@ class CherryPick(SearchStrategy):
                 acquisition="ei",
                 n_initial=self.n_initial,
                 n_candidates=self.n_candidates,
-                fit_workers=self.fit_workers,
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 prior_mean=self.prior_mean,

@@ -125,12 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="configurations probed concurrently (1 = serial probing)",
     )
     tune.add_argument(
-        "--fit-workers", type=int, default=1, metavar="K",
-        help="processes fanning a cold GP hyperparameter fit's multi-start "
-        "restarts (later refits run one start; bit-identical results to "
-        "serial; BO-family strategies only)",
-    )
-    tune.add_argument(
         "--sparse-threshold", type=int, default=None, metavar="N",
         help="history size at which GP surrogates switch to the "
         "inducing-point sparse tier (0 = never switch; default: the "
@@ -339,9 +333,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    if args.fit_workers < 1:
-        print("--fit-workers must be >= 1", file=sys.stderr)
-        return 2
     if args.sparse_threshold not in (None, 0) and args.sparse_threshold < 4:
         print("--sparse-threshold must be 0 (off) or >= 4", file=sys.stderr)
         return 2
@@ -394,17 +385,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         return 2
     space = ml_config_space(args.nodes)
     strategy = STRATEGIES[args.strategy](args.seed)
-    if args.fit_workers > 1:
-        if hasattr(strategy, "fit_workers"):
-            # Read lazily at first proposal, so setting the attribute after
-            # construction reaches the proposer's GP factories.
-            strategy.fit_workers = args.fit_workers
-        else:
-            print(
-                f"note: --fit-workers only applies to GP-based strategies; "
-                f"{args.strategy!r} has no hyperparameter fits to fan out",
-                file=sys.stderr,
-            )
     if args.sparse_threshold is not None or args.max_inducing is not None:
         if hasattr(strategy, "sparse_threshold"):
             if args.sparse_threshold is not None:
@@ -478,8 +458,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             if args.resume:
                 # The env/fleet is rebuilt from the CLI flags, so the seed
                 # must match the original run or the post-replay noise
-                # stream diverges silently — reject a mismatch up front.
-                recorded_seed = Checkpoint.load(args.checkpoint).meta.get("seed")
+                # stream diverges silently — reject a mismatch up front,
+                # from the header alone (the resume parses the whole WAL).
+                recorded_seed = Checkpoint.read_meta(args.checkpoint).get("seed")
                 if recorded_seed is not None and recorded_seed != args.seed:
                     print(
                         f"--resume: checkpoint was written with --seed "

@@ -321,14 +321,6 @@ class BayesianProposer:
         an improvement margin in the objective's raw units, not in the
         surrogate's standardised ones: at objectives of 10^3 (throughput)
         to 10^6 (``tta`` seconds) the default 0.01 changes no proposal.
-    fit_workers:
-        Fan a cold surrogate fit's multi-start L-BFGS-B restarts across
-        ``fit_workers`` processes (see
-        :class:`~repro.core.gp.GaussianProcess`); 1 = in-process serial,
-        bit-identical results either way.  Only cold fits multi-start (see
-        the module docstring), so the pool sees a surrogate's first fit and
-        the first fit after :meth:`apply_retuning`; every other refit is
-        one start and runs in-process.
     shard_cost_feature:
         Condition the ``"eipc"`` cost surrogate on the environment shard a
         trial ran on: the cost GP's input gains one extra dimension — the
@@ -374,7 +366,6 @@ class BayesianProposer:
         beta: float = 2.0,
         refit_every: int = 3,
         shard_cost_feature: bool = False,
-        fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         prior_mean=None,
@@ -386,8 +377,6 @@ class BayesianProposer:
             raise ValueError("n_candidates must be >= 8")
         if refit_every < 1:
             raise ValueError("refit_every must be >= 1")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         if sparse_threshold is not None and sparse_threshold < 4:
             raise ValueError("sparse_threshold must be >= 4 (or None)")
         if max_inducing < 4:
@@ -405,7 +394,6 @@ class BayesianProposer:
         # and reuse the cached values in between.
         self.refit_every = refit_every
         self.shard_cost_feature = shard_cost_feature
-        self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
@@ -476,7 +464,6 @@ class BayesianProposer:
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 seed=seed,
-                fit_workers=self.fit_workers,
                 prior_mean=prior_mean,
             )
             self._factories[key] = factory

@@ -302,6 +302,28 @@ class Checkpoint:
     wal_probes: int
     wal_trials: int
 
+    @staticmethod
+    def read_meta(path: str) -> dict:
+        """The session metadata in the header of the checkpoint at ``path``.
+
+        Reads only the WAL's first line, so it costs the same on a long log
+        and leaves a torn tail for a resume to quarantine.  A header of
+        another version raises :class:`CheckpointError`, as a full read does.
+        """
+        wal_path = CheckpointConfig(path).wal_path
+        try:
+            with open(wal_path, "rb") as handle:
+                line = handle.readline()
+        except OSError as exc:
+            raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
+        try:
+            header = json.loads(line) if line.endswith(b"\n") else None
+        except ValueError:  # includes UnicodeDecodeError
+            header = None
+        if isinstance(header, dict) and header.get("type") == "header":
+            _check_version(header.get("version"), f"checkpoint WAL {wal_path!r}")
+        return _header_meta(wal_path, [header] if isinstance(header, dict) else [])
+
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
         """Load the checkpoint at ``path`` (its WAL) for offline inspection."""

@@ -54,21 +54,15 @@ hyperparameters); nothing else mutates it.
 
 from __future__ import annotations
 
-import atexit
 import copy
 import math
-import os
-import warnings
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from repro.core._scipy_ext import load_extension
 from repro.core.kernels import Kernel, Matern52, _sum
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 _potrf, _potrs, _trtrs = load_extension(
     "scipy.linalg._flapack", "dpotrf", "dpotrs", "dtrtrs"
@@ -170,103 +164,14 @@ def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray, int]:
     bound-constrained quasi-Newton method of Byrd, Lu, Nocedal and Zhu
     (SIAM J. Sci. Comput. 1995) driven straight through scipy's
     reverse-communication routine, with the same iterates as
-    ``scipy.optimize.minimize(method="L-BFGS-B")``.  Top-level (picklable)
-    so starts can fan out across a process pool; the serial path runs the
-    exact same function in-process, which is what makes ``fit_workers >
-    1`` bit-identical to serial: every start is a pure function of its
-    task tuple, and the best-of reduction happens in start order either
-    way.
+    ``scipy.optimize.minimize(method="L-BFGS-B")``.  Each start is a pure
+    function of its task tuple (the task carries its own kernel copy), so
+    a start's result does not depend on the starts run before it.
     """
     kernel, x, z, noise_variance, fit_noise, bounds, start, scale = task
     objective = _LMLObjective(kernel, x, z, noise_variance, fit_noise, scale)
     fun, params, _ = _lbfgsb(objective, start, bounds)
     return float(fun), params, objective.failures
-
-
-#: Persistent hyperfit worker pools, keyed by worker count and owner PID —
-#: the PID guard drops pools inherited through a fork (their workers
-#: belong to the parent and would dead-letter our submissions).  Only a
-#: ``fit_workers > 1`` fit creates one, so ``multiprocessing`` and
-#: ``concurrent.futures`` are imported there, not with this module.
-_FIT_POOLS: Dict[int, ProcessPoolExecutor] = {}
-_FIT_POOLS_PID: Optional[int] = None
-
-
-@atexit.register
-def _shutdown_fit_pools() -> None:
-    """Shut this process's fit pools down at interpreter exit.
-
-    Imported lazily, ``concurrent.futures.process`` is torn down before
-    this module, so a pool still referenced here would be collected
-    without its module and print ``Exception ignored`` at exit.
-    """
-    if _FIT_POOLS_PID == os.getpid():
-        for pool in _FIT_POOLS.values():
-            pool.shutdown()
-    _FIT_POOLS.clear()
-
-
-def _fit_pool(workers: int) -> ProcessPoolExecutor:
-    global _FIT_POOLS_PID
-    if _FIT_POOLS_PID != os.getpid():
-        _FIT_POOLS.clear()
-        _FIT_POOLS_PID = os.getpid()
-    pool = _FIT_POOLS.get(workers)
-    if pool is None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Prefer fork: workers come up in milliseconds and inherit numpy
-        # warm; spawn (macOS/Windows default) works too since tasks and
-        # results are plain picklable tuples.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        _FIT_POOLS[workers] = pool
-    return pool
-
-
-#: Hyperparameter fits in this process whose worker pool could not be used
-#: and that ran their starts in-process instead (read it through
-#: :attr:`GaussianProcess.pool_fallbacks`).
-_POOL_FALLBACKS = 0
-_POOL_FALLBACK_WARNED = False
-
-
-def _run_hyperfit_tasks(
-    tasks: List[tuple], fit_workers: int
-) -> List[Tuple[float, np.ndarray, int]]:
-    """All start results, in task order (the reduction key).
-
-    Falls back to in-process execution when the pool cannot be used
-    (sandboxes that forbid subprocesses, broken pools) — the results are
-    identical either way, only the wall-clock differs.  Each fallback is
-    counted in ``_POOL_FALLBACKS``; the first in a process warns.
-    """
-    global _POOL_FALLBACKS, _POOL_FALLBACK_WARNED
-    if fit_workers > 1 and len(tasks) > 1:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            pool = _fit_pool(min(fit_workers, len(tasks)))
-            return list(pool.map(_hyperfit_one, tasks))
-        except (BrokenProcessPool, OSError, PermissionError) as exc:
-            for stale in _FIT_POOLS.values():
-                stale.shutdown(wait=False, cancel_futures=True)
-            _FIT_POOLS.clear()
-            _POOL_FALLBACKS += 1
-            if not _POOL_FALLBACK_WARNED:
-                _POOL_FALLBACK_WARNED = True
-                warnings.warn(
-                    f"GP hyperparameter fit pool unavailable "
-                    f"({type(exc).__name__}: {exc}); running fit starts "
-                    f"in-process (same results, less parallelism)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return [_hyperfit_one(task) for task in tasks]
 
 
 # The three LAPACK calls below are the ones scipy 1.17's ``cholesky``,
@@ -491,17 +396,6 @@ class GaussianProcess:
     restarts:
         Number of random restarts for the hyperparameter optimisation, on
         top of the start at the kernel's current parameters.
-    fit_workers:
-        Fan the multi-start restarts across ``fit_workers`` worker
-        processes (a single-start fit, ``restarts=0``, always runs
-        in-process).  Deterministic: the same starts are generated either
-        way, every restart is an independent pure function, and the
-        best-of reduction runs in start order — ``fit_workers > 1`` fits
-        bit-identical hyperparameters to serial.  Falls back to serial
-        when subprocesses are unavailable.  The pool, and the
-        ``multiprocessing`` and ``concurrent.futures`` modules behind it,
-        come up on the first fit that uses it; a serial tuner never
-        imports them.
     """
 
     def __init__(
@@ -511,20 +405,16 @@ class GaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        fit_workers: int = 1,
     ) -> None:
         if noise_variance <= 0:
             raise ValueError("noise_variance must be positive")
         if restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.fit_workers = fit_workers
         self._x: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
@@ -545,12 +435,6 @@ class GaussianProcess:
         #: returned the failure sentinel (covariance not factorable, or a
         #: non-finite LML), summed over every start of every fit.
         self.lml_failures = 0
-
-    @property
-    def pool_fallbacks(self) -> int:
-        """Process-wide count of hyperparameter fits that could not use the
-        ``fit_workers`` pool and ran in-process (same results, slower)."""
-        return _POOL_FALLBACKS
 
     # -- fitting ---------------------------------------------------------
 
@@ -631,26 +515,24 @@ class GaussianProcess:
         for _ in range(self.restarts):
             start = np.array([lo + (hi - lo) * rng.random() for lo, hi in bounds])
             starts.append(start)
-        # Every restart gets its own kernel copy so the evaluations are
-        # independent pure functions — the same task list runs in-process
-        # or across the fit_workers pool with identical results.
-        tasks = [
-            (
-                copy.deepcopy(self.kernel),
-                self._x,
-                self._z,
-                self.noise_variance,
-                self.fit_noise,
-                bounds,
-                start,
-                self._noise_scale,
-            )
-            for start in starts
-        ]
-        outcomes = _run_hyperfit_tasks(tasks, self.fit_workers)
+        # Every start gets its own kernel copy, so no start sees the
+        # parameters another left behind; the best-of reduction runs in
+        # start order, the first of equal values winning.
         best_val = np.inf
         best_params = starts[0]
-        for fun, params, failures in outcomes:
+        for start in starts:
+            fun, params, failures = _hyperfit_one(
+                (
+                    copy.deepcopy(self.kernel),
+                    self._x,
+                    self._z,
+                    self.noise_variance,
+                    self.fit_noise,
+                    bounds,
+                    start,
+                    self._noise_scale,
+                )
+            )
             self.lml_failures += failures
             if fun < best_val:
                 best_val = float(fun)
@@ -906,7 +788,6 @@ class SparseGaussianProcess:
         fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
-        fit_workers: int = 1,
         max_inducing: int = 256,
         reselect_growth: float = 1.25,
     ) -> None:
@@ -914,8 +795,6 @@ class SparseGaussianProcess:
             raise ValueError("noise_variance must be positive")
         if restarts < 0:
             raise ValueError("restarts must be >= 0")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
         if max_inducing < 1:
             raise ValueError("max_inducing must be >= 1")
         if reselect_growth <= 1.0:
@@ -925,7 +804,6 @@ class SparseGaussianProcess:
         self.fit_noise = fit_noise
         self.restarts = restarts
         self.seed = seed
-        self.fit_workers = fit_workers
         self.max_inducing = max_inducing
         self.reselect_growth = reselect_growth
         self._x: Optional[np.ndarray] = None
@@ -1034,7 +912,6 @@ class SparseGaussianProcess:
             fit_noise=self.fit_noise,
             restarts=self.restarts,
             seed=self.seed,
-            fit_workers=self.fit_workers,
         )
         try:
             scratch.fit(self._x[self._idx], self._y[self._idx], optimize_hypers=True)
@@ -1347,7 +1224,7 @@ class SurrogateFactory:
         ``None`` never switches.
     max_inducing:
         Inducing-set cap for the sparse tier.
-    seed / fit_workers:
+    seed:
         Forwarded to both tiers' hyperparameter fits.
     prior_mean:
         Optional fixed predictor of the *normalised* response surface
@@ -1364,7 +1241,6 @@ class SurrogateFactory:
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         seed: int = 0,
-        fit_workers: int = 1,
         prior_mean=None,
     ) -> None:
         if sparse_threshold is not None and sparse_threshold < 4:
@@ -1375,7 +1251,6 @@ class SurrogateFactory:
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.seed = seed
-        self.fit_workers = fit_workers
         self.prior_mean = prior_mean
 
     def tier_for(self, n: int) -> str:
@@ -1407,16 +1282,14 @@ class SurrogateFactory:
             gp = SparseGaussianProcess(
                 kernel=self.kernel_factory(),
                 seed=self.seed,
-                fit_workers=self.fit_workers,
-                max_inducing=self.max_inducing,
+                    max_inducing=self.max_inducing,
                 **restarts,
             )
         else:
             gp = GaussianProcess(
                 kernel=self.kernel_factory(),
                 seed=self.seed,
-                fit_workers=self.fit_workers,
-                **restarts,
+                    **restarts,
             )
         if self.prior_mean is not None:
             return PriorMeanGP(gp, self.prior_mean)

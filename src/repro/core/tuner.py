@@ -67,12 +67,9 @@ class MLConfigTuner(SearchStrategy):
         predict probe cost at the target shard (see
         :class:`~repro.core.bo.BayesianProposer`).  Off by default.
     fit_workers:
-        Fan a cold GP hyperparameter fit's multi-start restarts across
-        ``fit_workers`` processes (bit-identical results to serial; see
-        :class:`~repro.core.gp.GaussianProcess`).  Only cold fits (a
-        surrogate's first, and the first after a re-tune) multi-start;
-        later refits run one start in-process.  Surfaced on the CLI as
-        ``--fit-workers``.
+        Removed: every hyperparameter fit runs its starts in-process.
+        Only the old default, 1, is accepted, and it is not stored; any
+        other value raises ``ValueError``.
     sparse_threshold / max_inducing:
         Surrogate tier policy for long sessions: past ``sparse_threshold``
         trials the GP surrogates switch to the inducing-point sparse tier
@@ -117,15 +114,17 @@ class MLConfigTuner(SearchStrategy):
             raise ValueError("short_probe_fraction must be in (0, 1)")
         if rejection_margin < 0:
             raise ValueError("rejection_margin must be non-negative")
-        if fit_workers < 1:
-            raise ValueError("fit_workers must be >= 1")
+        if fit_workers != 1:
+            raise ValueError(
+                "fit_workers was removed: hyperparameter fits run their "
+                "starts in-process, so only fit_workers=1 is accepted"
+            )
         self.acquisition = acquisition
         self.n_initial = n_initial
         self.early_termination = early_termination
         self.short_probe_fraction = short_probe_fraction
         self.rejection_margin = rejection_margin
         self.shard_cost_feature = shard_cost_feature
-        self.fit_workers = fit_workers
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
@@ -245,7 +244,6 @@ class MLConfigTuner(SearchStrategy):
                 xi=self.xi,
                 beta=self.beta,
                 shard_cost_feature=self.shard_cost_feature,
-                fit_workers=self.fit_workers,
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 prior_mean=self.prior_mean,

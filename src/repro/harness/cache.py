@@ -123,9 +123,8 @@ def _memoised(key: tuple, compute: Callable[[], Any]) -> Any:
     ``TuningResult`` objects) stay memory-only — the disk tier is for the
     row-shaped payloads the ``exp_*`` tables memoise and the history
     payloads of :func:`~repro.harness.sweep.run_sweep`'s sessions.  Keys must never
-    include execution knobs that cannot change the value (``n_jobs``,
-    ``fit_workers``): those would fragment the cache for identical
-    results.
+    include execution knobs that cannot change the value (``n_jobs``):
+    those would fragment the cache for identical results.
     """
     if key in _memo:
         return _memo[key]

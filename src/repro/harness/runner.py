@@ -13,7 +13,9 @@ pipe, and only the return values are pickled back.  That is what lets
 strategy factories the harness is full of, which a spawn-based pool could
 not serialise.  On platforms without ``fork`` (or with ``n_jobs=1``) cells
 run serially in-process; results are identical either way, only the
-wall-clock differs.
+wall-clock differs.  A pool that cannot be created (a sandbox that
+forbids subprocesses) also runs the cells serially, and the first such
+fallback in a process warns with a ``RuntimeWarning``.
 
 ``n_jobs=None`` asks for one job per CPU (``os.cpu_count()``).
 ``multiprocessing`` is imported only when a pool is considered, so a
@@ -31,6 +33,9 @@ Cell = Callable[[], Any]
 #: top-level worker entry can reach the (unpicklable) cells in the child
 #: after fork; guarded against nested use below.
 _ACTIVE_CELLS: Optional[Sequence[Cell]] = None
+
+#: Whether this process has already warned that a pool could not start.
+_POOL_UNAVAILABLE_WARNED = False
 
 
 def _run_cell(index: int) -> Any:
@@ -62,7 +67,7 @@ def run_cells(cells: Sequence[Cell], n_jobs: Optional[int] = 1) -> List[Any]:
     itself fans out) run their inner cells serially rather than spawning
     pools from worker processes.
     """
-    global _ACTIVE_CELLS
+    global _ACTIVE_CELLS, _POOL_UNAVAILABLE_WARNED
     cells = list(cells)
     jobs = resolve_n_jobs(n_jobs, len(cells))
     if jobs <= 1 or len(cells) < 2 or not fork_available() or _ACTIVE_CELLS is not None:
@@ -79,7 +84,18 @@ def run_cells(cells: Sequence[Cell], n_jobs: Optional[int] = 1) -> List[Any]:
         # propagate, not trigger a second serial run of every cell.
         try:
             pool = context.Pool(processes=jobs)
-        except (OSError, PermissionError):
+        except (OSError, PermissionError) as exc:
+            if not _POOL_UNAVAILABLE_WARNED:
+                import warnings
+
+                _POOL_UNAVAILABLE_WARNED = True
+                warnings.warn(
+                    f"worker pool unavailable ({type(exc).__name__}: {exc}); "
+                    f"running {len(cells)} cells serially (same results, "
+                    f"no parallelism)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             return [cell() for cell in cells]
         with pool:
             return pool.map(_run_cell, range(len(cells)))

@@ -470,13 +470,21 @@ COLD_STARTS = 1 + GaussianProcess().restarts
 def hyperfit_starts(monkeypatch):
     """Records the start points of every hyperfit, one list per fit."""
     fits = []
-    real = gp_module._run_hyperfit_tasks
+    real_fit = gp_module.GaussianProcess._optimize_hyperparameters
+    real_start = gp_module._hyperfit_one
 
-    def spy(tasks, fit_workers):
-        fits.append([task[6] for task in tasks])
-        return real(tasks, fit_workers)
+    def fit_spy(self):
+        fits.append([])
+        return real_fit(self)
 
-    monkeypatch.setattr(gp_module, "_run_hyperfit_tasks", spy)
+    def start_spy(task):
+        fits[-1].append(task[6])
+        return real_start(task)
+
+    monkeypatch.setattr(
+        gp_module.GaussianProcess, "_optimize_hyperparameters", fit_spy
+    )
+    monkeypatch.setattr(gp_module, "_hyperfit_one", start_spy)
     return fits
 
 

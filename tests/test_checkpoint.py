@@ -181,6 +181,8 @@ def test_wal_without_a_readable_header_is_a_named_error(tmp_path):
             TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
     with pytest.raises(CheckpointError, match="no readable header"):
         Checkpoint.load(ckpt.path)
+    with pytest.raises(CheckpointError, match="no readable header"):
+        Checkpoint.read_meta(ckpt.path)
 
 
 def _rewrite_header(ckpt, edit):
@@ -205,7 +207,8 @@ def test_wal_header_version_mismatch_is_a_named_error(tmp_path):
 
 def test_version_mismatch_is_a_named_error(tmp_path):
     """A checkpoint written by a newer version is refused by name on every
-    read path: restore, resume and ``Checkpoint.load``."""
+    read path: restore, resume, ``Checkpoint.load`` and
+    ``Checkpoint.read_meta``."""
     ckpt, _ = run_checkpointed(tmp_path)
     _rewrite_header(
         ckpt, lambda header: header.update(version=CHECKPOINT_VERSION + 1)
@@ -216,6 +219,8 @@ def test_version_mismatch_is_a_named_error(tmp_path):
         TuningSession(RandomSearch()).resume(ckpt, make_env(), space())
     with pytest.raises(CheckpointError, match="version"):
         Checkpoint.load(ckpt.path)
+    with pytest.raises(CheckpointError, match="version"):
+        Checkpoint.read_meta(ckpt.path)
 
 
 # -- fingerprint/divergence validation ---------------------------------------
@@ -254,6 +259,65 @@ def test_resume_with_different_seed_diverges_loudly(tmp_path):
         session.restore(ckpt, make_env(), space())
         while session.step():
             pass
+
+
+# -- CLI resume --------------------------------------------------------------
+
+
+def _cli_tune(path, seed, *extra):
+    from repro.cli import main as cli_main
+
+    return cli_main([
+        "tune", "--workload", "resnet50-imagenet", "--nodes", str(NODES),
+        "--strategy", "random", "--trials", "6", "--seed", str(seed),
+        "--checkpoint", path, *extra,
+    ])
+
+
+class TestCliResume:
+    """``repro tune --resume`` parses the session's records once, and its
+    seed check reads only the header, before anything touches the WAL."""
+
+    def _torn_checkpoint(self, tmp_path, capsys):
+        path = str(tmp_path / "cli.ckpt")
+        assert _cli_tune(path, 3) == 0
+        with open(path + ".wal", "rb") as handle:
+            data = handle.read()
+        with open(path + ".wal", "wb") as handle:
+            handle.write(data[:-40])  # cut the end record short
+        capsys.readouterr()
+        return path
+
+    def test_resume_parses_the_wal_once(self, tmp_path, capsys, monkeypatch):
+        import repro.core.checkpoint as checkpoint_module
+
+        path = self._torn_checkpoint(tmp_path, capsys)
+        real = checkpoint_module._read_wal_records
+        calls = []
+
+        def spy(wal_path):
+            calls.append(wal_path)
+            return real(wal_path)
+
+        monkeypatch.setattr(checkpoint_module, "_read_wal_records", spy)
+        with pytest.warns(UserWarning, match="quarantined"):
+            assert _cli_tune(path, 3, "--resume") == 0
+        assert calls == [path + ".wal"]
+        assert Checkpoint.load(path).status == "complete"
+
+    def test_wrong_seed_exits_2_and_leaves_the_wal_unchanged(self, tmp_path, capsys):
+        path = self._torn_checkpoint(tmp_path, capsys)
+        with open(path + ".wal", "rb") as handle:
+            before = handle.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _cli_tune(path, 4, "--resume") == 2
+        assert capsys.readouterr().err == (
+            "--resume: checkpoint was written with --seed 3; pass the same seed\n"
+        )
+        with open(path + ".wal", "rb") as handle:
+            assert handle.read() == before
+        assert not os.path.exists(path + ".wal.quarantine")
 
 
 # -- inspection surface ------------------------------------------------------

@@ -697,19 +697,17 @@ class TestFusedObjective:
         y = np.sin(4 * x[:, 0]) + x[:, 1] ** 2 + 0.05 * rng.standard_normal(24)
         scale = np.where(np.arange(24) < 12, 4.0, 1.0) if scaled else None
 
-        def fit(**kwargs):
-            gp = GaussianProcess(kernel=Matern52(3), restarts=3, seed=5, **kwargs)
+        def fit():
+            gp = GaussianProcess(kernel=Matern52(3), restarts=3, seed=5)
             return gp.fit(x, y, noise_scale=scale)
 
         fused = fit()
-        pooled = fit(fit_workers=2)
         monkeypatch.setattr(gp_module, "_LMLObjective", _ReferenceObjective)
         reference = fit()
-        for other in (reference, pooled):
-            assert np.array_equal(fused.kernel.lengthscales, other.kernel.lengthscales)
-            assert fused.kernel.variance == other.kernel.variance
-            assert fused.noise_variance == other.noise_variance
-            assert fused.log_marginal_likelihood() == other.log_marginal_likelihood()
+        assert np.array_equal(fused.kernel.lengthscales, reference.kernel.lengthscales)
+        assert fused.kernel.variance == reference.kernel.variance
+        assert fused.noise_variance == reference.noise_variance
+        assert fused.log_marginal_likelihood() == reference.log_marginal_likelihood()
 
 
 class TestGradientCallCount:
@@ -773,15 +771,15 @@ class TestLMLFailures:
         x = rng.random((12, 3))
         return x, np.sin(3 * x[:, 0]) + x[:, 1]
 
-    @pytest.mark.parametrize("fit_workers", [1, 2])
-    def test_not_pd_at_any_jitter_counts_every_start(self, fit_workers):
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_not_pd_at_any_jitter_counts_every_start(self, restarts):
         x, y = self._data()
-        gp = GaussianProcess(kernel=_NotPDMatern52(3), restarts=2, fit_workers=fit_workers)
+        gp = GaussianProcess(kernel=_NotPDMatern52(3), restarts=restarts)
         # Each start's first evaluation is the sentinel, whose zero
         # gradient ends that start; the posterior then cannot factor.
         with pytest.raises(GPFitError):
             gp.fit(x, y)
-        assert gp.lml_failures == 3
+        assert gp.lml_failures == 1 + restarts
 
     def test_sparse_and_prior_mean_tiers_count(self):
         x, y = self._data()
@@ -800,44 +798,6 @@ class TestLMLFailures:
     def test_healthy_fit_counts_none(self):
         x, y = self._data()
         assert GaussianProcess(restarts=3).fit(x, y).lml_failures == 0
-
-
-class TestHyperfitPoolFallback:
-    """A fit pool that cannot start is counted and warned about, not hidden."""
-
-    def test_broken_pool_runs_in_process_counted_and_warned_once(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        x = rng.random((16, 3))
-        y = np.sin(3 * x[:, 0]) + x[:, 1]
-
-        def fit(workers):
-            gp = GaussianProcess(
-                kernel=Matern52(3), restarts=3, seed=5, fit_workers=workers
-            )
-            return gp.fit(x, y)
-
-        serial = fit(1)
-
-        def broken_pool(workers):
-            raise OSError("subprocesses are not allowed here")
-
-        monkeypatch.setattr(gp_module, "_fit_pool", broken_pool)
-        monkeypatch.setattr(gp_module, "_POOL_FALLBACK_WARNED", False)
-        before = serial.pool_fallbacks
-        with pytest.warns(RuntimeWarning, match="pool unavailable") as caught:
-            fallbacks = [fit(2), fit(2)]
-        assert sum("pool unavailable" in str(w.message) for w in caught) == 1
-        assert serial.pool_fallbacks == before + 2
-        for fallback in fallbacks:
-            assert np.array_equal(
-                fallback.kernel.lengthscales, serial.kernel.lengthscales
-            )
-            assert fallback.kernel.variance == serial.kernel.variance
-            assert fallback.noise_variance == serial.noise_variance
-            assert (
-                fallback.log_marginal_likelihood()
-                == serial.log_marginal_likelihood()
-            )
 
 
 class _NotPDAtLargeVariance(Matern52):

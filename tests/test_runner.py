@@ -1,19 +1,20 @@
-"""Tests for the process-parallel harness layers (PR 5).
+"""Tests for the process-parallel harness layers.
 
-Covers the fork-based cell runner, ``run_sweep(n_jobs=)``
-serial-equivalence, the disk tier of the experiment memoiser, and the
-``fit_workers`` process-parallel GP hyperfits.
+Covers the fork-based cell runner and its serial fallback,
+``run_sweep(n_jobs=)`` serial-equivalence, the disk tier of the
+experiment memoiser, and the removal of the GP hyperfit pool
+(``fit_workers``).
 """
 
+import ast
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cluster import homogeneous
-from repro.core import MLConfigTuner, TuningBudget
-from repro.core.gp import GaussianProcess
-from repro.core.kernels import make_kernel
+from repro.core import MLConfigTuner
 from repro.harness import (
     SweepCell,
     fork_available,
@@ -21,7 +22,6 @@ from repro.harness import (
     run_cells,
     run_sweep,
 )
-from repro.workloads import get_workload
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -65,6 +65,31 @@ class TestRunCells:
 
     def test_empty(self):
         assert run_cells([], n_jobs=4) == []
+
+    @needs_fork
+    def test_pool_that_cannot_start_runs_serially_and_warns_once(
+        self, monkeypatch
+    ):
+        import multiprocessing
+
+        import repro.harness.runner as runner
+
+        class NoPools:
+            def Pool(self, processes):
+                raise PermissionError("subprocesses are not allowed here")
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: NoPools())
+        monkeypatch.setattr(runner, "_POOL_UNAVAILABLE_WARNED", False)
+        cells = [lambda i=i: i * 3 for i in range(5)]
+        serial = run_cells(cells, n_jobs=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = [run_cells(cells, n_jobs=2), run_cells(cells, n_jobs=2)]
+        assert results == [serial, serial]
+        assert [type(w.message) for w in caught] == [RuntimeWarning]
+        assert "PermissionError: subprocesses are not allowed here" in str(
+            caught[0].message
+        )
 
 
 class TestRunSweepNJobs:
@@ -168,53 +193,40 @@ class TestDiskMemoiser:
 
 
 class TestFitWorkers:
-    @needs_fork
-    def test_parallel_hyperfit_bit_identical_to_serial(self):
-        rng = np.random.default_rng(4)
-        x = rng.random((48, 5))
-        y = np.sin(4.0 * x[:, 0]) - x[:, 2] + 0.05 * rng.standard_normal(48)
-        serial = GaussianProcess(
-            kernel=make_kernel("matern52", 5), restarts=3, fit_workers=1
-        ).fit(x, y)
-        fanned = GaussianProcess(
-            kernel=make_kernel("matern52", 5), restarts=3, fit_workers=3
-        ).fit(x, y)
-        assert np.array_equal(
-            serial.kernel.get_log_params(), fanned.kernel.get_log_params()
-        )
-        assert serial.noise_variance == fanned.noise_variance
-        assert serial.log_marginal_likelihood() == fanned.log_marginal_likelihood()
-        mean_a, var_a = serial.predict(x[:5])
-        mean_b, var_b = fanned.predict(x[:5])
-        assert np.array_equal(mean_a, mean_b)
-        assert np.array_equal(var_a, var_b)
+    def test_fit_workers_validated(self, capsys):
+        from repro.cli import main as cli_main
 
-    def test_fit_workers_validated(self):
-        with pytest.raises(ValueError):
-            GaussianProcess(fit_workers=0)
-        with pytest.raises(ValueError):
-            MLConfigTuner(fit_workers=0)
+        MLConfigTuner(fit_workers=1)  # the old default is still accepted
+        with pytest.raises(ValueError, match="fit_workers was removed"):
+            MLConfigTuner(fit_workers=2)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["tune", "--nodes", "8", "--trials", "2", "--fit-workers", "2"])
+        assert exc.value.code == 2
+        assert "--fit-workers" in capsys.readouterr().err
 
-    @needs_fork
-    def test_tuner_fit_workers_reproduces_serial_session(self):
-        from repro.mlsim import TrainingEnvironment
-        from repro.configspace import ml_config_space
-
-        workload = get_workload("resnet50-imagenet")
-        cluster = homogeneous(8)
-        space = ml_config_space(8)
-        budget = TuningBudget(max_trials=12)
-
-        def run(fit_workers):
-            env = TrainingEnvironment(workload, cluster, seed=0)
-            tuner = MLConfigTuner(seed=0, fit_workers=fit_workers)
-            return tuner.run(env, space, budget, seed=0)
-
-        serial = run(1)
-        fanned = run(2)
-        assert serial.best_objective == fanned.best_objective
-        assert serial.best_config == fanned.best_config
-        assert [t.config for t in serial.history] == [t.config for t in fanned.history]
+    def test_src_has_one_process_pool_site_and_no_exit_hook(self):
+        """Only the harness's cell runner starts worker processes, and
+        nothing registers an interpreter-exit hook."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        pool_sites, exit_hooks = set(), []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name in ("Pool", "ProcessPoolExecutor"):
+                        pool_sites.add(rel)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [alias.name for alias in node.names]
+                    if isinstance(node, ast.ImportFrom):
+                        modules.append(node.module or "")
+                    if any(m.split(".")[0] == "atexit" for m in modules):
+                        exit_hooks.append(rel)
+                    if any(m.startswith("concurrent") for m in modules):
+                        pool_sites.add(rel)
+        assert pool_sites == {"repro/harness/runner.py"}
+        assert exit_hooks == []
 
 
 class TestCandidatePipeline:

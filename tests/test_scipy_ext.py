@@ -5,7 +5,7 @@ special-function ufuncs straight from their extension modules.  These
 tests check that importing the package leaves ``scipy.linalg``,
 ``scipy.optimize``, ``scipy.special`` and ``scipy.stats`` unimported (and
 ``multiprocessing``, ``concurrent.futures`` and ``hashlib``, which only the
-process pools and the disk memo import, when they are used), that
+harness's worker pool and the disk memo import, when they are used), that
 the loaded routines are scipy's own objects, and that ``gp.py``'s three
 LAPACK helpers agree bit for bit with the ``scipy.linalg`` calls they
 stand for, errors included.
@@ -31,7 +31,8 @@ from repro.core._scipy_ext import load_extension
 SRC = Path(__file__).resolve().parents[1] / "src"
 IMPORTS = "import repro, repro.core, repro.harness, repro.cli"
 SCIPY_PACKAGES = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats")
-#: Standard-library modules only a process pool or the disk memo needs.
+#: Standard-library modules only the harness's worker pool or the disk memo
+#: needs.
 LAZY_STDLIB = ("multiprocessing", "concurrent.futures", "hashlib")
 
 
