@@ -223,9 +223,9 @@ def run_suite(quick=False):
 
 def bench_p8_drift(benchmark):
     """pytest-benchmark entry: time one Page–Hinkley detector update."""
-    from repro.core.detect import _PageHinkley
+    from repro.core.detect import PH_DELTA, PH_THRESHOLD, _PageHinkley
 
-    detector = _PageHinkley(delta=0.3, threshold=8.0)
+    detector = _PageHinkley(PH_DELTA, PH_THRESHOLD)
     values = np.random.default_rng(0).normal(size=256)
 
     def feed():

@@ -30,7 +30,7 @@ Run:  python examples/drift_recovery.py       (~a minute, all simulated time)
 from repro import MLConfigTuner, TuningBudget, TuningSession
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
-from repro.core.detect import ChangePointDetector, RetuningPolicy
+from repro.core.detect import ChangePointDetector
 from repro.mlsim import (
     CompositeDrift,
     StepDrift,
@@ -93,9 +93,7 @@ def main():
     oblivious = run("oblivious (stock tuner)", detector=None)
     adaptive = run(
         "adaptive (detector + re-tuning)",
-        detector=ChangePointDetector(
-            policy=RetuningPolicy(mode="discount", discount=0.25, refresh_initial=2)
-        ),
+        detector=ChangePointDetector(),
     )
     print(
         f"\nadaptive recommendation is {oblivious / adaptive:.2f}x better "

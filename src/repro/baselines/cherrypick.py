@@ -18,32 +18,32 @@ from repro.core.bo import BayesianProposer
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 
+#: Latin-hypercube initial design size.
+N_INITIAL = 8
+#: The session stops once the best candidate's EI falls below this
+#: fraction of the incumbent's magnitude, after at least MIN_TRIALS trials.
+EI_STOP_FRACTION = 0.02
+MIN_TRIALS = 12
+
 
 class CherryPick(SearchStrategy):
     """GP + plain EI + EI-threshold stopping, no early termination.
 
-    The GP machinery is :class:`~repro.core.bo.BayesianProposer`'s.
+    The GP machinery is :class:`~repro.core.bo.BayesianProposer`'s, with
+    :data:`N_INITIAL` initial points and its default candidate count.  The
+    session stops once EI falls below :data:`EI_STOP_FRACTION` of the
+    incumbent, after at least :data:`MIN_TRIALS` trials.
     """
 
     name = "cherrypick"
 
     def __init__(
         self,
-        n_initial: int = 8,
-        ei_stop_fraction: float = 0.02,
-        min_trials: int = 12,
-        n_candidates: int = 512,
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         prior_mean=None,
         seed: int = 0,
     ) -> None:
-        if not 0.0 <= ei_stop_fraction < 1.0:
-            raise ValueError("ei_stop_fraction must be in [0, 1)")
-        self.n_initial = n_initial
-        self.ei_stop_fraction = ei_stop_fraction
-        self.min_trials = min_trials
-        self.n_candidates = n_candidates
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
@@ -60,8 +60,7 @@ class CherryPick(SearchStrategy):
             self._proposer = BayesianProposer(
                 space,
                 acquisition="ei",
-                n_initial=self.n_initial,
-                n_candidates=self.n_candidates,
+                n_initial=N_INITIAL,
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 prior_mean=self.prior_mean,
@@ -101,11 +100,11 @@ class CherryPick(SearchStrategy):
         incumbent = diagnostics.get("incumbent")
         acq = diagnostics.get("acquisition_value")
         self._stopped = (
-            len(history) >= self.min_trials
+            len(history) >= MIN_TRIALS
             and incumbent is not None
             and acq is not None
             and incumbent != 0
-            and acq < self.ei_stop_fraction * abs(incumbent)
+            and acq < EI_STOP_FRACTION * abs(incumbent)
         )
 
     def finished(self, history: TrialHistory, space: ConfigSpace) -> bool:

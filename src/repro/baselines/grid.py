@@ -17,16 +17,19 @@ from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 
+#: Grid points per knob (see :meth:`ConfigSpace.grid`).
+RESOLUTION = 3
+
 
 class GridSearch(SearchStrategy):
-    """Shuffled sweep of the Cartesian product of per-knob grids."""
+    """Shuffled sweep of the Cartesian product of per-knob grids.
+
+    Each knob's grid has :data:`RESOLUTION` points.
+    """
 
     name = "grid"
 
-    def __init__(self, resolution: int = 3, seed: int = 0) -> None:
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        self.resolution = resolution
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._points: Optional[List[ConfigDict]] = None
         self._cursor = 0
@@ -36,7 +39,7 @@ class GridSearch(SearchStrategy):
         self._cursor = 0
 
     def _materialise(self, space: ConfigSpace) -> None:
-        points = list(space.grid(self.resolution))
+        points = list(space.grid(RESOLUTION))
         order = np.random.default_rng(self.seed).permutation(len(points))
         self._points = [points[i] for i in order]
         self._cursor = 0

@@ -23,58 +23,45 @@ from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 from repro.mlsim import Measurement, TrainingEnvironment
 
+#: Configurations entering each bracket.
+BRACKET_SIZE = 9
+#: Promotion factor: the top ``1/ETA`` of a rung advances, with
+#: ``ETA``-times-longer probes.
+ETA = 3
+#: Probe length (iterations) at the lowest rung.
+MIN_PROBE_ITERATIONS = 4
+
 
 class SuccessiveHalving(SearchStrategy):
     """One successive-halving bracket, repeated until the budget runs out.
 
-    Parameters
-    ----------
-    bracket_size:
-        Configurations entering each bracket.
-    eta:
-        Promotion factor: the top ``1/eta`` of a rung advances, with
-        ``eta``-times-longer probes.
-    min_probe_iterations:
-        Probe length at the lowest rung.
+    Each bracket samples :data:`BRACKET_SIZE` configurations at
+    :data:`MIN_PROBE_ITERATIONS` iterations and promotes the top ``1/ETA``
+    (:data:`ETA`) of every rung to ``ETA``-times-longer probes.
     """
 
     name = "successive-halving"
 
-    def __init__(
-        self,
-        bracket_size: int = 9,
-        eta: int = 3,
-        min_probe_iterations: int = 4,
-        seed: int = 0,
-    ) -> None:
-        if bracket_size < 2:
-            raise ValueError("bracket_size must be >= 2")
-        if eta < 2:
-            raise ValueError("eta must be >= 2")
-        if min_probe_iterations < 2:
-            raise ValueError("min_probe_iterations must be >= 2")
-        self.bracket_size = bracket_size
-        self.eta = eta
-        self.min_probe_iterations = min_probe_iterations
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         # Current rung: list of configs still to probe, the probe length,
         # and the (config, objective) results accumulated at this rung.
         self._pending: List[ConfigDict] = []
-        self._rung_iterations = min_probe_iterations
+        self._rung_iterations = MIN_PROBE_ITERATIONS
         self._rung_results: List[Tuple[ConfigDict, Optional[float]]] = []
         self._rung_population = 0
-        self._next_probe_iterations = min_probe_iterations
+        self._next_probe_iterations = MIN_PROBE_ITERATIONS
 
     def reset(self) -> None:
         self._pending = []
-        self._rung_iterations = self.min_probe_iterations
+        self._rung_iterations = MIN_PROBE_ITERATIONS
         self._rung_results = []
         self._rung_population = 0
-        self._next_probe_iterations = self.min_probe_iterations
+        self._next_probe_iterations = MIN_PROBE_ITERATIONS
 
     def _start_bracket(self, space: ConfigSpace, rng: np.random.Generator) -> None:
-        self._pending = space.sample_batch(rng, self.bracket_size)
-        self._rung_iterations = self.min_probe_iterations
+        self._pending = space.sample_batch(rng, BRACKET_SIZE)
+        self._rung_iterations = MIN_PROBE_ITERATIONS
         self._rung_results = []
         self._rung_population = len(self._pending)
 
@@ -86,10 +73,10 @@ class SuccessiveHalving(SearchStrategy):
             if objective is not None
         ]
         survivors.sort(key=lambda pair: -pair[1])
-        keep = max(1, len(self._rung_results) // self.eta)
+        keep = max(1, len(self._rung_results) // ETA)
         promoted = [config for config, _ in survivors[:keep]]
         self._pending = promoted
-        self._rung_iterations *= self.eta
+        self._rung_iterations *= ETA
         self._rung_results = []
         self._rung_population = len(promoted)
 

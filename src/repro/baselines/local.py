@@ -18,16 +18,26 @@ from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 from repro.mlsim import DEFAULT_CONFIG
 
+#: Rejected or failed moves in a row before hill climbing restarts.
+PATIENCE = 6
+#: Simulated annealing's starting temperature, relative to the incumbent's
+#: magnitude.
+INITIAL_TEMP = 0.3
+#: Simulated annealing's geometric cooling factor per observed trial.
+COOLING = 0.92
+#: Grid points per knob in a coordinate-descent sweep.
+COORDINATE_RESOLUTION = 4
+
 
 class HillClimbing(SearchStrategy):
-    """Random-restart stochastic hill climbing over single-knob moves."""
+    """Random-restart stochastic hill climbing over single-knob moves.
+
+    It restarts after :data:`PATIENCE` moves in a row fail to improve.
+    """
 
     name = "hill-climbing"
 
-    def __init__(self, patience: int = 6, seed: int = 0) -> None:
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.patience = patience
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._current: Optional[ConfigDict] = None
         self._current_objective: Optional[float] = None
@@ -46,14 +56,14 @@ class HillClimbing(SearchStrategy):
         pending: Sequence[ConfigDict] = (),
         shard=None,
     ) -> ConfigDict:
-        if self._current is None or self._stale >= self.patience:
+        if self._current is None or self._stale >= PATIENCE:
             self._current = space.sample(rng)
             self._current_objective = None
             self._stale = 0
             return dict(self._current)
         moves = space.neighbors(self._current, rng)
         if not moves:
-            self._stale = self.patience  # force a restart next round
+            self._stale = PATIENCE  # force a restart next round
             return dict(self._current)
         return moves[int(rng.integers(len(moves)))]
 
@@ -73,32 +83,23 @@ class SimulatedAnnealing(SearchStrategy):
     """Metropolis acceptance over single-knob moves with geometric cooling.
 
     Temperature is relative to the incumbent's magnitude so the schedule is
-    scale-free across objectives (samples/s vs negated seconds).
+    scale-free across objectives (samples/s vs negated seconds).  It starts
+    at :data:`INITIAL_TEMP` and is multiplied by :data:`COOLING` per
+    observed trial.
     """
 
     name = "annealing"
 
-    def __init__(
-        self,
-        initial_temp: float = 0.3,
-        cooling: float = 0.92,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 < cooling < 1.0:
-            raise ValueError("cooling must be in (0, 1)")
-        if initial_temp <= 0:
-            raise ValueError("initial_temp must be positive")
-        self.initial_temp = initial_temp
-        self.cooling = cooling
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._current: Optional[ConfigDict] = None
         self._current_objective: Optional[float] = None
-        self._temp = initial_temp
+        self._temp = INITIAL_TEMP
 
     def reset(self) -> None:
         self._current = None
         self._current_objective = None
-        self._temp = self.initial_temp
+        self._temp = INITIAL_TEMP
 
     def propose(
         self,
@@ -118,7 +119,7 @@ class SimulatedAnnealing(SearchStrategy):
         return moves[int(rng.integers(len(moves)))]
 
     def observe(self, trial) -> None:
-        self._temp *= self.cooling
+        self._temp *= COOLING
         if not trial.ok:
             return
         if self._current_objective is None:
@@ -142,15 +143,13 @@ class CoordinateDescent(SearchStrategy):
     """Cycle through knobs, sweeping each knob's grid while others are fixed.
 
     Starts from the framework default — how practitioners actually tune by
-    hand ("try a few PS counts, then a few batch sizes, …").
+    hand ("try a few PS counts, then a few batch sizes, …").  Each knob's
+    grid has :data:`COORDINATE_RESOLUTION` points.
     """
 
     name = "coordinate"
 
-    def __init__(self, resolution: int = 4, seed: int = 0) -> None:
-        if resolution < 2:
-            raise ValueError("resolution must be >= 2")
-        self.resolution = resolution
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._base: Optional[ConfigDict] = None
         self._base_objective: Optional[float] = None
@@ -166,7 +165,7 @@ class CoordinateDescent(SearchStrategy):
     def _refill(self, space: ConfigSpace) -> None:
         param = space.parameters[self._param_index % len(space.parameters)]
         self._param_index += 1
-        for value in param.grid(self.resolution):
+        for value in param.grid(COORDINATE_RESOLUTION):
             if value == self._base.get(param.name):
                 continue
             candidate = dict(self._base)

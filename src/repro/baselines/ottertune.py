@@ -43,26 +43,28 @@ from repro.core.trial import TrialHistory
 
 __all__ = ["OtterTuneStyle"]
 
+#: Landmark configurations probed first; their responses map the workload.
+N_LANDMARKS = 4
+#: Initial design size, landmarks included.
+N_INITIAL = 6
+
 
 class OtterTuneStyle(SearchStrategy):
-    """GP tuning warm-started by workload mapping."""
+    """GP tuning warm-started by workload mapping.
+
+    The first :data:`N_LANDMARKS` probes are landmarks; the GP takes over
+    after :data:`N_INITIAL` trials, at
+    :class:`~repro.core.bo.BayesianProposer`'s default candidate count.
+    """
 
     name = "ottertune"
 
     def __init__(
         self,
         repository: Optional[HistoryRepository] = None,
-        n_landmarks: int = 4,
-        n_initial: int = 6,
-        n_candidates: int = 512,
         seed: int = 0,
     ) -> None:
-        if n_landmarks < 2:
-            raise ValueError("n_landmarks must be >= 2")
         self.repository = repository if repository is not None else HistoryRepository()
-        self.n_landmarks = n_landmarks
-        self.n_initial = n_initial
-        self.n_candidates = n_candidates
         self.seed = seed
         self._landmarks: Optional[List[ConfigDict]] = None
         self.mapped_workload: Optional[str] = None
@@ -76,7 +78,7 @@ class OtterTuneStyle(SearchStrategy):
 
     def _landmark_set(self, space: ConfigSpace) -> List[ConfigDict]:
         if self._landmarks is None:
-            self._landmarks = landmark_set(space, self.n_landmarks, self.seed)
+            self._landmarks = landmark_set(space, N_LANDMARKS, self.seed)
         return self._landmarks
 
     def _map_workload(self, history: TrialHistory, space: ConfigSpace) -> None:
@@ -84,7 +86,7 @@ class OtterTuneStyle(SearchStrategy):
         if self.mapped_workload is not None or not len(self.repository):
             return
         self.mapped_workload = map_workload(
-            self.repository, history, space, self.n_landmarks, self.seed
+            self.repository, history, space, N_LANDMARKS, self.seed
         )
 
     # -- proposals ---------------------------------------------------------
@@ -104,8 +106,7 @@ class OtterTuneStyle(SearchStrategy):
         proposer = BayesianProposer(
             space,
             acquisition="ei",
-            n_initial=max(2, self.n_initial - len(landmarks)),
-            n_candidates=self.n_candidates,
+            n_initial=max(2, N_INITIAL - len(landmarks)),
             seed=self.seed,
         )
         augmented = self._augment_history(history, space)

@@ -21,6 +21,15 @@ from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 
+#: Fraction of observations labelled "good".
+GAMMA = 0.25
+#: Successful trials drawn at random before the density model activates.
+N_STARTUP = 8
+#: Candidates drawn per proposal; the best ``l/g`` ratio wins.
+N_CANDIDATES = 256
+#: KDE bandwidth in the unit cube.
+BANDWIDTH = 0.12
+
 
 def _kde_log_density(
     points: np.ndarray, queries: np.ndarray, bandwidth: float
@@ -48,40 +57,15 @@ def _kde_log_density(
 class TPE(SearchStrategy):
     """Parzen-estimator tuner over the unit-cube encoding.
 
-    Parameters
-    ----------
-    gamma:
-        Fraction of observations labelled "good".
-    n_startup:
-        Random trials before the density model activates.
-    n_candidates:
-        Candidates drawn per proposal; best ``l/g`` ratio wins.
-    bandwidth:
-        KDE bandwidth in the unit cube.
+    After :data:`N_STARTUP` random successes it splits the observations at
+    the :data:`GAMMA` quantile, builds :data:`BANDWIDTH` kernel density
+    estimates of both groups and proposes the best ``l/g`` ratio among
+    :data:`N_CANDIDATES` random candidates.
     """
 
     name = "tpe"
 
-    def __init__(
-        self,
-        gamma: float = 0.25,
-        n_startup: int = 8,
-        n_candidates: int = 256,
-        bandwidth: float = 0.12,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if n_startup < 2:
-            raise ValueError("n_startup must be >= 2")
-        if n_candidates < 8:
-            raise ValueError("n_candidates must be >= 8")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.gamma = gamma
-        self.n_startup = n_startup
-        self.n_candidates = n_candidates
-        self.bandwidth = bandwidth
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
     def propose(
@@ -93,12 +77,12 @@ class TPE(SearchStrategy):
         shard=None,
     ) -> ConfigDict:
         successes = history.successful()
-        if len(successes) < self.n_startup:
+        if len(successes) < N_STARTUP:
             return space.sample(rng)
 
         objectives = np.array([t.objective for t in successes])
         encoded = np.array([space.encode(t.config) for t in successes])
-        n_good = max(1, int(np.ceil(self.gamma * len(successes))))
+        n_good = max(1, int(np.ceil(GAMMA * len(successes))))
         order = np.argsort(-objectives)  # descending: best first
         good = encoded[order[:n_good]]
         bad = encoded[order[n_good:]]
@@ -108,8 +92,8 @@ class TPE(SearchStrategy):
             bad_failures = np.array([space.encode(t.config) for t in failures])
             bad = np.vstack([bad, bad_failures]) if bad.size else bad_failures
 
-        candidates = space.sample_batch(rng, self.n_candidates)
+        candidates = space.sample_batch(rng, N_CANDIDATES)
         queries = np.array([space.encode(c) for c in candidates])
-        log_l = _kde_log_density(good, queries, self.bandwidth)
-        log_g = _kde_log_density(bad, queries, self.bandwidth)
+        log_l = _kde_log_density(good, queries, BANDWIDTH)
+        log_g = _kde_log_density(bad, queries, BANDWIDTH)
         return candidates[int(np.argmax(log_l - log_g))]

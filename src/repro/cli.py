@@ -345,6 +345,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("--seed must be >= 0", file=sys.stderr)
+        return 2
     if args.max_wall_hours is not None and not (
         math.isfinite(args.max_wall_hours) and args.max_wall_hours > 0
     ):
@@ -551,6 +554,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("--seed must be >= 0", file=sys.stderr)
+        return 2
     if args.slots < 1:
         print("--slots must be >= 1", file=sys.stderr)
         return 2
@@ -574,8 +580,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"--fleet: not a comma-separated float list: {args.fleet!r}",
               file=sys.stderr)
         return 2
-    if not multipliers or any(m <= 0 for m in multipliers):
-        print("--fleet multipliers must be positive", file=sys.stderr)
+    if not multipliers or not all(math.isfinite(m) and m > 0 for m in multipliers):
+        print("--fleet multipliers must be positive and finite", file=sys.stderr)
         return 2
     if args.history and not _parent_dir_ok(args.history, "--history"):
         return 2

@@ -35,6 +35,10 @@ ColumnBatch = Dict[str, np.ndarray]
 #: name; any constraint without one falls back to its scalar predicate.
 BatchConstraint = Callable[[ColumnBatch], np.ndarray]
 
+#: Draws (:meth:`ConfigSpace.sample`) or rounds (batched sampling) before
+#: rejection sampling gives up with :class:`ExhaustedSpaceError`.
+MAX_REJECTION_TRIES = 10_000
+
 
 class ExhaustedSpaceError(RuntimeError):
     """Raised when rejection sampling cannot find a valid configuration."""
@@ -55,7 +59,6 @@ class ConfigSpace:
         self,
         parameters: Sequence[Parameter],
         constraints: Optional[Dict[str, Constraint]] = None,
-        max_rejection_tries: int = 10_000,
         batch_constraints: Optional[Dict[str, BatchConstraint]] = None,
     ) -> None:
         if not parameters:
@@ -70,7 +73,6 @@ class ConfigSpace:
         self.parameters = list(parameters)
         self.constraints = dict(constraints or {})
         self.batch_constraints = dict(batch_constraints or {})
-        self.max_rejection_tries = max_rejection_tries
         self._offsets: List[Tuple[int, int]] = []
         offset = 0
         for param in self.parameters:
@@ -263,12 +265,12 @@ class ConfigSpace:
 
     def sample(self, rng: np.random.Generator) -> ConfigDict:
         """One uniform valid configuration (rejection sampling)."""
-        for _ in range(self.max_rejection_tries):
+        for _ in range(MAX_REJECTION_TRIES):
             config = {p.name: p.sample(rng) for p in self.parameters}
             if self.is_valid(config):
                 return config
         raise ExhaustedSpaceError(
-            f"no valid configuration found in {self.max_rejection_tries} tries; "
+            f"no valid configuration found in {MAX_REJECTION_TRIES} tries; "
             f"constraints may be unsatisfiable: {sorted(self.constraints)}"
         )
 
@@ -315,14 +317,14 @@ class ConfigSpace:
         Each round draws fresh unit-cube rows for every still-unfilled
         slot, decodes them column-wise, and applies :meth:`valid_mask`;
         accepted rows land in their slots, rejected slots are redrawn next
-        round.  After ``max_rejection_tries`` rounds every slot has seen at
+        round.  After :data:`MAX_REJECTION_TRIES` rounds every slot has seen at
         least that many candidates, matching the scalar :meth:`sample`
         bound, so an unsatisfiable constraint set still raises
         :class:`ExhaustedSpaceError`.
         """
         filled: Optional[ColumnBatch] = None
         pending = np.arange(count)
-        for round_index in range(self.max_rejection_tries):
+        for round_index in range(MAX_REJECTION_TRIES):
             if pending.size == 0:
                 break
             # Oversample the early rounds (constraint rejection runs
@@ -349,7 +351,7 @@ class ConfigSpace:
             pending = pending[accepted.size :]
         if pending.size:
             raise ExhaustedSpaceError(
-                f"no valid configuration found in {self.max_rejection_tries} tries; "
+                f"no valid configuration found in {MAX_REJECTION_TRIES} tries; "
                 f"constraints may be unsatisfiable: {sorted(self.constraints)}"
             )
         if filled is None:  # count == 0

@@ -96,6 +96,14 @@ from repro.mlsim import Measurement
 # Upper bound on single-knob hill-climb moves after candidate scoring.
 LOCAL_SEARCH_STEPS = 8
 
+#: The surrogates' kernel, EI/PI's improvement margin and UCB's weight on
+#: the posterior std.  The margin is in the objective's raw units (samples/s
+#: or negated ``tta`` seconds, 10^3 to 10^6), where it changes almost no
+#: proposal; setting it to 0 still moves some sessions.
+KERNEL = "matern52"
+EI_MARGIN = 0.01
+UCB_BETA = 2.0
+
 #: Probe-cost lie used when the history records no probe at all (or only
 #: zero-cost ones): one simulated minute — any positive value keeps the
 #: log-cost surrogate finite; real costs replace it after the first probe.
@@ -313,14 +321,8 @@ class BayesianProposer:
     n_initial:
         Size of the Latin-hypercube initial design.
     n_candidates:
-        Random candidates scored per proposal (before local refinement).
-    kernel:
-        Surrogate kernel name (``"matern52"`` or ``"rbf"``).
-    xi / beta:
-        Exploration parameters for EI/PI and UCB respectively.  ``xi`` is
-        an improvement margin in the objective's raw units, not in the
-        surrogate's standardised ones: at objectives of 10^3 (throughput)
-        to 10^6 (``tta`` seconds) the default 0.01 changes no proposal.
+        Random candidates scored per proposal (before local refinement),
+        on :data:`KERNEL` surrogates with :data:`EI_MARGIN` and :data:`UCB_BETA`.
     shard_cost_feature:
         Condition the ``"eipc"`` cost surrogate on the environment shard a
         trial ran on: the cost GP's input gains one extra dimension — the
@@ -361,9 +363,6 @@ class BayesianProposer:
         acquisition: str = "ei",
         n_initial: int = 8,
         n_candidates: int = 512,
-        kernel: str = "matern52",
-        xi: float = 0.01,
-        beta: float = 2.0,
         refit_every: int = 3,
         shard_cost_feature: bool = False,
         sparse_threshold: Optional[int] = 512,
@@ -386,9 +385,6 @@ class BayesianProposer:
         self.acquisition = get_acquisition(acquisition)
         self.n_initial = n_initial
         self.n_candidates = n_candidates
-        self.kernel_name = kernel
-        self.xi = xi
-        self.beta = beta
         # Full marginal-likelihood refits are the dominant cost of a
         # proposal; hyperparameters drift slowly, so refit every few trials
         # and reuse the cached values in between.
@@ -460,7 +456,7 @@ class BayesianProposer:
         factory = self._factories.get(key)
         if factory is None:
             factory = SurrogateFactory(
-                kernel_factory=lambda: make_kernel(self.kernel_name, dims),
+                kernel_factory=lambda: make_kernel(KERNEL, dims),
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 seed=seed,
@@ -722,12 +718,10 @@ class BayesianProposer:
         """
         mu, var = surrogate.predict(x)
         sigma = np.sqrt(var)
-        if self.acquisition_name == "ei":
-            return self.acquisition(mu, sigma, incumbent, xi=self.xi)
-        if self.acquisition_name == "pi":
-            return self.acquisition(mu, sigma, incumbent, xi=self.xi)
+        if self.acquisition_name in ("ei", "pi"):
+            return self.acquisition(mu, sigma, incumbent, xi=EI_MARGIN)
         if self.acquisition_name == "ucb":
-            return self.acquisition(mu, sigma, incumbent, beta=self.beta)
+            return self.acquisition(mu, sigma, incumbent, beta=UCB_BETA)
         # eipc: improvement per predicted probe second.
         if cost_model is not None:
             cost_x = x
@@ -749,7 +743,7 @@ class BayesianProposer:
             np.exp(cost, out=cost)
         else:
             cost = np.ones(x.shape[0])
-        return self.acquisition(mu, sigma, incumbent, cost=cost, xi=self.xi)
+        return self.acquisition(mu, sigma, incumbent, cost=cost, xi=EI_MARGIN)
 
     def _row_weight(self, trial) -> float:
         """The shard cost multiplier a training row is encoded at."""

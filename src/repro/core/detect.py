@@ -23,10 +23,10 @@ closes the loop:
 
 Detection is deliberately conservative: a warm-up quota before the first
 test, a cooldown after each alarm (the re-probe and fresh exploration
-points would otherwise re-trigger it), and a drift term ``delta`` that
-absorbs measurement noise.  With no drift present the detector observes
-and never intervenes, so attaching it leaves stationary sessions
-bit-identical.
+points would otherwise re-trigger it), and a drift term that absorbs
+measurement noise (:data:`WARMUP`, :data:`COOLDOWN`, :data:`PH_DELTA`).
+With no drift present the detector observes and never intervenes, so
+attaching it leaves stationary sessions bit-identical.
 """
 
 from __future__ import annotations
@@ -41,6 +41,31 @@ from numpy.linalg import LinAlgError
 from repro.core.gp import GPFitError
 from repro.core.session import SessionCallback
 from repro.core.trial import Trial, TrialHistory
+
+#: Page–Hinkley drift allowance per observation and alarm threshold, in
+#: (normalised) sigma units.  On a roughly unit-variance residual stream the
+#: cumulative sums random-walk, so the allowance must be a visible fraction
+#: of a sigma; with it at 0.3, a threshold of 8 keeps stationary streams
+#: quiet for hundreds of observations while a 3-sigma shift alarms in ~2-4.
+PH_DELTA = 0.3
+PH_THRESHOLD = 8.0
+#: Completed probes observed before testing begins (residuals need data to
+#: mean anything), and probes skipped after an alarm (the re-probe and
+#: refresh points land in that cooldown).
+WARMUP = 10
+COOLDOWN = 8
+#: Rolling-window length of the baseline for strategies without a surrogate.
+WINDOW = 10
+#: Residuals are winsorised to ``[-CLIP, CLIP]`` scale units.  Objective
+#: landscapes are heavy-tailed, and unclipped, one catastrophic outlier trips
+#: the alarm at any threshold; clipped, only a *sustained* offset — actual
+#: drift — accumulates past it.
+CLIP = 4.0
+#: A re-tune in ``"discount"`` mode keeps pre-change trials with their noise
+#: inflated by ``1/DISCOUNT``; every re-tune queues the incumbent's re-probe
+#: and then ``REFRESH_INITIAL`` random points.
+DISCOUNT = 0.25
+REFRESH_INITIAL = 2
 
 
 @dataclass(frozen=True)
@@ -114,43 +139,26 @@ class _PageHinkley:
 class RetuningPolicy:
     """What to do when a change-point is detected.
 
+    Every re-tune queues the best-so-far configuration for an immediate
+    re-probe, so the tuner learns the incumbent's post-drift value first,
+    then :data:`REFRESH_INITIAL` random points.
+
     Parameters
     ----------
     mode:
         ``"discount"`` (default) keeps pre-change trials with observation
-        noise inflated by ``1/discount`` — pre-change structure still
-        guides exploration, but cannot overrule fresh data; ``"evict"``
-        drops them from the surrogate training set entirely (harsher —
-        BENCH_P8 found it discards global structure the tuner still
-        needs); ``"off"`` detects and records events without touching
-        the strategy.
-    discount:
-        The noise-discount factor in (0, 1] used by ``"discount"`` mode.
-    reprobe_incumbent:
-        Queue the best-so-far configuration for an immediate re-probe, so
-        the tuner learns the incumbent's post-drift value first.
-    refresh_initial:
-        Number of fresh random exploration points to queue behind the
-        re-probe, re-seeding the surrogate in the new regime.
+        noise inflated by ``1/DISCOUNT`` — pre-change
+        structure still guides exploration, but cannot overrule fresh
+        data; ``"evict"`` drops them from the surrogate training set
+        entirely (harsher — BENCH_P8 found it discards global structure
+        the tuner still needs); ``"off"`` detects and records events
+        without touching the strategy.
     """
 
-    def __init__(
-        self,
-        mode: str = "discount",
-        discount: float = 0.25,
-        reprobe_incumbent: bool = True,
-        refresh_initial: int = 2,
-    ) -> None:
+    def __init__(self, mode: str = "discount") -> None:
         if mode not in ("evict", "discount", "off"):
             raise ValueError("mode must be 'evict', 'discount', or 'off'")
-        if not 0.0 < discount <= 1.0:
-            raise ValueError("discount must be in (0, 1]")
-        if refresh_initial < 0:
-            raise ValueError("refresh_initial must be non-negative")
         self.mode = mode
-        self.discount = discount
-        self.reprobe_incumbent = reprobe_incumbent
-        self.refresh_initial = refresh_initial
 
     def apply(self, strategy, history: TrialHistory, event: DriftEvent) -> bool:
         """Apply the policy to ``strategy``; True when a re-tune happened.
@@ -171,16 +179,12 @@ class RetuningPolicy:
             target = getattr(target, "inner", None)
         else:
             return False
-        reprobe = None
-        if self.reprobe_incumbent:
-            best = history.best()
-            if best is not None:
-                reprobe = best.config
+        best = history.best()
         target.apply_retuning(
             event.trial_index + 1,
-            discount=None if self.mode == "evict" else self.discount,
-            reprobe=reprobe,
-            refresh_initial=self.refresh_initial,
+            discount=None if self.mode == "evict" else DISCOUNT,
+            reprobe=None if best is None else best.config,
+            refresh_initial=REFRESH_INITIAL,
         )
         return True
 
@@ -215,38 +219,15 @@ def _surrogate_sigma_units(gp):
 class ChangePointDetector(SessionCallback):
     """Session callback running Page–Hinkley over probe residuals.
 
+    Its settings are the module constants :data:`PH_DELTA`,
+    :data:`PH_THRESHOLD`, :data:`WARMUP`, :data:`COOLDOWN`, :data:`WINDOW`
+    and :data:`CLIP`.
+
     Parameters
     ----------
     policy:
         :class:`RetuningPolicy` invoked on each alarm; ``None`` installs
-        the default evict policy.
-    delta:
-        Page–Hinkley drift allowance per observation, in (normalised)
-        sigma units.  On a roughly unit-variance residual stream the
-        cumulative sums random-walk, so the allowance must be a visible
-        fraction of a sigma — far smaller and ordinary excursions reach
-        any threshold eventually.
-    threshold:
-        Alarm threshold on the accumulated deviation, in sigma units.
-        Higher is more conservative; with ``delta=0.3`` a threshold of 8
-        keeps stationary unit-variance streams quiet for hundreds of
-        observations while a 3-sigma mean shift alarms within ~2-4.
-    warmup:
-        Completed probes to observe before testing begins (the surrogate
-        and rolling baseline need data before residuals mean anything).
-    cooldown:
-        Probes to skip after an alarm before testing resumes — the
-        re-probe and refresh points land in this window.
-    window:
-        Rolling-window length for the non-surrogate fallback baseline.
-    clip:
-        Residuals are winsorised to ``[-clip, clip]`` scale units before
-        the Page–Hinkley update.  Objective landscapes are heavy-tailed
-        (one catastrophically bad configuration can sit tens of sigma
-        from the posterior mean), and without clipping a single outlier
-        trips the alarm no matter how high the threshold.  Clipping caps
-        any one observation's contribution, so only a *sustained* offset
-        — actual drift — can accumulate past the threshold.
+        the default discount policy.
 
     Residuals are additionally re-scaled by the rolling median absolute
     deviation of the recent residual stream before testing.  Posterior
@@ -263,47 +244,20 @@ class ChangePointDetector(SessionCallback):
     :meth:`~repro.core.trial.TrialHistory.record_event`.
     """
 
-    def __init__(
-        self,
-        policy: Optional[RetuningPolicy] = None,
-        delta: float = 0.3,
-        threshold: float = 8.0,
-        warmup: int = 10,
-        cooldown: int = 8,
-        window: int = 10,
-        clip: float = 4.0,
-    ) -> None:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
-        if warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        if cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-        if window < 3:
-            raise ValueError("window must be >= 3")
-        if clip <= 0:
-            raise ValueError("clip must be positive")
+    def __init__(self, policy: Optional[RetuningPolicy] = None) -> None:
         self.policy = policy if policy is not None else RetuningPolicy()
-        self.delta = delta
-        self.threshold = threshold
-        self.warmup = warmup
-        self.cooldown = cooldown
-        self.window = window
-        self.clip = clip
         self.events: List[DriftEvent] = []
         #: Probes whose surrogate residual could not be computed (the
         #: cached GP or the encoder raised), so the rolling-window
         #: residual stood in for it.
         self.skipped_residuals = 0
-        self._ph = _PageHinkley(delta, threshold)
+        self._ph = _PageHinkley(PH_DELTA, PH_THRESHOLD)
         self._strategy = None
         self._space = None
         self._seen = 0
         self._cooldown_left = 0
-        self._recent: deque = deque(maxlen=window)
-        self._resid_hist: deque = deque(maxlen=4 * window)
+        self._recent: deque = deque(maxlen=WINDOW)
+        self._resid_hist: deque = deque(maxlen=4 * WINDOW)
 
     # -- SessionCallback hooks ------------------------------------------------
 
@@ -312,8 +266,8 @@ class ChangePointDetector(SessionCallback):
         self._space = space
         self._seen = 0
         self._cooldown_left = 0
-        self._recent = deque(maxlen=self.window)
-        self._resid_hist = deque(maxlen=4 * self.window)
+        self._recent = deque(maxlen=WINDOW)
+        self._resid_hist = deque(maxlen=4 * WINDOW)
         self._ph.reset()
         self.events = []
         self.skipped_residuals = 0
@@ -332,7 +286,7 @@ class ChangePointDetector(SessionCallback):
         residual = self._residual(trial)
         self._recent.append(float(trial.objective))
         self._seen += 1
-        if residual is None or self._seen <= self.warmup:
+        if residual is None or self._seen <= WARMUP:
             if residual is not None:
                 self._resid_hist.append(float(residual))
             return
@@ -342,7 +296,7 @@ class ChangePointDetector(SessionCallback):
             return
         value = residual / self._residual_scale()
         self._resid_hist.append(float(residual))
-        alarm = self._ph.update(float(np.clip(value, -self.clip, self.clip)))
+        alarm = self._ph.update(float(np.clip(value, -CLIP, CLIP)))
         if alarm is None:
             return
         direction, statistic = alarm
@@ -350,7 +304,7 @@ class ChangePointDetector(SessionCallback):
             trial_index=trial.index,
             wall_clock_s=float(trial.cumulative_wall_clock_s),
             statistic=float(statistic),
-            threshold=self.threshold,
+            threshold=PH_THRESHOLD,
             direction=direction,
         )
         self.events.append(event)
@@ -364,7 +318,7 @@ class ChangePointDetector(SessionCallback):
         self._recent.clear()
         self._resid_hist.clear()
         self._seen = 0
-        self._cooldown_left = self.cooldown
+        self._cooldown_left = COOLDOWN
         self.policy.apply(self._strategy, history, event)
 
     def _residual_scale(self) -> float:
@@ -375,7 +329,7 @@ class ChangePointDetector(SessionCallback):
         well-calibrated surrogate's ~unit-scale residuals untouched and
         caps the amplification an over-tight stream could introduce.
         """
-        if len(self._resid_hist) < max(5, self.warmup // 2):
+        if len(self._resid_hist) < max(5, WARMUP // 2):
             return 1.0
         resid = np.asarray(self._resid_hist, dtype=float)
         mad = float(np.median(np.abs(resid - np.median(resid))))

@@ -211,9 +211,9 @@ class EnvironmentShard:
     capacity:
         Concurrent probe slots this shard offers.
     cost_multiplier:
-        Relative probe duration on this shard (see module docstring).
-        Applied to ``Measurement.probe_cost_s``; the measured objective is
-        untouched.
+        Relative probe duration on this shard (see module docstring), a
+        finite positive number.  Applied to ``Measurement.probe_cost_s``;
+        the measured objective is untouched.
     """
 
     def __init__(
@@ -227,8 +227,11 @@ class EnvironmentShard:
             raise ValueError("shard name must be non-empty")
         if capacity < 1:
             raise ValueError(f"shard {name!r}: capacity must be >= 1")
-        if cost_multiplier <= 0:
-            raise ValueError(f"shard {name!r}: cost_multiplier must be positive")
+        if not (np.isfinite(cost_multiplier) and cost_multiplier > 0):
+            raise ValueError(
+                f"shard {name!r}: cost_multiplier must be positive and finite, "
+                f"got {cost_multiplier!r}"
+            )
         self.name = name
         self.env = env
         self.capacity = capacity

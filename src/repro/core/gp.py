@@ -81,6 +81,14 @@ _INDUCING_JITTERS = (0.0,) + _JITTERS
 #: factor is rebuilt with escalating jitter instead.
 _EXTEND_PIVOT_FLOOR = 1e-9
 
+#: Observation-noise variance of an unfitted GP (standardised units): the
+#: start point of the noise term, which every hyperfit fits.
+INITIAL_NOISE_VARIANCE = 1e-2
+
+#: The sparse tier re-selects its inducing set once the history exceeds this
+#: multiple of its size at the last selection.
+RESELECT_GROWTH = 1.25
+
 
 class GPFitError(RuntimeError):
     """Raised when the GP cannot be fit (degenerate data)."""
@@ -168,8 +176,8 @@ def _hyperfit_one(task: tuple) -> Tuple[float, np.ndarray, int]:
     function of its task tuple (the task carries its own kernel copy), so
     a start's result does not depend on the starts run before it.
     """
-    kernel, x, z, noise_variance, fit_noise, bounds, start, scale = task
-    objective = _LMLObjective(kernel, x, z, noise_variance, fit_noise, scale)
+    kernel, x, z, bounds, start, scale = task
+    objective = _LMLObjective(kernel, x, z, scale)
     fun, params, _ = _lbfgsb(objective, start, bounds)
     return float(fun), params, objective.failures
 
@@ -275,7 +283,8 @@ class _LMLObjective:
 
     Built once per L-BFGS-B restart (the identity, the ``n log 2 pi``
     constant and the factorisation's Fortran work buffer with it); each
-    call maps log-parameters to ``(-lml, -grad)`` and sets them on
+    call maps log-parameters (the kernel's, then the log noise variance,
+    clamped to ``[-12, 2]``) to ``(-lml, -grad)``, setting the kernel's on
     ``kernel``, which the objective owns.
 
     An evaluation computes its kernel terms once, in one
@@ -310,16 +319,12 @@ class _LMLObjective:
         kernel: Kernel,
         x: np.ndarray,
         z: np.ndarray,
-        noise_variance: float,
-        fit_noise: bool,
         noise_scale: Optional[np.ndarray],
     ) -> None:
         n = x.shape[0]
         self.kernel = kernel
         self.x = x
         self.z = z
-        self.noise_variance = noise_variance
-        self.fit_noise = fit_noise
         self.noise_scale = noise_scale
         self._num_kernel = kernel.num_params()
         self._eye = np.eye(n)
@@ -331,10 +336,7 @@ class _LMLObjective:
         kernel, x, z = self.kernel, self.x, self.z
         num_kernel = self._num_kernel
         kernel.set_log_params(log_params[:num_kernel])
-        if self.fit_noise:
-            log_noise = min(max(log_params[num_kernel], -12.0), 2.0)
-            self.noise_variance = float(np.exp(log_noise))
-        noise = self.noise_variance
+        noise = float(np.exp(min(max(log_params[num_kernel], -12.0), 2.0)))
         scale = self.noise_scale
         terms = kernel.lml_terms(x)
         try:
@@ -365,34 +367,31 @@ class _LMLObjective:
         np.multiply(
             kernel.grad_log_params_dot(x, a_mat, terms), -0.5, out=neg_grad[:num_kernel]
         )
-        if self.fit_noise:
-            if scale is None:
-                # dK/d(log noise) = noise * I, so the trace term collapses.
-                neg_grad[num_kernel] = (
-                    -0.5 * noise * (float(alpha @ alpha) - k_inv.trace())
-                )
-            else:
-                # dK/d(log noise) = noise * diag(scale): the trace picks up
-                # the per-observation scale weights.
-                neg_grad[num_kernel] = (
-                    -0.5
-                    * noise
-                    * (float(alpha @ (scale * alpha)) - float(k_inv.diagonal() @ scale))
-                )
+        if scale is None:
+            # dK/d(log noise) = noise * I, so the trace term collapses.
+            neg_grad[num_kernel] = -0.5 * noise * (float(alpha @ alpha) - k_inv.trace())
+        else:
+            # dK/d(log noise) = noise * diag(scale): the trace picks up
+            # the per-observation scale weights.
+            neg_grad[num_kernel] = (
+                -0.5
+                * noise
+                * (float(alpha @ (scale * alpha)) - float(k_inv.diagonal() @ scale))
+            )
         return -lml, neg_grad
 
 
 class GaussianProcess:
     """Exact GP regression with MLE hyperparameter fitting.
 
+    The observation noise starts at :data:`INITIAL_NOISE_VARIANCE` and is
+    fitted with the kernel's hyperparameters.
+
     Parameters
     ----------
     kernel:
         Covariance function; defaults to ARD Matérn-5/2 once the input
         dimension is known at fit time.
-    noise_variance:
-        Initial observation-noise variance (in standardised-target units);
-        refined by the marginal-likelihood fit unless ``fit_noise=False``.
     restarts:
         Number of random restarts for the hyperparameter optimisation, on
         top of the start at the kernel's current parameters.
@@ -401,18 +400,13 @@ class GaussianProcess:
     def __init__(
         self,
         kernel: Optional[Kernel] = None,
-        noise_variance: float = 1e-2,
-        fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
     ) -> None:
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
         if restarts < 0:
             raise ValueError("restarts must be >= 0")
         self.kernel = kernel
-        self.noise_variance = float(noise_variance)
-        self.fit_noise = fit_noise
+        self.noise_variance = INITIAL_NOISE_VARIANCE
         self.restarts = restarts
         self.seed = seed
         self._x: Optional[np.ndarray] = None
@@ -495,21 +489,17 @@ class GaussianProcess:
         self._z = (self._y - self._y_mean) / self._y_std
 
     def _log_params(self) -> np.ndarray:
-        params = self.kernel.get_log_params()
-        if self.fit_noise:
-            params = np.concatenate((params, [np.log(self.noise_variance)]))
-        return params
+        return np.concatenate(
+            (self.kernel.get_log_params(), [np.log(self.noise_variance)])
+        )
 
     def _apply_log_params(self, log_params: np.ndarray) -> None:
         k = self.kernel.num_params()
         self.kernel.set_log_params(log_params[:k])
-        if self.fit_noise:
-            self.noise_variance = float(np.exp(np.clip(log_params[k], -12.0, 2.0)))
+        self.noise_variance = float(np.exp(np.clip(log_params[k], -12.0, 2.0)))
 
     def _optimize_hyperparameters(self) -> None:
-        bounds = self.kernel.param_bounds()
-        if self.fit_noise:
-            bounds = bounds + [(np.log(1e-6), np.log(1.0))]
+        bounds = self.kernel.param_bounds() + [(np.log(1e-6), np.log(1.0))]
         rng = np.random.default_rng(self.seed)
         starts = [self._log_params()]
         for _ in range(self.restarts):
@@ -526,8 +516,6 @@ class GaussianProcess:
                     copy.deepcopy(self.kernel),
                     self._x,
                     self._z,
-                    self.noise_variance,
-                    self.fit_noise,
                     bounds,
                     start,
                     self._noise_scale,
@@ -774,7 +762,7 @@ class SparseGaussianProcess:
     ``extend`` appends columns to the cached projection ``A`` and refactors
     only the m×m inner system.  The inducing set itself is *bounded
     re-selected*: appends reuse the current set until the history has grown
-    past ``reselect_growth`` times its size at the last selection, then one
+    past :data:`RESELECT_GROWTH` times its size at the last selection, then one
     O(n m) k-center pass re-picks the inducing points and the factors
     rebuild (hyperparameters fixed).  While the history is still smaller
     than ``max_inducing`` every extension re-selects, so the inducing set
@@ -784,28 +772,19 @@ class SparseGaussianProcess:
     def __init__(
         self,
         kernel: Optional[Kernel] = None,
-        noise_variance: float = 1e-2,
-        fit_noise: bool = True,
         restarts: int = 3,
         seed: int = 0,
         max_inducing: int = 256,
-        reselect_growth: float = 1.25,
     ) -> None:
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
         if restarts < 0:
             raise ValueError("restarts must be >= 0")
         if max_inducing < 1:
             raise ValueError("max_inducing must be >= 1")
-        if reselect_growth <= 1.0:
-            raise ValueError("reselect_growth must be > 1")
         self.kernel = kernel
-        self.noise_variance = float(noise_variance)
-        self.fit_noise = fit_noise
+        self.noise_variance = INITIAL_NOISE_VARIANCE
         self.restarts = restarts
         self.seed = seed
         self.max_inducing = max_inducing
-        self.reselect_growth = reselect_growth
         self._x: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
@@ -830,7 +809,7 @@ class SparseGaussianProcess:
         #: refactors every call), so this stays 0.
         self.extend_fallbacks = 0
         #: Number of bounded inducing-set re-selections triggered by
-        #: ``extend`` (growth past ``reselect_growth``, or the inducing set
+        #: ``extend`` (growth past :data:`RESELECT_GROWTH`, or the inducing set
         #: still tracking a sub-``max_inducing`` history).
         self.reselections = 0
         #: Failed marginal-likelihood evaluations of the hyperfits, as on
@@ -903,16 +882,11 @@ class SparseGaussianProcess:
 
         The scratch exact GP shares this model's kernel object, so the
         optimised log-parameters land in place; only the noise term needs
-        copying back.  At ``m = n`` this is the exact tier's hyperfit on
+        copying in and back.  At ``m = n`` this is the exact tier's hyperfit on
         the full data — same seed, same restarts, same reduction order.
         """
-        scratch = GaussianProcess(
-            kernel=self.kernel,
-            noise_variance=self.noise_variance,
-            fit_noise=self.fit_noise,
-            restarts=self.restarts,
-            seed=self.seed,
-        )
+        scratch = GaussianProcess(kernel=self.kernel, restarts=self.restarts, seed=self.seed)
+        scratch.noise_variance = self.noise_variance
         try:
             scratch.fit(self._x[self._idx], self._y[self._idx], optimize_hypers=True)
         finally:
@@ -954,7 +928,7 @@ class SparseGaussianProcess:
         gram = proj @ proj.T
         self._gram = 0.5 * (gram + gram.T)
         self._reselect_at = max(
-            n + 1, int(np.ceil(max(n, self.max_inducing) * self.reselect_growth))
+            n + 1, int(np.ceil(max(n, self.max_inducing) * RESELECT_GROWTH))
         )
         self._finish_posterior()
 
@@ -1282,14 +1256,14 @@ class SurrogateFactory:
             gp = SparseGaussianProcess(
                 kernel=self.kernel_factory(),
                 seed=self.seed,
-                    max_inducing=self.max_inducing,
+                max_inducing=self.max_inducing,
                 **restarts,
             )
         else:
             gp = GaussianProcess(
                 kernel=self.kernel_factory(),
                 seed=self.seed,
-                    **restarts,
+                **restarts,
             )
         if self.prior_mean is not None:
             return PriorMeanGP(gp, self.prior_mean)

@@ -85,16 +85,22 @@ class KernelTerms(NamedTuple):
     a_sq: Optional[np.ndarray] = None
 
 
-class Kernel:
-    """Base class: a positive-definite covariance function with ARD."""
+#: Signal variance of an unfitted kernel (GP targets are standardised).
+INITIAL_VARIANCE = 1.0
 
-    def __init__(self, input_dim: int, variance: float = 1.0) -> None:
+
+class Kernel:
+    """Base class: a positive-definite covariance function with ARD.
+
+    The signal variance starts at :data:`INITIAL_VARIANCE` and every
+    lengthscale at 0.5, until a fit sets them.
+    """
+
+    def __init__(self, input_dim: int) -> None:
         if input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if variance <= 0:
-            raise ValueError("variance must be positive")
         self.input_dim = input_dim
-        self.variance = float(variance)
+        self.variance = INITIAL_VARIANCE
         self.lengthscales = np.full(input_dim, 0.5)
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ regression anchor ``tests/test_service.py`` pins).
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -110,9 +111,10 @@ class ShardTemplate:
             raise ValueError("shard template name must be non-empty")
         if self.capacity < 1:
             raise ValueError(f"shard template {self.name!r}: capacity must be >= 1")
-        if self.cost_multiplier <= 0:
+        if not (math.isfinite(self.cost_multiplier) and self.cost_multiplier > 0):
             raise ValueError(
-                f"shard template {self.name!r}: cost_multiplier must be positive"
+                f"shard template {self.name!r}: cost_multiplier must be positive "
+                f"and finite, got {self.cost_multiplier!r}"
             )
 
 

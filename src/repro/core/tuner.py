@@ -41,6 +41,14 @@ from repro.core.strategy import SearchStrategy
 from repro.core.trial import TrialHistory
 from repro.mlsim import Measurement, TrainingEnvironment
 
+#: The early-termination gate: a short probe runs this fraction of the full
+#: probe length and is rejected when its objective falls more than
+#: ``REJECTION_MARGIN * |incumbent|`` below the incumbent.  The margin
+#: absorbs short-probe noise; 0.25 keeps the false-rejection rate
+#: negligible at the default noise level.
+SHORT_PROBE_FRACTION = 0.25
+REJECTION_MARGIN = 0.25
+
 
 class MLConfigTuner(SearchStrategy):
     """BO tuner with cost-aware acquisition and early termination.
@@ -53,14 +61,8 @@ class MLConfigTuner(SearchStrategy):
     n_initial:
         Latin-hypercube initial design size.
     early_termination:
-        Enable the short-probe gate described above.
-    short_probe_fraction:
-        Fraction of the full probe length used by the gate.
-    rejection_margin:
-        A short probe is rejected when its objective falls more than
-        ``rejection_margin * |incumbent|`` below the incumbent.  The margin
-        absorbs short-probe noise; 0.25 keeps the false-rejection rate
-        negligible at the default noise level.
+        Enable the short-probe gate described above
+        (:data:`SHORT_PROBE_FRACTION`, :data:`REJECTION_MARGIN`).
     shard_cost_feature:
         On a heterogeneous :class:`~repro.core.fleet.EnvironmentPool`,
         condition the cost surrogate on the shard each probe ran on and
@@ -85,10 +87,9 @@ class MLConfigTuner(SearchStrategy):
         repository warm-start path the :class:`~repro.core.service.TuningService`
         installs before a tenant session starts.  Must be set before the
         first proposal.
-    n_candidates / kernel / xi / beta / seed:
-        Forwarded to :class:`~repro.core.bo.BayesianProposer`.  ``xi`` is
-        in the objective's raw units (samples/s, or negated seconds for
-        ``tta``), so the default 0.01 is negligible at the suite's scales.
+    seed:
+        Forwarded to :class:`~repro.core.bo.BayesianProposer`, whose kernel
+        and exploration settings are constants of :mod:`repro.core.bo`.
     """
 
     def __init__(
@@ -96,24 +97,13 @@ class MLConfigTuner(SearchStrategy):
         acquisition: str = "eipc",
         n_initial: int = 8,
         early_termination: bool = True,
-        short_probe_fraction: float = 0.25,
-        rejection_margin: float = 0.25,
         shard_cost_feature: bool = False,
         fit_workers: int = 1,
         sparse_threshold: Optional[int] = 512,
         max_inducing: int = 256,
         prior_mean=None,
-        n_candidates: int = 512,
-        kernel: str = "matern52",
-        xi: float = 0.01,
-        beta: float = 2.0,
         seed: int = 0,
-        name: Optional[str] = None,
     ) -> None:
-        if not 0.0 < short_probe_fraction < 1.0:
-            raise ValueError("short_probe_fraction must be in (0, 1)")
-        if rejection_margin < 0:
-            raise ValueError("rejection_margin must be non-negative")
         if fit_workers != 1:
             raise ValueError(
                 "fit_workers was removed: hyperparameter fits run their "
@@ -122,18 +112,12 @@ class MLConfigTuner(SearchStrategy):
         self.acquisition = acquisition
         self.n_initial = n_initial
         self.early_termination = early_termination
-        self.short_probe_fraction = short_probe_fraction
-        self.rejection_margin = rejection_margin
         self.shard_cost_feature = shard_cost_feature
         self.sparse_threshold = sparse_threshold
         self.max_inducing = max_inducing
         self.prior_mean = prior_mean
-        self.n_candidates = n_candidates
-        self.kernel = kernel
-        self.xi = xi
-        self.beta = beta
         self.seed = seed
-        self.name = name or f"mlconfig-bo[{acquisition}]"
+        self.name = f"mlconfig-bo[{acquisition}]"
         self._proposer: Optional[BayesianProposer] = None
         self._incumbent: Optional[float] = None
         self._reprobe_queue: list = []
@@ -239,10 +223,6 @@ class MLConfigTuner(SearchStrategy):
                 space,
                 acquisition=self.acquisition,
                 n_initial=self.n_initial,
-                n_candidates=self.n_candidates,
-                kernel=self.kernel,
-                xi=self.xi,
-                beta=self.beta,
                 shard_cost_feature=self.shard_cost_feature,
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
@@ -288,11 +268,11 @@ class MLConfigTuner(SearchStrategy):
         if not self.early_termination or self._incumbent is None:
             return env.measure(training_config)
 
-        short_iters = max(2, int(round(env.probe_iterations * self.short_probe_fraction)))
+        short_iters = max(2, int(round(env.probe_iterations * SHORT_PROBE_FRACTION)))
         short = env.measure(training_config, probe_iterations=short_iters)
         if not short.ok:
             return short
-        threshold = self._incumbent - self.rejection_margin * abs(self._incumbent)
+        threshold = self._incumbent - REJECTION_MARGIN * abs(self._incumbent)
         if short.objective < threshold:
             # Clearly dominated: kill the probe, keep the cheap estimate.
             self.probes_terminated_early += 1

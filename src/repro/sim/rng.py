@@ -24,6 +24,8 @@ class RngRegistry:
     def __init__(self, seed: int) -> None:
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
 

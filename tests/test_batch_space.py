@@ -102,11 +102,10 @@ class TestSampleBatch:
         batch = space.sample_batch(np.random.default_rng(0), 100)
         assert all(c["sync_mode"] == "bsp" for c in batch)
 
-    def test_unsatisfiable_raises(self):
+    def test_unsatisfiable_raises(self, monkeypatch):
+        monkeypatch.setattr("repro.configspace.space.MAX_REJECTION_TRIES", 20)
         space = ConfigSpace(
-            [IntParameter("a", 1, 8)],
-            constraints={"impossible": lambda c: False},
-            max_rejection_tries=20,
+            [IntParameter("a", 1, 8)], constraints={"impossible": lambda c: False}
         )
         with pytest.raises(ExhaustedSpaceError):
             space.sample_batch(np.random.default_rng(0), 4)

@@ -478,7 +478,7 @@ def hyperfit_starts(monkeypatch):
         return real_fit(self)
 
     def start_spy(task):
-        fits[-1].append(task[6])
+        fits[-1].append(task[4])
         return real_start(task)
 
     monkeypatch.setattr(

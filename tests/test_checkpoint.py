@@ -471,13 +471,15 @@ class _Inspector(SessionCallback):
         )
 
 
-def test_loaded_history_matches_pooled_async_session_exactly(tmp_path):
+def test_loaded_history_matches_pooled_async_session_exactly(tmp_path, monkeypatch):
     """Ledgers and events of the WAL view, mid-run and at the end.
 
     A pooled async BO session whose second shard goes down mid-run
     (preempting its in-flight probes), whose fleet drifts (one detected
     change-point), and whose cost cap cancels the probes still in flight.
     """
+    monkeypatch.setattr("repro.core.detect.WARMUP", 4)
+    monkeypatch.setattr("repro.core.detect.WINDOW", 6)
     ckpt = CheckpointConfig(str(tmp_path / "pool.ckpt"))
     pool = EnvironmentPool(
         [
@@ -501,9 +503,7 @@ def test_loaded_history_matches_pooled_async_session_exactly(tmp_path):
         MLConfigTuner(n_initial=4, seed=0),
         executor=AsyncExecutor(pool=pool),
         callbacks=[inspector],
-        detector=ChangePointDetector(
-            policy=RetuningPolicy(mode="discount"), warmup=4, window=6
-        ),
+        detector=ChangePointDetector(policy=RetuningPolicy(mode="discount")),
     )
     inspector.session = session
     result = session.run(

@@ -37,6 +37,7 @@ from repro.core import (
     parse_outage_spec,
 )
 from repro.core.bo import BayesianProposer
+from repro.core import detect as detect_module
 from repro.core.detect import _PageHinkley
 from repro.core.gp import GaussianProcess, GPFitError
 from repro.core.stopping import FailureStreakRule, StoppedStrategy
@@ -394,13 +395,10 @@ class TestChangePointDetector:
         detector.on_round_end(index, [trial], history)
         return trial
 
-    def test_detects_drop_records_event_and_retunes(self):
+    def test_detects_drop_records_event_and_retunes(self, monkeypatch):
+        monkeypatch.setattr(detect_module, "WARMUP", 8)
         tuner = MLConfigTuner(seed=0)
-        detector = ChangePointDetector(
-            policy=RetuningPolicy(mode="evict", refresh_initial=2),
-            warmup=8,
-            window=10,
-        )
+        detector = ChangePointDetector(policy=RetuningPolicy(mode="evict"))
         detector.on_session_start(tuner, None, stub_space(), None)
         history = TrialHistory()
         index = 0
@@ -425,11 +423,10 @@ class TestChangePointDetector:
         assert len(tuner._reprobe_queue) == 1
         assert tuner._refresh_remaining == 2
 
-    def test_off_policy_records_without_touching_strategy(self):
+    def test_off_policy_records_without_touching_strategy(self, monkeypatch):
+        monkeypatch.setattr(detect_module, "WARMUP", 8)
         tuner = MLConfigTuner(seed=0)
-        detector = ChangePointDetector(
-            policy=RetuningPolicy(mode="off"), warmup=8, window=10
-        )
+        detector = ChangePointDetector(policy=RetuningPolicy(mode="off"))
         detector.on_session_start(tuner, None, stub_space(), None)
         history = TrialHistory()
         index = 0
@@ -465,9 +462,10 @@ class TestChangePointDetector:
             t.config for t in watched.history
         ]
 
-    def test_unpredictable_surrogate_residual_is_counted_and_skipped(self):
+    def test_unpredictable_surrogate_residual_is_counted_and_skipped(self, monkeypatch):
         """A cached GP that cannot predict is a counted skip (the window
         residual stands in); any other error is not swallowed."""
+        monkeypatch.setattr(detect_module, "WARMUP", 8)
 
         class FailingGP:
             def __init__(self, error):
@@ -486,7 +484,7 @@ class TestChangePointDetector:
         history = TrialHistory()
         errors = (GPFitError("singular"), np.linalg.LinAlgError("not PD"), ValueError("dim"))
         for error in errors:
-            detector = ChangePointDetector(warmup=8, window=10)
+            detector = ChangePointDetector()
             detector.on_session_start(strategy(error), None, stub_space(), None)
             for index in range(5):
                 self._feed(detector, history, 100.0 + index, index)
@@ -497,22 +495,14 @@ class TestChangePointDetector:
             detector.on_session_start(strategy(error), None, stub_space(), None)
             assert detector.skipped_residuals == 0
 
-        detector = ChangePointDetector(warmup=8, window=10)
+        detector = ChangePointDetector()
         detector.on_session_start(strategy(KeyError("x")), None, stub_space(), None)
         with pytest.raises(KeyError):
             self._feed(detector, history, 100.0, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChangePointDetector(threshold=0.0)
-        with pytest.raises(ValueError):
-            ChangePointDetector(warmup=0)
-        with pytest.raises(ValueError):
-            ChangePointDetector(clip=0.0)
-        with pytest.raises(ValueError):
             RetuningPolicy(mode="panic")
-        with pytest.raises(ValueError):
-            RetuningPolicy(discount=0.0)
 
 
 class TestRecommendation:
@@ -545,7 +535,7 @@ class TestStaleHistorySurrogate:
         rng = np.random.default_rng(0)
         x = np.linspace(0.0, 1.0, 12)[:, None]
         y = np.sin(3.0 * x[:, 0]) + 0.05 * rng.normal(size=12)
-        gp = GaussianProcess(noise_variance=1e-2)
+        gp = GaussianProcess()
         gp.fit(x, y, optimize_hypers=False, noise_scale=noise_scale)
         return gp, x, y
 

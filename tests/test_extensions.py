@@ -29,7 +29,7 @@ class TestSuccessiveHalving:
         assert result.best_objective > 0
 
     def test_rung_structure_short_probes_first(self):
-        strategy = SuccessiveHalving(bracket_size=9, eta=3, min_probe_iterations=4)
+        strategy = SuccessiveHalving()
         env = make_env()
         result = strategy.run(env, ml_config_space(8), TuningBudget(max_trials=13), seed=0)
         costs = [t.measurement.probe_cost_s for t in result.history.successful()]
@@ -40,8 +40,9 @@ class TestSuccessiveHalving:
         if later:
             assert min(later) > 0  # promoted probes exist and ran
 
-    def test_promotion_keeps_best(self):
-        strategy = SuccessiveHalving(bracket_size=4, eta=2, min_probe_iterations=4, seed=0)
+    def test_promotion_keeps_best(self, monkeypatch):
+        monkeypatch.setattr("repro.baselines.hyperband.ETA", 2)
+        strategy = SuccessiveHalving(seed=0)
         strategy._rung_results = [
             ({"id": 1}, 10.0),
             ({"id": 2}, 30.0),
@@ -53,14 +54,6 @@ class TestSuccessiveHalving:
         promoted_ids = [c["id"] for c in strategy._pending]
         assert promoted_ids == [2, 4]  # top half by objective
         assert strategy._rung_iterations == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SuccessiveHalving(bracket_size=1)
-        with pytest.raises(ValueError):
-            SuccessiveHalving(eta=1)
-        with pytest.raises(ValueError):
-            SuccessiveHalving(min_probe_iterations=1)
 
 
 class TestGradientCompression:
@@ -256,6 +249,31 @@ class TestCli:
         """Regression: --nodes 1 used to crash with a raw ValueError."""
         assert cli_main(argv + ["--nodes", "1"]) == 2
         assert "--nodes must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tune", "--workload", "lstm-ptb", "--trials", "2"],
+            ["serve", "--trials", "2"],
+        ],
+        ids=["tune", "serve"],
+    )
+    def test_rejects_negative_seed(self, capsys, argv):
+        """Regression: --seed -1 crashed inside numpy's SeedSequence."""
+        assert cli_main(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "--seed must be >= 0\n"
+
+    @pytest.mark.parametrize("multiplier", ["nan", "inf"])
+    def test_rejects_non_finite_shard_multiplier(self, capsys, multiplier):
+        """Regression: NaN passed the ``<= 0`` checks, so every probe failed."""
+        assert cli_main(["serve", "--trials", "2", "--fleet", f"1.0,{multiplier}"]) == 2
+        assert "--fleet multipliers must be positive and finite" in capsys.readouterr().err
+        code = cli_main(
+            ["tune", "--workload", "lstm-ptb", "--nodes", "4", "--trials", "2",
+             "--shard-spec", f"std-cpu:16@{multiplier}"]
+        )
+        assert code == 2
+        assert "cost_multiplier must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan"])
     def test_tune_rejects_out_of_range_straggler_fraction(self, capsys, fraction):

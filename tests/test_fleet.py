@@ -102,8 +102,9 @@ class TestPoolConstruction:
             EnvironmentShard("", env)
         with pytest.raises(ValueError):
             EnvironmentShard("a", env, capacity=0)
-        with pytest.raises(ValueError):
-            EnvironmentShard("a", env, cost_multiplier=0.0)
+        for multiplier in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                EnvironmentShard("a", env, cost_multiplier=multiplier)
 
     def test_capacity_and_descriptors(self):
         pool = two_speed_pool(capacities=[2, 1])

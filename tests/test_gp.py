@@ -23,16 +23,14 @@ from repro.core.gp import PriorMeanGP, _LMLObjective
 
 def _objective(gp):
     """The LML objective at ``gp``'s fitted data, on a copy of its kernel."""
-    return _LMLObjective(
-        copy.deepcopy(gp.kernel), gp._x, gp._z, gp.noise_variance, gp.fit_noise,
-        gp._noise_scale,
-    )
+    return _LMLObjective(copy.deepcopy(gp.kernel), gp._x, gp._z, gp._noise_scale)
 
 
 class TestKernels:
     @pytest.mark.parametrize("kernel_cls", [RBF, Matern52])
     def test_self_covariance_is_variance(self, kernel_cls):
-        kernel = kernel_cls(3, variance=2.5)
+        kernel = kernel_cls(3)
+        kernel.variance = 2.5
         x = np.random.default_rng(0).random((5, 3))
         cov = kernel(x, x)
         assert np.allclose(np.diag(cov), 2.5)
@@ -59,7 +57,8 @@ class TestKernels:
         assert near > far
 
     def test_log_param_roundtrip(self):
-        kernel = Matern52(3, variance=1.7)
+        kernel = Matern52(3)
+        kernel.variance = 1.7
         kernel.lengthscales = np.array([0.2, 0.5, 1.2])
         params = kernel.get_log_params()
         other = Matern52(3)
@@ -81,8 +80,6 @@ class TestKernels:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Matern52(0)
-        with pytest.raises(ValueError):
-            RBF(2, variance=-1.0)
 
 
 class TestGaussianProcess:
@@ -94,7 +91,7 @@ class TestGaussianProcess:
 
     def test_interpolates_training_points(self):
         x, y = self._data()
-        gp = GaussianProcess(noise_variance=1e-6, fit_noise=False, restarts=1).fit(x, y)
+        gp = GaussianProcess(restarts=1).fit(x, y)
         mean, _ = gp.predict(x)
         assert np.allclose(mean, y, atol=0.05)
 
@@ -253,23 +250,16 @@ class TestIncrementalExtension:
         rng = np.random.default_rng(0)
         x = rng.random((10, 3))
         y = rng.standard_normal(10)
-        gp = GaussianProcess(
-            kernel=make_kernel("matern52", 3),
-            noise_variance=1e-10,
-            fit_noise=False,
-            restarts=0,
-        ).fit(x, y, optimize_hypers=False)
+        gp = GaussianProcess(kernel=make_kernel("matern52", 3), restarts=0)
+        gp.noise_variance = 1e-10
+        gp.fit(x, y, optimize_hypers=False)
         gp.extend(x[4:5], y[4:5])  # exact duplicate of a training row
         assert gp.extend_fallbacks == 1
         assert gp.num_observations == 11
 
-        full = GaussianProcess(
-            kernel=make_kernel("matern52", 3),
-            noise_variance=1e-10,
-            fit_noise=False,
-            restarts=0,
-        ).fit(np.vstack((x, x[4:5])), np.concatenate((y, y[4:5])),
-              optimize_hypers=False)
+        full = GaussianProcess(kernel=make_kernel("matern52", 3), restarts=0)
+        full.noise_variance = 1e-10
+        full.fit(np.vstack((x, x[4:5])), np.concatenate((y, y[4:5])), optimize_hypers=False)
         x_star = rng.random((6, 3))
         assert np.allclose(gp.predict(x_star)[0], full.predict(x_star)[0], atol=1e-6)
 
@@ -348,12 +338,13 @@ class TestSparseGaussianProcess:
         mean_s, _ = sparse.predict(x_star)
         assert np.corrcoef(mean_e, mean_s)[0, 1] > 0.98
 
-    def test_extend_matches_from_scratch_fit(self):
+    def test_extend_matches_from_scratch_fit(self, monkeypatch):
         """Appending (no re-selection) equals a full fit at the same set."""
+        monkeypatch.setattr(gp_module, "RESELECT_GROWTH", 10.0)
         x, y = self._data(80, seed=3)
-        sparse = SparseGaussianProcess(
-            restarts=0, max_inducing=24, reselect_growth=10.0
-        ).fit(x[:64], y[:64], optimize_hypers=False)
+        sparse = SparseGaussianProcess(restarts=0, max_inducing=24).fit(
+            x[:64], y[:64], optimize_hypers=False
+        )
         for i in range(64, 80):
             sparse.extend(x[i : i + 1], y[i : i + 1])
         assert sparse.reselections == 0
@@ -372,9 +363,9 @@ class TestSparseGaussianProcess:
 
     def test_extend_reselects_past_growth_mark(self):
         x, y = self._data(120, seed=5)
-        sparse = SparseGaussianProcess(
-            restarts=0, max_inducing=16, reselect_growth=1.25
-        ).fit(x[:40], y[:40], optimize_hypers=False)
+        sparse = SparseGaussianProcess(restarts=0, max_inducing=16).fit(
+            x[:40], y[:40], optimize_hypers=False
+        )
         sparse.extend(x[40:120], y[40:120])  # 3x growth: well past the mark
         assert sparse.reselections == 1
         assert sparse.num_observations == 120
@@ -410,8 +401,6 @@ class TestSparseGaussianProcess:
             SparseGaussianProcess().extend(np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValueError):
             SparseGaussianProcess(max_inducing=0)
-        with pytest.raises(ValueError):
-            SparseGaussianProcess(reselect_growth=1.0)
         gp = SparseGaussianProcess(restarts=0).fit(
             np.zeros((3, 2)), np.arange(3.0), optimize_hypers=False
         )
@@ -462,18 +451,18 @@ class TestAnalyticGradients:
     """Closed-form LML gradients must match central finite differences."""
 
     @pytest.mark.parametrize("kernel_name", ["rbf", "matern52"])
-    @pytest.mark.parametrize("fit_noise", [True, False])
+    @pytest.mark.parametrize("scaled", [True, False])
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
-    def test_gradient_matches_finite_differences(self, kernel_name, fit_noise, seed):
+    def test_gradient_matches_finite_differences(self, kernel_name, scaled, seed):
         rng = np.random.default_rng(seed)
         dim = 3
         x = rng.random((15, dim))
         y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1] + 0.1 * rng.standard_normal(15)
-        gp = GaussianProcess(
-            kernel=make_kernel(kernel_name, dim), fit_noise=fit_noise, restarts=0
-        )
-        gp.fit(x, y, optimize_hypers=False)
+        # Per-observation noise scales take the noise gradient's other branch.
+        scale = np.where(rng.random(15) < 0.5, 1.0, 4.0) if scaled else None
+        gp = GaussianProcess(kernel=make_kernel(kernel_name, dim), restarts=0)
+        gp.fit(x, y, optimize_hypers=False, noise_scale=scale)
         # Perturb away from the defaults but stay inside the optimiser's
         # bounds (where the clipping in set_log_params is inactive).
         params = gp._log_params() + 0.2 * rng.standard_normal(
@@ -546,9 +535,7 @@ def _reference_grad_dot(kernel, x, m):
     return out
 
 
-def _reference_neg_log_marginal(
-    kernel, x, z, noise_variance, fit_noise, noise_scale, log_params
-):
+def _reference_neg_log_marginal(kernel, x, z, noise_scale, log_params):
     """Frozen ``GaussianProcess._neg_log_marginal(log_params, jac=True)``.
 
     The pre-fusion path: ``kernel(x, x)`` plus a dense noise diagonal,
@@ -558,8 +545,7 @@ def _reference_neg_log_marginal(
     """
     num_kernel = kernel.num_params()
     kernel.set_log_params(log_params[:num_kernel])
-    if fit_noise:
-        noise_variance = float(np.exp(np.clip(log_params[num_kernel], -12.0, 2.0)))
+    noise_variance = float(np.exp(np.clip(log_params[num_kernel], -12.0, 2.0)))
     n = x.shape[0]
     if noise_scale is None:
         noise_diag = noise_variance * np.eye(n)
@@ -587,20 +573,14 @@ def _reference_neg_log_marginal(
     a_mat = np.outer(alpha, alpha) - k_inv
     grad = np.empty_like(log_params)
     grad[:num_kernel] = 0.5 * _reference_grad_dot(kernel, x, a_mat)
-    if fit_noise:
-        if noise_scale is None:
-            grad[num_kernel] = (
-                0.5 * noise_variance * (float(alpha @ alpha) - np.trace(k_inv))
-            )
-        else:
-            grad[num_kernel] = (
-                0.5
-                * noise_variance
-                * (
-                    float(alpha @ (noise_scale * alpha))
-                    - float(np.diag(k_inv) @ noise_scale)
-                )
-            )
+    if noise_scale is None:
+        grad[num_kernel] = 0.5 * noise_variance * (float(alpha @ alpha) - np.trace(k_inv))
+    else:
+        grad[num_kernel] = (
+            0.5
+            * noise_variance
+            * (float(alpha @ (noise_scale * alpha)) - float(np.diag(k_inv) @ noise_scale))
+        )
     return -lml, -grad
 
 
@@ -610,15 +590,19 @@ class _ReferenceObjective:
     #: The reference path does not count sentinel returns.
     failures = 0
 
-    def __init__(self, kernel, x, z, noise_variance, fit_noise, noise_scale):
-        self.args = (kernel, x, z, noise_variance, fit_noise, noise_scale)
+    def __init__(self, kernel, x, z, noise_scale):
+        self.args = (kernel, x, z, noise_scale)
 
     def __call__(self, log_params):
         return _reference_neg_log_marginal(*self.args, log_params)
 
 
-def _objective_case(seed, kernel_cls, fit_noise, scaled, n, duplicates, noise):
-    """Inputs for one objective evaluation: (kernel, x, z, noise, scale, params)."""
+def _objective_case(seed, kernel_cls, scaled, n, duplicates, shift):
+    """Inputs for one objective evaluation: (kernel, x, z, scale, params).
+
+    A ``shift`` sets the log noise to 0 and every noise scale to ``shift``,
+    so the covariance's diagonal is shifted by exactly ``shift``.
+    """
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
     x = rng.random((n, dim))
@@ -628,14 +612,17 @@ def _objective_case(seed, kernel_cls, fit_noise, scaled, n, duplicates, noise):
     scale = np.where(rng.random(n) < 0.5, 1.0, 4.0) if scaled else None
     kernel = kernel_cls(dim)
     # Log parameters past the clipping range on both sides.
-    params = rng.uniform(-9.0, 9.0, kernel.num_params() + int(fit_noise))
-    return kernel, x, z, noise, scale, params
+    params = rng.uniform(-9.0, 9.0, kernel.num_params() + 1)
+    if shift is not None:
+        params[-1] = 0.0
+        scale = np.full(n, shift)
+    return kernel, x, z, scale, params
 
 
-def _both(kernel, x, z, noise, fit_noise, scale, params):
+def _both(kernel, x, z, scale, params):
     """(fused, reference) objective outputs at ``params``, each on its own kernel."""
     return tuple(
-        objective(copy.deepcopy(kernel), x, z, noise, fit_noise, scale)(params.copy())
+        objective(copy.deepcopy(kernel), x, z, scale)(params.copy())
         for objective in (_LMLObjective, _ReferenceObjective)
     )
 
@@ -646,43 +633,40 @@ class TestFusedObjective:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         kernel_cls=st.sampled_from([RBF, Matern52]),
-        fit_noise=st.booleans(),
         scaled=st.booleans(),
         n=st.integers(min_value=1, max_value=60),
         duplicates=st.booleans(),
-        # Fixed noise when fit_noise is off.  Negative values pull the
-        # covariance below PSD: -1e-7 makes rank-deficient (duplicate-row)
-        # covariances climb the jitter ladder, -1.0 defeats every rung.
-        noise=st.sampled_from([1e-2, 1e-12, -1e-7, -1.0]),
+        # A 1e-12 shift leaves a near-singular covariance.  Negative
+        # shifts pull it below PSD: -1e-7 makes rank-deficient
+        # (duplicate-row) covariances climb the jitter ladder, -1.0
+        # defeats every rung.
+        shift=st.sampled_from([None, 1e-12, -1e-7, -1.0]),
     )
     @settings(max_examples=300, deadline=None)
     def test_value_and_gradient_bit_identical(
-        self, seed, kernel_cls, fit_noise, scaled, n, duplicates, noise
+        self, seed, kernel_cls, scaled, n, duplicates, shift
     ):
-        kernel, x, z, noise, scale, params = _objective_case(
-            seed, kernel_cls, fit_noise, scaled, n, duplicates, noise
+        kernel, x, z, scale, params = _objective_case(
+            seed, kernel_cls, scaled, n, duplicates, shift
         )
-        (value, grad), (ref_value, ref_grad) = _both(
-            kernel, x, z, noise, fit_noise, scale, params
-        )
+        (value, grad), (ref_value, ref_grad) = _both(kernel, x, z, scale, params)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
 
     @pytest.mark.parametrize("kernel_cls", [RBF, Matern52])
     def test_jitter_escalation_and_sentinel_cases(self, kernel_cls):
         """The property's generator really reaches both degenerate branches."""
-        kernel, x, z, _, _, params = _objective_case(
-            3, kernel_cls, False, False, 30, True, None
-        )
-        kernel.set_log_params(params)
+        kernel, x, z, _, params = _objective_case(3, kernel_cls, False, 30, True, None)
+        kernel.set_log_params(params[:-1])
         cov = kernel(x, x)
         # Duplicate rows: the covariance is rank-deficient, so a slightly
         # negative diagonal shift needs a jitter well past the first rung.
         _, jitter = gp_module._chol_with_jitter(cov - 1e-7 * np.eye(30))
         assert jitter == 1e-6
-        for noise in (-1e-7, -1.0):
+        params[-1] = 0.0
+        for shift in (-1e-7, -1.0):
             (value, grad), (ref_value, ref_grad) = _both(
-                kernel, x, z, noise, False, None, params
+                kernel, x, z, np.full(30, shift), params
             )
             assert value == ref_value
             assert np.array_equal(grad, ref_grad)
@@ -734,18 +718,17 @@ class TestGradientCallCount:
         scale = np.linspace(1.0, 4.0, 10) if scaled else None
         params = np.zeros(kernel_cls(3).num_params())
 
-        def calls_made(noise, fit_noise, targets=z, sentinel=False):
-            objective = _LMLObjective(kernel_cls(3), x, targets, noise, fit_noise, scale)
-            log_params = np.append(params, np.log(1e-2)) if fit_noise else params
+        def calls_made(noise_scale=scale, targets=z, sentinel=False):
+            objective = _LMLObjective(kernel_cls(3), x, targets, noise_scale)
             before = len(calls)
-            assert (objective(log_params)[0] == 1e12) == sentinel
+            assert (objective(np.append(params, 0.0))[0] == 1e12) == sentinel
             return len(calls) - before
 
-        assert calls_made(1e-2, False) == 1
-        assert calls_made(1e-2, True) == 1
-        # Not PD at any jitter rung, then a non-finite LML: both sentinels.
-        assert calls_made(-1.0, False, sentinel=True) == 0
-        assert calls_made(1e-2, False, np.full(10, np.inf), sentinel=True) == 0
+        assert calls_made() == 1
+        # Not PD at any jitter rung (the noise diagonal is -1), then a
+        # non-finite LML: both sentinels.
+        assert calls_made(np.full(10, -1.0), sentinel=True) == 0
+        assert calls_made(targets=np.full(10, np.inf), sentinel=True) == 0
 
 
 class _NotPDMatern52(Matern52):
@@ -851,7 +834,7 @@ def _sentinel_tasks():
     for kernel in (_NotPDMatern52(3), _NotPDAtLargeVariance(3)):
         bounds = kernel.param_bounds() + [(np.log(1e-6), np.log(1.0))]
         for start in (np.array([0.9, -0.7, -0.7, -0.7, -4.0]), np.full(5, -1.0)):
-            tasks.append((kernel, x, z, 1e-2, True, bounds, start, None))
+            tasks.append((kernel, x, z, bounds, start, None))
     return tasks
 
 
@@ -875,8 +858,8 @@ class TestLBFGSBLoop:
     def _both(task):
         outcomes = []
         for route in ("lbfgsb", "minimize"):
-            kernel, x, z, noise, fit_noise, bounds, start, scale = copy.deepcopy(task)
-            objective = _LMLObjective(kernel, x, z, noise, fit_noise, scale)
+            kernel, x, z, bounds, start, scale = copy.deepcopy(task)
+            objective = _LMLObjective(kernel, x, z, scale)
             call, calls = _counted(objective)
             if route == "lbfgsb":
                 fun, params, evaluations = gp_module._lbfgsb(call, start, bounds)
@@ -918,24 +901,21 @@ class TestLBFGSBLoop:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         kernel_cls=st.sampled_from([RBF, Matern52]),
-        fit_noise=st.booleans(),
         scaled=st.booleans(),
         n=st.integers(min_value=3, max_value=30),
     )
     @settings(max_examples=20, deadline=None)
-    def test_matches_minimize_on_random_starts(self, seed, kernel_cls, fit_noise, scaled, n):
+    def test_matches_minimize_on_random_starts(self, seed, kernel_cls, scaled, n):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 6))
         x = rng.random((n, dim))
         z = rng.standard_normal(n)
         kernel = kernel_cls(dim)
-        bounds = kernel.param_bounds()
-        if fit_noise:
-            bounds = bounds + [(np.log(1e-6), np.log(1.0))]
+        bounds = kernel.param_bounds() + [(np.log(1e-6), np.log(1.0))]
         # Starts inside and outside the box (the loop clips them).
         start = rng.uniform(-9.0, 9.0, len(bounds))
         scale = np.where(rng.random(n) < 0.5, 1.0, 4.0) if scaled else None
-        self._assert_same([(kernel, x, z, 1e-2, fit_noise, bounds, start, scale)])
+        self._assert_same([(kernel, x, z, bounds, start, scale)])
 
     def test_src_has_one_lbfgsb_call_site_and_no_minimize(self):
         import ast

@@ -46,3 +46,9 @@ class TestRngRegistry:
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RngRegistry("not a seed")
+
+    def test_negative_seed_rejected(self):
+        """Regression: a negative seed only failed at the first stream,
+        inside numpy's SeedSequence."""
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            RngRegistry(-1)

@@ -429,8 +429,9 @@ class TestServiceResult:
     def test_shard_template_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             ShardTemplate("s", lambda spec, i: None, capacity=0)
-        with pytest.raises(ValueError, match="cost_multiplier"):
-            ShardTemplate("s", lambda spec, i: None, cost_multiplier=-1.0)
+        for multiplier in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cost_multiplier"):
+                ShardTemplate("s", lambda spec, i: None, cost_multiplier=multiplier)
         with pytest.raises(ValueError, match="unique"):
             TuningService(
                 [

@@ -39,6 +39,12 @@ from repro.workloads import get_workload
 NODES = 8
 
 
+@pytest.fixture
+def coarse_grid(monkeypatch):
+    """GridSearch at one point per knob: a grid small enough to exhaust."""
+    monkeypatch.setattr("repro.baselines.grid.RESOLUTION", 1)
+
+
 def make_env(workload="resnet50-imagenet", seed=0, nodes=NODES):
     return TrainingEnvironment(get_workload(workload), homogeneous(nodes), seed=seed)
 
@@ -231,15 +237,15 @@ class TestParallelExecutor:
             assert result.num_trials == 4
             assert result.total_wall_clock_s == pytest.approx(12.0)
 
-    def test_round_proposals_advance_grid_cursor(self):
-        strategy = GridSearch(resolution=1, seed=0)
+    def test_round_proposals_advance_grid_cursor(self, coarse_grid):
+        strategy = GridSearch(seed=0)
         batch = round_proposals(strategy, space(), 4)
         assert len(batch) == 4
         seen = [tuple(sorted(c.items())) for c in batch]
         assert len(seen) == len(set(seen))
 
-    def test_grid_declines_at_exhaustion(self):
-        strategy = GridSearch(resolution=1, seed=0)
+    def test_grid_declines_at_exhaustion(self, coarse_grid):
+        strategy = GridSearch(seed=0)
         size = len(list(space().grid(1)))
         batch = round_proposals(strategy, space(), size + 5)
         # Every grid point once, then None: a round never pads past the
@@ -249,10 +255,10 @@ class TestParallelExecutor:
             TrialHistory(), space(), np.random.default_rng(0), pending=batch
         ) is None
 
-    def test_parallel_grid_stops_at_exhaustion_without_random_padding(self):
-        serial = GridSearch(resolution=1, seed=0)
+    def test_parallel_grid_stops_at_exhaustion_without_random_padding(self, coarse_grid):
+        serial = GridSearch(seed=0)
         serial_result = serial.run(make_env(), space(), TuningBudget(max_trials=500))
-        parallel = GridSearch(resolution=1, seed=0)
+        parallel = GridSearch(seed=0)
         parallel_result = parallel.run(
             make_env(), space(), TuningBudget(max_trials=500),
             executor=ParallelExecutor(4),
@@ -263,10 +269,11 @@ class TestParallelExecutor:
             tuple(sorted(t.config.items())) for t in serial_result.history
         }
 
-    def test_halving_batch_stays_within_one_rung(self):
-        strategy = SuccessiveHalving(bracket_size=6, eta=3, seed=0)
+    def test_halving_batch_stays_within_one_rung(self, monkeypatch):
+        monkeypatch.setattr("repro.baselines.hyperband.BRACKET_SIZE", 6)
+        strategy = SuccessiveHalving(seed=0)
         batch = round_proposals(strategy, space(), 100)
-        # The first rung has bracket_size members; the round never crosses
+        # The first rung has BRACKET_SIZE members; the round never crosses
         # into the next rung even when more slots are available.
         assert len(batch) == 6
 
@@ -283,10 +290,11 @@ class TestParallelExecutor:
         "verdicts, expected_trials", [(("stop", "go"), 6), (("go", "stop"), 2)]
     )
     def test_cherrypick_round_verdict_is_the_last_members(
-        self, verdicts, expected_trials
+        self, verdicts, expected_trials, monkeypatch
     ):
         """A round stops on its last member's fit, whatever earlier
         members' fits said: that fit is conditioned on every round-mate."""
+        monkeypatch.setattr("repro.baselines.cherrypick.MIN_TRIALS", 0)
 
         class ScriptedProposer:
             def __init__(self):
@@ -314,7 +322,7 @@ class TestParallelExecutor:
                 )
 
         result = TuningSession(
-            ScriptedCherryPick(min_trials=0), executor=ParallelExecutor(2)
+            ScriptedCherryPick(), executor=ParallelExecutor(2)
         ).run(StubEnv(), stub_space(), TuningBudget(max_trials=6), seed=0)
         assert result.num_trials == expected_trials
 
@@ -453,10 +461,12 @@ class TestAsyncExecutor:
         assert second.num_trials == first.num_trials
         assert second.total_wall_clock_s == pytest.approx(first.total_wall_clock_s)
 
-    def test_halving_async_waits_at_rung_boundary(self):
+    def test_halving_async_waits_at_rung_boundary(self, monkeypatch):
         from repro.baselines import SuccessiveHalving
 
-        strategy = SuccessiveHalving(bracket_size=4, eta=2, seed=0)
+        monkeypatch.setattr("repro.baselines.hyperband.BRACKET_SIZE", 4)
+        monkeypatch.setattr("repro.baselines.hyperband.ETA", 2)
+        strategy = SuccessiveHalving(seed=0)
         strategy.reset()
         rng = np.random.default_rng(0)
         sp = space()
@@ -470,7 +480,7 @@ class TestAsyncExecutor:
         # empty result set — the strategy must wait, not cross the rung.
         assert strategy.propose(history, sp, rng, pending=launched) is None
 
-    def test_halving_async_preserves_rung_structure(self):
+    def test_halving_async_preserves_rung_structure(self, monkeypatch):
         """Regression: async halving must not promote on partial rungs.
 
         A 6-wide bracket at eta=3 has rungs of 6 then 2; the two promoted
@@ -478,7 +488,8 @@ class TestAsyncExecutor:
         """
         from repro.baselines import SuccessiveHalving
 
-        result = SuccessiveHalving(bracket_size=6, eta=3, seed=0).run(
+        monkeypatch.setattr("repro.baselines.hyperband.BRACKET_SIZE", 6)
+        result = SuccessiveHalving(seed=0).run(
             make_env(), space(), TuningBudget(max_trials=8), seed=0,
             executor=AsyncExecutor(4),
         )
@@ -490,17 +501,17 @@ class TestAsyncExecutor:
         assert len(rung1) == 2
         assert set(rung1) <= rung0
 
-    def test_async_grid_drains_in_flight_at_exhaustion(self):
+    def test_async_grid_drains_in_flight_at_exhaustion(self, coarse_grid):
         """Regression: a finished strategy must not discard in-flight probes.
 
         When the grid cursor exhausts with probes still in flight, the
         session drains them — every grid point is recorded, exactly as
         under serial or synchronous-parallel execution.
         """
-        serial = GridSearch(resolution=1, seed=0).run(
+        serial = GridSearch(seed=0).run(
             make_env(), space(), TuningBudget(max_trials=500)
         )
-        asyn = GridSearch(resolution=1, seed=0).run(
+        asyn = GridSearch(seed=0).run(
             make_env(), space(), TuningBudget(max_trials=500),
             executor=AsyncExecutor(4),
         )
@@ -575,10 +586,10 @@ class TestAsyncExecutor:
         assert result.history.cancelled_cost_s == pytest.approx(2.0)
         assert result.total_cost_s == pytest.approx(4.0)
 
-    def test_drained_in_flight_probes_are_not_billed_as_cancelled(self):
+    def test_drained_in_flight_probes_are_not_billed_as_cancelled(self, coarse_grid):
         # Strategy-finish drains in-flight probes to completion: they are
         # recorded as trials, so no cancellation charge may apply.
-        result = GridSearch(resolution=1, seed=0).run(
+        result = GridSearch(seed=0).run(
             make_env(), space(), TuningBudget(max_trials=500),
             executor=AsyncExecutor(4),
         )
@@ -761,8 +772,8 @@ class TestSessionReset:
         assert reused.probes_terminated_early == fresh_tuner.probes_terminated_early
         assert first_early >= 0
 
-    def test_reused_grid_search_restarts_sweep(self):
-        strategy = GridSearch(resolution=1, seed=0)
+    def test_reused_grid_search_restarts_sweep(self, coarse_grid):
+        strategy = GridSearch(seed=0)
         first = strategy.run(make_env(), space(), TuningBudget(max_trials=500))
         second = strategy.run(make_env(), space(), TuningBudget(max_trials=500))
         assert second.num_trials == first.num_trials
@@ -937,7 +948,7 @@ EQUIVALENT_STRATEGIES = {
     "random": lambda: RandomSearch(),
     "grid": lambda: GridSearch(),
     "bo": lambda: MLConfigTuner(n_initial=4),
-    "cherrypick": lambda: CherryPick(n_initial=4),
+    "cherrypick": lambda: CherryPick(),
     "halving": lambda: SuccessiveHalving(),
 }
 
@@ -960,7 +971,9 @@ class TestOneWorkerEquivalence:
 
     @pytest.mark.parametrize("budget", sorted(EQUIVALENT_BUDGETS))
     @pytest.mark.parametrize("strategy", sorted(EQUIVALENT_STRATEGIES))
-    def test_serial_async_parallel_agree_at_one_worker(self, strategy, budget):
+    def test_serial_async_parallel_agree_at_one_worker(self, strategy, budget, monkeypatch):
+        # CherryPick's model-based proposals start within every budget.
+        monkeypatch.setattr("repro.baselines.cherrypick.N_INITIAL", 4)
         factory = EQUIVALENT_STRATEGIES[strategy]
         cap = EQUIVALENT_BUDGETS[budget]
         serial = self.fingerprint(factory(), SerialExecutor(), make_env(), cap)

@@ -82,11 +82,10 @@ class TestValidityAndSampling:
         for config in space.sample_batch(rng, 100):
             assert space.is_valid(config)
 
-    def test_unsatisfiable_constraints_raise(self):
+    def test_unsatisfiable_constraints_raise(self, monkeypatch):
+        monkeypatch.setattr("repro.configspace.space.MAX_REJECTION_TRIES", 50)
         space = ConfigSpace(
-            [IntParameter("a", 1, 8)],
-            constraints={"impossible": lambda c: False},
-            max_rejection_tries=50,
+            [IntParameter("a", 1, 8)], constraints={"impossible": lambda c: False}
         )
         with pytest.raises(ExhaustedSpaceError):
             space.sample(np.random.default_rng(0))

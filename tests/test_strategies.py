@@ -93,20 +93,18 @@ class TestFixedStrategies:
 
 
 class TestGridSearch:
-    def test_stops_when_grid_exhausted(self):
-        strategy = GridSearch(resolution=1)
+    def test_stops_when_grid_exhausted(self, monkeypatch):
+        monkeypatch.setattr("repro.baselines.grid.RESOLUTION", 1)
+        strategy = GridSearch()
         result = strategy.run(make_env(), space(), TuningBudget(max_trials=500))
         assert result.num_trials == len(list(space().grid(1)))
 
-    def test_no_duplicate_points_within_grid(self):
-        strategy = GridSearch(resolution=2, seed=1)
+    def test_no_duplicate_points_within_grid(self, monkeypatch):
+        monkeypatch.setattr("repro.baselines.grid.RESOLUTION", 2)
+        strategy = GridSearch(seed=1)
         result = strategy.run(make_env(), space(), TuningBudget(max_trials=30))
         seen = [tuple(sorted(t.config.items())) for t in result.history]
         assert len(seen) == len(set(seen))
-
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            GridSearch(resolution=0)
 
 
 class TestLocalSearches:
@@ -127,14 +125,6 @@ class TestLocalSearches:
         )
         assert result.history[0].config == from_training_config(DEFAULT_CONFIG)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HillClimbing(patience=0)
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(cooling=1.5)
-        with pytest.raises(ValueError):
-            CoordinateDescent(resolution=1)
-
 
 class TestCherryPick:
     def test_runs_within_budget(self):
@@ -143,10 +133,6 @@ class TestCherryPick:
         )
         assert result.num_trials <= 18
         assert result.best_objective > 0
-
-    def test_stop_fraction_validation(self):
-        with pytest.raises(ValueError):
-            CherryPick(ei_stop_fraction=1.5)
 
 
 class TestOtterTune:

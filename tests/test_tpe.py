@@ -1,7 +1,6 @@
 """Tests for the Tree-structured Parzen Estimator baseline."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import TPE, RandomSearch
 from repro.baselines.tpe import _kde_log_density
@@ -49,16 +48,19 @@ class TestTpeProposals:
             )
         return history
 
-    def test_random_until_startup(self):
+    def test_random_until_startup(self, monkeypatch):
+        monkeypatch.setattr("repro.baselines.tpe.N_STARTUP", 5)
         space = ConfigSpace([FloatParameter("x", 0.0, 1.0)])
-        tpe = TPE(n_startup=5, seed=0)
+        tpe = TPE(seed=0)
         history = self._history(space, lambda c: c["x"], 3)
         config = tpe.propose(history, space, np.random.default_rng(0))
         assert 0.0 <= config["x"] <= 1.0  # still random phase, just valid
 
-    def test_proposals_concentrate_in_good_region(self):
+    def test_proposals_concentrate_in_good_region(self, monkeypatch):
+        monkeypatch.setattr("repro.baselines.tpe.N_STARTUP", 5)
+        monkeypatch.setattr("repro.baselines.tpe.N_CANDIDATES", 128)
         space = ConfigSpace([FloatParameter("x", 0.0, 1.0)])
-        tpe = TPE(n_startup=5, n_candidates=128, seed=0)
+        tpe = TPE(seed=0)
         history = self._history(space, lambda c: -abs(c["x"] - 0.8), 30)
         rng = np.random.default_rng(1)
         proposals = [tpe.propose(history, space, rng)["x"] for _ in range(10)]
@@ -78,9 +80,11 @@ class TestTpeProposals:
         )
         assert tpe_result.best_objective >= 0.9 * random_result.best_objective
 
-    def test_failed_trials_count_as_bad_evidence(self):
+    def test_failed_trials_count_as_bad_evidence(self, monkeypatch):
+        monkeypatch.setattr("repro.baselines.tpe.N_STARTUP", 4)
+        monkeypatch.setattr("repro.baselines.tpe.N_CANDIDATES", 128)
         space = ConfigSpace([FloatParameter("x", 0.0, 1.0)])
-        tpe = TPE(n_startup=4, n_candidates=128, seed=0)
+        tpe = TPE(seed=0)
         history = TrialHistory()
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -102,13 +106,3 @@ class TestTpeProposals:
         ]
         # The crashing right half should be mostly avoided.
         assert np.mean([p < 0.5 for p in proposals]) >= 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TPE(gamma=0.0)
-        with pytest.raises(ValueError):
-            TPE(n_startup=1)
-        with pytest.raises(ValueError):
-            TPE(n_candidates=4)
-        with pytest.raises(ValueError):
-            TPE(bandwidth=0.0)

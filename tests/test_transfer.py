@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import OtterTuneStyle, RandomSearch
+from repro.baselines.ottertune import N_LANDMARKS
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space, to_training_config
 from repro.core import TuningBudget
@@ -70,13 +71,13 @@ class _FrozenOtterTune(OtterTuneStyle):
     def _landmark_set(self, s):
         if self._landmarks is None:
             rng = np.random.default_rng(self.seed + 101)
-            self._landmarks = s.latin_hypercube(rng, self.n_landmarks)
+            self._landmarks = s.latin_hypercube(rng, N_LANDMARKS)
         return self._landmarks
 
     def _map_workload(self, history, s):
         if self.mapped_workload is not None or not len(self.repository):
             return
-        landmark_trials = [t for t in history.trials[: self.n_landmarks] if t.ok]
+        landmark_trials = [t for t in history.trials[: N_LANDMARKS] if t.ok]
         if len(landmark_trials) < 2:
             return
         target = np.array([t.objective for t in landmark_trials])
@@ -153,7 +154,7 @@ class TestOtterTuneExtraction:
     def test_landmark_set_matches_strategy(self):
         strategy = OtterTuneStyle(seed=3)
         s = space()
-        assert strategy._landmark_set(s) == landmark_set(s, strategy.n_landmarks, 3)
+        assert strategy._landmark_set(s) == landmark_set(s, N_LANDMARKS, 3)
 
     def test_map_workload_needs_two_ok_landmarks(self):
         assert map_workload(seeded_repository(), TrialHistory(), space(), 4, 0) is None

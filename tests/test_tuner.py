@@ -24,17 +24,9 @@ def space():
 
 
 class TestConstruction:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MLConfigTuner(short_probe_fraction=0.0)
-        with pytest.raises(ValueError):
-            MLConfigTuner(short_probe_fraction=1.0)
-        with pytest.raises(ValueError):
-            MLConfigTuner(rejection_margin=-0.1)
-
     def test_name_reflects_acquisition(self):
-        assert "eipc" in MLConfigTuner().name
-        assert MLConfigTuner(name="custom").name == "custom"
+        assert MLConfigTuner().name == "mlconfig-bo[eipc]"
+        assert MLConfigTuner(acquisition="ucb").name == "mlconfig-bo[ucb]"
 
 
 class TestTuningQuality:
