@@ -13,7 +13,7 @@ from repro.harness.experiments import exp_a1_acquisition
 
 
 def bench_a1_acquisition(benchmark):
-    table = emit(exp_a1_acquisition(nodes=16, budget_trials=30, repeats=2, seed=0))
+    table = emit(exp_a1_acquisition())
     assert "eipc" in table
 
     rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ from repro.mlsim import TrainingConfig
 
 
 def bench_a2_early_term(benchmark, fast_env):
-    table = emit(exp_a2_early_termination(nodes=16, budget_trials=30, repeats=2, seed=0))
+    table = emit(exp_a2_early_termination())
     assert "with-early-term" in table
 
     # Timed kernel: one gated probe (short measurement + rejection check).

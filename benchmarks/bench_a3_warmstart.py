@@ -8,7 +8,7 @@ from repro.harness.experiments import exp_a3_warmstart
 
 
 def bench_a3_warmstart(benchmark):
-    table = emit(exp_a3_warmstart(nodes=16, budget_trials=24, seed=0))
+    table = emit(exp_a3_warmstart())
     assert "warm-start" in table
 
     # Timed kernel: repository session ingestion + normalisation.

@@ -8,7 +8,7 @@ from repro.workloads import get_workload
 
 
 def bench_e1_compression(benchmark):
-    table = emit(exp_e1_compression(nodes=16, seed=0))
+    table = emit(exp_e1_compression())
     assert "word2vec-wiki" in table
 
     cluster = homogeneous(16, jitter_cv=0.0)

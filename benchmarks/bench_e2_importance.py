@@ -13,7 +13,7 @@ from repro.workloads import get_workload
 
 
 def bench_e2_importance(benchmark):
-    table = emit(exp_e2_importance(nodes=16, trials=40, seed=0))
+    table = emit(exp_e2_importance())
     assert "word2vec-wiki" in table
 
     # Timed kernel: one importance analysis over a 30-trial session.

@@ -12,7 +12,7 @@ from repro.workloads import get_workload
 
 
 def bench_f1_surface(benchmark):
-    emit(exp_f1_surface(nodes=16, fidelity="event"))
+    emit(exp_f1_surface())
 
     env = TrainingEnvironment(
         get_workload("resnet50-imagenet"),

@@ -16,7 +16,7 @@ from repro.mlsim import Measurement, TrainingConfig
 
 
 def bench_f2_convergence(benchmark):
-    for table in exp_f2_convergence(nodes=16, budget_trials=36, repeats=2, seed=0):
+    for table in exp_f2_convergence():
         emit(table)
 
     # Timed kernel: one model-based proposal over a 30-trial history.

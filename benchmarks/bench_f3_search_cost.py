@@ -7,14 +7,16 @@ path every experiment report runs).
 
 from conftest import emit
 from repro.harness import metrics, run_sweep
-from repro.harness.experiments import _core_cells, exp_f3_search_cost
+from repro.harness.experiments import REPEATS, SEED, TRIALS, _core_cells, exp_f3_search_cost
 
 
 def bench_f3_search_cost(benchmark):
-    table = emit(exp_f3_search_cost(nodes=16, budget_trials=36, repeats=2, seed=0))
+    table = emit(exp_f3_search_cost())
     assert "mlconfig-bo" in table
 
-    cells = run_sweep(_core_cells(16, 36, 0), seeds=[0, 1])["cells"]
+    cells = run_sweep(
+        _core_cells(TRIALS["F3"]), seeds=range(SEED, SEED + REPEATS)
+    )["cells"]
 
     def kernel():
         rows = []

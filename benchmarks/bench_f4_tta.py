@@ -8,7 +8,7 @@ from repro.workloads import get_workload
 
 
 def bench_f4_tta(benchmark):
-    table = emit(exp_f4_tta(nodes=16, budget_trials=30, seed=0))
+    table = emit(exp_f4_tta())
     assert "lstm-ptb" in table
 
     env = TrainingEnvironment(

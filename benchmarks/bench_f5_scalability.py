@@ -15,7 +15,7 @@ from repro.workloads import get_workload
 
 
 def bench_f5_scalability(benchmark):
-    table = emit(exp_f5_scalability(node_counts=(8, 16, 32, 64), budget_trials=30, seed=0))
+    table = emit(exp_f5_scalability())
     assert "64" in table
 
     env = TrainingEnvironment(get_workload("resnet50-imagenet"), homogeneous(64), seed=0)

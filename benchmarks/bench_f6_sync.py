@@ -8,7 +8,7 @@ from repro.workloads import get_workload
 
 
 def bench_f6_sync(benchmark):
-    table = emit(exp_f6_sync_crossover(nodes=16, seed=0))
+    table = emit(exp_f6_sync_crossover())
     assert "winner" in table
 
     cluster = homogeneous(

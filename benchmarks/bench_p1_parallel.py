@@ -19,9 +19,7 @@ from repro.mlsim import Measurement, TrainingConfig
 
 def bench_p1_parallel(benchmark):
     table = emit(
-        exp_p1_parallel_speedup(
-            nodes=16, budget_trials=30, seed=0, worker_counts=(1, 2, 4)
-        )
+        exp_p1_parallel_speedup(budget_trials=30, worker_counts=(1, 2, 4))
     )
     assert "wall-clock hours" in table
 

@@ -20,9 +20,7 @@ from repro.mlsim import Measurement, TrainingConfig
 
 def bench_p2_async(benchmark):
     table = emit(
-        exp_p2_async_speedup(
-            nodes=16, budget_trials=30, seed=0, worker_counts=(2, 4)
-        )
+        exp_p2_async_speedup(budget_trials=30, worker_counts=(2, 4))
     )
     assert "utilisation" in table
     assert "async" in table

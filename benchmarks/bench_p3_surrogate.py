@@ -55,7 +55,7 @@ from repro.configspace import ml_config_space
 from repro.core import TrialHistory
 from repro.core.bo import BayesianProposer
 from repro.core.gp import GaussianProcess, SparseGaussianProcess
-from repro.core.kernels import make_kernel
+from repro.core.kernels import Matern52
 from repro.mlsim import Measurement, TrainingConfig
 
 SCHEMA = "bench_p3_surrogate/v4"
@@ -210,7 +210,7 @@ def time_hyperfit(n, repeats, seed=0, dim=8):
     y = np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
     samples = []
     for _ in range(repeats):
-        gp = GaussianProcess(kernel=make_kernel("matern52", dim), restarts=2)
+        gp = GaussianProcess(kernel=Matern52(dim), restarts=2)
         start = time.perf_counter()
         gp.fit(x, y)
         samples.append((time.perf_counter() - start) * 1e3)

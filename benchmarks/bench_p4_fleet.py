@@ -39,13 +39,14 @@ except ImportError:  # standalone `python benchmarks/bench_p4_fleet.py`
 import numpy as np
 
 from repro.harness import metrics, run_sweep
-from repro.harness.experiments import fleet_cells
+from repro.harness.experiments import (
+    P4_NODES,
+    P4_SHARD_MULTIPLIERS,
+    TRIALS,
+    fleet_cells,
+)
 
 SCHEMA = "bench_p4_fleet/v1"
-NODES = 64
-TRIALS = 40
-WORKLOAD = "resnet50-imagenet"
-SHARD_MULTIPLIERS = (1.0, 1.25, 0.8, 1.5)
 SCHEDULER = "roundrobin"
 
 
@@ -56,7 +57,7 @@ def run_pair(seed):
     is the P4 table's ``single`` and round-robin rows at these settings.
     """
     cells = run_sweep(
-        fleet_cells(NODES, TRIALS, seed, WORKLOAD, SHARD_MULTIPLIERS, (SCHEDULER,)),
+        fleet_cells(seed, (SCHEDULER,)),
         [seed],
     )["cells"]
     single, fleet = cells["single"]["results"][0], cells[SCHEDULER]["results"][0]
@@ -102,9 +103,9 @@ def run_suite(quick=False):
         "schema": SCHEMA,
         "quick": bool(quick),
         "config": {
-            "nodes": NODES,
-            "trials": TRIALS,
-            "workload_shards": len(SHARD_MULTIPLIERS),
+            "nodes": P4_NODES,
+            "trials": TRIALS["P4"],
+            "workload_shards": len(P4_SHARD_MULTIPLIERS),
             "scheduler_roundrobin": 1,
         },
         "fleet": {},
@@ -147,7 +148,7 @@ def bench_p4_fleet(benchmark):
     pool = EnvironmentPool(
         [
             EnvironmentShard(f"s{i}", env=None, capacity=2, cost_multiplier=m)
-            for i, m in enumerate(SHARD_MULTIPLIERS)
+            for i, m in enumerate(P4_SHARD_MULTIPLIERS)
         ],
         scheduler=make_scheduler("cheapest"),
     )

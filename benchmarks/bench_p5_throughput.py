@@ -172,17 +172,15 @@ def time_cache(quick, seed=0):
     previous = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="bench-p5-cache-")
     try:
-        kwargs = dict(
-            node_counts=(8,), budget_trials=4 if quick else 8, seed=seed
-        )
+        budget_trials = 4 if quick else 8
         start = time.perf_counter()
-        cold = experiments.exp_f5_scalability(**kwargs)
+        cold = experiments.exp_f5_scalability((8,), budget_trials, seed)
         cold_s = time.perf_counter() - start
         # A fresh process would start with an empty memory tier; simulate
         # that and let the disk tier answer.
         cache._memo.clear()
         start = time.perf_counter()
-        warm = experiments.exp_f5_scalability(**kwargs)
+        warm = experiments.exp_f5_scalability((8,), budget_trials, seed)
         warm_s = time.perf_counter() - start
         if [list(map(str, row)) for row in warm.rows] != [
             list(map(str, row)) for row in cold.rows

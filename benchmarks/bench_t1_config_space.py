@@ -8,7 +8,7 @@ from repro.harness.experiments import exp_t1_config_space
 
 
 def bench_t1_config_space(benchmark):
-    emit(exp_t1_config_space(nodes=16))
+    emit(exp_t1_config_space())
 
     space = ml_config_space(16)
     rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ from repro.mlsim import TrainingConfig
 
 
 def bench_t3_speedup(benchmark, fast_env):
-    table = emit(exp_t3_speedup(nodes=16, budget_trials=30, seed=0))
+    table = emit(exp_t3_speedup())
     assert "resnet50-imagenet" in table
 
     config = TrainingConfig(num_workers=6, num_ps=2, batch_per_worker=32)

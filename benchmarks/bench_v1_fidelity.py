@@ -8,7 +8,7 @@ from repro.workloads import get_workload
 
 
 def bench_v1_fidelity(benchmark):
-    table = emit(exp_v1_fidelity(nodes=16, num_configs=15, seed=0))
+    table = emit(exp_v1_fidelity())
     assert "rank correlation" in table
 
     def kernel():

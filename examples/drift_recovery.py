@@ -71,9 +71,9 @@ def run(label, detector):
     recommended = history.recommendation()
     # Score the recommendation on the *post-drift* truth — what the
     # config would actually deliver on the cluster as it is now.
-    truth = make_env(seed=0).true_objective(
-        to_training_config(recommended.config), at_s=DRIFT_AT_S + 1.0
-    )
+    post_drift = make_env(seed=0)
+    post_drift.set_clock(DRIFT_AT_S + 1.0)
+    truth = post_drift.true_objective(to_training_config(recommended.config))
     print(f"\n== {label} ==")
     print(f"trials run:              {len(history)}")
     if detector is not None:

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Tuning with the extension knobs on a realistic (oversubscribed) cluster.
+"""Tuning on a realistic (oversubscribed) GPU cluster.
 
-Enables everything the basic experiments keep fixed:
+Enables the cluster features the basic experiments keep fixed:
 
 - a two-tier topology with 4:1 uplink oversubscription (cross-rack traffic
   is expensive, so PS placement matters more);
-- GPU nodes whose input pipeline can starve (io_threads / prefetch knobs);
-- top-k gradient compression (throughput vs statistical-efficiency
-  trade-off, tuned for time-to-accuracy).
+- GPU nodes, measured by the discrete-event simulator, tuned for
+  time-to-accuracy.
 
-The 12-knob space is harder than the standard 9-knob one; compare how much
-of the default-config gap the tuner closes per probe.
+Compare how much of the default-config gap the tuner closes per probe.
 
 Run:  python examples/extended_space.py
 """
@@ -33,11 +31,7 @@ def main() -> None:
         rack_size=4,
         oversubscription=4.0,
     )
-    space = ml_config_space(
-        nodes,
-        include_compression=True,
-        include_pipeline=True,
-    )
+    space = ml_config_space(nodes)
     print(
         f"Tuning {workload.name} on {nodes}x gpu-v100 "
         f"(racks of 4, 4:1 oversubscribed), {len(space)} knobs, "

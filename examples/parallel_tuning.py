@@ -5,10 +5,9 @@ Runs the BO tuner over the same trial budget serially and with a
 ``ParallelExecutor(workers=4)``, then compares the two cost axes the
 session layer accounts: *machine cost* (every probe second, the cluster
 bill) and *wall-clock* (only the slowest probe of each synchronous round —
-what the person waiting for a configuration experiences).  A progress line
-is logged per round, and the session record is streamed to a JSONL trial
-log, which is read back at the end: it must rebuild the live history, or
-the script exits non-zero.
+what the person waiting for a configuration experiences).  The session
+record is streamed to a JSONL trial log, which is read back at the end: it
+must rebuild the live history, or the script exits non-zero.
 
 Run:  python examples/parallel_tuning.py
 """
@@ -21,7 +20,7 @@ import tempfile
 from repro import MLConfigTuner, TrialHistory, TuningBudget
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
-from repro.core.session import JsonlTrialLog, ParallelExecutor, ProgressLogger
+from repro.core.session import JsonlTrialLog, ParallelExecutor
 from repro.harness import render_table
 from repro.mlsim import TrainingEnvironment
 from repro.workloads import get_workload
@@ -51,7 +50,7 @@ def main() -> None:
         budget,
         seed=0,
         executor=ParallelExecutor(workers),
-        callbacks=[ProgressLogger(), JsonlTrialLog(trial_log)],
+        callbacks=[JsonlTrialLog(trial_log)],
     )
 
     rows = []

@@ -276,7 +276,7 @@ def _build_injector(args):
     return FailureInjector(outages=parse_outage_spec(args.outage))
 
 
-def _build_pool(args, workload):
+def _build_pool(args, workload, extras):
     """The EnvironmentPool for --shards / --shard-spec, or None."""
     from repro.core.fleet import (
         EnvironmentPool,
@@ -285,8 +285,7 @@ def _build_pool(args, workload):
         parse_shard_spec,
     )
 
-    env_args = dict(fidelity=args.fidelity, objective_name=args.objective)
-    env_args.update(_env_extras(args))
+    env_args = dict(fidelity=args.fidelity, objective_name=args.objective, **extras)
     injector = _build_injector(args)
     if args.shard_spec:
         recipes = parse_shard_spec(args.shard_spec)
@@ -328,7 +327,8 @@ def _build_pool(args, workload):
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.core.session import JsonlTrialLog, executor_for
+    from repro.core import Checkpoint, CheckpointConfig, CheckpointError
+    from repro.core.session import JsonlTrialLog, TuningSession, executor_for
 
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
@@ -380,11 +380,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.outage and not (args.shards or args.shard_spec):
         print("--outage requires a fleet (--shards or --shard-spec)", file=sys.stderr)
         return 2
+    try:
+        extras = _env_extras(args)
+    except ValueError as exc:
+        print(f"--drift: {exc}", file=sys.stderr)
+        return 2
     workload = get_workload(args.workload)
     try:
-        pool = _build_pool(args, workload)
+        pool = _build_pool(args, workload, extras)
     except (ValueError, KeyError) as exc:
-        print(f"--shards/--shard-spec/--drift/--outage: {exc}", file=sys.stderr)
+        print(f"--shards/--shard-spec/--outage: {exc}", file=sys.stderr)
         return 2
     space = ml_config_space(args.nodes)
     strategy = STRATEGIES[args.strategy](args.seed)
@@ -424,11 +429,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         cluster = homogeneous(
             args.nodes, straggler_fraction=args.straggler_fraction
         )
-        try:
-            extras = _env_extras(args)
-        except ValueError as exc:
-            print(f"--drift: {exc}", file=sys.stderr)
-            return 2
         env = TrainingEnvironment(
             workload,
             cluster,
@@ -449,45 +449,34 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         args.max_wall_hours * 3600.0 if args.max_wall_hours is not None else None
     )
     budget = TuningBudget(max_trials=args.trials, max_wall_clock_s=max_wall_s)
-    if args.checkpoint:
-        from repro.core import Checkpoint, CheckpointConfig, CheckpointError
-        from repro.core.session import TuningSession
-
-        checkpoint = CheckpointConfig(
-            args.checkpoint, every_n_trials=args.checkpoint_every
-        )
-        session = TuningSession(strategy, executor=executor, callbacks=callbacks)
-        try:
-            if args.resume:
-                # The env/fleet is rebuilt from the CLI flags, so the seed
-                # must match the original run or the post-replay noise
-                # stream diverges silently — reject a mismatch up front,
-                # from the header alone (the resume parses the whole WAL).
-                recorded_seed = Checkpoint.read_meta(args.checkpoint).get("seed")
-                if recorded_seed is not None and recorded_seed != args.seed:
-                    print(
-                        f"--resume: checkpoint was written with --seed "
-                        f"{recorded_seed}; pass the same seed",
-                        file=sys.stderr,
-                    )
-                    return 2
-                result = session.resume(checkpoint, env, space)
-            else:
-                result = session.run(
-                    env, space, budget, seed=args.seed, checkpoint=checkpoint
+    checkpoint = (
+        CheckpointConfig(args.checkpoint, every_n_trials=args.checkpoint_every)
+        if args.checkpoint
+        else None
+    )
+    session = TuningSession(strategy, executor=executor, callbacks=callbacks)
+    try:
+        if args.resume:
+            # The env/fleet is rebuilt from the CLI flags, so the seed must
+            # match the original run or the post-replay noise stream
+            # diverges silently — reject a mismatch up front, from the
+            # header alone (the resume parses the whole WAL).
+            recorded_seed = Checkpoint.read_meta(args.checkpoint).get("seed")
+            if recorded_seed is not None and recorded_seed != args.seed:
+                print(
+                    f"--resume: checkpoint was written with --seed "
+                    f"{recorded_seed}; pass the same seed",
+                    file=sys.stderr,
                 )
-        except CheckpointError as exc:
-            print(f"--checkpoint: {exc}", file=sys.stderr)
-            return 2
-    else:
-        result = strategy.run(
-            env,
-            space,
-            budget,
-            seed=args.seed,
-            executor=executor,
-            callbacks=callbacks,
-        )
+                return 2
+            result = session.resume(checkpoint, env, space)
+        else:
+            result = session.run(
+                env, space, budget, seed=args.seed, checkpoint=checkpoint
+            )
+    except CheckpointError as exc:
+        print(f"--checkpoint: {exc}", file=sys.stderr)
+        return 2
     if result.best_trial is None:
         print("every probe failed — nothing to report", file=sys.stderr)
         return 1

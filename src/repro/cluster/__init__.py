@@ -11,7 +11,7 @@ from repro.cluster.node import (
     Node,
     NodeSpec,
 )
-from repro.cluster.placement import Placement, PlacementError, feasible, place
+from repro.cluster.placement import Placement, PlacementError, place
 from repro.cluster.topology import FLAT, Topology, two_tier
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "Topology",
     "Transfer",
     "analytic_transfer_time",
-    "feasible",
     "homogeneous",
     "place",
     "two_tier",

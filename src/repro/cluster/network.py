@@ -243,10 +243,12 @@ class Fabric:
 def analytic_transfer_time(
     size_bytes: float, bottleneck_bytes_per_sec: float, latency_s: float, sharers: int = 1
 ) -> float:
-    """Closed-form transfer time used by the analytic (fast) fidelity mode.
+    """Closed-form transfer time of equal flows over one bottleneck NIC.
 
-    ``sharers`` is the number of concurrent flows crossing the bottleneck
-    NIC; with max-min fairness and equal sizes each gets 1/sharers of it.
+    The reference ``tests/test_network.py`` checks the event-driven fabric
+    against; the program itself does not call it.  ``sharers`` is the
+    number of concurrent flows crossing the bottleneck NIC; with max-min
+    fairness and equal sizes each gets 1/sharers of it.
     """
     if bottleneck_bytes_per_sec <= 0:
         raise ValueError("bandwidth must be positive")

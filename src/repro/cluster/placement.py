@@ -11,7 +11,6 @@ crossovers the tuner has to discover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 
 class PlacementError(ValueError):
@@ -43,7 +42,6 @@ def place(
     num_ps: int,
     num_workers: int,
     colocate: bool,
-    node_order: Sequence[int] | None = None,
 ) -> Placement:
     """Assign parameter servers and workers to nodes.
 
@@ -56,18 +54,13 @@ def place(
     their own nodes if available, mirroring TensorFlow's default behaviour
     of one PS task per machine).
 
-    ``node_order`` customises which physical nodes are used (e.g. to avoid
-    known stragglers); defaults to ascending node id.
+    Nodes are used in ascending id order.
     """
     if num_ps < 0 or num_workers < 1:
         raise PlacementError(
             f"need num_ps >= 0 and num_workers >= 1, got ps={num_ps} workers={num_workers}"
         )
-    order = list(node_order) if node_order is not None else list(range(num_nodes))
-    if len(order) != len(set(order)):
-        raise PlacementError("node_order contains duplicates")
-    if any(n < 0 or n >= num_nodes for n in order):
-        raise PlacementError("node_order references unknown nodes")
+    order = list(range(num_nodes))
 
     if colocate:
         machines_needed = max(num_ps, num_workers)
@@ -87,11 +80,3 @@ def place(
         worker_nodes = tuple(order[num_ps:num_ps + num_workers])
 
     return Placement(ps_nodes=ps_nodes, worker_nodes=worker_nodes, colocated=colocate)
-
-
-def feasible(num_nodes: int, num_ps: int, num_workers: int, colocate: bool) -> bool:
-    """Whether :func:`place` would succeed, without raising."""
-    if num_ps < 0 or num_workers < 1:
-        return False
-    needed = max(num_ps, num_workers) if colocate else num_ps + num_workers
-    return needed <= num_nodes

@@ -18,6 +18,11 @@ from repro.configspace.params import (
 from repro.configspace.space import ColumnBatch, ConfigDict, ConfigSpace
 from repro.mlsim.config import TrainingConfig
 
+#: Upper bounds of the log-scaled per-worker batch and staleness knobs and
+#: of the intra-op thread count.
+MAX_BATCH_PER_WORKER = 512
+MAX_STALENESS = 16
+MAX_CORES = 16
 
 def _fits_cluster(total_nodes: int):
     def check(config: ConfigDict) -> bool:
@@ -58,23 +63,14 @@ def _staleness_meaningful_batch(columns: ColumnBatch) -> np.ndarray:
     return (columns["sync_mode"] != "ssp") | (columns["staleness_bound"] >= 1)
 
 
-def ml_config_space(
-    total_nodes: int,
-    max_batch_per_worker: int = 512,
-    max_cores: int = 16,
-    include_allreduce: bool = True,
-    max_staleness: int = 16,
-    include_compression: bool = False,
-    include_pipeline: bool = False,
-) -> ConfigSpace:
+def ml_config_space(total_nodes: int, include_allreduce: bool = True) -> ConfigSpace:
     """The standard 9-knob space for a cluster of ``total_nodes`` machines.
 
     Matches the table-1 configuration space: architecture, parallelism
     degrees, placement, synchronisation, batch size, threading, and
-    gradient transport precision.  ``include_compression=True`` adds the
-    extension knob: top-k gradient sparsification ratio (experiment E1).
-    ``include_pipeline=True`` adds the input-pipeline knobs (``io_threads``
-    and ``prefetch_batches``).
+    gradient transport precision.  The gradient-compression and
+    input-pipeline fields of :class:`TrainingConfig` stay at their
+    defaults.
     """
     if total_nodes < 2:
         raise ValueError("need at least 2 nodes to distribute training")
@@ -84,18 +80,11 @@ def ml_config_space(
         IntParameter("num_ps", 1, max(1, total_nodes - 1)),
         BoolParameter("colocate_ps"),
         CategoricalParameter("sync_mode", ["bsp", "asp", "ssp"]),
-        IntParameter("staleness_bound", 1, max_staleness, log=True),
-        IntParameter("batch_per_worker", 1, max_batch_per_worker, log=True),
-        IntParameter("intra_op_threads", 0, max_cores),
+        IntParameter("staleness_bound", 1, MAX_STALENESS, log=True),
+        IntParameter("batch_per_worker", 1, MAX_BATCH_PER_WORKER, log=True),
+        IntParameter("intra_op_threads", 0, MAX_CORES),
         CategoricalParameter("gradient_precision", ["fp32", "fp16"]),
     ]
-    if include_compression:
-        parameters.append(
-            CategoricalParameter("compression_ratio", [1.0, 0.5, 0.1, 0.01])
-        )
-    if include_pipeline:
-        parameters.append(IntParameter("io_threads", 1, max(1, max_cores // 2)))
-        parameters.append(IntParameter("prefetch_batches", 0, 4))
     constraints = {
         "fits_cluster": _fits_cluster(total_nodes),
         "staleness_meaningful": _staleness_meaningful,

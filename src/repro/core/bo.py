@@ -89,18 +89,17 @@ import numpy as np
 from repro.configspace import ConfigDict, ConfigSpace, to_training_config
 from repro.core.acquisition import get_acquisition
 from repro.core.gp import GaussianProcess, GPFitError, SurrogateFactory
-from repro.core.kernels import make_kernel
+from repro.core.kernels import Matern52
 from repro.core.trial import TrialHistory
 from repro.mlsim import Measurement
 
 # Upper bound on single-knob hill-climb moves after candidate scoring.
 LOCAL_SEARCH_STEPS = 8
 
-#: The surrogates' kernel, EI/PI's improvement margin and UCB's weight on
-#: the posterior std.  The margin is in the objective's raw units (samples/s
-#: or negated ``tta`` seconds, 10^3 to 10^6), where it changes almost no
-#: proposal; setting it to 0 still moves some sessions.
-KERNEL = "matern52"
+#: EI/PI's improvement margin and UCB's weight on the posterior std.  The
+#: margin is in the objective's raw units (samples/s or negated ``tta``
+#: seconds, 10^3 to 10^6), where it changes almost no proposal; setting it
+#: to 0 still moves some sessions.
 EI_MARGIN = 0.01
 UCB_BETA = 2.0
 
@@ -322,7 +321,7 @@ class BayesianProposer:
         Size of the Latin-hypercube initial design.
     n_candidates:
         Random candidates scored per proposal (before local refinement),
-        on :data:`KERNEL` surrogates with :data:`EI_MARGIN` and :data:`UCB_BETA`.
+        on ARD Matérn-5/2 surrogates with :data:`EI_MARGIN` and :data:`UCB_BETA`.
     shard_cost_feature:
         Condition the ``"eipc"`` cost surrogate on the environment shard a
         trial ran on: the cost GP's input gains one extra dimension — the
@@ -456,7 +455,7 @@ class BayesianProposer:
         factory = self._factories.get(key)
         if factory is None:
             factory = SurrogateFactory(
-                kernel_factory=lambda: make_kernel(KERNEL, dims),
+                kernel_factory=lambda: Matern52(dims),
                 sparse_threshold=self.sparse_threshold,
                 max_inducing=self.max_inducing,
                 seed=seed,

@@ -445,11 +445,6 @@ class CheckpointJournal:
 
     # -- replay ------------------------------------------------------------
 
-    @property
-    def replaying(self) -> bool:
-        """True while durable probe records remain to be replayed."""
-        return self._cursor < len(self._probes)
-
     def next_probe_record(self) -> Optional[dict]:
         """The next probe record to replay, or None once live."""
         if self._cursor >= len(self._probes):

@@ -25,13 +25,9 @@ session/executor stack:
   :class:`CheapestEligibleScheduler` prefers the lowest
   ``cost_multiplier`` among shards with a free slot.
 - :class:`EnvironmentPool` — the fleet itself: the shard list, a
-  scheduler, slot occupancy (``acquire``/``release``), and per-shard
-  deterministic RNG streams derived from the session seed at
-  :meth:`EnvironmentPool.reset` (:meth:`EnvironmentPool.rng_for`).  The
-  streams are part of the scheduler contract — a stochastic placement
-  policy must draw from its target shard's stream so fleets replay
-  bit-identically per session seed; the three stock schedulers are
-  deterministic and leave them untouched.
+  scheduler and slot occupancy (``acquire``/``release``).  The three
+  stock schedulers are deterministic, so a fleet replays bit-identically
+  per session seed.
 
 Executors (:mod:`repro.core.session`) own the clock: they ask the
 scheduler for a shard, occupy one of its slots, run the probe through
@@ -356,10 +352,9 @@ class EnvironmentPool:
     """A fleet of environment shards plus the scheduler that places probes.
 
     The pool owns slot occupancy (executors ``acquire``/``release`` around
-    each probe) and the per-shard RNG streams; executors own the clock and
-    the per-slot timelines.  :meth:`reset` restores the pool to a
-    session-start state: occupancy cleared, scheduler reset, per-shard RNG
-    streams re-derived from the session seed, and each distinct
+    each probe); executors own the clock and the per-slot timelines.
+    :meth:`reset` restores the pool to a session-start state: occupancy
+    cleared, scheduler reset, and each distinct
     environment's probe counters rewound so a reused pool replays
     identical measurement-noise streams: its sessions compare like the
     fleet cells of :func:`~repro.harness.sweep.run_sweep`, which build a
@@ -390,7 +385,6 @@ class EnvironmentPool:
         self.scheduler = scheduler if scheduler is not None else RoundRobinScheduler()
         self._by_name = {shard.name: shard for shard in shards}
         self._busy: Dict[str, int] = {name: 0 for name in names}
-        self._rngs: Dict[str, np.random.Generator] = {}
         self._lease_width: Optional[int] = None
         self.injector = injector
         if injector is not None:
@@ -403,7 +397,7 @@ class EnvironmentPool:
         # Virtual clock the injector is evaluated at; executors stamp it
         # with the session wall-clock.  Inert while ``injector is None``.
         self.clock_s = 0.0
-        self.reset(seed=0)
+        self.reset()
 
     # -- occupancy ---------------------------------------------------------
 
@@ -507,21 +501,15 @@ class EnvironmentPool:
 
     # -- session lifecycle -------------------------------------------------
 
-    def reset(self, seed: int = 0) -> None:
-        """Restore session-start state; derive per-shard RNG streams.
+    def reset(self) -> None:
+        """Restore session-start state.
 
-        Each shard's stream is seeded from ``(session seed, shard index)``
-        so two shards never share a stream and the same session seed
-        replays the same streams.  Distinct environments (shards may share
-        one) get their probe counters rewound so per-trial-index
-        measurement noise replays identically across sessions.
+        Distinct environments (shards may share one) get their probe
+        counters rewound so per-trial-index measurement noise replays
+        identically across sessions.
         """
         self._busy = {shard.name: 0 for shard in self.shards}
         self.clock_s = 0.0
-        self._rngs = {
-            shard.name: np.random.default_rng([seed, shard.index])
-            for shard in self.shards
-        }
         seen = set()
         for shard in self.shards:
             if id(shard.env) in seen:
@@ -531,13 +519,6 @@ class EnvironmentPool:
             if reset_counters is not None:
                 reset_counters()
         self.scheduler.reset(self)
-
-    def rng_for(self, name: str) -> np.random.Generator:
-        """The shard's deterministic per-session RNG stream."""
-        return self._rngs[name]
-
-    def descriptors(self) -> List[ShardDescriptor]:
-        return [shard.descriptor for shard in self.shards]
 
     def fingerprint(self) -> List[List[object]]:
         """JSON-exact fleet shape, for checkpoint executor fingerprints.

@@ -13,13 +13,13 @@ tuner already maintains, so it is free at the end of a tuning session.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.configspace import ConfigSpace
 from repro.core.gp import GaussianProcess, GPFitError
-from repro.core.kernels import make_kernel
+from repro.core.kernels import Matern52
 from repro.core.trial import TrialHistory
 
 
@@ -35,15 +35,12 @@ def fit_surrogate(
         )
     x = np.array([space.encode(t.config) for t in successes])
     y = np.array([t.objective for t in successes])
-    return GaussianProcess(kernel=make_kernel("matern52", space.dims), seed=seed).fit(
-        x, y
-    )
+    return GaussianProcess(kernel=Matern52(space.dims), seed=seed).fit(x, y)
 
 
 def knob_importance(
     history: TrialHistory,
     space: ConfigSpace,
-    surrogate: Optional[GaussianProcess] = None,
     seed: int = 0,
 ) -> Dict[str, float]:
     """Normalised importance per knob (sums to 1.0).
@@ -52,8 +49,7 @@ def knob_importance(
     knob's importance is the sum over its dimensions (one for numeric and
     boolean knobs, one per choice for categoricals).
     """
-    if surrogate is None:
-        surrogate = fit_surrogate(history, space, seed=seed)
+    surrogate = fit_surrogate(history, space, seed=seed)
     inverse = 1.0 / np.asarray(surrogate.kernel.lengthscales, dtype=float)
     importance: Dict[str, float] = {}
     offset = 0
@@ -64,11 +60,3 @@ def knob_importance(
     if total <= 0:
         raise GPFitError("degenerate lengthscales: importance undefined")
     return {name: value / total for name, value in importance.items()}
-
-
-def ranked_knobs(
-    history: TrialHistory, space: ConfigSpace, seed: int = 0
-) -> List[Tuple[str, float]]:
-    """Knobs sorted most-important-first as (name, importance) pairs."""
-    importance = knob_importance(history, space, seed=seed)
-    return sorted(importance.items(), key=lambda pair: -pair[1])

@@ -326,14 +326,3 @@ class Matern52(Kernel):
         self, x: np.ndarray, m: np.ndarray, terms: Optional[KernelTerms] = None
     ) -> np.ndarray:
         return self._ard_grad_dot(x, m, terms)
-
-
-KERNELS = {"rbf": RBF, "matern52": Matern52}
-
-
-def make_kernel(name: str, input_dim: int) -> Kernel:
-    """Construct a kernel by name (``"rbf"`` or ``"matern52"``)."""
-    try:
-        return KERNELS[name](input_dim)
-    except KeyError:
-        raise KeyError(f"unknown kernel {name!r}; choose from {sorted(KERNELS)}") from None

@@ -121,28 +121,19 @@ class ShardTemplate:
 def training_shard_templates(
     nodes: int = 16,
     cost_multipliers: Sequence[float] = (1.0,),
-    capacities: Optional[Sequence[int]] = None,
-    node_type: str = "std-cpu",
     transient_failure_rate: float = 0.0,
-    drift=None,
 ) -> List[ShardTemplate]:
     """Standard fleet templates over simulated training clusters.
 
-    One template per entry of ``cost_multipliers``; each builds a
-    :class:`~repro.mlsim.TrainingEnvironment` for the tenant's *own*
-    workload (``spec.workload`` is required) on a homogeneous
-    ``nodes``-node cluster, seeded from the tenant seed and shard index.
-    ``transient_failure_rate`` and ``drift`` (a
-    :class:`~repro.mlsim.DriftSchedule`) are forwarded to every built
-    environment; the defaults keep the stationary, failure-free fleet.
+    One single-slot template per entry of ``cost_multipliers``; each
+    builds a stationary :class:`~repro.mlsim.TrainingEnvironment` for the
+    tenant's *own* workload (``spec.workload`` is required) on a
+    homogeneous ``nodes``-node ``std-cpu`` cluster, seeded from the tenant
+    seed and shard index.  ``transient_failure_rate`` is forwarded to
+    every built environment; the default keeps the failure-free fleet.
     """
     from repro.cluster import homogeneous
     from repro.mlsim import TrainingEnvironment
-
-    if capacities is None:
-        capacities = [1] * len(cost_multipliers)
-    if len(capacities) != len(cost_multipliers):
-        raise ValueError("capacities and cost_multipliers must have equal length")
 
     def factory(spec: "TenantSpec", shard_index: int):
         if spec.workload is None:
@@ -152,20 +143,18 @@ def training_shard_templates(
             )
         return TrainingEnvironment(
             spec.workload,
-            homogeneous(nodes, node_type),
+            homogeneous(nodes),
             seed=spec.seed + shard_index,
             transient_failure_rate=transient_failure_rate,
-            drift=drift,
         )
 
     return [
         ShardTemplate(
             name=f"shard{i}",
             env_factory=factory,
-            capacity=int(capacity),
             cost_multiplier=float(multiplier),
         )
-        for i, (multiplier, capacity) in enumerate(zip(cost_multipliers, capacities))
+        for i, multiplier in enumerate(cost_multipliers)
     ]
 
 

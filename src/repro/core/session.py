@@ -38,9 +38,8 @@ once it recovers.  With the whole fleet down the session clock waits out
 the earliest recovery.  ``pool=None`` keeps single-environment semantics.
 
 Sessions also emit lifecycle events to :class:`SessionCallback` observers;
-:class:`ProgressLogger` (per-round progress lines) and
 :class:`JsonlTrialLog` (the session record, :mod:`repro.core.trial`, as
-JSON lines for offline analysis) ship here.
+JSON lines for offline analysis) ships here.
 
 Example
 -------
@@ -54,10 +53,9 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from abc import ABC, abstractmethod
 from heapq import heappop, heappush
-from typing import IO, List, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import IO, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -190,32 +188,6 @@ class _Events:
     def session_end(self, result: TuningResult) -> None:
         for callback in self._callbacks:
             callback.on_session_end(result)
-
-
-class ProgressLogger(SessionCallback):
-    """Log one line per round: trials, best objective, machine cost, wall-clock."""
-
-    def __init__(self, stream: Optional[TextIO] = None, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.stream = stream
-        self.every = every
-        self._name = "session"
-
-    def on_session_start(self, strategy, env, space, budget) -> None:
-        self._name = strategy.name
-
-    def on_round_end(self, round_index, trials, history) -> None:
-        if (round_index + 1) % self.every:
-            return
-        best = history.best_objective()
-        best_text = f"{best:.2f}" if best is not None else "-"
-        print(
-            f"[{self._name}] round {round_index + 1}: trials={len(history)} "
-            f"best={best_text} cost={history.total_cost_s:.0f}s "
-            f"wall={history.total_wall_clock_s:.0f}s",
-            file=self.stream or sys.stderr,
-        )
 
 
 class JsonlTrialLog(SessionCallback):
@@ -361,16 +333,15 @@ class Executor(ABC):
         self._in_flight: List[_Launch] = []
         self._launched = 0
 
-    def reset(self, seed: int = 0) -> None:
+    def reset(self) -> None:
         """Clear per-session state (called at the start of every run).
 
-        Frees every slot, drops in-flight probes, and re-derives an
-        attached pool's per-shard RNG streams from the session seed
-        (rewinding occupancy and environment counters), so a reused
+        Frees every slot, drops in-flight probes, and resets an attached
+        pool (rewinding occupancy and environment counters), so a reused
         executor replays the same session.
         """
         if self.pool is not None:
-            self.pool.reset(seed)
+            self.pool.reset()
         self._reset_slots()
 
     def has_pending(self) -> bool:
@@ -565,9 +536,10 @@ class Executor(ABC):
             index, shard = picked
             free_s, pin = self._slots[index]
             # A slot can sit idle past its free-time while launches are
-            # gated — a stopping rule may un-finish when a draining probe
-            # records a success (e.g. FailureStreakRule).  It re-launches
-            # at the current session clock, never in the past, keeping
+            # gated, and the gate can reopen: ``finished()`` need not be
+            # monotone (a rule over the latest trials clears when a
+            # draining probe records a success).  The slot re-launches at
+            # the current session clock, never in the past, keeping
             # completion stamps monotone.
             start_s = max(free_s, history.total_wall_clock_s)
             if not self._may_launch(start_s, strategy, history, space, budget):
@@ -934,7 +906,7 @@ class TuningSession:
     session directly to choose the executor or attach callbacks::
 
         TuningSession(tuner, executor=ParallelExecutor(4),
-                      callbacks=[ProgressLogger()]).run(env, space, budget)
+                      callbacks=[JsonlTrialLog("trials.jsonl")]).run(env, space, budget)
 
     A session is also a *schedulable unit*: :meth:`start` initialises the
     loop, each :meth:`step` runs exactly one executor round (returning
@@ -1056,7 +1028,7 @@ class TuningSession:
         self._stalled = False
         self._result = None
         self.strategy.reset()
-        self.executor.reset(seed)
+        self.executor.reset()
         self._events.session_start(self.strategy, self._env_like, space, budget)
         return self
 

@@ -1,8 +1,7 @@
 """Composable stopping rules for tuning sessions.
 
-A real tuning service rarely runs to a fixed trial count: it stops when
-progress stalls, when the expected improvement no longer justifies probe
-cost, or when a good-enough configuration is in hand.  These rules plug
+A real tuning service rarely runs to a fixed trial count: it stops once a
+good-enough configuration is in hand (:class:`TargetRule`).  Rules plug
 into any :class:`~repro.core.strategy.SearchStrategy` via
 :class:`StoppedStrategy`, which wraps a strategy and ends the session when
 any rule fires — without touching the strategy's own logic.  Caps on
@@ -12,8 +11,8 @@ probe cost and session wall-clock are budget fields
 Example
 -------
 >>> from repro.core import MLConfigTuner
->>> from repro.core.stopping import PlateauRule, StoppedStrategy
->>> tuner = StoppedStrategy(MLConfigTuner(), [PlateauRule(patience=8)])
+>>> from repro.core.stopping import StoppedStrategy, TargetRule
+>>> tuner = StoppedStrategy(MLConfigTuner(), [TargetRule(target=5000.0)])
 """
 
 from __future__ import annotations
@@ -40,38 +39,6 @@ class StoppingRule(ABC):
         return type(self).__name__
 
 
-class PlateauRule(StoppingRule):
-    """Stop when the best objective has not improved for ``patience`` trials.
-
-    ``min_relative_gain`` filters noise: an improvement below this fraction
-    of the incumbent does not reset the counter.
-    """
-
-    def __init__(self, patience: int = 10, min_relative_gain: float = 0.01) -> None:
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        if min_relative_gain < 0:
-            raise ValueError("min_relative_gain must be non-negative")
-        self.patience = patience
-        self.min_relative_gain = min_relative_gain
-
-    def should_stop(self, history: TrialHistory) -> bool:
-        series = history.best_so_far_series()
-        if len(series) <= self.patience:
-            return False
-        current = series[-1]
-        earlier = series[-1 - self.patience]
-        if current is None:
-            return False
-        if earlier is None:
-            return False
-        threshold = abs(earlier) * self.min_relative_gain
-        return (current - earlier) <= threshold
-
-    def reason(self) -> str:
-        return f"no improvement for {self.patience} trials"
-
-
 class TargetRule(StoppingRule):
     """Stop once the best objective reaches an absolute target."""
 
@@ -84,28 +51,6 @@ class TargetRule(StoppingRule):
 
     def reason(self) -> str:
         return f"objective target {self.target} reached"
-
-
-class FailureStreakRule(StoppingRule):
-    """Stop after ``streak`` consecutive crashed probes.
-
-    A long failure streak usually means the environment itself is broken
-    (quota exhausted, image unpullable) — burning budget helps nobody.
-    """
-
-    def __init__(self, streak: int = 8) -> None:
-        if streak < 1:
-            raise ValueError("streak must be >= 1")
-        self.streak = streak
-
-    def should_stop(self, history: TrialHistory) -> bool:
-        trials = history.trials
-        if len(trials) < self.streak:
-            return False
-        return all(not t.ok for t in trials[-self.streak:])
-
-    def reason(self) -> str:
-        return f"{self.streak} consecutive failed probes"
 
 
 class StoppedStrategy(SearchStrategy):

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.configspace import ConfigDict, ConfigSpace
 from repro.core.gp import GaussianProcess, GPFitError
-from repro.core.kernels import make_kernel
+from repro.core.kernels import Matern52
 from repro.core.trial import TrialHistory
 
 
@@ -123,7 +123,7 @@ def map_workload(
         y = np.array([v for _, v in observations])
         try:
             surrogate = GaussianProcess(
-                kernel=make_kernel("matern52", space.dims), seed=seed
+                kernel=Matern52(space.dims), seed=seed
             ).fit(x, y, optimize_hypers=False)
             mu, _ = surrogate.predict(np.array(target_x))
         except GPFitError:
@@ -316,10 +316,6 @@ class HistoryRepository:
         if self.path is not None:
             self._flush()
 
-    def sessions(self) -> List[dict]:
-        """Stored session records, in insertion order (copies)."""
-        return [dict(entry) for entry in self._entries]
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -364,27 +360,18 @@ class HistoryRepository:
             for key in keys
         }
 
-    def nearest(
-        self,
-        fingerprint: Dict[str, float],
-        exclude: Sequence[str] = (),
-    ) -> Optional[str]:
+    def nearest(self, fingerprint: Dict[str, float]) -> Optional[str]:
         """The stored workload with the closest fingerprint, or ``None``.
 
         Distance is Euclidean over features shared by the query and the
         candidate, each transformed to log space (positive values) and
         z-scored across the stored workloads so no single
         order-of-magnitude feature dominates.  Ties break by workload
-        name; workloads named in ``exclude`` are skipped.
+        name.
         """
         if not fingerprint:
             return None
-        excluded = set(exclude)
-        candidates = {
-            name: self.fingerprint(name)
-            for name in self.workloads()
-            if name not in excluded
-        }
+        candidates = {name: self.fingerprint(name) for name in self.workloads()}
         candidates = {name: fp for name, fp in candidates.items() if fp}
         if not candidates:
             return None
@@ -434,7 +421,6 @@ class TransferPrior:
         space: ConfigSpace,
         observations: Sequence[Tuple[ConfigDict, float]],
         seed: int = 0,
-        kernel: str = "matern52",
     ) -> None:
         if len(observations) < 3:
             raise ValueError("need at least 3 observations to fit a prior")
@@ -442,7 +428,7 @@ class TransferPrior:
         z = np.array([value for _, value in observations], dtype=float)
         self.source: Optional[str] = None
         self.num_observations = int(z.shape[0])
-        self._gp = GaussianProcess(kernel=make_kernel(kernel, space.dims), seed=seed)
+        self._gp = GaussianProcess(kernel=Matern52(space.dims), seed=seed)
         self._gp.fit(x, z, optimize_hypers=True)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -455,7 +441,6 @@ def build_prior(
     workload_name: str,
     space: ConfigSpace,
     seed: int = 0,
-    kernel: str = "matern52",
 ) -> Optional[TransferPrior]:
     """A :class:`TransferPrior` over a repository workload, or ``None``.
 
@@ -467,7 +452,7 @@ def build_prior(
     if len(observations) < 3:
         return None
     try:
-        prior = TransferPrior(space, observations, seed=seed, kernel=kernel)
+        prior = TransferPrior(space, observations, seed=seed)
     except (GPFitError, ValueError):
         return None
     prior.source = workload_name

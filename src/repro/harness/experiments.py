@@ -32,6 +32,40 @@ from repro.harness.tables import render_table
 from repro.mlsim import TrainingConfig, TrainingEnvironment
 from repro.workloads import SUITE, core_suite, get_workload
 
+# ---------------------------------------------------------------------------
+# Recipe values
+# ---------------------------------------------------------------------------
+
+#: The values every experiment shares: the cluster size, the base seed,
+#: the seeds per multi-seed cell, and the workload of the tables that tune
+#: one workload.  Each experiment's own values (workload lists, sweeps,
+#: checkpoints) are written once, in its function.
+NODES = 16
+SEED = 0
+REPEATS = 2
+WORKLOAD = "resnet50-imagenet"
+
+#: Tuning trials per session, per experiment id (P1, P2 and F5 take their
+#: budget as an argument instead).
+TRIALS = {
+    "T3": 30,
+    "F2": 36,
+    "F3": 36,
+    "F4": 30,
+    "P4": 40,
+    "A1": 30,
+    "A2": 30,
+    "A3": 24,
+    "E2": 40,
+}
+
+#: P4's fleet: a 64-node target (a search space large enough that the
+#: serial baseline is still improving at the budget), four replicas
+#: probing at these relative speeds, and the schedulers compared.
+P4_NODES = 64
+P4_SHARD_MULTIPLIERS = (1.0, 1.25, 0.8, 1.5)
+P4_SCHEDULERS = ("roundrobin", "least-loaded", "cheapest")
+
 
 @dataclass
 class ExperimentTable:
@@ -54,7 +88,7 @@ class ExperimentTable:
 # T1: configuration space
 # ---------------------------------------------------------------------------
 
-def exp_t1_config_space(nodes: int = 16) -> ExperimentTable:
+def exp_t1_config_space(nodes: int = NODES) -> ExperimentTable:
     """The tuned configuration space (knobs, ranges, cardinalities)."""
     space = ml_config_space(nodes)
     rows = [
@@ -116,22 +150,14 @@ def exp_t2_workloads() -> ExperimentTable:
 # ---------------------------------------------------------------------------
 
 def _fixed_config_cells(
-    workloads: Sequence[str],
-    nodes: int,
-    budget_trials: int,
-    seed: int,
-    objective: str = "throughput",
-    workers: int = 1,
-    executor_mode: str = "sync",
+    workloads: Sequence[str], budget_trials: int, objective: str
 ) -> List[SweepCell]:
     """The T3/F4 sweep: per workload, the one-probe ``default`` and
-    ``expert`` configurations and the BO tuner (cells ``workload:strategy``).
-    ``workers`` × ``executor_mode`` apply to the tuner only."""
-    common = dict(nodes=nodes, objective=objective, env_seed=seed, optimum_seed=seed)
+    ``expert`` configurations and the serial BO tuner (cells
+    ``workload:strategy``)."""
+    common = dict(nodes=NODES, objective=objective, env_seed=SEED, optimum_seed=SEED)
     fixed = dict(max_trials=1, **common)
-    tuned = dict(
-        max_trials=budget_trials, workers=workers, executor_mode=executor_mode, **common
-    )
+    tuned = dict(max_trials=budget_trials, **common)
     return [
         SweepCell(name=f"{name}:{strategy}", workload=name, strategy=strategy, **options)
         for name in workloads
@@ -146,13 +172,12 @@ def _first_results(report: Dict[str, Any]) -> Dict[str, Any]:
     return {name: cell["results"][0] for name, cell in report["cells"].items()}
 
 
-def exp_t3_speedup(
-    nodes: int = 16, budget_trials: int = 30, seed: int = 0
-) -> ExperimentTable:
+def exp_t3_speedup() -> ExperimentTable:
     """Best-found throughput per workload: tuner vs default vs expert."""
     workloads = sorted(SUITE)
-    cells = _fixed_config_cells(workloads, nodes, budget_trials, seed)
-    report = run_sweep(cells, [seed])
+    budget_trials = TRIALS["T3"]
+    cells = _fixed_config_cells(workloads, budget_trials, "throughput")
+    report = run_sweep(cells, [SEED])
     results = _first_results(report)
     rows = []
     for name in workloads:
@@ -173,7 +198,7 @@ def exp_t3_speedup(
         )
     return ExperimentTable(
         exp_id="T3",
-        title=f"Tuned vs default vs expert throughput ({nodes} nodes, {budget_trials} trials)",
+        title=f"Tuned vs default vs expert throughput ({NODES} nodes, {budget_trials} trials)",
         headers=[
             "workload",
             "default (smp/s)",
@@ -191,17 +216,12 @@ def exp_t3_speedup(
 # F1: response-surface slices
 # ---------------------------------------------------------------------------
 
-def exp_f1_surface(
-    workload_name: str = "resnet50-imagenet",
-    nodes: int = 16,
-    seed: int = 0,
-    fidelity: str = "event",
-) -> ExperimentTable:
-    """Throughput over (num_ps, num_workers) — the surface the tuner searches."""
-    workload = get_workload(workload_name)
-    cluster = homogeneous(nodes)
+def exp_f1_surface() -> ExperimentTable:
+    """Throughput over (num_ps, num_workers) — the surface the tuner searches,
+    measured by the event-driven simulator."""
     env = TrainingEnvironment(
-        workload, cluster, seed=seed, fidelity=fidelity, noise_cv=0.0
+        get_workload(WORKLOAD), homogeneous(NODES), seed=SEED, fidelity="event",
+        noise_cv=0.0,
     )
     ps_values = [1, 2, 4, 8]
     worker_values = [2, 4, 8, 12, 14]
@@ -209,7 +229,7 @@ def exp_f1_surface(
     for num_ps in ps_values:
         row: List[Any] = [num_ps]
         for workers in worker_values:
-            if num_ps + workers > nodes:
+            if num_ps + workers > NODES:
                 row.append(None)
                 continue
             config = TrainingConfig(
@@ -220,7 +240,7 @@ def exp_f1_surface(
         rows.append(row)
     return ExperimentTable(
         exp_id="F1",
-        title=f"Throughput (samples/s) vs #PS × #workers — {workload_name}, {fidelity} fidelity",
+        title=f"Throughput (samples/s) vs #PS × #workers — {WORKLOAD}, event fidelity",
         headers=["num_ps \\ workers"] + [str(w) for w in worker_values],
         rows=rows,
         notes="ridge structure: too few PS saturates server NICs; too many wastes workers",
@@ -231,40 +251,28 @@ def exp_f1_surface(
 # F2 + F3: convergence curves and search cost (one shared sweep)
 # ---------------------------------------------------------------------------
 
-def _core_cells(
-    nodes: int,
-    budget_trials: int,
-    seed: int,
-    workers: int = 1,
-    executor_mode: str = "sync",
-) -> List[SweepCell]:
-    """The F2/F3 sweep: every standard strategy on every core workload."""
+def _core_cells(budget_trials: int) -> List[SweepCell]:
+    """The F2/F3 sweep: every standard strategy on every core workload,
+    probing serially."""
     return [
         SweepCell(
             name=f"{workload.name}:{strategy}",
             workload=workload.name,
-            nodes=nodes,
+            nodes=NODES,
             strategy=strategy,
             max_trials=budget_trials,
-            optimum_seed=seed,
-            workers=workers,
-            executor_mode=executor_mode,
+            optimum_seed=SEED,
         )
         for workload in core_suite()
         for strategy in standard_strategy_set()
     ]
 
 
-def exp_f2_convergence(
-    nodes: int = 16,
-    budget_trials: int = 36,
-    repeats: int = 2,
-    seed: int = 0,
-    checkpoints: Sequence[int] = (4, 8, 12, 16, 20, 24, 30, 36),
-) -> List[ExperimentTable]:
+def exp_f2_convergence() -> List[ExperimentTable]:
     """Normalized best-so-far vs trial count, one table per core workload."""
+    budget_trials = TRIALS["F2"]
     cells = run_sweep(
-        _core_cells(nodes, budget_trials, seed), range(seed, seed + repeats)
+        _core_cells(budget_trials), range(SEED, SEED + REPEATS)
     )["cells"]
     strategies = list(standard_strategy_set())
     tables = []
@@ -280,7 +288,7 @@ def exp_f2_convergence(
             for name in strategies
         ]
         rows = []
-        for checkpoint in checkpoints:
+        for checkpoint in (4, 8, 12, 16, 20, 24, 30, 36):
             if checkpoint > budget_trials:
                 continue
             rows.append(
@@ -291,7 +299,7 @@ def exp_f2_convergence(
             ExperimentTable(
                 exp_id="F2",
                 title=f"Mean normalized best-so-far — {workload.name} "
-                f"({repeats} repeats, optimum={optimum:.1f})",
+                f"({REPEATS} repeats, optimum={optimum:.1f})",
                 headers=["trial"] + strategies,
                 rows=rows,
             )
@@ -310,24 +318,11 @@ def _reach_rate(values: Sequence[Optional[float]]) -> float:
     return sum(v is not None for v in values) / len(values)
 
 
-def exp_f3_search_cost(
-    nodes: int = 16,
-    budget_trials: int = 36,
-    repeats: int = 2,
-    seed: int = 0,
-    workers: int = 1,
-    executor_mode: str = "sync",
-) -> ExperimentTable:
-    """Trials and simulated hours to reach within 5%/10% of the optimum.
-
-    ``workers`` × ``executor_mode`` select the execution axis: the default
-    is the seed's serial probing; with K workers the table additionally
-    reports the wall-clock hours the chosen executor (round-barrier sync
-    or barrier-free async) actually takes.
-    """
+def exp_f3_search_cost() -> ExperimentTable:
+    """Trials and simulated hours to reach within 5%/10% of the optimum,
+    probing serially (so wall-clock hours equal probe hours)."""
     cells = run_sweep(
-        _core_cells(nodes, budget_trials, seed, workers, executor_mode),
-        range(seed, seed + repeats),
+        _core_cells(TRIALS["F3"]), range(SEED, SEED + REPEATS)
     )["cells"]
     rows = []
     for cell in cells.values():
@@ -351,12 +346,9 @@ def exp_f3_search_cost(
                 cell["mean_wall_clock_hours"],
             ]
         )
-    execution = (
-        "serial" if workers == 1 else f"{workers}-worker {executor_mode}"
-    )
     return ExperimentTable(
         exp_id="F3",
-        title=f"Search cost to reach near-optimal configurations ({execution})",
+        title="Search cost to reach near-optimal configurations (serial)",
         headers=[
             "workload",
             "strategy",
@@ -377,25 +369,16 @@ def exp_f3_search_cost(
 # F4: time-to-accuracy
 # ---------------------------------------------------------------------------
 
-def exp_f4_tta(
-    nodes: int = 16,
-    budget_trials: int = 30,
-    seed: int = 0,
-    workload_names: Sequence[str] = ("resnet50-imagenet", "lstm-ptb"),
-    workers: int = 1,
-    executor_mode: str = "sync",
-) -> ExperimentTable:
+def exp_f4_tta() -> ExperimentTable:
     """Tuning for time-to-accuracy instead of throughput.
 
     The search-cost column pair reports both axes the session layer
-    accounts: machine hours (the cluster bill, identical per probe across
-    executors) and wall-clock hours under the selected ``workers`` ×
-    ``executor_mode`` execution.
+    accounts: machine hours (the cluster bill) and wall-clock hours, here
+    of serial probing.
     """
-    cells = _fixed_config_cells(
-        workload_names, nodes, budget_trials, seed, "tta", workers, executor_mode
-    )
-    results = _first_results(run_sweep(cells, [seed]))
+    workload_names = ("resnet50-imagenet", "lstm-ptb")
+    cells = _fixed_config_cells(workload_names, TRIALS["F4"], "tta")
+    results = _first_results(run_sweep(cells, [SEED]))
     rows = []
     for name in workload_names:
         tuned = results[f"{name}:mlconfig-bo"]
@@ -417,10 +400,9 @@ def exp_f4_tta(
                 (default_tta - tuned_tta) > wall_hours,
             ]
         )
-    execution = "serial" if workers == 1 else f"{workers}-worker {executor_mode}"
     return ExperimentTable(
         exp_id="F4",
-        title=f"Time-to-accuracy: tuned vs default vs expert (hours, {execution})",
+        title="Time-to-accuracy: tuned vs default vs expert (hours, serial)",
         headers=[
             "workload",
             "default TTA h",
@@ -443,14 +425,13 @@ def exp_f4_tta(
 def exp_f5_scalability(
     node_counts: Sequence[int] = (8, 16, 32, 64),
     budget_trials: int = 30,
-    seed: int = 0,
-    workload_name: str = "resnet50-imagenet",
+    seed: int = SEED,
 ) -> ExperimentTable:
     """Tuning quality as the cluster (and the config space) grows."""
     cells = [
         SweepCell(
             name=f"{nodes}:{strategy}",
-            workload=workload_name,
+            workload=WORKLOAD,
             nodes=nodes,
             strategy=strategy,
             max_trials=budget_trials,
@@ -473,7 +454,7 @@ def exp_f5_scalability(
     ]
     return ExperimentTable(
         exp_id="F5",
-        title=f"Tuning quality vs cluster size — {workload_name}, {budget_trials} trials",
+        title=f"Tuning quality vs cluster size — {WORKLOAD}, {budget_trials} trials",
         headers=[
             "nodes",
             "optimum (smp/s)",
@@ -490,34 +471,32 @@ def exp_f5_scalability(
 # F6: synchronisation-mode crossover under stragglers
 # ---------------------------------------------------------------------------
 
-def exp_f6_sync_crossover(
-    nodes: int = 16,
-    seed: int = 0,
-    workload_name: str = "mlp-criteo",
-    slowdowns: Sequence[float] = (1.0, 0.8, 0.6, 0.4),
-    straggler_fraction: float = 0.25,
-) -> ExperimentTable:
+def exp_f6_sync_crossover() -> ExperimentTable:
     """Best BSP vs ASP vs SSP objective as stragglers intensify.
 
-    Tuned for time-to-accuracy so ASP's staleness penalty is visible: pure
+    A quarter of the nodes straggle at each speed factor.  Tuned for
+    time-to-accuracy so ASP's staleness penalty is visible: pure
     throughput would always favour ASP under stragglers.
     """
+    workload_name = "mlp-criteo"
+    slowdowns = (1.0, 0.8, 0.6, 0.4)
+    straggler_fraction = 0.25
 
     def compute() -> List[List[Any]]:
         workload = get_workload(workload_name)
         rows = []
         for slowdown in slowdowns:
             cluster = homogeneous(
-                nodes,
+                NODES,
                 straggler_fraction=straggler_fraction if slowdown < 1.0 else 0.0,
                 straggler_slowdown=slowdown,
             )
             env = TrainingEnvironment(
-                workload, cluster, seed=seed, objective_name="tta", noise_cv=0.0
+                workload, cluster, seed=SEED, objective_name="tta", noise_cv=0.0
             )
             best_by_mode: Dict[str, float] = {}
             for mode in ("bsp", "asp", "ssp"):
-                space = ml_config_space(nodes, include_allreduce=False)
+                space = ml_config_space(NODES, include_allreduce=False)
                 # Sync modes only exist under the PS architecture (all-reduce
                 # is inherently synchronous), so pin architecture=ps.  The
                 # constraint name is unique per mode: the optimum cache keys
@@ -525,7 +504,7 @@ def exp_f6_sync_crossover(
                 space.constraints[f"pin_sync_{mode}"] = lambda config, mode=mode: (
                     config["sync_mode"] == mode and config["architecture"] == "ps"
                 )
-                _, optimum = estimate_optimum(env, space, samples=1200, seed=seed)
+                _, optimum = estimate_optimum(env, space, samples=1200, seed=SEED)
                 best_by_mode[mode] = -optimum / 3600.0  # back to TTA hours
             winner = min(best_by_mode, key=best_by_mode.get)
             rows.append(
@@ -540,7 +519,7 @@ def exp_f6_sync_crossover(
         return rows
 
     rows = _memoised(
-        ("f6", nodes, seed, workload_name, tuple(slowdowns), straggler_fraction),
+        ("f6", NODES, SEED, workload_name, slowdowns, straggler_fraction),
         compute,
     )
     return ExperimentTable(
@@ -563,11 +542,7 @@ def exp_f6_sync_crossover(
 # ---------------------------------------------------------------------------
 
 def _executor_results(
-    nodes: int,
-    budget_trials: int,
-    seed: int,
-    workload_name: str,
-    worker_counts: Sequence[int],
+    budget_trials: int, worker_counts: Sequence[int]
 ) -> Dict[tuple, Any]:
     """BO-tuner results per (workers, mode) at one trial budget.
 
@@ -577,18 +552,18 @@ def _executor_results(
     cells = [
         SweepCell(
             name=f"{workers}:{mode}",
-            workload=workload_name,
-            nodes=nodes,
+            workload=WORKLOAD,
+            nodes=NODES,
             strategy="mlconfig-bo",
             max_trials=budget_trials,
-            env_seed=seed,
+            env_seed=SEED,
             workers=workers,
             executor_mode=mode,
         )
         for workers in sorted(set(worker_counts))
         for mode in (("sync",) if workers == 1 else ("sync", "async"))
     ]
-    report = run_sweep(cells, [seed])["cells"]
+    report = run_sweep(cells, [SEED])["cells"]
     return {
         (cell.workers, cell.executor_mode): report[cell.name]["results"][0]
         for cell in cells
@@ -596,11 +571,7 @@ def _executor_results(
 
 
 def exp_p1_parallel_speedup(
-    nodes: int = 16,
-    budget_trials: int = 36,
-    seed: int = 0,
-    workload_name: str = "resnet50-imagenet",
-    worker_counts: Sequence[int] = (1, 2, 4, 8),
+    budget_trials: int = 36, worker_counts: Sequence[int] = (1, 2, 4, 8)
 ) -> ExperimentTable:
     """Wall-clock to tune with K workers: synchronous vs asynchronous.
 
@@ -615,9 +586,7 @@ def exp_p1_parallel_speedup(
     equal quality" axis that keeps a fast-but-worse run from looking
     strictly better.
     """
-    results = _executor_results(
-        nodes, budget_trials, seed, workload_name, (1, *worker_counts)
-    )
+    results = _executor_results(budget_trials, (1, *worker_counts))
     serial = results[(1, "sync")]
     serial_wall = serial.total_wall_clock_s
     serial_best = serial.best_objective or 0.0
@@ -647,7 +616,7 @@ def exp_p1_parallel_speedup(
         )
     return ExperimentTable(
         exp_id="P1",
-        title=f"Parallel probing: sync vs async wall-clock — {workload_name}, "
+        title=f"Parallel probing: sync vs async wall-clock — {WORKLOAD}, "
         f"{budget_trials} trials",
         headers=[
             "workers",
@@ -675,11 +644,7 @@ def exp_p1_parallel_speedup(
 # ---------------------------------------------------------------------------
 
 def exp_p2_async_speedup(
-    nodes: int = 16,
-    budget_trials: int = 36,
-    seed: int = 0,
-    workload_name: str = "resnet50-imagenet",
-    worker_counts: Sequence[int] = (2, 4, 8),
+    budget_trials: int = 36, worker_counts: Sequence[int] = (2, 4, 8)
 ) -> ExperimentTable:
     """Barrier cost in detail: utilisation and idle time per (K, mode).
 
@@ -690,9 +655,7 @@ def exp_p2_async_speedup(
     the async free-list reclaims by refilling every worker the moment its
     probe completes.
     """
-    results = _executor_results(
-        nodes, budget_trials, seed, workload_name, worker_counts
-    )
+    results = _executor_results(budget_trials, worker_counts)
     rows = []
     for workers in sorted(set(worker_counts)):
         # One worker is serial in every mode — one honestly-labelled row.
@@ -717,7 +680,7 @@ def exp_p2_async_speedup(
     return ExperimentTable(
         exp_id="P2",
         title=f"Async probing: worker utilisation vs the round barrier — "
-        f"{workload_name}, {budget_trials} trials",
+        f"{WORKLOAD}, {budget_trials} trials",
         headers=[
             "workers",
             "mode",
@@ -737,30 +700,23 @@ def exp_p2_async_speedup(
 # P4: heterogeneous-fleet sharding (EnvironmentPool layer)
 # ---------------------------------------------------------------------------
 
-def fleet_cells(
-    nodes: int,
-    budget_trials: int,
-    seed: int,
-    workload_name: str,
-    shard_multipliers: Sequence[float],
-    schedulers: Sequence[str],
-) -> List[SweepCell]:
-    """The P4 sweep: the serial single-shard baseline, then one async
-    fleet cell per scheduler (cell names ``single`` and the scheduler's).
-    """
+def fleet_cells(seed: int, schedulers: Sequence[str]) -> List[SweepCell]:
+    """The P4 sweep at one seed: the serial single-shard baseline, then one
+    async fleet cell per scheduler (cell names ``single`` and the
+    scheduler's)."""
     common = dict(
-        workload=workload_name,
-        nodes=nodes,
+        workload=WORKLOAD,
+        nodes=P4_NODES,
         strategy="mlconfig-bo",
-        max_trials=budget_trials,
+        max_trials=TRIALS["P4"],
         env_seed=seed,
     )
     return [SweepCell(name="single", **common)] + [
         SweepCell(
             name=scheduler,
-            workers=len(shard_multipliers),
+            workers=len(P4_SHARD_MULTIPLIERS),
             executor_mode="async",
-            shard_multipliers=shard_multipliers,
+            shard_multipliers=P4_SHARD_MULTIPLIERS,
             scheduler=scheduler,
             **common,
         )
@@ -768,14 +724,7 @@ def fleet_cells(
     ]
 
 
-def exp_p4_fleet(
-    nodes: int = 64,
-    budget_trials: int = 40,
-    seed: int = 0,
-    workload_name: str = "resnet50-imagenet",
-    shard_multipliers: Sequence[float] = (1.0, 1.25, 0.8, 1.5),
-    schedulers: Sequence[str] = ("roundrobin", "least-loaded", "cheapest"),
-) -> ExperimentTable:
+def exp_p4_fleet() -> ExperimentTable:
     """One session fanned across a heterogeneous 4-shard fleet.
 
     The single-shard baseline probes the target cluster serially; each
@@ -786,15 +735,13 @@ def exp_p4_fleet(
     the worse of its own and the baseline's final incumbents — the
     time-to-equal-quality axis that keeps a fast-but-worse run from
     looking strictly better; its speedup column is the fleet claim the
-    benchmark gate (``benchmarks/bench_p4_fleet.py``) pins.  The default
-    is a 64-node target: a search space large enough that the serial
-    baseline is still improving at the budget, which is exactly the
+    benchmark gate (``benchmarks/bench_p4_fleet.py``) pins.  The target
+    has :data:`P4_NODES` nodes: a search space large enough that the
+    serial baseline is still improving at the budget, which is exactly the
     regime where fanning the session out pays.
     """
-    cells = fleet_cells(
-        nodes, budget_trials, seed, workload_name, shard_multipliers, schedulers
-    )
-    results = _first_results(run_sweep(cells, [seed]))
+    cells = fleet_cells(SEED, P4_SCHEDULERS)
+    results = _first_results(run_sweep(cells, [SEED]))
     single = results["single"]
     single_wall = single.total_wall_clock_s
     rows = []
@@ -811,7 +758,7 @@ def exp_p4_fleet(
         rows.append(
             [
                 name,
-                1 if name == "single" else len(shard_multipliers),
+                1 if name == "single" else len(P4_SHARD_MULTIPLIERS),
                 result.best_objective,
                 result.total_cost_s / 3600.0,
                 result.total_wall_clock_s / 3600.0,
@@ -827,8 +774,8 @@ def exp_p4_fleet(
         )
     return ExperimentTable(
         exp_id="P4",
-        title=f"Heterogeneous-fleet sharding — {workload_name}, "
-        f"{budget_trials} trials, shard speeds {list(shard_multipliers)}",
+        title=f"Heterogeneous-fleet sharding — {WORKLOAD}, "
+        f"{TRIALS['P4']} trials, shard speeds {list(P4_SHARD_MULTIPLIERS)}",
         headers=[
             "execution",
             "shards",
@@ -851,41 +798,28 @@ def exp_p4_fleet(
 # A1: acquisition-function ablation
 # ---------------------------------------------------------------------------
 
-def _variant_sweep(
-    variants: Dict[str, str],
-    nodes: int,
-    budget_trials: int,
-    repeats: int,
-    seed: int,
-    workload_name: str,
-) -> Dict[str, Any]:
+def _variant_sweep(variants: Dict[str, str], budget_trials: int) -> Dict[str, Any]:
     """An ablation sweep: one cell per row label, each naming its registry
-    strategy, on one workload over ``repeats`` seeds (report cells by label)."""
+    strategy, on :data:`WORKLOAD` over :data:`REPEATS` seeds (report cells
+    by label)."""
     cells = [
         SweepCell(
             name=label,
-            workload=workload_name,
-            nodes=nodes,
+            workload=WORKLOAD,
+            nodes=NODES,
             strategy=strategy,
             max_trials=budget_trials,
-            optimum_seed=seed,
+            optimum_seed=SEED,
         )
         for label, strategy in variants.items()
     ]
-    return run_sweep(cells, range(seed, seed + repeats))["cells"]
+    return run_sweep(cells, range(SEED, SEED + REPEATS))["cells"]
 
 
-def exp_a1_acquisition(
-    nodes: int = 16,
-    budget_trials: int = 30,
-    repeats: int = 2,
-    seed: int = 0,
-    workload_name: str = "resnet50-imagenet",
-) -> ExperimentTable:
+def exp_a1_acquisition() -> ExperimentTable:
     """EI vs PI vs UCB vs cost-aware EI inside the same tuner."""
     cells = _variant_sweep(
-        {"ei": "ei", "pi": "pi", "ucb": "ucb", "eipc": "mlconfig-bo"},
-        nodes, budget_trials, repeats, seed, workload_name,
+        {"ei": "ei", "pi": "pi", "ucb": "ucb", "eipc": "mlconfig-bo"}, TRIALS["A1"]
     )
     rows = [
         [
@@ -904,7 +838,7 @@ def exp_a1_acquisition(
     ]
     return ExperimentTable(
         exp_id="A1",
-        title=f"Acquisition-function ablation — {workload_name}",
+        title=f"Acquisition-function ablation — {WORKLOAD}",
         headers=[
             "acquisition",
             "mean norm. perf",
@@ -930,17 +864,11 @@ def _probes_cut_short(result) -> int:
     return sum(1 for c in costs if c < 0.5 * median)
 
 
-def exp_a2_early_termination(
-    nodes: int = 16,
-    budget_trials: int = 30,
-    repeats: int = 2,
-    seed: int = 0,
-    workload_name: str = "resnet50-imagenet",
-) -> ExperimentTable:
+def exp_a2_early_termination() -> ExperimentTable:
     """Early termination of bad probes: quality vs search-cost trade-off."""
     cells = _variant_sweep(
         {"with-early-term": "mlconfig-bo", "no-early-term": "no-early-term"},
-        nodes, budget_trials, repeats, seed, workload_name,
+        TRIALS["A2"],
     )
     rows = [
         [
@@ -953,7 +881,7 @@ def exp_a2_early_termination(
     ]
     return ExperimentTable(
         exp_id="A2",
-        title=f"Early-termination ablation — {workload_name}",
+        title=f"Early-termination ablation — {WORKLOAD}",
         headers=[
             "variant",
             "mean norm. perf",
@@ -969,19 +897,21 @@ def exp_a2_early_termination(
 # A3: warm-start / workload-mapping ablation
 # ---------------------------------------------------------------------------
 
-def exp_a3_warmstart(
-    nodes: int = 16,
-    budget_trials: int = 24,
-    prior_trials: int = 30,
-    seed: int = 0,
-    target_workload: str = "lstm-ptb",
-    prior_workloads: Sequence[str] = ("vgg16-imagenet", "word2vec-wiki"),
-) -> ExperimentTable:
-    """OtterTune-style transfer from previously tuned workloads."""
+def exp_a3_warmstart() -> ExperimentTable:
+    """OtterTune-style transfer from previously tuned workloads.
+
+    The repository holds one 30-trial random-search session per prior
+    workload.
+    """
+    budget_trials = TRIALS["A3"]
+    prior_trials = 30
+    target_workload = "lstm-ptb"
+    prior_workloads = ("vgg16-imagenet", "word2vec-wiki")
+    seed = SEED
 
     def compute() -> List[List[Any]]:
-        cluster = homogeneous(nodes)
-        space = ml_config_space(nodes)
+        cluster = homogeneous(NODES)
+        space = ml_config_space(NODES)
 
         # Build the repository from prior tuning sessions (random search is
         # enough to populate it with diverse observations).
@@ -1023,7 +953,7 @@ def exp_a3_warmstart(
         return rows
 
     rows = _memoised(
-        ("a3", nodes, budget_trials, prior_trials, seed, target_workload, tuple(prior_workloads)),
+        ("a3", NODES, budget_trials, prior_trials, seed, target_workload, prior_workloads),
         compute,
     )
     return ExperimentTable(
@@ -1044,22 +974,20 @@ def exp_a3_warmstart(
 # E1 (extension): gradient-compression sweep
 # ---------------------------------------------------------------------------
 
-def exp_e1_compression(
-    nodes: int = 16,
-    seed: int = 0,
-    workload_names: Sequence[str] = ("word2vec-wiki", "resnet50-imagenet"),
-    ratios: Sequence[float] = (1.0, 0.5, 0.1, 0.01),
-) -> ExperimentTable:
+def exp_e1_compression() -> ExperimentTable:
     """Top-k gradient compression: throughput gain vs convergence cost.
 
     For a communication-bound workload compression is a large TTA win; for
     a compute-bound one it buys little and the statistical penalty can make
-    it a net loss — a trade-off the tuner can only navigate with the
-    compression knob in its space.
+    it a net loss — a trade-off a tuner can only navigate with gradient
+    compression among its knobs (the standard space keeps it off).
     """
+    workload_names = ("word2vec-wiki", "resnet50-imagenet")
+    ratios = (1.0, 0.5, 0.1, 0.01)
+    seed = SEED
 
     def compute() -> List[List[Any]]:
-        cluster = homogeneous(nodes)
+        cluster = homogeneous(NODES)
         rows = []
         for name in workload_names:
             workload = get_workload(name)
@@ -1087,7 +1015,7 @@ def exp_e1_compression(
         return rows
 
     rows = _memoised(
-        ("e1", nodes, seed, tuple(workload_names), tuple(ratios)), compute
+        ("e1", NODES, seed, workload_names, ratios), compute
     )
     return ExperimentTable(
         exp_id="E1",
@@ -1102,28 +1030,22 @@ def exp_e1_compression(
 # E2 (extension): knob-importance analysis per workload
 # ---------------------------------------------------------------------------
 
-def exp_e2_importance(
-    nodes: int = 16,
-    trials: int = 40,
-    seed: int = 0,
-    workload_names: Sequence[str] = (
-        "resnet50-imagenet",
-        "lstm-ptb",
-        "word2vec-wiki",
-    ),
-) -> ExperimentTable:
+def exp_e2_importance() -> ExperimentTable:
     """Which knobs matter, per workload, from the tuner's ARD surrogate.
 
     The expected structure: parallelism/batch knobs dominate for
     compute-bound models, PS-count and precision for communication-bound
     ones.
     """
+    trials = TRIALS["E2"]
+    workload_names = ("resnet50-imagenet", "lstm-ptb", "word2vec-wiki")
+    seed = SEED
 
     def compute() -> List[List[Any]]:
         from repro.core.importance import knob_importance
 
-        cluster = homogeneous(nodes)
-        space = ml_config_space(nodes)
+        cluster = homogeneous(NODES)
+        space = ml_config_space(NODES)
         knob_names = space.names()
         rows = []
         for name in workload_names:
@@ -1135,8 +1057,8 @@ def exp_e2_importance(
             rows.append([name] + [importance[k] for k in knob_names])
         return rows
 
-    rows = _memoised(("e2", nodes, trials, seed, tuple(workload_names)), compute)
-    space = ml_config_space(nodes)
+    rows = _memoised(("e2", NODES, trials, seed, workload_names), compute)
+    space = ml_config_space(NODES)
     return ExperimentTable(
         exp_id="E2",
         title="Knob importance from ARD lengthscales (fraction of total)",
@@ -1150,17 +1072,12 @@ def exp_e2_importance(
 # V1 (validation): analytic vs event-driven fidelity agreement
 # ---------------------------------------------------------------------------
 
-def exp_v1_fidelity(
-    nodes: int = 16,
-    num_configs: int = 15,
-    seed: int = 0,
-    workload_names: Sequence[str] = (
-        "resnet50-imagenet",
-        "lstm-ptb",
-        "word2vec-wiki",
-    ),
-) -> ExperimentTable:
-    """Cross-validation of the two simulation fidelities (substitution check)."""
+def exp_v1_fidelity() -> ExperimentTable:
+    """Cross-validation of the two simulation fidelities (substitution check),
+    over 15 configurations per workload."""
+    num_configs = 15
+    workload_names = ("resnet50-imagenet", "lstm-ptb", "word2vec-wiki")
+    seed = SEED
 
     def compute() -> List[List[Any]]:
         from repro.mlsim import cross_validate
@@ -1169,14 +1086,14 @@ def exp_v1_fidelity(
         for name in workload_names:
             report = cross_validate(
                 get_workload(name),
-                homogeneous(nodes, jitter_cv=0.0),
+                homogeneous(NODES, jitter_cv=0.0),
                 num_configs=num_configs,
                 seed=seed,
             )
             rows.append(report.summary_row(name))
         return rows
 
-    rows = _memoised(("v1", nodes, num_configs, seed, tuple(workload_names)), compute)
+    rows = _memoised(("v1", NODES, num_configs, seed, workload_names), compute)
     return ExperimentTable(
         exp_id="V1",
         title="Analytic vs event-driven fidelity agreement",

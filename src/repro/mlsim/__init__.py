@@ -35,7 +35,6 @@ from repro.mlsim.perf import (
     PerfEstimate,
     check_feasible,
     estimate,
-    estimate_batch,
     estimate_columns,
 )
 from repro.mlsim.ps import TrainingTrace, run_ps_probe
@@ -72,7 +71,6 @@ __all__ = [
     "check_feasible",
     "cross_validate",
     "estimate",
-    "estimate_batch",
     "estimate_columns",
     "expert_config",
     "run_allreduce_probe",

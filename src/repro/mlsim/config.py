@@ -112,14 +112,6 @@ class TrainingConfig:
             return 1_000_000
         return self.staleness_bound
 
-    def machines_needed(self) -> int:
-        """Distinct machines this configuration occupies."""
-        if not self.uses_ps:
-            return self.num_workers
-        if self.colocate_ps:
-            return max(self.num_ps, self.num_workers)
-        return self.num_ps + self.num_workers
-
     def canonical(self) -> "TrainingConfig":
         """Normalise fields that are inert for this architecture/sync mode.
 

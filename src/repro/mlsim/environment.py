@@ -248,26 +248,22 @@ class TrainingEnvironment:
         self.total_probe_cost_s += measurement.probe_cost_s
         return measurement
 
-    def true_objective(
-        self, config: TrainingConfig, at_s: Optional[float] = None
-    ) -> Optional[float]:
+    def true_objective(self, config: TrainingConfig) -> Optional[float]:
         """Noise-free analytic objective; None for infeasible configs.
 
         Used by the harness to normalise tuner results against the true
         optimum — not available to tuners.  Under a drift schedule the
-        objective is time-varying; ``at_s`` evaluates it at a specific
-        virtual timestamp (default: the environment's current clock).
+        objective is time-varying and evaluated at the environment's
+        current clock (:meth:`set_clock`).
 
         A one-row :meth:`true_objective_batch`: the truth path is the batch
         engine, the probe path (:meth:`measure`) the scalar model, and a
         noise-free successful probe reads the same value bit for bit.
         """
-        value = float(self.true_objective_batch([config], at_s)[0])
+        value = float(self.true_objective_batch([config])[0])
         return None if math.isnan(value) else value
 
-    def true_objective_batch(
-        self, configs: Sequence[TrainingConfig], at_s: Optional[float] = None
-    ) -> np.ndarray:
+    def true_objective_batch(self, configs: Sequence[TrainingConfig]) -> np.ndarray:
         """Noise-free objectives for a whole batch; NaN marks infeasible.
 
         Infeasible rows come back NaN (the array analogue of
@@ -281,11 +277,9 @@ class TrainingEnvironment:
         (``global_batch``, ``compression_ratio``) are canonicalisation
         invariants.
         """
-        return self.true_objective_columns(PerfColumns.from_configs(configs), at_s)
+        return self.true_objective_columns(PerfColumns.from_configs(configs))
 
-    def true_objective_columns(
-        self, columns: PerfColumns, at_s: Optional[float] = None
-    ) -> np.ndarray:
+    def true_objective_columns(self, columns: PerfColumns) -> np.ndarray:
         """:meth:`true_objective_batch` on a columnar batch.
 
         The zero-object entry point: callers that already hold knob
@@ -298,11 +292,11 @@ class TrainingEnvironment:
             columns,
             self.workload,
             self.cluster,
-            node_speed_factors=self._node_speed_factors(at_s),
+            node_speed_factors=self._node_speed_factors(),
         )
         throughput = batch.throughput
         if self.drift is not None:
-            state = self._drift_state(at_s)
+            state = self._drift_state()
             if state.intensity != 1.0:
                 throughput = throughput / state.intensity
         if self.objective_name == "throughput":
@@ -318,20 +312,19 @@ class TrainingEnvironment:
 
     # -- internals -----------------------------------------------------------
 
-    def _drift_state(self, at_s: Optional[float] = None) -> DriftState:
-        """The drift condition at ``at_s`` (default: the current clock)."""
+    def _drift_state(self) -> DriftState:
+        """The drift condition at the current clock."""
         if self.drift is None:
             return DriftState()
-        t = self.clock_s if at_s is None else float(at_s)
-        return self.drift.state_at(t, self.cluster.total_nodes)
+        return self.drift.state_at(self.clock_s, self.cluster.total_nodes)
 
     def _worker_speeds(self, config: TrainingConfig) -> List[float]:
         """Speed factors of ``config``'s workers, in placement order."""
         factors = self._node_speed_factors().tolist()
         return [factors[n] for n in place_config(config, self.cluster).worker_nodes]
 
-    def _node_speed_factors(self, at_s: Optional[float] = None) -> np.ndarray:
-        """Per-*node* speed factors at ``at_s`` (drift included).
+    def _node_speed_factors(self) -> np.ndarray:
+        """Per-*node* speed factors at the current clock (drift included).
 
         The batched estimator indexes by node id because different rows
         place their workers on different nodes; ``_worker_speeds`` gathers
@@ -339,7 +332,7 @@ class TrainingEnvironment:
         """
         if self.drift is None:
             return np.asarray(self._speed_factors, dtype=float)
-        state = self._drift_state(at_s)
+        state = self._drift_state()
         if state.is_identity:
             return np.asarray(self._speed_factors, dtype=float)
         return np.asarray(

@@ -389,19 +389,6 @@ class BatchPerfEstimate:
     def __len__(self) -> int:
         return int(self.ok.shape[0])
 
-    def row(self, index: int) -> PerfEstimate:
-        """The scalar estimate for one row; raises for infeasible rows."""
-        if not self.ok[index]:
-            raise InfeasibleConfigError(f"batch row {index} is infeasible")
-        return PerfEstimate(
-            iteration_time_s=float(self.iteration_time_s[index]),
-            throughput=float(self.throughput[index]),
-            mean_staleness=float(self.mean_staleness[index]),
-            compute_time_s=float(self.compute_time_s[index]),
-            comm_time_s=float(self.comm_time_s[index]),
-            bottleneck=str(self.bottleneck[index]),
-        )
-
 
 @dataclass(frozen=True)
 class PerfColumns:
@@ -519,44 +506,24 @@ class PerfColumns:
         )
 
 
-def estimate_batch(
-    configs: Sequence[TrainingConfig],
-    workload: Workload,
-    cluster: ClusterSpec,
-    node_speed_factors: Sequence[float] | None = None,
-) -> BatchPerfEstimate:
-    """Closed-form estimates for a whole batch of configurations.
-
-    The vectorised twin of :func:`estimate`; see :func:`estimate_columns`
-    for the engine itself.  Feasible rows are **bit-identical** to the
-    per-config scalar path (property-tested).
-
-    ``node_speed_factors`` has one entry per *cluster node* (default all
-    ones) — unlike scalar :func:`estimate`, which takes per-worker factors,
-    because different rows place their workers on different nodes.  Row
-    ``i`` matches ``estimate(configs[i], ..., speed_factors=[factors[n]
-    for n in placement.worker_nodes])``.
-
-    Infeasible rows come back as ``ok=False`` with NaN metrics instead of
-    raising, so one infeasible candidate cannot poison a 3000-row batch.
-
-    Inputs need not be canonical: the sync-mode/architecture selection
-    only ever reads the fields :meth:`TrainingConfig.canonical` would
-    keep (all-reduce rows ignore PS knobs, BSP/ASP rows ignore the
-    staleness bound), so canonicalisation is a no-op for the estimate.
-    """
-    return estimate_columns(
-        PerfColumns.from_configs(configs), workload, cluster, node_speed_factors
-    )
-
-
 def estimate_columns(
     cols: PerfColumns,
     workload: Workload,
     cluster: ClusterSpec,
     node_speed_factors: Sequence[float] | None = None,
 ) -> BatchPerfEstimate:
-    """The batch performance engine, operating on columnar inputs.
+    """Closed-form estimates for a whole batch of configurations.
+
+    The vectorised twin of :func:`estimate`, on columnar inputs
+    (:meth:`PerfColumns.from_configs` builds them from configurations).
+    ``node_speed_factors`` has one entry per *cluster node* (default all
+    ones) — unlike scalar :func:`estimate`, which takes per-worker factors,
+    because different rows place their workers on different nodes.
+    Infeasible rows come back as ``ok=False`` with NaN metrics instead of
+    raising, so one infeasible candidate cannot poison a 3000-row batch.
+    Inputs need not be canonical: the sync-mode/architecture selection
+    only ever reads the fields :meth:`TrainingConfig.canonical` would
+    keep, so canonicalisation is a no-op for the estimate.
 
     Fully vectorised over rows *and* worker ranks: feasibility is checked
     as array masks, and the compute/push/pull/ring terms are evaluated on

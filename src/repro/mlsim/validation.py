@@ -27,6 +27,9 @@ from repro.workloads import Workload
 # module level from inside the mlsim package would be circular; it is
 # imported lazily inside cross_validate() instead.
 
+#: Training iterations per probe under both fidelities.
+PROBE_ITERATIONS = 20
+
 
 @dataclass(frozen=True)
 class FidelityPoint:
@@ -83,10 +86,12 @@ def cross_validate(
     cluster: ClusterSpec,
     num_configs: int = 20,
     seed: int = 0,
-    space=None,
-    probe_iterations: int = 20,
 ) -> ValidationReport:
     """Measure ``num_configs`` random feasible configs under both fidelities.
+
+    Configurations are drawn from the cluster's full
+    :func:`~repro.configspace.ml_config_space`; each probe runs
+    :data:`PROBE_ITERATIONS` iterations.
 
     Noise is disabled so any disagreement is model error, not sampling
     error.  Returns a :class:`ValidationReport`.
@@ -95,16 +100,16 @@ def cross_validate(
 
     if num_configs < 3:
         raise ValueError("num_configs must be >= 3 for a meaningful report")
-    space = space or ml_config_space(cluster.total_nodes)
+    space = ml_config_space(cluster.total_nodes)
     rng = np.random.default_rng(seed)
 
     analytic_env = TrainingEnvironment(
         workload, cluster, seed=seed, fidelity="analytic", noise_cv=0.0,
-        probe_iterations=probe_iterations,
+        probe_iterations=PROBE_ITERATIONS,
     )
     event_env = TrainingEnvironment(
         workload, cluster, seed=seed, fidelity="event", noise_cv=0.0,
-        probe_iterations=probe_iterations,
+        probe_iterations=PROBE_ITERATIONS,
     )
 
     points: List[FidelityPoint] = []

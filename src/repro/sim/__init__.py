@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation kernel.
 
 This subpackage is the substrate for the cluster and distributed-training
-simulators.  It provides a generator-based process model, counted resources,
-FIFO channels, and reproducible named RNG streams.
+simulators.  It provides a generator-based process model, counted resources
+and reproducible named RNG streams.
 """
 
 from repro.sim.events import Event, EventQueue
@@ -15,7 +15,7 @@ from repro.sim.kernel import (
     Timeout,
     Waitable,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "Signal",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
     "Waitable",
 ]

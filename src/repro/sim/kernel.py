@@ -123,12 +123,6 @@ class Process(Waitable):
                 f"process {self.name!r} yielded unsupported request: {request!r}"
             )
 
-    def kill(self) -> None:
-        """Terminate the process without completing its joiners normally."""
-        self.alive = False
-        self.generator.close()
-        self.complete(None)
-
 
 class AllOf(Waitable):
     """Completes when every child waitable has completed.
@@ -180,10 +174,6 @@ class Simulator:
     def timeout(self, delay: float) -> Timeout:
         """A waitable that completes after ``delay`` simulated seconds."""
         return Timeout(self, delay)
-
-    def signal(self) -> Signal:
-        """A manually triggered waitable."""
-        return Signal(self)
 
     def all_of(self, waitables: Iterable[Waitable]) -> AllOf:
         """A waitable that completes when all children complete."""

@@ -1,17 +1,13 @@
 """Shared resources for simulation processes.
 
-Two primitives cover everything the cluster and training simulators need:
-
-- :class:`Resource` — a counted resource (e.g. CPU slots on a node, service
-  threads on a parameter server) with FIFO queueing.
-- :class:`Store` — an unbounded FIFO message channel between processes
-  (e.g. the request queue of a parameter-server shard).
+:class:`Resource` is a counted resource (e.g. CPU slots on a node, service
+threads on a parameter server) with FIFO queueing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Deque
 
 from repro.sim.kernel import Signal, SimulationError, Simulator, Waitable
 
@@ -60,46 +56,3 @@ class Resource:
             signal.complete(self.sim.now)
         else:
             self.in_use -= 1
-
-    def use(self, duration: float) -> Generator:
-        """A process body that acquires, holds for ``duration``, releases."""
-        yield self.acquire()
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release()
-
-
-class Store:
-    """An unbounded FIFO channel.
-
-    ``put`` never blocks.  ``get`` returns a waitable that completes with the
-    next item; pending gets are served in FIFO order.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "store") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Signal] = deque()
-        self.total_puts = 0
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the earliest waiting getter if any."""
-        self.total_puts += 1
-        if self._getters:
-            self._getters.popleft().complete(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Waitable:
-        """Return a waitable that completes with the next item."""
-        signal = Signal(self.sim)
-        if self._items:
-            signal.complete(self._items.popleft())
-        else:
-            self._getters.append(signal)
-        return signal
-
-    def __len__(self) -> int:
-        return len(self._items)

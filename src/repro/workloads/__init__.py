@@ -9,7 +9,6 @@ from repro.workloads.datasets import (
     URL_REPUTATION,
     WIKI_CORPUS,
     DatasetSpec,
-    get_dataset,
 )
 from repro.workloads.models import (
     INCEPTION_V3,
@@ -23,7 +22,6 @@ from repro.workloads.models import (
     WORD2VEC,
     ConvergenceProfile,
     ModelSpec,
-    get_model,
 )
 from repro.workloads.workload import (
     SUITE,
@@ -56,8 +54,6 @@ __all__ = [
     "ModelSpec",
     "Workload",
     "core_suite",
-    "get_dataset",
-    "get_model",
     "get_workload",
     "iter_suite",
 ]

@@ -50,11 +50,3 @@ DATASET_ZOO = {
     spec.name: spec
     for spec in (IMAGENET, CIFAR10, PTB, CRITEO_1TB_SAMPLE, URL_REPUTATION, WIKI_CORPUS)
 }
-
-
-def get_dataset(name: str) -> DatasetSpec:
-    """Look up a zoo dataset by name, with a helpful error."""
-    try:
-        return DATASET_ZOO[name]
-    except KeyError:
-        raise KeyError(f"unknown dataset {name!r}; zoo has {sorted(DATASET_ZOO)}") from None

@@ -230,11 +230,3 @@ MODEL_ZOO = {
         TRANSFORMER_BASE,
     )
 }
-
-
-def get_model(name: str) -> ModelSpec:
-    """Look up a zoo model by name, with a helpful error."""
-    try:
-        return MODEL_ZOO[name]
-    except KeyError:
-        raise KeyError(f"unknown model {name!r}; zoo has {sorted(MODEL_ZOO)}") from None

@@ -618,7 +618,7 @@ class _NotPDAboveVariance2(Matern52):
 class TestLMLFailureDiagnostics:
     def test_failed_evaluations_surface_in_diagnostics(self, monkeypatch):
         monkeypatch.setattr(
-            bo_module, "make_kernel", lambda name, dims: _NotPDAboveVariance2(dims)
+            bo_module, "Matern52", _NotPDAboveVariance2
         )
         space = toy_space()
         proposer = BayesianProposer(

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.harness import cache, clear_optimum_cache
+from repro.harness import experiments
 from repro.harness.cache import clear_experiment_cache
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
@@ -20,18 +21,20 @@ from repro.harness.experiments import (
     exp_t2_workloads,
 )
 
-#: Light settings for every table that runs its sessions through run_sweep.
+#: Every table that runs its sessions through run_sweep, with the
+#: arguments that make it light.  Tables without budget arguments shrink
+#: through the module's recipe constants (8 nodes, 8 trials).
 SWEPT_TABLES = {
-    "T3": dict(nodes=8, budget_trials=8),
-    "F2": dict(nodes=8, budget_trials=8, repeats=2),
-    "F3": dict(nodes=8, budget_trials=8, repeats=2),
-    "F4": dict(nodes=8, budget_trials=8),
+    "T3": {},
+    "F2": {},
+    "F3": {},
+    "F4": {},
     "F5": dict(node_counts=(8,), budget_trials=8),
-    "A1": dict(nodes=8, budget_trials=8, repeats=2),
-    "A2": dict(nodes=8, budget_trials=8, repeats=2),
-    "P1": dict(nodes=8, budget_trials=8),
-    "P2": dict(nodes=8, budget_trials=8),
-    "P4": dict(nodes=8, budget_trials=8),
+    "A1": {},
+    "A2": {},
+    "P1": dict(budget_trials=8),
+    "P2": dict(budget_trials=8),
+    "P4": {},
 }
 
 
@@ -133,6 +136,9 @@ class TestSweptTables:
     def test_warm_render_equals_cold(self, exp_id, tmp_path, monkeypatch):
         """A render served by the disk tier equals the cold render."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(experiments, "NODES", 8)
+        monkeypatch.setattr(experiments, "P4_NODES", 8)
+        monkeypatch.setitem(experiments.TRIALS, exp_id, 8)
         clear_experiment_cache()
         clear_optimum_cache()
 

@@ -106,13 +106,6 @@ class TestGradientCompression:
         )
         assert sparse > dense  # less negative = faster time-to-accuracy
 
-    def test_space_knob_optional(self):
-        base = ml_config_space(8)
-        extended = ml_config_space(8, include_compression=True)
-        assert "compression_ratio" not in base
-        assert "compression_ratio" in extended
-        assert extended.dims == base.dims + 4  # one-hot over 4 ratios
-
     def test_roundtrip_through_dict(self):
         config = TrainingConfig(compression_ratio=0.1)
         assert TrainingConfig.from_dict(config.to_dict()) == config
@@ -284,6 +277,17 @@ class TestCli:
         )
         assert code == 2
         assert "--straggler-fraction must be in [0, 1]" in capsys.readouterr().err
+
+    def test_tune_rejects_bad_drift_spec(self, capsys):
+        """Regression: a bad --drift was reported as a fleet-flag error."""
+        code = cli_main(
+            ["tune", "--workload", "lstm-ptb", "--nodes", "4", "--trials", "2",
+             "--strategy", "random", "--drift", "bogus"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--drift: unknown drift kind 'bogus'")
+        assert err.count("\n") == 1
 
     def test_tune_rejects_negative_sparse_threshold(self, capsys):
         """Regression: a negative threshold silently turned the sparse tier off."""

@@ -109,7 +109,7 @@ class TestPoolConstruction:
     def test_capacity_and_descriptors(self):
         pool = two_speed_pool(capacities=[2, 1])
         assert pool.total_capacity == 3
-        descriptors = pool.descriptors()
+        descriptors = [shard.descriptor for shard in pool.shards]
         assert [d.name for d in descriptors] == ["s0", "s1"]
         assert [d.capacity for d in descriptors] == [2, 1]
         assert descriptors[1].cost_multiplier == 2.0
@@ -124,21 +124,11 @@ class TestPoolConstruction:
         with pytest.raises(RuntimeError):
             pool.release("s0")
 
-    def test_reset_restores_occupancy_and_rng_streams(self):
+    def test_reset_restores_occupancy(self):
         pool = two_speed_pool()
         pool.acquire("s0")
-        pool.reset(seed=7)
+        pool.reset()
         assert pool.busy("s0") == 0
-        first = pool.rng_for("s0").random(3)
-        pool.reset(seed=7)
-        assert np.allclose(pool.rng_for("s0").random(3), first)
-        pool.reset(seed=8)
-        assert not np.allclose(pool.rng_for("s0").random(3), first)
-        # Distinct shards get distinct streams at the same session seed.
-        pool.reset(seed=7)
-        assert not np.allclose(
-            pool.rng_for("s0").random(3), pool.rng_for("s1").random(3)
-        )
 
     def test_shard_measure_scales_probe_cost_only(self):
         shard = EnvironmentShard("slow", StubEnv(), cost_multiplier=2.5)
@@ -626,9 +616,9 @@ class TestShardAwareProposals:
 
 def make_num_params(dims):
     """ARD Matérn-5/2 parameter count for an input dimensionality."""
-    from repro.core.kernels import make_kernel
+    from repro.core.kernels import Matern52
 
-    return make_kernel("matern52", dims).num_params()
+    return Matern52(dims).num_params()
 
 
 class TestFleetLogging:
@@ -709,14 +699,15 @@ class TestHarnessIntegration:
         # so the seeds stay comparable.
         assert results[0].num_trials == results[1].num_trials
 
-    def test_exp_p4_fleet_light(self):
+    def test_exp_p4_fleet_light(self, monkeypatch):
+        from repro.harness import experiments
         from repro.harness.cache import clear_experiment_cache
-        from repro.harness.experiments import exp_p4_fleet
 
+        monkeypatch.setattr(experiments, "P4_NODES", NODES)
+        monkeypatch.setitem(experiments.TRIALS, "P4", 10)
+        monkeypatch.setattr(experiments, "P4_SCHEDULERS", ("roundrobin",))
         clear_experiment_cache()
-        table = exp_p4_fleet(
-            nodes=NODES, budget_trials=10, schedulers=("roundrobin",)
-        )
+        table = experiments.exp_p4_fleet()
         rendered = table.render()
         assert "P4" in rendered
         assert "single" in rendered and "roundrobin" in rendered

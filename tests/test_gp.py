@@ -15,7 +15,6 @@ from repro.core import (
     RBF,
     SparseGaussianProcess,
     SurrogateFactory,
-    make_kernel,
 )
 from repro.core import gp as gp_module
 from repro.core.gp import PriorMeanGP, _LMLObjective
@@ -70,12 +69,6 @@ class TestKernels:
         kernel = Matern52(3)
         with pytest.raises(ValueError):
             kernel.set_log_params(np.zeros(2))
-
-    def test_make_kernel(self):
-        assert isinstance(make_kernel("rbf", 2), RBF)
-        assert isinstance(make_kernel("matern52", 2), Matern52)
-        with pytest.raises(KeyError):
-            make_kernel("periodic", 2)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -184,24 +177,24 @@ class TestGaussianProcess:
 class TestIncrementalExtension:
     """extend() must be indistinguishable from a from-scratch refit."""
 
-    @pytest.mark.parametrize("kernel_name", ["rbf", "matern52"])
+    @pytest.mark.parametrize("kernel_cls", [RBF, Matern52], ids=["rbf", "matern52"])
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n_old=st.integers(min_value=1, max_value=24),
         m=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=20, deadline=None)
-    def test_extend_matches_full_fit(self, kernel_name, seed, n_old, m):
+    def test_extend_matches_full_fit(self, kernel_cls, seed, n_old, m):
         rng = np.random.default_rng(seed)
         dim = 3
         x = rng.random((n_old + m, dim))
         y = rng.standard_normal(n_old + m) * (1.0 + 5.0 * rng.random())
 
-        incremental = GaussianProcess(kernel=make_kernel(kernel_name, dim), restarts=0)
+        incremental = GaussianProcess(kernel=kernel_cls(dim), restarts=0)
         incremental.fit(x[:n_old], y[:n_old], optimize_hypers=False)
         incremental.extend(x[n_old:], y[n_old:])
 
-        full = GaussianProcess(kernel=make_kernel(kernel_name, dim), restarts=0)
+        full = GaussianProcess(kernel=kernel_cls(dim), restarts=0)
         full.fit(x, y, optimize_hypers=False)
 
         x_star = rng.random((8, dim))
@@ -250,14 +243,14 @@ class TestIncrementalExtension:
         rng = np.random.default_rng(0)
         x = rng.random((10, 3))
         y = rng.standard_normal(10)
-        gp = GaussianProcess(kernel=make_kernel("matern52", 3), restarts=0)
+        gp = GaussianProcess(kernel=Matern52(3), restarts=0)
         gp.noise_variance = 1e-10
         gp.fit(x, y, optimize_hypers=False)
         gp.extend(x[4:5], y[4:5])  # exact duplicate of a training row
         assert gp.extend_fallbacks == 1
         assert gp.num_observations == 11
 
-        full = GaussianProcess(kernel=make_kernel("matern52", 3), restarts=0)
+        full = GaussianProcess(kernel=Matern52(3), restarts=0)
         full.noise_variance = 1e-10
         full.fit(np.vstack((x, x[4:5])), np.concatenate((y, y[4:5])), optimize_hypers=False)
         x_star = rng.random((6, 3))
@@ -285,23 +278,23 @@ class TestSparseGaussianProcess:
             y = y + 0.05 * rng.standard_normal(n)
         return x, y
 
-    @pytest.mark.parametrize("kernel_name", ["rbf", "matern52"])
+    @pytest.mark.parametrize("kernel_cls", [RBF, Matern52], ids=["rbf", "matern52"])
     @given(seed=st.integers(min_value=0, max_value=10_000))
     # K_mm's smallest eigenvalue here is ~1e-4, so factoring it with any
     # jitter moved the rbf mean 1.04e-6 off the exact posterior.
     @example(seed=248)
     @settings(max_examples=10, deadline=None)
-    def test_full_inducing_set_matches_exact_gp(self, kernel_name, seed):
+    def test_full_inducing_set_matches_exact_gp(self, kernel_cls, seed):
         """With m = n the DTC posterior *is* the exact posterior."""
         rng = np.random.default_rng(seed)
         dim = 3
         n = 8 + int(rng.integers(0, 16))
         x = rng.random((n, dim))
         y = rng.standard_normal(n) * (1.0 + 5.0 * rng.random())
-        exact = GaussianProcess(kernel=make_kernel(kernel_name, dim), restarts=0)
+        exact = GaussianProcess(kernel=kernel_cls(dim), restarts=0)
         exact.fit(x, y, optimize_hypers=False)
         sparse = SparseGaussianProcess(
-            kernel=make_kernel(kernel_name, dim), restarts=0, max_inducing=n
+            kernel=kernel_cls(dim), restarts=0, max_inducing=n
         )
         sparse.fit(x, y, optimize_hypers=False)
         x_star = rng.random((8, dim))
@@ -383,7 +376,7 @@ class TestSparseGaussianProcess:
         sparse.extend(x[20:], y[20:])
         assert sparse.num_inducing == 30
         exact = GaussianProcess(restarts=0)
-        exact.kernel = make_kernel("matern52", 3)
+        exact.kernel = Matern52(3)
         exact.kernel.set_log_params(sparse.kernel.get_log_params())
         exact.noise_variance = sparse.noise_variance
         exact.fit(x, y, optimize_hypers=False)
@@ -422,7 +415,7 @@ class TestSparseGaussianProcess:
 class TestSurrogateFactory:
     def test_tier_policy(self):
         factory = SurrogateFactory(
-            lambda: make_kernel("matern52", 3), sparse_threshold=32, max_inducing=16
+            lambda: Matern52(3), sparse_threshold=32, max_inducing=16
         )
         assert factory.tier_for(31) == "exact"
         assert factory.tier_for(32) == "sparse"
@@ -435,7 +428,7 @@ class TestSurrogateFactory:
 
     def test_threshold_none_never_sparse(self):
         factory = SurrogateFactory(
-            lambda: make_kernel("matern52", 3), sparse_threshold=None
+            lambda: Matern52(3), sparse_threshold=None
         )
         assert factory.tier_for(10**6) == "exact"
         assert isinstance(factory.build(10**6), GaussianProcess)
@@ -450,18 +443,18 @@ class TestSurrogateFactory:
 class TestAnalyticGradients:
     """Closed-form LML gradients must match central finite differences."""
 
-    @pytest.mark.parametrize("kernel_name", ["rbf", "matern52"])
+    @pytest.mark.parametrize("kernel_cls", [RBF, Matern52], ids=["rbf", "matern52"])
     @pytest.mark.parametrize("scaled", [True, False])
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
-    def test_gradient_matches_finite_differences(self, kernel_name, scaled, seed):
+    def test_gradient_matches_finite_differences(self, kernel_cls, scaled, seed):
         rng = np.random.default_rng(seed)
         dim = 3
         x = rng.random((15, dim))
         y = np.sin(3 * x[:, 0]) + 0.5 * x[:, 1] + 0.1 * rng.standard_normal(15)
         # Per-observation noise scales take the noise gradient's other branch.
         scale = np.where(rng.random(15) < 0.5, 1.0, 4.0) if scaled else None
-        gp = GaussianProcess(kernel=make_kernel(kernel_name, dim), restarts=0)
+        gp = GaussianProcess(kernel=kernel_cls(dim), restarts=0)
         gp.fit(x, y, optimize_hypers=False, noise_scale=scale)
         # Perturb away from the defaults but stay inside the optimiser's
         # bounds (where the clipping in set_log_params is inactive).

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import RandomSearch
 from repro.cluster import homogeneous
 from repro.configspace import ml_config_space
-from repro.core import GPFitError, TuningBudget, knob_importance, ranked_knobs
+from repro.core import GPFitError, TuningBudget, knob_importance
 from repro.core.trial import TrialHistory
 from repro.mlsim import (
     Measurement,
@@ -31,12 +31,6 @@ class TestKnobImportance:
         assert set(importance) == set(space.names())
         assert sum(importance.values()) == pytest.approx(1.0)
         assert all(v >= 0 for v in importance.values())
-
-    def test_ranked_knobs_sorted(self):
-        history, space = tuning_session()
-        ranking = ranked_knobs(history, space, seed=0)
-        values = [v for _, v in ranking]
-        assert values == sorted(values, reverse=True)
 
     def test_needs_enough_successes(self):
         space = ml_config_space(8)

@@ -8,6 +8,8 @@ requires the full :class:`~repro.mlsim.PerfEstimate` to compare equal
 with ``==``, never ``approx``.
 """
 
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,13 +26,18 @@ from repro.mlsim import (
     StragglerOnset,
     TrainingConfig,
     TrainingEnvironment,
+    PerfEstimate,
     estimate,
-    estimate_batch,
     estimate_columns,
 )
 from repro.workloads import get_workload
 
 WORKLOAD = get_workload("resnet50-imagenet")
+
+
+def batch_row(batch, index):
+    """Row ``index`` of a batch estimate, as the fields of a PerfEstimate."""
+    return tuple(getattr(batch, field.name)[index] for field in fields(PerfEstimate))
 
 HOMOGENEOUS = homogeneous(8)
 HETEROGENEOUS = ClusterSpec(
@@ -91,8 +98,8 @@ class TestEstimateBatchParity:
             if randomize_speeds
             else None
         )
-        batch = estimate_batch(
-            configs, WORKLOAD, cluster, node_speed_factors=factors
+        batch = estimate_columns(
+            PerfColumns.from_configs(configs), WORKLOAD, cluster, factors
         )
         assert len(batch) == len(configs)
         for i, config in enumerate(configs):
@@ -101,16 +108,17 @@ class TestEstimateBatchParity:
                 assert not batch.ok[i]
                 assert np.isnan(batch.throughput[i])
                 assert batch.bottleneck[i] is None
-                with pytest.raises(InfeasibleConfigError):
-                    batch.row(i)
             else:
                 assert batch.ok[i]
-                assert batch.row(i) == reference  # full-dataclass bit equality
+                assert batch_row(batch, i) == astuple(reference)  # bit equality
 
     def test_rejects_wrong_factor_count(self):
         with pytest.raises(ValueError, match="speed factors"):
-            estimate_batch(
-                [TrainingConfig()], WORKLOAD, HOMOGENEOUS, node_speed_factors=[1.0]
+            estimate_columns(
+                PerfColumns.from_configs([TrainingConfig()]),
+                WORKLOAD,
+                HOMOGENEOUS,
+                node_speed_factors=[1.0],
             )
 
     def test_from_knob_columns_defaults_match_config_defaults(self):
@@ -189,7 +197,7 @@ class TestBlockedEngine:
         assert np.array_equal(blocked.ok, single.ok)
         for i in range(length):
             if single.ok[i]:
-                assert blocked.row(i) == single.row(i)  # full-dataclass bit equality
+                assert batch_row(blocked, i) == batch_row(single, i)  # bit equality
             else:
                 assert np.isnan(blocked.throughput[i])
                 assert blocked.bottleneck[i] is None
@@ -218,11 +226,11 @@ class TestTrueObjectiveBatchParity:
         configs=st.lists(config_strategy, min_size=1, max_size=16),
         objective=st.sampled_from(("throughput", "tta")),
         drifted=st.booleans(),
-        at_s=st.sampled_from((None, 0.0, 150.0, 500.0)),
+        clock=st.sampled_from((0.0, 150.0, 250.0, 500.0)),
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_scalar_loop_at_fixed_clock(
-        self, configs, objective, drifted, at_s
+        self, configs, objective, drifted, clock
     ):
         env = TrainingEnvironment(
             WORKLOAD,
@@ -231,10 +239,10 @@ class TestTrueObjectiveBatchParity:
             objective_name=objective,
             drift=DRIFT if drifted else None,
         )
-        env.set_clock(250.0)
-        values = env.true_objective_batch(configs, at_s=at_s)
+        env.set_clock(clock)
+        values = env.true_objective_batch(configs)
         for i, config in enumerate(configs):
-            scalar = env.true_objective(config, at_s=at_s)
+            scalar = env.true_objective(config)
             if scalar is None:
                 assert np.isnan(values[i])
             else:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import STANDARD_CPU, homogeneous
-from repro.configspace import ml_config_space
 from repro.mlsim import TrainingConfig, TrainingEnvironment, estimate
 from repro.mlsim.pipeline import (
     DECODE_BYTES_PER_CORE_PER_SEC,
@@ -147,12 +146,3 @@ class TestEventIntegration:
             TrainingConfig(num_workers=4, num_ps=2, batch_per_worker=32, io_threads=6)
         )
         assert starved.throughput < healthy.throughput
-
-
-class TestSpaceIntegration:
-    def test_pipeline_knobs_optional(self):
-        base = ml_config_space(8)
-        extended = ml_config_space(8, include_pipeline=True)
-        assert "io_threads" not in base
-        assert "io_threads" in extended
-        assert "prefetch_batches" in extended

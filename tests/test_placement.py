@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import PlacementError, feasible, place
+from repro.cluster import PlacementError, place
 
 
 def machines_used(placement):
@@ -53,34 +53,20 @@ class TestValidation:
         with pytest.raises(PlacementError):
             place(num_nodes=4, num_ps=-1, num_workers=2, colocate=False)
 
-    def test_custom_node_order(self):
-        placement = place(
-            num_nodes=4, num_ps=1, num_workers=2, colocate=False, node_order=[3, 1, 0, 2]
-        )
-        assert placement.ps_nodes == (3,)
-        assert placement.worker_nodes == (1, 0)
-
-    def test_duplicate_node_order_rejected(self):
-        with pytest.raises(PlacementError):
-            place(4, 1, 2, False, node_order=[0, 0, 1, 2])
-
-    def test_unknown_node_in_order_rejected(self):
-        with pytest.raises(PlacementError):
-            place(4, 1, 2, False, node_order=[0, 1, 2, 9])
-
 
 class TestFeasible:
+    """Which role counts fit a cluster: ``place`` succeeds or raises."""
+
     def test_matches_place_success(self):
-        assert feasible(8, 2, 4, False)
-        assert feasible(4, 3, 4, True)
+        place(8, 2, 4, False)
+        place(4, 3, 4, True)
 
     def test_matches_place_failure(self):
-        assert not feasible(5, 2, 4, False)
-        assert not feasible(3, 4, 2, True)
-        assert not feasible(4, 1, 0, False)
+        for args in ((5, 2, 4, False), (3, 4, 2, True), (4, 1, 0, False)):
+            with pytest.raises(PlacementError):
+                place(*args)
 
     def test_allreduce_style_zero_ps(self):
-        assert feasible(4, 0, 4, False)
         placement = place(4, 0, 4, False)
         assert placement.ps_nodes == ()
         assert placement.worker_nodes == (0, 1, 2, 3)

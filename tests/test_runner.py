@@ -183,7 +183,7 @@ class TestDiskMemoiser:
         import repro.harness.cache as cache
         import repro.harness.experiments as experiments
 
-        kwargs = dict(node_counts=(8,), budget_trials=3, seed=0)
+        kwargs = dict(node_counts=(8,), budget_trials=3)
         cold = experiments.exp_f5_scalability(**kwargs)
         cache._memo.clear()
         warm = experiments.exp_f5_scalability(**kwargs)

@@ -312,7 +312,7 @@ class TestRepositoryIntegration:
         svc.run()
         assert len(repo) == 2
         assert repo.workloads() == sorted({RESNET.name, VGG.name})
-        entry = repo.sessions()[0]
+        entry = repo._entries[0]
         assert entry["fingerprint"]
         assert entry["metadata"]["tenant"] in ("a", "b")
 

@@ -1,7 +1,6 @@
 """Tests for the TuningSession / executor layer and its callbacks."""
 
 import dataclasses
-import io
 import json
 import math
 
@@ -25,12 +24,11 @@ from repro.core import (
 )
 from repro.core.session import (
     JsonlTrialLog,
-    ProgressLogger,
     SessionCallback,
     executor_for,
 )
 from repro.core.fleet import FailureInjector, OutageWindow
-from repro.core.stopping import PlateauRule, StoppedStrategy, TargetRule
+from repro.core.stopping import StoppedStrategy, StoppingRule, TargetRule
 from repro.core.strategy import SearchStrategy
 from repro.harness.chaos import result_fingerprint
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
@@ -524,19 +522,25 @@ class TestAsyncExecutor:
     def test_unfinishing_stop_rule_cannot_launch_in_the_past(self):
         """Regression: a worker idled behind a launch gate relaunches *now*.
 
-        FailureStreakRule fires after two fast failures, the slow success
-        drains and breaks the streak, and the session resumes.  The idle
-        worker's free-time (t=20) is stale by then; launching there would
-        produce time-travelling trials and non-monotone completion stamps.
+        A rule over the last two trials fires after two fast failures, the
+        slow success drains and clears it, and the session resumes.  The
+        idle worker's free-time (t=20) is stale by then; launching there
+        would produce time-travelling trials and non-monotone completion
+        stamps.
         """
-        from repro.core.stopping import FailureStreakRule
+
+        class TwoFailuresInARow(StoppingRule):
+            def should_stop(self, history):
+                return len(history) >= 2 and not any(
+                    t.ok for t in history.trials[-2:]
+                )
 
         strategy = StoppedStrategy(
             CostedStrategy(
                 [10.0, 1000.0, 10.0, 100.0],
                 oks=[False, True, False, True],
             ),
-            [FailureStreakRule(streak=2)],
+            [TwoFailuresInARow()],
         )
         result = TuningSession(strategy, executor=AsyncExecutor(2)).run(
             StubEnv(), stub_space(), TuningBudget(max_trials=5), seed=0
@@ -675,20 +679,6 @@ class TestCallbacks:
             "session_end",
         ]
 
-    def test_progress_logger_writes_per_round(self):
-        stream = io.StringIO()
-        TuningSession(
-            CostedStrategy([1.0]), callbacks=[ProgressLogger(stream=stream)]
-        ).run(StubEnv(), stub_space(), TuningBudget(max_trials=3), seed=0)
-        lines = [line for line in stream.getvalue().splitlines() if line]
-        assert len(lines) == 3
-        assert "costed-stub" in lines[0]
-        assert "wall=" in lines[0]
-
-    def test_progress_logger_validation(self):
-        with pytest.raises(ValueError):
-            ProgressLogger(every=0)
-
     def test_jsonl_trial_log(self, tmp_path):
         path = str(tmp_path / "trials.jsonl")
         result = RandomSearch().run(
@@ -790,9 +780,7 @@ class TestSessionReset:
         assert strategy.mapped_workload is None
 
     def test_stopped_strategy_clears_stop_reason(self):
-        strategy = StoppedStrategy(
-            RandomSearch(), [PlateauRule(patience=5, min_relative_gain=0.02)]
-        )
+        strategy = StoppedStrategy(RandomSearch(), [TargetRule(float("-inf"))])
         strategy.run(make_env(), space(), TuningBudget(max_trials=60), seed=0)
         assert strategy.stop_reason is not None
         strategy.reset()

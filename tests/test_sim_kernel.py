@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import (
     EventQueue,
+    Signal,
     SimulationError,
     Simulator,
 )
@@ -186,7 +187,7 @@ class TestProcesses:
 
     def test_signal_wakes_waiter(self):
         sim = Simulator()
-        signal = sim.signal()
+        signal = Signal(sim)
         log = []
 
         def waiter():
@@ -204,7 +205,7 @@ class TestProcesses:
 
     def test_waiting_on_completed_waitable_resumes_immediately(self):
         sim = Simulator()
-        signal = sim.signal()
+        signal = Signal(sim)
         signal.complete("early")
         log = []
 
@@ -230,21 +231,6 @@ class TestProcesses:
         sim.spawn(proc())
         with pytest.raises(SimulationError):
             sim.run()
-
-    def test_kill_terminates_process(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            yield sim.timeout(10.0)
-            log.append("should not happen")
-
-        process = sim.spawn(proc())
-        sim.run(until=1.0)
-        process.kill()
-        sim.run()
-        assert log == []
-        assert not process.alive
 
     def test_determinism_two_identical_runs(self):
         def build_and_run():

@@ -15,7 +15,9 @@ from repro.configspace import (
     ml_config_space,
     to_training_config,
 )
+from repro.cluster import homogeneous
 from repro.mlsim import DEFAULT_CONFIG, TrainingConfig
+from repro.mlsim.perf import place_config
 
 
 def small_space():
@@ -142,7 +144,7 @@ class TestMlConfigSpace:
         rng = np.random.default_rng(0)
         for config in space.sample_batch(rng, 200):
             training = to_training_config(config)
-            assert training.machines_needed() <= 16
+            place_config(training, homogeneous(16))  # raises if it does not fit
 
     def test_default_config_is_valid(self):
         space = ml_config_space(16)

@@ -9,12 +9,7 @@ from repro.configspace import ConfigSpace, FloatParameter, ml_config_space
 from repro.core import MLConfigTuner, TrialHistory, TuningBudget
 from repro.core.bo import DEFAULT_COST_LIE_S, BayesianProposer, _fantasy_history
 from repro.core.fleet import EnvironmentShard
-from repro.core.stopping import (
-    FailureStreakRule,
-    PlateauRule,
-    StoppedStrategy,
-    TargetRule,
-)
+from repro.core.stopping import StoppedStrategy, TargetRule
 from repro.mlsim import Measurement, TrainingConfig, TrainingEnvironment
 from repro.workloads import get_workload
 
@@ -42,73 +37,44 @@ def fantasy_lies(history):
     return fantasy.measurement.objective, fantasy.measurement.probe_cost_s
 
 
-class TestPlateauRule:
-    def test_fires_after_stall(self):
-        rule = PlateauRule(patience=3, min_relative_gain=0.01)
-        stalled = make_history([10.0, 10.0, 10.0, 10.0, 10.0])
-        assert rule.should_stop(stalled)
-
-    def test_does_not_fire_while_improving(self):
-        rule = PlateauRule(patience=3, min_relative_gain=0.01)
-        improving = make_history([10.0, 11.0, 12.5, 14.0, 16.0])
-        assert not rule.should_stop(improving)
-
-    def test_small_gains_do_not_reset(self):
-        rule = PlateauRule(patience=3, min_relative_gain=0.05)
-        barely = make_history([10.0, 10.01, 10.02, 10.03, 10.04])
-        assert rule.should_stop(barely)
-
-    def test_needs_enough_trials(self):
-        rule = PlateauRule(patience=10)
-        assert not rule.should_stop(make_history([1.0, 1.0]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PlateauRule(patience=0)
-        with pytest.raises(ValueError):
-            PlateauRule(min_relative_gain=-0.1)
-
-
 class TestOtherRules:
     def test_target_rule(self):
         rule = TargetRule(target=100.0)
         assert not rule.should_stop(make_history([50.0]))
         assert rule.should_stop(make_history([50.0, 120.0]))
 
-    def test_failure_streak_rule(self):
-        rule = FailureStreakRule(streak=3)
-        assert not rule.should_stop(make_history([None, None, 1.0]))
-        assert rule.should_stop(make_history([1.0, None, None, None]))
-
     def test_reasons_are_informative(self):
-        assert "trials" in PlateauRule(patience=4).reason()
         assert "target" in TargetRule(10.0).reason()
-        assert "failed" in FailureStreakRule(3).reason()
 
 
 class TestStoppedStrategy:
-    def test_plateau_ends_session_early(self):
-        env = TrainingEnvironment(
-            get_workload("resnet50-imagenet"), homogeneous(8), seed=0
+    def test_target_ends_session_early(self):
+        def env():
+            return TrainingEnvironment(
+                get_workload("resnet50-imagenet"), homogeneous(8), seed=0
+            )
+
+        full = RandomSearch().run(
+            env(), ml_config_space(8), TuningBudget(max_trials=60), seed=0
         )
-        strategy = StoppedStrategy(
-            RandomSearch(), [PlateauRule(patience=5, min_relative_gain=0.02)]
-        )
+        target = full.history.best_so_far_series()[9]
+        strategy = StoppedStrategy(RandomSearch(), [TargetRule(target)])
         result = strategy.run(
-            env, ml_config_space(8), TuningBudget(max_trials=60), seed=0
+            env(), ml_config_space(8), TuningBudget(max_trials=60), seed=0
         )
-        assert result.num_trials < 60
-        assert strategy.stop_reason is not None
+        assert result.num_trials <= 10
+        assert result.best_objective >= target
+        assert strategy.stop_reason == TargetRule(target).reason()
 
     def test_wraps_bo_tuner(self):
         env = TrainingEnvironment(
             get_workload("resnet50-imagenet"), homogeneous(8), seed=0
         )
-        strategy = StoppedStrategy(MLConfigTuner(seed=0), [PlateauRule(patience=10)])
+        strategy = StoppedStrategy(MLConfigTuner(seed=0), [TargetRule(float("inf"))])
         result = strategy.run(
-            env, ml_config_space(8), TuningBudget(max_trials=40), seed=0
+            env, ml_config_space(8), TuningBudget(max_trials=20), seed=0
         )
-        assert strategy.stop_reason is not None or result.num_trials == 40
+        assert strategy.stop_reason is None and result.num_trials == 20
         assert "stop" in strategy.name
 
     def test_needs_rules(self):

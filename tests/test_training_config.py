@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cluster import homogeneous
 from repro.mlsim import DEFAULT_CONFIG, TrainingConfig, expert_config
+from repro.mlsim.perf import place_config
 
 
 class TestValidation:
@@ -47,13 +49,6 @@ class TestDerivedProperties:
         assert TrainingConfig(sync_mode="bsp").effective_staleness_bound == 0
         assert TrainingConfig(sync_mode="asp").effective_staleness_bound >= 1_000_000
         assert TrainingConfig(sync_mode="ssp", staleness_bound=5).effective_staleness_bound == 5
-
-    def test_machines_needed(self):
-        assert TrainingConfig(num_workers=4, num_ps=2, colocate_ps=False).machines_needed() == 6
-        assert TrainingConfig(num_workers=4, num_ps=2, colocate_ps=True).machines_needed() == 4
-        assert (
-            TrainingConfig(architecture="allreduce", num_workers=4).machines_needed() == 4
-        )
 
 
 class TestCanonical:
@@ -111,7 +106,7 @@ class TestExpertConfig:
         for ratio in (0.1, 5.0, 20.0, 200.0):
             for nodes in (2, 4, 16, 64):
                 config = expert_config(nodes, ratio)
-                assert config.machines_needed() <= nodes
+                place_config(config, homogeneous(nodes))  # raises if it does not fit
 
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):

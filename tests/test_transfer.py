@@ -23,7 +23,7 @@ from repro.configspace import ml_config_space, to_training_config
 from repro.core import TuningBudget
 from repro.core.bo import BayesianProposer
 from repro.core.gp import GaussianProcess, GPFitError, PriorMeanGP, SurrogateFactory
-from repro.core.kernels import make_kernel
+from repro.core.kernels import Matern52
 from repro.core.transfer import (
     HistoryRepository,
     TransferPrior,
@@ -94,7 +94,7 @@ class _FrozenOtterTune(OtterTuneStyle):
             y = np.array([v for _, v in observations])
             try:
                 surrogate = GaussianProcess(
-                    kernel=make_kernel("matern52", s.dims), seed=self.seed
+                    kernel=Matern52(s.dims), seed=self.seed
                 ).fit(x, y, optimize_hypers=False)
                 mu, _ = surrogate.predict(np.array(target_x))
             except GPFitError:
@@ -230,7 +230,7 @@ class TestHistoryRepository:
         reloaded = HistoryRepository(path)
         assert len(reloaded) == 2
         assert reloaded.workloads() == ["w1", "w2"]
-        assert reloaded.sessions() == repo.sessions()
+        assert reloaded._entries == repo._entries
         assert reloaded.observations("w1") == repo.observations("w1")
         assert reloaded.fingerprint("w1") == {"f": 2.0}
         # No temp files left behind by the atomic flush.
@@ -313,10 +313,6 @@ class TestNearestFingerprint:
         assert repo.nearest({"flops": 2e9, "params": 2e6}) == "small"
         assert repo.nearest({"flops": 5e11, "params": 5e8}) == "large"
 
-    def test_exclude_skips_self(self, tmp_path):
-        repo = self._repo(tmp_path)
-        assert repo.nearest({"flops": 1e9, "params": 1e6}, exclude=("small",)) == "large"
-
     def test_disjoint_features_is_none(self, tmp_path):
         assert self._repo(tmp_path).nearest({"other": 1.0}) is None
 
@@ -384,7 +380,7 @@ class TestPriorMeanGP:
 
     def _factory(self, dims=3, prior=None):
         return SurrogateFactory(
-            lambda: make_kernel("matern52", dims), seed=0, prior_mean=prior
+            lambda: Matern52(dims), seed=0, prior_mean=prior
         )
 
     def test_factory_wraps_and_tier_unwraps(self):
@@ -437,7 +433,7 @@ class TestPriorMeanGP:
         # must agree with an exact GP fitted to the same residuals.
         x_star = x[:5]
         mu_a, var_a = extended.predict(x_star)
-        inner = GaussianProcess(kernel=make_kernel("matern52", 3), seed=0)
+        inner = GaussianProcess(kernel=Matern52(3), seed=0)
         mean, std = float(y[:8].mean()), float(y[:8].std())
         residuals = y - (mean + std * prior(x))
         inner.fit(x, residuals, optimize_hypers=False)

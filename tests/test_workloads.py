@@ -7,25 +7,12 @@ from repro.workloads import (
     SUITE,
     ConvergenceProfile,
     core_suite,
-    get_dataset,
-    get_model,
     get_workload,
     iter_suite,
 )
 
 
 class TestZooLookups:
-    def test_get_model(self):
-        assert get_model("resnet50").name == "resnet50"
-
-    def test_get_model_unknown(self):
-        with pytest.raises(KeyError, match="zoo has"):
-            get_model("alexnet")
-
-    def test_get_dataset_unknown(self):
-        with pytest.raises(KeyError, match="zoo has"):
-            get_dataset("mnist-of-doom")
-
     def test_get_workload_unknown(self):
         with pytest.raises(KeyError, match="suite has"):
             get_workload("nope")
@@ -49,12 +36,12 @@ class TestModelSpecs:
 
     def test_vgg_more_comm_bound_than_resnet(self):
         assert (
-            get_model("vgg16").compute_comm_ratio
-            < get_model("resnet50").compute_comm_ratio
+            MODEL_ZOO["vgg16"].compute_comm_ratio
+            < MODEL_ZOO["resnet50"].compute_comm_ratio
         )
 
     def test_word2vec_is_most_comm_bound(self):
-        w2v = get_model("word2vec").compute_comm_ratio
+        w2v = MODEL_ZOO["word2vec"].compute_comm_ratio
         assert all(
             w2v <= m.compute_comm_ratio for m in MODEL_ZOO.values()
         )
